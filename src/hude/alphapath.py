@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ALPHA_CLAMP,
     ConditionDomain,
     HudeModel,
     InitialState,
@@ -112,7 +113,7 @@ def inverse_distribution(
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
     resolved = model.resolved_theta(theta)
     drift, diffusions = compile_model(model, resolved)
-    phi = phi_inv(np.clip(alphas, 1e-12, 1.0 - 1e-12))
+    phi = phi_inv(np.clip(alphas, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP))
     raw = _make_rhs(model.order, drift, diffusions, phi)
     B = alphas.size
     t0s = np.full(B, init.t0)

@@ -210,7 +210,7 @@ def cmd_reactor_demo(args) -> int:
     return 0
 
 
-def _add_common(parser, *names, step_default=DEFAULT_STEP):
+def _add_common(parser, *names):
     if "model" in names:
         parser.add_argument("--model", required=True, help="model JSON file")
     if "data" in names:
@@ -224,9 +224,9 @@ def _add_common(parser, *names, step_default=DEFAULT_STEP):
         parser.add_argument("--delta", type=float, default=1e-4,
                             help="residual bisection precision")
     if "step" in names:
-        parser.add_argument("--step", type=float,
-                            default=_default_step(step_default),
+        parser.add_argument("--step", type=float, default=None,
                             help="integrator step h")
+        parser.set_defaults(step_fallback=DEFAULT_STEP)
     if "method" in names:
         parser.add_argument("--method", choices=("moments", "mle"),
                             default="moments")
@@ -295,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "thousands of times); pass --step to override.",
     )
     _add_common(p, "alpha", "p", "delta", "method", "scheme", "integrator",
-                "bounds", "seed", step_default=1e-3)
-    p.add_argument("--step", type=float, default=_default_step(1e-3),
+                "bounds", "seed")
+    p.add_argument("--step", type=float, default=None,
                    help="integrator step h (default 1e-3 for this command)")
+    p.set_defaults(step_fallback=1e-3)
     p.add_argument("--restarts", type=int, default=2)
     p.add_argument("--threshold", type=float, default=1e-6,
                    help="relaxed convergence threshold for the case study")
@@ -316,6 +317,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # The step default is read from the environment only by commands that
+        # take a step, so a bad value fails those commands like any bad input.
+        if getattr(args, "step", 0.0) is None:
+            args.step = _default_step(args.step_fallback)
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(EXIT_FILE_NOT_FOUND, "file-not-found", exc)

@@ -25,7 +25,12 @@ import numpy as np
 from .expr import DomainError
 from .model import HudeModel
 from .odeint import DEFAULT_STEP, IntegrationError
-from .residuals import ObservationSeries, ResidualVector, compute_residuals
+from .residuals import (
+    ObservationSeries,
+    ResidualVector,
+    compute_residuals,
+    compute_residuals_batch,
+)
 
 __all__ = [
     "EstimationResult",
@@ -122,11 +127,22 @@ def _reflect_into_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return out
 
 
+def _evaluate(objective: Callable, points: np.ndarray) -> np.ndarray:
+    """Objective values at the rows of ``points``: one call of
+    ``objective.batch`` when the objective has that batched form (see
+    :func:`_residual_objective`), else one call per point."""
+    batch = getattr(objective, "batch", None)
+    if batch is None:
+        return np.array([objective(point) for point in points])
+    return np.asarray(batch(points), dtype=float)
+
+
 def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
     """Classical Nelder-Mead restricted to a box by reflection.
 
     Returns ``(x_best, f_best, iterations, nfev)``.  Infinite objective values
-    (failed probes) are handled by the usual ordering.
+    (failed probes) are handled by the usual ordering.  The initial simplex
+    and each shrink are scored as one batch of points.
     """
     n = len(x0)
     simplex = [np.array(x0, dtype=float)]
@@ -136,7 +152,7 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
         vertex[i] += step
         simplex.append(_reflect_into_box(vertex, lo, hi))
     simplex = np.array(simplex)
-    values = np.array([f(v) for v in simplex])
+    values = _evaluate(f, simplex)
     nfev = n + 1
     iterations = 0
 
@@ -185,8 +201,8 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
             simplex[i] = _reflect_into_box(
                 simplex[0] + 0.5 * (simplex[i] - simplex[0]), lo, hi
             )
-            values[i] = f(simplex[i])
-            nfev += 1
+        values[1:] = _evaluate(f, simplex[1:])
+        nfev += n
 
     best = int(np.argmin(values))
     return simplex[best], float(values[best]), iterations, nfev
@@ -225,6 +241,8 @@ def minimize_in_box(
     deterministic geometric scan of the box is prepended, and the remaining
     starts are drawn uniformly.  Restarting stops early once the objective
     drops below ``stop_below``.  Returns ``(x_best, f_best, total_iterations)``.
+    An objective with a ``batch`` attribute, mapping a ``(P, p)`` matrix of
+    points to their ``P`` values, scores the scan in one call.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
@@ -241,7 +259,7 @@ def minimize_in_box(
     starts = [theta_init]
     if presearch:
         points = _ladder_points(lo, hi)
-        values = [objective(point) for point in points]
+        values = _evaluate(objective, points)
         best = int(np.argmin(values))
         if np.isfinite(values[best]):
             starts.insert(0, points[best])
@@ -259,14 +277,33 @@ def minimize_in_box(
     return best_x, best_f, total
 
 
-def _guarded(objective):
-    def wrapped(x):
+def _residual_objective(model, series, score, **residual_kwargs):
+    """``x -> score(epsilons of the residuals at x)`` and the residual function
+    behind it; ``x`` lists the parameters in ``model.params`` order.
+
+    A probe that fails to integrate scores ``inf``.  The objective's ``batch``
+    attribute scores a ``(P, p)`` matrix of probes with one
+    :func:`compute_residuals_batch` call, value for value as the objective.
+    """
+    names = model.params
+
+    def residual_fn(x):
+        return compute_residuals(model, dict(zip(names, x)), series,
+                                 **residual_kwargs)
+
+    def objective(x):
         try:
-            return objective(x)
+            return score(residual_fn(x).epsilons)
         except (IntegrationError, DomainError):
             return np.inf
 
-    return wrapped
+    def batch(points):
+        vectors = compute_residuals_batch(model, points, series,
+                                          **residual_kwargs)
+        return [np.inf if v is None else score(v.epsilons) for v in vectors]
+
+    objective.batch = batch
+    return objective, residual_fn
 
 
 def _prepare(model, series, theta_init, bounds):
@@ -305,19 +342,10 @@ def estimate_moments(
 ) -> EstimationResult:
     """Generalized moment estimate of the model parameters on ``series``."""
     names, theta_init = _prepare(model, series, theta_init, bounds)
-
-    def residual_fn(theta_arr):
-        return compute_residuals(
-            model,
-            dict(zip(names, theta_arr)),
-            series,
-            delta=delta,
-            h=h,
-            scheme=scheme,
-            method=method,
-        )
-
-    objective = _guarded(lambda x: moment_objective(x, residual_fn, p))
+    objective, residual_fn = _residual_objective(
+        model, series, lambda eps: moment_objective(None, lambda _: eps, p),
+        delta=delta, h=h, scheme=scheme, method=method,
+    )
     best_x, best_f, iterations = minimize_in_box(
         objective, theta_init, bounds, restarts, maxiter, seed,
         stop_below=threshold, presearch=presearch,
@@ -352,23 +380,14 @@ def estimate_mle(
 ) -> EstimationResult:
     """Maximum-likelihood estimate at detection level ``alpha``."""
     names, theta_init = _prepare(model, series, theta_init, bounds)
-
-    def residual_fn(theta_arr):
-        return compute_residuals(
-            model,
-            dict(zip(names, theta_arr)),
-            series,
-            delta=delta,
-            h=h,
-            scheme=scheme,
-            method=method,
-        )
+    objective, residual_fn = _residual_objective(
+        model, series, lambda eps: mle_objective(eps, alpha)[0],
+        delta=delta, h=h, scheme=scheme, method=method,
+    )
 
     # Validate the window size once against the actual residual count.
     probe = residual_fn(theta_init)
     mle_objective(probe.epsilons, alpha)
-
-    objective = _guarded(lambda x: mle_objective(residual_fn(x).epsilons, alpha)[0])
     best_x, best_f, iterations = minimize_in_box(
         objective, theta_init, bounds, restarts, maxiter, seed,
         stop_below=threshold, presearch=presearch,

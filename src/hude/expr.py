@@ -17,6 +17,7 @@ identifier must be a declared parameter.  Supported functions are ``exp``,
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -413,7 +414,9 @@ def eval_expr(node: ExprAst, env: Mapping[str, float]) -> float:
 _NP_FUNC = {"exp": "np.exp", "ln": "np.log", "sin": "np.sin", "cos": "np.cos", "abs": "np.abs"}
 
 
-def _codegen(node: ExprAst, theta: Mapping[str, float]) -> str:
+def _codegen(node: ExprAst, slots: dict[str, str]) -> str:
+    """numpy source of ``node``; parameter ``name`` becomes the identifier
+    ``slots[name]`` (``p0``, ``p1``, ... in order of first use)."""
     if isinstance(node, Const):
         text = repr(float(node.value))
         return f"({text})" if node.value < 0 else text
@@ -422,30 +425,51 @@ def _codegen(node: ExprAst, theta: Mapping[str, float]) -> str:
             return "t"
         if _STATE_RE.match(node.name):
             return f"x[..., {int(node.name[1:])}]"
-        if node.name not in theta:
-            raise ValueError(f"parameter '{node.name}' is not bound")
-        return f"({float(theta[node.name])!r})"
+        return slots.setdefault(node.name, f"p{len(slots)}")
     if isinstance(node, Unary):
-        return f"(-{_codegen(node.operand, theta)})"
+        return f"(-{_codegen(node.operand, slots)})"
     if isinstance(node, Binary):
-        left = _codegen(node.left, theta)
-        right = _codegen(node.right, theta)
+        left = _codegen(node.left, slots)
+        right = _codegen(node.right, slots)
         if node.op == "^":
             return f"np.power({left}, {right})"
         return f"({left} {node.op} {right})"
     if isinstance(node, Call):
-        return f"{_NP_FUNC[node.func]}({_codegen(node.arg, theta)})"
+        return f"{_NP_FUNC[node.func]}({_codegen(node.arg, slots)})"
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _param_value(value):
+    """A parameter value: a float, or a float array of per-row values."""
+    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+
+
+@functools.lru_cache(maxsize=256)
+def _binder(source: str) -> Callable:
+    """``lambda p0, p1, ...: lambda t, x: body`` evaluated once per source."""
+    return eval(compile(source, "<hude-expr>", "eval"), {"np": np})
+
+
 def compile_expr(
-    node: ExprAst, theta: Mapping[str, float] | None = None
+    node: ExprAst, theta: Mapping[str, float | np.ndarray] | None = None
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Compile an AST to a vectorised ``f(t, x)`` with parameters folded in.
+    """Compile an AST to a vectorised ``f(t, x)`` with parameters bound.
 
     ``x`` indexes state components on its last axis, so the same callable
-    serves a single state vector ``(n,)`` or a batch ``(B, n)``.  Out-of-domain
-    inputs produce non-finite outputs instead of raising; integrators check.
+    serves a single state vector ``(n,)`` or a batch ``(B, n)``.  Each
+    parameter is bound to a float, or to a ``(B,)`` array holding one value
+    per batch row; an array element takes the place of the float in the same
+    arithmetic, so a row evaluates exactly as with that float bound.  The
+    generated code is cached per expression, and binding only fills the
+    parameter names.  Out-of-domain inputs produce non-finite outputs instead
+    of raising; integrators check.
     """
-    body = _codegen(node, dict(theta or {}))
-    return eval(compile(f"lambda t, x: ({body})", "<hude-expr>", "eval"), {"np": np})
+    theta = theta or {}
+    slots: dict[str, str] = {}
+    body = _codegen(node, slots)
+    values = []
+    for name in slots:
+        if name not in theta:
+            raise ValueError(f"parameter '{name}' is not bound")
+        values.append(_param_value(theta[name]))
+    return _binder(f"lambda {', '.join(slots.values())}: lambda t, x: ({body})")(*values)

@@ -28,6 +28,7 @@ import numpy as np
 from .expr import (
     DomainError,
     ExprAst,
+    _param_value,
     compile_expr,
     parse_expr,
     to_source,
@@ -124,11 +125,16 @@ class HudeModel:
         return HudeModel(self.order, self.drift, self.diffusions, self.params, merged)
 
     def resolved_theta(self, theta: Mapping[str, float] | None = None) -> dict:
+        """Every parameter's value: ``theta`` over the bound ``self.theta``.
+
+        Scalars become floats; a ``(B,)`` array (one value per batch row, see
+        :func:`compile_model`) stays an array.
+        """
         merged = {**(self.theta or {}), **(dict(theta) if theta else {})}
         missing = [p for p in self.params if p not in merged]
         if missing:
             raise ValueError(f"unbound parameter(s): {missing}")
-        return {p: float(merged[p]) for p in self.params}
+        return {p: _param_value(merged[p]) for p in self.params}
 
     def to_dict(self) -> dict:
         out = {
@@ -188,7 +194,12 @@ class VectorField:
 
 
 def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
-    """Compile drift and diffusions to vectorised callables with theta folded."""
+    """Compile drift and diffusions to vectorised callables with theta bound.
+
+    A parameter may be a ``(B,)`` array instead of a float: row ``i`` of a
+    ``(B, n)`` batch is then evaluated at the ``i``-th value, which lets one
+    integration carry several parameter points.
+    """
     resolved = model.resolved_theta(theta)
     drift = compile_expr(model.drift, resolved)
     diffusions = tuple(compile_expr(g, resolved) for g in model.diffusions)

@@ -149,7 +149,7 @@ def integrate_rk4(field, init: InitialState, t_end: float,
 
 
 def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
-                          track_extremes=False):
+                          track_extremes=False, check_finite=True):
     """Integrate a batch of independent initial-value problems and return only
     the terminal states.
 
@@ -157,7 +157,9 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     its own step count (step ``h``, last step shortened), rows that finish
     early are frozen with zero-length steps.  Used by the residual bisection
     and the inverse-distribution fan, where only endpoints matter.
-    ``raw`` must broadcast over the leading batch axis.
+    ``raw`` must broadcast over the leading batch axis.  A non-finite terminal
+    row raises :class:`IntegrationError` unless ``check_finite`` is off, in
+    which case it is returned as is for the caller to isolate.
     """
     if method == "euler":
 
@@ -199,7 +201,7 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
                 mins = np.minimum(mins, y.min(axis=0))
                 maxs = np.maximum(maxs, y.max(axis=0))
     finite = np.isfinite(y).all(axis=1)
-    if not finite.all():
+    if check_finite and not finite.all():
         bad = int(np.argmin(finite))
         raise IntegrationError(float(t_end[bad]))
     if track_extremes:

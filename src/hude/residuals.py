@@ -23,7 +23,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .alphapath import _spot_check
-from .model import HudeModel, InitialState, _make_rhs, compile_model, phi_inv
+from .model import (
+    ALPHA_CLAMP,
+    HudeModel,
+    InitialState,
+    _make_rhs,
+    compile_model,
+    phi_inv,
+)
 from .odeint import DEFAULT_STEP, _terminal_state_batch
 
 __all__ = [
@@ -34,6 +41,7 @@ __all__ = [
     "estimate_derivatives",
     "compute_residual",
     "compute_residuals",
+    "compute_residuals_batch",
     "simulate_observations",
     "read_observations",
 ]
@@ -41,6 +49,10 @@ __all__ = [
 # Bisection probes stay this far inside (0, 1); observations beyond the
 # reachable envelope saturate against these walls instead of erroring.
 PROBE_CLAMP = 1e-6
+
+# Row budget of one bisection in :func:`compute_residuals_batch`; bounds the
+# memory of batched scoring on long series.
+BATCH_ROWS = 8192
 
 
 class DataFormatError(Exception):
@@ -221,26 +233,37 @@ class ResidualVector:
         return cls(np.array(eps), indices=np.array(j))
 
 
-def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
+def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
+                   check_finite=True):
     """Vectorised bisection: for each row find the level whose restarted path
-    ends at the observed next value.  Returns (levels, saturated)."""
+    ends at the observed next value.  Returns (levels, saturated, failed).
+
+    ``theta`` values may be ``(B,)`` arrays, one parameter point per row.
+    Every row makes the same number of passes, so a row's level does not
+    depend on the other rows.  A non-finite terminal state raises
+    :class:`IntegrationError` unless ``check_finite`` is off; then the row is
+    flagged in ``failed`` instead and the other rows are unaffected.
+    """
     if delta <= 0:
         raise ValueError("precision delta must be positive")
     drift, diffusions = compile_model(model, theta)
     B = len(x_next)
     lo = np.zeros(B)
     hi = np.ones(B)
+    failed = np.zeros(B, dtype=bool)
     while float(np.max(hi - lo)) > delta:
         mid = 0.5 * (lo + hi)
         phi = phi_inv(np.clip(mid, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
         raw = _make_rhs(model.order, drift, diffusions, phi)
-        terminal = _terminal_state_batch(raw, t0s, y0s, t1s, h, method)
+        terminal = _terminal_state_batch(raw, t0s, y0s, t1s, h, method,
+                                         check_finite=check_finite)
+        failed |= ~np.isfinite(terminal).all(axis=1)
         below = terminal[:, 0] < x_next
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     eps = 0.5 * (lo + hi)
     saturated = (lo <= 0.0) | (hi >= 1.0)
-    return eps, saturated
+    return eps, saturated, failed
 
 
 def compute_residual(
@@ -260,7 +283,7 @@ def compute_residual(
     if not t_next > init_j.t0:
         raise ValueError("t_next must exceed the restart time")
     resolved = model.resolved_theta(theta)
-    eps, saturated = _bisect_levels(
+    eps, saturated, _ = _bisect_levels(
         model,
         resolved,
         np.array([init_j.t0]),
@@ -279,6 +302,52 @@ def compute_residual(
             stacklevel=2,
         )
     return float(eps[0])
+
+
+def _restart_rows(model: HudeModel, series: ObservationSeries, scheme: str):
+    """The scored steps of ``series``: ``(admissible, t0s, y0s, t1s, x_next)``,
+    one row per step whose full restart state is known."""
+    n = model.order
+    L = len(series)
+    if L < n + 1:
+        raise ValueError(
+            f"need at least {n + 1} observations to score an order-{n} model"
+        )
+    if scheme == "given":
+        if n > 1 and (series.derivs is None or series.derivs.shape[0] < n - 1):
+            raise ValueError("scheme 'given' requires existing derivative columns")
+        filled = series
+    else:
+        filled = estimate_derivatives(series, n, scheme)
+
+    states = np.stack([filled.state_at(j, n) for j in range(L - 1)])
+    admissible = np.where(np.isfinite(states).all(axis=1))[0]
+    if admissible.size == 0:
+        raise ValueError("no step has a complete restart state")
+    return (admissible, filled.t[admissible], states[admissible],
+            filled.t[admissible + 1], filled.x[admissible + 1])
+
+
+def _residual_vector(model, resolved, rows, eps, saturated, condition_check):
+    """Wrap one parameter point's levels, after the advisory spot check of the
+    monotonicity condition over the region the steps visit."""
+    admissible, t0s, y0s, t1s, x_next = rows
+    if condition_check and model.order >= 2:
+        mins = y0s.min(axis=0)
+        maxs = y0s.max(axis=0)
+        mins[0] = min(mins[0], float(x_next.min()))
+        maxs[0] = max(maxs[0], float(x_next.max()))
+        _spot_check(
+            model,
+            resolved,
+            (float(t0s.min()), float(t1s.max())),
+            mins,
+            maxs,
+            (0.25, 0.75),
+        )
+    return ResidualVector(
+        eps, indices=admissible + 1, theta=resolved, saturated=saturated
+    )
 
 
 def compute_residuals(
@@ -300,48 +369,62 @@ def compute_residuals(
     observation exists, so 61 observations of an order-2 model yield 60
     residuals under the forward scheme.
     """
-    n = model.order
-    L = len(series)
-    if L < n + 1:
-        raise ValueError(
-            f"need at least {n + 1} observations to score an order-{n} model"
-        )
-    if scheme == "given":
-        if n > 1 and (series.derivs is None or series.derivs.shape[0] < n - 1):
-            raise ValueError("scheme 'given' requires existing derivative columns")
-        filled = series
-    else:
-        filled = estimate_derivatives(series, n, scheme)
+    rows = _restart_rows(model, series, scheme)
+    _, t0s, y0s, t1s, x_next = rows
     resolved = model.resolved_theta(theta)
-
-    states = np.stack([filled.state_at(j, n) for j in range(L - 1)])
-    admissible = np.where(np.isfinite(states).all(axis=1))[0]
-    if admissible.size == 0:
-        raise ValueError("no step has a complete restart state")
-    t0s = filled.t[admissible]
-    y0s = states[admissible]
-    t1s = filled.t[admissible + 1]
-    x_next = filled.x[admissible + 1]
-
-    eps, saturated = _bisect_levels(
+    eps, saturated, _ = _bisect_levels(
         model, resolved, t0s, y0s, t1s, x_next, delta, h, method
     )
-    if condition_check and n >= 2:
-        mins = y0s.min(axis=0)
-        maxs = y0s.max(axis=0)
-        mins[0] = min(mins[0], float(x_next.min()))
-        maxs[0] = max(maxs[0], float(x_next.max()))
-        _spot_check(
-            model,
-            resolved,
-            (float(t0s.min()), float(t1s.max())),
-            mins,
-            maxs,
-            (0.25, 0.75),
+    return _residual_vector(model, resolved, rows, eps, saturated,
+                            condition_check)
+
+
+def compute_residuals_batch(
+    model: HudeModel,
+    thetas,
+    series: ObservationSeries,
+    delta: float = 1e-4,
+    h: float = DEFAULT_STEP,
+    scheme: str = "forward",
+    method: str = "euler",
+) -> list[ResidualVector | None]:
+    """Residuals of ``series`` at each row of the ``(P, p)`` matrix ``thetas``
+    (columns in ``model.params`` order).  The points are bisected together,
+    as many per bisection as fit in :data:`BATCH_ROWS` rows (at least one).
+
+    Entry ``k`` equals ``compute_residuals(model, thetas[k], series, ...)``
+    bit for bit.  It is ``None`` where that call would fail to integrate:
+    a non-finite row fails its own parameter point only.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != len(model.params):
+        raise ValueError(
+            f"thetas must be shaped (points, {len(model.params)})"
         )
-    return ResidualVector(
-        eps, indices=admissible + 1, theta=resolved, saturated=saturated
-    )
+    rows = _restart_rows(model, series, scheme)
+    _, t0s, y0s, t1s, x_next = rows
+    M = x_next.size
+    per_chunk = max(1, BATCH_ROWS // M)
+    out = []
+    for start in range(0, thetas.shape[0], per_chunk):
+        chunk = thetas[start:start + per_chunk]
+        P = chunk.shape[0]
+        columns = {name: np.repeat(chunk[:, i], M)
+                   for i, name in enumerate(model.params)}
+        eps, saturated, failed = _bisect_levels(
+            model, columns, np.tile(t0s, P),
+            np.tile(y0s, (P, 1)), np.tile(t1s, P), np.tile(x_next, P),
+            delta, h, method, check_finite=False,
+        )
+        for k, point in enumerate(chunk):
+            part = slice(k * M, (k + 1) * M)
+            if failed[part].any():
+                out.append(None)
+                continue
+            resolved = model.resolved_theta(dict(zip(model.params, point)))
+            out.append(_residual_vector(model, resolved, rows, eps[part],
+                                        saturated[part], True))
+    return out
 
 
 def simulate_observations(
@@ -388,7 +471,7 @@ def simulate_observations(
     states = np.empty((times.size, n))
     states[0] = init.values
     for j in range(steps):
-        phi = phi_inv(float(np.clip(eps[j], 1e-12, 1.0 - 1e-12)))
+        phi = phi_inv(float(np.clip(eps[j], ALPHA_CLAMP, 1.0 - ALPHA_CLAMP)))
         raw = _make_rhs(n, drift, diffusions, phi)
         states[j + 1] = _terminal_state_batch(
             raw,

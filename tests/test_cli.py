@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -211,6 +212,26 @@ class TestErrorCodes:
         assert code == 5
         assert json.loads(capsys.readouterr().err)["error"] == "compute-error"
 
+    def test_bad_step_env_var(self, tmp_path, example2_model_file, capsys,
+                              monkeypatch):
+        monkeypatch.setenv("HUDE_DEFAULT_STEP", "abc")
+        code = run("alpha-path", "--model", example2_model_file, "--alpha", 0.5,
+                   "--t-end", 1.0, "--out", tmp_path / "o.csv")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "compute-error"
+        assert "HUDE_DEFAULT_STEP" in err["message"]
+        # commands without a step never read the variable
+        data = tmp_path / "t4.csv"
+        table4().to_csv(data)
+        assert run("test", "--data", data, "--out", tmp_path / "r.json") == 0
+        # an explicit step wins over the variable
+        assert run("alpha-path", "--model", example2_model_file, "--alpha", 0.5,
+                   "--t-end", 0.1, "--step", 0.01, "--out",
+                   tmp_path / "p.csv") == 0
+
     def test_bad_bounds(self, tmp_path, decay_model_file, capsys):
         data = tmp_path / "obs.csv"
         hude.ObservationSeries([0.0, 0.1, 0.2], [1.0, 1.1, 1.2]).to_csv(data)
@@ -239,3 +260,23 @@ class TestReactorDemo:
         curve = (out / "psi_inverse.csv").read_text().splitlines()
         assert curve[0] == "alpha,psi_inv"
         assert len(curve) == 12
+        # byte reproducibility: a refactor must leave these outputs unchanged
+        for name, digest in GOLDEN_REACTOR_DEMO.items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert got == digest, name
+
+
+# SHA-256 of the reactor-demo outputs (seed 0, default settings), recorded
+# with Python 3.11 and numpy 2.4 on x86-64.
+GOLDEN_REACTOR_DEMO = {
+    "estimate.json":
+        "bea0fe757e98da8504b33d417c19d9b5be9d83f2a2267ce286a7289c1fbd14c8",
+    "summary.json":
+        "94f0ca8398701595e0830d254811cb8e6f9f7ee0757418c4e54de25eda778920",
+    "residuals.csv":
+        "3ad0e33152a98d222989d2fdfa7a25fe4155df491473211fc7f29667d0a6c610",
+    "psi_inverse.csv":
+        "3dad328eba330f53aaed09db1a043fd5595cf83b16106b2cdb1854aad6a13d8f",
+    "test.json":
+        "61575fb8748e0028bcc111b9d853b375cd1a9a20de04bd4badf75cfb6aaad98f",
+}

@@ -119,6 +119,27 @@ class TestMinimizeInBox:
         x, fval, _ = minimize_in_box(f, [0.5], [(0, 1)], restarts=1, seed=0)
         assert fval < 1e-3
 
+    def test_batch_attribute_scores_points_together(self):
+        def f(x):
+            return (x[0] - 0.3) ** 2 + 10 * (x[1] - 0.7) ** 2
+
+        sizes = []
+
+        def g(x):
+            return f(x)
+
+        def batch(points):
+            sizes.append(len(points))
+            return [f(point) for point in points]
+
+        g.batch = batch
+        bounds = [(0, 1), (0, 1)]
+        x_f, f_f, it_f = minimize_in_box(f, [0.5, 0.5], bounds, restarts=2)
+        x_g, f_g, it_g = minimize_in_box(g, [0.5, 0.5], bounds, restarts=2)
+        assert np.array_equal(x_f, x_g)
+        assert (f_f, it_f) == (f_g, it_g)
+        assert sizes[:2] == [100, 3]  # the 10x10 ladder, then a simplex
+
 
 class TestEstimateMoments:
     def test_synthetic_drift_rate(self, decay_model, decay_series):
