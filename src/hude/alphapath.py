@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import DomainError
 from .model import (
     ALPHA_CLAMP,
     ConditionDomain,
@@ -114,7 +115,7 @@ def inverse_distribution(
     resolved = model.resolved_theta(theta)
     drift, diffusions = compile_model(model, resolved)
     phi = phi_inv(np.clip(alphas, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP))
-    raw = _make_rhs(model.order, drift, diffusions, phi)
+    raw = _make_rhs(drift, diffusions, phi)
     B = alphas.size
     t0s = np.full(B, init.t0)
     y0s = np.tile(init.values, (B, 1))
@@ -140,7 +141,14 @@ def _spot_check(model, theta, t_range, mins, maxs, alphas, resolution=3):
     for a in sorted(set(alphas)):
         try:
             report = check_alpha_path_condition(model, theta, a, domain)
-        except Exception:  # advisory only; never block the computation
+        except (DomainError, ValueError) as exc:
+            # Advisory only: a check that cannot be evaluated never blocks
+            # the computation, but it is not silently counted as passed.
+            warnings.warn(
+                f"monotonicity spot check at alpha={a} skipped: {exc}",
+                AlphaPathConditionWarning,
+                stacklevel=3,
+            )
             continue
         if not report.passed:
             failed.append(a)

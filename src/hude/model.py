@@ -206,7 +206,7 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
     return drift, diffusions
 
 
-def _make_rhs(order: int, drift, diffusions, phi):
+def _make_rhs(drift, diffusions, phi):
     """Right-hand side closure shared by the scalar and batched paths.
 
     ``phi`` is a float for a single quantile level or a ``(B,)`` array when a
@@ -236,7 +236,7 @@ def alpha_path_field(
     clamped = min(max(alpha, ALPHA_CLAMP), 1.0 - ALPHA_CLAMP)
     phi = phi_inv(clamped)
     drift, diffusions = compile_model(model, theta)
-    return VectorField(_make_rhs(model.order, drift, diffusions, phi), model.order)
+    return VectorField(_make_rhs(drift, diffusions, phi), model.order)
 
 
 @dataclass(frozen=True)

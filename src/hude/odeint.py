@@ -200,10 +200,10 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
             if track_extremes:
                 mins = np.minimum(mins, y.min(axis=0))
                 maxs = np.maximum(maxs, y.max(axis=0))
-    finite = np.isfinite(y).all(axis=1)
-    if check_finite and not finite.all():
-        bad = int(np.argmin(finite))
-        raise IntegrationError(float(t_end[bad]))
+    if check_finite:
+        finite = np.isfinite(y).all(axis=1)
+        if not finite.all():
+            raise IntegrationError(float(t_end[int(np.argmin(finite))]))
     if track_extremes:
         return y, mins, maxs
     return y

@@ -13,7 +13,8 @@ from hude import (
     inverse_distribution,
     solve_alpha_path,
 )
-from hude import reactor
+from hude import alphapath, reactor
+from hude.alphapath import _spot_check
 
 from conftest import example1_closed_form, example2_closed_form
 
@@ -47,6 +48,29 @@ class TestSolveAlphaPath:
             solve_alpha_path(example2, None, 1.0, zero_init2, 1.0)
         with pytest.raises(ValueError):
             AlphaPath(0.0, None)
+
+
+class TestSpotCheck:
+    def _check(self, model):
+        _spot_check(model, None, (0.0, 1.0), np.array([-1.0, 0.0]),
+                    np.array([1.0, 1.0]), (0.25, 0.75))
+
+    def test_skipped_check_warns_naming_alpha(self):
+        # ln(x0) is not finite on a box reaching x0 <= 0: no check can run
+        model = hude.HudeModel.parse(2, "ln(x0) - x1", ["1"])
+        with pytest.warns(AlphaPathConditionWarning) as record:
+            self._check(model)
+        messages = [str(w.message) for w in record]
+        assert any("alpha=0.25 skipped" in m for m in messages)
+        assert any("alpha=0.75 skipped" in m for m in messages)
+
+    def test_unexpected_error_propagates(self, monkeypatch, example2):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not an advisory failure")
+
+        monkeypatch.setattr(alphapath, "check_alpha_path_condition", broken)
+        with pytest.raises(RuntimeError):
+            self._check(example2)
 
 
 class TestInverseDistribution:

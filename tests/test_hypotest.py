@@ -115,3 +115,29 @@ class TestTwoSampleKs:
         ba = two_sample_ks(b, a)
         assert ab.d == pytest.approx(ba.d, abs=1e-15)
         assert ab.reject_at_5pct == ba.reject_at_5pct
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    return pytest.importorskip("scipy.stats")
+
+
+sample = st.lists(
+    st.one_of(st.floats(min_value=0, max_value=1),
+              st.integers(min_value=0, max_value=4).map(float)),
+    min_size=1, max_size=30,
+)
+
+
+# scipy's asymptotic p-value divides by zero on some samples; only the
+# statistic is compared.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(sample, sample)
+def test_ks_statistic_matches_scipy(scipy_stats, a, b):
+    # Tied values (the integer draws) exercise the pooled-CDF step.  scipy's
+    # exact mode rounds d to a multiple of 1/lcm(na, nb), one ulp away from
+    # the computed gap at times (1 - 2/3 for a=[0], b=[0, 0, 1]); its
+    # asymptotic mode reports the gap itself.
+    expected = scipy_stats.ks_2samp(a, b, method="asymp").statistic
+    assert two_sample_ks(a, b).d == expected

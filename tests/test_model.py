@@ -44,10 +44,12 @@ class TestPhiInv:
         st.floats(min_value=1e-6, max_value=1 - 1e-6),
     )
     def test_strictly_increasing(self, a, b):
-        if a == b:
-            assert phi_inv(a) == phi_inv(b)
-        else:
-            lo, hi = sorted((a, b))
+        # Adjacent levels near 1e-6 differ by ~1e-22, which moves the ~-7.6
+        # result by less than one of its ulps, so strict increase is only
+        # attainable where the levels are resolvably apart.
+        lo, hi = sorted((a, b))
+        assert phi_inv(lo) <= phi_inv(hi)
+        if hi - lo > 1e-12:
             assert phi_inv(lo) < phi_inv(hi)
 
     def test_vectorised(self):

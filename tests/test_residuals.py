@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hude
 from hude import (
@@ -12,7 +14,10 @@ from hude import (
     simulate_observations,
 )
 from hude import reactor
+from hude.odeint import IntegrationError
 from hude.residuals import DataFormatError, ResidualSaturationWarning
+
+from test_residuals_batch import _stable_linear
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +108,16 @@ class TestComputeResidual:
         with pytest.raises(ValueError):
             compute_residual(damped_slope_model, {"sig": 0.1}, init, 0.1, 1.0, delta=0.0)
 
+    def test_integration_failure_names_step_and_level(self):
+        model = hude.HudeModel.parse(1, "x0^2", ["1"])
+        with pytest.raises(
+            IntegrationError,
+            match=r"t=0\.6 on the step from t=0\.5 to t=0\.6 at level 0\.5$",
+        ) as raised:
+            compute_residual(model, None, InitialState(0.5, [50.0]), 0.6, 60.0,
+                             h=1e-3)
+        assert raised.value.t == 0.6
+
 
 @pytest.mark.filterwarnings("ignore::hude.AlphaPathConditionWarning")
 class TestComputeResiduals:
@@ -138,6 +153,20 @@ class TestComputeResiduals:
         a = compute_residuals(damped_slope_model, theta, series, h=1e-3, scheme="given")
         b = compute_residuals(damped_slope_model, theta, shifted, h=1e-3, scheme="given")
         assert np.max(np.abs(a.epsilons - b.epsilons)) <= 1e-4
+
+    def test_integration_failure_names_observation(self):
+        # x' = x^2 + noise blows up within 0.02 from x = 50 at the median, the
+        # first level probed, so the step restarting there (j = 4, ending at
+        # t = 0.4) is the first to fail.
+        model = hude.HudeModel.parse(1, "x0^2", ["1"])
+        series = ObservationSeries(0.1 * np.arange(6),
+                                   [0.1, 0.1, 0.1, 50.0, 50.0, 50.0])
+        with pytest.raises(
+            IntegrationError,
+            match=r"t=0\.4 on observation j=4 at level 0\.5$",
+        ) as raised:
+            compute_residuals(model, None, series, h=1e-3)
+        assert raised.value.t == series.t[4]
 
     def test_bisection_iteration_budget(self, damped_slope_model):
         # |l - r| <= delta after ceil(log2(1/delta)) halvings: residuals are
@@ -198,6 +227,31 @@ class TestSimulate:
             scheme="given",
         )
         assert np.max(np.abs(rv.epsilons - eps)) <= 0.005
+
+    @pytest.mark.filterwarnings("ignore::hude.AlphaPathConditionWarning")
+    @settings(max_examples=20, deadline=None)
+    @given(
+        roots=st.lists(st.floats(min_value=0.5, max_value=3.0), min_size=1,
+                       max_size=3),
+        m=st.floats(min_value=-1.0, max_value=1.0),
+        s=st.floats(min_value=0.05, max_value=1.0),
+        levels=st.lists(st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+                        min_size=3, max_size=12),
+        method=st.sampled_from(["euler", "rk4"]),
+    )
+    def test_round_trip_on_stable_linear_models(self, roots, m, s, levels,
+                                                method):
+        # Real negative characteristic roots keep the terminal value
+        # increasing in the level, so bisection brackets the drawn level.
+        model = _stable_linear(roots)
+        theta = {"m": m, "s": s}
+        init = InitialState(0.0, np.linspace(1.0, 0.5, len(roots)))
+        times = 0.1 * np.arange(len(levels) + 1)
+        series = simulate_observations(model, theta, init, times, eps=levels,
+                                       h=1e-2, method=method)
+        rv = compute_residuals(model, theta, series, delta=1e-4, h=1e-2,
+                               scheme="given", method=method)
+        assert np.max(np.abs(rv.epsilons - levels)) <= 1e-4
 
     def test_uniform_levels_give_uniform_residual_mean(self):
         # order-1 model: no derivative reconstruction involved at all
