@@ -30,7 +30,8 @@ from .model import (
     compile_model,
     phi_inv,
 )
-from .odeint import DEFAULT_STEP, Trajectory, _terminal_state_batch, integrate
+from .odeint import (DEFAULT_STEP, IntegrationError, Trajectory, _step_failure,
+                     _terminal_state_batch, integrate)
 
 __all__ = [
     "AlphaPath",
@@ -120,9 +121,15 @@ def inverse_distribution(
     t0s = np.full(B, init.t0)
     y0s = np.tile(init.values, (B, 1))
     t1s = np.full(B, float(t))
-    terminal, mins, maxs = _terminal_state_batch(
-        raw, t0s, y0s, t1s, h, method, track_extremes=True
-    )
+    try:
+        terminal, mins, maxs = _terminal_state_batch(
+            raw, t0s, y0s, t1s, h, method, track_extremes=True
+        )
+    except IntegrationError as exc:
+        raise _step_failure(
+            exc, f"the alpha-path from t={init.t0} to t={float(t)}",
+            float(alphas[exc.row]),
+        ) from None
     if condition_check and model.order >= 2:
         _spot_check(model, resolved, (float(init.t0), float(t)), mins, maxs,
                     (float(alphas.min()), float(alphas.max())))

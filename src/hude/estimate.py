@@ -28,6 +28,7 @@ from .odeint import DEFAULT_STEP, IntegrationError
 from .residuals import (
     ObservationSeries,
     ResidualVector,
+    _restart_rows,
     compute_residuals,
     compute_residuals_batch,
 )
@@ -91,6 +92,19 @@ def moment_objective(theta, residual_fn: Callable, p: int) -> float:
     return float(np.sum(_moment_gaps(eps, p) ** 2))
 
 
+def _mle_window(M: int, alpha: float) -> int:
+    """Order statistics in the maximum-likelihood window of ``M`` residuals at
+    detection level ``alpha``; raises when the level leaves no usable window."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("detection level must lie strictly inside (0, 1)")
+    w = int(np.ceil(M * (1.0 - alpha) - 1e-9))
+    if w < 2 or w > M:
+        raise ValueError(
+            f"detection level {alpha} needs a window of {w} from {M} residuals"
+        )
+    return w
+
+
 def mle_objective(epsilons, alpha: float) -> tuple[float, int, int]:
     """Least-squares defect of the maximum-likelihood window equations.
 
@@ -99,15 +113,9 @@ def mle_objective(epsilons, alpha: float) -> tuple[float, int, int]:
     scores how far its ends sit from ``alpha/2`` and ``1 - alpha/2``.
     Returns ``(value, i_star, window)`` with ``i_star`` 1-based.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("detection level must lie strictly inside (0, 1)")
     eps = np.sort(_as_epsilons(epsilons))
     M = eps.size
-    w = int(np.ceil(M * (1.0 - alpha) - 1e-9))
-    if w < 2 or w > M:
-        raise ValueError(
-            f"detection level {alpha} needs a window of {w} from {M} residuals"
-        )
+    w = _mle_window(M, alpha)
     widths = eps[w - 1 :] - eps[: M - w + 1]
     i = int(np.argmin(widths))
     low_gap = eps[i] - alpha / 2.0
@@ -306,7 +314,10 @@ def _residual_objective(model, series, score, **residual_kwargs):
     return objective, residual_fn
 
 
-def _prepare(model, series, theta_init, bounds):
+def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
+              scheme, method, restarts, maxiter, threshold, seed, presearch):
+    """Minimise ``score`` of the residual levels over the box ``bounds``; the
+    result reports the first ``moments`` moment gaps at the estimate."""
     names = model.params
     if not names:
         raise ValueError("model has no free parameters to estimate")
@@ -319,9 +330,23 @@ def _prepare(model, series, theta_init, bounds):
         theta_init = 0.5 * (lo + hi)
     elif isinstance(theta_init, Mapping):
         theta_init = np.array([theta_init[name] for name in names], dtype=float)
-    else:
-        theta_init = np.asarray(theta_init, dtype=float).reshape(-1)
-    return names, theta_init
+    objective, residual_fn = _residual_objective(
+        model, series, score, delta=delta, h=h, scheme=scheme, method=method,
+    )
+    best_x, best_f, iterations = minimize_in_box(
+        objective, theta_init, bounds, restarts, maxiter, seed,
+        stop_below=threshold, presearch=presearch,
+    )
+    if not np.isfinite(best_f):
+        raise EstimationError("every parameter probe failed to integrate")
+    gaps = _moment_gaps(residual_fn(best_x).epsilons, moments)
+    return EstimationResult(
+        theta=dict(zip(names, (float(v) for v in best_x))),
+        objective=best_f,
+        iterations=iterations,
+        converged=best_f <= threshold,
+        moment_gaps=tuple(float(g) for g in gaps),
+    )
 
 
 def estimate_moments(
@@ -341,25 +366,12 @@ def estimate_moments(
     presearch: bool = True,
 ) -> EstimationResult:
     """Generalized moment estimate of the model parameters on ``series``."""
-    names, theta_init = _prepare(model, series, theta_init, bounds)
-    objective, residual_fn = _residual_objective(
-        model, series, lambda eps: moment_objective(None, lambda _: eps, p),
-        delta=delta, h=h, scheme=scheme, method=method,
-    )
-    best_x, best_f, iterations = minimize_in_box(
-        objective, theta_init, bounds, restarts, maxiter, seed,
-        stop_below=threshold, presearch=presearch,
-    )
-    if not np.isfinite(best_f):
-        raise EstimationError("every parameter probe failed to integrate")
-    gaps = _moment_gaps(residual_fn(best_x).epsilons, p)
-    return EstimationResult(
-        theta=dict(zip(names, (float(v) for v in best_x))),
-        objective=best_f,
-        iterations=iterations,
-        converged=best_f <= threshold,
-        moment_gaps=tuple(float(g) for g in gaps),
-    )
+    if p < 1:
+        raise ValueError("moment count p must be >= 1")
+    return _estimate(model, series,
+                     lambda eps: float(np.sum(_moment_gaps(eps, p) ** 2)), p,
+                     theta_init, bounds, delta, h, scheme, method, restarts,
+                     maxiter, threshold, seed, presearch)
 
 
 def estimate_mle(
@@ -378,27 +390,14 @@ def estimate_mle(
     seed: int | None = 0,
     presearch: bool = True,
 ) -> EstimationResult:
-    """Maximum-likelihood estimate at detection level ``alpha``."""
-    names, theta_init = _prepare(model, series, theta_init, bounds)
-    objective, residual_fn = _residual_objective(
-        model, series, lambda eps: mle_objective(eps, alpha)[0],
-        delta=delta, h=h, scheme=scheme, method=method,
-    )
+    """Maximum-likelihood estimate at detection level ``alpha``.
 
-    # Validate the window size once against the actual residual count.
-    probe = residual_fn(theta_init)
-    mle_objective(probe.epsilons, alpha)
-    best_x, best_f, iterations = minimize_in_box(
-        objective, theta_init, bounds, restarts, maxiter, seed,
-        stop_below=threshold, presearch=presearch,
-    )
-    if not np.isfinite(best_f):
-        raise EstimationError("every parameter probe failed to integrate")
-    gaps = _moment_gaps(residual_fn(best_x).epsilons, 2)
-    return EstimationResult(
-        theta=dict(zip(names, (float(v) for v in best_x))),
-        objective=best_f,
-        iterations=iterations,
-        converged=best_f <= threshold,
-        moment_gaps=tuple(float(g) for g in gaps),
-    )
+    The window size depends only on the number of scored steps, so an
+    unusable ``alpha`` is rejected before any integration.  The result's
+    ``moment_gaps`` are the first two moment gaps of the residuals at the
+    estimate, a fit diagnostic independent of ``alpha``.
+    """
+    _mle_window(_restart_rows(model, series, scheme)[0].size, alpha)
+    return _estimate(model, series, lambda eps: mle_objective(eps, alpha)[0], 2,
+                     theta_init, bounds, delta, h, scheme, method, restarts,
+                     maxiter, threshold, seed, presearch)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimate import FIT_THRESHOLD, estimate_mle, estimate_moments
+from .estimate import FIT_THRESHOLD, _moment_gaps, estimate_mle, estimate_moments
 from .hypotest import TestReport, uncertain_hypothesis_test
 from .model import HudeModel, InitialState
 from .odeint import DEFAULT_STEP
@@ -164,9 +164,7 @@ class HudeEstimator:
         """Negative moment objective (higher is better) on the given series,
         or on the fitted one when omitted."""
         check_is_fitted(self)
-        residuals = self._residuals_for(t, x)
-        eps = residuals.epsilons
-        gaps = [float(np.mean(eps**k) - 1.0 / (k + 1)) for k in range(1, self.p + 1)]
+        gaps = _moment_gaps(self._residuals_for(t, x).epsilons, self.p)
         return -float(np.sum(np.square(gaps)))
 
     def hypothesis_report(self, t=None, x=None, alpha: float | None = None) -> TestReport:

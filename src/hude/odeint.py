@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,12 @@ class IntegrationError(Exception):
     def __init__(self, t: float, message: str | None = None):
         super().__init__(message or f"integration produced a non-finite state at t={t}")
         self.t = t
+
+
+def _step_failure(exc: IntegrationError, step: str, level: float) -> IntegrationError:
+    """``exc`` (same ``t``) naming the failing ``step`` and quantile ``level``."""
+    return IntegrationError(exc.t, f"integration produced a non-finite state "
+                                   f"at t={exc.t} on {step} at level {level!r}")
 
 
 @dataclass(frozen=True)
@@ -83,27 +88,17 @@ class Trajectory:
                 fh.write(",".join(fields) + "\n")
 
 
-def _plan_steps(t0: float, t_end: float, h: float) -> tuple[int, float]:
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    span = t_end - t0
-    if span <= 0:
-        raise ValueError("t_end must exceed the initial time")
-    nsteps = max(int(math.ceil(span / h - 1e-9)), 1)
-    return nsteps, span - (nsteps - 1) * h
+def _euler_step(raw, t, y, s, sc):
+    return y + sc * raw(t, y)
 
 
-def _euler_step(raw, t, y, s):
-    return y + s * raw(t, y)
-
-
-def _rk4_step(raw, t, y, s):
-    half = 0.5 * s
+def _rk4_step(raw, t, y, s, sc):
+    half, hc = 0.5 * s, 0.5 * sc
     k1 = raw(t, y)
-    k2 = raw(t + half, y + half * k1)
-    k3 = raw(t + half, y + half * k2)
-    k4 = raw(t + s, y + s * k3)
-    return y + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = raw(t + half, y + hc * k1)
+    k3 = raw(t + half, y + hc * k2)
+    k4 = raw(t + s, y + sc * k3)
+    return y + (sc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 _STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
@@ -112,28 +107,9 @@ _STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
 def integrate(field, init: InitialState, t_end: float, h: float = DEFAULT_STEP,
               method: str = "euler") -> Trajectory:
     """Integrate ``field`` from ``init`` to ``t_end`` with fixed step ``h``."""
-    try:
-        stepper = _STEPPERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    raw = getattr(field, "raw", field)
-    nsteps, last = _plan_steps(init.t0, t_end, h)
-    n = init.values.size
-    T = np.empty(nsteps + 1)
-    Y = np.empty((nsteps + 1, n))
-    T[0] = init.t0
-    Y[0] = init.values
-    y = init.values.astype(float)
-    with np.errstate(all="ignore"):
-        for k in range(nsteps):
-            s = h if k < nsteps - 1 else last
-            t_next = init.t0 + (k + 1) * h if k < nsteps - 1 else t_end
-            y = stepper(raw, T[k], y, s)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError(float(t_next))
-            T[k + 1] = t_next
-            Y[k + 1] = y
-    return Trajectory(T, Y, h)
+    t, y = _terminal_state_batch(getattr(field, "raw", field), init.t0,
+                                 init.values, t_end, h, method, record=True)
+    return Trajectory(t, y, h)
 
 
 def integrate_euler(field, init: InitialState, t_end: float,
@@ -149,61 +125,76 @@ def integrate_rk4(field, init: InitialState, t_end: float,
 
 
 def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
-                          track_extremes=False, check_finite=True):
-    """Integrate a batch of independent initial-value problems and return only
-    the terminal states.
+                          track_extremes=False, check_finite=True,
+                          record=False):
+    """The one fixed-step loop: terminal states of independent initial-value
+    problems, ``y0`` of shape ``(n,)`` with scalar ``t0``/``t_end`` or
+    ``(B, n)`` with ``(B,)`` times (``raw`` must broadcast over rows).
 
-    ``t0``, ``t_end`` are ``(B,)`` arrays, ``y0`` is ``(B, n)``; each row keeps
-    its own step count (step ``h``, last step shortened), rows that finish
-    early are frozen with zero-length steps.  Used by the residual bisection
-    and the inverse-distribution fan, where only endpoints matter.
-    ``raw`` must broadcast over the leading batch axis.  A non-finite terminal
-    row raises :class:`IntegrationError` unless ``check_finite`` is off, in
-    which case it is returned as is for the caller to isolate.
+    Step ``k`` of every row starts at ``t0 + k*h``; a row's last step is
+    shortened to its ``t_end`` and rows that finish early freeze with
+    zero-length steps.  ``track_extremes`` also returns the componentwise
+    extremes over all rows and steps.  A non-finite terminal row raises
+    :class:`IntegrationError` at its ``t_end`` with ``row`` attached, unless
+    ``check_finite`` is off.  ``record`` (scalar ``t0``) returns the grid and
+    every state instead and raises at the first non-finite grid point: no
+    step ``y + s*F`` turns a non-finite state finite again, so that is where
+    the state left the floats.
     """
-    if method == "euler":
-
-        def stepper(t, y, s):
-            return y + s[:, None] * raw(t, y)
-
-    elif method == "rk4":
-
-        def stepper(t, y, s):
-            half = 0.5 * s
-            sc = s[:, None]
-            hc = half[:, None]
-            k1 = raw(t, y)
-            k2 = raw(t + half, y + hc * k1)
-            k3 = raw(t + half, y + hc * k2)
-            k4 = raw(t + s, y + sc * k3)
-            return y + (sc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    try:
+        step = _STEPPERS[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
     if h <= 0:
         raise ValueError("step h must be positive")
-    t = np.array(t0, dtype=float)
+    t0 = np.asarray(t0, dtype=float)[()]
     y = np.array(y0, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
-    span = t_end - t
+    span = t_end - t0
     if np.any(span <= 0):
         raise ValueError("t_end must exceed the initial time")
     nsteps = np.maximum(np.ceil(span / h - 1e-9).astype(int), 1)
     last = span - (nsteps - 1) * h
+    total = int(nsteps.max())
+    # Every row takes the full step h before the shortest row's last step, so
+    # those steps use the scalar h and skip building per-row step arrays.
+    shared = int(nsteps.min()) - 1
+    if record:
+        Y = np.empty((total + 1,) + y.shape)
+        Y[0] = y
     mins = y.min(axis=0) if track_extremes else None
     maxs = y.max(axis=0) if track_extremes else None
+    s = sc = h
     with np.errstate(all="ignore"):
-        for k in range(int(nsteps.max())):
-            s = np.where(k < nsteps - 1, h, np.where(k == nsteps - 1, last, 0.0))
-            y = stepper(t, y, s)
-            t = t + s
+        for k in range(total):
+            t = t0 + k * h
+            if k >= shared:
+                s = np.where(k < nsteps - 1, h,
+                             np.where(k == nsteps - 1, last, 0.0))
+                sc = s[:, None] if y.ndim == 2 else s
+                # A frozen row evaluates the field at its own end time, never
+                # past it; a running row's t0 + k*h is below t_end already.
+                t = np.minimum(t, t_end)
+            y = step(raw, t, y, s, sc)
+            if record:
+                Y[k + 1] = y
             if track_extremes:
                 mins = np.minimum(mins, y.min(axis=0))
                 maxs = np.maximum(maxs, y.max(axis=0))
+    if record:
+        T = t0 + np.arange(total + 1) * h
+        T[-1] = t_end
+        finite = np.isfinite(Y).all(axis=1)
+        if not finite.all():
+            raise IntegrationError(float(T[np.argmin(finite)]))
+        return T, Y
     if check_finite:
         finite = np.isfinite(y).all(axis=1)
         if not finite.all():
-            raise IntegrationError(float(t_end[int(np.argmin(finite))]))
+            row = int(np.argmin(finite))
+            exc = IntegrationError(float(t_end[row]))
+            exc.row = row
+            raise exc
     if track_extremes:
         return y, mins, maxs
     return y

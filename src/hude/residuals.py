@@ -31,7 +31,7 @@ from .model import (
     compile_model,
     phi_inv,
 )
-from .odeint import DEFAULT_STEP, IntegrationError, _terminal_state_batch
+from .odeint import DEFAULT_STEP, IntegrationError, _step_failure, _terminal_state_batch
 
 __all__ = [
     "ObservationSeries",
@@ -92,6 +92,8 @@ class ObservationSeries:
             raise ValueError("times and values must have equal length")
         if t.size < 1:
             raise ValueError("series cannot be empty")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("observation times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("observation times must be strictly increasing")
         if not np.all(np.isfinite(x)):
@@ -333,15 +335,6 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     return eps, saturated, failed
 
 
-def _step_failure(exc: IntegrationError, step: str) -> IntegrationError:
-    """The failure of a :func:`_bisect_levels` probe, naming its step."""
-    return IntegrationError(
-        exc.t,
-        f"integration produced a non-finite state at t={exc.t} on {step} "
-        f"at level {exc.level!r}",
-    )
-
-
 def compute_residual(
     model: HudeModel,
     theta,
@@ -373,7 +366,7 @@ def compute_residual(
         )
     except IntegrationError as exc:
         raise _step_failure(
-            exc, f"the step from t={init_j.t0} to t={float(t_next)}"
+            exc, f"the step from t={init_j.t0} to t={float(t_next)}", exc.level
         ) from None
     if saturated[0]:
         warnings.warn(
@@ -459,7 +452,7 @@ def compute_residuals(
         )
     except IntegrationError as exc:
         raise _step_failure(
-            exc, f"observation j={int(admissible[exc.row]) + 1}"
+            exc, f"observation j={int(admissible[exc.row]) + 1}", exc.level
         ) from None
     return _residual_vector(model, resolved, rows, eps, saturated,
                             condition_check)
@@ -559,13 +552,19 @@ def simulate_observations(
     for j in range(steps):
         phi = phi_inv(float(np.clip(eps[j], ALPHA_CLAMP, 1.0 - ALPHA_CLAMP)))
         raw = _make_rhs(drift, diffusions, phi)
-        states[j + 1] = _terminal_state_batch(
-            raw,
-            times[j : j + 1],
-            states[j : j + 1],
-            times[j + 1 : j + 2],
-            h,
-            method,
-        )[0]
+        try:
+            states[j + 1] = _terminal_state_batch(
+                raw,
+                times[j : j + 1],
+                states[j : j + 1],
+                times[j + 1 : j + 2],
+                h,
+                method,
+            )[0]
+        except IntegrationError as exc:
+            raise _step_failure(
+                exc, f"the step from t={float(times[j])} to t={float(times[j + 1])}",
+                float(eps[j]),
+            ) from None
     derivs = states[:, 1:].T.copy() if n > 1 else None
     return ObservationSeries(times, states[:, 0], derivs)

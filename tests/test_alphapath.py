@@ -132,6 +132,18 @@ class TestInverseDistribution:
         with pytest.raises(ValueError):
             inverse_distribution(example2, None, zero_init2, 1.0, [0.0, 0.5])
 
+    def test_integration_failure_names_level(self):
+        # x' = x^2 + phi(alpha) from 0 stays finite for alpha <= 0.5 and blows
+        # up near t = 1.4 for alpha = 0.9, so only that level fails.
+        model = hude.HudeModel.parse(1, "x0^2", ["1"])
+        with pytest.raises(
+            hude.IntegrationError,
+            match=r"t=3\.0 on the alpha-path from t=0\.0 to t=3\.0 at level 0\.9$",
+        ) as raised:
+            inverse_distribution(model, None, InitialState(0.0, [0.0]), 3.0,
+                                 [0.1, 0.5, 0.9], h=1e-3)
+        assert raised.value.t == 3.0
+
 
 class TestComparePaths:
     def test_identical_trajectories_hold(self, example2, zero_init2):

@@ -232,6 +232,21 @@ class TestErrorCodes:
                    "--t-end", 0.1, "--step", 0.01, "--out",
                    tmp_path / "p.csv") == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_observation_time(self, tmp_path, decay_model_file,
+                                         capsys, bad):
+        data = tmp_path / "obs.csv"
+        data.write_text(f"t,x\n0.0,2.0\n{bad},1.9\n0.2,1.8\n")
+        code = run("residuals", "--model", decay_model_file, "--data", data,
+                   "--step", 1e-2, "--out", tmp_path / "res.csv")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "compute-error"
+        assert err["message"] == "observation times must be finite"
+
     def test_bad_bounds(self, tmp_path, decay_model_file, capsys):
         data = tmp_path / "obs.csv"
         hude.ObservationSeries([0.0, 0.1, 0.2], [1.0, 1.1, 1.2]).to_csv(data)

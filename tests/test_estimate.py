@@ -262,3 +262,26 @@ class TestEstimateMle:
     def test_detection_level_validated(self, scale_model, scale_series):
         with pytest.raises(ValueError):
             estimate_mle(scale_model, scale_series, alpha=1.2, bounds=[(0.02, 1.0)])
+
+    def test_overflowing_start_does_not_abort(self, decay_model):
+        # The default start, the middle of (-4e6, 1), overflows on every step;
+        # like estimate_moments, the fit must search on from other points.
+        series = simulate_observations(
+            decay_model, {"th": 0.3}, InitialState(0.0, [2.0]),
+            0.1 * np.arange(41), seed=3, h=1e-3,
+        )
+        result = estimate_mle(decay_model, series, alpha=0.05,
+                              bounds=[(-4e6, 1.0)], h=1e-3, restarts=1,
+                              maxiter=100, seed=0)
+        assert abs(result.theta["th"] - 0.3) < 0.1
+
+    def test_window_checked_without_integrating(self, monkeypatch, scale_model,
+                                                scale_series):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before the window check")
+
+        monkeypatch.setattr(hude.residuals, "_terminal_state_batch",
+                            no_integration)
+        with pytest.raises(ValueError, match="needs a window of 1 from 200"):
+            estimate_mle(scale_model, scale_series, alpha=0.999,
+                         bounds=[(0.02, 1.0)])

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hude
 from hude import InitialState, IntegrationError, Trajectory, integrate_euler, integrate_rk4
-from hude.model import VectorField, alpha_path_field
+from hude.model import VectorField, _make_rhs, alpha_path_field, compile_model, phi_inv
+from hude.odeint import _terminal_state_batch, integrate
 
 from conftest import example1_closed_form
 
@@ -95,6 +98,13 @@ class TestContract:
         with pytest.raises(IntegrationError) as exc:
             integrate_euler(blow_up, InitialState(0.0, [10.0]), 1.0, h=0.01)
         assert 0.0 < exc.value.t <= 1.0
+        # x' = x^2 from 1 blows up at t = 1; the failing grid times are pinned
+        square = VectorField(lambda t, y: y * y, 1)
+        for integrator, t in [(integrate_euler, 1.0170000000000001),
+                              (integrate_rk4, 1.0030000000000001)]:
+            with pytest.raises(IntegrationError) as exc:
+                integrator(square, InitialState(0.0, [1.0]), 2.0, h=1e-3)
+            assert exc.value.t == t
 
     def test_backward_integration_rejected(self):
         with pytest.raises(ValueError):
@@ -134,3 +144,56 @@ class TestCsv:
         traj.to_csv(out)
         line = out.read_text().splitlines()[1]
         assert line.split(",")[1] == f"{1 / 3:.17g}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    roots=st.lists(st.floats(min_value=0.2, max_value=3.0), min_size=1,
+                   max_size=3),
+    forcing=st.sampled_from(["exp(-t)", "sin(t)"]),
+    method=st.sampled_from(["euler", "rk4"]),
+    h=st.sampled_from([1e-2, 3e-3]),
+    rows=st.lists(
+        st.tuples(st.floats(min_value=-1.0, max_value=1.0),
+                  st.integers(min_value=0, max_value=40),
+                  st.floats(min_value=0.05, max_value=0.95),
+                  st.floats(min_value=0.05, max_value=0.95)),
+        min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_batched_endpoint_equals_recorded_endpoint(roots, forcing, method, h,
+                                                   rows, seed):
+    # A stable linear model with a time-dependent forcing term; every row has
+    # its own start, level and a span that is not a multiple of h, so rows
+    # finish after different step counts.
+    n = len(roots)
+    coeffs = np.poly(-np.asarray(roots))[1:][::-1]
+    drift = f"0.5*{forcing}" + "".join(
+        f" - {float(c)!r}*x{k}" for k, c in enumerate(coeffs))
+    model = hude.HudeModel.parse(n, drift, ["0.2 + 0.1*cos(t)"])
+    drift_fn, diffusions = compile_model(model, None)
+    t0s = np.array([r[0] for r in rows])
+    t1s = t0s + np.array([(r[1] + r[2]) * h for r in rows])
+    phis = phi_inv(np.array([r[3] for r in rows]))
+    y0s = np.random.default_rng(seed).normal(size=(len(rows), n))
+    batch = _terminal_state_batch(_make_rhs(drift_fn, diffusions, phis), t0s,
+                                  y0s, t1s, h, method)
+    for i in range(len(rows)):
+        field = VectorField(_make_rhs(drift_fn, diffusions, phis[i]), n)
+        path = integrate(field, InitialState(t0s[i], y0s[i]), t1s[i], h, method)
+        assert batch[i].tobytes() == path.final_state.tobytes()
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_frozen_row_never_evaluated_past_its_end(method):
+    # ln(1.05 - t) is finite only before t = 1.05.  The second row ends at 1.0
+    # after 10 steps and stays frozen while the first takes 90; it must not
+    # be evaluated at t0 + k*h beyond its own end.
+    model = hude.HudeModel.parse(1, "ln(1.05 - t)")
+    raw = _make_rhs(*compile_model(model, None), 0.0)
+    t0s, t1s = np.array([0.0, 0.9]), np.array([0.9, 1.0])
+    batch = _terminal_state_batch(raw, t0s, np.zeros((2, 1)), t1s, 0.01, method)
+    for i in range(2):
+        path = integrate(VectorField(raw, 1), InitialState(t0s[i], [0.0]),
+                         t1s[i], 0.01, method)
+        assert batch[i].tobytes() == path.final_state.tobytes()

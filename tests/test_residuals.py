@@ -275,6 +275,18 @@ class TestSimulate:
                 damped_slope_model, {"sig": 0.3}, init, [0.0, 0.1], eps=[1.5]
             )
 
+    def test_integration_failure_names_step_and_level(self):
+        # x' = x^2 + phi(eps) from 0 stays at 0 for the median level and blows
+        # up near t = 1.4 after a restart at level 0.9
+        model = hude.HudeModel.parse(1, "x0^2", ["1"])
+        with pytest.raises(
+            IntegrationError,
+            match=r"t=3\.0 on the step from t=1\.0 to t=3\.0 at level 0\.9$",
+        ) as raised:
+            simulate_observations(model, None, InitialState(0.0, [0.0]),
+                                  [0.0, 1.0, 3.0], eps=[0.5, 0.9], h=1e-3)
+        assert raised.value.t == 3.0
+
 
 class TestDataIO:
     def test_observation_csv_round_trip(self, tmp_path):
@@ -308,6 +320,11 @@ class TestDataIO:
             ResidualVector([0.0, 0.5])
         with pytest.raises(ValueError):
             ResidualVector([0.5], indices=[1, 2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_series_times_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="observation times must be finite"):
+            ObservationSeries([0.0, bad, 2.0], [1.0, 2.0, 3.0])
 
     def test_series_validation(self):
         with pytest.raises(ValueError):
