@@ -169,7 +169,10 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
         simplex = simplex[order]
         values = values[order]
         spread = np.max(np.abs(simplex[1:] - simplex[0]))
-        fspread = values[-1] - values[0]
+        # A simplex of failed vertices holds inf - inf: NaN, which the rule
+        # reads as not finite, like inf.
+        with np.errstate(invalid="ignore"):
+            fspread = values[-1] - values[0]
         if spread <= xatol and (not np.isfinite(fspread) or fspread <= fatol):
             break
         centroid = simplex[:-1].mean(axis=0)

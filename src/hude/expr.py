@@ -41,6 +41,7 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "to_source",
+    "CompiledExpr",
     "compile_expr",
     "variables",
 ]
@@ -411,20 +412,22 @@ def eval_expr(node: ExprAst, env: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-_NP_FUNC = {"exp": "np.exp", "ln": "np.log", "sin": "np.sin", "cos": "np.cos", "abs": "np.abs"}
+# ``abs`` is the builtin: it keeps a float a float and calls np.abs on arrays.
+_FUNC = {"exp": "np.exp", "ln": "np.log", "sin": "np.sin", "cos": "np.cos", "abs": "abs"}
 
 
 def _codegen(node: ExprAst, slots: dict[str, str]) -> str:
-    """numpy source of ``node``; parameter ``name`` becomes the identifier
-    ``slots[name]`` (``p0``, ``p1``, ... in order of first use)."""
+    """Source of ``node`` over state columns: ``x0``, ``x1``, ... and ``t``
+    are names, each a float or an array of rows; parameter ``name`` becomes
+    the identifier ``slots[name]`` (``p0``, ``p1``, ... in order of first
+    use).  Division is ``np.divide``, so a float column divided by zero gives
+    ``inf``/``nan`` like an array does instead of raising."""
     if isinstance(node, Const):
         text = repr(float(node.value))
         return f"({text})" if node.value < 0 else text
     if isinstance(node, Var):
-        if node.name == "t":
-            return "t"
-        if _STATE_RE.match(node.name):
-            return f"x[..., {int(node.name[1:])}]"
+        if node.name == "t" or _STATE_RE.match(node.name):
+            return node.name
         return slots.setdefault(node.name, f"p{len(slots)}")
     if isinstance(node, Unary):
         return f"(-{_codegen(node.operand, slots)})"
@@ -433,9 +436,11 @@ def _codegen(node: ExprAst, slots: dict[str, str]) -> str:
         right = _codegen(node.right, slots)
         if node.op == "^":
             return f"np.power({left}, {right})"
+        if node.op == "/":
+            return f"np.divide({left}, {right})"
         return f"({left} {node.op} {right})"
     if isinstance(node, Call):
-        return f"{_NP_FUNC[node.func]}({_codegen(node.arg, slots)})"
+        return f"{_FUNC[node.func]}({_codegen(node.arg, slots)})"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -446,13 +451,28 @@ def _param_value(value):
 
 @functools.lru_cache(maxsize=256)
 def _binder(source: str) -> Callable:
-    """``lambda p0, p1, ...: lambda t, x: body`` evaluated once per source."""
+    """``lambda p0, p1, ...: <function>`` evaluated once per source."""
     return eval(compile(source, "<hude-expr>", "eval"), {"np": np})
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledExpr:
+    """An expression with its parameters bound: ``self(t, x)`` evaluates it
+    on ``x`` whose last axis holds the state components.  ``theta`` maps the
+    parameters ``node`` uses to their bound values, so a reduced field can
+    generate ``node`` inline (:func:`hude.model._make_rhs`)."""
+
+    node: ExprAst
+    theta: Mapping
+    fn: Callable
+
+    def __call__(self, t, x):
+        return self.fn(t, x)
 
 
 def compile_expr(
     node: ExprAst, theta: Mapping[str, float | np.ndarray] | None = None
-) -> Callable[[float, np.ndarray], np.ndarray]:
+) -> CompiledExpr:
     """Compile an AST to a vectorised ``f(t, x)`` with parameters bound.
 
     ``x`` indexes state components on its last axis, so the same callable
@@ -472,4 +492,10 @@ def compile_expr(
         if name not in theta:
             raise ValueError(f"parameter '{name}' is not bound")
         values.append(_param_value(theta[name]))
-    return _binder(f"lambda {', '.join(slots.values())}: lambda t, x: ({body})")(*values)
+    states = sorted((v for v in variables(node) if _STATE_RE.match(v)),
+                    key=lambda v: int(v[1:]))
+    columns = ", ".join(f"x[..., {v[1:]}]" for v in states)
+    source = (f"lambda {', '.join(slots.values())}: lambda t, x: "
+              f"(lambda {', '.join(states)}: ({body}))({columns})")
+    fn = _binder(source)(*values)
+    return CompiledExpr(node, dict(zip(slots, values)), fn)

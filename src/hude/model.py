@@ -28,6 +28,8 @@ import numpy as np
 from .expr import (
     DomainError,
     ExprAst,
+    _binder,
+    _codegen,
     _param_value,
     compile_expr,
     parse_expr,
@@ -173,9 +175,11 @@ class InitialState:
 class VectorField:
     """Callable first-order field ``F(t, y) -> dy/dt``.
 
-    ``raw`` evaluates without finiteness checks and is what the integrators
-    drive; calling the field directly validates the output and raises
-    :class:`DomainError` on a non-finite value.
+    ``raw(t, y)`` evaluates on an array ``y`` with the state on its last axis,
+    without finiteness checks, and is what the integrators drive (a
+    :class:`ReducedField` is stepped in its column form); calling the field
+    directly validates the output and raises :class:`DomainError` on a
+    non-finite value.
     """
 
     __slots__ = ("raw", "dim")
@@ -194,7 +198,8 @@ class VectorField:
 
 
 def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
-    """Compile drift and diffusions to vectorised callables with theta bound.
+    """Compile drift and diffusions to vectorised callables with theta bound
+    (:class:`~hude.expr.CompiledExpr`, which :func:`_make_rhs` inlines).
 
     A parameter may be a ``(B,)`` array instead of a float: row ``i`` of a
     ``(B, n)`` batch is then evaluated at the ``i``-th value, which lets one
@@ -206,25 +211,53 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
     return drift, diffusions
 
 
-def _make_rhs(drift, diffusions, phi):
-    """Right-hand side closure shared by the scalar and batched paths.
+class ReducedField:
+    """The reduced first-order field at noise level ``phi`` (see the module
+    docstring); ``phi`` is a float, or a ``(B,)`` array holding one level per
+    batch row.
 
-    ``phi`` is a float for a single quantile level or a ``(B,)`` array when a
-    batch of levels is integrated simultaneously.
+    ``columns(n)`` is the form the integrator steps: one generated function
+    ``f(t, x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` with
+    ``F = ((drift + |g1|*phi) + |g2|*phi) + ...``, where the columns are
+    floats for one row or ``(B,)`` arrays for a batch.  The parameters and
+    ``phi`` are bound names, so one generated source serves every level.  The
+    noise is left out when there is no diffusion or ``phi`` is a scalar zero,
+    because ``|g|*0`` would turn an infinite ``g`` into NaN.  Calling the
+    field on an array ``y`` (state on the last axis) gives the same values
+    stacked.
     """
-    skip_noise = not diffusions or (np.ndim(phi) == 0 and phi == 0.0)
 
-    def raw(t, y):
-        F = np.empty_like(y)
-        F[..., :-1] = y[..., 1:]
-        val = drift(t, y)
-        if not skip_noise:
-            for g in diffusions:
-                val = val + np.abs(g(t, y)) * phi
-        F[..., -1] = val
-        return F
+    __slots__ = ("drift", "diffusions", "phi")
 
-    return raw
+    def __init__(self, drift, diffusions, phi):
+        self.drift = drift
+        self.diffusions = tuple(diffusions)
+        self.phi = phi
+
+    def columns(self, n: int) -> Callable:
+        noise = self.diffusions if np.ndim(self.phi) or self.phi != 0.0 else ()
+        slots: dict[str, str] = {}
+        value = _codegen(self.drift.node, slots)
+        theta = dict(self.drift.theta)
+        for g in noise:
+            value = f"({value} + abs({_codegen(g.node, slots)}) * phi)"
+            theta.update(g.theta)
+        state = ", ".join(f"x{k}" for k in range(n))
+        derivs = "".join(f"x{k}, " for k in range(1, n))
+        source = (f"lambda {', '.join(['phi', *slots.values()])}: "
+                  f"lambda t, {state}: ({derivs}{value},)")
+        return _binder(source)(self.phi, *(theta[name] for name in slots))
+
+    def __call__(self, t, y):
+        y = np.asarray(y, dtype=float)
+        out = self.columns(y.shape[-1])(t, *np.moveaxis(y, -1, 0))
+        return np.stack(np.broadcast_arrays(*out), axis=-1)
+
+
+def _make_rhs(drift, diffusions, phi) -> ReducedField:
+    """The reduced field of ``drift``/``diffusions`` (from
+    :func:`compile_model`) at noise level ``phi``."""
+    return ReducedField(drift, diffusions, phi)
 
 
 def alpha_path_field(

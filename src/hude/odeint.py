@@ -88,17 +88,34 @@ class Trajectory:
                 fh.write(",".join(fields) + "\n")
 
 
-def _euler_step(raw, t, y, s, sc):
-    return y + sc * raw(t, y)
+def _euler_step(f, t, x, s):
+    return tuple(xk + s * kk for xk, kk in zip(x, f(t, *x)))
 
 
-def _rk4_step(raw, t, y, s, sc):
-    half, hc = 0.5 * s, 0.5 * sc
-    k1 = raw(t, y)
-    k2 = raw(t + half, y + hc * k1)
-    k3 = raw(t + half, y + hc * k2)
-    k4 = raw(t + s, y + sc * k3)
-    return y + (sc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(f, t, x, s):
+    half = 0.5 * s
+    k1 = f(t, *x)
+    k2 = f(t + half, *[xk + half * kk for xk, kk in zip(x, k1)])
+    k3 = f(t + half, *[xk + half * kk for xk, kk in zip(x, k2)])
+    k4 = f(t + s, *[xk + s * kk for xk, kk in zip(x, k3)])
+    sixth = s / 6.0
+    return tuple(xk + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for xk, a, b, c, d in zip(x, k1, k2, k3, k4))
+
+
+def _columns(raw, n):
+    """``raw`` in the form the step loop drives: ``f(t, x0, ..., x_{n-1})``
+    returning the ``n`` derivative columns.  A reduced model field generates
+    that form itself (:meth:`hude.model.ReducedField.columns`); a hand-written
+    array field ``raw(t, y)``, state on the last axis, is adapted here."""
+    if hasattr(raw, "columns"):
+        return raw.columns(n)
+
+    def f(t, *x):
+        F = raw(t, np.stack(x, axis=-1))
+        return tuple(F[..., k] for k in range(n))
+
+    return f
 
 
 _STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
@@ -131,15 +148,17 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     problems, ``y0`` of shape ``(n,)`` with scalar ``t0``/``t_end`` or
     ``(B, n)`` with ``(B,)`` times (``raw`` must broadcast over rows).
 
-    Step ``k`` of every row starts at ``t0 + k*h``; a row's last step is
-    shortened to its ``t_end`` and rows that finish early freeze with
-    zero-length steps.  ``track_extremes`` also returns the componentwise
-    extremes over all rows and steps.  A non-finite terminal row raises
-    :class:`IntegrationError` at its ``t_end`` with ``row`` attached, unless
-    ``check_finite`` is off.  ``record`` (scalar ``t0``) returns the grid and
-    every state instead and raises at the first non-finite grid point: no
-    step ``y + s*F`` turns a non-finite state finite again, so that is where
-    the state left the floats.
+    The loop advances a tuple of state columns ``(x0, ..., x_{n-1})``: floats
+    for one row, so a one-row problem steps on scalar arithmetic, and ``(B,)``
+    arrays for a batch.  Step ``k`` of every row starts at ``t0 + k*h``; a
+    row's last step is shortened to its ``t_end`` and rows that finish early
+    freeze with zero-length steps.  ``track_extremes`` also returns the
+    componentwise extremes over all rows and steps.  A non-finite terminal
+    row raises :class:`IntegrationError` at its ``t_end`` with ``row``
+    attached, unless ``check_finite`` is off.  ``record`` (scalar ``t0``)
+    returns the grid and every state instead and raises at the first
+    non-finite grid point: no step ``y + s*F`` turns a non-finite state
+    finite again, so that is where the state left the floats.
     """
     try:
         step = _STEPPERS[method]
@@ -147,8 +166,10 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         raise ValueError(f"unknown method {method!r}") from None
     if h <= 0:
         raise ValueError("step h must be positive")
-    t0 = np.asarray(t0, dtype=float)[()]
     y = np.array(y0, dtype=float)
+    n = y.shape[-1]
+    f = _columns(raw, n)
+    t0 = np.asarray(t0, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
     span = t_end - t0
     if np.any(span <= 0):
@@ -159,28 +180,33 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     # Every row takes the full step h before the shortest row's last step, so
     # those steps use the scalar h and skip building per-row step arrays.
     shared = int(nsteps.min()) - 1
+    if y.ndim == 1:
+        t0, x = float(t0), tuple(y.tolist())
+    else:
+        x = tuple(y.T.copy())
     if record:
         Y = np.empty((total + 1,) + y.shape)
         Y[0] = y
-    mins = y.min(axis=0) if track_extremes else None
-    maxs = y.max(axis=0) if track_extremes else None
-    s = sc = h
+        recorded = [Y[..., k] for k in range(n)]
+    if track_extremes:
+        lows, highs = x, x
+    s = h
     with np.errstate(all="ignore"):
         for k in range(total):
             t = t0 + k * h
             if k >= shared:
                 s = np.where(k < nsteps - 1, h,
                              np.where(k == nsteps - 1, last, 0.0))
-                sc = s[:, None] if y.ndim == 2 else s
                 # A frozen row evaluates the field at its own end time, never
                 # past it; a running row's t0 + k*h is below t_end already.
                 t = np.minimum(t, t_end)
-            y = step(raw, t, y, s, sc)
+            x = step(f, t, x, s)
             if record:
-                Y[k + 1] = y
+                for column, xk in zip(recorded, x):
+                    column[k + 1] = xk
             if track_extremes:
-                mins = np.minimum(mins, y.min(axis=0))
-                maxs = np.maximum(maxs, y.max(axis=0))
+                lows = tuple(map(np.minimum, lows, x))
+                highs = tuple(map(np.maximum, highs, x))
     if record:
         T = t0 + np.arange(total + 1) * h
         T[-1] = t_end
@@ -188,13 +214,16 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         if not finite.all():
             raise IntegrationError(float(T[np.argmin(finite)]))
         return T, Y
+    y = np.array(x) if y.ndim == 1 else np.stack(x, axis=1)
     if check_finite:
-        finite = np.isfinite(y).all(axis=1)
+        finite = np.isfinite(y.reshape(-1, n)).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
-            exc = IntegrationError(float(t_end[row]))
+            exc = IntegrationError(
+                float(np.broadcast_to(t_end, finite.shape)[row]))
             exc.row = row
             raise exc
     if track_extremes:
-        return y, mins, maxs
+        return (y, np.array([np.min(c) for c in lows]),
+                np.array([np.max(c) for c in highs]))
     return y

@@ -55,11 +55,12 @@ PROBE_CLAMP = 1e-6
 BATCH_ROWS = 8192
 
 # Probe rows one bisection pass may integrate.  A batched integrator step of
-# the reactor model costs a fixed ~33 us of numpy overhead plus ~26 ns per row
-# (x86-64, numpy 2.4, h=1e-3: 33 us at 1 row, 34 us at 60, 52 us at 900,
-# 66 us at 1,024, 92 us at 2,000, 190 us at 6,000), so per-row work reaches
-# the fixed cost near 1,000-1,300 rows.  Smaller bisections resolve several
-# levels per pass up to this size; larger ones keep one level per pass.
+# the reactor model (column core) costs a fixed ~12 us of numpy overhead plus
+# ~8.5 ns per row (x86-64 Intel Xeon, numpy 2.4, h=1e-3, best of 4 runs:
+# 12.0 us at 1 row, 12.5 us at 60, 20.4 us at 900, 21.2 us at 1,024, 32.0 us
+# at 2,000, 63.0 us at 6,000), so per-row work reaches the fixed cost near
+# 1,400 rows.  Smaller bisections resolve several levels per pass up to this
+# size; larger ones keep one level per pass.
 PROBE_ROWS = 1024
 
 
@@ -528,6 +529,8 @@ def simulate_observations(
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size < 2:
         raise ValueError("need at least two observation times")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("observation times must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("observation times must be strictly increasing")
     if times[0] != init.t0:
@@ -554,13 +557,7 @@ def simulate_observations(
         raw = _make_rhs(drift, diffusions, phi)
         try:
             states[j + 1] = _terminal_state_batch(
-                raw,
-                times[j : j + 1],
-                states[j : j + 1],
-                times[j + 1 : j + 2],
-                h,
-                method,
-            )[0]
+                raw, times[j], states[j], times[j + 1], h, method)
         except IntegrationError as exc:
             raise _step_failure(
                 exc, f"the step from t={float(times[j])} to t={float(times[j + 1])}",

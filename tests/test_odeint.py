@@ -197,3 +197,198 @@ def test_frozen_row_never_evaluated_past_its_end(method):
         path = integrate(VectorField(raw, 1), InitialState(t0s[i], [0.0]),
                          t1s[i], 0.01, method)
         assert batch[i].tobytes() == path.final_state.tobytes()
+
+
+# The array core the column core replaced, kept as the bitwise reference: one
+# (B, n) state array per step, the reduced field written into a fresh array.
+def _array_rhs(drift, diffusions, phi):
+    skip_noise = not diffusions or (np.ndim(phi) == 0 and phi == 0.0)
+
+    def raw(t, y):
+        F = np.empty_like(y)
+        F[..., :-1] = y[..., 1:]
+        val = drift(t, y)
+        if not skip_noise:
+            for g in diffusions:
+                val = val + np.abs(g(t, y)) * phi
+        F[..., -1] = val
+        return F
+
+    return raw
+
+
+def _array_euler(raw, t, y, s, sc):
+    return y + sc * raw(t, y)
+
+
+def _array_rk4(raw, t, y, s, sc):
+    half, hc = 0.5 * s, 0.5 * sc
+    k1 = raw(t, y)
+    k2 = raw(t + half, y + hc * k1)
+    k3 = raw(t + half, y + hc * k2)
+    k4 = raw(t + s, y + sc * k3)
+    return y + (sc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _array_core(raw, t0, y0, t_end, h, method, track_extremes=False,
+                record=False):
+    step = {"euler": _array_euler, "rk4": _array_rk4}[method]
+    t0 = np.asarray(t0, dtype=float)[()]
+    y = np.array(y0, dtype=float)
+    t_end = np.asarray(t_end, dtype=float)
+    span = t_end - t0
+    nsteps = np.maximum(np.ceil(span / h - 1e-9).astype(int), 1)
+    last = span - (nsteps - 1) * h
+    total = int(nsteps.max())
+    shared = int(nsteps.min()) - 1
+    if record:
+        Y = np.empty((total + 1,) + y.shape)
+        Y[0] = y
+    mins = y.min(axis=0) if track_extremes else None
+    maxs = y.max(axis=0) if track_extremes else None
+    s = sc = h
+    with np.errstate(all="ignore"):
+        for k in range(total):
+            t = t0 + k * h
+            if k >= shared:
+                s = np.where(k < nsteps - 1, h,
+                             np.where(k == nsteps - 1, last, 0.0))
+                sc = s[:, None] if y.ndim == 2 else s
+                t = np.minimum(t, t_end)
+            y = step(raw, t, y, s, sc)
+            if record:
+                Y[k + 1] = y
+            if track_extremes:
+                mins = np.minimum(mins, y.min(axis=0))
+                maxs = np.maximum(maxs, y.max(axis=0))
+    if record:
+        return Y
+    return (y, mins, maxs) if track_extremes else y
+
+
+# Right-hand-side terms with every operator and function of the language;
+# {k} is a state index below the order.
+TERMS = ["-0.7*x{k}", "0.3*t*x{k}", "exp(-x{k}^2)", "ln(1.5 + sin(a*t))",
+         "x{k}/(2 + t)", "abs(x{k} - b)", "a*x{k}^2", "1/(x{k} + 0.25)",
+         "-b*cos(x{k})"]
+
+
+@st.composite
+def _column_case(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+
+    def expr():
+        picks = draw(st.lists(st.sampled_from(TERMS), min_size=1, max_size=3))
+        return " + ".join(p.format(k=draw(st.integers(0, n - 1))) for p in picks)
+
+    drift = expr()
+    diffusions = [expr() for _ in range(draw(st.integers(0, 2)))]
+    one_row = draw(st.booleans())
+    rows = 1 if one_row else draw(st.integers(min_value=1, max_value=5))
+    h = draw(st.sampled_from([0.05, 0.02]))
+    spans = [(draw(st.integers(0, 30)) + draw(st.floats(0.05, 1.0))) * h
+             for _ in range(rows)]
+    level = st.one_of(st.just(0.5), st.floats(0.05, 0.95))
+    levels = [draw(level) for _ in range(rows)]
+    row_theta = not one_row and draw(st.booleans())
+    return dict(n=n, drift=drift, diffusions=diffusions, one_row=one_row,
+                rows=rows, h=h, spans=spans, levels=levels,
+                row_theta=row_theta,
+                method=draw(st.sampled_from(["euler", "rk4"])),
+                seed=draw(st.integers(0, 2**16)))
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except IntegrationError as exc:
+        return ("failed", exc.t, getattr(exc, "row", None))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_column_case())
+def test_column_core_equals_array_core(case):
+    n, rows, h, method = case["n"], case["rows"], case["h"], case["method"]
+    rng = np.random.default_rng(case["seed"])
+    model = hude.HudeModel.parse(n, case["drift"], case["diffusions"],
+                                 params=["a", "b"])
+    if case["row_theta"]:
+        theta = {"a": rng.uniform(-2, 2, rows), "b": rng.uniform(-1, 1, rows)}
+    else:
+        theta = {"a": float(rng.uniform(-2, 2)), "b": float(rng.uniform(-1, 1))}
+    drift, diffusions = compile_model(model, theta)
+    t0s = rng.uniform(-1.0, 1.0, rows)
+    t1s = t0s + np.array(case["spans"])
+    y0s = rng.uniform(-1.0, 1.0, (rows, n))
+    phis = phi_inv(np.array(case["levels"]))
+    if case["one_row"]:
+        # A float level and a (n,) state: the columns are scalars.
+        args = (t0s[0], y0s[0], t1s[0], h, method)
+        phi = float(phis[0])
+    else:
+        args = (t0s, y0s, t1s, h, method)
+        phi = phis
+    column = _make_rhs(drift, diffusions, phi)
+    array = _array_rhs(drift, diffusions, phi)
+
+    got = _terminal_state_batch(column, *args, check_finite=False,
+                                track_extremes=True)
+    # The array core took one row as a (1, n) batch.
+    expected = _array_core(array, t0s, y0s, t1s, h, method,
+                           track_extremes=True)
+    assert all(_same(a, b) for a, b in zip(got, expected))
+
+    if case["one_row"]:
+        got = _outcome(lambda: _terminal_state_batch(column, *args,
+                                                     record=True))
+        recorded = _array_core(array, *args, record=True)
+        finite = np.isfinite(recorded).all(axis=1)
+        if finite.all():
+            assert _same(got[1], recorded)
+        else:
+            first = int(np.argmin(finite))
+            assert got[0] == "failed"
+            assert got[1] == (t0s[0] + first * h if first < len(finite) - 1
+                              else t1s[0])
+
+
+@pytest.mark.parametrize("method, drift, y0, h, t", [
+    # 1/x0 at x0 = 0: a float column would raise ZeroDivisionError.
+    ("euler", "1/x0", [0.0], 0.01, 0.01),
+    ("rk4", "1/x0", [0.0], 0.01, 0.01),
+    # x0 falls to exactly 0 at t = 1, where 0*(1/x0) is NaN.
+    ("euler", "0*(1/x0)", [1.0, -1.0], 0.25, 1.25),
+    ("rk4", "0*(1/x0)", [1.0, -1.0], 0.25, 1.0),
+    # x' = x^2 from 1 blows up at t = 1: float overflow must not raise.
+    ("euler", "x0^2", [1.0], 1e-3, 1.0170000000000001),
+    ("rk4", "x0^2", [1.0], 1e-3, 1.0030000000000001),
+])
+def test_one_row_compiled_failure_times(method, drift, y0, h, t):
+    model = hude.HudeModel.parse(len(y0), drift, ["1.0"])
+    init = InitialState(0.0, y0)
+    with pytest.raises(IntegrationError) as raised:
+        hude.solve_alpha_path(model, None, 0.5, init, 3.0, h=h, method=method)
+    assert raised.value.t == t
+    # The same failure inside one simulated step names that step's end.
+    with pytest.raises(IntegrationError) as raised:
+        hude.simulate_observations(model, None, init, [0.0, 3.0], eps=[0.5],
+                                   h=h, method=method)
+    assert raised.value.t == 3.0
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_median_level_leaves_out_infinite_noise(method):
+    # At alpha = 0.5 (phi = 0) the noise is left out, not added as |g|*0: that
+    # would turn the infinite diffusion 1/(x0 - x0) into NaN.
+    noisy = hude.HudeModel.parse(1, "-x0", ["1/(x0 - x0)"])
+    bare = hude.HudeModel.parse(1, "-x0")
+    init = InitialState(0.0, [1.0])
+    paths = [hude.solve_alpha_path(model, None, 0.5, init, 1.0, h=0.1,
+                                   method=method).trajectory.y
+             for model in (noisy, bare)]
+    assert np.isfinite(paths[0]).all()
+    assert _same(*paths)

@@ -275,6 +275,20 @@ class TestSimulate:
                 damped_slope_model, {"sig": 0.3}, init, [0.0, 0.1], eps=[1.5]
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_times_must_be_finite(self, monkeypatch, damped_slope_model, bad):
+        # NaN passes the increasing-times check (every comparison is false),
+        # so it is rejected by name before any step is integrated.
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before the time check")
+
+        monkeypatch.setattr(hude.residuals, "_terminal_state_batch",
+                            no_integration)
+        with pytest.raises(ValueError, match="observation times must be finite"):
+            simulate_observations(damped_slope_model, {"sig": 0.3},
+                                  InitialState(0.0, [1.0, 0.0]),
+                                  [0.0, bad, 0.2])
+
     def test_integration_failure_names_step_and_level(self):
         # x' = x^2 + phi(eps) from 0 stays at 0 for the median level and blows
         # up near t = 1.4 after a restart at level 0.9
