@@ -28,9 +28,11 @@ from .odeint import DEFAULT_STEP, IntegrationError
 from .residuals import (
     ObservationSeries,
     ResidualVector,
+    _batch_levels,
+    _bisect_levels,
     _restart_rows,
-    compute_residuals,
-    compute_residuals_batch,
+    _residual_vector,
+    compute_residuals,  # noqa: F401  (perfbench/layers.py wraps it here)
 )
 
 __all__ = [
@@ -288,33 +290,68 @@ def minimize_in_box(
     return best_x, best_f, total
 
 
-def _residual_objective(model, series, score, **residual_kwargs):
-    """``x -> score(epsilons of the residuals at x)`` and the residual function
-    behind it; ``x`` lists the parameters in ``model.params`` order.
+def _residual_objective(model, series, score, bounds, delta, h, scheme,
+                        method):
+    """``x -> score(epsilons of the residuals at x)`` and the function that
+    returns the :class:`ResidualVector` of a point it has scored; ``x`` lists
+    the parameters in ``model.params`` order.
 
     A probe that fails to integrate scores ``inf``.  The objective's ``batch``
-    attribute scores a ``(P, p)`` matrix of probes with one
-    :func:`compute_residuals_batch` call, value for value as the objective.
+    attribute scores a ``(P, p)`` matrix of probes in shared bisections, as
+    :func:`compute_residuals_batch` does, value for value as the objective.
+    Every scored point's levels are kept, and each later probe starts its
+    bisection from those of the nearest scored point (Euclidean distance in
+    the box ``bounds`` scaled to the unit cube, the earliest point among
+    ties), which saves integration passes and leaves its levels unchanged
+    (:func:`_bisect_levels`).  Probes skip the advisory monotonicity check;
+    the residual vector of a point runs it.
     """
     names = model.params
+    rows = _restart_rows(model, series, scheme)
+    _, t0s, y0s, t1s, x_next = rows
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    width = np.array([b[1] for b in bounds], dtype=float) - lo
+    units, levels = [], []  # every scored point in the unit cube, its levels
+    scored = {}  # point bytes -> (levels, saturation flags)
 
-    def residual_fn(x):
-        return compute_residuals(model, dict(zip(names, x)), series,
-                                 **residual_kwargs)
+    def keep(x, eps, saturated):
+        units.append((x - lo) / width)
+        levels.append(eps)
+        scored[np.asarray(x, dtype=float).tobytes()] = (eps, saturated)
+
+    def nearest(x):
+        if not units:
+            return None
+        distance = np.sum(((x - lo) / width - np.array(units)) ** 2, axis=1)
+        return levels[int(np.argmin(distance))]
 
     def objective(x):
         try:
-            return score(residual_fn(x).epsilons)
+            eps, saturated, _ = _bisect_levels(
+                model, model.resolved_theta(dict(zip(names, x))), t0s, y0s,
+                t1s, x_next, delta, h, method, guess=nearest(x),
+            )
         except (IntegrationError, DomainError):
             return np.inf
+        keep(x, eps, saturated)
+        return score(eps)
 
     def batch(points):
-        vectors = compute_residuals_batch(model, points, series,
-                                          **residual_kwargs)
-        return [np.inf if v is None else score(v.epsilons) for v in vectors]
+        points = np.asarray(points, dtype=float)
+        guesses = None if not units else np.array([nearest(x) for x in points])
+        out = _batch_levels(model, points, rows, delta, h, method, guesses)
+        for x, levels_x in zip(points, out):
+            if levels_x is not None:
+                keep(x, *levels_x)
+        return [np.inf if v is None else score(v[0]) for v in out]
+
+    def residuals_at(x):
+        eps, saturated = scored[np.asarray(x, dtype=float).tobytes()]
+        resolved = model.resolved_theta(dict(zip(names, x)))
+        return _residual_vector(model, resolved, rows, eps, saturated, True)
 
     objective.batch = batch
-    return objective, residual_fn
+    return objective, residuals_at
 
 
 def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
@@ -333,16 +370,17 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
         theta_init = 0.5 * (lo + hi)
     elif isinstance(theta_init, Mapping):
         theta_init = np.array([theta_init[name] for name in names], dtype=float)
-    objective, residual_fn = _residual_objective(
-        model, series, score, delta=delta, h=h, scheme=scheme, method=method,
-    )
+    objective, residuals_at = _residual_objective(
+        model, series, score, bounds, delta, h, scheme, method)
     best_x, best_f, iterations = minimize_in_box(
         objective, theta_init, bounds, restarts, maxiter, seed,
         stop_below=threshold, presearch=presearch,
     )
     if not np.isfinite(best_f):
         raise EstimationError("every parameter probe failed to integrate")
-    gaps = _moment_gaps(residual_fn(best_x).epsilons, moments)
+    # The estimate was scored: its levels are kept, and its vector runs the
+    # monotonicity check the probes skipped.
+    gaps = _moment_gaps(residuals_at(best_x).epsilons, moments)
     return EstimationResult(
         theta=dict(zip(names, (float(v) for v in best_x))),
         objective=best_f,

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .expr import (
+    CompiledExpr,
     DomainError,
     ExprAst,
     _binder,
@@ -211,6 +213,14 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
     return drift, diffusions
 
 
+# The binder and bound parameter values of each generated column function,
+# per compiled drift and then per compiled diffusions and state size.  The
+# keys are the compiled expressions themselves: ASTs compare Const(0.0) equal
+# to Const(-0.0), which generate different code.
+_COLUMNS: "weakref.WeakKeyDictionary[CompiledExpr, dict]" = (
+    weakref.WeakKeyDictionary())
+
+
 class ReducedField:
     """The reduced first-order field at noise level ``phi`` (see the module
     docstring); ``phi`` is a float, or a ``(B,)`` array holding one level per
@@ -236,17 +246,22 @@ class ReducedField:
 
     def columns(self, n: int) -> Callable:
         noise = self.diffusions if np.ndim(self.phi) or self.phi != 0.0 else ()
-        slots: dict[str, str] = {}
-        value = _codegen(self.drift.node, slots)
-        theta = dict(self.drift.theta)
-        for g in noise:
-            value = f"({value} + abs({_codegen(g.node, slots)}) * phi)"
-            theta.update(g.theta)
-        state = ", ".join(f"x{k}" for k in range(n))
-        derivs = "".join(f"x{k}, " for k in range(1, n))
-        source = (f"lambda {', '.join(['phi', *slots.values()])}: "
-                  f"lambda t, {state}: ({derivs}{value},)")
-        return _binder(source)(self.phi, *(theta[name] for name in slots))
+        generated = _COLUMNS.setdefault(self.drift, {})
+        if (noise, n) not in generated:
+            slots: dict[str, str] = {}
+            value = _codegen(self.drift.node, slots)
+            theta = dict(self.drift.theta)
+            for g in noise:
+                value = f"({value} + abs({_codegen(g.node, slots)}) * phi)"
+                theta.update(g.theta)
+            state = ", ".join(f"x{k}" for k in range(n))
+            derivs = "".join(f"x{k}, " for k in range(1, n))
+            source = (f"lambda {', '.join(['phi', *slots.values()])}: "
+                      f"lambda t, {state}: ({derivs}{value},)")
+            generated[noise, n] = (_binder(source),
+                                   tuple(theta[name] for name in slots))
+        binder, values = generated[noise, n]
+        return binder(self.phi, *values)
 
     def __call__(self, t, y):
         y = np.asarray(y, dtype=float)

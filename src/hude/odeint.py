@@ -152,7 +152,8 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     for one row, so a one-row problem steps on scalar arithmetic, and ``(B,)``
     arrays for a batch.  Step ``k`` of every row starts at ``t0 + k*h``; a
     row's last step is shortened to its ``t_end`` and rows that finish early
-    freeze with zero-length steps.  ``track_extremes`` also returns the
+    keep their terminal state, so a row's result does not depend on the
+    other rows.  ``track_extremes`` also returns the
     componentwise extremes over all rows and steps.  A non-finite terminal
     row raises :class:`IntegrationError` at its ``t_end`` with ``row``
     attached, unless ``check_finite`` is off.  ``record`` (scalar ``t0``)
@@ -195,12 +196,19 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         for k in range(total):
             t = t0 + k * h
             if k >= shared:
-                s = np.where(k < nsteps - 1, h,
-                             np.where(k == nsteps - 1, last, 0.0))
-                # A frozen row evaluates the field at its own end time, never
-                # past it; a running row's t0 + k*h is below t_end already.
+                s = np.where(k < nsteps - 1, h, last)
+                # A finished row evaluates the field at its own end time,
+                # never past it; a running row's t0 + k*h is below t_end
+                # already.
                 t = np.minimum(t, t_end)
-            x = step(f, t, x, s)
+            stepped = step(f, t, x, s)
+            if k > shared:
+                # A finished row keeps its state.  Stepping it by zero would
+                # not: y + 0*F is NaN wherever F is not finite.
+                done = k >= nsteps
+                stepped = tuple(np.where(done, xk, yk)
+                                for xk, yk in zip(x, stepped))
+            x = stepped
             if record:
                 for column, xk in zip(recorded, x):
                     column[k + 1] = xk

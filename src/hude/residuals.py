@@ -261,7 +261,7 @@ def _levels_per_pass(rows: int, halvings: int) -> int:
 
 
 def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
-                   check_finite=True):
+                   check_finite=True, guess=None):
     """Vectorised bisection: for each row find the level whose restarted path
     ends at the observed next value.  Returns (levels, saturated, failed).
 
@@ -273,10 +273,23 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     probes that halving one level at a time would visit.  The probes are the
     midpoints of that sequence bit for bit, so the result equals it exactly.
 
+    ``guess`` (optional, one level in [0, 1] per row) names for each row the
+    final interval of the halving that contains it; a level this bisection
+    returned at the same ``delta`` names its own interval.  The first pass
+    then integrates that interval's ancestors, the midpoints halving would
+    probe if the guess were right (as many levels as fit in
+    :data:`PROBE_ROWS` rows), and each row reads them in order up to the
+    first level where its decision leaves the guessed interval, that level
+    included.  The probe tree resolves the levels left, each row its own
+    number.  Rows read the same probes as without a guess, so a guess, right
+    or wrong, changes the work and never the result.  Beyond 52 halvings the
+    levels are no longer exact floats and a guess is ignored.
+
     A non-finite terminal state at a visited probe raises
     :class:`IntegrationError` (with the ``row`` and probed ``level``
     attached) unless ``check_finite`` is off; then the row is flagged in
-    ``failed`` instead and the other rows are unaffected.
+    ``failed`` instead and the other rows are unaffected.  The error is that
+    of the shallowest failing level, the lowest row among ties.
     """
     if delta <= 0:
         raise ValueError("precision delta must be positive")
@@ -284,53 +297,126 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     while 0.5 ** halvings > delta:
         halvings += 1
     theta = theta or {}
-    rows_theta = any(np.ndim(v) for v in theta.values())
-    compiled = {}
+    # Scalar parameters compile once; row parameters follow the probe rows.
+    compiled = (None if any(np.ndim(v) for v in theta.values())
+                else compile_model(model, theta))
     B = len(x_next)
-    rows = np.arange(B)
     lo = np.zeros(B)
     hi = np.ones(B)
     failed = np.zeros(B, dtype=bool)
-    while halvings:
-        b = _levels_per_pass(B, halvings)
-        halvings -= b
+    # Each failed row's first failing probe: row -> (its level, counted from
+    # 1, and its quantile level).
+    fails = {}
+
+    def rows_of(params, keep):
+        return {k: v[keep] if np.ndim(v) else v for k, v in params.items()}
+
+    def integrate(params, t0a, y0a, t1a, m, levels):
+        """Terminal values and finiteness of rows with parameters ``params``
+        and times and states ``t0a``, ``y0a``, ``t1a``, at ``m`` quantile
+        ``levels`` each, probe-major: row i of probe k sits at k*A + i."""
+        drift, diffusions = compiled or compile_model(
+            model, {k: _tile(v, m) if np.ndim(v) else v
+                    for k, v in params.items()})
+        phi = phi_inv(np.clip(levels, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
+        terminal = _terminal_state_batch(
+            _make_rhs(drift, diffusions, phi), _tile(t0a, m), _tile(y0a, m),
+            _tile(t1a, m), h, method, check_finite=False,
+        )
+        return terminal[:, 0], np.isfinite(terminal).all(axis=1)
+
+    def record(active, resolved, read, finite, probed):
+        """Note the first failure of each of the rows ``active``, which had
+        resolved ``resolved`` levels before this pass and read ``read`` more.
+        ``finite`` and ``probed`` hold, per level of the pass and row, whether
+        the probe there is finite and its quantile level."""
+        bad = (np.arange(len(finite))[:, None] < read) & ~finite
+        hit = bad.any(axis=0)
+        first = bad.argmax(axis=0)
+        for i in np.flatnonzero(hit & ~failed[active]):
+            fails[int(active[i])] = (int(resolved[i] + first[i]) + 1,
+                                     float(probed[first[i], i]))
+        failed[active] |= hit
+
+    active = np.arange(B if halvings else 0)  # the rows still bisecting
+    left = np.full(active.size, halvings)  # levels each has still to read
+    # Levels from a guess are exact dyadics only while they fit the mantissa.
+    if guess is not None and 0 < halvings <= np.finfo(float).nmant:
+        g = min(halvings, max(1, PROBE_ROWS // B))
+        cell = np.clip(np.floor(np.ldexp(guess, halvings)), 0,
+                       2.0 ** halvings - 1).astype(np.int64)
+        level = np.arange(1, g + 1)[:, None]
+        # Row r's probe at level l is the midpoint of its guessed ancestor
+        # cell at depth l - 1; the guess says which half holds the target.
+        ancestor = cell >> (halvings - level + 1)
+        guessed = ((cell >> (halvings - level)) & 1).astype(bool)
+        levels = np.ldexp(2 * ancestor + 1, -level)
+        reached, finite = integrate(theta, t0s, y0s, t1s, g, levels.ravel())
+        below = reached.reshape(g, B) < x_next
+        agree = below == guessed
+        read = np.where(agree.all(axis=0), g, agree.argmin(axis=0) + 1)
+        if not finite.all():
+            record(active, np.zeros(B, dtype=int), read, finite.reshape(g, B),
+                   levels)
+        cell = 2 * ancestor[read - 1, active] + below[read - 1, active]
+        lo, hi = np.ldexp(cell, -read), np.ldexp(cell + 1, -read)
+        active = np.flatnonzero(read < halvings)
+        left = halvings - read[active]
+    # The probe tree resolves the rest.  Its per-row data covers the rows
+    # still bisecting and shrinks as rows finish.
+    data = (t0s, y0s, t1s, x_next, lo, hi)
+    t0a, y0a, t1a, xa, loa, hia = (
+        data if active.size == B else (a[active] for a in data))
+    params = theta if active.size == B else rows_of(theta, active)
+    while True:
+        if check_finite and fails:
+            row = min(fails, key=lambda r: (fails[r][0], r))
+            # Raise once every row has read the shallowest failing level, so
+            # that no row can still fail above it.
+            if fails[row][0] <= halvings - left.max(initial=0):
+                exc = IntegrationError(float(t1s[row]))
+                exc.row, exc.level = row, fails[row][1]
+                raise exc
+        if not active.size:
+            break
+        A = active.size
+        b = _levels_per_pass(A, int(left.max()))
         m = 2 ** b - 1
-        # Probe-major layout: row r of the k-th probe sits at k*B + r, so
-        # per-row arrays are tiled m times.
-        key = m if rows_theta else 1
-        if key not in compiled:
-            compiled[key] = compile_model(
-                model, {k: _tile(v, m) if np.ndim(v) else v
-                        for k, v in theta.items()})
-        drift, diffusions = compiled[key]
         # Probe j of a row is lo + (hi - lo) * j / 2^b.  That is exact, so
         # j = 0 gives lo, j = 2^b gives hi and each midpoint 0.5 * (lo' + hi')
         # the sequential halvings would take is one of the probes, bit for bit.
-        width = hi - lo
-        levels = (lo + width * (np.arange(1, m + 1) / (m + 1))[:, None]).ravel()
-        phi = phi_inv(np.clip(levels, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
-        terminal = _terminal_state_batch(
-            _make_rhs(drift, diffusions, phi), _tile(t0s, m), _tile(y0s, m),
-            _tile(t1s, m), h, method, check_finite=False,
-        )
-        finite = np.isfinite(terminal).all(axis=1)
-        reached = terminal[:, 0]
-        jlo = np.zeros(B, dtype=int)
-        jhi = np.full(B, m + 1)
+        width = hia - loa
+        levels = (loa + width * (np.arange(1, m + 1) / (m + 1))[:, None]).ravel()
+        reached, finite = integrate(params, t0a, y0a, t1a, m, levels)
+        sub = np.arange(A)
+        jlo = np.zeros(A, dtype=int)
+        jhi = np.full(A, m + 1)
+        probes = []
         for _ in range(b):
             jmid = (jlo + jhi) // 2
-            probe = (jmid - 1) * B + rows
-            ok = finite[probe]
-            if check_finite and not ok.all():
-                bad = int(np.argmin(ok))
-                exc = IntegrationError(float(t1s[bad]))
-                exc.row, exc.level = bad, float(levels[probe[bad]])
-                raise exc
-            failed |= ~ok
-            below = reached[probe] < x_next
+            probes.append((jmid - 1) * A + sub)
+            below = reached[probes[-1]] < xa
             jlo = np.where(below, jmid, jlo)
             jhi = np.where(below, jhi, jmid)
-        lo, hi = lo + width * (jlo / (m + 1)), lo + width * (jhi / (m + 1))
+        if left.min() < b:
+            # A row with fewer levels left reads only those: its interval is
+            # the one the walk held after them, which holds the final one.
+            unread = np.maximum(b - left, 0)
+            jlo = (jlo >> unread) << unread
+            jhi = jlo + (1 << unread)
+        if not finite.all():
+            probes = np.array(probes)
+            record(active, halvings - left, left, finite[probes],
+                   levels[probes])
+        loa, hia = loa + width * (jlo / (m + 1)), loa + width * (jhi / (m + 1))
+        left = left - b
+        done = left <= 0
+        if done.any():
+            lo[active[done]], hi[active[done]] = loa[done], hia[done]
+            keep = ~done
+            active, t0a, y0a, t1a, xa, loa, hia, left = (
+                a[keep] for a in (active, t0a, y0a, t1a, xa, loa, hia, left))
+            params = rows_of(params, keep)
     eps = 0.5 * (lo + hi)
     saturated = (lo <= 0.0) | (hi >= 1.0)
     return eps, saturated, failed
@@ -473,8 +559,9 @@ def compute_residuals_batch(
     as many per bisection as fit in :data:`BATCH_ROWS` rows (at least one).
 
     Entry ``k`` equals ``compute_residuals(model, thetas[k], series, ...)``
-    bit for bit.  It is ``None`` where that call would fail to integrate:
-    a non-finite row fails its own parameter point only.
+    bit for bit, without its advisory monotonicity check.  It is ``None``
+    where that call would fail to integrate: a non-finite row fails its own
+    parameter point only.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != len(model.params):
@@ -482,6 +569,19 @@ def compute_residuals_batch(
             f"thetas must be shaped (points, {len(model.params)})"
         )
     rows = _restart_rows(model, series, scheme)
+    return [None if levels is None else _residual_vector(
+                model, model.resolved_theta(dict(zip(model.params, point))),
+                rows, *levels, False)
+            for point, levels in zip(thetas, _batch_levels(
+                model, thetas, rows, delta, h, method))]
+
+
+def _batch_levels(model, thetas, rows, delta, h, method, guesses=None):
+    """``(levels, saturated)`` of the restart ``rows`` at each row of the
+    ``(P, p)`` matrix ``thetas``, or ``None`` where a row fails to integrate,
+    from bisections of as many points as fit in :data:`BATCH_ROWS` rows.
+    ``guesses`` (optional, ``(P, rows)``) are :func:`_bisect_levels` guesses
+    per point."""
     _, t0s, y0s, t1s, x_next = rows
     M = x_next.size
     per_chunk = max(1, BATCH_ROWS // M)
@@ -495,15 +595,13 @@ def compute_residuals_batch(
             model, columns, np.tile(t0s, P),
             np.tile(y0s, (P, 1)), np.tile(t1s, P), np.tile(x_next, P),
             delta, h, method, check_finite=False,
+            guess=None if guesses is None else
+            np.ravel(guesses[start:start + per_chunk]),
         )
-        for k, point in enumerate(chunk):
+        for k in range(P):
             part = slice(k * M, (k + 1) * M)
-            if failed[part].any():
-                out.append(None)
-                continue
-            resolved = model.resolved_theta(dict(zip(model.params, point)))
-            out.append(_residual_vector(model, resolved, rows, eps[part],
-                                        saturated[part], True))
+            out.append(None if failed[part].any() else
+                       (eps[part], saturated[part]))
     return out
 
 

@@ -1,10 +1,10 @@
 """The probe-tree bisection equals halving one level per integration pass, bit
 for bit, and resolves several levels per pass only while the probes fit in
-``PROBE_ROWS`` rows."""
+``PROBE_ROWS`` rows.  A guessed start changes the passes and nothing else."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hude
@@ -49,6 +49,10 @@ CASES = {
     # Riccati blow-up: rows overflow at high levels only, some rows at every
     # probe, some at none.
     "overflow": (1, "x0^2", "c", {"c": (0.5, 5.0)}, (0.0, 6.0), (-2.0, 8.0)),
+    # Targets mostly beyond every finite value: rows climb towards the top
+    # and fail at a level that differs from row to row, seldom the first.
+    "overflow_far": (1, "x0^2", "c", {"c": (0.5, 5.0)}, (0.0, 1.5),
+                     (0.0, 1e308)),
 }
 
 
@@ -126,7 +130,7 @@ def test_coarse_delta_takes_no_pass(monkeypatch):
     assert _pass_sizes(monkeypatch, 5, delta=1.0) == []
 
 
-def test_overflow_at_unvisited_probes_is_ignored(monkeypatch):
+def test_overflow_at_unvisited_probes_is_ignored(monkeypatch, guess=None):
     # x' = x^2 + 3*phi from 1.2 over 1.5 overflows above level ~0.98 with this
     # step; the target 0 lies near level 0.3, so halving never probes there.
     model = hude.HudeModel.parse(1, "x0^2", ["c"], params=["c"])
@@ -141,9 +145,99 @@ def test_overflow_at_unvisited_probes_is_ignored(monkeypatch):
 
     monkeypatch.setattr(residuals, "_terminal_state_batch", recording)
     with np.errstate(all="ignore"):
-        got = _bisect_levels(*args)
+        got = _bisect_levels(*args, guess=guess)
         expected = _sequential_levels(*args)
     assert finite[0] is False  # the first pass integrated overflowing probes
     assert not got[2].any()
     for a, b in zip(got, expected):
         assert np.array_equal(_bits(a), _bits(b))
+
+
+def _guess(kind, cold, delta, rng):
+    """Guesses for the rows of a bisection whose cold levels are ``cold``."""
+    halvings = 0
+    while 0.5 ** halvings > delta:
+        halvings += 1
+    cell = np.floor(np.ldexp(cold, halvings)).astype(np.int64)
+    if kind == "right":
+        return cold
+    if kind == "one bit off":
+        # Right down to a random level, then the other half: the row leaves
+        # the guessed cell part way down.
+        level = rng.integers(1, halvings + 1, cold.size)
+        wrong = cell ^ (np.int64(1) << (halvings - level))
+        return np.ldexp(wrong + 0.5, -halvings)
+    if kind == "walls":
+        return rng.choice([0.0, 1.0], cold.size)
+    if kind == "mixed":
+        return np.where(rng.uniform(size=cold.size) < 0.5, cold,
+                        rng.uniform(size=cold.size))
+    return rng.uniform(size=cold.size)
+
+
+def _outcome(args, **kwargs):
+    try:
+        return _bisect_levels(*args, **kwargs)
+    except IntegrationError as exc:
+        return exc
+
+
+@settings(max_examples=80, deadline=None)
+# Rows with right guesses fail deep in the first pass while a row with a
+# wrong guess fails shallower later: the error must wait for it.
+@example(name="overflow_far", rows=60, delta=1e-4, method="euler",
+         row_theta=False, check_finite=True, kind="mixed", seed=4)
+# Later passes integrate fewer rows: a row that ends where its field
+# overflows must not depend on longer rows in the pass.
+@example(name="overflow_far", rows=26, delta=1e-2, method="euler",
+         row_theta=False, check_finite=False, kind="walls", seed=0)
+@given(
+    name=st.sampled_from(sorted(CASES)),
+    rows=st.integers(min_value=1, max_value=300),
+    delta=st.sampled_from([0.3, 1e-2, 1e-4, 1e-7]),
+    method=st.sampled_from(["euler", "rk4"]),
+    row_theta=st.booleans(),
+    check_finite=st.booleans(),
+    kind=st.sampled_from(["right", "one bit off", "walls", "mixed", "random"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_guessed_start_equals_cold_bisection(name, rows, delta, method,
+                                             row_theta, check_finite, kind,
+                                             seed):
+    model, theta, *arrays = _case(name, rows, seed, row_theta)
+    args = (model, theta, *arrays, delta, 0.1, method, check_finite)
+    with np.errstate(all="ignore"):
+        levels = _bisect_levels(*args[:-1], check_finite=False)[0]
+        guess = _guess(kind, levels, delta, np.random.default_rng(seed))
+        cold = _outcome(args)
+        warm = _outcome(args, guess=guess)
+    if isinstance(cold, IntegrationError):
+        assert isinstance(warm, IntegrationError)
+        assert (warm.t, warm.row, warm.level) == (cold.t, cold.row, cold.level)
+        assert str(warm) == str(cold)
+        return
+    assert not isinstance(warm, IntegrationError)
+    for a, b in zip(warm, cold):
+        assert a.dtype == b.dtype
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_overflow_at_unvisited_guessed_probes_is_ignored(monkeypatch):
+    # The guess names the top interval: its ancestors run up to level ~1 and
+    # overflow, and the row leaves the guess at the first level.
+    test_overflow_at_unvisited_probes_is_ignored(monkeypatch, np.array([0.99999]))
+
+
+def test_right_guess_takes_one_pass(monkeypatch):
+    sizes = []
+
+    def counting(raw, t0, *args, **kwargs):
+        sizes.append(len(t0))
+        return _terminal_state_batch(raw, t0, *args, **kwargs)
+
+    model, theta, *arrays = _case("linear", 60, 0, True)
+    eps = _bisect_levels(model, theta, *arrays, 1e-4, 0.1, "euler")[0]
+    monkeypatch.setattr(residuals, "_terminal_state_batch", counting)
+    _bisect_levels(model, theta, *arrays, 1e-4, 0.1, "euler", guess=eps)
+    assert sizes == [60 * 14]
+

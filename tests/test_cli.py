@@ -257,9 +257,28 @@ class TestErrorCodes:
 
 @pytest.mark.filterwarnings("ignore::hude.AlphaPathConditionWarning")
 class TestReactorDemo:
-    def test_full_pipeline(self, tmp_path, capsys):
+    def test_full_pipeline(self, tmp_path, capsys, monkeypatch):
+        calls = {"_terminal_state_batch": 0, "_spot_check": 0}
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (hude.residuals, hude.alphapath):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
         out = tmp_path / "report"
         assert run("reactor-demo", "--out", out, "--seed", 0) == 0
+        # Integrator calls and monotonicity spot checks of the whole command.
+        # Every bisection from scratch and a spot check per residual vector
+        # took 521 and 243.  Probes start from the nearest scored point and
+        # skip the check; the estimate, the fitted residuals and the fan
+        # check once each.
+        assert calls == {"_terminal_state_batch": 325, "_spot_check": 3}
+        estimate = json.loads((out / "estimate.json").read_text())
+        assert estimate["iterations"] == 52
         for name in ("estimate.json", "residuals.csv", "test.json",
                      "reference_test.json", "reference_ks.json",
                      "psi_inverse.csv", "summary.json"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import hude
 from hude import (
+    AlphaPathConditionWarning,
     InitialState,
     ResidualVector,
     estimate_mle,
@@ -199,6 +202,33 @@ class TestEstimateMoments:
             h=1e-2, restarts=1, maxiter=40, seed=0, presearch=False,
         )
         assert 0.25 <= result.theta["th"] <= 0.28
+
+    def test_condition_warning_only_at_the_estimate(self):
+        # With noise |s*x0| the field is non-decreasing in x0 at level 0.25
+        # only while a >= 0.61*s, so the box holds probes on both sides.  The
+        # fit warns once, for the estimate, as residuals there do.
+        model = hude.HudeModel.parse(2, "a*x0 - x1", ["s*x0"],
+                                     params=["a", "s"])
+        series = simulate_observations(
+            model, {"a": 0.05, "s": 0.8}, InitialState(0.0, [1.0, 0.0]),
+            0.1 * np.arange(21), seed=1, h=1e-2,
+        )
+        settings = dict(h=1e-2, delta=1e-3, scheme="given")
+
+        def condition_warnings(fit):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = fit()
+            return result, [str(w.message) for w in caught
+                            if w.category is AlphaPathConditionWarning]
+
+        result, fitted = condition_warnings(lambda: estimate_moments(
+            model, series, bounds=[(0.0, 1.0), (0.1, 1.0)], restarts=1,
+            maxiter=40, **settings))
+        _, direct = condition_warnings(lambda: hude.compute_residuals(
+            model, result.theta, series, **settings))
+        assert len(direct) == 1
+        assert fitted == direct
 
     def test_no_parameters_rejected(self, decay_series):
         model = hude.HudeModel.parse(1, "-0.3*x0", ["0.2"])

@@ -18,7 +18,7 @@ from hude import (
     model_from_dict,
     phi_inv,
 )
-from hude.expr import DomainError
+from hude.expr import Binary, Const, DomainError
 
 from conftest import logistic_quantile
 
@@ -109,6 +109,16 @@ class TestAlphaPathField:
         f_lo = alpha_path_field(model, None, lo)(0.3, y)[1]
         f_hi = alpha_path_field(model, None, hi)(0.3, y)[1]
         assert f_lo <= f_hi + 1e-12
+
+    def test_signed_zero_constants_generate_their_own_fields(self):
+        # 0.0 == -0.0, so the two drifts compare equal as ASTs; each field
+        # still divides by its own zero.
+        drifts = [Binary("/", Const(1.0), Const(zero)) for zero in (0.0, -0.0)]
+        assert drifts[0] == drifts[1]
+        with np.errstate(divide="ignore"):
+            values = [alpha_path_field(HudeModel(1, d), None, 0.5).raw(
+                0.0, np.array([1.0]))[0] for d in drifts]
+        assert values == [math.inf, -math.inf]
 
     def test_batch_shape(self, example2):
         field = alpha_path_field(example2, None, 0.7)

@@ -199,6 +199,19 @@ def test_frozen_row_never_evaluated_past_its_end(method):
         assert batch[i].tobytes() == path.final_state.tobytes()
 
 
+def test_finished_row_keeps_a_state_where_the_field_overflows():
+    # x' = x^2: one Euler step of 1e-154 takes the first row from 1e154 to
+    # 2e154, where x^2 overflows.  That row is done while the second row takes
+    # a second step; it keeps its state, as when integrated alone, instead of
+    # stepping by 0 * inf = NaN.
+    raw = _make_rhs(*compile_model(hude.HudeModel.parse(1, "x0^2"), None), 0.0)
+    y0s = np.array([[1e154], [0.0]])
+    batch = _terminal_state_batch(raw, np.zeros(2), y0s,
+                                  np.array([1e-154, 2e-154]), 1e-154)
+    alone = _terminal_state_batch(raw, 0.0, y0s[0], 1e-154, 1e-154)
+    assert batch[0].tobytes() == alone.tobytes() == np.array([2e154]).tobytes()
+
+
 # The array core the column core replaced, kept as the bitwise reference: one
 # (B, n) state array per step, the reduced field written into a fresh array.
 def _array_rhs(drift, diffusions, phi):
