@@ -20,11 +20,11 @@ import numpy as np
 
 from .expr import DomainError
 from .model import (
-    ALPHA_CLAMP,
     ConditionDomain,
     HudeModel,
     InitialState,
-    _make_rhs,
+    ReducedField,
+    _clamped_phi,
     alpha_path_field,
     check_alpha_path_condition,
     compile_model,
@@ -114,16 +114,14 @@ def inverse_distribution(
     if not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
     resolved = model.resolved_theta(theta)
-    drift, diffusions = compile_model(model, resolved)
-    phi = phi_inv(np.clip(alphas, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP))
-    raw = _make_rhs(drift, diffusions, phi)
+    field = ReducedField(*compile_model(model, resolved), _clamped_phi(alphas))
     B = alphas.size
     t0s = np.full(B, init.t0)
     y0s = np.tile(init.values, (B, 1))
     t1s = np.full(B, float(t))
     try:
         terminal, mins, maxs = _terminal_state_batch(
-            raw, t0s, y0s, t1s, h, method, track_extremes=True
+            field, t0s, y0s, t1s, h, method, track_extremes=True
         )
     except IntegrationError as exc:
         raise _step_failure(

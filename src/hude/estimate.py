@@ -297,8 +297,8 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
     the parameters in ``model.params`` order.
 
     A probe that fails to integrate scores ``inf``.  The objective's ``batch``
-    attribute scores a ``(P, p)`` matrix of probes in shared bisections, as
-    :func:`compute_residuals_batch` does, value for value as the objective.
+    attribute scores a ``(P, p)`` matrix of probes in shared bisections
+    (:func:`_batch_levels`), value for value as the objective.
     Every scored point's levels are kept, and each later probe starts its
     bisection from those of the nearest scored point (Euclidean distance in
     the box ``bounds`` scaled to the unit cube, the earliest point among

@@ -17,7 +17,7 @@ from .model import HudeModel, InitialState
 from .odeint import DEFAULT_STEP
 from .residuals import ObservationSeries, compute_residuals, estimate_derivatives
 from .alphapath import solve_alpha_path
-from .validation import check_is_fitted, check_time_series, check_unit_interval
+from .validation import check_is_fitted, check_unit_interval
 
 __all__ = ["HudeEstimator"]
 
@@ -85,14 +85,10 @@ class HudeEstimator:
             setattr(self, name, value)
         return self
 
-    def _series(self, t, x) -> ObservationSeries:
-        t, x = check_time_series(t, x)
-        return ObservationSeries(t, x)
-
     def fit(self, t, x) -> "HudeEstimator":
         """Estimate the model parameters from observations ``x`` at times ``t``."""
         check_unit_interval("alpha", self.alpha)
-        series = self._series(t, x)
+        series = ObservationSeries(t, x)
         kwargs = dict(
             theta_init=None,
             bounds=self.bounds,
@@ -176,7 +172,7 @@ class HudeEstimator:
     def _residuals_for(self, t, x):
         if t is None and x is None:
             return self.residuals_
-        series = self._series(t, x)
+        series = ObservationSeries(t, x)
         return compute_residuals(
             self.model_,
             None,

@@ -460,7 +460,7 @@ class CompiledExpr:
     """An expression with its parameters bound: ``self(t, x)`` evaluates it
     on ``x`` whose last axis holds the state components.  ``theta`` maps the
     parameters ``node`` uses to their bound values, so a reduced field can
-    generate ``node`` inline (:func:`hude.model._make_rhs`)."""
+    generate ``node`` inline (:class:`hude.model.ReducedField`)."""
 
     node: ExprAst
     theta: Mapping

@@ -79,6 +79,12 @@ def phi_inv(alpha):
     return out
 
 
+def _clamped_phi(alpha):
+    """``phi_inv`` of the quantile level(s) ``alpha`` clamped to
+    ``[ALPHA_CLAMP, 1 - ALPHA_CLAMP]``: the noise level of an alpha-path."""
+    return phi_inv(np.clip(alpha, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP))
+
+
 @dataclass(frozen=True)
 class HudeModel:
     """Order-``n`` model: drift, diffusion expressions and named parameters."""
@@ -201,7 +207,7 @@ class VectorField:
 
 def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
     """Compile drift and diffusions to vectorised callables with theta bound
-    (:class:`~hude.expr.CompiledExpr`, which :func:`_make_rhs` inlines).
+    (:class:`~hude.expr.CompiledExpr`, which :class:`ReducedField` inlines).
 
     A parameter may be a ``(B,)`` array instead of a float: row ``i`` of a
     ``(B, n)`` batch is then evaluated at the ``i``-th value, which lets one
@@ -269,22 +275,14 @@ class ReducedField:
         return np.stack(np.broadcast_arrays(*out), axis=-1)
 
 
-def _make_rhs(drift, diffusions, phi) -> ReducedField:
-    """The reduced field of ``drift``/``diffusions`` (from
-    :func:`compile_model`) at noise level ``phi``."""
-    return ReducedField(drift, diffusions, phi)
-
-
 def alpha_path_field(
     model: HudeModel, theta: Mapping[str, float] | None, alpha: float
 ) -> VectorField:
     """Reduce the model at quantile level ``alpha`` to a first-order field."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    clamped = min(max(alpha, ALPHA_CLAMP), 1.0 - ALPHA_CLAMP)
-    phi = phi_inv(clamped)
-    drift, diffusions = compile_model(model, theta)
-    return VectorField(_make_rhs(drift, diffusions, phi), model.order)
+    field = ReducedField(*compile_model(model, theta), _clamped_phi(alpha))
+    return VectorField(field, model.order)
 
 
 @dataclass(frozen=True)
@@ -348,19 +346,14 @@ def check_alpha_path_condition(
     if n == 1:
         return ConditionReport(alpha=alpha, passed=True, axes=())
 
-    phi = phi_inv(min(max(alpha, ALPHA_CLAMP), 1.0 - ALPHA_CLAMP))
-    drift, diffusions = compile_model(model, theta)
+    field = alpha_path_field(model, theta, alpha).raw
     res = domain.resolution
     grids = [np.linspace(domain.t_range[0], domain.t_range[1], res)]
     grids += [np.linspace(lo, hi, res) for lo, hi in domain.state_ranges]
     mesh = np.meshgrid(*grids, indexing="ij")
-    tgrid = mesh[0]
-    state = np.stack(mesh[1:], axis=-1)
     with np.errstate(all="ignore"):
-        value = drift(tgrid, state)
-        for g in diffusions:
-            value = value + np.abs(g(tgrid, state)) * phi
-    value = np.broadcast_to(value, tgrid.shape)
+        value = field.columns(n)(*mesh)[-1]
+    value = np.broadcast_to(value, mesh[0].shape)
     if not np.all(np.isfinite(value)):
         raise DomainError("right-hand side is not finite on the requested box")
 

@@ -24,10 +24,10 @@ import numpy as np
 
 from .alphapath import _spot_check
 from .model import (
-    ALPHA_CLAMP,
     HudeModel,
     InitialState,
-    _make_rhs,
+    ReducedField,
+    _clamped_phi,
     compile_model,
     phi_inv,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "estimate_derivatives",
     "compute_residual",
     "compute_residuals",
-    "compute_residuals_batch",
     "simulate_observations",
     "read_observations",
 ]
@@ -50,8 +49,8 @@ __all__ = [
 # reachable envelope saturate against these walls instead of erroring.
 PROBE_CLAMP = 1e-6
 
-# Row budget of one bisection in :func:`compute_residuals_batch`; bounds the
-# memory of batched scoring on long series.
+# Row budget of one bisection in :func:`_batch_levels`; bounds the memory of
+# batched scoring on long series.
 BATCH_ROWS = 8192
 
 # Probe rows one bisection pass may integrate.  A batched integrator step of
@@ -267,23 +266,25 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
 
     ``theta`` values may be ``(B,)`` arrays, one parameter point per row.
     Every row is halved the same number of times, so a row's level does not
-    depend on the other rows.  One integration pass resolves ``b`` halvings
-    (:func:`_levels_per_pass`): it integrates the ``2^b - 1`` dyadic points of
-    each row's interval together, then walks the probe tree, reading only the
-    probes that halving one level at a time would visit.  The probes are the
-    midpoints of that sequence bit for bit, so the result equals it exactly.
+    depend on the other rows.  Each pass of one loop integrates the probes
+    of up to ``b`` levels for every row still bisecting, reads each row's
+    decisions and narrows its interval.  A pass lays out one of two probe
+    sets:
 
-    ``guess`` (optional, one level in [0, 1] per row) names for each row the
-    final interval of the halving that contains it; a level this bisection
-    returned at the same ``delta`` names its own interval.  The first pass
-    then integrates that interval's ancestors, the midpoints halving would
-    probe if the guess were right (as many levels as fit in
-    :data:`PROBE_ROWS` rows), and each row reads them in order up to the
-    first level where its decision leaves the guessed interval, that level
-    included.  The probe tree resolves the levels left, each row its own
-    number.  Rows read the same probes as without a guess, so a guess, right
-    or wrong, changes the work and never the result.  Beyond 52 halvings the
-    levels are no longer exact floats and a guess is ignored.
+    * the probe tree: the ``2^b - 1`` dyadic points of each row's interval
+      (``b`` from :func:`_levels_per_pass`), walked the way halving one level
+      at a time would, each row reading its levels left, ``b`` at most;
+    * the guessed first pass: with ``guess`` (one level in [0, 1] per row,
+      e.g. a level this bisection returned at the same ``delta``), each row's
+      guessed ancestors, the midpoints halving would probe if the final
+      interval were the one holding the guess (as many levels as fit in
+      :data:`PROBE_ROWS` rows).  A row reads them up to its first decision
+      that leaves the guessed interval, that level included.
+
+    The probes are the midpoints of sequential halving bit for bit and each
+    row reads only those halving would visit, so a guess, right or wrong,
+    changes the work and never the result.  Beyond 52 halvings the levels
+    are no longer exact floats and a guess is ignored.
 
     A non-finite terminal state at a visited probe raises
     :class:`IntegrationError` (with the ``row`` and probed ``level``
@@ -307,67 +308,12 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     # Each failed row's first failing probe: row -> (its level, counted from
     # 1, and its quantile level).
     fails = {}
-
-    def rows_of(params, keep):
-        return {k: v[keep] if np.ndim(v) else v for k, v in params.items()}
-
-    def integrate(params, t0a, y0a, t1a, m, levels):
-        """Terminal values and finiteness of rows with parameters ``params``
-        and times and states ``t0a``, ``y0a``, ``t1a``, at ``m`` quantile
-        ``levels`` each, probe-major: row i of probe k sits at k*A + i."""
-        drift, diffusions = compiled or compile_model(
-            model, {k: _tile(v, m) if np.ndim(v) else v
-                    for k, v in params.items()})
-        phi = phi_inv(np.clip(levels, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
-        terminal = _terminal_state_batch(
-            _make_rhs(drift, diffusions, phi), _tile(t0a, m), _tile(y0a, m),
-            _tile(t1a, m), h, method, check_finite=False,
-        )
-        return terminal[:, 0], np.isfinite(terminal).all(axis=1)
-
-    def record(active, resolved, read, finite, probed):
-        """Note the first failure of each of the rows ``active``, which had
-        resolved ``resolved`` levels before this pass and read ``read`` more.
-        ``finite`` and ``probed`` hold, per level of the pass and row, whether
-        the probe there is finite and its quantile level."""
-        bad = (np.arange(len(finite))[:, None] < read) & ~finite
-        hit = bad.any(axis=0)
-        first = bad.argmax(axis=0)
-        for i in np.flatnonzero(hit & ~failed[active]):
-            fails[int(active[i])] = (int(resolved[i] + first[i]) + 1,
-                                     float(probed[first[i], i]))
-        failed[active] |= hit
-
     active = np.arange(B if halvings else 0)  # the rows still bisecting
     left = np.full(active.size, halvings)  # levels each has still to read
+    # Per-row data of the rows still bisecting; it shrinks as rows finish.
+    params, t0a, y0a, t1a, xa, loa, hia = theta, t0s, y0s, t1s, x_next, lo, hi
     # Levels from a guess are exact dyadics only while they fit the mantissa.
-    if guess is not None and 0 < halvings <= np.finfo(float).nmant:
-        g = min(halvings, max(1, PROBE_ROWS // B))
-        cell = np.clip(np.floor(np.ldexp(guess, halvings)), 0,
-                       2.0 ** halvings - 1).astype(np.int64)
-        level = np.arange(1, g + 1)[:, None]
-        # Row r's probe at level l is the midpoint of its guessed ancestor
-        # cell at depth l - 1; the guess says which half holds the target.
-        ancestor = cell >> (halvings - level + 1)
-        guessed = ((cell >> (halvings - level)) & 1).astype(bool)
-        levels = np.ldexp(2 * ancestor + 1, -level)
-        reached, finite = integrate(theta, t0s, y0s, t1s, g, levels.ravel())
-        below = reached.reshape(g, B) < x_next
-        agree = below == guessed
-        read = np.where(agree.all(axis=0), g, agree.argmin(axis=0) + 1)
-        if not finite.all():
-            record(active, np.zeros(B, dtype=int), read, finite.reshape(g, B),
-                   levels)
-        cell = 2 * ancestor[read - 1, active] + below[read - 1, active]
-        lo, hi = np.ldexp(cell, -read), np.ldexp(cell + 1, -read)
-        active = np.flatnonzero(read < halvings)
-        left = halvings - read[active]
-    # The probe tree resolves the rest.  Its per-row data covers the rows
-    # still bisecting and shrinks as rows finish.
-    data = (t0s, y0s, t1s, x_next, lo, hi)
-    t0a, y0a, t1a, xa, loa, hia = (
-        data if active.size == B else (a[active] for a in data))
-    params = theta if active.size == B else rows_of(theta, active)
+    guessed = guess is not None and halvings <= np.finfo(float).nmant
     while True:
         if check_finite and fails:
             row = min(fails, key=lambda r: (fails[r][0], r))
@@ -380,43 +326,75 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
         if not active.size:
             break
         A = active.size
-        b = _levels_per_pass(A, int(left.max()))
-        m = 2 ** b - 1
         # Probe j of a row is lo + (hi - lo) * j / 2^b.  That is exact, so
         # j = 0 gives lo, j = 2^b gives hi and each midpoint 0.5 * (lo' + hi')
         # the sequential halvings would take is one of the probes, bit for bit.
+        if guessed:
+            b = min(halvings, max(1, PROBE_ROWS // A))
+            depth = np.arange(b)[:, None]
+            cell = np.clip(np.floor(np.ldexp(guess, b)), 0,
+                           2.0 ** b - 1).astype(np.int64)
+            # The midpoint of the guessed cell's ancestor at each depth.
+            j = (2 * (cell >> (b - depth)) + 1) << (b - 1 - depth)
+        else:
+            b = _levels_per_pass(A, int(left.max()))
+            j = np.arange(1, 2 ** b)[:, None]
+        m = len(j)  # probes per row, probe-major: row i of probe k is k*A + i
         width = hia - loa
-        levels = (loa + width * (np.arange(1, m + 1) / (m + 1))[:, None]).ravel()
-        reached, finite = integrate(params, t0a, y0a, t1a, m, levels)
-        sub = np.arange(A)
-        jlo = np.zeros(A, dtype=int)
-        jhi = np.full(A, m + 1)
-        probes = []
-        for _ in range(b):
-            jmid = (jlo + jhi) // 2
-            probes.append((jmid - 1) * A + sub)
-            below = reached[probes[-1]] < xa
-            jlo = np.where(below, jmid, jlo)
-            jhi = np.where(below, jhi, jmid)
-        if left.min() < b:
-            # A row with fewer levels left reads only those: its interval is
-            # the one the walk held after them, which holds the final one.
-            unread = np.maximum(b - left, 0)
-            jlo = (jlo >> unread) << unread
-            jhi = jlo + (1 << unread)
+        levels = (loa + width * (j / 2 ** b)).ravel()
+        drift, diffusions = compiled or compile_model(
+            model, {k: _tile(v, m) if np.ndim(v) else v
+                    for k, v in params.items()})
+        phi = phi_inv(np.clip(levels, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
+        terminal = _terminal_state_batch(
+            ReducedField(drift, diffusions, phi), _tile(t0a, m), _tile(y0a, m),
+            _tile(t1a, m), h, method, check_finite=False,
+        )
+        reached = terminal[:, 0]
+        finite = np.isfinite(terminal).all(axis=1)
+        # Bit b-1-d of jlo is the row's decision at depth d (1: the target
+        # lies above the probe); ``probes`` holds the probe read at each depth.
+        if guessed:
+            below = reached.reshape(b, A) < xa
+            agree = below == ((cell >> (b - 1 - depth)) & 1).astype(bool)
+            read = np.where(agree.all(axis=0), b, agree.argmin(axis=0) + 1)
+            jlo = (below << (b - 1 - depth)).sum(axis=0)
+            probes = np.arange(b * A).reshape(b, A)
+            guessed = False
+        else:
+            sub = np.arange(A)
+            jlo = np.zeros(A, dtype=int)
+            probes = []
+            for d in range(b):
+                bit = 1 << (b - 1 - d)
+                probes.append((jlo + (bit - 1)) * A + sub)
+                jlo += (reached[probes[-1]] < xa) * bit
+            read = np.minimum(left, b)
+        # A row that read fewer than b levels keeps the interval its first
+        # ``read`` decisions give.
+        unread = b - read
+        jlo = (jlo >> unread) << unread
         if not finite.all():
-            probes = np.array(probes)
-            record(active, halvings - left, left, finite[probes],
-                   levels[probes])
-        loa, hia = loa + width * (jlo / (m + 1)), loa + width * (jhi / (m + 1))
-        left = left - b
-        done = left <= 0
+            # Note each row's first failure at a probe it read.
+            probes = np.asarray(probes)
+            bad = (np.arange(b)[:, None] < read) & ~finite[probes]
+            hit = bad.any(axis=0)
+            first = bad.argmax(axis=0)
+            for i in np.flatnonzero(hit & ~failed[active]):
+                fails[int(active[i])] = (int(halvings - left[i] + first[i]) + 1,
+                                         float(levels[probes[first[i], i]]))
+            failed[active] |= hit
+        loa, hia = (loa + width * (jlo / 2 ** b),
+                    loa + width * ((jlo + (1 << unread)) / 2 ** b))
+        left = left - read
+        done = left == 0
         if done.any():
             lo[active[done]], hi[active[done]] = loa[done], hia[done]
             keep = ~done
             active, t0a, y0a, t1a, xa, loa, hia, left = (
                 a[keep] for a in (active, t0a, y0a, t1a, xa, loa, hia, left))
-            params = rows_of(params, keep)
+            params = {k: v[keep] if np.ndim(v) else v
+                      for k, v in params.items()}
     eps = 0.5 * (lo + hi)
     saturated = (lo <= 0.0) | (hi >= 1.0)
     return eps, saturated, failed
@@ -545,37 +523,6 @@ def compute_residuals(
                             condition_check)
 
 
-def compute_residuals_batch(
-    model: HudeModel,
-    thetas,
-    series: ObservationSeries,
-    delta: float = 1e-4,
-    h: float = DEFAULT_STEP,
-    scheme: str = "forward",
-    method: str = "euler",
-) -> list[ResidualVector | None]:
-    """Residuals of ``series`` at each row of the ``(P, p)`` matrix ``thetas``
-    (columns in ``model.params`` order).  The points are bisected together,
-    as many per bisection as fit in :data:`BATCH_ROWS` rows (at least one).
-
-    Entry ``k`` equals ``compute_residuals(model, thetas[k], series, ...)``
-    bit for bit, without its advisory monotonicity check.  It is ``None``
-    where that call would fail to integrate: a non-finite row fails its own
-    parameter point only.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != len(model.params):
-        raise ValueError(
-            f"thetas must be shaped (points, {len(model.params)})"
-        )
-    rows = _restart_rows(model, series, scheme)
-    return [None if levels is None else _residual_vector(
-                model, model.resolved_theta(dict(zip(model.params, point))),
-                rows, *levels, False)
-            for point, levels in zip(thetas, _batch_levels(
-                model, thetas, rows, delta, h, method))]
-
-
 def _batch_levels(model, thetas, rows, delta, h, method, guesses=None):
     """``(levels, saturated)`` of the restart ``rows`` at each row of the
     ``(P, p)`` matrix ``thetas``, or ``None`` where a row fails to integrate,
@@ -651,11 +598,10 @@ def simulate_observations(
     states = np.empty((times.size, n))
     states[0] = init.values
     for j in range(steps):
-        phi = phi_inv(float(np.clip(eps[j], ALPHA_CLAMP, 1.0 - ALPHA_CLAMP)))
-        raw = _make_rhs(drift, diffusions, phi)
+        field = ReducedField(drift, diffusions, _clamped_phi(eps[j]))
         try:
             states[j + 1] = _terminal_state_batch(
-                raw, times[j], states[j], times[j + 1], h, method)
+                field, times[j], states[j], times[j + 1], h, method)
         except IntegrationError as exc:
             raise _step_failure(
                 exc, f"the step from t={float(times[j])} to t={float(times[j + 1])}",

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
     "NotFittedError",
-    "check_time_series",
     "check_unit_interval",
     "check_is_fitted",
 ]
@@ -14,21 +11,6 @@ __all__ = [
 
 class NotFittedError(Exception):
     """The estimator must be fitted before this call."""
-
-
-def check_time_series(t, x):
-    """Validate a 1-D time series: finite values on strictly increasing times."""
-    t = np.asarray(t, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if t.size != x.size:
-        raise ValueError("t and x must have the same length")
-    if t.size < 2:
-        raise ValueError("a time series needs at least two points")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if not np.all(np.isfinite(t)) or not np.all(np.isfinite(x)):
-        raise ValueError("times and values must be finite")
-    return t, x
 
 
 def check_unit_interval(name: str, value: float) -> float:

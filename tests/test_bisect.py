@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hude
 from hude import residuals
-from hude.model import _make_rhs, compile_model, phi_inv
+from hude.model import ReducedField, compile_model, phi_inv
 from hude.odeint import IntegrationError, _terminal_state_batch
 from hude.residuals import PROBE_CLAMP, _bisect_levels
 
@@ -26,7 +26,7 @@ def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     while float(np.max(hi - lo)) > delta:
         mid = 0.5 * (lo + hi)
         phi = phi_inv(np.clip(mid, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
-        raw = _make_rhs(drift, diffusions, phi)
+        raw = ReducedField(drift, diffusions, phi)
         terminal = _terminal_state_batch(raw, t0s, y0s, t1s, h, method,
                                          check_finite=check_finite)
         failed |= ~np.isfinite(terminal).all(axis=1)
@@ -228,7 +228,19 @@ def test_overflow_at_unvisited_guessed_probes_is_ignored(monkeypatch):
     test_overflow_at_unvisited_probes_is_ignored(monkeypatch, np.array([0.99999]))
 
 
-def test_right_guess_takes_one_pass(monkeypatch):
+@pytest.mark.parametrize("flips, passes", [
+    ({}, [840]),
+    # Row 0 leaves the guess at the first level: its 13 levels left take a
+    # 10-level and a 3-level pass on that row alone.
+    ({0: 1}, [840, 1023, 7]),
+    ({0: 1, 1: 8}, [840, 1022, 15]),
+    # A flip at the last level is read in the first pass.
+    ({5: 14}, [840]),
+    ({0: 1, 1: 8, 2: 12}, [840, 765, 31]),
+], ids=["right", "row0-at1", "rows01", "row5-at14", "rows012"])
+def test_right_guess_takes_one_pass(monkeypatch, flips, passes):
+    # Each guess is the cold level, except that row r of ``flips`` names the
+    # other half at level flips[r].
     sizes = []
 
     def counting(raw, t0, *args, **kwargs):
@@ -237,7 +249,12 @@ def test_right_guess_takes_one_pass(monkeypatch):
 
     model, theta, *arrays = _case("linear", 60, 0, True)
     eps = _bisect_levels(model, theta, *arrays, 1e-4, 0.1, "euler")[0]
+    cell = np.floor(np.ldexp(eps, 14)).astype(np.int64)
+    for row, level in flips.items():
+        cell[row] ^= 1 << (14 - level)
+    guess = np.ldexp(cell + 0.5, -14)
     monkeypatch.setattr(residuals, "_terminal_state_batch", counting)
-    _bisect_levels(model, theta, *arrays, 1e-4, 0.1, "euler", guess=eps)
-    assert sizes == [60 * 14]
-
+    warm = _bisect_levels(model, theta, *arrays, 1e-4, 0.1, "euler",
+                          guess=guess)[0]
+    assert sizes == passes
+    assert np.array_equal(_bits(warm), _bits(eps))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import hude
-from hude import HudeEstimator, InitialState, simulate_observations
-from hude.validation import NotFittedError, check_time_series
+from hude import (HudeEstimator, InitialState, ObservationSeries,
+                  simulate_observations)
+from hude.validation import NotFittedError
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +45,15 @@ class TestProtocol:
 
     def test_validation_helpers(self):
         with pytest.raises(ValueError):
-            check_time_series([0.0, 0.0], [1.0, 2.0])
+            ObservationSeries([0.0, 0.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            check_time_series([0.0], [1.0])
-        with pytest.raises(ValueError):
-            check_time_series([0.0, 1.0], [np.nan, 2.0])
+            ObservationSeries([0.0, 1.0], [np.nan, 2.0])
+        model = hude.HudeModel.parse(1, "-th*x0", ["0.2"], params=["th"])
+        est = HudeEstimator(model, bounds=[(0.0, 1.0)])
+        for t, x in (([0.0, 0.0], [1.0, 2.0]), ([0.0, 1.0], [np.nan, 2.0]),
+                     ([0.0], [1.0])):
+            with pytest.raises(ValueError):
+                est.fit(t, x)
 
 
 class TestFitPredictScore:

@@ -147,6 +147,18 @@ class TestConditionCheck:
         step = 1.0 / 4  # box width 1, resolution 5
         assert axis.min_slack == pytest.approx(expected * step, rel=1e-3)
 
+    def test_median_checks_the_drift_where_the_noise_is_infinite(self):
+        # The grid holds x0 = 0, where 1/x0 is infinite.  The median field
+        # leaves the noise out, as the integrated field does, so the check
+        # reports on the drift; at any other level the field is not finite.
+        model = HudeModel.parse(2, "2*x0 - x1", ["1/x0"])
+        domain = ConditionDomain((0.0, 1.0), ((-1.0, 1.0), (0.0, 1.0)), 3)
+        report = check_alpha_path_condition(model, None, 0.5, domain)
+        assert report.passed
+        assert report.axes[0].min_slack == 2.0
+        with pytest.raises(DomainError):
+            check_alpha_path_condition(model, None, 0.4, domain)
+
     def test_order_one_vacuous(self):
         model = HudeModel.parse(1, "-x0")
         domain = ConditionDomain((0.0, 1.0), ((-1.0, 1.0),), 3)

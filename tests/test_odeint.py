@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import hude
 from hude import InitialState, IntegrationError, Trajectory, integrate_euler, integrate_rk4
-from hude.model import VectorField, _make_rhs, alpha_path_field, compile_model, phi_inv
+from hude.model import ReducedField, VectorField, alpha_path_field, compile_model, phi_inv
 from hude.odeint import _terminal_state_batch, integrate
 
 from conftest import example1_closed_form
@@ -176,10 +176,10 @@ def test_batched_endpoint_equals_recorded_endpoint(roots, forcing, method, h,
     t1s = t0s + np.array([(r[1] + r[2]) * h for r in rows])
     phis = phi_inv(np.array([r[3] for r in rows]))
     y0s = np.random.default_rng(seed).normal(size=(len(rows), n))
-    batch = _terminal_state_batch(_make_rhs(drift_fn, diffusions, phis), t0s,
-                                  y0s, t1s, h, method)
+    batch = _terminal_state_batch(ReducedField(drift_fn, diffusions, phis),
+                                  t0s, y0s, t1s, h, method)
     for i in range(len(rows)):
-        field = VectorField(_make_rhs(drift_fn, diffusions, phis[i]), n)
+        field = VectorField(ReducedField(drift_fn, diffusions, phis[i]), n)
         path = integrate(field, InitialState(t0s[i], y0s[i]), t1s[i], h, method)
         assert batch[i].tobytes() == path.final_state.tobytes()
 
@@ -190,7 +190,7 @@ def test_frozen_row_never_evaluated_past_its_end(method):
     # after 10 steps and stays frozen while the first takes 90; it must not
     # be evaluated at t0 + k*h beyond its own end.
     model = hude.HudeModel.parse(1, "ln(1.05 - t)")
-    raw = _make_rhs(*compile_model(model, None), 0.0)
+    raw = ReducedField(*compile_model(model, None), 0.0)
     t0s, t1s = np.array([0.0, 0.9]), np.array([0.9, 1.0])
     batch = _terminal_state_batch(raw, t0s, np.zeros((2, 1)), t1s, 0.01, method)
     for i in range(2):
@@ -204,7 +204,7 @@ def test_finished_row_keeps_a_state_where_the_field_overflows():
     # 2e154, where x^2 overflows.  That row is done while the second row takes
     # a second step; it keeps its state, as when integrated alone, instead of
     # stepping by 0 * inf = NaN.
-    raw = _make_rhs(*compile_model(hude.HudeModel.parse(1, "x0^2"), None), 0.0)
+    raw = ReducedField(*compile_model(hude.HudeModel.parse(1, "x0^2"), None), 0.0)
     y0s = np.array([[1e154], [0.0]])
     batch = _terminal_state_batch(raw, np.zeros(2), y0s,
                                   np.array([1e-154, 2e-154]), 1e-154)
@@ -345,7 +345,7 @@ def test_column_core_equals_array_core(case):
     else:
         args = (t0s, y0s, t1s, h, method)
         phi = phis
-    column = _make_rhs(drift, diffusions, phi)
+    column = ReducedField(drift, diffusions, phi)
     array = _array_rhs(drift, diffusions, phi)
 
     got = _terminal_state_batch(column, *args, check_finite=False,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hude
 from hude import compute_residuals, reactor
 from hude import residuals
-from hude.residuals import compute_residuals_batch
+from hude.residuals import _batch_levels, _restart_rows
 from hude.estimate import _residual_objective, moment_objective
 from hude.odeint import IntegrationError
 
@@ -19,17 +19,21 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-def _assert_matches_serial(model, thetas, series, **kwargs):
-    batch = compute_residuals_batch(model, thetas, series, **kwargs)
+def _batch(model, thetas, series, h, scheme="forward"):
+    return _batch_levels(model, thetas, _restart_rows(model, series, scheme),
+                         1e-4, h, "euler")
+
+
+def _assert_matches_serial(model, thetas, series, h, scheme="forward"):
+    batch = _batch(model, thetas, series, h, scheme)
     assert len(batch) == len(thetas)
-    for point, vector in zip(thetas, batch):
+    for point, levels in zip(thetas, batch):
         serial = compute_residuals(model, dict(zip(model.params, point)), series,
-                                   **kwargs)
-        assert vector is not None
-        assert np.array_equal(vector.epsilons, serial.epsilons)
-        assert np.array_equal(vector.saturated, serial.saturated)
-        assert np.array_equal(vector.indices, serial.indices)
-        assert vector.theta == serial.theta
+                                   h=h, scheme=scheme)
+        assert levels is not None
+        eps, saturated = levels
+        assert eps.tobytes() == serial.epsilons.tobytes()
+        assert saturated.tobytes() == serial.saturated.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +94,7 @@ def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
     with pytest.raises(IntegrationError):
         compute_residuals(model, {"a": 1e308}, series, h=1e-2)
 
-    batch = compute_residuals_batch(model, thetas, series, h=1e-2)
+    batch = _batch(model, thetas, series, h=1e-2)
     assert len(batch) == len(thetas)
     assert batch[1] is None
     _assert_matches_serial(model, thetas[[0, 2, 3]], series, h=1e-2)
@@ -127,11 +131,3 @@ def test_parameter_rows_evaluate_like_floats(source):
         scalar = hude.compile_expr(ast, {"c": float(c[i])})
         assert rows[i] == scalar(0.0, x)[i]
         assert rows[i] == scalar(0.0, x[i])
-
-
-def test_theta_matrix_shape_checked(reactor_case):
-    model, series = reactor_case
-    with pytest.raises(ValueError):
-        compute_residuals_batch(model, np.zeros((3, 1)), series)
-    with pytest.raises(ValueError):
-        compute_residuals_batch(model, np.zeros(2), series)
