@@ -31,7 +31,7 @@ from .model import (
     phi_inv,
 )
 from .odeint import (DEFAULT_STEP, IntegrationError, Trajectory, _step_failure,
-                     _terminal_state_batch, integrate)
+                     _terminal_state_batch, _write_csv, integrate)
 
 __all__ = [
     "AlphaPath",
@@ -86,10 +86,8 @@ class InverseDistributionCurve:
     values: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("alpha,psi_inv\n")
-            for a, v in zip(self.alphas, self.values):
-                fh.write(f"{a:.17g},{v:.17g}\n")
+        _write_csv(path, ["alpha", "psi_inv"],
+                   np.column_stack((self.alphas, self.values)))
 
 
 def inverse_distribution(

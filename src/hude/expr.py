@@ -451,7 +451,12 @@ def _param_value(value):
 
 @functools.lru_cache(maxsize=256)
 def _binder(source: str) -> Callable:
-    """``lambda p0, p1, ...: <function>`` evaluated once per source."""
+    """``lambda p0, p1, ...: <function>`` evaluated, or the function a
+    ``def kernel(...)`` source defines, once per source."""
+    if source.startswith("def "):
+        namespace = {"np": np}
+        exec(compile(source, "<hude-expr>", "exec"), namespace)
+        return namespace["kernel"]
     return eval(compile(source, "<hude-expr>", "eval"), {"np": np})
 
 

@@ -219,12 +219,67 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
     return drift, diffusions
 
 
-# The binder and bound parameter values of each generated column function,
-# per compiled drift and then per compiled diffusions and state size.  The
-# keys are the compiled expressions themselves: ASTs compare Const(0.0) equal
-# to Const(-0.0), which generate different code.
+# The generated functions of each reduced field with their bound parameter
+# values, per compiled drift and then per compiled diffusions, state size and,
+# for a whole-loop kernel, method and mode.  The keys are the compiled
+# expressions themselves: ASTs compare Const(0.0) equal to Const(-0.0), which
+# generate different code.
 _COLUMNS: "weakref.WeakKeyDictionary[CompiledExpr, dict]" = (
     weakref.WeakKeyDictionary())
+
+
+def _kernel_source(value: str, params: str, n: int, method: str,
+                   mode: str) -> str:
+    """Source of ``kernel(t0, t_end, nsteps, last, h, out, x0, ..., <params>)``,
+    the whole fixed-step loop of one row on floats with the field value
+    ``value`` (over ``t`` and ``x0 ..``) written into the step.
+
+    It does what the column loop (:mod:`hude.odeint`) does to one row, in the
+    same operation order: ``nsteps - 1`` steps of ``h`` at ``t0 + k*h``, then
+    one of ``last`` at ``min(t0 + k*h, t_end)``; stages at ``t + half`` and
+    ``t + s`` from ``xk + s*kk``, combined as
+    ``xk + sixth * (a + 2.0*b + 2.0*c + d)``.  ``mode`` ``"extremes"`` also
+    returns each column's running minimum and maximum over the steps
+    (``a if a < b or a != a else b`` is ``np.minimum(a, b)``, NaN and signed
+    zeros included), ``"record"`` appends every state to ``out``.
+    """
+    xs = ", ".join(f"x{k}" for k in range(n))
+
+    def derivs(stage):
+        # The stage's derivative at the state the names ``x0 ..`` hold.
+        return [f"{stage}{j} = x{j + 1}" for j in range(n - 1)] + [
+            f"{stage}{n - 1} = {value}"]
+
+    if method == "euler":
+        news = [f"x{j} + s * x{j + 1}" for j in range(n - 1)]
+        step = [f"{xs}, = {', '.join(news + [f'x{n - 1} + s * ({value})'])},"]
+    else:
+        step = [f"{xs.replace('x', 'z')}, = {xs},", "tk = t", *derivs("a")]
+        for stage, prev, frac in (("b", "a", "half"), ("c", "b", "half"),
+                                  ("d", "c", "s")):
+            step += [f"x{j} = z{j} + {frac} * {prev}{j}" for j in range(n)]
+            step += [f"t = tk + {frac}", *derivs(stage)]
+        step += [f"x{j} = z{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})"
+                 for j in range(n)]
+    start, result = [], f"({xs},)"
+    if mode == "extremes":
+        start = [f"l{j} = u{j} = x{j}" for j in range(n)]
+        for j in range(n):
+            step += [f"if not l{j} < x{j} and l{j} == l{j}: l{j} = x{j}",
+                     f"if not u{j} > x{j} and u{j} == u{j}: u{j} = x{j}"]
+        result += (f", ({xs.replace('x', 'l')},), ({xs.replace('x', 'u')},)")
+    elif mode == "record":
+        start = ["append = out.append"]
+        step += [f"append(x{j})" for j in range(n)]
+    widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
+    lines = ["s = h", *widths, *start,
+             "for k in range(nsteps - 1):", "    t = t0 + k * h",
+             *(f"    {line}" for line in step),
+             "k = nsteps - 1", "t = t0 + k * h",
+             "t = t if t < t_end or t != t else t_end", "s = last", *widths,
+             *step, f"return {result}"]
+    return (f"def kernel(t0, t_end, nsteps, last, h, out, {xs}, {params}):\n"
+            + "".join(f"    {line}\n" for line in lines))
 
 
 class ReducedField:
@@ -232,15 +287,17 @@ class ReducedField:
     docstring); ``phi`` is a float, or a ``(B,)`` array holding one level per
     batch row.
 
-    ``columns(n)`` is the form the integrator steps: one generated function
+    ``columns(n)`` is the form the column loop steps: one generated function
     ``f(t, x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` with
     ``F = ((drift + |g1|*phi) + |g2|*phi) + ...``, where the columns are
-    floats for one row or ``(B,)`` arrays for a batch.  The parameters and
-    ``phi`` are bound names, so one generated source serves every level.  The
-    noise is left out when there is no diffusion or ``phi`` is a scalar zero,
-    because ``|g|*0`` would turn an infinite ``g`` into NaN.  Calling the
-    field on an array ``y`` (state on the last axis) gives the same values
-    stacked.
+    floats for one row or ``(B,)`` arrays for a batch.  ``kernel(n, method,
+    mode)`` is the form one row steps on floats: a generated function running
+    the whole loop with ``F`` written into the step (:func:`_kernel_source`).
+    The parameters and ``phi`` are bound names, so one generated source
+    serves every level.  The noise is left out when there is no diffusion or
+    ``phi`` is a scalar zero, because ``|g|*0`` would turn an infinite ``g``
+    into NaN.  Calling the field on an array ``y`` (state on the last axis)
+    gives the same values stacked.
     """
 
     __slots__ = ("drift", "diffusions", "phi")
@@ -250,24 +307,41 @@ class ReducedField:
         self.diffusions = tuple(diffusions)
         self.phi = phi
 
-    def columns(self, n: int) -> Callable:
-        noise = self.diffusions if np.ndim(self.phi) or self.phi != 0.0 else ()
+    def _generated(self, key, source):
+        """The function ``source(value, params)`` generates for ``key``
+        (noise first), made once per compiled drift, with the values of its
+        parameters ``phi, p0, ...``."""
         generated = _COLUMNS.setdefault(self.drift, {})
-        if (noise, n) not in generated:
+        if key not in generated:
             slots: dict[str, str] = {}
             value = _codegen(self.drift.node, slots)
             theta = dict(self.drift.theta)
-            for g in noise:
+            for g in key[0]:
                 value = f"({value} + abs({_codegen(g.node, slots)}) * phi)"
                 theta.update(g.theta)
-            state = ", ".join(f"x{k}" for k in range(n))
-            derivs = "".join(f"x{k}, " for k in range(1, n))
-            source = (f"lambda {', '.join(['phi', *slots.values()])}: "
-                      f"lambda t, {state}: ({derivs}{value},)")
-            generated[noise, n] = (_binder(source),
-                                   tuple(theta[name] for name in slots))
-        binder, values = generated[noise, n]
-        return binder(self.phi, *values)
+            params = ", ".join(["phi", *slots.values()])
+            generated[key] = (_binder(source(value, params)),
+                              tuple(theta[name] for name in slots))
+        fn, values = generated[key]
+        return fn, (self.phi, *values)
+
+    def _noise(self):
+        return self.diffusions if np.ndim(self.phi) or self.phi != 0.0 else ()
+
+    def columns(self, n: int) -> Callable:
+        state = ", ".join(f"x{k}" for k in range(n))
+        derivs = "".join(f"x{k}, " for k in range(1, n))
+        binder, bound = self._generated(
+            (self._noise(), n), lambda value, params:
+            f"lambda {params}: lambda t, {state}: ({derivs}{value},)")
+        return binder(*bound)
+
+    def kernel(self, n: int, method: str, mode: str):
+        """The whole-loop kernel and its bound values ``(phi, p0, ...)``,
+        each a float or a ``(B,)`` array of per-row values."""
+        return self._generated(
+            (self._noise(), n, method, mode), lambda value, params:
+            _kernel_source(value, params, n, method, mode))
 
     def __call__(self, t, y):
         y = np.asarray(y, dtype=float)

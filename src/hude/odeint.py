@@ -1,7 +1,19 @@
-"""Fixed-step initial-value integrators for first-order vector fields."""
+"""Fixed-step initial-value integrators for first-order vector fields.
+
+One entry point, :func:`_terminal_state_batch`, runs every integration: a
+recorded path (:func:`integrate`) or the terminal states of a batch of rows.
+A reduced model field with at most :data:`SCALAR_ROWS` rows (an alpha-path,
+a simulated step, a small fan or bisection pass) runs row by row through a
+kernel generated for the field, the whole Euler/RK4 loop on floats
+(:meth:`hude.model.ReducedField.kernel`).  Larger batches and hand-written
+array fields step a tuple of ``(B,)`` state columns.  Both give the same
+bits, except the sign of a NaN: where two NaNs of opposite sign meet, float
+and array arithmetic keep different ones.
+"""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +32,15 @@ __all__ = [
 # Small enough for the stiffest bundled dynamics (drift eigenvalue ~ -55);
 # overridable everywhere.
 DEFAULT_STEP = 1e-4
+
+# Rows up to which a reduced field's batch runs row by row through its
+# generated whole-loop kernel instead of stepping (B,) state columns.  On
+# 100-step windows of the reactor model (x86-64 Intel Xeon, numpy 2.4, h=1e-4,
+# best of 7 runs) the kernel costs ~0.09 ms plus ~26 us per row (Euler; RK4
+# ~0.15 ms plus ~105 us), a column batch a near-flat ~1.2 ms (RK4 ~4.8 ms):
+# 0.91 against 1.20 ms at 32 rows (RK4 3.5 against 5.1 ms), and the two meet
+# near 40 rows (RK4 near 45).
+SCALAR_ROWS = 32
 
 
 class IntegrationError(Exception):
@@ -80,12 +101,17 @@ class Trajectory:
         return self.y[-1]
 
     def to_csv(self, path) -> None:
-        header = "t," + ",".join(f"x{k}" for k in range(self.order))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for ti, row in zip(self.t, self.y):
-                fields = [f"{ti:.17g}"] + [f"{v:.17g}" for v in row]
-                fh.write(",".join(fields) + "\n")
+        _write_csv(path, ["t", *(f"x{k}" for k in range(self.order))],
+                   np.column_stack((self.t, self.y)))
+
+
+def _write_csv(path, header, table) -> None:
+    """Write the float ``table`` under ``header``, every value ``%.17g``:
+    each row through one line template, the file in one write."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n"
+                 + "".join([line % tuple(row) for row in table.tolist()]))
 
 
 def _euler_step(f, t, x, s):
@@ -148,28 +174,28 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     problems, ``y0`` of shape ``(n,)`` with scalar ``t0``/``t_end`` or
     ``(B, n)`` with ``(B,)`` times (``raw`` must broadcast over rows).
 
-    The loop advances a tuple of state columns ``(x0, ..., x_{n-1})``: floats
-    for one row, so a one-row problem steps on scalar arithmetic, and ``(B,)``
-    arrays for a batch.  Step ``k`` of every row starts at ``t0 + k*h``; a
-    row's last step is shortened to its ``t_end`` and rows that finish early
-    keep their terminal state, so a row's result does not depend on the
-    other rows.  ``track_extremes`` also returns the
-    componentwise extremes over all rows and steps.  A non-finite terminal
-    row raises :class:`IntegrationError` at its ``t_end`` with ``row``
-    attached, unless ``check_finite`` is off.  ``record`` (scalar ``t0``)
-    returns the grid and every state instead and raises at the first
-    non-finite grid point: no step ``y + s*F`` turns a non-finite state
-    finite again, so that is where the state left the floats.
+    Step ``k`` of every row starts at ``t0 + k*h``; a row's last step is
+    shortened to its ``t_end`` and rows that finish early keep their terminal
+    state, so a row's result does not depend on the other rows.  A reduced
+    field (:class:`hude.model.ReducedField`) with at most :data:`SCALAR_ROWS`
+    rows runs row by row through its generated whole-loop kernel on floats,
+    each row binding its own level and parameter values; larger batches and
+    hand-written array fields step a tuple of ``(B,)`` state columns
+    (:func:`_column_loop`).  Both give the same bits (up to the sign of a
+    NaN, see the module docstring).  ``track_extremes``
+    also returns the componentwise extremes over all rows and steps.  A
+    non-finite terminal row raises :class:`IntegrationError` at its ``t_end``
+    with ``row`` attached, unless ``check_finite`` is off.  ``record``
+    (scalar ``t0``) returns the grid and every state instead and raises at
+    the first non-finite grid point: no step ``y + s*F`` turns a non-finite
+    state finite again, so that is where the state left the floats.
     """
-    try:
-        step = _STEPPERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
+    if method not in _STEPPERS:
+        raise ValueError(f"unknown method {method!r}")
     if h <= 0:
         raise ValueError("step h must be positive")
     y = np.array(y0, dtype=float)
     n = y.shape[-1]
-    f = _columns(raw, n)
     t0 = np.asarray(t0, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
     span = t_end - t0
@@ -177,52 +203,21 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         raise ValueError("t_end must exceed the initial time")
     nsteps = np.maximum(np.ceil(span / h - 1e-9).astype(int), 1)
     last = span - (nsteps - 1) * h
-    total = int(nsteps.max())
-    # Every row takes the full step h before the shortest row's last step, so
-    # those steps use the scalar h and skip building per-row step arrays.
-    shared = int(nsteps.min()) - 1
     if y.ndim == 1:
-        t0, x = float(t0), tuple(y.tolist())
-    else:
-        x = tuple(y.T.copy())
-    if record:
-        Y = np.empty((total + 1,) + y.shape)
-        Y[0] = y
-        recorded = [Y[..., k] for k in range(n)]
-    if track_extremes:
-        lows, highs = x, x
-    s = h
+        t0 = float(t0)
+    mode = "record" if record else "extremes" if track_extremes else "terminal"
+    plan = (raw, method, y, t0, t_end, nsteps, last, h, mode)
     with np.errstate(all="ignore"):
-        for k in range(total):
-            t = t0 + k * h
-            if k >= shared:
-                s = np.where(k < nsteps - 1, h, last)
-                # A finished row evaluates the field at its own end time,
-                # never past it; a running row's t0 + k*h is below t_end
-                # already.
-                t = np.minimum(t, t_end)
-            stepped = step(f, t, x, s)
-            if k > shared:
-                # A finished row keeps its state.  Stepping it by zero would
-                # not: y + 0*F is NaN wherever F is not finite.
-                done = k >= nsteps
-                stepped = tuple(np.where(done, xk, yk)
-                                for xk, yk in zip(x, stepped))
-            x = stepped
-            if record:
-                for column, xk in zip(recorded, x):
-                    column[k + 1] = xk
-            if track_extremes:
-                lows = tuple(map(np.minimum, lows, x))
-                highs = tuple(map(np.maximum, highs, x))
+        ran = _row_loop(*plan)
+        y, lows, highs = ran if ran is not None else _column_loop(*plan)
     if record:
-        T = t0 + np.arange(total + 1) * h
+        # ``y`` holds every state, one grid point per row.
+        T = t0 + np.arange(len(y)) * h
         T[-1] = t_end
-        finite = np.isfinite(Y).all(axis=1)
+        finite = np.isfinite(y).all(axis=1)
         if not finite.all():
             raise IntegrationError(float(T[np.argmin(finite)]))
-        return T, Y
-    y = np.array(x) if y.ndim == 1 else np.stack(x, axis=1)
+        return T, y
     if check_finite:
         finite = np.isfinite(y.reshape(-1, n)).all(axis=1)
         if not finite.all():
@@ -235,3 +230,76 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         return (y, np.array([np.min(c) for c in lows]),
                 np.array([np.max(c) for c in highs]))
     return y
+
+
+def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
+    """Run each row of ``y`` through ``raw``'s whole-loop kernel with that
+    row's plan and bound values, all floats.  Returns the terminal states
+    with the per-column extremes, or every state (``mode`` ``"record"``) in
+    float64 storage; None leaves the problem to :func:`_column_loop`: when
+    ``raw`` is not a reduced field, ``y`` has more than :data:`SCALAR_ROWS`
+    rows, a recorded problem more than one, or a bound value does not hold
+    one value per row."""
+    shape, n = y.shape[:-1], y.shape[-1]
+    if (not hasattr(raw, "kernel") or y.size > SCALAR_ROWS * n
+            or (mode == "record" and shape)):
+        return None
+    kernel, bound = raw.kernel(n, method, mode)
+    if any(np.shape(v) not in ((), shape) for v in bound):
+        return None
+    per_row = (np.broadcast_to(v, shape).ravel().tolist()
+               for v in (t0, t_end, nsteps, last, *bound))
+    out = array("d", y.tolist()) if mode == "record" else None
+    ran = [kernel(a, b, c, d, h, out, *x, *p) for (a, b, c, d, *p), x in
+           zip(zip(*per_row), y.reshape(-1, n).tolist())]
+    if out is not None:
+        return np.frombuffer(out).reshape(-1, n), None, None
+    if mode == "extremes":
+        ran, lows, highs = zip(*ran)
+        return (np.array(ran).reshape(y.shape),
+                *([np.array(c) for c in zip(*e)] for e in (lows, highs)))
+    return np.array(ran).reshape(y.shape), None, None
+
+
+def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
+    """Step the rows of ``y`` as a tuple of state columns
+    ``(x0, ..., x_{n-1})``: floats for one row, ``(B,)`` arrays for a batch.
+    Returns what :func:`_row_loop` does, with the extremes per column."""
+    step = _STEPPERS[method]
+    n = y.shape[-1]
+    f = _columns(raw, n)
+    total = int(nsteps.max())
+    # Every row takes the full step h before the shortest row's last step, so
+    # those steps use the scalar h and skip building per-row step arrays.
+    shared = int(nsteps.min()) - 1
+    x = tuple(y.tolist()) if y.ndim == 1 else tuple(y.T.copy())
+    if mode == "record":
+        Y = np.empty((total + 1,) + y.shape)
+        Y[0] = y
+        recorded = [Y[..., k] for k in range(n)]
+    lows = highs = x
+    s = h
+    for k in range(total):
+        t = t0 + k * h
+        if k >= shared:
+            s = np.where(k < nsteps - 1, h, last)
+            # A finished row evaluates the field at its own end time, never
+            # past it; a running row's t0 + k*h is at least h below t_end.
+            t = np.minimum(t, t_end)
+        stepped = step(f, t, x, s)
+        if k > shared:
+            # A finished row keeps its state.  Stepping it by zero would
+            # not: y + 0*F is NaN wherever F is not finite.
+            done = k >= nsteps
+            stepped = tuple(np.where(done, xk, yk)
+                            for xk, yk in zip(x, stepped))
+        x = stepped
+        if mode == "record":
+            for column, xk in zip(recorded, x):
+                column[k + 1] = xk
+        elif mode == "extremes":
+            lows = tuple(map(np.minimum, lows, x))
+            highs = tuple(map(np.maximum, highs, x))
+    if mode == "record":
+        return Y, None, None
+    return (np.array(x) if y.ndim == 1 else np.stack(x, axis=1)), lows, highs

@@ -31,7 +31,8 @@ from .model import (
     compile_model,
     phi_inv,
 )
-from .odeint import DEFAULT_STEP, IntegrationError, _step_failure, _terminal_state_batch
+from .odeint import (DEFAULT_STEP, IntegrationError, _step_failure,
+                     _terminal_state_batch, _write_csv)
 
 __all__ = [
     "ObservationSeries",
@@ -127,10 +128,7 @@ class ObservationSeries:
         return ObservationSeries(self.t, self.x, derivs)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,x\n")
-            for ti, xi in zip(self.t, self.x):
-                fh.write(f"{ti:.17g},{xi:.17g}\n")
+        _write_csv(path, ["t", "x"], np.column_stack((self.t, self.x)))
 
 
 def read_observations(path) -> ObservationSeries:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,12 @@ from hypothesis import strategies as st
 
 import hude
 from hude import InitialState, IntegrationError, Trajectory, integrate_euler, integrate_rk4
+from hude import odeint
+from hude.expr import _binder
 from hude.model import ReducedField, VectorField, alpha_path_field, compile_model, phi_inv
-from hude.odeint import _terminal_state_batch, integrate
+from hude.odeint import SCALAR_ROWS, _terminal_state_batch, integrate
+from hude.reactor import (CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235, ReactorParams,
+                          build_point_kinetics, build_reactor_hude)
 
 from conftest import example1_closed_form
 
@@ -268,7 +273,9 @@ def _array_core(raw, t0, y0, t_end, h, method, track_extremes=False,
                              np.where(k == nsteps - 1, last, 0.0))
                 sc = s[:, None] if y.ndim == 2 else s
                 t = np.minimum(t, t_end)
-            y = step(raw, t, y, s, sc)
+            stepped = step(raw, t, y, s, sc)
+            # A finished row (step 0) keeps its state, also where 0*F is NaN.
+            y = np.where(sc == 0.0, y, stepped) if k > shared else stepped
             if record:
                 Y[k + 1] = y
             if track_extremes:
@@ -297,7 +304,11 @@ def _column_case(draw):
     drift = expr()
     diffusions = [expr() for _ in range(draw(st.integers(0, 2)))]
     one_row = draw(st.booleans())
-    rows = 1 if one_row else draw(st.integers(min_value=1, max_value=5))
+    # Batches on both sides of the row-by-row crossover.
+    rows = 1 if one_row else draw(st.one_of(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=2, max_value=SCALAR_ROWS),
+        st.sampled_from([SCALAR_ROWS, SCALAR_ROWS + 1])))
     h = draw(st.sampled_from([0.05, 0.02]))
     spans = [(draw(st.integers(0, 30)) + draw(st.floats(0.05, 1.0))) * h
              for _ in range(rows)]
@@ -313,6 +324,10 @@ def _column_case(draw):
 
 def _same(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _same_but_nan_sign(a, b):
+    return _same(*(np.where(np.isnan(v), np.nan, v) for v in (a, b)))
 
 
 def _outcome(fn):
@@ -347,26 +362,122 @@ def test_column_core_equals_array_core(case):
         phi = phis
     column = ReducedField(drift, diffusions, phi)
     array = _array_rhs(drift, diffusions, phi)
-
-    got = _terminal_state_batch(column, *args, check_finite=False,
-                                track_extremes=True)
     # The array core took one row as a (1, n) batch.
     expected = _array_core(array, t0s, y0s, t1s, h, method,
                            track_extremes=True)
-    assert all(_same(a, b) for a, b in zip(got, expected))
+    finite = np.isfinite(expected[0]).all(axis=1)
+    recorded = _array_core(array, *args, record=True) if case["one_row"] else None
 
-    if case["one_row"]:
-        got = _outcome(lambda: _terminal_state_batch(column, *args,
-                                                     record=True))
-        recorded = _array_core(array, *args, record=True)
-        finite = np.isfinite(recorded).all(axis=1)
-        if finite.all():
-            assert _same(got[1], recorded)
-        else:
-            first = int(np.argmin(finite))
-            assert got[0] == "failed"
-            assert got[1] == (t0s[0] + first * h if first < len(finite) - 1
-                              else t1s[0])
+    # No row limit sends every problem through the column loop; the row count
+    # as the limit sends it row by row through the generated kernel.  Every
+    # bit agrees except the sign of a NaN: where two NaNs of opposite sign
+    # meet, float and array arithmetic propagate different ones, and numpy's
+    # vectorised min/max of 9 or more values returns NaN positive.
+    loops = []
+    for limit in (0, rows):
+        with mock.patch.object(odeint, "SCALAR_ROWS", limit):
+            got = _terminal_state_batch(column, *args, check_finite=False,
+                                        track_extremes=True)
+            loops.append(got)
+            assert all(_same_but_nan_sign(a, b) for a, b in zip(got, expected))
+            got = _outcome(lambda: _terminal_state_batch(column, *args))
+            if finite.all():
+                assert _same(got, expected[0].reshape(np.shape(got)))
+            else:
+                row = int(np.argmin(finite))
+                assert got == ("failed", t1s[row], row)
+            if recorded is None:
+                continue
+            got = _outcome(lambda: _terminal_state_batch(column, *args,
+                                                         record=True))
+            on_grid = np.isfinite(recorded).all(axis=1)
+            if on_grid.all():
+                assert _same(got[1], recorded)
+            else:
+                first = int(np.argmin(on_grid))
+                assert got[0] == "failed"
+                assert got[1] == (t0s[0] + first * h if first < len(on_grid) - 1
+                                  else t1s[0])
+    assert all(_same_but_nan_sign(a, b) for a, b in zip(*loops))
+
+
+@pytest.mark.parametrize("rows", [1, SCALAR_ROWS, SCALAR_ROWS + 1])
+def test_small_batches_run_row_by_row(rows):
+    raw = ReducedField(*compile_model(hude.HudeModel.parse(1, "-x0", ["t"]),
+                                      None), phi_inv(np.full(rows, 0.7)))
+    loops = []
+
+    def spy(*args):
+        loops.append(args[0])
+        return column_loop(*args)
+
+    column_loop = odeint._column_loop
+    with mock.patch.object(odeint, "_column_loop", spy):
+        _terminal_state_batch(raw, np.zeros(rows), np.ones((rows, 1)),
+                              np.ones(rows), 0.1)
+    assert loops == ([raw] if rows > SCALAR_ROWS else [])
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_hand_written_fields_take_the_column_loop(method):
+    groups = ReactorParams(
+        decay_constant=THERMAL_U235.decay_constant,
+        delayed_fraction=THERMAL_U235.delayed_fraction,
+        multiplication=THERMAL_U235.multiplication,
+        neutron_lifetime=THERMAL_U235.neutron_lifetime,
+        group_fractions=tuple(THERMAL_U235.delayed_fraction * np.array(
+            [0.033, 0.219, 0.196, 0.395, 0.115, 0.042])),
+        group_decay_constants=(0.0124, 0.0305, 0.111, 0.301, 1.14, 3.01),
+        source_rate=1.5,
+    )
+    kinetics = build_point_kinetics(groups)
+    pendulum = VectorField(lambda t, y: np.stack(
+        [y[..., 1], 0.1 * t - np.sin(y[..., 0])], axis=-1), 2)
+    for field, init in [(kinetics, InitialState(0.0, [1.0] + [0.5] * 6)),
+                        (pendulum, InitialState(0.25, [1.0, -0.5]))]:
+        loops = []
+
+        def spy(*args):
+            loops.append(args[0])
+            return column_loop(*args)
+
+        column_loop = odeint._column_loop
+        with mock.patch.object(odeint, "_column_loop", spy):
+            path = integrate(field, init, 0.3, 1e-3, method)
+        assert loops == [field.raw]
+        expected = _array_core(field.raw, init.t0, init.values, 0.3, 1e-3,
+                               method, record=True)
+        assert _same(path.y, expected)
+
+
+def test_repeated_solves_reuse_generated_kernels():
+    model = build_reactor_hude(THERMAL_U235)
+
+    def solve():
+        path = hude.solve_alpha_path(model, FITTED_THETA, 0.7, CASE_STUDY_INIT,
+                                     0.05, h=1e-3, method="rk4")
+        fan = hude.inverse_distribution(model, FITTED_THETA, CASE_STUDY_INIT,
+                                        0.05, [0.5, 0.7, 0.9], h=1e-3)
+        return path.trajectory.y, fan.values
+
+    first = solve()
+    misses = _binder.cache_info().misses
+    assert all(_same(a, b) for a, b in zip(first, solve()))
+    assert _binder.cache_info().misses == misses
+
+    # One simulation generates its kernel once, however many steps it takes.
+    sources = []
+
+    def spy(*args):
+        sources.append(args)
+        return kernel_source(*args)
+
+    kernel_source = hude.model._kernel_source
+    with mock.patch.object(hude.model, "_kernel_source", spy):
+        hude.simulate_observations(model, FITTED_THETA, CASE_STUDY_INIT,
+                                   0.01 * np.arange(21), eps=np.full(20, 0.3),
+                                   h=1e-3)
+    assert len(sources) == 1
 
 
 @pytest.mark.parametrize("method, drift, y0, h, t", [
@@ -405,3 +516,33 @@ def test_median_level_leaves_out_infinite_noise(method):
              for model in (noisy, bare)]
     assert np.isfinite(paths[0]).all()
     assert _same(*paths)
+    # A batch row at phi = 0 keeps |g|*phi, in both loops: NaN here.
+    field = ReducedField(*compile_model(noisy, None), phi_inv([0.5, 0.7]))
+    for limit in (0, 2):
+        with mock.patch.object(odeint, "SCALAR_ROWS", limit):
+            batch = _terminal_state_batch(field, np.zeros(2), np.ones((2, 1)),
+                                          np.ones(2), 0.1, method,
+                                          check_finite=False)
+        assert np.isnan(batch).all()
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("drift, y0", [
+    # -0.0 + s*(0*x0 + 0*t) is +0.0: np.minimum(-0.0, 0.0) and
+    # np.maximum(-0.0, 0.0) are both +0.0.
+    ("0*x0 + 0*t", [[-0.0], [-0.0]]),
+    ("0*x0 + 0*t", [[0.0], [-0.0]]),
+    # ln of the negative state the first step reaches is NaN; the NaN row's
+    # extremes are NaN from there on, and so are the batch's.
+    ("ln(x0)", [[0.05], [1.0]]),
+])
+def test_kernel_extremes_follow_numpy(method, drift, y0):
+    raw = ReducedField(*compile_model(hude.HudeModel.parse(1, drift), None), 0.0)
+    y0 = np.array(y0)
+    t0s, t1s = np.full(2, 0.5), np.array([0.75, 0.8])
+    expected = _array_core(raw, t0s, y0, t1s, 0.1, method, track_extremes=True)
+    for limit in (0, 2):
+        with mock.patch.object(odeint, "SCALAR_ROWS", limit):
+            got = _terminal_state_batch(raw, t0s, y0, t1s, 0.1, method,
+                                        track_extremes=True, check_finite=False)
+        assert all(_same(a, b) for a, b in zip(got, expected))
