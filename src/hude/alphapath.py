@@ -117,16 +117,19 @@ def inverse_distribution(
     t0s = np.full(B, init.t0)
     y0s = np.tile(init.values, (B, 1))
     t1s = np.full(B, float(t))
+    # The spot check reads the extremes; an order-1 model has none to check.
+    check = condition_check and model.order >= 2
     try:
-        terminal, mins, maxs = _terminal_state_batch(
-            field, t0s, y0s, t1s, h, method, track_extremes=True
+        terminal = _terminal_state_batch(
+            field, t0s, y0s, t1s, h, method, track_extremes=check
         )
     except IntegrationError as exc:
         raise _step_failure(
             exc, f"the alpha-path from t={init.t0} to t={float(t)}",
             float(alphas[exc.row]),
         ) from None
-    if condition_check and model.order >= 2:
+    if check:
+        terminal, mins, maxs = terminal
         _spot_check(model, resolved, (float(init.t0), float(t)), mins, maxs,
                     (float(alphas.min()), float(alphas.max())))
     return InverseDistributionCurve(t=float(t), alphas=alphas, values=terminal[:, 0])

@@ -22,7 +22,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import DomainError
 from .model import HudeModel
 from .odeint import DEFAULT_STEP, IntegrationError
 from .residuals import (
@@ -331,7 +330,7 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
                 model, model.resolved_theta(dict(zip(names, x))), t0s, y0s,
                 t1s, x_next, delta, h, method, guess=nearest(x),
             )
-        except (IntegrationError, DomainError):
+        except IntegrationError:
             return np.inf
         keep(x, eps, saturated)
         return score(eps)

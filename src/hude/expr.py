@@ -41,7 +41,6 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "to_source",
-    "CompiledExpr",
     "compile_expr",
     "variables",
 ]
@@ -452,7 +451,8 @@ def _param_value(value):
 @functools.lru_cache(maxsize=256)
 def _binder(source: str) -> Callable:
     """``lambda p0, p1, ...: <function>`` evaluated, or the function a
-    ``def kernel(...)`` source defines, once per source."""
+    ``def kernel(...)`` source defines, once per source text; the caller
+    binds the values."""
     if source.startswith("def "):
         namespace = {"np": np}
         exec(compile(source, "<hude-expr>", "exec"), namespace)
@@ -460,24 +460,9 @@ def _binder(source: str) -> Callable:
     return eval(compile(source, "<hude-expr>", "eval"), {"np": np})
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledExpr:
-    """An expression with its parameters bound: ``self(t, x)`` evaluates it
-    on ``x`` whose last axis holds the state components.  ``theta`` maps the
-    parameters ``node`` uses to their bound values, so a reduced field can
-    generate ``node`` inline (:class:`hude.model.ReducedField`)."""
-
-    node: ExprAst
-    theta: Mapping
-    fn: Callable
-
-    def __call__(self, t, x):
-        return self.fn(t, x)
-
-
 def compile_expr(
     node: ExprAst, theta: Mapping[str, float | np.ndarray] | None = None
-) -> CompiledExpr:
+) -> Callable:
     """Compile an AST to a vectorised ``f(t, x)`` with parameters bound.
 
     ``x`` indexes state components on its last axis, so the same callable
@@ -485,9 +470,10 @@ def compile_expr(
     parameter is bound to a float, or to a ``(B,)`` array holding one value
     per batch row; an array element takes the place of the float in the same
     arithmetic, so a row evaluates exactly as with that float bound.  The
-    generated code is cached per expression, and binding only fills the
+    generated code is cached per source text, and binding only fills the
     parameter names.  Out-of-domain inputs produce non-finite outputs instead
-    of raising; integrators check.
+    of raising.  The integrators do not use it: a reduced field generates
+    its own code from the model's sources (:func:`hude.model.compile_model`).
     """
     theta = theta or {}
     slots: dict[str, str] = {}
@@ -502,5 +488,4 @@ def compile_expr(
     columns = ", ".join(f"x[..., {v[1:]}]" for v in states)
     source = (f"lambda {', '.join(slots.values())}: lambda t, x: "
               f"(lambda {', '.join(states)}: ({body}))({columns})")
-    fn = _binder(source)(*values)
-    return CompiledExpr(node, dict(zip(slots, values)), fn)
+    return _binder(source)(*values)

@@ -18,22 +18,21 @@ quantile of the solution at every time.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .expr import (
-    CompiledExpr,
     DomainError,
     ExprAst,
     _binder,
     _codegen,
     _param_value,
-    compile_expr,
+    compile_expr,  # noqa: F401  (perfbench/layers.py wraps it here)
     parse_expr,
     to_source,
     variables,
@@ -206,26 +205,38 @@ class VectorField:
 
 
 def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
-    """Compile drift and diffusions to vectorised callables with theta bound
-    (:class:`~hude.expr.CompiledExpr`, which :class:`ReducedField` inlines).
+    """The model's code and its parameter values, kept apart: ``(code,
+    values)``.
 
-    A parameter may be a ``(B,)`` array instead of a float: row ``i`` of a
-    ``(B, n)`` batch is then evaluated at the ``i``-th value, which lets one
-    integration carry several parameter points.
+    ``code`` is ``(drift, noise, names)``: the sources of the drift and of
+    each diffusion over the names ``t``, ``x0``, ... and ``p0``, ``p1``, ...
+    (:func:`~hude.expr._codegen`), and the parameter each ``p`` slot stands
+    for.  ``values`` is :meth:`HudeModel.resolved_theta`: a parameter may be
+    a ``(B,)`` array instead of a float, and row ``i`` of a batch is then
+    evaluated at the ``i``-th value, which lets one integration carry several
+    parameter points.  A :class:`ReducedField` binds the values at call time,
+    so the code of one model serves every parameter point.
     """
-    resolved = model.resolved_theta(theta)
-    drift = compile_expr(model.drift, resolved)
-    diffusions = tuple(compile_expr(g, resolved) for g in model.diffusions)
-    return drift, diffusions
+    values = model.resolved_theta(theta)
+    slots: dict[str, str] = {}
+    drift = _codegen(model.drift, slots)
+    noise = tuple(_codegen(g, slots) for g in model.diffusions)
+    return (drift, noise, tuple(slots)), values
 
 
-# The generated functions of each reduced field with their bound parameter
-# values, per compiled drift and then per compiled diffusions, state size and,
-# for a whole-loop kernel, method and mode.  The keys are the compiled
-# expressions themselves: ASTs compare Const(0.0) equal to Const(-0.0), which
-# generate different code.
-_COLUMNS: "weakref.WeakKeyDictionary[CompiledExpr, dict]" = (
-    weakref.WeakKeyDictionary())
+@functools.lru_cache(maxsize=256)
+def _generated(value: str, params: str, n: int, method=None, mode=None):
+    """The generated function of a reduced field whose last derivative is
+    ``value``, over the bound names ``params``, made once per source: with a
+    ``method``, the whole-loop kernel (:func:`_kernel_source`), else
+    ``lambda <params>: lambda t, x0, ...: (x1, ..., value)``.  Keyed by the
+    source text, not the ASTs, which compare ``Const(0.0)`` equal to
+    ``Const(-0.0)``."""
+    if method is not None:
+        return _binder(_kernel_source(value, params, n, method, mode))
+    state = ", ".join(f"x{k}" for k in range(n))
+    derivs = "".join(f"x{k}, " for k in range(1, n))
+    return _binder(f"lambda {params}: lambda t, {state}: ({derivs}{value},)")
 
 
 def _kernel_source(value: str, params: str, n: int, method: str,
@@ -284,8 +295,8 @@ def _kernel_source(value: str, params: str, n: int, method: str,
 
 class ReducedField:
     """The reduced first-order field at noise level ``phi`` (see the module
-    docstring); ``phi`` is a float, or a ``(B,)`` array holding one level per
-    batch row.
+    docstring) of the model code and values :func:`compile_model` returns;
+    ``phi`` is a float, or a ``(B,)`` array holding one level per batch row.
 
     ``columns(n)`` is the form the column loop steps: one generated function
     ``f(t, x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` with
@@ -293,55 +304,39 @@ class ReducedField:
     floats for one row or ``(B,)`` arrays for a batch.  ``kernel(n, method,
     mode)`` is the form one row steps on floats: a generated function running
     the whole loop with ``F`` written into the step (:func:`_kernel_source`).
-    The parameters and ``phi`` are bound names, so one generated source
-    serves every level.  The noise is left out when there is no diffusion or
-    ``phi`` is a scalar zero, because ``|g|*0`` would turn an infinite ``g``
-    into NaN.  Calling the field on an array ``y`` (state on the last axis)
-    gives the same values stacked.
+    ``phi`` and the parameters are bound at call time, so one generated
+    source serves every level and parameter point (:func:`_generated`).  The
+    noise is left out when there is no diffusion or ``phi`` is a scalar zero,
+    because ``|g|*0`` would turn an infinite ``g`` into NaN.  Calling the
+    field on an array ``y`` (state on the last axis) gives the same values
+    stacked.
     """
 
-    __slots__ = ("drift", "diffusions", "phi")
+    __slots__ = ("code", "values", "phi")
 
-    def __init__(self, drift, diffusions, phi):
-        self.drift = drift
-        self.diffusions = tuple(diffusions)
+    def __init__(self, code, values, phi):
+        self.code = code
+        self.values = values
         self.phi = phi
 
-    def _generated(self, key, source):
-        """The function ``source(value, params)`` generates for ``key``
-        (noise first), made once per compiled drift, with the values of its
-        parameters ``phi, p0, ...``."""
-        generated = _COLUMNS.setdefault(self.drift, {})
-        if key not in generated:
-            slots: dict[str, str] = {}
-            value = _codegen(self.drift.node, slots)
-            theta = dict(self.drift.theta)
-            for g in key[0]:
-                value = f"({value} + abs({_codegen(g.node, slots)}) * phi)"
-                theta.update(g.theta)
-            params = ", ".join(["phi", *slots.values()])
-            generated[key] = (_binder(source(value, params)),
-                              tuple(theta[name] for name in slots))
-        fn, values = generated[key]
-        return fn, (self.phi, *values)
-
-    def _noise(self):
-        return self.diffusions if np.ndim(self.phi) or self.phi != 0.0 else ()
+    def _source(self, n, method=None, mode=None):
+        """The generated function and its bound values ``(phi, p0, ...)``,
+        each a float or a ``(B,)`` array of per-row values."""
+        value, noise, names = self.code
+        if np.ndim(self.phi) or self.phi != 0.0:
+            for g in noise:
+                value = f"({value} + abs({g}) * phi)"
+        params = ", ".join(["phi", *(f"p{k}" for k in range(len(names)))])
+        fn = _generated(value, params, n, method, mode)
+        return fn, (self.phi, *(self.values[name] for name in names))
 
     def columns(self, n: int) -> Callable:
-        state = ", ".join(f"x{k}" for k in range(n))
-        derivs = "".join(f"x{k}, " for k in range(1, n))
-        binder, bound = self._generated(
-            (self._noise(), n), lambda value, params:
-            f"lambda {params}: lambda t, {state}: ({derivs}{value},)")
+        binder, bound = self._source(n)
         return binder(*bound)
 
     def kernel(self, n: int, method: str, mode: str):
-        """The whole-loop kernel and its bound values ``(phi, p0, ...)``,
-        each a float or a ``(B,)`` array of per-row values."""
-        return self._generated(
-            (self._noise(), n, method, mode), lambda value, params:
-            _kernel_source(value, params, n, method, mode))
+        """The whole-loop kernel and its bound values ``(phi, p0, ...)``."""
+        return self._source(n, method, mode)
 
     def __call__(self, t, y):
         y = np.asarray(y, dtype=float)

@@ -4,7 +4,8 @@ One entry point, :func:`_terminal_state_batch`, runs every integration: a
 recorded path (:func:`integrate`) or the terminal states of a batch of rows.
 A reduced model field with at most :data:`SCALAR_ROWS` rows (an alpha-path,
 a simulated step, a small fan or bisection pass) runs row by row through a
-kernel generated for the field, the whole Euler/RK4 loop on floats
+kernel generated once per field source, the whole Euler/RK4 loop on floats,
+with the level and parameters passed in as values
 (:meth:`hude.model.ReducedField.kernel`).  Larger batches and hand-written
 array fields step a tuple of ``(B,)`` state columns.  Both give the same
 bits, except the sign of a NaN: where two NaNs of opposite sign meet, float

@@ -295,10 +295,8 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     halvings = 0
     while 0.5 ** halvings > delta:
         halvings += 1
-    theta = theta or {}
-    # Scalar parameters compile once; row parameters follow the probe rows.
-    compiled = (None if any(np.ndim(v) for v in theta.values())
-                else compile_model(model, theta))
+    # One compile: each pass binds the values of the rows it probes.
+    code, params = compile_model(model, theta)
     B = len(x_next)
     lo = np.zeros(B)
     hi = np.ones(B)
@@ -309,7 +307,7 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     active = np.arange(B if halvings else 0)  # the rows still bisecting
     left = np.full(active.size, halvings)  # levels each has still to read
     # Per-row data of the rows still bisecting; it shrinks as rows finish.
-    params, t0a, y0a, t1a, xa, loa, hia = theta, t0s, y0s, t1s, x_next, lo, hi
+    t0a, y0a, t1a, xa, loa, hia = t0s, y0s, t1s, x_next, lo, hi
     # Levels from a guess are exact dyadics only while they fit the mantissa.
     guessed = guess is not None and halvings <= np.finfo(float).nmant
     while True:
@@ -340,12 +338,11 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
         m = len(j)  # probes per row, probe-major: row i of probe k is k*A + i
         width = hia - loa
         levels = (loa + width * (j / 2 ** b)).ravel()
-        drift, diffusions = compiled or compile_model(
-            model, {k: _tile(v, m) if np.ndim(v) else v
-                    for k, v in params.items()})
+        values = {k: _tile(v, m) if np.ndim(v) else v
+                  for k, v in params.items()}
         phi = phi_inv(np.clip(levels, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
         terminal = _terminal_state_batch(
-            ReducedField(drift, diffusions, phi), _tile(t0a, m), _tile(y0a, m),
+            ReducedField(code, values, phi), _tile(t0a, m), _tile(y0a, m),
             _tile(t1a, m), h, method, check_finite=False,
         )
         reached = terminal[:, 0]
@@ -591,12 +588,11 @@ def simulate_observations(
             raise ValueError(f"need {steps} levels, got {eps.size}")
         if not np.all((eps > 0.0) & (eps < 1.0)):
             raise ValueError("levels must lie strictly inside (0, 1)")
-    resolved = model.resolved_theta(theta)
-    drift, diffusions = compile_model(model, resolved)
+    code, values = compile_model(model, theta)
     states = np.empty((times.size, n))
     states[0] = init.values
     for j in range(steps):
-        field = ReducedField(drift, diffusions, _clamped_phi(eps[j]))
+        field = ReducedField(code, values, _clamped_phi(eps[j]))
         try:
             states[j + 1] = _terminal_state_batch(
                 field, times[j], states[j], times[j + 1], h, method)

@@ -118,6 +118,30 @@ class TestInverseDistribution:
                 [0.45, 0.6, 0.9], h=1e-3,
             )
 
+    # Levels on both sides of the row-by-row crossover.
+    @pytest.mark.parametrize("levels", [3, 40])
+    def test_extremes_only_for_the_spot_check(self, monkeypatch, reactor_fitted,
+                                              levels):
+        # Only the spot check reads the extremes: without it, or for an
+        # order-1 model, the fan integrates without them, to the same curve.
+        tracked = []
+
+        def spy(*args, **kwargs):
+            tracked.append(kwargs["track_extremes"])
+            return batch(*args, **kwargs)
+
+        batch = alphapath._terminal_state_batch
+        monkeypatch.setattr(alphapath, "_terminal_state_batch", spy)
+        order1 = hude.HudeModel.parse(1, "-0.5*x0", ["0.3*x0"])
+        alphas = np.linspace(0.45, 0.9, levels)
+        for model, init in [(reactor_fitted, reactor.CASE_STUDY_INIT),
+                            (order1, InitialState(0.0, [2.0]))]:
+            curves = [inverse_distribution(model, None, init, 1.0, alphas,
+                                           h=1e-3, condition_check=check)
+                      for check in (True, False)]
+            assert curves[0].values.tobytes() == curves[1].values.tobytes()
+        assert tracked == [True, False, False, False]
+
     def test_csv_export(self, tmp_path, example2, zero_init2):
         curve = inverse_distribution(example2, None, zero_init2, 0.5, [0.3, 0.7], h=1e-3)
         out = tmp_path / "curve.csv"

@@ -18,7 +18,7 @@ def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
                        check_finite=True):
     """One level per integration pass: the bisection as it was before probe
     trees, kept as the reference."""
-    drift, diffusions = compile_model(model, theta)
+    code, values = compile_model(model, theta)
     B = len(x_next)
     lo = np.zeros(B)
     hi = np.ones(B)
@@ -26,7 +26,7 @@ def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     while float(np.max(hi - lo)) > delta:
         mid = 0.5 * (lo + hi)
         phi = phi_inv(np.clip(mid, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
-        raw = ReducedField(drift, diffusions, phi)
+        raw = ReducedField(code, values, phi)
         terminal = _terminal_state_batch(raw, t0s, y0s, t1s, h, method,
                                          check_finite=check_finite)
         failed |= ~np.isfinite(terminal).all(axis=1)
@@ -128,6 +128,20 @@ def test_levels_per_pass(monkeypatch, rows, passes):
 
 def test_coarse_delta_takes_no_pass(monkeypatch):
     assert _pass_sizes(monkeypatch, 5, delta=1.0) == []
+
+
+def test_row_parameters_compile_once(monkeypatch):
+    # Each pass binds the parameter values of its probe rows to the code of
+    # one compile.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compile_model(*args, **kwargs)
+
+    monkeypatch.setattr(residuals, "compile_model", counting)
+    assert len(_pass_sizes(monkeypatch, 60)) == 4
+    assert len(calls) == 1
 
 
 def test_overflow_at_unvisited_probes_is_ignored(monkeypatch, guess=None):

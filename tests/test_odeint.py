@@ -176,15 +176,15 @@ def test_batched_endpoint_equals_recorded_endpoint(roots, forcing, method, h,
     drift = f"0.5*{forcing}" + "".join(
         f" - {float(c)!r}*x{k}" for k, c in enumerate(coeffs))
     model = hude.HudeModel.parse(n, drift, ["0.2 + 0.1*cos(t)"])
-    drift_fn, diffusions = compile_model(model, None)
+    code, values = compile_model(model, None)
     t0s = np.array([r[0] for r in rows])
     t1s = t0s + np.array([(r[1] + r[2]) * h for r in rows])
     phis = phi_inv(np.array([r[3] for r in rows]))
     y0s = np.random.default_rng(seed).normal(size=(len(rows), n))
-    batch = _terminal_state_batch(ReducedField(drift_fn, diffusions, phis),
+    batch = _terminal_state_batch(ReducedField(code, values, phis),
                                   t0s, y0s, t1s, h, method)
     for i in range(len(rows)):
-        field = VectorField(ReducedField(drift_fn, diffusions, phis[i]), n)
+        field = VectorField(ReducedField(code, values, phis[i]), n)
         path = integrate(field, InitialState(t0s[i], y0s[i]), t1s[i], h, method)
         assert batch[i].tobytes() == path.final_state.tobytes()
 
@@ -218,8 +218,11 @@ def test_finished_row_keeps_a_state_where_the_field_overflows():
 
 
 # The array core the column core replaced, kept as the bitwise reference: one
-# (B, n) state array per step, the reduced field written into a fresh array.
-def _array_rhs(drift, diffusions, phi):
+# (B, n) state array per step, the reduced field written into a fresh array
+# from each expression compiled on its own.
+def _array_rhs(model, theta, phi):
+    drift = hude.compile_expr(model.drift, theta)
+    diffusions = [hude.compile_expr(g, theta) for g in model.diffusions]
     skip_noise = not diffusions or (np.ndim(phi) == 0 and phi == 0.0)
 
     def raw(t, y):
@@ -348,7 +351,6 @@ def test_column_core_equals_array_core(case):
         theta = {"a": rng.uniform(-2, 2, rows), "b": rng.uniform(-1, 1, rows)}
     else:
         theta = {"a": float(rng.uniform(-2, 2)), "b": float(rng.uniform(-1, 1))}
-    drift, diffusions = compile_model(model, theta)
     t0s = rng.uniform(-1.0, 1.0, rows)
     t1s = t0s + np.array(case["spans"])
     y0s = rng.uniform(-1.0, 1.0, (rows, n))
@@ -360,8 +362,8 @@ def test_column_core_equals_array_core(case):
     else:
         args = (t0s, y0s, t1s, h, method)
         phi = phis
-    column = ReducedField(drift, diffusions, phi)
-    array = _array_rhs(drift, diffusions, phi)
+    column = ReducedField(*compile_model(model, theta), phi)
+    array = _array_rhs(model, theta, phi)
     # The array core took one row as a (1, n) batch.
     expected = _array_core(array, t0s, y0s, t1s, h, method,
                            track_extremes=True)
@@ -451,33 +453,33 @@ def test_hand_written_fields_take_the_column_loop(method):
 
 
 def test_repeated_solves_reuse_generated_kernels():
-    model = build_reactor_hude(THERMAL_U235)
-
-    def solve():
+    def solve(model):
         path = hude.solve_alpha_path(model, FITTED_THETA, 0.7, CASE_STUDY_INIT,
                                      0.05, h=1e-3, method="rk4")
         fan = hude.inverse_distribution(model, FITTED_THETA, CASE_STUDY_INIT,
                                         0.05, [0.5, 0.7, 0.9], h=1e-3)
-        return path.trajectory.y, fan.values
+        series = hude.simulate_observations(
+            model, FITTED_THETA, CASE_STUDY_INIT, 0.01 * np.arange(21),
+            eps=np.full(20, 0.3), h=1e-3)
+        return path.trajectory.y, fan.values, series.x, series.derivs
 
-    first = solve()
-    misses = _binder.cache_info().misses
-    assert all(_same(a, b) for a, b in zip(first, solve()))
-    assert _binder.cache_info().misses == misses
-
-    # One simulation generates its kernel once, however many steps it takes.
+    model = build_reactor_hude(THERMAL_U235)
+    first = solve(model)
     sources = []
 
     def spy(*args):
         sources.append(args)
         return kernel_source(*args)
 
+    # After one warm-up, neither the same model nor an equal one generates
+    # or compiles a source again.
     kernel_source = hude.model._kernel_source
+    misses = _binder.cache_info().misses
     with mock.patch.object(hude.model, "_kernel_source", spy):
-        hude.simulate_observations(model, FITTED_THETA, CASE_STUDY_INIT,
-                                   0.01 * np.arange(21), eps=np.full(20, 0.3),
-                                   h=1e-3)
-    assert len(sources) == 1
+        for again in (model, build_reactor_hude(THERMAL_U235)):
+            assert all(_same(a, b) for a, b in zip(first, solve(again)))
+    assert sources == []
+    assert _binder.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("method, drift, y0, h, t", [
