@@ -18,7 +18,9 @@ quantile of the solution at every time.
 
 from __future__ import annotations
 
+import ast
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ import numpy as np
 from .expr import (
     DomainError,
     ExprAst,
+    _STATE_RE,
     _binder,
     _codegen,
     _param_value,
@@ -225,15 +228,18 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
 
 
 @functools.lru_cache(maxsize=256)
-def _generated(value: str, params: str, n: int, method=None, mode=None):
+def _generated(value: str, params: str, n: int, method=None, mode=None,
+               columns=False):
     """The generated function of a reduced field whose last derivative is
     ``value``, over the bound names ``params``, made once per source: with a
-    ``method``, the whole-loop kernel (:func:`_kernel_source`), else
-    ``lambda <params>: lambda t, x0, ...: (x1, ..., value)``.  Keyed by the
-    source text, not the ASTs, which compare ``Const(0.0)`` equal to
+    ``method``, the whole-loop kernel of one row (:func:`_kernel_source`) or,
+    with ``columns``, of a batch (:func:`_column_source`), else ``lambda
+    <params>: lambda t, x0, ...: (x1, ..., value)``.  Keyed by the source
+    text, not the ASTs, which compare ``Const(0.0)`` equal to
     ``Const(-0.0)``."""
     if method is not None:
-        return _binder(_kernel_source(value, params, n, method, mode))
+        source = _column_source if columns else _kernel_source
+        return _binder(source(value, params, n, method, mode))
     state = ", ".join(f"x{k}" for k in range(n))
     derivs = "".join(f"x{k}, " for k in range(1, n))
     return _binder(f"lambda {params}: lambda t, {state}: ({derivs}{value},)")
@@ -293,23 +299,188 @@ def _kernel_source(value: str, params: str, n: int, method: str,
             + "".join(f"    {line}\n" for line in lines))
 
 
+def _column_source(value: str, params: str, n: int, method: str,
+                   mode: str) -> str:
+    """Source of ``kernel(t0, t_end, nsteps, last, h, out, x0, ..., <params>)``
+    for a batch: the column loop (:mod:`hude.odeint`) with the field value
+    ``value`` written into the step, stepping the ``(B,)`` state columns
+    ``x0 ..`` in place.
+
+    The value becomes three-address ufunc calls (``multiply(a, b, w0)``)
+    into scratch buffers allocated once per call.  A subtree that reads no
+    state is evaluated from its own text: if it reads ``t`` at every stage,
+    else once before the loop.  There it is spread to a ``(B,)`` array, as a
+    ufunc converts a float operand on every call, except as an operand of
+    ``power``: a float exponent ``2.0`` may round differently from an array
+    of them.  ``t`` and the stage times are computed only when the value
+    reads ``t``.  Each call is the column loop's operation with its operands
+    in the same order: ``xk + s*kk``, RK4's ``xk + sixth * (((a + 2.0*b) +
+    2.0*c) + d)``, the step ``h`` up to the shortest row's last step and
+    per-row ``s`` from there, where a finished row keeps its state
+    (``where=run``).  The last derivative is scaled by ``s`` before any
+    state it may read is stepped.  ``mode`` ``"extremes"`` also returns each
+    column's running ``minimum`` and ``maximum``, ``"record"`` writes the
+    states after step ``k`` into ``out[k + 1]`` of shape ``(steps + 1, B,
+    n)``.
+    """
+    tree = ast.parse(value, mode="eval").body
+    # The ufunc of each operation; the builtin ``abs`` calls ``absolute`` on
+    # an array, and a call ``np.<name>`` is the ufunc ``<name>``.
+    ufuncs = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply",
+              ast.USub: "negative", "abs": "absolute"}
+    # Text of each operand evaluated before the loop -> its name: spread to a
+    # (B,) array (c0 the step h, c1 RK4's 2.0) or kept as it is.
+    hoisted = {"h": "c0", "2.0": "c1"}
+    kept: dict[str, str] = {}
+    buffers: list[str] = []  # the scratch buffers
+    free: list[str] = []
+    used: set[str] = set()  # the ufuncs the kernel calls
+    stage_values = itertools.count()
+
+    def alloc():
+        if not free:
+            buffers.append(f"w{len(buffers)}")
+            free.append(buffers[-1])
+        return free.pop()
+
+    def release(*operands):
+        free.extend(o for o in operands if o in buffers)
+
+    def call(func, *operands, where=""):
+        used.add(func)
+        return f"{func}({', '.join(operands)}{where})"
+
+    def names(node):
+        return {a.id for a in ast.walk(node) if isinstance(a, ast.Name)}
+
+    def evaluate(node, states, lines, spread=True):
+        """The operand holding ``node`` at the state names ``states`` once
+        the calls appended to ``lines`` ran."""
+        text = ast.get_source_segment(value, node)
+        read = names(node)
+        if not any(_STATE_RE.match(name) for name in read):
+            if "t" in read:
+                name = f"e{next(stage_values)}"
+                lines.append(f"{name} = {text}")
+                return name
+            if not spread:
+                return kept.setdefault(text, f"r{len(kept)}")
+            return hoisted.setdefault(text, f"c{len(hoisted)}")
+        if isinstance(node, ast.Name):
+            return states[int(node.id[1:])]
+        if isinstance(node, ast.BinOp):
+            func, args = ufuncs[type(node.op)], (node.left, node.right)
+        elif isinstance(node, ast.UnaryOp):
+            func, args = ufuncs[type(node.op)], (node.operand,)
+        else:  # np.<ufunc>(...) or abs(...)
+            func = ufuncs.get(getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))
+            args = node.args
+        operands = [evaluate(arg, states, lines, func != "power")
+                    for arg in args]
+        release(*operands)
+        out = alloc()
+        lines.append(call(func, *operands, out))
+        return out
+
+    def advance(frac, k, into, lines, where="", keep=False):
+        # into[j] = x[j] + frac * k[j], ascending: k[j] may be into[j + 1],
+        # and the last derivative may be any state, so it is scaled first.
+        d = k[-1] if k[-1] in buffers and not keep else alloc()
+        lines.append(call("multiply", frac, k[-1], d))
+        if n > 1:
+            w = alloc()
+            for j in range(n - 1):
+                lines += [call("multiply", frac, k[j], w),
+                          call("add", f"x{j}", w, into[j], where=where)]
+            release(w)
+        lines.append(call("add", f"x{n - 1}", d, into[-1], where=where))
+        release(d)
+
+    xs = [f"x{j}" for j in range(n)]
+    zs = [f"z{j}" for j in range(n)]
+    timed = "t" in names(tree)
+
+    def step(where):
+        lines = []
+        if method == "euler":
+            advance("s", xs[1:] + [evaluate(tree, xs, lines)], xs, lines, where)
+            return lines
+        lines += ["tk = t"] if timed else []
+        k1 = xs[1:] + [evaluate(tree, xs, lines)]
+        advance("half", k1, zs, lines, keep=True)
+        lines += ["t = tk + half"] if timed else []
+        k2 = zs[1:] + [evaluate(tree, zs, lines)]
+        for j in range(n):
+            lines += [call("multiply", "c1", k2[j], f"a{j}"),
+                      call("add", k1[j], f"a{j}", f"a{j}")]
+        release(k1[-1])
+        advance("half", k2, zs, lines)
+        k3 = zs[1:] + [evaluate(tree, zs, lines)]
+        w = alloc()
+        for j in range(n):
+            lines += [call("multiply", "c1", k3[j], w),
+                      call("add", f"a{j}", w, f"a{j}")]
+        release(w)
+        advance("s", k3, zs, lines)
+        lines += ["t = tk + s"] if timed else []
+        k4 = zs[1:] + [evaluate(tree, zs, lines)]
+        lines += [call("add", f"a{j}", k4[j], f"a{j}") for j in range(n)]
+        release(k4[-1])
+        for j in range(n):
+            lines += [call("multiply", "sixth", f"a{j}", f"a{j}"),
+                      call("add", f"x{j}", f"a{j}", f"x{j}", where=where)]
+        return lines
+
+    main, tail = step(""), step(", where=run")
+    start, after, result = [], [], f"({', '.join(xs)},)"
+    if mode == "extremes":
+        start = [f"{e}{j} = x{j}.copy()" for e in "lu" for j in range(n)]
+        # minimum and maximum take their output only by keyword.
+        after = [call(f, f"{e}{j}", f"x{j}", f"out={e}{j}") for j in range(n)
+                 for f, e in (("minimum", "l"), ("maximum", "u"))]
+        result += f", ({', '.join(f'l{j}' for j in range(n))},), " \
+                  f"({', '.join(f'u{j}' for j in range(n))},)"
+    elif mode == "record":
+        after = [f"out[k + 1, :, {j}] = x{j}" for j in range(n)]
+    widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
+    stages = [f"{b}{j}" for b in "za" for j in range(n)] if method == "rk4" else []
+    lines = ["shared = int(nsteps.min()) - 1", "total = int(nsteps.max())",
+             *(f"{func} = np.{func}" for func in sorted(used)),
+             *(f"{name} = np.full_like(x0, {text})"
+               for text, name in hoisted.items()),
+             *(f"{name} = {text}" for text, name in kept.items()),
+             *(f"{b} = np.empty_like(x0)" for b in buffers + stages), *start,
+             "s = c0", *widths, "for k in range(shared):",
+             *(["    t = t0 + k * h"] if timed else []),
+             *(f"    {line}" for line in main + after),
+             "for k in range(shared, total):",
+             "    s = np.where(k < nsteps - 1, h, last)",
+             *(f"    {line}" for line in widths), "    run = k < nsteps",
+             *(["    t = np.minimum(t0 + k * h, t_end)"] if timed else []),
+             *(f"    {line}" for line in tail + after), f"return {result}"]
+    return (f"def kernel(t0, t_end, nsteps, last, h, out, {', '.join(xs)}, "
+            f"{params}):\n" + "".join(f"    {line}\n" for line in lines))
+
+
 class ReducedField:
     """The reduced first-order field at noise level ``phi`` (see the module
     docstring) of the model code and values :func:`compile_model` returns;
     ``phi`` is a float, or a ``(B,)`` array holding one level per batch row.
 
-    ``columns(n)`` is the form the column loop steps: one generated function
-    ``f(t, x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` with
-    ``F = ((drift + |g1|*phi) + |g2|*phi) + ...``, where the columns are
-    floats for one row or ``(B,)`` arrays for a batch.  ``kernel(n, method,
-    mode)`` is the form one row steps on floats: a generated function running
-    the whole loop with ``F`` written into the step (:func:`_kernel_source`).
-    ``phi`` and the parameters are bound at call time, so one generated
-    source serves every level and parameter point (:func:`_generated`).  The
-    noise is left out when there is no diffusion or ``phi`` is a scalar zero,
-    because ``|g|*0`` would turn an infinite ``g`` into NaN.  Calling the
-    field on an array ``y`` (state on the last axis) gives the same values
-    stacked.
+    ``kernel(n, method, mode)`` is the form the integrators run: a generated
+    function running a row's whole loop on floats with ``F`` written into
+    the step (:func:`_kernel_source`), or with ``columns`` a batch's whole
+    loop on ``(B,)`` state columns stepped in place by ufunc calls
+    (:func:`_column_source`).  ``columns(n)`` is the field itself as one
+    generated function ``f(t, x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)``
+    with ``F = ((drift + |g1|*phi) + |g2|*phi) + ...`` on floats or arrays,
+    which the condition check and calls of the field evaluate.  ``phi`` and
+    the parameters are bound at call time, so one generated source serves
+    every level and parameter point (:func:`_generated`).  The noise is left
+    out when there is no diffusion or ``phi`` is a scalar zero, because
+    ``|g|*0`` would turn an infinite ``g`` into NaN.  Calling the field on an
+    array ``y`` (state on the last axis) gives the values stacked.
     """
 
     __slots__ = ("code", "values", "phi")
@@ -319,7 +490,7 @@ class ReducedField:
         self.values = values
         self.phi = phi
 
-    def _source(self, n, method=None, mode=None):
+    def _source(self, n, method=None, mode=None, columns=False):
         """The generated function and its bound values ``(phi, p0, ...)``,
         each a float or a ``(B,)`` array of per-row values."""
         value, noise, names = self.code
@@ -327,16 +498,17 @@ class ReducedField:
             for g in noise:
                 value = f"({value} + abs({g}) * phi)"
         params = ", ".join(["phi", *(f"p{k}" for k in range(len(names)))])
-        fn = _generated(value, params, n, method, mode)
+        fn = _generated(value, params, n, method, mode, columns)
         return fn, (self.phi, *(self.values[name] for name in names))
 
     def columns(self, n: int) -> Callable:
         binder, bound = self._source(n)
         return binder(*bound)
 
-    def kernel(self, n: int, method: str, mode: str):
-        """The whole-loop kernel and its bound values ``(phi, p0, ...)``."""
-        return self._source(n, method, mode)
+    def kernel(self, n: int, method: str, mode: str, columns: bool = False):
+        """The whole-loop kernel of one row, or with ``columns`` of a batch,
+        and its bound values ``(phi, p0, ...)``."""
+        return self._source(n, method, mode, columns)
 
     def __call__(self, t, y):
         y = np.asarray(y, dtype=float)

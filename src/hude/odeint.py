@@ -2,14 +2,14 @@
 
 One entry point, :func:`_terminal_state_batch`, runs every integration: a
 recorded path (:func:`integrate`) or the terminal states of a batch of rows.
-A reduced model field with at most :data:`SCALAR_ROWS` rows (an alpha-path,
-a simulated step, a small fan or bisection pass) runs row by row through a
-kernel generated once per field source, the whole Euler/RK4 loop on floats,
-with the level and parameters passed in as values
-(:meth:`hude.model.ReducedField.kernel`).  Larger batches and hand-written
-array fields step a tuple of ``(B,)`` state columns.  Both give the same
-bits, except the sign of a NaN: where two NaNs of opposite sign meet, float
-and array arithmetic keep different ones.
+A reduced model field runs through a whole-loop kernel generated once per
+field source, with the level and parameters passed in as values
+(:meth:`hude.model.ReducedField.kernel`): with at most :data:`SCALAR_ROWS`
+rows (an alpha-path, a simulated step, a small fan or bisection pass) row
+by row on floats, else (a large bisection pass) on ``(B,)`` state columns
+stepped in place.  Hand-written array fields step a tuple of ``(B,)`` state
+columns.  All give the same bits, except the sign of a NaN: where two NaNs
+of opposite sign meet, float and array arithmetic keep different ones.
 """
 
 from __future__ import annotations
@@ -35,12 +35,15 @@ __all__ = [
 DEFAULT_STEP = 1e-4
 
 # Rows up to which a reduced field's batch runs row by row through its
-# generated whole-loop kernel instead of stepping (B,) state columns.  On
-# 100-step windows of the reactor model (x86-64 Intel Xeon, numpy 2.4, h=1e-4,
-# best of 7 runs) the kernel costs ~0.09 ms plus ~26 us per row (Euler; RK4
-# ~0.15 ms plus ~105 us), a column batch a near-flat ~1.2 ms (RK4 ~4.8 ms):
-# 0.91 against 1.20 ms at 32 rows (RK4 3.5 against 5.1 ms), and the two meet
-# near 40 rows (RK4 near 45).
+# generated row kernel instead of its column kernel.  On 100-step windows of
+# the reactor model (x86-64 Intel Xeon, 2 vCPU, numpy 2.4, h=1e-4, best of 15
+# runs, measured twice on a noisy shared machine) the row kernel
+# costs ~0.1 ms plus 35-43 us per row (RK4 ~0.15 ms plus 0.14-0.18 ms), the
+# column kernel a near-flat 0.7-1.3 ms (RK4 3.0-5.9 ms); the two meet between
+# 16 and 26 rows (RK4 between 22 and 31).  On the 19-level, 60,000-step Euler
+# fan with extremes the row kernel takes 0.50-0.66 s and the column kernel
+# 0.86-1.03 s, ~0.5 us per row-step against ~16 us per step, which meet near
+# 30 rows.  Neither resolves a crossover away from 32.
 SCALAR_ROWS = 32
 
 
@@ -131,13 +134,9 @@ def _rk4_step(f, t, x, s):
 
 
 def _columns(raw, n):
-    """``raw`` in the form the step loop drives: ``f(t, x0, ..., x_{n-1})``
-    returning the ``n`` derivative columns.  A reduced model field generates
-    that form itself (:meth:`hude.model.ReducedField.columns`); a hand-written
-    array field ``raw(t, y)``, state on the last axis, is adapted here."""
-    if hasattr(raw, "columns"):
-        return raw.columns(n)
-
+    """The hand-written array field ``raw(t, y)``, state on the last axis, in
+    the form the step loop drives: ``f(t, x0, ..., x_{n-1})`` returning the
+    ``n`` derivative columns."""
     def f(t, *x):
         F = raw(t, np.stack(x, axis=-1))
         return tuple(F[..., k] for k in range(n))
@@ -178,12 +177,13 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     Step ``k`` of every row starts at ``t0 + k*h``; a row's last step is
     shortened to its ``t_end`` and rows that finish early keep their terminal
     state, so a row's result does not depend on the other rows.  A reduced
-    field (:class:`hude.model.ReducedField`) with at most :data:`SCALAR_ROWS`
-    rows runs row by row through its generated whole-loop kernel on floats,
-    each row binding its own level and parameter values; larger batches and
-    hand-written array fields step a tuple of ``(B,)`` state columns
-    (:func:`_column_loop`).  Both give the same bits (up to the sign of a
-    NaN, see the module docstring).  ``track_extremes``
+    field (:class:`hude.model.ReducedField`) runs through a generated
+    whole-loop kernel: with at most :data:`SCALAR_ROWS` rows row by row on
+    floats, each row binding its own level and parameter values
+    (:func:`_row_loop`), else on ``(B,)`` state columns stepped in place
+    (:func:`_column_kernel`).  Hand-written array fields step a tuple of
+    ``(B,)`` state columns (:func:`_column_loop`).  All give the same bits
+    (up to the sign of a NaN, see the module docstring).  ``track_extremes``
     also returns the componentwise extremes over all rows and steps.  A
     non-finite terminal row raises :class:`IntegrationError` at its ``t_end``
     with ``row`` attached, unless ``check_finite`` is off.  ``record``
@@ -209,8 +209,10 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     mode = "record" if record else "extremes" if track_extremes else "terminal"
     plan = (raw, method, y, t0, t_end, nsteps, last, h, mode)
     with np.errstate(all="ignore"):
-        ran = _row_loop(*plan)
-        y, lows, highs = ran if ran is not None else _column_loop(*plan)
+        if hasattr(raw, "kernel"):
+            y, lows, highs = _row_loop(*plan) or _column_kernel(*plan)
+        else:
+            y, lows, highs = _column_loop(*plan)
     if record:
         # ``y`` holds every state, one grid point per row.
         T = t0 + np.arange(len(y)) * h
@@ -237,13 +239,11 @@ def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
     """Run each row of ``y`` through ``raw``'s whole-loop kernel with that
     row's plan and bound values, all floats.  Returns the terminal states
     with the per-column extremes, or every state (``mode`` ``"record"``) in
-    float64 storage; None leaves the problem to :func:`_column_loop`: when
-    ``raw`` is not a reduced field, ``y`` has more than :data:`SCALAR_ROWS`
-    rows, a recorded problem more than one, or a bound value does not hold
-    one value per row."""
+    float64 storage; None leaves the problem to :func:`_column_kernel`: when
+    ``y`` has more than :data:`SCALAR_ROWS` rows, a recorded problem more
+    than one, or a bound value does not hold one value per row."""
     shape, n = y.shape[:-1], y.shape[-1]
-    if (not hasattr(raw, "kernel") or y.size > SCALAR_ROWS * n
-            or (mode == "record" and shape)):
+    if y.size > SCALAR_ROWS * n or (mode == "record" and shape):
         return None
     kernel, bound = raw.kernel(n, method, mode)
     if any(np.shape(v) not in ((), shape) for v in bound):
@@ -262,10 +262,29 @@ def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
     return np.array(ran).reshape(y.shape), None, None
 
 
-def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
-    """Step the rows of ``y`` as a tuple of state columns
-    ``(x0, ..., x_{n-1})``: floats for one row, ``(B,)`` arrays for a batch.
+def _column_kernel(raw, method, y, t0, t_end, nsteps, last, h, mode):
+    """Run the rows of ``y`` through ``raw``'s generated column kernel, which
+    steps the ``(B,)`` state columns in place (one row as a ``(1,)`` batch).
     Returns what :func:`_row_loop` does, with the extremes per column."""
+    n = y.shape[-1]
+    kernel, bound = raw.kernel(n, method, mode, columns=True)
+    x = y.reshape(-1, n).T.copy()
+    if mode == "record":
+        Y = np.empty((int(nsteps.max()) + 1,) + y.shape)
+        Y[0] = y
+        kernel(t0, t_end, nsteps, last, h, Y.reshape(len(Y), -1, n), *x,
+               *bound)
+        return Y, None, None
+    ran = kernel(t0, t_end, nsteps, last, h, None, *x, *bound)
+    lows, highs = ran[1:] if mode == "extremes" else (None, None)
+    return x.T.reshape(y.shape).copy(), lows, highs
+
+
+def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
+    """Step the rows of ``y`` through the hand-written array field ``raw`` as
+    a tuple of state columns ``(x0, ..., x_{n-1})``: floats for one row,
+    ``(B,)`` arrays for a batch.  Returns what :func:`_row_loop` does, with
+    the extremes per column."""
     step = _STEPPERS[method]
     n = y.shape[-1]
     f = _columns(raw, n)

@@ -54,13 +54,13 @@ PROBE_CLAMP = 1e-6
 # batched scoring on long series.
 BATCH_ROWS = 8192
 
-# Probe rows one bisection pass may integrate.  A batched integrator step of
-# the reactor model (column core) costs a fixed ~12 us of numpy overhead plus
-# ~8.5 ns per row (x86-64 Intel Xeon, numpy 2.4, h=1e-3, best of 4 runs:
-# 12.0 us at 1 row, 12.5 us at 60, 20.4 us at 900, 21.2 us at 1,024, 32.0 us
-# at 2,000, 63.0 us at 6,000), so per-row work reaches the fixed cost near
-# 1,400 rows.  Smaller bisections resolve several levels per pass up to this
-# size; larger ones keep one level per pass.
+# Probe rows one bisection pass may integrate.  A batched Euler step of the
+# reactor model (column kernel) costs a fixed ~6.5 us of numpy overhead plus
+# ~8 ns per row (x86-64 Intel Xeon, numpy 2.4, 100 steps of h=1e-3, best of
+# 9 runs: 6.5 us at 2 rows, 6.9 us at 60, 12.0 us at 900, 12.9-13.7 us at
+# 1,024, 21.2-21.8 us at 2,000, 55-59 us at 6,000), so per-row work reaches
+# the fixed cost near 800 rows.  Smaller bisections resolve several levels
+# per pass up to this size; larger ones keep one level per pass.
 PROBE_ROWS = 1024
 
 
@@ -454,7 +454,8 @@ def _restart_rows(model: HudeModel, series: ObservationSeries, scheme: str):
     else:
         filled = estimate_derivatives(series, n, scheme)
 
-    states = np.stack([filled.state_at(j, n) for j in range(L - 1)])
+    derivs = filled.derivs[:n - 1, :L - 1] if n > 1 else ()
+    states = np.stack((filled.x[:L - 1], *derivs), axis=1)
     admissible = np.where(np.isfinite(states).all(axis=1))[0]
     if admissible.size == 0:
         raise ValueError("no step has a complete restart state")

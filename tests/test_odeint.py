@@ -13,7 +13,7 @@ from hude.expr import _binder
 from hude.model import ReducedField, VectorField, alpha_path_field, compile_model, phi_inv
 from hude.odeint import SCALAR_ROWS, _terminal_state_batch, integrate
 from hude.reactor import (CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235, ReactorParams,
-                          build_point_kinetics, build_reactor_hude)
+                          build_point_kinetics, build_reactor_hude, table3)
 
 from conftest import example1_closed_form
 
@@ -290,10 +290,11 @@ def _array_core(raw, t0, y0, t_end, h, method, track_extremes=False,
 
 
 # Right-hand-side terms with every operator and function of the language;
-# {k} is a state index below the order.
+# {k} is a state index below the order.  A bare state, a parameter-only and
+# a time-only term make the column kernel copy, hoist and re-evaluate.
 TERMS = ["-0.7*x{k}", "0.3*t*x{k}", "exp(-x{k}^2)", "ln(1.5 + sin(a*t))",
          "x{k}/(2 + t)", "abs(x{k} - b)", "a*x{k}^2", "1/(x{k} + 0.25)",
-         "-b*cos(x{k})"]
+         "-b*cos(x{k})", "x{k}", "a*b", "cos(t)"]
 
 
 @st.composite
@@ -307,11 +308,12 @@ def _column_case(draw):
     drift = expr()
     diffusions = [expr() for _ in range(draw(st.integers(0, 2)))]
     one_row = draw(st.booleans())
-    # Batches on both sides of the row-by-row crossover.
+    # Batches on both sides of the row-by-row crossover, and one well above
+    # it whose rows finish at many different steps.
     rows = 1 if one_row else draw(st.one_of(
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=2, max_value=SCALAR_ROWS),
-        st.sampled_from([SCALAR_ROWS, SCALAR_ROWS + 1])))
+        st.sampled_from([SCALAR_ROWS, SCALAR_ROWS + 1, 80])))
     h = draw(st.sampled_from([0.05, 0.02]))
     spans = [(draw(st.integers(0, 30)) + draw(st.floats(0.05, 1.0))) * h
              for _ in range(rows)]
@@ -370,11 +372,12 @@ def test_column_core_equals_array_core(case):
     finite = np.isfinite(expected[0]).all(axis=1)
     recorded = _array_core(array, *args, record=True) if case["one_row"] else None
 
-    # No row limit sends every problem through the column loop; the row count
-    # as the limit sends it row by row through the generated kernel.  Every
-    # bit agrees except the sign of a NaN: where two NaNs of opposite sign
-    # meet, float and array arithmetic propagate different ones, and numpy's
-    # vectorised min/max of 9 or more values returns NaN positive.
+    # No row limit sends every problem through the generated column kernel;
+    # the row count as the limit sends it row by row through the generated
+    # row kernel.  Every bit agrees except the sign of a NaN: where two NaNs
+    # of opposite sign meet, float and array arithmetic propagate different
+    # ones, and numpy's vectorised min/max of 9 or more values returns NaN
+    # positive.
     loops = []
     for limit in (0, rows):
         with mock.patch.object(odeint, "SCALAR_ROWS", limit):
@@ -403,21 +406,36 @@ def test_column_core_equals_array_core(case):
     assert all(_same_but_nan_sign(a, b) for a, b in zip(*loops))
 
 
-@pytest.mark.parametrize("rows", [1, SCALAR_ROWS, SCALAR_ROWS + 1])
+def _loops_taken(solve):
+    """The loops that ran in ``solve()``: ``"row"`` for the row kernel,
+    ``"column"`` for the column kernel, the field for the column loop."""
+    taken = []
+
+    def spy(name, loop):
+        def run(*args):
+            ran = loop(*args)
+            if ran is not None:
+                taken.append(name(args[0]))
+            return ran
+        return run
+
+    with mock.patch.multiple(
+            odeint, _row_loop=spy(lambda raw: "row", odeint._row_loop),
+            _column_kernel=spy(lambda raw: "column", odeint._column_kernel),
+            _column_loop=spy(lambda raw: raw, odeint._column_loop)):
+        solve()
+    return taken
+
+
+@pytest.mark.parametrize("rows", [1, SCALAR_ROWS, SCALAR_ROWS + 1, 300])
 def test_small_batches_run_row_by_row(rows):
+    # Reduced fields never reach the column loop: small batches run through
+    # the row kernel, larger ones through the column kernel.
     raw = ReducedField(*compile_model(hude.HudeModel.parse(1, "-x0", ["t"]),
                                       None), phi_inv(np.full(rows, 0.7)))
-    loops = []
-
-    def spy(*args):
-        loops.append(args[0])
-        return column_loop(*args)
-
-    column_loop = odeint._column_loop
-    with mock.patch.object(odeint, "_column_loop", spy):
-        _terminal_state_batch(raw, np.zeros(rows), np.ones((rows, 1)),
-                              np.ones(rows), 0.1)
-    assert loops == ([raw] if rows > SCALAR_ROWS else [])
+    taken = _loops_taken(lambda: _terminal_state_batch(
+        raw, np.zeros(rows), np.ones((rows, 1)), np.ones(rows), 0.1))
+    assert taken == ["column" if rows > SCALAR_ROWS else "row"]
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
@@ -437,19 +455,13 @@ def test_hand_written_fields_take_the_column_loop(method):
         [y[..., 1], 0.1 * t - np.sin(y[..., 0])], axis=-1), 2)
     for field, init in [(kinetics, InitialState(0.0, [1.0] + [0.5] * 6)),
                         (pendulum, InitialState(0.25, [1.0, -0.5]))]:
-        loops = []
-
-        def spy(*args):
-            loops.append(args[0])
-            return column_loop(*args)
-
-        column_loop = odeint._column_loop
-        with mock.patch.object(odeint, "_column_loop", spy):
-            path = integrate(field, init, 0.3, 1e-3, method)
-        assert loops == [field.raw]
+        paths = []
+        taken = _loops_taken(lambda: paths.append(
+            integrate(field, init, 0.3, 1e-3, method)))
+        assert taken == [field.raw]
         expected = _array_core(field.raw, init.t0, init.values, 0.3, 1e-3,
                                method, record=True)
-        assert _same(path.y, expected)
+        assert _same(paths[0].y, expected)
 
 
 def test_repeated_solves_reuse_generated_kernels():
@@ -463,21 +475,33 @@ def test_repeated_solves_reuse_generated_kernels():
             eps=np.full(20, 0.3), h=1e-3)
         return path.trajectory.y, fan.values, series.x, series.derivs
 
+    def bisect(model, theta):
+        # Bisection passes of 900 and 420 rows: the column kernel.
+        return hude.compute_residuals(model, theta, observed, delta=1e-2,
+                                      h=1e-3, condition_check=False)
+
     model = build_reactor_hude(THERMAL_U235)
+    observed = table3()
     first = solve(model)
+    assert _loops_taken(lambda: bisect(model, FITTED_THETA)) == ["column"] * 2
     sources = []
 
-    def spy(*args):
-        sources.append(args)
-        return kernel_source(*args)
+    def spy(generate):
+        def run(*args):
+            sources.append(args)
+            return generate(*args)
+        return run
 
     # After one warm-up, neither the same model nor an equal one generates
-    # or compiles a source again.
-    kernel_source = hude.model._kernel_source
+    # or compiles a source again, also for a bisection at another parameter
+    # point, which probes other levels.
     misses = _binder.cache_info().misses
-    with mock.patch.object(hude.model, "_kernel_source", spy):
+    with mock.patch.multiple(
+            hude.model, _kernel_source=spy(hude.model._kernel_source),
+            _column_source=spy(hude.model._column_source)):
         for again in (model, build_reactor_hude(THERMAL_U235)):
             assert all(_same(a, b) for a, b in zip(first, solve(again)))
+            assert len(bisect(again, {"sig1": 2e-4, "sig2": 0.25})) == 60
     assert sources == []
     assert _binder.cache_info().misses == misses
 

@@ -15,7 +15,7 @@ from hude import (
 )
 from hude import reactor
 from hude.odeint import IntegrationError
-from hude.residuals import DataFormatError, ResidualSaturationWarning
+from hude.residuals import DataFormatError, ResidualSaturationWarning, _restart_rows
 
 from test_residuals_batch import _stable_linear
 
@@ -52,6 +52,25 @@ class TestEstimateDerivatives:
         filled = estimate_derivatives(series, 3, "forward")
         assert np.isnan(filled.derivs[0]).sum() == 1
         assert np.isnan(filled.derivs[1]).sum() == 2
+        # The restart rows are the per-index full states of the steps, bit
+        # for bit; a state with a NaN from the staircase is not scored.
+        model = hude.HudeModel.parse(3, "-x0")
+        flipped = series.with_derivatives(filled.derivs[:, ::-1])
+        cases = [("forward", series, filled),
+                 ("central", series, estimate_derivatives(series, 3, "central")),
+                 ("given", flipped, flipped)]
+        for scheme, scored, source in cases:
+            admissible, t0s, y0s, t1s, x_next = _restart_rows(model, scored,
+                                                              scheme)
+            states = np.stack([source.state_at(j, 3)
+                               for j in range(len(series) - 1)])
+            finite = np.isfinite(states).all(axis=1)
+            assert 0 < finite.sum() < len(states)
+            assert admissible.tolist() == np.flatnonzero(finite).tolist()
+            assert y0s.tobytes() == states[finite].tobytes()
+            assert t0s.tolist() == series.t[admissible].tolist()
+            assert t1s.tolist() == series.t[admissible + 1].tolist()
+            assert x_next.tolist() == series.x[admissible + 1].tolist()
 
     def test_too_short(self):
         series = ObservationSeries([0.0, 1.0], [1.0, 2.0])
