@@ -13,6 +13,9 @@ Variables are positional: ``t`` is time, ``x0`` the state, ``x1`` its first
 derivative and so on up to ``x{n-1}`` for an order-``n`` model.  Any other
 identifier must be a declared parameter.  Supported functions are ``exp``,
 ``ln``, ``sin``, ``cos`` and ``abs``, all unary.
+
+Generated code prints one lowering of the AST (:func:`_lower`), a list of ufunc
+ops, as Python source (:func:`_infix`) or as ufunc calls (:mod:`hude.model`).
 """
 
 from __future__ import annotations
@@ -222,7 +225,10 @@ class _Parser:
     def atom(self) -> ExprAst:
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text), (tok.pos, tok.pos + len(tok.text)))
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"literal {tok.text!r} overflows", tok.pos)
+            return Const(value, (tok.pos, tok.pos + len(tok.text)))
         if tok.kind == "(":
             node = self.expr()
             closing = self.expect(")")
@@ -411,36 +417,51 @@ def eval_expr(node: ExprAst, env: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# ``abs`` is the builtin: it keeps a float a float and calls np.abs on arrays.
-_FUNC = {"exp": "np.exp", "ln": "np.log", "sin": "np.sin", "cos": "np.cos", "abs": "abs"}
+# The ufunc each operator and function lowers to, and its Python source on
+# floats or arrays: ``abs`` keeps a float a float, and ``np.divide`` divides
+# a float by zero to ``inf``/``nan`` like an array instead of raising.
+_UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
+          "^": "power", "exp": "exp", "ln": "log", "sin": "sin", "cos": "cos",
+          "abs": "absolute"}
+_INFIX = {"add": "({} + {})", "subtract": "({} - {})", "multiply": "({} * {})",
+          "divide": "np.divide({}, {})", "power": "np.power({}, {})",
+          "negative": "(-{})", "exp": "np.exp({})", "log": "np.log({})",
+          "sin": "np.sin({})", "cos": "np.cos({})", "absolute": "abs({})"}
 
 
-def _codegen(node: ExprAst, slots: dict[str, str]) -> str:
-    """Source of ``node`` over state columns: ``x0``, ``x1``, ... and ``t``
-    are names, each a float or an array of rows; parameter ``name`` becomes
-    the identifier ``slots[name]`` (``p0``, ``p1``, ... in order of first
-    use).  Division is ``np.divide``, so a float column divided by zero gives
-    ``inf``/``nan`` like an array does instead of raising."""
+def _lower(node: ExprAst, ops: list, slots: dict[str, str]):
+    """Append the ops computing ``node`` to ``ops``; return its operand.
+
+    An op ``(ufunc, operand, ...)`` follows the ops of its operands, and is
+    the operand of one later op or returned.  An operand is a name (``t``,
+    ``x0``, ... or parameter ``name``'s slot ``slots[name]``: ``p0``, ``p1``,
+    ... in order of first use), a literal's ``repr`` (so ``0.0`` and ``-0.0``
+    stay apart), or the index of an earlier op."""
     if isinstance(node, Const):
-        text = repr(float(node.value))
-        return f"({text})" if node.value < 0 else text
+        return repr(float(node.value))
     if isinstance(node, Var):
         if node.name == "t" or _STATE_RE.match(node.name):
             return node.name
         return slots.setdefault(node.name, f"p{len(slots)}")
     if isinstance(node, Unary):
-        return f"(-{_codegen(node.operand, slots)})"
-    if isinstance(node, Binary):
-        left = _codegen(node.left, slots)
-        right = _codegen(node.right, slots)
-        if node.op == "^":
-            return f"np.power({left}, {right})"
-        if node.op == "/":
-            return f"np.divide({left}, {right})"
-        return f"({left} {node.op} {right})"
-    if isinstance(node, Call):
-        return f"{_FUNC[node.func]}({_codegen(node.arg, slots)})"
-    raise TypeError(f"not an expression node: {node!r}")
+        func, args = "negative", (node.operand,)
+    elif isinstance(node, Binary):
+        func, args = _UFUNC[node.op], (node.left, node.right)
+    elif isinstance(node, Call):
+        func, args = _UFUNC[node.func], (node.arg,)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    ops.append((func, *[_lower(arg, ops, slots) for arg in args]))
+    return len(ops) - 1
+
+
+def _infix(ops, operand) -> str:
+    """Python source of ``operand`` of ``ops`` (:func:`_lower`) on floats or
+    arrays, each op written inline into its consumer."""
+    if isinstance(operand, int):
+        func, *args = ops[operand]
+        return _INFIX[func].format(*(_infix(ops, arg) for arg in args))
+    return f"({operand})" if operand.startswith("-") else operand
 
 
 def _param_value(value):
@@ -450,14 +471,11 @@ def _param_value(value):
 
 @functools.lru_cache(maxsize=256)
 def _binder(source: str) -> Callable:
-    """``lambda p0, p1, ...: <function>`` evaluated, or the function a
-    ``def kernel(...)`` source defines, once per source text; the caller
-    binds the values."""
-    if source.startswith("def "):
-        namespace = {"np": np}
-        exec(compile(source, "<hude-expr>", "exec"), namespace)
-        return namespace["kernel"]
-    return eval(compile(source, "<hude-expr>", "eval"), {"np": np})
+    """The function ``kernel`` that ``source`` defines, made once per source
+    text; the caller binds the values."""
+    namespace = {"np": np}
+    exec(compile(source, "<hude-expr>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def compile_expr(
@@ -472,12 +490,11 @@ def compile_expr(
     arithmetic, so a row evaluates exactly as with that float bound.  The
     generated code is cached per source text, and binding only fills the
     parameter names.  Out-of-domain inputs produce non-finite outputs instead
-    of raising.  The integrators do not use it: a reduced field generates
-    its own code from the model's sources (:func:`hude.model.compile_model`).
+    of raising.  It prints the lowering a reduced field's code prints.
     """
     theta = theta or {}
-    slots: dict[str, str] = {}
-    body = _codegen(node, slots)
+    ops, slots = [], {}
+    body = _infix(ops, _lower(node, ops, slots))
     values = []
     for name in slots:
         if name not in theta:
@@ -486,6 +503,6 @@ def compile_expr(
     states = sorted((v for v in variables(node) if _STATE_RE.match(v)),
                     key=lambda v: int(v[1:]))
     columns = ", ".join(f"x[..., {v[1:]}]" for v in states)
-    source = (f"lambda {', '.join(slots.values())}: lambda t, x: "
-              f"(lambda {', '.join(states)}: ({body}))({columns})")
+    source = (f"def kernel({', '.join(slots.values())}):\n    return "
+              f"lambda t, x: (lambda {', '.join(states)}: ({body}))({columns})")
     return _binder(source)(*values)

@@ -13,14 +13,13 @@ system ``y' = F(t, y)`` on ``y = (x, x', ..., x^(n-1))`` with
 
 Solving this system yields the alpha-path of the model; when the right-hand
 side is non-decreasing in ``y_0 .. y_{n-2}`` the alpha-path is the alpha
-quantile of the solution at every time.
+quantile of the solution at every time.  ``F_{n-1}`` is lowered once to an
+op list, from which every generated form of the field is printed.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +32,8 @@ from .expr import (
     ExprAst,
     _STATE_RE,
     _binder,
-    _codegen,
+    _infix,
+    _lower,
     _param_value,
     compile_expr,  # noqa: F401  (perfbench/layers.py wraps it here)
     parse_expr,
@@ -211,52 +211,58 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
     """The model's code and its parameter values, kept apart: ``(code,
     values)``.
 
-    ``code`` is ``(drift, noise, names)``: the sources of the drift and of
-    each diffusion over the names ``t``, ``x0``, ... and ``p0``, ``p1``, ...
-    (:func:`~hude.expr._codegen`), and the parameter each ``p`` slot stands
-    for.  ``values`` is :meth:`HudeModel.resolved_theta`: a parameter may be
-    a ``(B,)`` array instead of a float, and row ``i`` of a batch is then
-    evaluated at the ``i``-th value, which lets one integration carry several
-    parameter points.  A :class:`ReducedField` binds the values at call time,
-    so the code of one model serves every parameter point.
+    ``code`` is ``(plain, noisy, names)``: the reduced field's last
+    derivative (see the module docstring) lowered to ``(ops, value)``
+    (:func:`~hude.expr._lower`) without the noise, and with ``absolute(g) *
+    phi`` added for each diffusion ``g`` in order; and the parameter each
+    ``p`` slot stands for.  ``values`` is :meth:`HudeModel.resolved_theta`:
+    a parameter may be a ``(B,)`` array instead of a float, and row ``i`` of
+    a batch is then evaluated at the ``i``-th value, which lets one
+    integration carry several parameter points.  A :class:`ReducedField`
+    binds the values at call time, so the code of one model serves every
+    parameter point.
     """
     values = model.resolved_theta(theta)
-    slots: dict[str, str] = {}
-    drift = _codegen(model.drift, slots)
-    noise = tuple(_codegen(g, slots) for g in model.diffusions)
-    return (drift, noise, tuple(slots)), values
+    ops, slots = [], {}
+    value = _lower(model.drift, ops, slots)
+    plain = (tuple(ops), value)
+    for g in model.diffusions:
+        g = _lower(g, ops, slots)
+        ops += [("absolute", g), ("multiply", len(ops), "phi"),
+                ("add", value, len(ops) + 1)]
+        value = len(ops) - 1
+    return (plain, (tuple(ops), value), tuple(slots)), values
 
 
 @functools.lru_cache(maxsize=256)
-def _generated(value: str, params: str, n: int, method=None, mode=None,
+def _generated(field, params: str, n: int, method=None, mode=None,
                columns=False):
     """The generated function of a reduced field whose last derivative is
-    ``value``, over the bound names ``params``, made once per source: with a
-    ``method``, the whole-loop kernel of one row (:func:`_kernel_source`) or,
-    with ``columns``, of a batch (:func:`_column_source`), else ``lambda
-    <params>: lambda t, x0, ...: (x1, ..., value)``.  Keyed by the source
-    text, not the ASTs, which compare ``Const(0.0)`` equal to
-    ``Const(-0.0)``."""
+    lowered to ``field`` (:func:`compile_model`), over the bound names
+    ``params``, made once per field (the ops keep ``0.0`` and ``-0.0``
+    apart): with ``columns`` a batch's whole-loop kernel, else from the
+    field's infix source one row's or, with no ``method``, ``kernel(<params>)
+    -> lambda t, x0, ...: (x1, ..., value)``."""
+    if columns:
+        return _binder(_column_source(field, params, n, method, mode))
+    value = _infix(*field)
     if method is not None:
-        source = _column_source if columns else _kernel_source
-        return _binder(source(value, params, n, method, mode))
+        return _binder(_kernel_source(value, params, n, method, mode))
     state = ", ".join(f"x{k}" for k in range(n))
     derivs = "".join(f"x{k}, " for k in range(1, n))
-    return _binder(f"lambda {params}: lambda t, {state}: ({derivs}{value},)")
+    return _binder(f"def kernel({params}):\n"
+                   f"    return lambda t, {state}: ({derivs}{value},)")
 
 
 def _kernel_source(value: str, params: str, n: int, method: str,
                    mode: str) -> str:
     """Source of ``kernel(t0, t_end, nsteps, last, h, out, x0, ..., <params>)``,
     the whole fixed-step loop of one row on floats with the field value
-    ``value`` (over ``t`` and ``x0 ..``) written into the step.
-
-    It does what the column loop (:mod:`hude.odeint`) does to one row, in the
-    same operation order: ``nsteps - 1`` steps of ``h`` at ``t0 + k*h``, then
-    one of ``last`` at ``min(t0 + k*h, t_end)``; stages at ``t + half`` and
-    ``t + s`` from ``xk + s*kk``, combined as
-    ``xk + sixth * (a + 2.0*b + 2.0*c + d)``.  ``mode`` ``"extremes"`` also
-    returns each column's running minimum and maximum over the steps
+    ``value`` (over ``t`` and ``x0 ..``) written into the step: ``nsteps - 1``
+    steps of ``h`` at ``t0 + k*h``, then one of ``last`` at ``min(t0 + k*h,
+    t_end)``; stages at ``t + half`` and ``t + s`` from ``xk + s*kk``,
+    combined as ``xk + sixth * (a + 2.0*b + 2.0*c + d)``.  ``mode``
+    ``"extremes"`` also returns each column's running minimum and maximum
     (``a if a < b or a != a else b`` is ``np.minimum(a, b)``, NaN and signed
     zeros included), ``"record"`` appends every state to ``out``.
     """
@@ -299,43 +305,40 @@ def _kernel_source(value: str, params: str, n: int, method: str,
             + "".join(f"    {line}\n" for line in lines))
 
 
-def _column_source(value: str, params: str, n: int, method: str,
-                   mode: str) -> str:
+def _column_source(field, params: str, n: int, method: str, mode: str) -> str:
     """Source of ``kernel(t0, t_end, nsteps, last, h, out, x0, ..., <params>)``
-    for a batch: the column loop (:mod:`hude.odeint`) with the field value
-    ``value`` written into the step, stepping the ``(B,)`` state columns
-    ``x0 ..`` in place.
+    for a batch: :func:`_kernel_source`'s loop, with the same operations in
+    the same order, on the ``(B,)`` state columns ``x0 ..`` stepped in place.
 
-    The value becomes three-address ufunc calls (``multiply(a, b, w0)``)
-    into scratch buffers allocated once per call.  A subtree that reads no
-    state is evaluated from its own text: if it reads ``t`` at every stage,
-    else once before the loop.  There it is spread to a ``(B,)`` array, as a
-    ufunc converts a float operand on every call, except as an operand of
-    ``power``: a float exponent ``2.0`` may round differently from an array
-    of them.  ``t`` and the stage times are computed only when the value
-    reads ``t``.  Each call is the column loop's operation with its operands
-    in the same order: ``xk + s*kk``, RK4's ``xk + sixth * (((a + 2.0*b) +
-    2.0*c) + d)``, the step ``h`` up to the shortest row's last step and
-    per-row ``s`` from there, where a finished row keeps its state
-    (``where=run``).  The last derivative is scaled by ``s`` before any
-    state it may read is stepped.  ``mode`` ``"extremes"`` also returns each
-    column's running ``minimum`` and ``maximum``, ``"record"`` writes the
-    states after step ``k`` into ``out[k + 1]`` of shape ``(steps + 1, B,
-    n)``.
+    Each op of ``field`` (:func:`compile_model`) that reads the state is a
+    three-address ufunc call (``multiply(a, b, w0)``) into scratch buffers
+    allocated once per call.  An op that reads no state is evaluated from its
+    infix source: if it reads ``t`` at every stage, else once before the
+    loop, spread to a ``(B,)`` array (a ufunc converts a float operand on
+    every call) except as an operand of ``power``, where numpy rounds a float
+    exponent ``2.0`` differently from an array of them.  ``t`` and the stage
+    times are computed only when the field reads ``t``.  Rows step by ``h``
+    up to the shortest row's last step and by their own ``s`` from there,
+    where a finished row keeps its state (``where=run``).  The last
+    derivative is scaled by ``s`` before any state it may read is stepped.
+    ``mode`` ``"extremes"`` also returns each column's running ``minimum``
+    and ``maximum``, ``"record"`` writes the states after step ``k`` into
+    ``out[k + 1]`` of shape ``(steps + 1, B, n)``.
     """
-    tree = ast.parse(value, mode="eval").body
-    # The ufunc of each operation; the builtin ``abs`` calls ``absolute`` on
-    # an array, and a call ``np.<name>`` is the ufunc ``<name>``.
-    ufuncs = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply",
-              ast.USub: "negative", "abs": "absolute"}
-    # Text of each operand evaluated before the loop -> its name: spread to a
-    # (B,) array (c0 the step h, c1 RK4's 2.0) or kept as it is.
-    hoisted = {"h": "c0", "2.0": "c1"}
-    kept: dict[str, str] = {}
+    ops, value = field
+
+    def kind(a):
+        # 2 if operand ``a`` reads the state, 1 if ``t`` but no state, else 0.
+        if isinstance(a, int):
+            return max(map(kind, ops[a][1:]))
+        return 2 if _STATE_RE.match(a) else int(a == "t")
+
+    # (source, spread) of each operand evaluated before the loop, spread to a
+    # (B,) array or not -> its name (c0 the step h, c1 RK4's 2.0).
+    hoisted = {("h", True): "c0", ("2.0", True): "c1"}
     buffers: list[str] = []  # the scratch buffers
     free: list[str] = []
     used: set[str] = set()  # the ufuncs the kernel calls
-    stage_values = itertools.count()
 
     def alloc():
         if not free:
@@ -350,32 +353,18 @@ def _column_source(value: str, params: str, n: int, method: str,
         used.add(func)
         return f"{func}({', '.join(operands)}{where})"
 
-    def names(node):
-        return {a.id for a in ast.walk(node) if isinstance(a, ast.Name)}
-
-    def evaluate(node, states, lines, spread=True):
-        """The operand holding ``node`` at the state names ``states`` once
-        the calls appended to ``lines`` ran."""
-        text = ast.get_source_segment(value, node)
-        read = names(node)
-        if not any(_STATE_RE.match(name) for name in read):
-            if "t" in read:
-                name = f"e{next(stage_values)}"
+    def evaluate(a, states, lines, spread=True):
+        # The name holding operand ``a`` at the states once ``lines`` ran.
+        if kind(a) < 2:
+            text = _infix(ops, a)
+            if kind(a):
+                name = f"e{len(lines)}"  # unique in the step
                 lines.append(f"{name} = {text}")
                 return name
-            if not spread:
-                return kept.setdefault(text, f"r{len(kept)}")
-            return hoisted.setdefault(text, f"c{len(hoisted)}")
-        if isinstance(node, ast.Name):
-            return states[int(node.id[1:])]
-        if isinstance(node, ast.BinOp):
-            func, args = ufuncs[type(node.op)], (node.left, node.right)
-        elif isinstance(node, ast.UnaryOp):
-            func, args = ufuncs[type(node.op)], (node.operand,)
-        else:  # np.<ufunc>(...) or abs(...)
-            func = ufuncs.get(getattr(node.func, "id", None),
-                              getattr(node.func, "attr", None))
-            args = node.args
+            return hoisted.setdefault((text, spread), f"c{len(hoisted)}")
+        if not isinstance(a, int):
+            return states[int(a[1:])]
+        func, *args = ops[a]
         operands = [evaluate(arg, states, lines, func != "power")
                     for arg in args]
         release(*operands)
@@ -399,24 +388,24 @@ def _column_source(value: str, params: str, n: int, method: str,
 
     xs = [f"x{j}" for j in range(n)]
     zs = [f"z{j}" for j in range(n)]
-    timed = "t" in names(tree)
+    timed = value == "t" or any("t" in op[1:] for op in ops)
 
     def step(where):
         lines = []
         if method == "euler":
-            advance("s", xs[1:] + [evaluate(tree, xs, lines)], xs, lines, where)
+            advance("s", xs[1:] + [evaluate(value, xs, lines)], xs, lines, where)
             return lines
         lines += ["tk = t"] if timed else []
-        k1 = xs[1:] + [evaluate(tree, xs, lines)]
+        k1 = xs[1:] + [evaluate(value, xs, lines)]
         advance("half", k1, zs, lines, keep=True)
         lines += ["t = tk + half"] if timed else []
-        k2 = zs[1:] + [evaluate(tree, zs, lines)]
+        k2 = zs[1:] + [evaluate(value, zs, lines)]
         for j in range(n):
             lines += [call("multiply", "c1", k2[j], f"a{j}"),
                       call("add", k1[j], f"a{j}", f"a{j}")]
         release(k1[-1])
         advance("half", k2, zs, lines)
-        k3 = zs[1:] + [evaluate(tree, zs, lines)]
+        k3 = zs[1:] + [evaluate(value, zs, lines)]
         w = alloc()
         for j in range(n):
             lines += [call("multiply", "c1", k3[j], w),
@@ -424,7 +413,7 @@ def _column_source(value: str, params: str, n: int, method: str,
         release(w)
         advance("s", k3, zs, lines)
         lines += ["t = tk + s"] if timed else []
-        k4 = zs[1:] + [evaluate(tree, zs, lines)]
+        k4 = zs[1:] + [evaluate(value, zs, lines)]
         lines += [call("add", f"a{j}", k4[j], f"a{j}") for j in range(n)]
         release(k4[-1])
         for j in range(n):
@@ -447,9 +436,8 @@ def _column_source(value: str, params: str, n: int, method: str,
     stages = [f"{b}{j}" for b in "za" for j in range(n)] if method == "rk4" else []
     lines = ["shared = int(nsteps.min()) - 1", "total = int(nsteps.max())",
              *(f"{func} = np.{func}" for func in sorted(used)),
-             *(f"{name} = np.full_like(x0, {text})"
-               for text, name in hoisted.items()),
-             *(f"{name} = {text}" for text, name in kept.items()),
+             *(f"{name} = np.full_like(x0, {text})" if spread else
+               f"{name} = {text}" for (text, spread), name in hoisted.items()),
              *(f"{b} = np.empty_like(x0)" for b in buffers + stages), *start,
              "s = c0", *widths, "for k in range(shared):",
              *(["    t = t0 + k * h"] if timed else []),
@@ -468,19 +456,19 @@ class ReducedField:
     docstring) of the model code and values :func:`compile_model` returns;
     ``phi`` is a float, or a ``(B,)`` array holding one level per batch row.
 
-    ``kernel(n, method, mode)`` is the form the integrators run: a generated
-    function running a row's whole loop on floats with ``F`` written into
-    the step (:func:`_kernel_source`), or with ``columns`` a batch's whole
-    loop on ``(B,)`` state columns stepped in place by ufunc calls
-    (:func:`_column_source`).  ``columns(n)`` is the field itself as one
-    generated function ``f(t, x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)``
-    with ``F = ((drift + |g1|*phi) + |g2|*phi) + ...`` on floats or arrays,
-    which the condition check and calls of the field evaluate.  ``phi`` and
-    the parameters are bound at call time, so one generated source serves
-    every level and parameter point (:func:`_generated`).  The noise is left
-    out when there is no diffusion or ``phi`` is a scalar zero, because
-    ``|g|*0`` would turn an infinite ``g`` into NaN.  Calling the field on an
-    array ``y`` (state on the last axis) gives the values stacked.
+    Every form prints one op list for ``F = ((drift + |g1|*phi) + |g2|*phi)
+    + ...`` (:func:`compile_model`).  ``kernel(n, method, mode)`` is the
+    form the integrators run: a generated function running a row's whole
+    loop on floats (:func:`_kernel_source`), or with ``columns`` a batch's
+    on ``(B,)`` state columns stepped in place by ufunc calls
+    (:func:`_column_source`).  ``columns(n)`` is the field itself, ``f(t,
+    x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` on floats or arrays, which
+    the condition check and calls of the field evaluate.  ``phi`` and the
+    parameters are bound at call time, so one generated function serves
+    every level and parameter point.  The noise is left out when there is
+    no diffusion or ``phi`` is a scalar zero, because ``|g|*0`` would turn
+    an infinite ``g`` into NaN.  Calling the field on an array ``y`` (state
+    on the last axis) gives the values stacked.
     """
 
     __slots__ = ("code", "values", "phi")
@@ -490,25 +478,19 @@ class ReducedField:
         self.values = values
         self.phi = phi
 
-    def _source(self, n, method=None, mode=None, columns=False):
-        """The generated function and its bound values ``(phi, p0, ...)``,
-        each a float or a ``(B,)`` array of per-row values."""
-        value, noise, names = self.code
-        if np.ndim(self.phi) or self.phi != 0.0:
-            for g in noise:
-                value = f"({value} + abs({g}) * phi)"
+    def kernel(self, n: int, method=None, mode=None, columns=False):
+        """The generated function (:func:`_generated`) and its bound values
+        ``(phi, p0, ...)``, each a float or a ``(B,)`` array of per-row
+        values."""
+        plain, noisy, names = self.code
+        field = noisy if np.ndim(self.phi) or self.phi != 0.0 else plain
         params = ", ".join(["phi", *(f"p{k}" for k in range(len(names)))])
-        fn = _generated(value, params, n, method, mode, columns)
+        fn = _generated(field, params, n, method, mode, columns)
         return fn, (self.phi, *(self.values[name] for name in names))
 
     def columns(self, n: int) -> Callable:
-        binder, bound = self._source(n)
+        binder, bound = self.kernel(n)
         return binder(*bound)
-
-    def kernel(self, n: int, method: str, mode: str, columns: bool = False):
-        """The whole-loop kernel of one row, or with ``columns`` of a batch,
-        and its bound values ``(phi, p0, ...)``."""
-        return self._source(n, method, mode, columns)
 
     def __call__(self, t, y):
         y = np.asarray(y, dtype=float)

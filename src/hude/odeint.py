@@ -7,9 +7,10 @@ field source, with the level and parameters passed in as values
 (:meth:`hude.model.ReducedField.kernel`): with at most :data:`SCALAR_ROWS`
 rows (an alpha-path, a simulated step, a small fan or bisection pass) row
 by row on floats, else (a large bisection pass) on ``(B,)`` state columns
-stepped in place.  Hand-written array fields step a tuple of ``(B,)`` state
-columns.  All give the same bits, except the sign of a NaN: where two NaNs
-of opposite sign meet, float and array arithmetic keep different ones.
+stepped in place.  A hand-written array field integrates one row, recorded
+(:func:`integrate`).  All give the same bits, except the sign of a NaN:
+where two NaNs of opposite sign meet, float and array arithmetic keep
+different ones.
 """
 
 from __future__ import annotations
@@ -118,35 +119,6 @@ def _write_csv(path, header, table) -> None:
                  + "".join([line % tuple(row) for row in table.tolist()]))
 
 
-def _euler_step(f, t, x, s):
-    return tuple(xk + s * kk for xk, kk in zip(x, f(t, *x)))
-
-
-def _rk4_step(f, t, x, s):
-    half = 0.5 * s
-    k1 = f(t, *x)
-    k2 = f(t + half, *[xk + half * kk for xk, kk in zip(x, k1)])
-    k3 = f(t + half, *[xk + half * kk for xk, kk in zip(x, k2)])
-    k4 = f(t + s, *[xk + s * kk for xk, kk in zip(x, k3)])
-    sixth = s / 6.0
-    return tuple(xk + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for xk, a, b, c, d in zip(x, k1, k2, k3, k4))
-
-
-def _columns(raw, n):
-    """The hand-written array field ``raw(t, y)``, state on the last axis, in
-    the form the step loop drives: ``f(t, x0, ..., x_{n-1})`` returning the
-    ``n`` derivative columns."""
-    def f(t, *x):
-        F = raw(t, np.stack(x, axis=-1))
-        return tuple(F[..., k] for k in range(n))
-
-    return f
-
-
-_STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
-
-
 def integrate(field, init: InitialState, t_end: float, h: float = DEFAULT_STEP,
               method: str = "euler") -> Trajectory:
     """Integrate ``field`` from ``init`` to ``t_end`` with fixed step ``h``."""
@@ -181,17 +153,18 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     whole-loop kernel: with at most :data:`SCALAR_ROWS` rows row by row on
     floats, each row binding its own level and parameter values
     (:func:`_row_loop`), else on ``(B,)`` state columns stepped in place
-    (:func:`_column_kernel`).  Hand-written array fields step a tuple of
-    ``(B,)`` state columns (:func:`_column_loop`).  All give the same bits
-    (up to the sign of a NaN, see the module docstring).  ``track_extremes``
-    also returns the componentwise extremes over all rows and steps.  A
-    non-finite terminal row raises :class:`IntegrationError` at its ``t_end``
-    with ``row`` attached, unless ``check_finite`` is off.  ``record``
+    (:func:`_column_kernel`).  A hand-written array field steps one row as
+    an ``(n,)`` array (:func:`_column_loop`), and raises ValueError on a
+    batch or ``track_extremes``.  All give the same bits (up to the sign of
+    a NaN, see the module docstring).  ``track_extremes`` also returns the
+    componentwise extremes over all rows and steps.  A non-finite terminal
+    row raises :class:`IntegrationError` at its ``t_end`` with ``row``
+    attached, unless ``check_finite`` is off.  ``record``
     (scalar ``t0``) returns the grid and every state instead and raises at
     the first non-finite grid point: no step ``y + s*F`` turns a non-finite
     state finite again, so that is where the state left the floats.
     """
-    if method not in _STEPPERS:
+    if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -206,13 +179,17 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     last = span - (nsteps - 1) * h
     if y.ndim == 1:
         t0 = float(t0)
+    hand_written = not hasattr(raw, "kernel")
+    if hand_written and (y.ndim > 1 or track_extremes):
+        raise ValueError("a hand-written field integrates one row, without "
+                         "extremes")
     mode = "record" if record else "extremes" if track_extremes else "terminal"
     plan = (raw, method, y, t0, t_end, nsteps, last, h, mode)
     with np.errstate(all="ignore"):
-        if hasattr(raw, "kernel"):
-            y, lows, highs = _row_loop(*plan) or _column_kernel(*plan)
-        else:
+        if hand_written:
             y, lows, highs = _column_loop(*plan)
+        else:
+            y, lows, highs = _row_loop(*plan) or _column_kernel(*plan)
     if record:
         # ``y`` holds every state, one grid point per row.
         T = t0 + np.arange(len(y)) * h
@@ -281,45 +258,25 @@ def _column_kernel(raw, method, y, t0, t_end, nsteps, last, h, mode):
 
 
 def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
-    """Step the rows of ``y`` through the hand-written array field ``raw`` as
-    a tuple of state columns ``(x0, ..., x_{n-1})``: floats for one row,
-    ``(B,)`` arrays for a batch.  Returns what :func:`_row_loop` does, with
-    the extremes per column."""
-    step = _STEPPERS[method]
-    n = y.shape[-1]
-    f = _columns(raw, n)
-    total = int(nsteps.max())
-    # Every row takes the full step h before the shortest row's last step, so
-    # those steps use the scalar h and skip building per-row step arrays.
-    shared = int(nsteps.min()) - 1
-    x = tuple(y.tolist()) if y.ndim == 1 else tuple(y.T.copy())
-    if mode == "record":
-        Y = np.empty((total + 1,) + y.shape)
-        Y[0] = y
-        recorded = [Y[..., k] for k in range(n)]
-    lows = highs = x
+    """Step the one row ``y`` through the hand-written array field ``raw``
+    (state on the last axis), every state recorded.  Returns what
+    :func:`_row_loop` does."""
+    Y = np.empty((int(nsteps) + 1, y.size))
+    Y[0] = y
     s = h
-    for k in range(total):
+    for k in range(int(nsteps)):
         t = t0 + k * h
-        if k >= shared:
-            s = np.where(k < nsteps - 1, h, last)
-            # A finished row evaluates the field at its own end time, never
-            # past it; a running row's t0 + k*h is at least h below t_end.
-            t = np.minimum(t, t_end)
-        stepped = step(f, t, x, s)
-        if k > shared:
-            # A finished row keeps its state.  Stepping it by zero would
-            # not: y + 0*F is NaN wherever F is not finite.
-            done = k >= nsteps
-            stepped = tuple(np.where(done, xk, yk)
-                            for xk, yk in zip(x, stepped))
-        x = stepped
-        if mode == "record":
-            for column, xk in zip(recorded, x):
-                column[k + 1] = xk
-        elif mode == "extremes":
-            lows = tuple(map(np.minimum, lows, x))
-            highs = tuple(map(np.maximum, highs, x))
-    if mode == "record":
-        return Y, None, None
-    return (np.array(x) if y.ndim == 1 else np.stack(x, axis=1)), lows, highs
+        if k == nsteps - 1:
+            # The last step is shortened to end exactly at t_end.
+            s, t = last, np.minimum(t, t_end)
+        if method == "euler":
+            y = y + s * raw(t, y)
+        else:
+            half = 0.5 * s
+            k1 = raw(t, y)
+            k2 = raw(t + half, y + half * k1)
+            k3 = raw(t + half, y + half * k2)
+            k4 = raw(t + s, y + s * k3)
+            y = y + s / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        Y[k + 1] = y
+    return (Y, None, None) if mode == "record" else (y, None, None)

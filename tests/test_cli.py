@@ -185,6 +185,19 @@ class TestErrorCodes:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "parse-error"
 
+    def test_overflowing_literal(self, tmp_path, capsys):
+        model = tmp_path / "inf.json"
+        model.write_text(json.dumps({"order": 1, "drift": "1e999*x0 - x0",
+                                     "init": {"t0": 0.0, "state": [1.0]}}))
+        code = run("alpha-path", "--model", model, "--alpha", 0.5, "--t-end", 1,
+                   "--out", tmp_path / "o.csv")
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "parse-error"
+        assert "position 0" in err["message"]
+
     def test_bad_json(self, tmp_path, capsys):
         model = tmp_path / "broken.json"
         model.write_text("{not json")

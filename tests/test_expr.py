@@ -85,6 +85,14 @@ class TestParse:
     def test_scientific_literals(self):
         assert parse_expr("1.5e-3", 1) == Const(0.0015)
 
+    def test_overflowing_literal_rejected_at_its_position(self):
+        # A literal float() turns into inf would print as the name ``inf``.
+        for src, position in [("1e999*x0 - x0", 0), ("x0 + 2e308", 5)]:
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse_expr(src, 1)
+            assert exc.value.position == position
+        assert parse_expr("1.7e308", 1) == Const(1.7e308)
+
 
 class TestEval:
     def test_exp_zero(self):

@@ -291,10 +291,12 @@ def _array_core(raw, t0, y0, t_end, h, method, track_extremes=False,
 
 # Right-hand-side terms with every operator and function of the language;
 # {k} is a state index below the order.  A bare state, a parameter-only and
-# a time-only term make the column kernel copy, hoist and re-evaluate.
+# a time-only term make the column kernel copy, hoist and re-evaluate; a
+# parameter exponent is kept unspread, and a time-only power is re-evaluated
+# at each stage.
 TERMS = ["-0.7*x{k}", "0.3*t*x{k}", "exp(-x{k}^2)", "ln(1.5 + sin(a*t))",
          "x{k}/(2 + t)", "abs(x{k} - b)", "a*x{k}^2", "1/(x{k} + 0.25)",
-         "-b*cos(x{k})", "x{k}", "a*b", "cos(t)"]
+         "-b*cos(x{k})", "x{k}", "a*b", "cos(t)", "abs(x{k})^a", "2^(b*t)"]
 
 
 @st.composite
@@ -406,6 +408,18 @@ def test_column_core_equals_array_core(case):
     assert all(_same_but_nan_sign(a, b) for a, b in zip(*loops))
 
 
+def test_column_kernel_keeps_a_float_exponent():
+    # For the float exponent 2.0 numpy squares, for an array of 2.0s it calls
+    # its vectorised pow, which rounds some squares differently.
+    raw = ReducedField(*compile_model(hude.HudeModel.parse(1, "x0^2"), None),
+                       0.0)
+    y0 = np.random.default_rng(0).uniform(-2.0, 2.0, (1000, 1))
+    args = (np.zeros(1000), y0, np.ones(1000), 1.0)
+    with mock.patch.object(odeint, "SCALAR_ROWS", 0):
+        assert _same(_terminal_state_batch(raw, *args),
+                     _array_core(raw, *args, "euler"))
+
+
 def _loops_taken(solve):
     """The loops that ran in ``solve()``: ``"row"`` for the row kernel,
     ``"column"`` for the column kernel, the field for the column loop."""
@@ -464,6 +478,51 @@ def test_hand_written_fields_take_the_column_loop(method):
         assert _same(paths[0].y, expected)
 
 
+def test_hand_written_fields_integrate_one_row():
+    raw = exp_field().raw
+    with pytest.raises(ValueError):
+        _terminal_state_batch(raw, np.zeros(2), np.ones((2, 1)), np.ones(2), 0.1)
+    with pytest.raises(ValueError):
+        _terminal_state_batch(raw, 0.0, np.ones(1), 1.0, 0.1, track_extremes=True)
+    alone = _terminal_state_batch(raw, 0.0, np.ones(1), 1.0, 0.1)
+    path = integrate(exp_field(), InitialState(0.0, [1.0]), 1.0, 0.1)
+    assert _same(alone, path.final_state)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_parameter_names_never_reach_generated_code(method):
+    # Parameters named after the names generated code uses give the bits of
+    # the same model with neutral names: code reads them as slots p0, p1, ...
+    clashing = ["phi", "np", "h", "s", "c0", "w0", "e0", "r0", "run", "half"]
+    neutral = [f"q{k}" for k in range(len(clashing))]
+    drift = "-{0}*x0 - {1}*x1 + {2}*sin(t) + abs(x0)^{3}"
+    diffusions = ["{4}*x1 + {5}", "{6}*cos({7}*t) + {8}*x0/(2 + {9})"]
+    values = [0.7, 0.4, 0.3, 1.5, 0.2, 0.1, 0.25, 2.0, -0.3, 0.5]
+    rows = 40
+    rng = np.random.default_rng(3)
+    t0s, y0s = rng.uniform(0, 1, rows), rng.uniform(-1, 1, (rows, 2))
+    t1s = t0s + rng.uniform(0.1, 0.3, rows)
+    phis = phi_inv(rng.uniform(0.05, 0.95, rows))
+
+    def forms(names):
+        model = hude.HudeModel.parse(
+            2, drift.format(*names), [g.format(*names) for g in diffusions],
+            names)
+        theta = dict(zip(names, values))
+        field = ReducedField(*compile_model(model, theta), phis)
+        out = []
+        for limit in (0, rows):  # the column kernel, then the row kernel
+            with mock.patch.object(odeint, "SCALAR_ROWS", limit):
+                out.append(_terminal_state_batch(field, t0s, y0s, t1s, 0.01,
+                                                 method, check_finite=False))
+        out += field.columns(2)(t1s, *y0s.T)
+        out += [hude.compile_expr(e, theta)(t1s, y0s)
+                for e in (model.drift, *model.diffusions)]
+        return out
+
+    assert all(_same(a, b) for a, b in zip(forms(clashing), forms(neutral)))
+
+
 def test_repeated_solves_reuse_generated_kernels():
     def solve(model):
         path = hude.solve_alpha_path(model, FITTED_THETA, 0.7, CASE_STUDY_INIT,
@@ -492,12 +551,13 @@ def test_repeated_solves_reuse_generated_kernels():
             return generate(*args)
         return run
 
-    # After one warm-up, neither the same model nor an equal one generates
-    # or compiles a source again, also for a bisection at another parameter
+    # After one warm-up, neither the same model nor an equal one prints or
+    # compiles a source again, also for a bisection at another parameter
     # point, which probes other levels.
     misses = _binder.cache_info().misses
     with mock.patch.multiple(
-            hude.model, _kernel_source=spy(hude.model._kernel_source),
+            hude.model, _infix=spy(hude.model._infix),
+            _kernel_source=spy(hude.model._kernel_source),
             _column_source=spy(hude.model._column_source)):
         for again in (model, build_reactor_hude(THERMAL_U235)):
             assert all(_same(a, b) for a, b in zip(first, solve(again)))
