@@ -125,7 +125,7 @@ def inverse_distribution(
         )
     except IntegrationError as exc:
         raise _step_failure(
-            exc, f"the alpha-path from t={init.t0} to t={float(t)}",
+            exc.t, f"the alpha-path from t={init.t0} to t={float(t)}",
             float(alphas[exc.row]),
         ) from None
     if check:

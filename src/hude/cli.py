@@ -51,6 +51,8 @@ def _default_step(fallback: float = DEFAULT_STEP) -> float:
         step = float(value)
     except ValueError:
         raise ValueError(f"{STEP_ENV_VAR} must be a float, got {value!r}") from None
+    if not np.isfinite(step):
+        raise ValueError(f"{STEP_ENV_VAR} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError(f"{STEP_ENV_VAR} must be positive")
     return step

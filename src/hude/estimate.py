@@ -23,12 +23,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .model import HudeModel
-from .odeint import DEFAULT_STEP, IntegrationError
+from .odeint import DEFAULT_STEP
 from .residuals import (
     ObservationSeries,
     ResidualVector,
     _batch_levels,
-    _bisect_levels,
     _restart_rows,
     _residual_vector,
     compute_residuals,  # noqa: F401  (perfbench/layers.py wraps it here)
@@ -295,9 +294,9 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
     returns the :class:`ResidualVector` of a point it has scored; ``x`` lists
     the parameters in ``model.params`` order.
 
-    A probe that fails to integrate scores ``inf``.  The objective's ``batch``
-    attribute scores a ``(P, p)`` matrix of probes in shared bisections
-    (:func:`_batch_levels`), value for value as the objective.
+    The objective's ``batch`` attribute scores a ``(P, p)`` matrix of probes
+    in shared bisections (:func:`_batch_levels`); the objective scores one
+    probe as a batch of one.  A probe that fails to integrate scores ``inf``.
     Every scored point's levels are kept, and each later probe starts its
     bisection from those of the nearest scored point (Euclidean distance in
     the box ``bounds`` scaled to the unit cube, the earliest point among
@@ -307,7 +306,6 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
     """
     names = model.params
     rows = _restart_rows(model, series, scheme)
-    _, t0s, y0s, t1s, x_next = rows
     lo = np.array([b[0] for b in bounds], dtype=float)
     width = np.array([b[1] for b in bounds], dtype=float) - lo
     units, levels = [], []  # every scored point in the unit cube, its levels
@@ -321,19 +319,11 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
     def nearest(x):
         if not units:
             return None
-        distance = np.sum(((x - lo) / width - np.array(units)) ** 2, axis=1)
+        # A point far outside the box may be infinitely far from all.
+        with np.errstate(over="ignore"):
+            distance = np.sum(((x - lo) / width - np.array(units)) ** 2,
+                              axis=1)
         return levels[int(np.argmin(distance))]
-
-    def objective(x):
-        try:
-            eps, saturated, _ = _bisect_levels(
-                model, model.resolved_theta(dict(zip(names, x))), t0s, y0s,
-                t1s, x_next, delta, h, method, guess=nearest(x),
-            )
-        except IntegrationError:
-            return np.inf
-        keep(x, eps, saturated)
-        return score(eps)
 
     def batch(points):
         points = np.asarray(points, dtype=float)
@@ -343,6 +333,9 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
             if levels_x is not None:
                 keep(x, *levels_x)
         return [np.inf if v is None else score(v[0]) for v in out]
+
+    def objective(x):
+        return batch([x])[0]
 
     def residuals_at(x):
         eps, saturated = scored[np.asarray(x, dtype=float).tobytes()]

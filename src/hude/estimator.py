@@ -111,15 +111,7 @@ class HudeEstimator:
         self.theta_ = dict(result.theta)
         self.model_ = self.model.bind(result.theta)
         self.series_ = series
-        self.residuals_ = compute_residuals(
-            self.model_,
-            None,
-            series,
-            delta=self.delta,
-            h=self.step,
-            scheme=self.scheme,
-            method=self.integrator,
-        )
+        self.residuals_ = self._residuals(series)
         return self
 
     def _initial_state(self, series: ObservationSeries) -> InitialState:
@@ -169,16 +161,13 @@ class HudeEstimator:
         level = self.alpha if alpha is None else alpha
         return uncertain_hypothesis_test(self._residuals_for(t, x), level)
 
+    def _residuals(self, series: ObservationSeries):
+        """Residuals of ``series`` under the fitted model."""
+        return compute_residuals(self.model_, None, series, delta=self.delta,
+                                 h=self.step, scheme=self.scheme,
+                                 method=self.integrator)
+
     def _residuals_for(self, t, x):
         if t is None and x is None:
             return self.residuals_
-        series = ObservationSeries(t, x)
-        return compute_residuals(
-            self.model_,
-            None,
-            series,
-            delta=self.delta,
-            h=self.step,
-            scheme=self.scheme,
-            method=self.integrator,
-        )
+        return self._residuals(ObservationSeries(t, x))

@@ -84,6 +84,12 @@ class Const:
     value: float
     span: Span = field(default=(0, 0), compare=False, repr=False)
 
+    def __post_init__(self):
+        # Generated code and printed sources spell a literal by its repr,
+        # which is a valid literal only for a finite float.
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant must be finite, got {self.value!r}")
+
 
 @dataclass(frozen=True)
 class Var:

@@ -306,8 +306,8 @@ def _kernel_source(value: str, params: str, n: int, method: str,
 
 
 def _column_source(field, params: str, n: int, method: str, mode: str) -> str:
-    """Source of ``kernel(t0, t_end, nsteps, last, h, out, x0, ..., <params>)``
-    for a batch: :func:`_kernel_source`'s loop, with the same operations in
+    """Source of ``kernel(t0, t_end, nsteps, last, h, x0, ..., <params>)`` for
+    a batch: :func:`_kernel_source`'s loop, with the same operations in
     the same order, on the ``(B,)`` state columns ``x0 ..`` stepped in place.
 
     Each op of ``field`` (:func:`compile_model`) that reads the state is a
@@ -322,8 +322,8 @@ def _column_source(field, params: str, n: int, method: str, mode: str) -> str:
     where a finished row keeps its state (``where=run``).  The last
     derivative is scaled by ``s`` before any state it may read is stepped.
     ``mode`` ``"extremes"`` also returns each column's running ``minimum``
-    and ``maximum``, ``"record"`` writes the states after step ``k`` into
-    ``out[k + 1]`` of shape ``(steps + 1, B, n)``.
+    and ``maximum``.  A recorded path runs in the row kernel
+    (:func:`hude.odeint._row_loop`), so this kernel never records.
     """
     ops, value = field
 
@@ -430,8 +430,6 @@ def _column_source(field, params: str, n: int, method: str, mode: str) -> str:
                  for f, e in (("minimum", "l"), ("maximum", "u"))]
         result += f", ({', '.join(f'l{j}' for j in range(n))},), " \
                   f"({', '.join(f'u{j}' for j in range(n))},)"
-    elif mode == "record":
-        after = [f"out[k + 1, :, {j}] = x{j}" for j in range(n)]
     widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
     stages = [f"{b}{j}" for b in "za" for j in range(n)] if method == "rk4" else []
     lines = ["shared = int(nsteps.min()) - 1", "total = int(nsteps.max())",
@@ -447,7 +445,7 @@ def _column_source(field, params: str, n: int, method: str, mode: str) -> str:
              *(f"    {line}" for line in widths), "    run = k < nsteps",
              *(["    t = np.minimum(t0 + k * h, t_end)"] if timed else []),
              *(f"    {line}" for line in tail + after), f"return {result}"]
-    return (f"def kernel(t0, t_end, nsteps, last, h, out, {', '.join(xs)}, "
+    return (f"def kernel(t0, t_end, nsteps, last, h, {', '.join(xs)}, "
             f"{params}):\n" + "".join(f"    {line}\n" for line in lines))
 
 

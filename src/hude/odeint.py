@@ -4,13 +4,13 @@ One entry point, :func:`_terminal_state_batch`, runs every integration: a
 recorded path (:func:`integrate`) or the terminal states of a batch of rows.
 A reduced model field runs through a whole-loop kernel generated once per
 field source, with the level and parameters passed in as values
-(:meth:`hude.model.ReducedField.kernel`): with at most :data:`SCALAR_ROWS`
-rows (an alpha-path, a simulated step, a small fan or bisection pass) row
-by row on floats, else (a large bisection pass) on ``(B,)`` state columns
-stepped in place.  A hand-written array field integrates one row, recorded
-(:func:`integrate`).  All give the same bits, except the sign of a NaN:
-where two NaNs of opposite sign meet, float and array arithmetic keep
-different ones.
+(:meth:`hude.model.ReducedField.kernel`): a recorded path (an alpha-path)
+and a batch of at most :data:`SCALAR_ROWS` rows (a simulated step, a small
+fan or bisection pass) row by row on floats, a larger batch (a large
+bisection pass) on ``(B,)`` state columns stepped in place.  A hand-written
+array field integrates one row, recorded (:func:`integrate`).  All give the
+same bits, except the sign of a NaN: where two NaNs of opposite sign meet,
+float and array arithmetic keep different ones.
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ class IntegrationError(Exception):
         self.t = t
 
 
-def _step_failure(exc: IntegrationError, step: str, level: float) -> IntegrationError:
-    """``exc`` (same ``t``) naming the failing ``step`` and quantile ``level``."""
-    return IntegrationError(exc.t, f"integration produced a non-finite state "
-                                   f"at t={exc.t} on {step} at level {level!r}")
+def _step_failure(t: float, step: str, level: float) -> IntegrationError:
+    """The failure at time ``t`` of the ``step`` integrated at quantile
+    ``level``."""
+    return IntegrationError(t, f"integration produced a non-finite state "
+                               f"at t={t} on {step} at level {level!r}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,8 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     shortened to its ``t_end`` and rows that finish early keep their terminal
     state, so a row's result does not depend on the other rows.  A reduced
     field (:class:`hude.model.ReducedField`) runs through a generated
-    whole-loop kernel: with at most :data:`SCALAR_ROWS` rows row by row on
-    floats, each row binding its own level and parameter values
+    whole-loop kernel: recorded or with at most :data:`SCALAR_ROWS` rows row
+    by row on floats, each row binding its own level and parameter values
     (:func:`_row_loop`), else on ``(B,)`` state columns stepped in place
     (:func:`_column_kernel`).  A hand-written array field steps one row as
     an ``(n,)`` array (:func:`_column_loop`), and raises ValueError on a
@@ -159,19 +160,25 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     a NaN, see the module docstring).  ``track_extremes`` also returns the
     componentwise extremes over all rows and steps.  A non-finite terminal
     row raises :class:`IntegrationError` at its ``t_end`` with ``row``
-    attached, unless ``check_finite`` is off.  ``record``
-    (scalar ``t0``) returns the grid and every state instead and raises at
-    the first non-finite grid point: no step ``y + s*F`` turns a non-finite
-    state finite again, so that is where the state left the floats.
+    attached, unless ``check_finite`` is off.  ``record`` (one row, ``y0``
+    of shape ``(n,)``) returns the grid and every state instead and raises
+    at the first non-finite grid point: no step ``y + s*F`` turns a
+    non-finite state finite again, so that is where the state left the
+    floats.  A non-finite ``h``, ``t0`` or ``t_end`` raises ValueError.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
+    t0 = np.asarray(t0, dtype=float)
+    t_end = np.asarray(t_end, dtype=float)
+    for name, value in (("step h", h), ("initial time", t0),
+                        ("end time", t_end)):
+        bad = np.asarray(value)[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
     if h <= 0:
         raise ValueError("step h must be positive")
     y = np.array(y0, dtype=float)
     n = y.shape[-1]
-    t0 = np.asarray(t0, dtype=float)
-    t_end = np.asarray(t_end, dtype=float)
     span = t_end - t0
     if np.any(span <= 0):
         raise ValueError("t_end must exceed the initial time")
@@ -215,19 +222,23 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
 def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
     """Run each row of ``y`` through ``raw``'s whole-loop kernel with that
     row's plan and bound values, all floats.  Returns the terminal states
-    with the per-column extremes, or every state (``mode`` ``"record"``) in
-    float64 storage; None leaves the problem to :func:`_column_kernel`: when
-    ``y`` has more than :data:`SCALAR_ROWS` rows, a recorded problem more
-    than one, or a bound value does not hold one value per row."""
+    with the per-column extremes, or every state of the one row ``y``
+    (``mode`` ``"record"``) in float64 storage.  Every recorded problem runs
+    here; any other returns None, leaving it to :func:`_column_kernel`, when
+    ``y`` has more than :data:`SCALAR_ROWS` rows or a bound value does not
+    hold one value per row."""
     shape, n = y.shape[:-1], y.shape[-1]
-    if y.size > SCALAR_ROWS * n or (mode == "record" and shape):
+    record = mode == "record"
+    if record:
+        shape = (1,)  # the one row as a batch of one: (1,) values bind it
+    elif y.size > SCALAR_ROWS * n:
         return None
     kernel, bound = raw.kernel(n, method, mode)
-    if any(np.shape(v) not in ((), shape) for v in bound):
+    if any(np.shape(v) not in ((), shape) for v in bound) and not record:
         return None
     per_row = (np.broadcast_to(v, shape).ravel().tolist()
                for v in (t0, t_end, nsteps, last, *bound))
-    out = array("d", y.tolist()) if mode == "record" else None
+    out = array("d", y.tolist()) if record else None
     ran = [kernel(a, b, c, d, h, out, *x, *p) for (a, b, c, d, *p), x in
            zip(zip(*per_row), y.reshape(-1, n).tolist())]
     if out is not None:
@@ -242,17 +253,11 @@ def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
 def _column_kernel(raw, method, y, t0, t_end, nsteps, last, h, mode):
     """Run the rows of ``y`` through ``raw``'s generated column kernel, which
     steps the ``(B,)`` state columns in place (one row as a ``(1,)`` batch).
-    Returns what :func:`_row_loop` does, with the extremes per column."""
+    Returns the terminal states, with the extremes per column."""
     n = y.shape[-1]
     kernel, bound = raw.kernel(n, method, mode, columns=True)
     x = y.reshape(-1, n).T.copy()
-    if mode == "record":
-        Y = np.empty((int(nsteps.max()) + 1,) + y.shape)
-        Y[0] = y
-        kernel(t0, t_end, nsteps, last, h, Y.reshape(len(Y), -1, n), *x,
-               *bound)
-        return Y, None, None
-    ran = kernel(t0, t_end, nsteps, last, h, None, *x, *bound)
+    ran = kernel(t0, t_end, nsteps, last, h, *x, *bound)
     lows, highs = ran[1:] if mode == "extremes" else (None, None)
     return x.T.reshape(y.shape).copy(), lows, highs
 

@@ -258,9 +258,10 @@ def _levels_per_pass(rows: int, halvings: int) -> int:
 
 
 def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
-                   check_finite=True, guess=None):
+                   guess=None):
     """Vectorised bisection: for each row find the level whose restarted path
-    ends at the observed next value.  Returns (levels, saturated, failed).
+    ends at the observed next value.  Returns ``(levels, saturated, failed,
+    failure)``.
 
     ``theta`` values may be ``(B,)`` arrays, one parameter point per row.
     Every row is halved the same number of times, so a row's level does not
@@ -284,11 +285,11 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     changes the work and never the result.  Beyond 52 halvings the levels
     are no longer exact floats and a guess is ignored.
 
-    A non-finite terminal state at a visited probe raises
-    :class:`IntegrationError` (with the ``row`` and probed ``level``
-    attached) unless ``check_finite`` is off; then the row is flagged in
-    ``failed`` instead and the other rows are unaffected.  The error is that
-    of the shallowest failing level, the lowest row among ties.
+    A row whose terminal state at a visited probe is not finite is flagged
+    in ``failed``; the other rows are unaffected.  ``failure`` is ``None``
+    when no row failed, else ``(row, level)``: the row that failed at the
+    shallowest depth (the lowest row among ties) and the quantile level it
+    probed there.
     """
     if delta <= 0:
         raise ValueError("precision delta must be positive")
@@ -310,17 +311,7 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     t0a, y0a, t1a, xa, loa, hia = t0s, y0s, t1s, x_next, lo, hi
     # Levels from a guess are exact dyadics only while they fit the mantissa.
     guessed = guess is not None and halvings <= np.finfo(float).nmant
-    while True:
-        if check_finite and fails:
-            row = min(fails, key=lambda r: (fails[r][0], r))
-            # Raise once every row has read the shallowest failing level, so
-            # that no row can still fail above it.
-            if fails[row][0] <= halvings - left.max(initial=0):
-                exc = IntegrationError(float(t1s[row]))
-                exc.row, exc.level = row, fails[row][1]
-                raise exc
-        if not active.size:
-            break
+    while active.size:
         A = active.size
         # Probe j of a row is lo + (hi - lo) * j / 2^b.  That is exact, so
         # j = 0 gives lo, j = 2^b gives hi and each midpoint 0.5 * (lo' + hi')
@@ -392,7 +383,9 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
                       for k, v in params.items()}
     eps = 0.5 * (lo + hi)
     saturated = (lo <= 0.0) | (hi >= 1.0)
-    return eps, saturated, failed
+    failure = min(((depth, row, level) for row, (depth, level) in fails.items()),
+                  default=None)
+    return eps, saturated, failed, None if failure is None else failure[1:]
 
 
 def compute_residual(
@@ -412,22 +405,20 @@ def compute_residual(
     if not t_next > init_j.t0:
         raise ValueError("t_next must exceed the restart time")
     resolved = model.resolved_theta(theta)
-    try:
-        eps, saturated, _ = _bisect_levels(
-            model,
-            resolved,
-            np.array([init_j.t0]),
-            init_j.values[None, :],
-            np.array([float(t_next)]),
-            np.array([float(x_next)]),
-            delta,
-            h,
-            method,
-        )
-    except IntegrationError as exc:
-        raise _step_failure(
-            exc, f"the step from t={init_j.t0} to t={float(t_next)}", exc.level
-        ) from None
+    eps, saturated, _, failure = _bisect_levels(
+        model,
+        resolved,
+        np.array([init_j.t0]),
+        init_j.values[None, :],
+        np.array([float(t_next)]),
+        np.array([float(x_next)]),
+        delta,
+        h,
+        method,
+    )
+    if failure is not None:
+        raise _step_failure(float(t_next), f"the step from t={init_j.t0} to "
+                            f"t={float(t_next)}", failure[1])
     if saturated[0]:
         warnings.warn(
             "observation lies at or beyond the reachable envelope; "
@@ -507,14 +498,13 @@ def compute_residuals(
     rows = _restart_rows(model, series, scheme)
     admissible, t0s, y0s, t1s, x_next = rows
     resolved = model.resolved_theta(theta)
-    try:
-        eps, saturated, _ = _bisect_levels(
-            model, resolved, t0s, y0s, t1s, x_next, delta, h, method
-        )
-    except IntegrationError as exc:
-        raise _step_failure(
-            exc, f"observation j={int(admissible[exc.row]) + 1}", exc.level
-        ) from None
+    eps, saturated, _, failure = _bisect_levels(
+        model, resolved, t0s, y0s, t1s, x_next, delta, h, method
+    )
+    if failure is not None:
+        row, level = failure
+        raise _step_failure(float(t1s[row]),
+                            f"observation j={int(admissible[row]) + 1}", level)
     return _residual_vector(model, resolved, rows, eps, saturated,
                             condition_check)
 
@@ -534,10 +524,10 @@ def _batch_levels(model, thetas, rows, delta, h, method, guesses=None):
         P = chunk.shape[0]
         columns = {name: np.repeat(chunk[:, i], M)
                    for i, name in enumerate(model.params)}
-        eps, saturated, failed = _bisect_levels(
+        eps, saturated, failed, _ = _bisect_levels(
             model, columns, np.tile(t0s, P),
             np.tile(y0s, (P, 1)), np.tile(t1s, P), np.tile(x_next, P),
-            delta, h, method, check_finite=False,
+            delta, h, method,
             guess=None if guesses is None else
             np.ravel(guesses[start:start + per_chunk]),
         )
@@ -599,7 +589,7 @@ def simulate_observations(
                 field, times[j], states[j], times[j + 1], h, method)
         except IntegrationError as exc:
             raise _step_failure(
-                exc, f"the step from t={float(times[j])} to t={float(times[j + 1])}",
+                exc.t, f"the step from t={float(times[j])} to t={float(times[j + 1])}",
                 float(eps[j]),
             ) from None
     derivs = states[:, 1:].T.copy() if n > 1 else None

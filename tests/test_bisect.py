@@ -14,28 +14,37 @@ from hude.odeint import IntegrationError, _terminal_state_batch
 from hude.residuals import PROBE_CLAMP, _bisect_levels
 
 
-def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
-                       check_finite=True):
+def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     """One level per integration pass: the bisection as it was before probe
-    trees, kept as the reference."""
+    trees, kept as the reference.  Its failure is the row at whose end time
+    the first failing pass raised when that bisection raised (the lowest
+    non-finite row of the pass), with the level that row probed there."""
     code, values = compile_model(model, theta)
     B = len(x_next)
     lo = np.zeros(B)
     hi = np.ones(B)
     failed = np.zeros(B, dtype=bool)
+    failure = None
     while float(np.max(hi - lo)) > delta:
         mid = 0.5 * (lo + hi)
         phi = phi_inv(np.clip(mid, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
         raw = ReducedField(code, values, phi)
         terminal = _terminal_state_batch(raw, t0s, y0s, t1s, h, method,
-                                         check_finite=check_finite)
-        failed |= ~np.isfinite(terminal).all(axis=1)
+                                         check_finite=False)
+        finite = np.isfinite(terminal).all(axis=1)
+        if failure is None and not finite.all():
+            row = int(np.argmin(finite))
+            with pytest.raises(IntegrationError) as raised:
+                _terminal_state_batch(raw, t0s, y0s, t1s, h, method)
+            assert (raised.value.row, raised.value.t) == (row, t1s[row])
+            failure = (row, float(mid[row]))
+        failed |= ~finite
         below = terminal[:, 0] < x_next
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     eps = 0.5 * (lo + hi)
     saturated = (lo <= 0.0) | (hi >= 1.0)
-    return eps, saturated, failed
+    return eps, saturated, failed, failure
 
 
 # name -> (order, drift, diffusion, parameter ranges, state range, target range)
@@ -74,6 +83,16 @@ def _bits(a):
     return np.asarray(a).view(np.uint8)
 
 
+def _assert_same(got, expected):
+    """Levels, saturation and failure flags equal bit for bit, and the same
+    failure."""
+    *arrays, failure = got
+    assert failure == expected[-1]
+    for a, b in zip(arrays, expected[:-1], strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(_bits(a), _bits(b))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(CASES)),
@@ -81,24 +100,14 @@ def _bits(a):
     delta=st.sampled_from([0.3, 1e-2, 1e-4, 1e-7]),
     method=st.sampled_from(["euler", "rk4"]),
     row_theta=st.booleans(),
-    check_finite=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_tree_walk_equals_sequential_halving(name, rows, delta, method,
-                                             row_theta, check_finite, seed):
+                                             row_theta, seed):
     model, theta, *arrays = _case(name, rows, seed, row_theta)
-    args = (model, theta, *arrays, delta, 0.1, method, check_finite)
-    try:
-        expected = _sequential_levels(*args)
-    except IntegrationError as exc:
-        with pytest.raises(IntegrationError) as raised:
-            _bisect_levels(*args)
-        assert raised.value.t == exc.t
-        return
-    got = _bisect_levels(*args)
-    for a, b in zip(got, expected):
-        assert a.dtype == b.dtype
-        assert np.array_equal(_bits(a), _bits(b))
+    args = (model, theta, *arrays, delta, 0.1, method)
+    with np.errstate(all="ignore"):
+        _assert_same(_bisect_levels(*args), _sequential_levels(*args))
 
 
 def _pass_sizes(monkeypatch, rows, delta=1e-4):
@@ -163,8 +172,7 @@ def test_overflow_at_unvisited_probes_is_ignored(monkeypatch, guess=None):
         expected = _sequential_levels(*args)
     assert finite[0] is False  # the first pass integrated overflowing probes
     assert not got[2].any()
-    for a, b in zip(got, expected):
-        assert np.array_equal(_bits(a), _bits(b))
+    _assert_same(got, expected)
 
 
 def _guess(kind, cold, delta, rng):
@@ -189,51 +197,32 @@ def _guess(kind, cold, delta, rng):
     return rng.uniform(size=cold.size)
 
 
-def _outcome(args, **kwargs):
-    try:
-        return _bisect_levels(*args, **kwargs)
-    except IntegrationError as exc:
-        return exc
-
-
 @settings(max_examples=80, deadline=None)
 # Rows with right guesses fail deep in the first pass while a row with a
-# wrong guess fails shallower later: the error must wait for it.
+# wrong guess fails shallower later: the failure must be the shallower one.
 @example(name="overflow_far", rows=60, delta=1e-4, method="euler",
-         row_theta=False, check_finite=True, kind="mixed", seed=4)
+         row_theta=False, kind="mixed", seed=4)
 # Later passes integrate fewer rows: a row that ends where its field
 # overflows must not depend on longer rows in the pass.
 @example(name="overflow_far", rows=26, delta=1e-2, method="euler",
-         row_theta=False, check_finite=False, kind="walls", seed=0)
+         row_theta=False, kind="walls", seed=0)
 @given(
     name=st.sampled_from(sorted(CASES)),
     rows=st.integers(min_value=1, max_value=300),
     delta=st.sampled_from([0.3, 1e-2, 1e-4, 1e-7]),
     method=st.sampled_from(["euler", "rk4"]),
     row_theta=st.booleans(),
-    check_finite=st.booleans(),
     kind=st.sampled_from(["right", "one bit off", "walls", "mixed", "random"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_guessed_start_equals_cold_bisection(name, rows, delta, method,
-                                             row_theta, check_finite, kind,
-                                             seed):
+                                             row_theta, kind, seed):
     model, theta, *arrays = _case(name, rows, seed, row_theta)
-    args = (model, theta, *arrays, delta, 0.1, method, check_finite)
+    args = (model, theta, *arrays, delta, 0.1, method)
     with np.errstate(all="ignore"):
-        levels = _bisect_levels(*args[:-1], check_finite=False)[0]
-        guess = _guess(kind, levels, delta, np.random.default_rng(seed))
-        cold = _outcome(args)
-        warm = _outcome(args, guess=guess)
-    if isinstance(cold, IntegrationError):
-        assert isinstance(warm, IntegrationError)
-        assert (warm.t, warm.row, warm.level) == (cold.t, cold.row, cold.level)
-        assert str(warm) == str(cold)
-        return
-    assert not isinstance(warm, IntegrationError)
-    for a, b in zip(warm, cold):
-        assert a.dtype == b.dtype
-        assert np.array_equal(_bits(a), _bits(b))
+        cold = _bisect_levels(*args)
+        guess = _guess(kind, cold[0], delta, np.random.default_rng(seed))
+        _assert_same(_bisect_levels(*args, guess=guess), cold)
 
 
 def test_overflow_at_unvisited_guessed_probes_is_ignored(monkeypatch):

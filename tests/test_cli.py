@@ -246,6 +246,29 @@ class TestErrorCodes:
                    tmp_path / "p.csv") == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("option, env", [
+        (("--t-end", "nan"), None),
+        (("--t-end", "inf"), None),
+        (("--t-end", 1.0), "nan"),
+        (("--t-end", 1.0), "inf"),
+    ])
+    def test_non_finite_end_time_or_step(self, tmp_path, example2_model_file,
+                                         capsys, monkeypatch, option, env):
+        if env is not None:
+            monkeypatch.setenv("HUDE_DEFAULT_STEP", env)
+        code = run("alpha-path", "--model", example2_model_file, "--alpha", 0.5,
+                   *option, "--out", tmp_path / "o.csv")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "compute-error"
+        assert err["message"] == (
+            f"end time must be finite, got {option[1]}" if env is None else
+            f"HUDE_DEFAULT_STEP must be finite, got {env!r}")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_observation_time(self, tmp_path, decay_model_file,
                                          capsys, bad):

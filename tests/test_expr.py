@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,13 @@ class TestParse:
                 parse_expr(src, 1)
             assert exc.value.position == position
         assert parse_expr("1.7e308", 1) == Const(1.7e308)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_rejected(self, value):
+        # Built as an AST, past the parser: its repr would reach generated
+        # code and ``to_source`` as the name ``inf`` or ``nan``.
+        with pytest.raises(ValueError, match="constant must be finite"):
+            Binary("-", Binary("*", Const(value), Var("x0")), Var("x0"))
 
 
 class TestEval:

@@ -119,6 +119,21 @@ class TestContract:
         with pytest.raises(ValueError):
             integrate_euler(exp_field(), InitialState(0.0, [1.0]), 1.0, h=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [exp_field(), "reduced"])
+    def test_non_finite_end_time_or_step_rejected(self, bad, field):
+        if field == "reduced":
+            field = alpha_path_field(hude.HudeModel.parse(1, "-x0", ["0.1"]),
+                                     None, 0.5)
+        init = InitialState(0.0, [1.0])
+        for t_end, h, name in [(bad, 0.1, "end time"), (1.0, bad, "step h")]:
+            with pytest.raises(ValueError) as exc:
+                integrate(field, init, t_end, h)
+            assert str(exc.value) == f"{name} must be finite, got {bad!r}"
+        with pytest.raises(ValueError, match="initial time must be finite"):
+            integrate(field, InitialState(bad, [1.0]), 1.0, 0.1)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             hude.integrate(exp_field(), InitialState(0.0, [1.0]), 1.0, 0.1, "heun")
@@ -374,12 +389,12 @@ def test_column_core_equals_array_core(case):
     finite = np.isfinite(expected[0]).all(axis=1)
     recorded = _array_core(array, *args, record=True) if case["one_row"] else None
 
-    # No row limit sends every problem through the generated column kernel;
-    # the row count as the limit sends it row by row through the generated
-    # row kernel.  Every bit agrees except the sign of a NaN: where two NaNs
-    # of opposite sign meet, float and array arithmetic propagate different
-    # ones, and numpy's vectorised min/max of 9 or more values returns NaN
-    # positive.
+    # No row limit sends every problem but a recorded path through the
+    # generated column kernel; the row count as the limit sends it row by row
+    # through the generated row kernel, which runs every recorded path.
+    # Every bit agrees except the sign of a NaN: where two NaNs of opposite
+    # sign meet, float and array arithmetic propagate different ones, and
+    # numpy's vectorised min/max of 9 or more values returns NaN positive.
     loops = []
     for limit in (0, rows):
         with mock.patch.object(odeint, "SCALAR_ROWS", limit):
@@ -450,6 +465,19 @@ def test_small_batches_run_row_by_row(rows):
     taken = _loops_taken(lambda: _terminal_state_batch(
         raw, np.zeros(rows), np.ones((rows, 1)), np.ones(rows), 0.1))
     assert taken == ["column" if rows > SCALAR_ROWS else "row"]
+
+
+def test_recorded_paths_run_in_the_row_kernel():
+    # Whatever the row limit: the column kernel never records.  A level bound
+    # as a one-row batch records the path of the float level.
+    code = compile_model(hude.HudeModel.parse(1, "-x0", ["t"]), None)
+    paths = []
+    for phi in (0.7, np.array([0.7])):
+        with mock.patch.object(odeint, "SCALAR_ROWS", 0):
+            taken = _loops_taken(lambda: paths.append(integrate(
+                ReducedField(*code, phi), InitialState(0.0, [1.0]), 1.0, 0.1)))
+        assert taken == ["row"]
+    assert _same(paths[0].y, paths[1].y)
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])

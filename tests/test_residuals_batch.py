@@ -105,6 +105,7 @@ def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
     )
     batched = objective.batch(thetas)
     assert batched[1] == np.inf
+    assert objective(thetas[1]) == np.inf
     for k in (0, 2, 3):
         assert batched[k] == objective(thetas[k])
 
