@@ -479,7 +479,10 @@ class ReducedField:
     def kernel(self, n: int, method=None, mode=None, columns=False):
         """The generated function (:func:`_generated`) and its bound values
         ``(phi, p0, ...)``, each a float or a ``(B,)`` array of per-row
-        values."""
+        values.  A column kernel never records: a recorded path runs in the
+        row kernel."""
+        if columns and mode == "record":
+            raise ValueError("a recorded path runs in the row kernel")
         plain, noisy, names = self.code
         field = noisy if np.ndim(self.phi) or self.phi != 0.0 else plain
         params = ", ".join(["phi", *(f"p{k}" for k in range(len(names)))])

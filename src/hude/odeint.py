@@ -224,9 +224,10 @@ def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
     row's plan and bound values, all floats.  Returns the terminal states
     with the per-column extremes, or every state of the one row ``y``
     (``mode`` ``"record"``) in float64 storage.  Every recorded problem runs
-    here; any other returns None, leaving it to :func:`_column_kernel`, when
-    ``y`` has more than :data:`SCALAR_ROWS` rows or a bound value does not
-    hold one value per row."""
+    here, and raises ValueError when a bound value is not one value; any
+    other returns None, leaving it to :func:`_column_kernel`, when ``y`` has
+    more than :data:`SCALAR_ROWS` rows or a bound value does not hold one
+    value per row."""
     shape, n = y.shape[:-1], y.shape[-1]
     record = mode == "record"
     if record:
@@ -234,7 +235,10 @@ def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
     elif y.size > SCALAR_ROWS * n:
         return None
     kernel, bound = raw.kernel(n, method, mode)
-    if any(np.shape(v) not in ((), shape) for v in bound) and not record:
+    if any(np.shape(v) not in ((), shape) for v in bound):
+        if record:
+            raise ValueError("a recorded path binds one level and one value "
+                             "per parameter")
         return None
     per_row = (np.broadcast_to(v, shape).ravel().tolist()
                for v in (t0, t_end, nsteps, last, *bound))

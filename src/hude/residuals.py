@@ -493,7 +493,8 @@ def compute_residuals(
     e.g. the exactly propagated states of :func:`simulate_observations`.
     A step is scored whenever its full restart state is known and the next
     observation exists, so 61 observations of an order-2 model yield 60
-    residuals under the forward scheme.
+    residuals under the forward scheme.  A step whose integration fails
+    raises :class:`IntegrationError` once the whole series is bisected.
     """
     rows = _restart_rows(model, series, scheme)
     admissible, t0s, y0s, t1s, x_next = rows

@@ -106,8 +106,7 @@ def test_tree_walk_equals_sequential_halving(name, rows, delta, method,
                                              row_theta, seed):
     model, theta, *arrays = _case(name, rows, seed, row_theta)
     args = (model, theta, *arrays, delta, 0.1, method)
-    with np.errstate(all="ignore"):
-        _assert_same(_bisect_levels(*args), _sequential_levels(*args))
+    _assert_same(_bisect_levels(*args), _sequential_levels(*args))
 
 
 def _pass_sizes(monkeypatch, rows, delta=1e-4):

@@ -478,6 +478,13 @@ def test_recorded_paths_run_in_the_row_kernel():
                 ReducedField(*code, phi), InitialState(0.0, [1.0]), 1.0, 0.1)))
         assert taken == ["row"]
     assert _same(paths[0].y, paths[1].y)
+    # Levels that bind more than one row make no path, and no column kernel
+    # records.
+    with pytest.raises(ValueError, match="one level"):
+        integrate(ReducedField(*code, np.array([0.7, 0.8])),
+                  InitialState(0.0, [1.0]), 1.0, 0.1)
+    with pytest.raises(ValueError, match="row kernel"):
+        ReducedField(*code, 0.7).kernel(1, "euler", "record", columns=True)
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
