@@ -13,6 +13,8 @@ the quantile range.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +32,7 @@ from .model import (
     compile_model,
     phi_inv,
 )
-from .odeint import (DEFAULT_STEP, IntegrationError, Trajectory, _step_failure,
+from .odeint import (DEFAULT_STEP, Trajectory, _step_failure,
                      _terminal_state_batch, _write_csv, integrate)
 
 __all__ = [
@@ -119,20 +121,31 @@ def inverse_distribution(
     t1s = np.full(B, float(t))
     # The spot check reads the extremes; an order-1 model has none to check.
     check = condition_check and model.order >= 2
-    try:
-        terminal = _terminal_state_batch(
-            field, t0s, y0s, t1s, h, method, track_extremes=check
-        )
-    except IntegrationError as exc:
-        raise _step_failure(
-            exc.t, f"the alpha-path from t={init.t0} to t={float(t)}",
-            float(alphas[exc.row]),
-        ) from None
+    terminal = _terminal_state_batch(
+        field, t0s, y0s, t1s, h, method, track_extremes=check
+    )
     if check:
         terminal, mins, maxs = terminal
+    finite = np.isfinite(terminal).all(axis=1)
+    if not finite.all():
+        raise _step_failure(
+            float(t), f"the alpha-path from t={init.t0} to t={float(t)}",
+            float(alphas[np.argmin(finite)]),
+        )
+    if check:
         _spot_check(model, resolved, (float(init.t0), float(t)), mins, maxs,
                     (float(alphas.min()), float(alphas.max())))
     return InverseDistributionCurve(t=float(t), alphas=alphas, values=terminal[:, 0])
+
+
+def _user_stacklevel() -> int:
+    """The ``stacklevel`` that attributes a warning issued by the caller of
+    this function to the first stack frame outside the ``hude`` package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _spot_check(model, theta, t_range, mins, maxs, alphas, resolution=3):
@@ -153,7 +166,7 @@ def _spot_check(model, theta, t_range, mins, maxs, alphas, resolution=3):
             warnings.warn(
                 f"monotonicity spot check at alpha={a} skipped: {exc}",
                 AlphaPathConditionWarning,
-                stacklevel=3,
+                stacklevel=_user_stacklevel(),
             )
             continue
         if not report.passed:
@@ -163,7 +176,7 @@ def _spot_check(model, theta, t_range, mins, maxs, alphas, resolution=3):
             "monotonicity condition failed a spot check at alpha="
             f"{failed}; values may not be true quantiles there",
             AlphaPathConditionWarning,
-            stacklevel=3,
+            stacklevel=_user_stacklevel(),
         )
 
 

@@ -75,8 +75,10 @@ def _parse_times(text: str) -> np.ndarray:
     start, stop, step = (float(p) for p in parts)
     if step <= 0 or stop <= start:
         raise ValueError("times must satisfy start < stop with positive step")
-    count = int(round((stop - start) / step))
-    return start + step * np.arange(count + 1)
+    count = (stop - start) / step
+    if not np.isfinite([start, stop, step, count]).all():
+        raise ValueError(f"times {text} do not make a finite grid")
+    return start + step * np.arange(int(round(count)) + 1)
 
 
 def _write_json(path, payload) -> None:

@@ -2,15 +2,22 @@
 
 One entry point, :func:`_terminal_state_batch`, runs every integration: a
 recorded path (:func:`integrate`) or the terminal states of a batch of rows.
-A reduced model field runs through a whole-loop kernel generated once per
-field source, with the level and parameters passed in as values
-(:meth:`hude.model.ReducedField.kernel`): a recorded path (an alpha-path)
-and a batch of at most :data:`SCALAR_ROWS` rows (a simulated step, a small
-fan or bisection pass) row by row on floats, a larger batch (a large
-bisection pass) on ``(B,)`` state columns stepped in place.  A hand-written
-array field integrates one row, recorded (:func:`integrate`).  All give the
-same bits, except the sign of a NaN: where two NaNs of opposite sign meet,
-float and array arithmetic keep different ones.
+It picks the kernel in one place.  A reduced model field runs through a
+whole-loop kernel generated once per field source, with the level and
+parameters passed in as values (:meth:`hude.model.ReducedField.kernel`): a
+recorded path (an alpha-path) and a batch of at most :data:`SCALAR_ROWS`
+rows (a simulated step, a small fan or bisection pass) row by row on
+floats, a larger batch (a large bisection pass) on ``(B,)`` state columns
+stepped in place.  A hand-written array field integrates one row, recorded
+(:func:`integrate`).  All give the same bits, except the sign of a NaN:
+where two NaNs of opposite sign meet, float and array arithmetic keep
+different ones.
+
+The loop only integrates: it returns the states it computed, finite or not.
+Each caller names its own failure: :func:`integrate` raises
+:class:`IntegrationError` at the first non-finite grid point, a fan level
+or a simulated step raises :func:`_step_failure` at its end time, and the
+bisection flags its failed rows.
 """
 
 from __future__ import annotations
@@ -122,9 +129,18 @@ def _write_csv(path, header, table) -> None:
 
 def integrate(field, init: InitialState, t_end: float, h: float = DEFAULT_STEP,
               method: str = "euler") -> Trajectory:
-    """Integrate ``field`` from ``init`` to ``t_end`` with fixed step ``h``."""
-    t, y = _terminal_state_batch(getattr(field, "raw", field), init.t0,
-                                 init.values, t_end, h, method, record=True)
+    """Integrate ``field`` from ``init`` to ``t_end`` with fixed step ``h``.
+
+    Raises :class:`IntegrationError` at the first non-finite grid point: no
+    step ``y + s*F`` turns a non-finite state finite again, so that is where
+    the state left the floats."""
+    y = _terminal_state_batch(getattr(field, "raw", field), init.t0,
+                              init.values, t_end, h, method, record=True)
+    t = init.t0 + np.arange(len(y)) * h
+    t[-1] = t_end
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise IntegrationError(float(t[np.argmin(finite)]))
     return Trajectory(t, y, h)
 
 
@@ -141,8 +157,7 @@ def integrate_rk4(field, init: InitialState, t_end: float,
 
 
 def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
-                          track_extremes=False, check_finite=True,
-                          record=False):
+                          track_extremes=False, record=False):
     """The one fixed-step loop: terminal states of independent initial-value
     problems, ``y0`` of shape ``(n,)`` with scalar ``t0``/``t_end`` or
     ``(B, n)`` with ``(B,)`` times (``raw`` must broadcast over rows).
@@ -152,19 +167,17 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     state, so a row's result does not depend on the other rows.  A reduced
     field (:class:`hude.model.ReducedField`) runs through a generated
     whole-loop kernel: recorded or with at most :data:`SCALAR_ROWS` rows row
-    by row on floats, each row binding its own level and parameter values
-    (:func:`_row_loop`), else on ``(B,)`` state columns stepped in place
-    (:func:`_column_kernel`).  A hand-written array field steps one row as
-    an ``(n,)`` array (:func:`_column_loop`), and raises ValueError on a
-    batch or ``track_extremes``.  All give the same bits (up to the sign of
-    a NaN, see the module docstring).  ``track_extremes`` also returns the
-    componentwise extremes over all rows and steps.  A non-finite terminal
-    row raises :class:`IntegrationError` at its ``t_end`` with ``row``
-    attached, unless ``check_finite`` is off.  ``record`` (one row, ``y0``
-    of shape ``(n,)``) returns the grid and every state instead and raises
-    at the first non-finite grid point: no step ``y + s*F`` turns a
-    non-finite state finite again, so that is where the state left the
-    floats.  A non-finite ``h``, ``t0`` or ``t_end`` raises ValueError.
+    by row on floats (:func:`_row_loop`), else on ``(B,)`` state columns
+    stepped in place (:func:`_column_kernel`).  Each of its levels and
+    parameters binds one value or one per row, else ValueError.  A
+    hand-written array field steps one row as an ``(n,)`` array
+    (:func:`_column_loop`), and raises ValueError on a batch or
+    ``track_extremes``.  All give the same bits (up to the sign of a NaN,
+    see the module docstring).  ``track_extremes`` also returns the
+    componentwise extremes over all rows and steps.  ``record`` (one row,
+    ``y0`` of shape ``(n,)``) returns every state, one grid point per row.
+    States are returned as computed, finite or not: the caller names a
+    failure.  A non-finite ``h``, ``t0`` or ``t_end`` raises ValueError.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -186,63 +199,42 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     last = span - (nsteps - 1) * h
     if y.ndim == 1:
         t0 = float(t0)
-    hand_written = not hasattr(raw, "kernel")
-    if hand_written and (y.ndim > 1 or track_extremes):
-        raise ValueError("a hand-written field integrates one row, without "
-                         "extremes")
     mode = "record" if record else "extremes" if track_extremes else "terminal"
-    plan = (raw, method, y, t0, t_end, nsteps, last, h, mode)
+    plan = (y, t0, t_end, nsteps, last, h, mode)
+    if not hasattr(raw, "kernel"):
+        if y.ndim > 1 or track_extremes:
+            raise ValueError("a hand-written field integrates one row, without "
+                             "extremes")
+        loop, plan = _column_loop, (raw, method, *plan)
+    else:
+        rows = y.size // n
+        by_row = record or rows <= SCALAR_ROWS
+        kernel, bound = raw.kernel(n, method, mode, columns=not by_row)
+        for v in bound:
+            if np.shape(v) not in ((), (1,), (rows,)):
+                raise ValueError(f"a level or parameter holds {np.size(v)} "
+                                 f"values for {rows} row(s); it must bind one "
+                                 "value or one per row")
+        loop = _row_loop if by_row else _column_kernel
+        plan = (kernel, bound, *plan)
     with np.errstate(all="ignore"):
-        if hand_written:
-            y, lows, highs = _column_loop(*plan)
-        else:
-            y, lows, highs = _row_loop(*plan) or _column_kernel(*plan)
-    if record:
-        # ``y`` holds every state, one grid point per row.
-        T = t0 + np.arange(len(y)) * h
-        T[-1] = t_end
-        finite = np.isfinite(y).all(axis=1)
-        if not finite.all():
-            raise IntegrationError(float(T[np.argmin(finite)]))
-        return T, y
-    if check_finite:
-        finite = np.isfinite(y.reshape(-1, n)).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            exc = IntegrationError(
-                float(np.broadcast_to(t_end, finite.shape)[row]))
-            exc.row = row
-            raise exc
+        y, lows, highs = loop(*plan)
     if track_extremes:
         return (y, np.array([np.min(c) for c in lows]),
                 np.array([np.max(c) for c in highs]))
     return y
 
 
-def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
-    """Run each row of ``y`` through ``raw``'s whole-loop kernel with that
-    row's plan and bound values, all floats.  Returns the terminal states
-    with the per-column extremes, or every state of the one row ``y``
-    (``mode`` ``"record"``) in float64 storage.  Every recorded problem runs
-    here, and raises ValueError when a bound value is not one value; any
-    other returns None, leaving it to :func:`_column_kernel`, when ``y`` has
-    more than :data:`SCALAR_ROWS` rows or a bound value does not hold one
-    value per row."""
-    shape, n = y.shape[:-1], y.shape[-1]
-    record = mode == "record"
-    if record:
-        shape = (1,)  # the one row as a batch of one: (1,) values bind it
-    elif y.size > SCALAR_ROWS * n:
-        return None
-    kernel, bound = raw.kernel(n, method, mode)
-    if any(np.shape(v) not in ((), shape) for v in bound):
-        if record:
-            raise ValueError("a recorded path binds one level and one value "
-                             "per parameter")
-        return None
-    per_row = (np.broadcast_to(v, shape).ravel().tolist()
+def _row_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode):
+    """Run each row of ``y`` through the generated row ``kernel`` with that
+    row's plan and ``bound`` values (each one value or one per row), all
+    floats.  Returns the terminal states with the per-column extremes, or
+    every state of the one row ``y`` (``mode`` ``"record"``) in float64
+    storage."""
+    n = y.shape[-1]
+    per_row = (np.broadcast_to(v, (y.size // n,)).tolist()
                for v in (t0, t_end, nsteps, last, *bound))
-    out = array("d", y.tolist()) if record else None
+    out = array("d", y.tolist()) if mode == "record" else None
     ran = [kernel(a, b, c, d, h, out, *x, *p) for (a, b, c, d, *p), x in
            zip(zip(*per_row), y.reshape(-1, n).tolist())]
     if out is not None:
@@ -254,12 +246,12 @@ def _row_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
     return np.array(ran).reshape(y.shape), None, None
 
 
-def _column_kernel(raw, method, y, t0, t_end, nsteps, last, h, mode):
-    """Run the rows of ``y`` through ``raw``'s generated column kernel, which
-    steps the ``(B,)`` state columns in place (one row as a ``(1,)`` batch).
-    Returns the terminal states, with the extremes per column."""
+def _column_kernel(kernel, bound, y, t0, t_end, nsteps, last, h, mode):
+    """Run the rows of ``y`` through the generated column ``kernel``, which
+    steps the ``(B,)`` state columns in place (one row as a ``(1,)`` batch)
+    with the ``bound`` values.  Returns the terminal states, with the
+    extremes per column."""
     n = y.shape[-1]
-    kernel, bound = raw.kernel(n, method, mode, columns=True)
     x = y.reshape(-1, n).T.copy()
     ran = kernel(t0, t_end, nsteps, last, h, *x, *bound)
     lows, highs = ran[1:] if mode == "extremes" else (None, None)

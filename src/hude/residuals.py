@@ -31,8 +31,8 @@ from .model import (
     compile_model,
     phi_inv,
 )
-from .odeint import (DEFAULT_STEP, IntegrationError, _step_failure,
-                     _terminal_state_batch, _write_csv)
+from .odeint import (DEFAULT_STEP, _step_failure, _terminal_state_batch,
+                     _write_csv)
 
 __all__ = [
     "ObservationSeries",
@@ -247,16 +247,6 @@ def _tile(a: np.ndarray, m: int) -> np.ndarray:
     return a if m == 1 else np.concatenate([a] * m)
 
 
-def _levels_per_pass(rows: int, halvings: int) -> int:
-    """Bisection levels one integration pass resolves: the most (at least one,
-    at most ``halvings``) whose ``2^b - 1`` probes per row fit in
-    :data:`PROBE_ROWS` rows."""
-    b = 1
-    while b < halvings and rows * (2 ** (b + 1) - 1) <= PROBE_ROWS:
-        b += 1
-    return b
-
-
 def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
                    guess=None):
     """Vectorised bisection: for each row find the level whose restarted path
@@ -266,19 +256,23 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     ``theta`` values may be ``(B,)`` arrays, one parameter point per row.
     Every row is halved the same number of times, so a row's level does not
     depend on the other rows.  Each pass of one loop integrates the probes
-    of up to ``b`` levels for every row still bisecting, reads each row's
-    decisions and narrows its interval.  A pass lays out one of two probe
-    sets:
+    of up to ``b`` levels for every row still bisecting, then walks them in
+    one depth loop: at each depth a row reads the probe at its current
+    midpoint while that midpoint is one of its probes and it has levels
+    left, and the decisions it read narrow its interval.  The two kinds of
+    pass differ only in their probes and ``b``:
 
-    * the probe tree: the ``2^b - 1`` dyadic points of each row's interval
-      (``b`` from :func:`_levels_per_pass`), walked the way halving one level
-      at a time would, each row reading its levels left, ``b`` at most;
+    * the probe tree: the ``2^b - 1`` dyadic points of each row's interval,
+      ``b`` the most levels (at least one, at most the levels left) whose
+      probes fit in :data:`PROBE_ROWS` rows; each row reads its levels left,
+      ``b`` at most;
     * the guessed first pass: with ``guess`` (one level in [0, 1] per row,
       e.g. a level this bisection returned at the same ``delta``), each row's
       guessed ancestors, the midpoints halving would probe if the final
       interval were the one holding the guess (as many levels as fit in
       :data:`PROBE_ROWS` rows).  A row reads them up to its first decision
-      that leaves the guessed interval, that level included.
+      that leaves the guessed interval, that level included: its next
+      midpoint is no guessed ancestor.
 
     The probes are the midpoints of sequential halving bit for bit and each
     row reads only those halving would visit, so a guess, right or wrong,
@@ -291,7 +285,7 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
     shallowest depth (the lowest row among ties) and the quantile level it
     probed there.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("precision delta must be positive")
     halvings = 0
     while 0.5 ** halvings > delta:
@@ -323,8 +317,11 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
                            2.0 ** b - 1).astype(np.int64)
             # The midpoint of the guessed cell's ancestor at each depth.
             j = (2 * (cell >> (b - depth)) + 1) << (b - 1 - depth)
+            guessed = False
         else:
-            b = _levels_per_pass(A, int(left.max()))
+            # The most levels whose 2^b - 1 probes per row fit in PROBE_ROWS.
+            b = min(int(left.max()),
+                    max(1, (PROBE_ROWS // A + 1).bit_length() - 1))
             j = np.arange(1, 2 ** b)[:, None]
         m = len(j)  # probes per row, probe-major: row i of probe k is k*A + i
         width = hia - loa
@@ -334,35 +331,26 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
         phi = phi_inv(np.clip(levels, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
         terminal = _terminal_state_batch(
             ReducedField(code, values, phi), _tile(t0a, m), _tile(y0a, m),
-            _tile(t1a, m), h, method, check_finite=False,
-        )
-        reached = terminal[:, 0]
+            _tile(t1a, m), h, method)
         finite = np.isfinite(terminal).all(axis=1)
         # Bit b-1-d of jlo is the row's decision at depth d (1: the target
-        # lies above the probe); ``probes`` holds the probe read at each depth.
-        if guessed:
-            below = reached.reshape(b, A) < xa
-            agree = below == ((cell >> (b - 1 - depth)) & 1).astype(bool)
-            read = np.where(agree.all(axis=0), b, agree.argmin(axis=0) + 1)
-            jlo = (below << (b - 1 - depth)).sum(axis=0)
-            probes = np.arange(b * A).reshape(b, A)
-            guessed = False
-        else:
-            sub = np.arange(A)
-            jlo = np.zeros(A, dtype=int)
-            probes = []
-            for d in range(b):
-                bit = 1 << (b - 1 - d)
-                probes.append((jlo + (bit - 1)) * A + sub)
-                jlo += (reached[probes[-1]] < xa) * bit
-            read = np.minimum(left, b)
-        # A row that read fewer than b levels keeps the interval its first
-        # ``read`` decisions give.
+        # lies above the probe), read at the row's midpoint jlo + 2^(b-1-d)
+        # when that is one of its numerators j: ``at[d]`` marks it among
+        # them.  A row reads the levels up to its first miss, at most its
+        # levels left; the decisions after them are dropped.
+        below = terminal[:, 0].reshape(m, A) < xa
+        at = np.empty((b, m, A), dtype=bool)
+        jlo = np.zeros(A, dtype=np.int64)
+        for d in range(b):
+            np.equal(j, jlo + (1 << (b - 1 - d)), out=at[d])
+            jlo += (at[d] & below).any(axis=0) << (b - 1 - d)
+        read = np.minimum(np.logical_and.accumulate(at.any(axis=1)).sum(axis=0),
+                          left)
         unread = b - read
         jlo = (jlo >> unread) << unread
         if not finite.all():
             # Note each row's first failure at a probe it read.
-            probes = np.asarray(probes)
+            probes = at.argmax(axis=1) * A + np.arange(A)
             bad = (np.arange(b)[:, None] < read) & ~finite[probes]
             hit = bad.any(axis=0)
             first = bad.argmax(axis=0)
@@ -585,13 +573,13 @@ def simulate_observations(
     states[0] = init.values
     for j in range(steps):
         field = ReducedField(code, values, _clamped_phi(eps[j]))
-        try:
-            states[j + 1] = _terminal_state_batch(
-                field, times[j], states[j], times[j + 1], h, method)
-        except IntegrationError as exc:
+        states[j + 1] = _terminal_state_batch(
+            field, times[j], states[j], times[j + 1], h, method)
+        if not np.isfinite(states[j + 1]).all():
             raise _step_failure(
-                exc.t, f"the step from t={float(times[j])} to t={float(times[j + 1])}",
+                float(times[j + 1]),
+                f"the step from t={float(times[j])} to t={float(times[j + 1])}",
                 float(eps[j]),
-            ) from None
+            )
     derivs = states[:, 1:].T.copy() if n > 1 else None
     return ObservationSeries(times, states[:, 0], derivs)

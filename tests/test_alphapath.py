@@ -63,6 +63,8 @@ class TestSpotCheck:
         messages = [str(w.message) for w in record]
         assert any("alpha=0.25 skipped" in m for m in messages)
         assert any("alpha=0.75 skipped" in m for m in messages)
+        # Each warning names the caller's line, outside the package.
+        assert all(w.filename == __file__ for w in record)
 
     def test_unexpected_error_propagates(self, monkeypatch, example2):
         def broken(*args, **kwargs):
@@ -104,11 +106,12 @@ class TestInverseDistribution:
         assert curve.values[0] == pytest.approx(1.3239, abs=5e-3)
 
     def test_reactor_low_alpha_emits_advisory(self, reactor_fitted):
-        with pytest.warns(AlphaPathConditionWarning):
+        with pytest.warns(AlphaPathConditionWarning) as record:
             inverse_distribution(
                 reactor_fitted, None, reactor.CASE_STUDY_INIT, 1.0,
                 [0.2, 0.5, 0.8], h=1e-3,
             )
+        assert record[0].filename == __file__
 
     def test_reactor_valid_band_is_silent(self, reactor_fitted):
         with warnings.catch_warnings():

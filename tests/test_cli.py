@@ -283,6 +283,34 @@ class TestErrorCodes:
         assert err["error"] == "compute-error"
         assert err["message"] == "observation times must be finite"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("times", ["0:inf:0.1", "0:1e308:1e-308",
+                                       "0:nan:0.1"])
+    def test_non_finite_time_grid(self, tmp_path, decay_model_file, capsys,
+                                  times):
+        code = run("simulate", "--model", decay_model_file, "--times", times,
+                   "--out", tmp_path / "o.csv")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "compute-error"
+        assert err["message"] == f"times {times} do not make a finite grid"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_nan_delta(self, tmp_path, decay_model_file, capsys):
+        data = tmp_path / "obs.csv"
+        hude.ObservationSeries([0.0, 0.1, 0.2], [2.0, 1.9, 1.8]).to_csv(data)
+        code = run("residuals", "--model", decay_model_file, "--data", data,
+                   "--delta", "nan", "--step", 1e-2, "--out", tmp_path / "r.csv")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "compute-error",
+            "message": "precision delta must be positive"}
+        assert not (tmp_path / "r.csv").exists()
+
     def test_bad_bounds(self, tmp_path, decay_model_file, capsys):
         data = tmp_path / "obs.csv"
         hude.ObservationSeries([0.0, 0.1, 0.2], [1.0, 1.1, 1.2]).to_csv(data)

@@ -206,7 +206,8 @@ class TestEstimateMoments:
     def test_condition_warning_only_at_the_estimate(self):
         # With noise |s*x0| the field is non-decreasing in x0 at level 0.25
         # only while a >= 0.61*s, so the box holds probes on both sides.  The
-        # fit warns once, for the estimate, as residuals there do.
+        # fit warns once, for the estimate, as residuals there do, and both
+        # name the line here that called them.
         model = hude.HudeModel.parse(2, "a*x0 - x1", ["s*x0"],
                                      params=["a", "s"])
         series = simulate_observations(
@@ -219,7 +220,7 @@ class TestEstimateMoments:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 result = fit()
-            return result, [str(w.message) for w in caught
+            return result, [(str(w.message), w.filename) for w in caught
                             if w.category is AlphaPathConditionWarning]
 
         result, fitted = condition_warnings(lambda: estimate_moments(
@@ -229,6 +230,7 @@ class TestEstimateMoments:
             model, result.theta, series, **settings))
         assert len(direct) == 1
         assert fitted == direct
+        assert direct[0][1] == __file__
 
     def test_no_parameters_rejected(self, decay_series):
         model = hude.HudeModel.parse(1, "-0.3*x0", ["0.2"])

@@ -283,6 +283,15 @@ class TestSimulate:
         assert len(rv) == 200
         assert abs(float(rv.epsilons.mean()) - 0.5) < 0.05
 
+    def test_nan_delta_rejected(self):
+        # NaN is no precision; an infinite delta takes no halving.
+        model = hude.HudeModel.parse(1, "-0.4*x0", ["0.25"])
+        series = hude.ObservationSeries([0.0, 0.1, 0.2], [1.0, 0.97, 0.95])
+        with pytest.raises(ValueError, match="precision delta must be positive"):
+            compute_residuals(model, None, series, delta=np.nan, h=1e-2)
+        rv = compute_residuals(model, None, series, delta=np.inf, h=1e-2)
+        assert rv.epsilons.tolist() == [0.5, 0.5]
+
     def test_times_validated(self, damped_slope_model):
         init = InitialState(0.0, [1.0, 0.0])
         with pytest.raises(ValueError):
