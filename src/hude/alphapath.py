@@ -122,8 +122,8 @@ def inverse_distribution(
     # The spot check reads the extremes; an order-1 model has none to check.
     check = condition_check and model.order >= 2
     terminal = _terminal_state_batch(
-        field, t0s, y0s, t1s, h, method, track_extremes=check
-    )
+        field, t0s, y0s, t1s, h, method,
+        mode="extremes" if check else "terminal")
     if check:
         terminal, mins, maxs = terminal
     finite = np.isfinite(terminal).all(axis=1)

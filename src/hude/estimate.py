@@ -54,11 +54,19 @@ class EstimationError(Exception):
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """The estimate ``theta`` with its objective value, Nelder-Mead
+    iterations, convergence flag and moment gaps, all written by
+    :meth:`to_dict`.  ``residuals`` is the :class:`ResidualVector` at the
+    estimate, the one its moment gaps and spot check read; it is left out of
+    equality, ``repr`` and :meth:`to_dict`."""
+
     theta: dict[str, float]
     objective: float
     iterations: int
     converged: bool
     moment_gaps: tuple[float, ...] = field(default_factory=tuple)
+    residuals: ResidualVector | None = field(default=None, compare=False,
+                                             repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -349,7 +357,9 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
 def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
               scheme, method, restarts, maxiter, threshold, seed, presearch):
     """Minimise ``score`` of the residual levels over the box ``bounds``; the
-    result reports the first ``moments`` moment gaps at the estimate."""
+    result keeps the residual vector at the estimate, built from the levels
+    its search scored and spot-checked once, and reports its first
+    ``moments`` moment gaps."""
     names = model.params
     if not names:
         raise ValueError("model has no free parameters to estimate")
@@ -372,13 +382,15 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
         raise EstimationError("every parameter probe failed to integrate")
     # The estimate was scored: its levels are kept, and its vector runs the
     # monotonicity check the probes skipped.
-    gaps = _moment_gaps(residuals_at(best_x).epsilons, moments)
+    residuals = residuals_at(best_x)
+    gaps = _moment_gaps(residuals.epsilons, moments)
     return EstimationResult(
         theta=dict(zip(names, (float(v) for v in best_x))),
         objective=best_f,
         iterations=iterations,
         converged=best_f <= threshold,
         moment_gaps=tuple(float(g) for g in gaps),
+        residuals=residuals,
     )
 
 

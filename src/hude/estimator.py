@@ -111,13 +111,11 @@ class HudeEstimator:
         self.theta_ = dict(result.theta)
         self.model_ = self.model.bind(result.theta)
         self.series_ = series
-        self.residuals_ = self._residuals(series)
+        self.residuals_ = result.residuals
         return self
 
     def _initial_state(self, series: ObservationSeries) -> InitialState:
         n = self.model.order
-        if n == 1:
-            return InitialState(series.t[0], [series.x[0]])
         filled = (
             series
             if series.derivs is not None
@@ -161,13 +159,11 @@ class HudeEstimator:
         level = self.alpha if alpha is None else alpha
         return uncertain_hypothesis_test(self._residuals_for(t, x), level)
 
-    def _residuals(self, series: ObservationSeries):
-        """Residuals of ``series`` under the fitted model."""
-        return compute_residuals(self.model_, None, series, delta=self.delta,
-                                 h=self.step, scheme=self.scheme,
-                                 method=self.integrator)
-
     def _residuals_for(self, t, x):
+        """Residuals of the series ``(t, x)`` under the fitted model, or those
+        of the fitted series, kept from the fit, when both are omitted."""
         if t is None and x is None:
             return self.residuals_
-        return self._residuals(ObservationSeries(t, x))
+        return compute_residuals(self.model_, None, ObservationSeries(t, x),
+                                 delta=self.delta, h=self.step,
+                                 scheme=self.scheme, method=self.integrator)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 import numpy as np
@@ -47,8 +47,6 @@ __all__ = [
     "compile_expr",
     "variables",
 ]
-
-Span = tuple[int, int]
 
 
 class ExprError(Exception):
@@ -82,7 +80,6 @@ class DomainError(EvalError):
 @dataclass(frozen=True)
 class Const:
     value: float
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
     def __post_init__(self):
         # Generated code and printed sources spell a literal by its repr,
@@ -94,14 +91,12 @@ class Const:
 @dataclass(frozen=True)
 class Var:
     name: str
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str
     operand: "ExprAst"
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -109,14 +104,12 @@ class Binary:
     op: str
     left: "ExprAst"
     right: "ExprAst"
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Call:
     func: str
     arg: "ExprAst"
-    span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 ExprAst = Union[Const, Var, Unary, Binary, Call]
@@ -199,24 +192,21 @@ class _Parser:
         node = self.term()
         while (tok := self.peek()) is not None and tok.kind in "+-":
             self.advance()
-            right = self.term()
-            node = Binary(tok.kind, node, right, (node.span[0], right.span[1]))
+            node = Binary(tok.kind, node, self.term())
         return node
 
     def term(self) -> ExprAst:
         node = self.factor()
         while (tok := self.peek()) is not None and tok.kind in "*/":
             self.advance()
-            right = self.factor()
-            node = Binary(tok.kind, node, right, (node.span[0], right.span[1]))
+            node = Binary(tok.kind, node, self.factor())
         return node
 
     def factor(self) -> ExprAst:
         tok = self.peek()
         if tok is not None and tok.kind == "-":
             self.advance()
-            operand = self.factor()
-            return Unary("-", operand, (tok.pos, operand.span[1]))
+            return Unary("-", self.factor())
         return self.power()
 
     def power(self) -> ExprAst:
@@ -224,8 +214,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "^":
             self.advance()
-            exponent = self.factor()
-            return Binary("^", base, exponent, (base.span[0], exponent.span[1]))
+            return Binary("^", base, self.factor())
         return base
 
     def atom(self) -> ExprAst:
@@ -234,11 +223,11 @@ class _Parser:
             value = float(tok.text)
             if math.isinf(value):
                 raise ExprSyntaxError(f"literal {tok.text!r} overflows", tok.pos)
-            return Const(value, (tok.pos, tok.pos + len(tok.text)))
+            return Const(value)
         if tok.kind == "(":
             node = self.expr()
-            closing = self.expect(")")
-            return _respan(node, (tok.pos, closing.pos + 1))
+            self.expect(")")
+            return node
         if tok.kind == "name":
             nxt = self.peek()
             if nxt is not None and nxt.kind == "(":
@@ -256,28 +245,21 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == ",":
             raise ArityError(f"'{name.text}' takes exactly one argument", tok.pos)
-        closing = self.expect(")")
-        return Call(name.text, arg, (name.pos, closing.pos + 1))
+        self.expect(")")
+        return Call(name.text, arg)
 
     def variable(self, tok: _Token) -> ExprAst:
         name = tok.text
-        span = (tok.pos, tok.pos + len(name))
         if name == "t" or name in self.params:
-            return Var(name, span)
+            return Var(name)
         if _STATE_RE.match(name):
             if int(name[1:]) < self.order:
-                return Var(name, span)
+                return Var(name)
             raise UndeclaredIdentifierError(
                 f"state variable '{name}' not available for order {self.order}",
                 tok.pos,
             )
         raise UndeclaredIdentifierError(f"undeclared identifier '{name}'", tok.pos)
-
-
-def _respan(node: ExprAst, span: Span) -> ExprAst:
-    cls = type(node)
-    fields = {f: getattr(node, f) for f in node.__dataclass_fields__ if f != "span"}
-    return cls(span=span, **fields)
 
 
 def parse_expr(src: str, n: int, params: tuple[str, ...] | list[str] = ()) -> ExprAst:

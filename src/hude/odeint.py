@@ -1,7 +1,8 @@
 """Fixed-step initial-value integrators for first-order vector fields.
 
-One entry point, :func:`_terminal_state_batch`, runs every integration: a
-recorded path (:func:`integrate`) or the terminal states of a batch of rows.
+One entry point, :func:`_terminal_state_batch`, runs every integration in
+one of three modes: a recorded path (:func:`integrate`), the terminal states
+of a batch of rows, or those with their extremes (the spot check of a fan).
 It picks the kernel in one place.  A reduced model field runs through a
 whole-loop kernel generated once per field source, with the level and
 parameters passed in as values (:meth:`hude.model.ReducedField.kernel`): a
@@ -135,7 +136,7 @@ def integrate(field, init: InitialState, t_end: float, h: float = DEFAULT_STEP,
     step ``y + s*F`` turns a non-finite state finite again, so that is where
     the state left the floats."""
     y = _terminal_state_batch(getattr(field, "raw", field), init.t0,
-                              init.values, t_end, h, method, record=True)
+                              init.values, t_end, h, method, mode="record")
     t = init.t0 + np.arange(len(y)) * h
     t[-1] = t_end
     finite = np.isfinite(y).all(axis=1)
@@ -157,7 +158,7 @@ def integrate_rk4(field, init: InitialState, t_end: float,
 
 
 def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
-                          track_extremes=False, record=False):
+                          mode="terminal"):
     """The one fixed-step loop: terminal states of independent initial-value
     problems, ``y0`` of shape ``(n,)`` with scalar ``t0``/``t_end`` or
     ``(B, n)`` with ``(B,)`` times (``raw`` must broadcast over rows).
@@ -171,16 +172,21 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     stepped in place (:func:`_column_kernel`).  Each of its levels and
     parameters binds one value or one per row, else ValueError.  A
     hand-written array field steps one row as an ``(n,)`` array
-    (:func:`_column_loop`), and raises ValueError on a batch or
-    ``track_extremes``.  All give the same bits (up to the sign of a NaN,
-    see the module docstring).  ``track_extremes`` also returns the
-    componentwise extremes over all rows and steps.  ``record`` (one row,
-    ``y0`` of shape ``(n,)``) returns every state, one grid point per row.
-    States are returned as computed, finite or not: the caller names a
-    failure.  A non-finite ``h``, ``t0`` or ``t_end`` raises ValueError.
+    (:func:`_column_loop`), and raises ValueError on a batch or in mode
+    ``"extremes"``.  All give the same bits (up to the sign of a NaN, see
+    the module docstring).
+
+    ``mode`` says what is returned: ``"terminal"`` the terminal states,
+    ``"extremes"`` those with the componentwise extremes over all rows and
+    steps, ``"record"`` (one row, ``y0`` of shape ``(n,)``) every state, one
+    grid point per row; any other value raises ValueError.  States are
+    returned as computed, finite or not: the caller names a failure.  A
+    non-finite ``h``, ``t0`` or ``t_end`` raises ValueError.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
+    if mode not in ("terminal", "extremes", "record"):
+        raise ValueError(f"unknown mode {mode!r}")
     t0 = np.asarray(t0, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
     for name, value in (("step h", h), ("initial time", t0),
@@ -199,16 +205,15 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     last = span - (nsteps - 1) * h
     if y.ndim == 1:
         t0 = float(t0)
-    mode = "record" if record else "extremes" if track_extremes else "terminal"
     plan = (y, t0, t_end, nsteps, last, h, mode)
     if not hasattr(raw, "kernel"):
-        if y.ndim > 1 or track_extremes:
+        if y.ndim > 1 or mode == "extremes":
             raise ValueError("a hand-written field integrates one row, without "
                              "extremes")
         loop, plan = _column_loop, (raw, method, *plan)
     else:
         rows = y.size // n
-        by_row = record or rows <= SCALAR_ROWS
+        by_row = mode == "record" or rows <= SCALAR_ROWS
         kernel, bound = raw.kernel(n, method, mode, columns=not by_row)
         for v in bound:
             if np.shape(v) not in ((), (1,), (rows,)):
@@ -219,7 +224,7 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         plan = (kernel, bound, *plan)
     with np.errstate(all="ignore"):
         y, lows, highs = loop(*plan)
-    if track_extremes:
+    if mode == "extremes":
         return (y, np.array([np.min(c) for c in lows]),
                 np.array([np.max(c) for c in highs]))
     return y

@@ -131,20 +131,28 @@ class ObservationSeries:
         _write_csv(path, ["t", "x"], np.column_stack((self.t, self.x)))
 
 
-def read_observations(path) -> ObservationSeries:
-    """Read a ``t,x`` CSV into a series."""
+def _read_columns(path, header, converters, noun) -> list[np.ndarray]:
+    """The columns of the CSV ``path`` under ``header``, each value read by
+    its column's converter; blank lines are skipped, and a bad header, value
+    or row, or no row at all (no ``noun``), is a :class:`DataFormatError`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0][:2]] != ["t", "x"]:
-        raise DataFormatError(f"{path}: expected header 't,x'")
+    if not rows or [c.strip() for c in rows[0][:len(header)]] != header:
+        raise DataFormatError(f"{path}: expected header '{','.join(header)}'")
     try:
-        data = [(float(r[0]), float(r[1])) for r in rows[1:] if r]
+        data = [[convert(r[k]) for k, convert in enumerate(converters)]
+                for r in rows[1:] if r]
     except (ValueError, IndexError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     if not data:
-        raise DataFormatError(f"{path}: no observations")
-    t, x = zip(*data)
-    return ObservationSeries(np.array(t), np.array(x))
+        raise DataFormatError(f"{path}: no {noun}")
+    return [np.array(column) for column in zip(*data)]
+
+
+def read_observations(path) -> ObservationSeries:
+    """Read a ``t,x`` CSV into a series."""
+    t, x = _read_columns(path, ["t", "x"], (float, float), "observations")
+    return ObservationSeries(t, x)
 
 
 def estimate_derivatives(
@@ -220,25 +228,14 @@ class ResidualVector:
         return self.epsilons.size
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("j,epsilon\n")
-            for j, e in zip(self.indices, self.epsilons):
-                fh.write(f"{j},{e:.17g}\n")
+        _write_csv(path, ["j", "epsilon"],
+                   np.column_stack((self.indices, self.epsilons)))
 
     @classmethod
     def from_csv(cls, path) -> "ResidualVector":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or [c.strip() for c in rows[0][:2]] != ["j", "epsilon"]:
-            raise DataFormatError(f"{path}: expected header 'j,epsilon'")
-        try:
-            pairs = [(int(r[0]), float(r[1])) for r in rows[1:] if r]
-        except (ValueError, IndexError) as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-        if not pairs:
-            raise DataFormatError(f"{path}: no residuals")
-        j, eps = zip(*pairs)
-        return cls(np.array(eps), indices=np.array(j))
+        j, eps = _read_columns(path, ["j", "epsilon"], (int, float),
+                               "residuals")
+        return cls(eps, indices=j)
 
 
 def _tile(a: np.ndarray, m: int) -> np.ndarray:

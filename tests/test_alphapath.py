@@ -130,7 +130,7 @@ class TestInverseDistribution:
         tracked = []
 
         def spy(*args, **kwargs):
-            tracked.append(kwargs["track_extremes"])
+            tracked.append(kwargs["mode"])
             return batch(*args, **kwargs)
 
         batch = alphapath._terminal_state_batch
@@ -143,7 +143,7 @@ class TestInverseDistribution:
                                            h=1e-3, condition_check=check)
                       for check in (True, False)]
             assert curves[0].values.tobytes() == curves[1].values.tobytes()
-        assert tracked == [True, False, False, False]
+        assert tracked == ["extremes", "terminal", "terminal", "terminal"]
 
     def test_csv_export(self, tmp_path, example2, zero_init2):
         curve = inverse_distribution(example2, None, zero_init2, 0.5, [0.3, 0.7], h=1e-3)

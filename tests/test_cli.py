@@ -298,6 +298,19 @@ class TestErrorCodes:
         assert err["message"] == f"times {times} do not make a finite grid"
         assert not (tmp_path / "o.csv").exists()
 
+    def test_grid_too_large_to_allocate(self, tmp_path, decay_model_file,
+                                        capsys):
+        # numpy refuses the 6.94 EiB grid outright, so nothing is allocated.
+        code = run("simulate", "--model", decay_model_file, "--times",
+                   "0:1e18:1", "--out", tmp_path / "o.csv")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "compute-error"
+        assert "allocate" in err["message"]
+        assert not (tmp_path / "o.csv").exists()
+
     def test_nan_delta(self, tmp_path, decay_model_file, capsys):
         data = tmp_path / "obs.csv"
         hude.ObservationSeries([0.0, 0.1, 0.2], [2.0, 1.9, 1.8]).to_csv(data)
@@ -338,9 +351,10 @@ class TestReactorDemo:
         # Integrator calls and monotonicity spot checks of the whole command.
         # Every bisection from scratch and a spot check per residual vector
         # took 521 and 243.  Probes start from the nearest scored point and
-        # skip the check; the estimate, the fitted residuals and the fan
-        # check once each.
-        assert calls == {"_terminal_state_batch": 325, "_spot_check": 3}
+        # skip the check; the estimate and the fan check once each.  The
+        # residuals written are the estimate's vector, not a second bisection
+        # at the same theta, which took 4 more calls and a third check.
+        assert calls == {"_terminal_state_batch": 321, "_spot_check": 2}
         estimate = json.loads((out / "estimate.json").read_text())
         assert estimate["iterations"] == 52
         for name in ("estimate.json", "residuals.csv", "test.json",

@@ -238,6 +238,24 @@ class TestEstimateMoments:
             estimate_moments(model, decay_series, bounds=[])
 
 
+@pytest.mark.parametrize("fit", ["moments", "mle"])
+def test_result_keeps_the_residuals_at_the_estimate(fit, scale_model,
+                                                    scale_series):
+    # The vector the estimate scored equals a fresh bisection at its theta,
+    # bit for bit, and stays out of the written result.
+    estimator = estimate_moments if fit == "moments" else estimate_mle
+    result = estimator(scale_model, scale_series, bounds=[(0.02, 1.0)],
+                       delta=1e-4, h=1e-3, restarts=1, maxiter=40, seed=0,
+                       presearch=False)
+    fresh = hude.compute_residuals(scale_model.bind(result.theta), None,
+                                   scale_series, delta=1e-4, h=1e-3)
+    kept = result.residuals
+    assert kept.epsilons.tobytes() == fresh.epsilons.tobytes()
+    assert kept.saturated.tobytes() == fresh.saturated.tobytes()
+    assert kept.indices.tobytes() == fresh.indices.tobytes()
+    assert "residuals" not in result.to_dict()
+
+
 class TestMleObjective:
     def test_exact_fixed_point(self):
         # 40 residuals, alpha = 0.05: window of 38 order statistics; place its

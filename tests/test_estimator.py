@@ -92,6 +92,11 @@ class TestFitPredictScore:
         assert s == pytest.approx(-est.result_.objective, abs=1e-9)
         assert est.score(series.t, series.x) == pytest.approx(s, abs=1e-12)
 
+    def test_fit_reports_the_estimates_residuals(self, fitted):
+        # The fitted series is bisected once, by the estimate.
+        est, _ = fitted
+        assert est.residuals_ is est.result_.residuals
+
     def test_hypothesis_report_accepts_own_fit(self, fitted):
         est, _ = fitted
         report = est.hypothesis_report()

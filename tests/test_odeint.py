@@ -138,6 +138,11 @@ class TestContract:
         with pytest.raises(ValueError):
             hude.integrate(exp_field(), InitialState(0.0, [1.0]), 1.0, 0.1, "heun")
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'both'"):
+            _terminal_state_batch(exp_field().raw, 0.0, np.ones(1), 1.0, 0.1,
+                                  mode="both")
+
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), 0.1)
@@ -401,7 +406,7 @@ def test_column_core_equals_array_core(case):
     loops = []
     for limit in (0, rows):
         with mock.patch.object(odeint, "SCALAR_ROWS", limit):
-            got = _terminal_state_batch(column, *args, track_extremes=True)
+            got = _terminal_state_batch(column, *args, mode="extremes")
             loops.append(got)
             assert all(_same_but_nan_sign(a, b) for a, b in zip(got, expected))
             got = _terminal_state_batch(column, *args)
@@ -409,7 +414,7 @@ def test_column_core_equals_array_core(case):
             if recorded is None:
                 continue
             on_grid = np.isfinite(recorded).all(axis=1)
-            got = _terminal_state_batch(column, *args, record=True)
+            got = _terminal_state_batch(column, *args, mode="record")
             assert (_same if on_grid.all() else _same_but_nan_sign)(got, recorded)
             got = _outcome(lambda: integrate(column, InitialState(t0s[0], y0s[0]),
                                              t1s[0], h, method))
@@ -530,7 +535,7 @@ def test_hand_written_fields_integrate_one_row():
     with pytest.raises(ValueError):
         _terminal_state_batch(raw, np.zeros(2), np.ones((2, 1)), np.ones(2), 0.1)
     with pytest.raises(ValueError):
-        _terminal_state_batch(raw, 0.0, np.ones(1), 1.0, 0.1, track_extremes=True)
+        _terminal_state_batch(raw, 0.0, np.ones(1), 1.0, 0.1, mode="extremes")
     alone = _terminal_state_batch(raw, 0.0, np.ones(1), 1.0, 0.1)
     path = integrate(exp_field(), InitialState(0.0, [1.0]), 1.0, 0.1)
     assert _same(alone, path.final_state)
@@ -676,5 +681,5 @@ def test_kernel_extremes_follow_numpy(method, drift, y0):
     for limit in (0, 2):
         with mock.patch.object(odeint, "SCALAR_ROWS", limit):
             got = _terminal_state_batch(raw, t0s, y0, t1s, 0.1, method,
-                                        track_extremes=True)
+                                        mode="extremes")
         assert all(_same(a, b) for a, b in zip(got, expected))
