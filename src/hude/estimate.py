@@ -91,13 +91,18 @@ def _moment_gaps(eps: np.ndarray, p: int) -> np.ndarray:
     return np.array([np.mean(eps**k) - 1.0 / (k + 1) for k in range(1, p + 1)])
 
 
+def _moment_score(eps: np.ndarray, p: int) -> float:
+    """Sum of squared gaps between the first ``p`` sample moments of ``eps``
+    and the uniform moments ``1/(k+1)``."""
+    return float(np.sum(_moment_gaps(eps, p) ** 2))
+
+
 def moment_objective(theta, residual_fn: Callable, p: int) -> float:
-    """Sum of squared gaps between the first ``p`` sample moments of the
-    residuals at ``theta`` and the uniform moments ``1/(k+1)``."""
+    """The moment score (:func:`_moment_score`) of the residuals at
+    ``theta``."""
     if p < 1:
         raise ValueError("moment count p must be >= 1")
-    eps = _as_epsilons(residual_fn(theta))
-    return float(np.sum(_moment_gaps(eps, p) ** 2))
+    return _moment_score(_as_epsilons(residual_fn(theta)), p)
 
 
 def _mle_window(M: int, alpha: float) -> int:
@@ -131,16 +136,30 @@ def mle_objective(epsilons, alpha: float) -> tuple[float, int, int]:
     return float(low_gap**2 + high_gap**2), i + 1, w
 
 
+def _box(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lo, hi)`` arrays of ``bounds``, one ``(lo, hi)`` pair per
+    parameter.  Each bound and each width ``hi - lo`` must be finite and
+    ``lo < hi``, else a ``ValueError`` says so."""
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
+    # A NaN or infinite bound makes its width NaN or infinite, and so do
+    # finite bounds too far apart.
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(hi - lo).all()
+    if not finite:
+        raise ValueError("each bound and its width must be finite, got "
+                         f"{[(float(a), float(b)) for a, b in zip(lo, hi)]}")
+    if np.any(hi <= lo):
+        raise ValueError("each bound must satisfy lo < hi")
+    return lo, hi
+
+
 def _reflect_into_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Fold a point back inside [lo, hi] by reflection at the walls."""
+    """Fold a point back inside the box [lo, hi] (:func:`_box`) by reflection
+    at the walls."""
     width = hi - lo
-    out = np.array(x, dtype=float)
-    positive = width > 0
-    y = (out[positive] - lo[positive]) % (2.0 * width[positive])
-    y = np.where(y > width[positive], 2.0 * width[positive] - y, y)
-    out[positive] = lo[positive] + y
-    out[~positive] = lo[~positive]
-    return out
+    y = (np.asarray(x, dtype=float) - lo) % (2.0 * width)
+    return lo + np.where(y > width, 2.0 * width - y, y)
 
 
 def _evaluate(objective: Callable, points: np.ndarray) -> np.ndarray:
@@ -261,12 +280,10 @@ def minimize_in_box(
     starts are drawn uniformly.  Restarting stops early once the objective
     drops below ``stop_below``.  Returns ``(x_best, f_best, total_iterations)``.
     An objective with a ``batch`` attribute, mapping a ``(P, p)`` matrix of
-    points to their ``P`` values, scores the scan in one call.
+    points to their ``P`` values, scores the scan in one call.  ``bounds``
+    must make a box (:func:`_box`).
     """
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(hi <= lo):
-        raise ValueError("each bound must satisfy lo < hi")
+    lo, hi = _box(bounds)
     theta_init = np.asarray(theta_init, dtype=float).reshape(-1)
     if theta_init.size != lo.size:
         raise ValueError("theta_init dimension does not match bounds")
@@ -314,8 +331,8 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
     """
     names = model.params
     rows = _restart_rows(model, series, scheme)
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    width = np.array([b[1] for b in bounds], dtype=float) - lo
+    lo, hi = _box(bounds)
+    width = hi - lo
     units, levels = [], []  # every scored point in the unit cube, its levels
     scored = {}  # point bytes -> (levels, saturation flags)
 
@@ -366,8 +383,7 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
     if bounds is None or len(bounds) != len(names):
         raise ValueError(f"bounds must provide one (lo, hi) pair per parameter "
                          f"({len(names)} expected)")
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
+    lo, hi = _box(bounds)
     if theta_init is None:
         theta_init = 0.5 * (lo + hi)
     elif isinstance(theta_init, Mapping):
@@ -413,8 +429,7 @@ def estimate_moments(
     """Generalized moment estimate of the model parameters on ``series``."""
     if p < 1:
         raise ValueError("moment count p must be >= 1")
-    return _estimate(model, series,
-                     lambda eps: float(np.sum(_moment_gaps(eps, p) ** 2)), p,
+    return _estimate(model, series, lambda eps: _moment_score(eps, p), p,
                      theta_init, bounds, delta, h, scheme, method, restarts,
                      maxiter, threshold, seed, presearch)
 

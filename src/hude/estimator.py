@@ -9,9 +9,11 @@ and model-selection tooling that only relies on that protocol.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
-from .estimate import FIT_THRESHOLD, _moment_gaps, estimate_mle, estimate_moments
+from .estimate import FIT_THRESHOLD, _moment_score, estimate_mle, estimate_moments
 from .hypotest import TestReport, uncertain_hypothesis_test
 from .model import HudeModel, InitialState
 from .odeint import DEFAULT_STEP
@@ -70,17 +72,18 @@ class HudeEstimator:
         self.threshold = threshold
         self.seed = seed
 
-    _param_names = (
-        "model", "method", "p", "alpha", "bounds", "delta", "step",
-        "scheme", "integrator", "restarts", "maxiter", "threshold", "seed",
-    )
+    @classmethod
+    def _param_names(cls) -> list[str]:
+        """The constructor's parameter names, the hyper-parameters."""
+        return list(inspect.signature(cls.__init__).parameters)[1:]
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
+        return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params) -> "HudeEstimator":
+        names = self._param_names()
         for name, value in params.items():
-            if name not in self._param_names:
+            if name not in names:
                 raise ValueError(f"unknown parameter {name!r}")
             setattr(self, name, value)
         return self
@@ -116,12 +119,7 @@ class HudeEstimator:
 
     def _initial_state(self, series: ObservationSeries) -> InitialState:
         n = self.model.order
-        filled = (
-            series
-            if series.derivs is not None
-            else estimate_derivatives(series, n, self.scheme)
-        )
-        state = filled.state_at(0, n)
+        state = estimate_derivatives(series, n, self.scheme).state_at(0, n)
         if not np.all(np.isfinite(state)):
             raise ValueError("first observation has no complete state")
         return InitialState(series.t[0], state)
@@ -150,8 +148,7 @@ class HudeEstimator:
         """Negative moment objective (higher is better) on the given series,
         or on the fitted one when omitted."""
         check_is_fitted(self)
-        gaps = _moment_gaps(self._residuals_for(t, x).epsilons, self.p)
-        return -float(np.sum(np.square(gaps)))
+        return -_moment_score(self._residuals_for(t, x).epsilons, self.p)
 
     def hypothesis_report(self, t=None, x=None, alpha: float | None = None) -> TestReport:
         """Tail-count goodness-of-fit report for the fitted parameters."""

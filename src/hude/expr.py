@@ -412,9 +412,9 @@ _UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
           "^": "power", "exp": "exp", "ln": "log", "sin": "sin", "cos": "cos",
           "abs": "absolute"}
 _INFIX = {"add": "({} + {})", "subtract": "({} - {})", "multiply": "({} * {})",
-          "divide": "np.divide({}, {})", "power": "np.power({}, {})",
-          "negative": "(-{})", "exp": "np.exp({})", "log": "np.log({})",
-          "sin": "np.sin({})", "cos": "np.cos({})", "absolute": "abs({})"}
+          "divide": "np.divide({}, {})", "negative": "(-{})",
+          "exp": "np.exp({})", "log": "np.log({})", "sin": "np.sin({})",
+          "cos": "np.cos({})", "absolute": "abs({})"}
 
 
 def _lower(node: ExprAst, ops: list, slots: dict[str, str]):
@@ -443,13 +443,34 @@ def _lower(node: ExprAst, ops: list, slots: dict[str, str]):
     return len(ops) - 1
 
 
-def _infix(ops, operand) -> str:
+def _infix(ops, operand, power="_power") -> str:
     """Python source of ``operand`` of ``ops`` (:func:`_lower`) on floats or
-    arrays, each op written inline into its consumer."""
+    arrays, each op written inline into its consumer; ``power`` is the
+    function ``^`` calls, :func:`_power` unless every operand is a float."""
     if isinstance(operand, int):
         func, *args = ops[operand]
-        return _INFIX[func].format(*(_infix(ops, arg) for arg in args))
+        template = f"{power}({{}}, {{}})" if func == "power" else _INFIX[func]
+        return template.format(*(_infix(ops, arg, power) for arg in args))
     return f"({operand})" if operand.startswith("-") else operand
+
+
+def _power(base, exponent, out=None):
+    """``np.power``, with each element of an array ``exponent`` computed as
+    numpy computes a float exponent of its value.  numpy squares, takes the
+    square root or the reciprocal for a float exponent of 2.0, 0.5 or -1.0,
+    but calls ``pow`` for an array that holds them, which rounds differently;
+    so a row bound to an array element evaluates like the float."""
+    if np.ndim(exponent) == 0:
+        return np.power(base, exponent, out)
+    base, exponent = np.broadcast_arrays(base, exponent)
+    # Read before ``out``, which may be the base's own buffer, is written.
+    exact = [(hit, func(base[hit])) for value, func in
+             ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
+             if (hit := exponent == value).any()]
+    out = np.power(base, exponent, out)
+    for hit, values in exact:
+        out[hit] = values
+    return out
 
 
 def _param_value(value):
@@ -461,7 +482,7 @@ def _param_value(value):
 def _binder(source: str) -> Callable:
     """The function ``kernel`` that ``source`` defines, made once per source
     text; the caller binds the values."""
-    namespace = {"np": np}
+    namespace = {"np": np, "_power": _power}
     exec(compile(source, "<hude-expr>", "exec"), namespace)
     return namespace["kernel"]
 

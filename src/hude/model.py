@@ -83,7 +83,9 @@ def phi_inv(alpha):
 
 def _clamped_phi(alpha):
     """``phi_inv`` of the quantile level(s) ``alpha`` clamped to
-    ``[ALPHA_CLAMP, 1 - ALPHA_CLAMP]``: the noise level of an alpha-path."""
+    ``[ALPHA_CLAMP, 1 - ALPHA_CLAMP]``: the noise level of every quantile
+    level integrated, an alpha-path's, a fan level, a simulated step's level
+    and each bisection probe."""
     return phi_inv(np.clip(alpha, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP))
 
 
@@ -245,9 +247,11 @@ def _generated(field, params: str, n: int, method=None, mode=None,
     -> lambda t, x0, ...: (x1, ..., value)``."""
     if columns:
         return _binder(_column_source(field, params, n, method, mode))
-    value = _infix(*field)
     if method is not None:
+        # A row kernel runs on floats, where np.power is _power.
+        value = _infix(*field, power="np.power")
         return _binder(_kernel_source(value, params, n, method, mode))
+    value = _infix(*field)
     state = ", ".join(f"x{k}" for k in range(n))
     derivs = "".join(f"x{k}, " for k in range(1, n))
     return _binder(f"def kernel({params}):\n"
@@ -312,11 +316,13 @@ def _column_source(field, params: str, n: int, method: str, mode: str) -> str:
 
     Each op of ``field`` (:func:`compile_model`) that reads the state is a
     three-address ufunc call (``multiply(a, b, w0)``) into scratch buffers
-    allocated once per call.  An op that reads no state is evaluated from its
-    infix source: if it reads ``t`` at every stage, else once before the
-    loop, spread to a ``(B,)`` array (a ufunc converts a float operand on
-    every call) except as an operand of ``power``, where numpy rounds a float
-    exponent ``2.0`` differently from an array of them.  ``t`` and the stage
+    allocated once per call; ``power`` is :func:`~hude.expr._power`, which
+    rounds each element of an array exponent as the row kernel's float.  An
+    op that reads no state is evaluated from its infix source: if it reads
+    ``t`` at every stage, else once before the loop, spread to a ``(B,)``
+    array (a ufunc converts a float operand on every call) except as an
+    operand of ``power``, where a float exponent takes numpy's fast path
+    without :func:`~hude.expr._power`'s element checks.  ``t`` and the stage
     times are computed only when the field reads ``t``.  Rows step by ``h``
     up to the shortest row's last step and by their own ``s`` from there,
     where a finished row keeps its state (``where=run``).  The last
@@ -433,7 +439,8 @@ def _column_source(field, params: str, n: int, method: str, mode: str) -> str:
     widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
     stages = [f"{b}{j}" for b in "za" for j in range(n)] if method == "rk4" else []
     lines = ["shared = int(nsteps.min()) - 1", "total = int(nsteps.max())",
-             *(f"{func} = np.{func}" for func in sorted(used)),
+             *("power = _power" if func == "power" else f"{func} = np.{func}"
+               for func in sorted(used)),
              *(f"{name} = np.full_like(x0, {text})" if spread else
                f"{name} = {text}" for (text, spread), name in hoisted.items()),
              *(f"{b} = np.empty_like(x0)" for b in buffers + stages), *start,

@@ -29,7 +29,6 @@ from .model import (
     ReducedField,
     _clamped_phi,
     compile_model,
-    phi_inv,
 )
 from .odeint import (DEFAULT_STEP, _step_failure, _terminal_state_batch,
                      _write_csv)
@@ -45,10 +44,6 @@ __all__ = [
     "simulate_observations",
     "read_observations",
 ]
-
-# Bisection probes stay this far inside (0, 1); observations beyond the
-# reachable envelope saturate against these walls instead of erroring.
-PROBE_CLAMP = 1e-6
 
 # Row budget of one bisection in :func:`_batch_levels`; bounds the memory of
 # batched scoring on long series.
@@ -248,7 +243,10 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
                    guess=None):
     """Vectorised bisection: for each row find the level whose restarted path
     ends at the observed next value.  Returns ``(levels, saturated, failed,
-    failure)``.
+    failure)``.  A probe at level ``a`` runs at the noise level
+    :func:`~hude.model._clamped_phi` gives ``a``, the clamp every quantile
+    level takes, and a row whose final interval still touches 0 or 1 is
+    flagged in ``saturated``.
 
     ``theta`` values may be ``(B,)`` arrays, one parameter point per row.
     Every row is halved the same number of times, so a row's level does not
@@ -325,10 +323,9 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
         levels = (loa + width * (j / 2 ** b)).ravel()
         values = {k: _tile(v, m) if np.ndim(v) else v
                   for k, v in params.items()}
-        phi = phi_inv(np.clip(levels, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
         terminal = _terminal_state_batch(
-            ReducedField(code, values, phi), _tile(t0a, m), _tile(y0a, m),
-            _tile(t1a, m), h, method)
+            ReducedField(code, values, _clamped_phi(levels)), _tile(t0a, m),
+            _tile(y0a, m), _tile(t1a, m), h, method)
         finite = np.isfinite(terminal).all(axis=1)
         # Bit b-1-d of jlo is the row's decision at depth d (1: the target
         # lies above the probe), read at the row's midpoint jlo + 2^(b-1-d)

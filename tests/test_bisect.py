@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import hude
 from hude import residuals
-from hude.model import ReducedField, compile_model, phi_inv
+from hude.model import ReducedField, _clamped_phi, compile_model
 from hude.odeint import _terminal_state_batch
-from hude.residuals import PROBE_CLAMP, _bisect_levels
+from hude.residuals import _bisect_levels
 
 
 def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
@@ -26,8 +26,7 @@ def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     failure = None
     while float(np.max(hi - lo)) > delta:
         mid = 0.5 * (lo + hi)
-        phi = phi_inv(np.clip(mid, PROBE_CLAMP, 1.0 - PROBE_CLAMP))
-        raw = ReducedField(code, values, phi)
+        raw = ReducedField(code, values, _clamped_phi(mid))
         terminal = _terminal_state_batch(raw, t0s, y0s, t1s, h, method)
         finite = np.isfinite(terminal).all(axis=1)
         if failure is None and not finite.all():

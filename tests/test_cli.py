@@ -331,6 +331,24 @@ class TestErrorCodes:
                    "--bounds", "0,1,0", "--out", tmp_path / "o.json")
         assert code == 5
 
+    @pytest.mark.parametrize("bounds, shown", [
+        ("nan,1", "(nan, 1.0)"), ("0,inf", "(0.0, inf)"),
+        ("-inf,1", "(-inf, 1.0)")])
+    def test_non_finite_bounds(self, tmp_path, decay_model_file, capsys,
+                               bounds, shown):
+        data = tmp_path / "obs.csv"
+        hude.ObservationSeries([0.0, 0.1, 0.2], [1.0, 1.1, 1.2]).to_csv(data)
+        code = run("estimate", "--model", decay_model_file, "--data", data,
+                   f"--bounds={bounds}", "--step", 1e-2,
+                   "--out", tmp_path / "o.json")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "compute-error",
+            "message": f"each bound and its width must be finite, got [{shown}]"}
+        assert not (tmp_path / "o.json").exists()
+
 
 @pytest.mark.filterwarnings("ignore::hude.AlphaPathConditionWarning")
 class TestReactorDemo:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -112,6 +113,18 @@ class TestMinimizeInBox:
     def test_init_outside_box_rejected(self):
         with pytest.raises(ValueError):
             minimize_in_box(lambda x: 0.0, [2.0], [(0, 1)])
+
+    @pytest.mark.parametrize("bound, shown", [
+        ((np.nan, 1.0), "(nan, 1.0)"),
+        ((0.0, np.inf), "(0.0, inf)"),
+        ((-1e308, 1e308), "(-1e+308, 1e+308)"),  # the width overflows
+    ])
+    def test_non_finite_bounds_rejected(self, bound, shown):
+        def f(x):
+            raise AssertionError("a box with a non-finite bound was searched")
+
+        with pytest.raises(ValueError, match=re.escape(f"[{shown}]")):
+            minimize_in_box(f, [0.5], [bound], restarts=1)
 
     def test_presearch_finds_thin_shelf(self):
         # plateau except within a sliver near the lower edge: uniform restarts

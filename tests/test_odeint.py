@@ -439,6 +439,28 @@ def test_column_kernel_keeps_a_float_exponent():
                      _array_core(raw, *args, "euler"))
 
 
+def test_parameter_exponents_bound_per_row_step_like_floats():
+    # A per-row exponent of 2.0, 0.5 or -1.0 rounds in the column kernel as
+    # the float does in the row kernel, so a row does not depend on whether
+    # its batch runs column-wise.
+    rows = 400
+    rng = np.random.default_rng(1)
+    p = rng.choice([2.0, 0.5, -1.0], rows)
+    code, values = compile_model(
+        hude.HudeModel.parse(1, "-x0^p + x0", ["0.1*x0"], params=["p"]),
+        {"p": p})
+    raw = ReducedField(code, values, rng.uniform(-1.0, 1.0, rows))
+    args = (np.zeros(rows), rng.uniform(0.5, 3.0, (rows, 1)),
+            np.full(rows, 0.5), 1e-2)
+    loops = []
+    for limit in (0, rows):
+        with mock.patch.object(odeint, "SCALAR_ROWS", limit):
+            loops.append(_terminal_state_batch(raw, *args))
+    assert _loops_taken(lambda: _terminal_state_batch(raw, *args)) == ["column"]
+    assert np.isfinite(loops[0]).all()
+    assert _same(*loops)
+
+
 def _loops_taken(solve):
     """The loops that ran in ``solve()``: ``"row"`` for the row kernel,
     ``"column"`` for the column kernel, the field for the column loop."""

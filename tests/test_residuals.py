@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hude
@@ -117,6 +119,17 @@ class TestComputeResidual:
                 damped_slope_model, {"sig": 0.01}, init, 0.1, 50.0, h=1e-3
             )
         assert eps > 1.0 - 1e-4
+
+    def test_reachable_level_below_1e6_is_not_saturated(self):
+        # A probe's level clamps at 1e-12 like every quantile level, so a
+        # target at level 1e-7 is resolved, not pinned to the wall.
+        model = hude.HudeModel.parse(1, "0", ["1"])
+        target = 1.0 + 0.5 * hude.phi_inv(1e-7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResidualSaturationWarning)
+            eps = compute_residual(model, None, InitialState(0.0, [1.0]), 0.5,
+                                   target, delta=1e-8, h=0.1)
+        assert abs(eps - 1e-7) <= 1e-8
 
     def test_preconditions(self, damped_slope_model):
         init = InitialState(0.0, [1.0, 0.0])
@@ -254,12 +267,17 @@ class TestSimulate:
                        max_size=3),
         m=st.floats(min_value=-1.0, max_value=1.0),
         s=st.floats(min_value=0.05, max_value=1.0),
-        levels=st.lists(st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+        levels=st.lists(st.floats(min_value=1e-8, max_value=1.0 - 1e-8),
                         min_size=3, max_size=12),
         method=st.sampled_from(["euler", "rk4"]),
+        delta=st.sampled_from([1e-4, 1e-9]),
     )
+    # Levels below 1e-6 from a wall are reachable: probes clamp at 1e-12,
+    # as the simulated levels do.
+    @example(roots=[0.5, 2.0], m=0.0, s=0.2, levels=[0.3, 1e-7, 1.0 - 1e-7],
+             method="euler", delta=1e-9)
     def test_round_trip_on_stable_linear_models(self, roots, m, s, levels,
-                                                method):
+                                                method, delta):
         # Real negative characteristic roots keep the terminal value
         # increasing in the level, so bisection brackets the drawn level.
         model = _stable_linear(roots)
@@ -268,9 +286,9 @@ class TestSimulate:
         times = 0.1 * np.arange(len(levels) + 1)
         series = simulate_observations(model, theta, init, times, eps=levels,
                                        h=1e-2, method=method)
-        rv = compute_residuals(model, theta, series, delta=1e-4, h=1e-2,
+        rv = compute_residuals(model, theta, series, delta=delta, h=1e-2,
                                scheme="given", method=method)
-        assert np.max(np.abs(rv.epsilons - levels)) <= 1e-4
+        assert np.max(np.abs(rv.epsilons - levels)) <= delta
 
     def test_uniform_levels_give_uniform_residual_mean(self):
         # order-1 model: no derivative reconstruction involved at all
