@@ -14,8 +14,12 @@ derivative and so on up to ``x{n-1}`` for an order-``n`` model.  Any other
 identifier must be a declared parameter.  Supported functions are ``exp``,
 ``ln``, ``sin``, ``cos`` and ``abs``, all unary.
 
-Generated code prints one lowering of the AST (:func:`_lower`), a list of ufunc
-ops, as Python source (:func:`_infix`) or as ufunc calls (:mod:`hude.model`).
+Every evaluation runs one lowering of the AST (:func:`_lower`), a list of ufunc
+ops.  One interpreter, :func:`_evaluate`, runs it for :func:`eval_expr`,
+:func:`compile_expr` and a reduced field's values (the condition check and
+calls of the field).  Generated source is only for the integrator kernels of
+:mod:`hude.model`, where speed matters: they print the same ops as Python
+source (:func:`_infix`) or as ufunc calls.
 """
 
 from __future__ import annotations
@@ -350,59 +354,26 @@ def variables(node: ExprAst) -> frozenset[str]:
 def eval_expr(node: ExprAst, env: Mapping[str, float]) -> float:
     """Evaluate ``node`` with every identifier bound in ``env``.
 
-    Deterministic IEEE double arithmetic; raises :class:`DomainError` for
-    ``ln`` of a non-positive argument, division by zero and similar escapes
-    from the real line, and :class:`EvalError` for a missing binding.
+    The op list of ``node`` (:func:`_lower`) runs through :func:`_evaluate`
+    on float64 values, so the result has the bits the integrator kernels
+    compute.  Raises :class:`EvalError` for a missing binding, before any op
+    runs, and :class:`DomainError` where an op divides by zero, overflows or
+    leaves the real line (``ln`` of a non-positive value, ``sin`` of an
+    infinity, ``(-8)^(1/3)``, ...).  Keys of ``env`` that ``node`` does not
+    read are ignored.
     """
-    if isinstance(node, Const):
-        return float(node.value)
-    if isinstance(node, Var):
+    ops, slots = [], {}
+    value = _lower(node, ops, slots)
+    bound = {}
+    for name in sorted(variables(node)):
+        if name not in env:
+            raise EvalError(f"missing binding for '{name}'")
+        bound[slots.get(name, name)] = np.float64(float(env[name]))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
         try:
-            return float(env[node.name])
-        except KeyError:
-            raise EvalError(f"missing binding for '{node.name}'") from None
-    if isinstance(node, Unary):
-        return -eval_expr(node.operand, env)
-    if isinstance(node, Binary):
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero")
-            return left / right
-        if node.op == "^":
-            try:
-                return math.pow(left, right)
-            except ValueError:
-                raise DomainError(
-                    f"cannot raise {left} to the power {right}"
-                ) from None
-            except OverflowError:
-                raise DomainError("overflow in power") from None
-    if isinstance(node, Call):
-        value = eval_expr(node.arg, env)
-        if node.func == "exp":
-            try:
-                return math.exp(value)
-            except OverflowError:
-                raise DomainError("overflow in exp") from None
-        if node.func == "ln":
-            if value <= 0.0:
-                raise DomainError(f"ln of non-positive value {value}")
-            return math.log(value)
-        if node.func == "sin":
-            return math.sin(value)
-        if node.func == "cos":
-            return math.cos(value)
-        if node.func == "abs":
-            return abs(value)
-    raise TypeError(f"not an expression node: {node!r}")
+            return float(_evaluate(ops, value, bound))
+        except FloatingPointError as exc:
+            raise DomainError(str(exc)) from None
 
 
 # The ufunc each operator and function lowers to, and its Python source on
@@ -441,6 +412,24 @@ def _lower(node: ExprAst, ops: list, slots: dict[str, str]):
         raise TypeError(f"not an expression node: {node!r}")
     ops.append((func, *[_lower(arg, ops, slots) for arg in args]))
     return len(ops) - 1
+
+
+def _evaluate(ops, operand, env):
+    """The value of ``operand`` of ``ops`` (:func:`_lower`) on floats or
+    arrays: each op applies its ufunc (``power`` is :func:`_power`) in list
+    order; an operand is an earlier op's result, a name bound in ``env``, or
+    a literal read back from its ``repr``."""
+    results = []
+
+    def read(a):
+        if isinstance(a, int):
+            return results[a]
+        return env[a] if a[0].isalpha() else float(a)
+
+    for func, *args in ops:
+        ufunc = _power if func == "power" else getattr(np, func)
+        results.append(ufunc(*map(read, args)))
+    return read(operand)
 
 
 def _infix(ops, operand, power="_power") -> str:
@@ -497,21 +486,19 @@ def compile_expr(
     parameter is bound to a float, or to a ``(B,)`` array holding one value
     per batch row; an array element takes the place of the float in the same
     arithmetic, so a row evaluates exactly as with that float bound.  The
-    generated code is cached per source text, and binding only fills the
-    parameter names.  Out-of-domain inputs produce non-finite outputs instead
-    of raising.  It prints the lowering a reduced field's code prints.
+    callable runs the op list (:func:`_lower`) through :func:`_evaluate` on
+    the columns of ``x``, the arithmetic of :func:`eval_expr` and of a
+    reduced field's kernels.  Out-of-domain inputs produce non-finite outputs
+    under numpy's error state instead of raising :class:`DomainError`.
     """
     theta = theta or {}
     ops, slots = [], {}
-    body = _infix(ops, _lower(node, ops, slots))
-    values = []
-    for name in slots:
+    value = _lower(node, ops, slots)
+    bound = {}
+    for name, slot in slots.items():
         if name not in theta:
             raise ValueError(f"parameter '{name}' is not bound")
-        values.append(_param_value(theta[name]))
-    states = sorted((v for v in variables(node) if _STATE_RE.match(v)),
-                    key=lambda v: int(v[1:]))
-    columns = ", ".join(f"x[..., {v[1:]}]" for v in states)
-    source = (f"def kernel({', '.join(slots.values())}):\n    return "
-              f"lambda t, x: (lambda {', '.join(states)}: ({body}))({columns})")
-    return _binder(source)(*values)
+        bound[slot] = _param_value(theta[name])
+    states = [int(v[1:]) for v in variables(node) if _STATE_RE.match(v)]
+    return lambda t, x: _evaluate(ops, value, {
+        **bound, "t": t, **{f"x{k}": x[..., k] for k in states}})

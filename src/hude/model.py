@@ -14,7 +14,8 @@ system ``y' = F(t, y)`` on ``y = (x, x', ..., x^(n-1))`` with
 Solving this system yields the alpha-path of the model; when the right-hand
 side is non-decreasing in ``y_0 .. y_{n-2}`` the alpha-path is the alpha
 quantile of the solution at every time.  ``F_{n-1}`` is lowered once to an
-op list, from which every generated form of the field is printed.
+op list: :func:`~hude.expr._evaluate` interprets it for the values of the
+field, and the integrator kernels print it as generated source.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .expr import (
     ExprAst,
     _STATE_RE,
     _binder,
+    _evaluate,
     _infix,
     _lower,
     _param_value,
@@ -237,25 +239,19 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
 
 
 @functools.lru_cache(maxsize=256)
-def _generated(field, params: str, n: int, method=None, mode=None,
+def _generated(field, params: str, n: int, method: str, mode: str,
                columns=False):
-    """The generated function of a reduced field whose last derivative is
-    lowered to ``field`` (:func:`compile_model`), over the bound names
-    ``params``, made once per field (the ops keep ``0.0`` and ``-0.0``
-    apart): with ``columns`` a batch's whole-loop kernel, else from the
-    field's infix source one row's or, with no ``method``, ``kernel(<params>)
-    -> lambda t, x0, ...: (x1, ..., value)``."""
+    """The generated integrator kernel of a reduced field whose last
+    derivative is lowered to ``field`` (:func:`compile_model`), over the
+    bound names ``params``, made once per field (the ops keep ``0.0`` and
+    ``-0.0`` apart): with ``columns`` a batch's whole loop on state columns
+    (:func:`_column_source`), else one row's on floats from the field's
+    infix source (:func:`_kernel_source`)."""
     if columns:
         return _binder(_column_source(field, params, n, method, mode))
-    if method is not None:
-        # A row kernel runs on floats, where np.power is _power.
-        value = _infix(*field, power="np.power")
-        return _binder(_kernel_source(value, params, n, method, mode))
-    value = _infix(*field)
-    state = ", ".join(f"x{k}" for k in range(n))
-    derivs = "".join(f"x{k}, " for k in range(1, n))
-    return _binder(f"def kernel({params}):\n"
-                   f"    return lambda t, {state}: ({derivs}{value},)")
+    # A row kernel runs on floats, where np.power is _power.
+    value = _infix(*field, power="np.power")
+    return _binder(_kernel_source(value, params, n, method, mode))
 
 
 def _kernel_source(value: str, params: str, n: int, method: str,
@@ -461,15 +457,16 @@ class ReducedField:
     docstring) of the model code and values :func:`compile_model` returns;
     ``phi`` is a float, or a ``(B,)`` array holding one level per batch row.
 
-    Every form prints one op list for ``F = ((drift + |g1|*phi) + |g2|*phi)
+    Every form runs one op list for ``F = ((drift + |g1|*phi) + |g2|*phi)
     + ...`` (:func:`compile_model`).  ``kernel(n, method, mode)`` is the
     form the integrators run: a generated function running a row's whole
     loop on floats (:func:`_kernel_source`), or with ``columns`` a batch's
     on ``(B,)`` state columns stepped in place by ufunc calls
     (:func:`_column_source`).  ``columns(n)`` is the field itself, ``f(t,
     x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` on floats or arrays, which
-    the condition check and calls of the field evaluate.  ``phi`` and the
-    parameters are bound at call time, so one generated function serves
+    the condition check and calls of the field evaluate; it interprets the
+    ops (:func:`~hude.expr._evaluate`) and generates no code.  ``phi`` and
+    the parameters are bound at call time, so one generated kernel serves
     every level and parameter point.  The noise is left out when there is
     no diffusion or ``phi`` is a scalar zero, because ``|g|*0`` would turn
     an infinite ``g`` into NaN.  Calling the field on an array ``y`` (state
@@ -483,22 +480,29 @@ class ReducedField:
         self.values = values
         self.phi = phi
 
-    def kernel(self, n: int, method=None, mode=None, columns=False):
-        """The generated function (:func:`_generated`) and its bound values
-        ``(phi, p0, ...)``, each a float or a ``(B,)`` array of per-row
-        values.  A column kernel never records: a recorded path runs in the
-        row kernel."""
-        if columns and mode == "record":
-            raise ValueError("a recorded path runs in the row kernel")
+    def _bound(self):
+        """The lowered field to run, noisy or plain (see the class
+        docstring), and its bound values ``{"phi": phi, "p0": ..., ...}``, each a float or a
+        ``(B,)`` array of per-row values."""
         plain, noisy, names = self.code
         field = noisy if np.ndim(self.phi) or self.phi != 0.0 else plain
-        params = ", ".join(["phi", *(f"p{k}" for k in range(len(names)))])
-        fn = _generated(field, params, n, method, mode, columns)
-        return fn, (self.phi, *(self.values[name] for name in names))
+        return field, {"phi": self.phi, **{
+            f"p{k}": self.values[name] for k, name in enumerate(names)}}
+
+    def kernel(self, n: int, method: str, mode: str, columns=False):
+        """The generated kernel (:func:`_generated`) and its bound values
+        ``(phi, p0, ...)``.  A column kernel never records: a recorded path
+        runs in the row kernel."""
+        if columns and mode == "record":
+            raise ValueError("a recorded path runs in the row kernel")
+        field, bound = self._bound()
+        fn = _generated(field, ", ".join(bound), n, method, mode, columns)
+        return fn, tuple(bound.values())
 
     def columns(self, n: int) -> Callable:
-        binder, bound = self.kernel(n)
-        return binder(*bound)
+        field, bound = self._bound()
+        return lambda t, *x: (*x[1:n], _evaluate(*field, {
+            **bound, "t": t, **{f"x{k}": x[k] for k in range(n)}}))
 
     def __call__(self, t, y):
         y = np.asarray(y, dtype=float)

@@ -181,7 +181,8 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     steps, ``"record"`` (one row, ``y0`` of shape ``(n,)``) every state, one
     grid point per row; any other value raises ValueError.  States are
     returned as computed, finite or not: the caller names a failure.  A
-    non-finite ``h``, ``t0`` or ``t_end`` raises ValueError.
+    non-finite ``h``, ``t0`` or ``t_end``, or a span whose step count does
+    not fit an int64, raises ValueError.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -201,7 +202,11 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     span = t_end - t0
     if np.any(span <= 0):
         raise ValueError("t_end must exceed the initial time")
-    nsteps = np.maximum(np.ceil(span / h - 1e-9).astype(int), 1)
+    nsteps = np.ceil(span / h - 1e-9)
+    if not np.all(nsteps < np.iinfo(np.int64).max):
+        raise ValueError(f"the span takes {float(np.max(nsteps))!r} steps of "
+                         f"h={h!r}, more than an int64 counts")
+    nsteps = np.maximum(nsteps.astype(np.int64), 1)
     last = span - (nsteps - 1) * h
     if y.ndim == 1:
         t0 = float(t0)

@@ -311,6 +311,29 @@ class TestErrorCodes:
         assert "allocate" in err["message"]
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, option, steps, h", [
+        ("residuals", ("--step", "1e-300"), "1e+299", "1e-300"),
+        ("alpha-path", ("--t-end", "1e300", "--alpha", 0.5),
+         "1.0000000000000001e+304", "0.0001"),
+    ])
+    def test_step_count_beyond_int64(self, tmp_path, decay_model_file, capsys,
+                                     command, option, steps, h):
+        # These once ran the whole span as one step and exited 0.
+        data = tmp_path / "obs.csv"
+        hude.ObservationSeries([0.0, 0.1, 0.2], [2.0, 1.9, 1.8]).to_csv(data)
+        source = ("--data", data) if command == "residuals" else ()
+        code = run(command, "--model", decay_model_file, *source, *option,
+                   "--out", tmp_path / "o.csv")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "compute-error",
+            "message": f"the span takes {steps} steps of h={h}, more than an "
+                       "int64 counts"}
+        assert not (tmp_path / "o.csv").exists()
+
     def test_nan_delta(self, tmp_path, decay_model_file, capsys):
         data = tmp_path / "obs.csv"
         hude.ObservationSeries([0.0, 0.1, 0.2], [2.0, 1.9, 1.8]).to_csv(data)

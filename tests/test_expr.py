@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from hude.expr import (
     to_source,
     variables,
 )
+from hude.model import HudeModel, ReducedField, compile_model
 
 
 class TestParse:
@@ -120,12 +122,29 @@ class TestEval:
             eval_expr(ast, {"x0": -1.0})
 
     def test_division_by_zero(self):
+        for src in ("1/x0", "0/x0", "x0^-1"):
+            with pytest.raises(DomainError):
+                eval_expr(parse_expr(src, 1), {"x0": 0.0})
+
+    @pytest.mark.parametrize("src, x0", [
+        ("(-8)^(1/3)", 0.0), ("exp(1000)", 0.0), ("x0*x0", 1e200),
+        ("sin(x0)", math.inf)])
+    def test_overflow_or_invalid_is_a_domain_error(self, src, x0):
+        # The kernels' arithmetic turns these into inf or NaN.
         with pytest.raises(DomainError):
-            eval_expr(parse_expr("1/x0", 1), {"x0": 0.0})
+            eval_expr(parse_expr(src, 1), {"x0": x0})
 
     def test_missing_binding(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match="missing binding for 'c'"):
             eval_expr(parse_expr("x0 + c", 1, ["c"]), {"x0": 1.0})
+
+    def test_unread_keys_are_ignored(self):
+        # Parameters are read through their slots p0, p1, ...: a key of the
+        # same name, or one named after a generated name, changes nothing.
+        ast = parse_expr("c*x0 - d^t", 1, ["c", "d"])
+        env = {"t": 0.5, "x0": 1.5, "c": 2.0, "d": 3.0}
+        stray = {"p0": 7.0, "p1": -1.0, "phi": 9.0, "np": 0.0}
+        assert eval_expr(ast, {**env, **stray}) == eval_expr(ast, env)
 
     def test_deterministic(self):
         ast = parse_expr("sin(x0)*cos(t) + x0^3/7", 1)
@@ -135,12 +154,10 @@ class TestEval:
     def test_compiled_matches_tree_walk(self):
         ast = parse_expr("sin(x0)*cos(t) + c*x1^2 - abs(x0 - 2)", 2, ["c"])
         fn = compile_expr(ast, {"c": 0.7})
-        import numpy as np
-
         env = {"t": 0.3, "x0": 1.2, "x1": -0.4, "c": 0.7}
         expected = eval_expr(ast, env)
         got = fn(0.3, np.array([1.2, -0.4]))
-        assert float(got) == pytest.approx(expected, rel=1e-15)
+        assert float(got) == expected
 
     def test_compile_requires_bound_parameters(self):
         ast = parse_expr("c*x0", 1, ["c"])
@@ -167,6 +184,40 @@ def _ast_strategy():
         )
 
     return st.recursive(leaves, extend, max_leaves=16)
+
+
+class TestOneEvaluator:
+    # Per row: t, x0, x1, x2 and parameters a, b (bound per row in the
+    # array forms); 0.5, 2.0 and -1.0 reach numpy's special exponents.
+    ROWS = np.array([[0.0, 1.0, -1.0, 0.5, 2.0, -1.0],
+                     [0.3, -2.5, 0.5, 3.0, 0.5, 2.0],
+                     [1.7, 0.0, 4.0, -0.25, -1.0, 0.5],
+                     [-0.8, 9.0, -3.0, 1e-3, 3.7, -2.2],
+                     [2.5, 0.75, 1e5, -7.0, 0.0, 1.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ast_strategy())
+    def test_every_evaluator_gives_the_same_bits(self, ast):
+        # Wherever the tree's value is defined, compile_expr and a reduced
+        # field whose drift is the tree compute its bits.  That value is never
+        # NaN here: from finite inputs only an invalid op makes one, and
+        # eval_expr raises there.
+        t, x0, x1, x2, a, b = self.ROWS.T
+        theta = {"a": a, "b": b}
+        with np.errstate(all="ignore"):
+            rows = compile_expr(ast, theta)(t, self.ROWS[:, 1:4])
+            field = ReducedField(*compile_model(
+                HudeModel(3, ast, params=("a", "b")), theta), 0.0)
+            last = field.columns(3)(t, x0, x1, x2)[-1]
+        for i, row in enumerate(self.ROWS):
+            try:
+                value = eval_expr(ast, dict(zip(["t", "x0", "x1", "x2", "a",
+                                                 "b"], row)))
+            except DomainError:
+                continue
+            for got in (rows, last):
+                got = np.float64(np.broadcast_to(got, t.shape)[i])
+                assert got.tobytes() == np.float64(value).tobytes()
 
 
 class TestRoundTrip:

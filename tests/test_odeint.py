@@ -143,6 +143,18 @@ class TestContract:
             _terminal_state_batch(exp_field().raw, 0.0, np.ones(1), 1.0, 0.1,
                                   mode="both")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field", [exp_field(), "reduced"])
+    def test_step_count_beyond_int64_rejected(self, field):
+        # 1e300 steps once wrapped to -2^63 in the int cast, and the whole
+        # span became one step.
+        if field == "reduced":
+            field = alpha_path_field(hude.HudeModel.parse(1, "-x0"), None, 0.5)
+        with pytest.raises(ValueError, match="more than an int64 counts"):
+            _terminal_state_batch(field.raw, 0.0, [1.0], 1.0, 1e-300)
+        with pytest.raises(ValueError, match="1e\\+300 steps of h=1.0"):
+            integrate(field, InitialState(0.0, [1.0]), 1e300, 1.0)
+
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), 0.1)
