@@ -191,6 +191,13 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
     nfev = n + 1
     iterations = 0
 
+    def toward(a, b, t):
+        # a + t*(b - a) folded into the box.  In a box near the largest float
+        # a vertex can leave the floats; it is inf or NaN, and its probe
+        # fails like any other.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _reflect_into_box(a + t * (b - a), lo, hi)
+
     for iterations in range(1, maxiter + 1):
         order = np.argsort(values, kind="stable")
         simplex = simplex[order]
@@ -202,15 +209,14 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
             fspread = values[-1] - values[0]
         if spread <= xatol and (not np.isfinite(fspread) or fspread <= fatol):
             break
-        centroid = simplex[:-1].mean(axis=0)
+        with np.errstate(over="ignore"):
+            centroid = simplex[:-1].mean(axis=0)
 
-        reflected = _reflect_into_box(centroid + (centroid - simplex[-1]), lo, hi)
+        reflected = toward(centroid, simplex[-1], -1.0)
         f_r = f(reflected)
         nfev += 1
         if f_r < values[0]:
-            expanded = _reflect_into_box(
-                centroid + 2.0 * (centroid - simplex[-1]), lo, hi
-            )
+            expanded = toward(centroid, simplex[-1], -2.0)
             f_e = f(expanded)
             nfev += 1
             if f_e < f_r:
@@ -221,14 +227,8 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
         if f_r < values[-2]:
             simplex[-1], values[-1] = reflected, f_r
             continue
-        if f_r < values[-1]:
-            contracted = _reflect_into_box(
-                centroid + 0.5 * (reflected - centroid), lo, hi
-            )
-        else:
-            contracted = _reflect_into_box(
-                centroid + 0.5 * (simplex[-1] - centroid), lo, hi
-            )
+        contracted = toward(centroid, reflected if f_r < values[-1]
+                            else simplex[-1], 0.5)
         f_c = f(contracted)
         nfev += 1
         if f_c < min(f_r, values[-1]):
@@ -236,9 +236,7 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
             continue
         # shrink toward the best vertex
         for i in range(1, n + 1):
-            simplex[i] = _reflect_into_box(
-                simplex[0] + 0.5 * (simplex[i] - simplex[0]), lo, hi
-            )
+            simplex[i] = toward(simplex[0], simplex[i], 0.5)
         values[1:] = _evaluate(f, simplex[1:])
         nfev += n
 
@@ -385,7 +383,7 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
                          f"({len(names)} expected)")
     lo, hi = _box(bounds)
     if theta_init is None:
-        theta_init = 0.5 * (lo + hi)
+        theta_init = 0.5 * lo + 0.5 * hi
     elif isinstance(theta_init, Mapping):
         theta_init = np.array([theta_init[name] for name in names], dtype=float)
     objective, residuals_at = _residual_objective(

@@ -24,7 +24,6 @@ source (:func:`_infix`) or as ufunc calls.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -467,10 +466,9 @@ def _param_value(value):
     return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
 
 
-@functools.lru_cache(maxsize=256)
 def _binder(source: str) -> Callable:
-    """The function ``kernel`` that ``source`` defines, made once per source
-    text; the caller binds the values."""
+    """The function ``kernel`` that ``source`` defines; the caller binds the
+    values, and :func:`hude.model._generated` keeps each kernel."""
     namespace = {"np": np, "_power": _power}
     exec(compile(source, "<hude-expr>", "exec"), namespace)
     return namespace["kernel"]

@@ -240,18 +240,25 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
 
 @functools.lru_cache(maxsize=256)
 def _generated(field, params: str, n: int, method: str, mode: str,
-               columns=False):
+               backend="row"):
     """The generated integrator kernel of a reduced field whose last
     derivative is lowered to ``field`` (:func:`compile_model`), over the
     bound names ``params``, made once per field (the ops keep ``0.0`` and
-    ``-0.0`` apart): with ``columns`` a batch's whole loop on state columns
-    (:func:`_column_source`), else one row's on floats from the field's
-    infix source (:func:`_kernel_source`)."""
-    if columns:
+    ``-0.0`` apart).  ``backend`` picks the form: ``"row"`` one row's whole
+    loop on floats from the field's infix source (:func:`_kernel_source`),
+    ``"columns"`` a batch's on state columns (:func:`_column_source`),
+    ``"compiled"`` a batch's in C (:func:`hude.native.kernel`, ``None``
+    where there is none)."""
+    if backend == "columns":
         return _binder(_column_source(field, params, n, method, mode))
-    # A row kernel runs on floats, where np.power is _power.
-    value = _infix(*field, power="np.power")
-    return _binder(_kernel_source(value, params, n, method, mode))
+    if backend == "row":
+        # A row kernel runs on floats, where np.power is _power.
+        value = _infix(*field, power="np.power")
+        return _binder(_kernel_source(value, params, n, method, mode))
+    # The C backend is imported by the first field that asks for it.
+    from . import native
+
+    return native.kernel(field, params, n, method, mode)
 
 
 def _kernel_source(value: str, params: str, n: int, method: str,
@@ -264,7 +271,8 @@ def _kernel_source(value: str, params: str, n: int, method: str,
     combined as ``xk + sixth * (a + 2.0*b + 2.0*c + d)``.  ``mode``
     ``"extremes"`` also returns each column's running minimum and maximum
     (``a if a < b or a != a else b`` is ``np.minimum(a, b)``, NaN and signed
-    zeros included), ``"record"`` appends every state to ``out``.
+    zeros included), ``"record"`` writes state ``k`` of every step ``k`` to
+    ``out[k*n ..]``, a flat view of float64 storage.
     """
     xs = ", ".join(f"x{k}" for k in range(n))
 
@@ -292,8 +300,8 @@ def _kernel_source(value: str, params: str, n: int, method: str,
                      f"if not u{j} > x{j} and u{j} == u{j}: u{j} = x{j}"]
         result += (f", ({xs.replace('x', 'l')},), ({xs.replace('x', 'u')},)")
     elif mode == "record":
-        start = ["append = out.append"]
-        step += [f"append(x{j})" for j in range(n)]
+        start = [f"i = {n}"]
+        step += [f"out[i + {j}] = x{j}" for j in range(n)] + [f"i += {n}"]
     widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
     lines = ["s = h", *widths, *start,
              "for k in range(nsteps - 1):", "    t = t0 + k * h",
@@ -460,10 +468,11 @@ class ReducedField:
     Every form runs one op list for ``F = ((drift + |g1|*phi) + |g2|*phi)
     + ...`` (:func:`compile_model`).  ``kernel(n, method, mode)`` is the
     form the integrators run: a generated function running a row's whole
-    loop on floats (:func:`_kernel_source`), or with ``columns`` a batch's
-    on ``(B,)`` state columns stepped in place by ufunc calls
-    (:func:`_column_source`).  ``columns(n)`` is the field itself, ``f(t,
-    x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` on floats or arrays, which
+    loop on floats (:func:`_kernel_source`), a batch's on ``(B,)`` state
+    columns stepped in place by ufunc calls (:func:`_column_source`), or a
+    batch's compiled from C (:func:`hude.native.kernel`).  ``columns(n)`` is the
+    field itself, ``f(t, x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` on
+    floats or arrays, which
     the condition check and calls of the field evaluate; it interprets the
     ops (:func:`~hude.expr._evaluate`) and generates no code.  ``phi`` and
     the parameters are bound at call time, so one generated kernel serves
@@ -489,14 +498,15 @@ class ReducedField:
         return field, {"phi": self.phi, **{
             f"p{k}": self.values[name] for k, name in enumerate(names)}}
 
-    def kernel(self, n: int, method: str, mode: str, columns=False):
-        """The generated kernel (:func:`_generated`) and its bound values
-        ``(phi, p0, ...)``.  A column kernel never records: a recorded path
-        runs in the row kernel."""
-        if columns and mode == "record":
+    def kernel(self, n: int, method: str, mode: str, backend="row"):
+        """The generated kernel (:func:`_generated`, ``None`` for a compiled
+        one that is not available) and its bound values ``(phi, p0, ...)``.
+        A column kernel never records: a recorded path runs in the row
+        kernel or the compiled one."""
+        if backend == "columns" and mode == "record":
             raise ValueError("a recorded path runs in the row kernel")
         field, bound = self._bound()
-        fn = _generated(field, ", ".join(bound), n, method, mode, columns)
+        fn = _generated(field, ", ".join(bound), n, method, mode, backend)
         return fn, tuple(bound.values())
 
     def columns(self, n: int) -> Callable:

@@ -5,14 +5,18 @@ one of three modes: a recorded path (:func:`integrate`), the terminal states
 of a batch of rows, or those with their extremes (the spot check of a fan).
 It picks the kernel in one place.  A reduced model field runs through a
 whole-loop kernel generated once per field source, with the level and
-parameters passed in as values (:meth:`hude.model.ReducedField.kernel`): a
-recorded path (an alpha-path) and a batch of at most :data:`SCALAR_ROWS`
-rows (a simulated step, a small fan or bisection pass) row by row on
-floats, a larger batch (a large bisection pass) on ``(B,)`` state columns
-stepped in place.  A hand-written array field integrates one row, recorded
-(:func:`integrate`).  All give the same bits, except the sign of a NaN:
-where two NaNs of opposite sign meet, float and array arithmetic keep
-different ones.
+parameters passed in as values (:meth:`hude.model.ReducedField.kernel`).
+A field whose ops are all ``+ - * /``, negation and ``abs``, which C rounds
+as numpy does, runs every path and batch in a kernel compiled from C
+(:func:`_compiled_loop`), where a C compiler builds it.  Any other field
+(``exp``, ``ln``, ``sin``, ``cos``, ``^``), and every field where no kernel
+builds, runs on the numpy kernels: a recorded path (an alpha-path) and a
+batch of at most :data:`SCALAR_ROWS` rows (a simulated step, a small fan or
+bisection pass) row by row on floats, a larger batch (a large bisection
+pass) on ``(B,)`` state columns stepped in place.  A hand-written array
+field integrates one row, recorded (:func:`integrate`).  All give the same
+bits, except the sign of a NaN: where two NaNs of opposite sign meet, float,
+array and C arithmetic keep different ones.
 
 The loop only integrates: it returns the states it computed, finite or not.
 Each caller names its own failure: :func:`integrate` raises
@@ -23,7 +27,6 @@ bisection flags its failed rows.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +46,21 @@ __all__ = [
 # overridable everywhere.
 DEFAULT_STEP = 1e-4
 
-# Rows up to which a reduced field's batch runs row by row through its
-# generated row kernel instead of its column kernel.  On 100-step windows of
-# the reactor model (x86-64 Intel Xeon, 2 vCPU, numpy 2.4, h=1e-4, best of 15
-# runs, measured twice on a noisy shared machine) the row kernel
-# costs ~0.1 ms plus 35-43 us per row (RK4 ~0.15 ms plus 0.14-0.18 ms), the
-# column kernel a near-flat 0.7-1.3 ms (RK4 3.0-5.9 ms); the two meet between
-# 16 and 26 rows (RK4 between 22 and 31).  On the 19-level, 60,000-step Euler
+# Rows up to which a reduced field's batch on the numpy kernels runs row by
+# row through its generated row kernel instead of its column kernel.  On
+# 100-step windows of the reactor model (x86-64 Intel Xeon, 2 vCPU, numpy 2.4,
+# h=1e-4, best of 15 runs, measured twice on a noisy shared machine) the row
+# kernel costs ~0.1 ms plus 35-43 us per row (RK4 ~0.15 ms plus 0.14-0.18
+# ms), the column kernel a near-flat 0.7-1.3 ms (RK4 3.0-5.9 ms); the two
+# meet between 16 and 26 rows (RK4 between 22 and 31).  On the 19-level, 60,000-step Euler
 # fan with extremes the row kernel takes 0.50-0.66 s and the column kernel
 # 0.86-1.03 s, ~0.5 us per row-step against ~16 us per step, which meet near
 # 30 rows.  Neither resolves a crossover away from 32.
 SCALAR_ROWS = 32
+
+# Whether a reduced field whose ops all round in C as in numpy runs through
+# its compiled kernel (:func:`_compiled_loop`) when one builds.
+COMPILED = True
 
 
 class IntegrationError(Exception):
@@ -167,22 +174,23 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     shortened to its ``t_end`` and rows that finish early keep their terminal
     state, so a row's result does not depend on the other rows.  A reduced
     field (:class:`hude.model.ReducedField`) runs through a generated
-    whole-loop kernel: recorded or with at most :data:`SCALAR_ROWS` rows row
-    by row on floats (:func:`_row_loop`), else on ``(B,)`` state columns
-    stepped in place (:func:`_column_kernel`).  Each of its levels and
-    parameters binds one value or one per row, else ValueError.  A
-    hand-written array field steps one row as an ``(n,)`` array
-    (:func:`_column_loop`), and raises ValueError on a batch or in mode
-    ``"extremes"``.  All give the same bits (up to the sign of a NaN, see
-    the module docstring).
+    whole-loop kernel: compiled from C when its ops allow and one builds
+    (:func:`_compiled_loop`), else recorded or with at most
+    :data:`SCALAR_ROWS` rows row by row on floats (:func:`_row_loop`), else
+    on ``(B,)`` state columns stepped in place (:func:`_column_kernel`).
+    Each of its levels and parameters binds one value or one per row, else
+    ValueError.  A hand-written array field steps one row as an ``(n,)``
+    array (:func:`_column_loop`), and raises ValueError on a batch or in
+    mode ``"extremes"``.  All give the same bits (up to the sign of a NaN,
+    see the module docstring).
 
     ``mode`` says what is returned: ``"terminal"`` the terminal states,
     ``"extremes"`` those with the componentwise extremes over all rows and
     steps, ``"record"`` (one row, ``y0`` of shape ``(n,)``) every state, one
-    grid point per row; any other value raises ValueError.  States are
-    returned as computed, finite or not: the caller names a failure.  A
-    non-finite ``h``, ``t0`` or ``t_end``, or a span whose step count does
-    not fit an int64, raises ValueError.
+    grid point per row, allocated before the first step; any other value
+    raises ValueError.  States are returned as computed, finite or not: the
+    caller names a failure.  A non-finite ``h``, ``t0`` or ``t_end``, or a
+    span whose step count does not fit an int64, raises ValueError.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -210,7 +218,12 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     last = span - (nsteps - 1) * h
     if y.ndim == 1:
         t0 = float(t0)
-    plan = (y, t0, t_end, nsteps, last, h, mode)
+    out = None
+    if mode == "record":
+        # Sized before the first step: a path too long to hold fails here.
+        out = np.empty((int(nsteps) + 1, n))
+        out[0] = y
+    plan = (y, t0, t_end, nsteps, last, h, mode, out)
     if not hasattr(raw, "kernel"):
         if y.ndim > 1 or mode == "extremes":
             raise ValueError("a hand-written field integrates one row, without "
@@ -218,14 +231,19 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         loop, plan = _column_loop, (raw, method, *plan)
     else:
         rows = y.size // n
-        by_row = mode == "record" or rows <= SCALAR_ROWS
-        kernel, bound = raw.kernel(n, method, mode, columns=not by_row)
+        kernel, bound = (raw.kernel(n, method, mode, "compiled") if COMPILED
+                         else (None, ()))
+        loop = _compiled_loop
+        if kernel is None:
+            by_row = mode == "record" or rows <= SCALAR_ROWS
+            kernel, bound = raw.kernel(n, method, mode,
+                                       "row" if by_row else "columns")
+            loop = _row_loop if by_row else _column_kernel
         for v in bound:
             if np.shape(v) not in ((), (1,), (rows,)):
                 raise ValueError(f"a level or parameter holds {np.size(v)} "
                                  f"values for {rows} row(s); it must bind one "
                                  "value or one per row")
-        loop = _row_loop if by_row else _column_kernel
         plan = (kernel, bound, *plan)
     with np.errstate(all="ignore"):
         y, lows, highs = loop(*plan)
@@ -235,20 +253,45 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     return y
 
 
-def _row_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode):
+def _compiled_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
+    """Run the rows of ``y`` through the compiled ``kernel``
+    (:func:`hude.native._c_source`) with the plan and the ``bound`` values
+    spread to one row each of a ``(3 + n + len(bound), B)`` array, whose
+    state columns the kernel steps in place.  Returns what
+    :func:`_row_loop` does."""
+    n = y.shape[-1]
+    rows = y.size // n
+    plan = np.empty((3 + n + len(bound), rows))
+    for row, v in zip(plan, (t0, t_end, last, *y.reshape(-1, n).T, *bound)):
+        row[...] = v
+    x = plan[3:3 + n]
+    if mode == "extremes":
+        out = np.concatenate((x, x))
+    nsteps = np.full(rows, nsteps, dtype=np.int64)
+    base, stride = plan.ctypes.data, plan.strides[0]
+    kernel(rows, h, nsteps.ctypes.data,
+           None if out is None else out.ctypes.data,
+           *(base + r * stride for r in range(len(plan))))
+    if mode == "record":
+        return out, None, None
+    y = np.ascontiguousarray(x.T).reshape(y.shape)
+    return (y, out[:n], out[n:]) if mode == "extremes" else (y, None, None)
+
+
+def _row_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
     """Run each row of ``y`` through the generated row ``kernel`` with that
     row's plan and ``bound`` values (each one value or one per row), all
     floats.  Returns the terminal states with the per-column extremes, or
-    every state of the one row ``y`` (``mode`` ``"record"``) in float64
-    storage."""
+    ``out`` holding every state of the one row ``y`` (``mode``
+    ``"record"``)."""
     n = y.shape[-1]
     per_row = (np.broadcast_to(v, (y.size // n,)).tolist()
                for v in (t0, t_end, nsteps, last, *bound))
-    out = array("d", y.tolist()) if mode == "record" else None
-    ran = [kernel(a, b, c, d, h, out, *x, *p) for (a, b, c, d, *p), x in
+    record = None if out is None else memoryview(out.reshape(-1))
+    ran = [kernel(a, b, c, d, h, record, *x, *p) for (a, b, c, d, *p), x in
            zip(zip(*per_row), y.reshape(-1, n).tolist())]
     if out is not None:
-        return np.frombuffer(out).reshape(-1, n), None, None
+        return out, None, None
     if mode == "extremes":
         ran, lows, highs = zip(*ran)
         return (np.array(ran).reshape(y.shape),
@@ -256,11 +299,11 @@ def _row_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode):
     return np.array(ran).reshape(y.shape), None, None
 
 
-def _column_kernel(kernel, bound, y, t0, t_end, nsteps, last, h, mode):
+def _column_kernel(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
     """Run the rows of ``y`` through the generated column ``kernel``, which
     steps the ``(B,)`` state columns in place (one row as a ``(1,)`` batch)
     with the ``bound`` values.  Returns the terminal states, with the
-    extremes per column."""
+    extremes per column; it never records (``out`` is unused)."""
     n = y.shape[-1]
     x = y.reshape(-1, n).T.copy()
     ran = kernel(t0, t_end, nsteps, last, h, *x, *bound)
@@ -268,12 +311,10 @@ def _column_kernel(kernel, bound, y, t0, t_end, nsteps, last, h, mode):
     return x.T.reshape(y.shape).copy(), lows, highs
 
 
-def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
+def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode, out):
     """Step the one row ``y`` through the hand-written array field ``raw``
-    (state on the last axis), every state recorded.  Returns what
-    :func:`_row_loop` does."""
-    Y = np.empty((int(nsteps) + 1, y.size))
-    Y[0] = y
+    (state on the last axis), every state recorded in ``out`` when
+    ``mode`` is ``"record"``.  Returns what :func:`_row_loop` does."""
     s = h
     for k in range(int(nsteps)):
         t = t0 + k * h
@@ -289,5 +330,6 @@ def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode):
             k3 = raw(t + half, y + half * k2)
             k4 = raw(t + s, y + s * k3)
             y = y + s / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Y[k + 1] = y
-    return (Y, None, None) if mode == "record" else (y, None, None)
+        if out is not None:
+            out[k + 1] = y
+    return (y, None, None) if out is None else (out, None, None)

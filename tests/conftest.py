@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 import hude
 from hude import reactor
+from hude.expr import Binary, Call, Const, Unary, Var
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +51,26 @@ def example1_closed_form(t: float, alpha: float, a: float = 0.0, b: float = 0.0)
     return (a - p / 2.0) * math.cos(t) + (b + p / 2.0) * math.sin(t) + (
         p / 2.0
     ) * math.exp(-t)
+
+
+def ast_strategy(binary="+-*/^", functions=("exp", "ln", "sin", "cos", "abs")):
+    """Expression trees over ``t``, ``x0 .. x2`` and the parameters ``a`` and
+    ``b``, of the ``binary`` operators and the ``functions`` given."""
+    names = st.sampled_from(["t", "x0", "x1", "x2", "a", "b"])
+    leaves = st.one_of(
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(Const),
+        names.map(Var),
+    )
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda c: Unary("-", c)),
+            st.tuples(st.sampled_from(binary), children, children).map(
+                lambda t: Binary(t[0], t[1], t[2])
+            ),
+            st.tuples(st.sampled_from(functions), children).map(
+                lambda t: Call(t[0], t[1])
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)

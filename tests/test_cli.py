@@ -1,11 +1,13 @@
 import hashlib
 import json
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hude
-from hude import table4
+from hude import odeint, table4
 from hude.cli import main
 
 
@@ -311,6 +313,36 @@ class TestErrorCodes:
         assert "allocate" in err["message"]
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_path_too_long_to_hold(self, tmp_path, decay_model_file, capsys,
+                                   compiled):
+        # 1e18 recorded steps: the path is sized before the first step, so
+        # the allocation fails at once on either backend instead of growing
+        # the path until memory runs out.
+        start = time.perf_counter()
+        with mock.patch.object(odeint, "COMPILED", compiled):
+            code = run("alpha-path", "--model", decay_model_file, "--alpha",
+                       0.5, "--t-end", 1, "--step", 1e-18,
+                       "--out", tmp_path / "o.csv")
+        assert time.perf_counter() - start < 1.0
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "compute-error"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_box_near_the_largest_float(self, tmp_path, capsys):
+        # The default start 0.5*(lo + hi) and the search's vertices overflowed
+        # here; each probe's noise level overflows the integration, so the
+        # estimate fails with one JSON line and no RuntimeWarning.
+        code = run("reactor-demo", "--bounds=1e308,1.7e308,0,1",
+                   "--out", tmp_path / "report")
+        assert 2 <= code <= 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "compute-error"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, option, steps, h", [
         ("residuals", ("--step", "1e-300"), "1e+299", "1e-300"),
@@ -375,7 +407,11 @@ class TestErrorCodes:
 
 @pytest.mark.filterwarnings("ignore::hude.AlphaPathConditionWarning")
 class TestReactorDemo:
-    def test_full_pipeline(self, tmp_path, capsys, monkeypatch):
+    # The reactor field compiles: both backends give the same bits and work.
+    @pytest.mark.parametrize("compiled", [True, False],
+                             ids=["compiled", "numpy"])
+    def test_full_pipeline(self, tmp_path, capsys, monkeypatch, compiled):
+        monkeypatch.setattr(odeint, "COMPILED", compiled)
         calls = {"_terminal_state_batch": 0, "_spot_check": 0}
 
         def counting(fn):

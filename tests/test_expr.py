@@ -24,6 +24,8 @@ from hude.expr import (
 )
 from hude.model import HudeModel, ReducedField, compile_model
 
+from conftest import ast_strategy
+
 
 class TestParse:
     def test_example2_drift_is_three_term_sum(self):
@@ -165,27 +167,6 @@ class TestEval:
             compile_expr(ast)
 
 
-def _ast_strategy():
-    names = st.sampled_from(["t", "x0", "x1", "x2", "a", "b"])
-    leaves = st.one_of(
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(Const),
-        names.map(Var),
-    )
-
-    def extend(children):
-        return st.one_of(
-            children.map(lambda c: Unary("-", c)),
-            st.tuples(st.sampled_from("+-*/^"), children, children).map(
-                lambda t: Binary(t[0], t[1], t[2])
-            ),
-            st.tuples(st.sampled_from(["exp", "ln", "sin", "cos", "abs"]), children).map(
-                lambda t: Call(t[0], t[1])
-            ),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=16)
-
-
 class TestOneEvaluator:
     # Per row: t, x0, x1, x2 and parameters a, b (bound per row in the
     # array forms); 0.5, 2.0 and -1.0 reach numpy's special exponents.
@@ -196,7 +177,7 @@ class TestOneEvaluator:
                      [2.5, 0.75, 1e5, -7.0, 0.0, 1.0]])
 
     @settings(max_examples=200, deadline=None)
-    @given(_ast_strategy())
+    @given(ast_strategy())
     def test_every_evaluator_gives_the_same_bits(self, ast):
         # Wherever the tree's value is defined, compile_expr and a reduced
         # field whose drift is the tree compute its bits.  That value is never
@@ -222,7 +203,7 @@ class TestOneEvaluator:
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(_ast_strategy())
+    @given(ast_strategy())
     def test_print_parse_round_trip(self, ast):
         printed = to_source(ast)
         assert parse_expr(printed, 3, ["a", "b"]) == ast

@@ -1,4 +1,8 @@
+import logging
 import math
+import shlex
+import shutil
+import sysconfig
 from unittest import mock
 
 import numpy as np
@@ -7,15 +11,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hude
+import hude.native
 from hude import InitialState, IntegrationError, Trajectory, integrate_euler, integrate_rk4
 from hude import odeint
-from hude.expr import _binder
-from hude.model import ReducedField, VectorField, alpha_path_field, compile_model, phi_inv
+from hude.model import (ReducedField, VectorField, _generated, alpha_path_field,
+                        compile_model, phi_inv)
 from hude.odeint import SCALAR_ROWS, _terminal_state_batch, integrate
 from hude.reactor import (CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235, ReactorParams,
                           build_point_kinetics, build_reactor_hude, table3)
 
-from conftest import example1_closed_form
+from conftest import ast_strategy, example1_closed_form
+
+
+def _compiler_found():
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    return bool(cc) and shutil.which(cc[0]) is not None
+
+
+# The compiled kernels are built with the interpreter's C compiler; without
+# one every field runs on the numpy kernels.
+COMPILER_FOUND = _compiler_found()
+
+# (COMPILED, SCALAR_ROWS) of the column kernel, the row kernel of a two-row
+# batch, and the compiled kernel where the field has one.
+BACKENDS = [(False, 0), (False, 2), (True, 0)]
 
 
 def exp_field():
@@ -417,7 +436,8 @@ def test_column_core_equals_array_core(case):
     same = _same if finite.all() else _same_but_nan_sign
     loops = []
     for limit in (0, rows):
-        with mock.patch.object(odeint, "SCALAR_ROWS", limit):
+        with mock.patch.object(odeint, "COMPILED", False), \
+                mock.patch.object(odeint, "SCALAR_ROWS", limit):
             got = _terminal_state_batch(column, *args, mode="extremes")
             loops.append(got)
             assert all(_same_but_nan_sign(a, b) for a, b in zip(got, expected))
@@ -439,6 +459,7 @@ def test_column_core_equals_array_core(case):
     assert all(_same_but_nan_sign(a, b) for a, b in zip(*loops))
 
 
+@mock.patch.object(odeint, "COMPILED", False)
 def test_column_kernel_keeps_a_float_exponent():
     # For the float exponent 2.0 numpy squares, for an array of 2.0s it calls
     # its vectorised pow, which rounds some squares differently.
@@ -451,6 +472,7 @@ def test_column_kernel_keeps_a_float_exponent():
                      _array_core(raw, *args, "euler"))
 
 
+@mock.patch.object(odeint, "COMPILED", False)
 def test_parameter_exponents_bound_per_row_step_like_floats():
     # A per-row exponent of 2.0, 0.5 or -1.0 rounds in the column kernel as
     # the float does in the row kernel, so a row does not depend on whether
@@ -475,7 +497,8 @@ def test_parameter_exponents_bound_per_row_step_like_floats():
 
 def _loops_taken(solve):
     """The loops that ran in ``solve()``: ``"row"`` for the row kernel,
-    ``"column"`` for the column kernel, the field for the column loop."""
+    ``"column"`` for the column kernel, ``"compiled"`` for the compiled
+    kernel, the field for the column loop."""
     taken = []
 
     def spy(name, loop):
@@ -487,12 +510,14 @@ def _loops_taken(solve):
     with mock.patch.multiple(
             odeint, _row_loop=spy(lambda raw: "row", odeint._row_loop),
             _column_kernel=spy(lambda raw: "column", odeint._column_kernel),
+            _compiled_loop=spy(lambda raw: "compiled", odeint._compiled_loop),
             _column_loop=spy(lambda raw: raw, odeint._column_loop)):
         solve()
     return taken
 
 
 @pytest.mark.parametrize("rows", [1, SCALAR_ROWS, SCALAR_ROWS + 1, 300])
+@mock.patch.object(odeint, "COMPILED", False)
 def test_small_batches_run_row_by_row(rows):
     # Reduced fields never reach the column loop: small batches run through
     # the row kernel, larger ones through the column kernel.
@@ -503,6 +528,7 @@ def test_small_batches_run_row_by_row(rows):
     assert taken == ["column" if rows > SCALAR_ROWS else "row"]
 
 
+@mock.patch.object(odeint, "COMPILED", False)
 def test_recorded_paths_run_in_the_row_kernel():
     # Whatever the row limit: the column kernel never records.  A level bound
     # as a one-row batch records the path of the float level.
@@ -520,11 +546,12 @@ def test_recorded_paths_run_in_the_row_kernel():
         integrate(ReducedField(*code, np.array([0.7, 0.8])),
                   InitialState(0.0, [1.0]), 1.0, 0.1)
     with pytest.raises(ValueError, match="row kernel"):
-        ReducedField(*code, 0.7).kernel(1, "euler", "record", columns=True)
+        ReducedField(*code, 0.7).kernel(1, "euler", "record", "columns")
 
 
 @pytest.mark.parametrize("rows", [1, 2, SCALAR_ROWS + 1])
 @pytest.mark.parametrize("limit", [0, SCALAR_ROWS])
+@mock.patch.object(odeint, "COMPILED", False)
 def test_levels_bind_one_value_or_one_per_row(rows, limit):
     # Three levels fit no batch here, in either kernel; one level, a
     # one-element array and one per row do.
@@ -539,6 +566,7 @@ def test_levels_bind_one_value_or_one_per_row(rows, limit):
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
+@mock.patch.object(odeint, "COMPILED", False)
 def test_hand_written_fields_take_the_column_loop(method):
     groups = ReactorParams(
         decay_constant=THERMAL_U235.decay_constant,
@@ -576,6 +604,7 @@ def test_hand_written_fields_integrate_one_row():
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
+@mock.patch.object(odeint, "COMPILED", False)
 def test_parameter_names_never_reach_generated_code(method):
     # Parameters named after the names generated code uses give the bits of
     # the same model with neutral names: code reads them as slots p0, p1, ...
@@ -621,15 +650,10 @@ def test_repeated_solves_reuse_generated_kernels():
         return path.trajectory.y, fan.values, series.x, series.derivs
 
     def bisect(model, theta):
-        # Bisection passes of 900 and 420 rows: the column kernel.
+        # Bisection passes of 900 and 420 rows: the column kernel, or the
+        # compiled one.
         return hude.compute_residuals(model, theta, observed, delta=1e-2,
                                       h=1e-3, condition_check=False)
-
-    model = build_reactor_hude(THERMAL_U235)
-    observed = table3()
-    first = solve(model)
-    assert _loops_taken(lambda: bisect(model, FITTED_THETA)) == ["column"] * 2
-    sources = []
 
     def spy(generate):
         def run(*args):
@@ -637,19 +661,30 @@ def test_repeated_solves_reuse_generated_kernels():
             return generate(*args)
         return run
 
-    # After one warm-up, neither the same model nor an equal one prints or
-    # compiles a source again, also for a bisection at another parameter
-    # point, which probes other levels.
-    misses = _binder.cache_info().misses
-    with mock.patch.multiple(
-            hude.model, _infix=spy(hude.model._infix),
-            _kernel_source=spy(hude.model._kernel_source),
-            _column_source=spy(hude.model._column_source)):
-        for again in (model, build_reactor_hude(THERMAL_U235)):
-            assert all(_same(a, b) for a, b in zip(first, solve(again)))
-            assert len(bisect(again, {"sig1": 2e-4, "sig2": 0.25})) == 60
-    assert sources == []
-    assert _binder.cache_info().misses == misses
+    model = build_reactor_hude(THERMAL_U235)
+    observed = table3()
+    backends = [(False, "column")] + [(True, "compiled")] * COMPILER_FOUND
+    for compiled, loop in backends:
+        with mock.patch.object(odeint, "COMPILED", compiled):
+            first = solve(model)
+            assert _loops_taken(lambda: bisect(model, FITTED_THETA)) == [loop] * 2
+            sources = []
+            # After one warm-up, neither the same model nor an equal one
+            # prints, compiles or builds a source again, also for a bisection
+            # at another parameter point, which probes other levels.
+            misses = _generated.cache_info().misses
+            with mock.patch.multiple(
+                    hude.model, _infix=spy(hude.model._infix),
+                    _kernel_source=spy(hude.model._kernel_source),
+                    _column_source=spy(hude.model._column_source)), \
+                    mock.patch.multiple(hude.native,
+                                        _c_source=spy(hude.native._c_source),
+                                        load=spy(hude.native.load)):
+                for again in (model, build_reactor_hude(THERMAL_U235)):
+                    assert all(_same(a, b) for a, b in zip(first, solve(again)))
+                    assert len(bisect(again, {"sig1": 2e-4, "sig2": 0.25})) == 60
+            assert sources == []
+            assert _generated.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("method, drift, y0, h, t", [
@@ -688,10 +723,11 @@ def test_median_level_leaves_out_infinite_noise(method):
              for model in (noisy, bare)]
     assert np.isfinite(paths[0]).all()
     assert _same(*paths)
-    # A batch row at phi = 0 keeps |g|*phi, in both loops: NaN here.
+    # A batch row at phi = 0 keeps |g|*phi, in every loop: NaN here.
     field = ReducedField(*compile_model(noisy, None), phi_inv([0.5, 0.7]))
-    for limit in (0, 2):
-        with mock.patch.object(odeint, "SCALAR_ROWS", limit):
+    for compiled, limit in BACKENDS:
+        with mock.patch.object(odeint, "COMPILED", compiled), \
+                mock.patch.object(odeint, "SCALAR_ROWS", limit):
             batch = _terminal_state_batch(field, np.zeros(2), np.ones((2, 1)),
                                           np.ones(2), 0.1, method)
         assert np.isnan(batch).all()
@@ -712,8 +748,154 @@ def test_kernel_extremes_follow_numpy(method, drift, y0):
     y0 = np.array(y0)
     t0s, t1s = np.full(2, 0.5), np.array([0.75, 0.8])
     expected = _array_core(raw, t0s, y0, t1s, 0.1, method, track_extremes=True)
-    for limit in (0, 2):
-        with mock.patch.object(odeint, "SCALAR_ROWS", limit):
+    for compiled, limit in BACKENDS:
+        with mock.patch.object(odeint, "COMPILED", compiled), \
+                mock.patch.object(odeint, "SCALAR_ROWS", limit):
             got = _terminal_state_batch(raw, t0s, y0, t1s, 0.1, method,
                                         mode="extremes")
         assert all(_same(a, b) for a, b in zip(got, expected))
+
+
+needs_compiler = pytest.mark.skipif(
+    not COMPILER_FOUND, reason="no C compiler (sysconfig CC) found")
+
+# Fields of the ops the compiled kernels take: + - * /, negation and abs.
+EXACT_FIELDS = ast_strategy(binary="+-*/", functions=("abs",))
+# Any finite float: states, levels and parameters that overflow included.
+FREE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _modes(got):
+    return got if isinstance(got, tuple) else (got,)
+
+
+@needs_compiler
+@settings(max_examples=6, deadline=None)
+@given(drift=EXACT_FIELDS, diffusion=EXACT_FIELDS,
+       method=st.sampled_from(["euler", "rk4"]), data=st.data())
+def test_compiled_kernel_equals_numpy_kernels(drift, diffusion, method, data):
+    # One method per field: a cold cache builds at most its three modes (six
+    # where the level is a scalar zero and the noise is left out), while the
+    # values each run binds are drawn freely.
+    rows = data.draw(st.integers(1, 40))
+    h = data.draw(st.sampled_from([0.1, 0.03]))
+
+    def per_row(values):
+        # One value, or one per row.
+        if data.draw(st.booleans()):
+            return data.draw(values)
+        return np.array(data.draw(st.lists(values, min_size=rows,
+                                           max_size=rows)))
+
+    theta = {"a": per_row(FREE), "b": per_row(FREE)}
+    phi = per_row(FREE)
+    code, values = compile_model(
+        hude.HudeModel(3, drift, (diffusion,), params=("a", "b")), theta)
+    field = ReducedField(code, values, phi)
+    t0s = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=rows,
+                                      max_size=rows)))
+    # Spans that are not a multiple of h shorten each row's last step.
+    steps = st.tuples(st.integers(0, 20), st.floats(0.05, 1.0))
+    t1s = t0s + h * np.array([k + f for k, f in data.draw(
+        st.lists(steps, min_size=rows, max_size=rows))])
+    y0s = np.array(data.draw(st.lists(st.lists(FREE, min_size=3, max_size=3),
+                                      min_size=rows, max_size=rows)))
+
+    def run(compiled, limit, field, *args, mode):
+        with mock.patch.object(odeint, "COMPILED", compiled), \
+                mock.patch.object(odeint, "SCALAR_ROWS", limit):
+            return _modes(_terminal_state_batch(field, *args, h, method,
+                                                mode=mode))
+
+    one = ReducedField(code, {k: np.ravel(v)[0] for k, v in values.items()},
+                       np.ravel(phi)[0])
+    for field, args, mode in [(field, (t0s, y0s, t1s), "terminal"),
+                              (field, (t0s, y0s, t1s), "extremes"),
+                              (one, (t0s[0], y0s[0], t1s[0]), "record")]:
+        ran = []
+        taken = _loops_taken(lambda: ran.append(
+            run(True, 0, field, *args, mode=mode)))
+        assert taken == ["compiled"]
+        (got,) = ran
+        for limit in (0, rows):  # the column kernel, then the row kernel
+            expected = run(False, limit, field, *args, mode=mode)
+            assert all(_same_but_nan_sign(a, b) for a, b in zip(got, expected))
+
+
+@needs_compiler
+@pytest.mark.parametrize("mode", ["terminal", "extremes", "record"])
+def test_exact_fields_take_the_compiled_kernel(mode):
+    code = compile_model(hude.HudeModel.parse(
+        2, "-x1/(1 + abs(x0)) - x0", ["0.5*x1 - t"]), None)
+    kernel, _ = ReducedField(*code, 0.7).kernel(2, "rk4", mode, "compiled")
+    assert kernel is not None
+    rows = 1 if mode == "record" else 50
+    field = ReducedField(*code, phi_inv(np.full(rows, 0.7)))
+    args = ((0.0, np.ones(2), 1.0) if mode == "record"
+            else (np.zeros(rows), np.ones((rows, 2)), np.ones(rows)))
+    assert _loops_taken(lambda: _terminal_state_batch(
+        field, *args, 0.1, "rk4", mode)) == ["compiled"]
+
+
+@pytest.mark.parametrize("drift, loop", [("-exp(x0)", "row"), ("-x0^3", "row"),
+                                         ("-exp(x0)", "column")])
+def test_inexact_fields_take_the_numpy_kernels(drift, loop, caplog):
+    # np.exp and np.power may round unlike C's, so these fields stay on the
+    # numpy kernels, and the hude logger says why.
+    rows = 2 if loop == "row" else SCALAR_ROWS + 1
+    field = ReducedField(*compile_model(hude.HudeModel.parse(1, drift), None),
+                         0.0)
+    _generated.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="hude"):
+        taken = _loops_taken(lambda: _terminal_state_batch(
+            field, np.zeros(rows), np.ones((rows, 1)), np.ones(rows), 0.1))
+    assert taken == [loop]
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "unlike numpy" in caplog.records[0].getMessage()
+
+
+def _broken_source(*args):
+    return "this is not C\n"
+
+
+@pytest.mark.parametrize("breakage", [
+    mock.patch("sysconfig.get_config_var", return_value="no-such-hude-cc"),
+    mock.patch("sysconfig.get_config_var", return_value=""),
+    mock.patch("hude.native._c_source", _broken_source),
+], ids=["missing-compiler", "no-compiler", "broken-build"])
+def test_failed_builds_fall_back_to_numpy(breakage, caplog, recwarn):
+    # Without a compiler, or where the build fails, the numpy kernels run
+    # with the same bits, after exactly one debug line and no warning.
+    code = compile_model(hude.HudeModel.parse(1, "-x0", ["t"]), None)
+    args = (np.zeros(3), np.ones((3, 1)), np.ones(3), 0.1)
+    with mock.patch.object(odeint, "COMPILED", False):
+        expected = _terminal_state_batch(ReducedField(*code, 0.3), *args)
+    _generated.cache_clear()
+    ran = []
+    with breakage, caplog.at_level(logging.DEBUG, logger="hude"):
+        # The second solve finds the failure memoised: no second build.
+        taken = _loops_taken(lambda: ran.extend(
+            _terminal_state_batch(ReducedField(*code, 0.3), *args)
+            for _ in range(2)))
+    _generated.cache_clear()
+    assert taken == ["row"] * 2
+    assert all(_same(got, expected) for got in ran)
+    assert [(r.name, r.levelno) for r in caplog.records] == [
+        ("hude", logging.DEBUG)]
+    assert "did not build" in caplog.records[0].getMessage()
+    assert len(recwarn) == 0
+
+
+@needs_compiler
+def test_compiled_backend_loads_where_a_compiler_is_found(tmp_path):
+    # A fresh, private cache directory: the kernel is built, not found.
+    with mock.patch("tempfile.tempdir", str(tmp_path)):
+        _generated.cache_clear()
+        field = ReducedField(*compile_model(hude.HudeModel.parse(
+            1, "-0.25*x0"), None), 0.0)
+        kernel, _ = field.kernel(1, "euler", "terminal", "compiled")
+    _generated.cache_clear()
+    assert kernel is not None
+    (cache,) = tmp_path.iterdir()
+    assert cache.stat().st_mode & 0o777 == 0o700
+    assert [f.suffix for f in cache.iterdir()] == [".so"]
