@@ -770,13 +770,13 @@ def _modes(got):
 
 
 @needs_compiler
-@settings(max_examples=6, deadline=None)
-@given(drift=EXACT_FIELDS, diffusion=EXACT_FIELDS,
-       method=st.sampled_from(["euler", "rk4"]), data=st.data())
-def test_compiled_kernel_equals_numpy_kernels(drift, diffusion, method, data):
-    # One method per field: a cold cache builds at most its three modes (six
-    # where the level is a scalar zero and the noise is left out), while the
-    # values each run binds are drawn freely.
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@settings(max_examples=3, deadline=None)
+@given(drift=EXACT_FIELDS, diffusion=EXACT_FIELDS, data=st.data())
+def test_compiled_kernel_equals_numpy_kernels(method, drift, diffusion, data):
+    # Three fields per method: a cold cache builds at most three modes of
+    # each (six where the level is a scalar zero and the noise is left out),
+    # while the values each run binds are drawn freely.
     rows = data.draw(st.integers(1, 40))
     h = data.draw(st.sampled_from([0.1, 0.03]))
 
