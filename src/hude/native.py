@@ -58,9 +58,9 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     <params>)``, every argument after ``out`` a pointer to ``rows`` values
     (the states ``x0 ..`` stepped in place): the loop of
     :func:`hude.model._kernel_source` with the same operations in the same
-    order, run steps outer and rows inner.
-    The ops of ``field`` (:func:`hude.model.compile_model`) are a function of ``t``,
-    the state and one row's bound values, literals written exactly as
+    order, run steps outer and rows inner.  The ops of ``field``
+    (:func:`hude.model.compile_model`) are a function of ``t``, the state
+    and one row's bound values, literals written exactly as
     ``float.hex()``.  ``mode`` ``"extremes"`` keeps each row's running
     minimum and maximum of state ``j`` in ``out[j*rows + i]`` and
     ``out[(n + j)*rows + i]``, ``"record"`` (one row) writes state ``k`` of
@@ -100,18 +100,20 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     step += [f"c_x{j}[i] = x{j};" for j in range(n)]
     if mode == "extremes":
         for j in range(n):
-            for at, keep in ((f"{j} * rows + i", "<"), (f"{n + j} * rows + i", ">")):
+            for at, keep in ((f"{j} * rows + i", "<"),
+                             (f"{n + j} * rows + i", ">")):
                 step.append(f"{{ const double e = out[{at}]; out[{at}] = "
                             f"e {keep} x{j} || e != e ? e : x{j}; }}")
     elif mode == "record":
         step += [f"out[(k + 1) * {n} + {j}] = x{j};" for j in range(n)]
-    pointers = ", ".join([*(f"double *restrict c_x{j}" for j in range(n)),
-                          *(f"const double *restrict b_{name}" for name in names)])
+    pointers = ", ".join([*(f"double *restrict c_{x}" for x in xs), *(
+        f"const double *restrict b_{name}" for name in names)])
     lines = [
         "#include <math.h>", "#include <stdint.h>",
         "static double field(" + ", ".join(
             f"double {a}" for a in ["t", *xs, *names]) + ") {",
-        *(f"    const double v{k} = {_C_OPS[func].format(*map(operand, args))};"
+        *(f"    const double v{k} = "
+          f"{_C_OPS[func].format(*map(operand, args))};"
           for k, (func, *args) in enumerate(ops)),
         f"    return {operand(value)};", "}",
         "void kernel(int64_t rows, double h, const int64_t *restrict nsteps, "
@@ -125,11 +127,14 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
         "        const double kh = (double)k * h;",
         "        for (int64_t i = 0; i < rows; i++) {",
         "            double t = t0[i] + kh, s = h;",
+        # Before the shortest row's last step every row steps by h: gcc
+        # unswitches this test and vectorises the loop over the rows.
         "            if (k >= shared - 1) {",
         "                if (k >= nsteps[i]) continue;",
         "                if (k == nsteps[i] - 1) {",
         "                    t = t < t_end[i] || t != t ? t : t_end[i];",
-        "                    s = last[i];", "                }", "            }",
+        "                    s = last[i];",
+        "                }", "            }",
         f"            double {', '.join(f'{x} = c_{x}[i]' for x in xs)};",
         *(f"            {line}" for line in step), "        }", "    }", "}"]
     return "".join(f"{line}\n" for line in lines)
