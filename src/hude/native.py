@@ -28,16 +28,21 @@ FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 def kernel(field, params: str, n: int, method: str, mode: str):
     """The compiled kernel of a reduced field lowered to ``field`` over the
     bound names ``params`` (:func:`hude.model._generated`): :func:`_c_source`
-    built and loaded by :func:`load`.  ``None``, after one debug line on the
-    ``hude`` logger, for a field with an op that C may round unlike numpy or
-    where the build fails."""
+    built and loaded by :func:`load`; for ``mode`` ``"chain"`` the ``chain``
+    entry point of the terminal source.  ``None``, after one debug line on
+    the ``hude`` logger, for a field with an op that C may round unlike numpy
+    or where the build fails."""
     inexact = sorted({func for func, *_ in field[0]} - _C_OPS.keys())
     if inexact:
         reason = f"{', '.join(inexact)} may round unlike numpy in C"
     else:
+        # A chain is the second entry point of the terminal kernel's object.
+        chain = mode == "chain"
         try:
             # nsteps, out, t0, t_end and last, the states and bound values.
-            return load(_c_source(field, params, n, method, mode),
+            return load(_c_source(field, params, n, method,
+                                  "terminal" if chain else mode),
+                        "chain" if chain else "kernel",
                         5 + n + len(params.split(", ")))
         except OSError as exc:
             reason = f"the C kernel did not build: {exc}"
@@ -64,7 +69,10 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     ``float.hex()``.  ``mode`` ``"extremes"`` keeps each row's running
     minimum and maximum of state ``j`` in ``out[j*rows + i]`` and
     ``out[(n + j)*rows + i]``, ``"record"`` (one row) writes state ``k`` of
-    every step ``k`` to ``out[k*n ..]``.
+    every step ``k`` to ``out[k*n ..]``.  The ``"terminal"`` source also
+    defines ``chain``, with the same arguments: it runs the rows one at a
+    time through ``kernel`` (a one-row call, pointers offset by ``i``), each
+    from the terminal state of the row before it, which it copies forward.
     """
     ops, value = field
 
@@ -108,6 +116,10 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
         step += [f"out[(k + 1) * {n} + {j}] = x{j};" for j in range(n)]
     pointers = ", ".join([*(f"double *restrict c_{x}" for x in xs), *(
         f"const double *restrict b_{name}" for name in names)])
+    signature = ("(int64_t rows, double h, const int64_t *restrict nsteps, "
+                 "double *restrict out, const double *restrict t0, const "
+                 "double *restrict t_end, const double *restrict last, "
+                 f"{pointers}) {{")
     lines = [
         "#include <math.h>", "#include <stdint.h>",
         "static double field(" + ", ".join(
@@ -116,9 +128,7 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
           f"{_C_OPS[func].format(*map(operand, args))};"
           for k, (func, *args) in enumerate(ops)),
         f"    return {operand(value)};", "}",
-        "void kernel(int64_t rows, double h, const int64_t *restrict nsteps, "
-        "double *restrict out, const double *restrict t0, const double "
-        f"*restrict t_end, const double *restrict last, {pointers}) {{",
+        f"void kernel{signature}",
         "    int64_t shared = INT64_MAX, total = 0;",
         "    for (int64_t i = 0; i < rows; i++) {",
         "        if (nsteps[i] < shared) shared = nsteps[i];",
@@ -137,6 +147,15 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
         "                }", "            }",
         f"            double {', '.join(f'{x} = c_{x}[i]' for x in xs)};",
         *(f"            {line}" for line in step), "        }", "    }", "}"]
+    if mode == "terminal":
+        per_row = ["t0", "t_end", "last", *(f"c_{x}" for x in xs),
+                   *(f"b_{name}" for name in names)]
+        lines += [
+            f"void chain{signature}",
+            "    for (int64_t i = 0; i < rows; i++) {",
+            *(f"        if (i) c_{x}[i] = c_{x}[i - 1];" for x in xs),
+            "        kernel(1, h, nsteps + i, out, "
+            f"{', '.join(f'{r} + i' for r in per_row)});", "    }", "}"]
     return "".join(f"{line}\n" for line in lines)
 
 
@@ -152,8 +171,8 @@ def _cache_dir() -> str:
     return path
 
 
-def load(source: str, nargs: int):
-    """The function ``kernel`` that the C ``source`` defines, taking an int64
+def load(source: str, symbol: str, nargs: int):
+    """The function ``symbol`` that the C ``source`` defines, taking an int64
     row count, a double step and ``nargs`` pointers, built with the
     interpreter's C compiler (``sysconfig`` ``CC``) unless cached.  Raises
     OSError when there is no compiler, the build fails or the cache is not
@@ -177,7 +196,7 @@ def load(source: str, nargs: int):
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    fn = ctypes.CDLL(path).kernel
+    fn = getattr(ctypes.CDLL(path), symbol)
     fn.argtypes = [ctypes.c_int64, ctypes.c_double, *[ctypes.c_void_p] * nargs]
     fn.restype = None
     return fn

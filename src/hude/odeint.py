@@ -1,28 +1,30 @@
 """Fixed-step initial-value integrators for first-order vector fields.
 
 One entry point, :func:`_terminal_state_batch`, runs every integration in
-one of three modes: a recorded path (:func:`integrate`), the terminal states
-of a batch of rows, or those with their extremes (the spot check of a fan).
-It picks the kernel in one place.  A reduced model field runs through a
-whole-loop kernel generated once per field source, with the level and
-parameters passed in as values (:meth:`hude.model.ReducedField.kernel`).
+one of four modes: a recorded path (:func:`integrate`), the terminal states
+of a batch of rows, those with their extremes (the spot check of a fan), or
+a chain of rows, each started from the end state of the row before it (a
+simulated series, one row per step).  It picks the kernel in one place.
+A reduced model field runs through a whole-loop kernel generated once per
+field source, with the level and parameters passed in as values
+(:meth:`hude.model.ReducedField.kernel`).
 A field whose ops are all ``+ - * /``, negation and ``abs``, which C rounds
 as numpy does, runs every path and batch in a kernel compiled from C
 (:func:`_compiled_loop`), where a C compiler builds it.  Any other field
 (``exp``, ``ln``, ``sin``, ``cos``, ``^``), and every field where no kernel
-builds, runs on the numpy kernels: a recorded path (an alpha-path) and a
-batch of at most :data:`SCALAR_ROWS` rows (a simulated step, a small fan or
-bisection pass) row by row on floats, a larger batch (a large bisection
-pass) on ``(B,)`` state columns stepped in place.  A hand-written array
-field integrates one row, recorded (:func:`integrate`).  All give the same
+builds, runs on the numpy kernels: a recorded path (an alpha-path), a chain
+and a batch of at most :data:`SCALAR_ROWS` rows (a small fan or bisection
+pass) row by row on floats, a larger batch (a large bisection pass) on
+``(B,)`` state columns stepped in place.  A hand-written array field
+integrates one row, recorded (:func:`integrate`).  All give the same
 bits, except the sign of a NaN: where two NaNs of opposite sign meet, float,
 array and C arithmetic keep different ones.
 
 The loop only integrates: it returns the states it computed, finite or not.
 Each caller names its own failure: :func:`integrate` raises
 :class:`IntegrationError` at the first non-finite grid point, a fan level
-or a simulated step raises :func:`_step_failure` at its end time, and the
-bisection flags its failed rows.
+or the first non-finite simulated step raises :func:`_step_failure` at its
+end time, and the bisection flags its failed rows.
 """
 
 from __future__ import annotations
@@ -175,26 +177,32 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     state, so a row's result does not depend on the other rows.  A reduced
     field (:class:`hude.model.ReducedField`) runs through a generated
     whole-loop kernel: compiled from C when its ops allow and one builds
-    (:func:`_compiled_loop`), else recorded or with at most
+    (:func:`_compiled_loop`), else recorded, chained or with at most
     :data:`SCALAR_ROWS` rows row by row on floats (:func:`_row_loop`), else
     on ``(B,)`` state columns stepped in place (:func:`_column_kernel`).
     Each of its levels and parameters binds one value or one per row, else
     ValueError.  A hand-written array field steps one row as an ``(n,)``
     array (:func:`_column_loop`), and raises ValueError on a batch or in
-    mode ``"extremes"``.  All give the same bits (up to the sign of a NaN,
-    see the module docstring).
+    mode ``"extremes"`` or ``"chain"``.  All give the same bits (up to the
+    sign of a NaN, see the module docstring).
 
     ``mode`` says what is returned: ``"terminal"`` the terminal states,
     ``"extremes"`` those with the componentwise extremes over all rows and
     steps, ``"record"`` (one row, ``y0`` of shape ``(n,)``) every state, one
     grid point per row, allocated before the first step; any other value
-    raises ValueError.  States are returned as computed, finite or not: the
-    caller names a failure.  A non-finite ``h``, ``t0`` or ``t_end``, or a
-    span whose step count does not fit an int64, raises ValueError.
+    but ``"chain"`` raises ValueError.  ``"chain"`` takes ``y0`` of shape
+    ``(n,)`` and one segment per row of the ``(B,)`` times, and returns the
+    ``(B, n)`` terminal states: row 0 starts from ``y0`` and each later row
+    from the terminal state of the row before it, and every row plans and
+    steps as a one-row ``"terminal"`` call over its own segment with its
+    bound values as a batch of one.  States are returned as computed,
+    finite or not: the caller names a failure.  A non-finite ``h``, ``t0``
+    or ``t_end``, or a span whose step count does not fit an int64, raises
+    ValueError.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
-    if mode not in ("terminal", "extremes", "record"):
+    if mode not in ("terminal", "extremes", "record", "chain"):
         raise ValueError(f"unknown mode {mode!r}")
     t0 = np.asarray(t0, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
@@ -216,7 +224,12 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
                          f"h={h!r}, more than an int64 counts")
     nsteps = np.maximum(nsteps.astype(np.int64), 1)
     last = span - (nsteps - 1) * h
-    if y.ndim == 1:
+    if mode == "chain":
+        if y.ndim > 1:
+            raise ValueError("a chain starts from one state")
+        # One row per segment; a row's start state is the row before's end.
+        y = np.broadcast_to(y, (nsteps.size, n))
+    elif y.ndim == 1:
         t0 = float(t0)
     out = None
     if mode == "record":
@@ -225,9 +238,9 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         out[0] = y
     plan = (y, t0, t_end, nsteps, last, h, mode, out)
     if not hasattr(raw, "kernel"):
-        if y.ndim > 1 or mode == "extremes":
+        if y.ndim > 1 or mode in ("extremes", "chain"):
             raise ValueError("a hand-written field integrates one row, without "
-                             "extremes")
+                             "extremes or a chain")
         loop, plan = _column_loop, (raw, method, *plan)
     else:
         rows = y.size // n
@@ -235,9 +248,12 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
                          else (None, ()))
         loop = _compiled_loop
         if kernel is None:
-            by_row = mode == "record" or rows <= SCALAR_ROWS
-            kernel, bound = raw.kernel(n, method, mode,
-                                       "row" if by_row else "columns")
+            # A recorded path and a chain run row by row, a chain through
+            # the terminal row kernel.
+            by_row = mode in ("record", "chain") or rows <= SCALAR_ROWS
+            kernel, bound = raw.kernel(
+                n, method, "terminal" if mode == "chain" else mode,
+                "row" if by_row else "columns")
             loop = _row_loop if by_row else _column_kernel
         for v in bound:
             if np.shape(v) not in ((), (1,), (rows,)):
@@ -281,12 +297,19 @@ def _compiled_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
 def _row_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
     """Run each row of ``y`` through the generated row ``kernel`` with that
     row's plan and ``bound`` values (each one value or one per row), all
-    floats.  Returns the terminal states with the per-column extremes, or
-    ``out`` holding every state of the one row ``y`` (``mode``
-    ``"record"``)."""
+    floats; in ``mode`` ``"chain"`` each row after the first starts from the
+    terminal state of the row before it.  Returns the terminal states with
+    the per-column extremes, or ``out`` holding every state of the one row
+    ``y`` (``mode`` ``"record"``)."""
     n = y.shape[-1]
     per_row = (np.broadcast_to(v, (y.size // n,)).tolist()
                for v in (t0, t_end, nsteps, last, *bound))
+    if mode == "chain":
+        x, ran = y[0].tolist(), []
+        for a, b, c, d, *p in zip(*per_row):
+            x = kernel(a, b, c, d, h, None, *x, *p)
+            ran.append(x)
+        return np.array(ran), None, None
     record = None if out is None else memoryview(out.reshape(-1))
     ran = [kernel(a, b, c, d, h, record, *x, *p) for (a, b, c, d, *p), x in
            zip(zip(*per_row), y.reshape(-1, n).tolist())]

@@ -538,7 +538,12 @@ def simulate_observations(
     that level, and its terminal state becomes the next observation.  The
     returned series carries the exactly propagated derivative columns, so
     residuals recomputed with ``scheme="given"`` and the same ``theta``
-    recover the drawn levels up to the bisection precision.
+    recover the drawn levels up to the bisection precision.  The steps run
+    as one chained integration (``mode="chain"`` of
+    :func:`~hude.odeint._terminal_state_batch`), split only where the level
+    turns to or from the median; the first step that leaves the finite
+    floats raises :class:`~hude.odeint.IntegrationError` naming its end time
+    and level.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size < 2:
@@ -563,17 +568,24 @@ def simulate_observations(
         if not np.all((eps > 0.0) & (eps < 1.0)):
             raise ValueError("levels must lie strictly inside (0, 1)")
     code, values = compile_model(model, theta)
+    phi = _clamped_phi(eps)
     states = np.empty((times.size, n))
     states[0] = init.values
-    for j in range(steps):
-        field = ReducedField(code, values, _clamped_phi(eps[j]))
-        states[j + 1] = _terminal_state_batch(
-            field, times[j], states[j], times[j + 1], h, method)
-        if not np.isfinite(states[j + 1]).all():
-            raise _step_failure(
-                float(times[j + 1]),
-                f"the step from t={float(times[j])} to t={float(times[j + 1])}",
-                float(eps[j]),
-            )
+    # One chain per run of steps at phi == 0 or not: a zero level binds the
+    # plain field, where a (B,) level would add |g|*0.
+    cuts = [0, *np.flatnonzero(np.diff(phi == 0.0)) + 1, steps]
+    for a, b in zip(cuts, cuts[1:]):
+        field = ReducedField(code, values, phi[a:b] if phi[a] else 0.0)
+        states[a + 1:b + 1] = _terminal_state_batch(
+            field, times[a:b], states[a], times[a + 1:b + 1], h, method,
+            mode="chain")
+    finite = np.isfinite(states[1:]).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise _step_failure(
+            float(times[j + 1]),
+            f"the step from t={float(times[j])} to t={float(times[j + 1])}",
+            float(eps[j]),
+        )
     derivs = states[:, 1:].T.copy() if n > 1 else None
     return ObservationSeries(times, states[:, 0], derivs)

@@ -149,6 +149,44 @@ class TestSimulate:
                    tmp_path / "x.csv")
         assert code == 5
 
+    # Both backends write the same bytes; the cubic field (^) runs on numpy.
+    @pytest.mark.parametrize("compiled", [True, False],
+                             ids=["compiled", "numpy"])
+    @pytest.mark.parametrize("name, integrator", [
+        ("reactor", "euler"), ("reactor", "rk4"), ("cubic", "euler")])
+    def test_golden_series(self, tmp_path, monkeypatch, compiled, name,
+                           integrator):
+        monkeypatch.setattr(odeint, "COMPILED", compiled)
+        if name == "reactor":
+            model = hude.build_reactor_hude(hude.THERMAL_U235).to_dict()
+            model["theta"] = dict(hude.FITTED_THETA)
+            init = hude.CASE_STUDY_INIT
+        else:
+            model = hude.HudeModel.parse(
+                2, "-0.5*x1 - x0^3", ["0.3*exp(-t)"]).to_dict()
+            init = hude.InitialState(0.0, [1.0, 0.0])
+        model["init"] = {"t0": init.t0, "state": init.values.tolist()}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "series.csv"
+        assert run("simulate", "--model", path, "--times", "0:2:0.01",
+                   "--seed", 7, "--step", 1e-3, "--integrator", integrator,
+                   "--out", out) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SIMULATE[name, integrator]
+
+
+# SHA-256 of `hude simulate --times 0:2:0.01 --seed 7 --step 1e-3` outputs,
+# recorded with Python 3.11 and numpy 2.4 on x86-64.
+GOLDEN_SIMULATE = {
+    ("reactor", "euler"):
+        "002470ac846ab61aea530845a8a05d463ac38edbfca2a259a4194fd2989d36ff",
+    ("reactor", "rk4"):
+        "4ab5817198431dc9aab289e93ac06307f385a60995554111b31332ab9d93198c",
+    ("cubic", "euler"):
+        "2fcc67527cd92191d8747f3e2752a2e179427e7730d5fb679d50e72c0620aed7",
+}
+
 
 class TestEstimate:
     def test_estimate_json(self, tmp_path, decay_model_file):

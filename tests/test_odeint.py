@@ -162,6 +162,13 @@ class TestContract:
             _terminal_state_batch(exp_field().raw, 0.0, np.ones(1), 1.0, 0.1,
                                   mode="both")
 
+    def test_chain_starts_from_one_state(self):
+        field = ReducedField(*compile_model(hude.HudeModel.parse(1, "-x0"),
+                                            None), 0.0)
+        with pytest.raises(ValueError, match="a chain starts from one state"):
+            _terminal_state_batch(field, np.zeros(2), np.ones((2, 1)),
+                                  np.ones(2), 0.1, mode="chain")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("field", [exp_field(), "reduced"])
     def test_step_count_beyond_int64_rejected(self, field):
@@ -598,6 +605,9 @@ def test_hand_written_fields_integrate_one_row():
         _terminal_state_batch(raw, np.zeros(2), np.ones((2, 1)), np.ones(2), 0.1)
     with pytest.raises(ValueError):
         _terminal_state_batch(raw, 0.0, np.ones(1), 1.0, 0.1, mode="extremes")
+    with pytest.raises(ValueError, match="without extremes or a chain"):
+        _terminal_state_batch(raw, np.zeros(2), np.ones(1), np.ones(2), 0.1,
+                              mode="chain")
     alone = _terminal_state_batch(raw, 0.0, np.ones(1), 1.0, 0.1)
     path = integrate(exp_field(), InitialState(0.0, [1.0]), 1.0, 0.1)
     assert _same(alone, path.final_state)
@@ -822,6 +832,60 @@ def test_compiled_kernel_equals_numpy_kernels(method, drift, diffusion, data):
             assert all(_same_but_nan_sign(a, b) for a, b in zip(got, expected))
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@settings(max_examples=3, deadline=None)
+@given(drift=EXACT_FIELDS, diffusion=EXACT_FIELDS, data=st.data())
+def test_chain_equals_successive_one_row_calls(method, drift, diffusion,
+                                               data):
+    # Row i of a chain starts from row i - 1's terminal state and binds its
+    # own segment and values, as a one-row terminal call does with each bound
+    # as a batch of one.  Three fields per method: one build each (two where
+    # the level is a scalar zero).
+    rows = data.draw(st.integers(1, 12))
+    h = data.draw(st.sampled_from([0.1, 0.03]))
+
+    def per_row(values):
+        if data.draw(st.booleans()):
+            return data.draw(values)
+        return np.array(data.draw(st.lists(values, min_size=rows,
+                                           max_size=rows)))
+
+    def row(v, i):
+        return v if np.ndim(v) == 0 else v[i:i + 1]
+
+    theta = {"a": per_row(FREE), "b": per_row(FREE)}
+    phi = per_row(FREE)
+    code, values = compile_model(
+        hude.HudeModel(3, drift, (diffusion,), params=("a", "b")), theta)
+    t0s = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=rows,
+                                      max_size=rows)))
+    # Spans that are not a multiple of h shorten each row's last step.
+    steps = st.tuples(st.integers(0, 20), st.floats(0.05, 1.0))
+    t1s = t0s + h * np.array([k + f for k, f in data.draw(
+        st.lists(steps, min_size=rows, max_size=rows))])
+    y0 = np.array(data.draw(st.lists(FREE, min_size=3, max_size=3)))
+    chained = []
+    for compiled in (True, False):
+        with mock.patch.object(odeint, "COMPILED", compiled):
+            x, expected = y0, []
+            for i in range(rows):
+                one = ReducedField(code, {k: row(v, i) for k, v in
+                                          values.items()}, row(phi, i))
+                x = _terminal_state_batch(one, t0s[i], x, t1s[i], h, method)
+                expected.append(x)
+            # The column kernel never runs a chain, whatever the row limit.
+            with mock.patch.object(odeint, "SCALAR_ROWS", 0):
+                taken = _loops_taken(lambda: chained.append(
+                    _terminal_state_batch(ReducedField(code, values, phi),
+                                          t0s, y0, t1s, h, method, "chain")))
+        assert taken == ["compiled" if compiled and COMPILER_FOUND else "row"]
+        # Float arithmetic may keep either NaN's sign, even between two runs
+        # of one row kernel.
+        assert chained[-1].shape == (rows, 3)
+        assert _same_but_nan_sign(chained[-1], np.array(expected))
+    assert _same_but_nan_sign(*chained)
+
+
 @needs_compiler
 @pytest.mark.parametrize("mode", ["terminal", "extremes", "record"])
 def test_exact_fields_take_the_compiled_kernel(mode):
@@ -899,3 +963,27 @@ def test_compiled_backend_loads_where_a_compiler_is_found(tmp_path):
     (cache,) = tmp_path.iterdir()
     assert cache.stat().st_mode & 0o777 == 0o700
     assert [f.suffix for f in cache.iterdir()] == [".so"]
+
+
+@needs_compiler
+def test_simulation_and_bisection_share_one_build(tmp_path):
+    # A fresh cache: the simulator's chain and the bisection's batches of
+    # one field load their entry points from one shared object.
+    builds, run = [], hude.native.subprocess.run
+
+    def build(*args, **kwargs):
+        builds.append(args)
+        return run(*args, **kwargs)
+
+    model = hude.HudeModel.parse(2, "-0.5*x1 - 0.25*x0", ["0.1*x1 + 0.2"])
+    init = InitialState(0.0, [1.0, 0.0])
+    with mock.patch("tempfile.tempdir", str(tmp_path)), \
+            mock.patch.object(hude.native.subprocess, "run", build):
+        _generated.cache_clear()
+        taken = _loops_taken(lambda: hude.compute_residuals(
+            model, None, hude.simulate_observations(
+                model, None, init, 0.1 * np.arange(11), seed=5, h=1e-2),
+            delta=1e-2, h=1e-2, scheme="given", condition_check=False))
+    _generated.cache_clear()
+    assert set(taken) == {"compiled"}
+    assert len(builds) == 1

@@ -347,6 +347,41 @@ class TestSimulate:
                                   [0.0, 1.0, 3.0], eps=[0.5, 0.9], h=1e-3)
         assert raised.value.t == 3.0
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_median_steps_leave_out_infinite_noise(self, monkeypatch,
+                                                   compiled, method):
+        # At level 0.5 the noise 1/(x0 - x0) is left out, not added as
+        # |inf|*0; any other level adds it and the step fails.
+        monkeypatch.setattr(hude.odeint, "COMPILED", compiled)
+        model = hude.HudeModel.parse(1, "-x0", ["1/(x0 - x0)"])
+        init = InitialState(0.0, [1.0])
+        series = simulate_observations(model, None, init, [0.0, 0.1, 0.2],
+                                       eps=[0.5, 0.5], h=0.01, method=method)
+        assert np.isfinite(series.x).all()
+        with pytest.raises(
+            IntegrationError,
+            match=r"t=0\.2 on the step from t=0\.1 to t=0\.2 at level 0\.7$",
+        ):
+            simulate_observations(model, None, init, [0.0, 0.1, 0.2, 0.3],
+                                  eps=[0.5, 0.7, 0.5], h=0.01, method=method)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("drift", ["x0*x0", "x0^2"])  # C, then numpy
+    def test_middle_step_failure_named(self, drift, method):
+        # The third step's level drives x' = x^2 + phi past the floats; the
+        # steps after it run on from the non-finite state and raise nothing.
+        model = hude.HudeModel.parse(1, drift, ["1"])
+        with pytest.raises(
+            IntegrationError,
+            match=r"t=4\.0 on the step from t=2\.0 to t=4\.0 at level 0\.9$",
+        ) as raised:
+            simulate_observations(model, None, InitialState(0.0, [0.0]),
+                                  [0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0],
+                                  eps=[0.5, 0.6, 0.9, 0.5, 0.7, 0.5], h=1e-2,
+                                  method=method)
+        assert raised.value.t == 4.0
+
 
 class TestDataIO:
     def test_observation_csv_round_trip(self, tmp_path):
