@@ -311,8 +311,7 @@ def minimize_in_box(
     return best_x, best_f, total
 
 
-def _residual_objective(model, series, score, bounds, delta, h, scheme,
-                        method):
+def _residual_objective(model, series, score, delta, h, scheme, method):
     """``x -> score(epsilons of the residuals at x)`` and the function that
     returns the :class:`ResidualVector` of a point it has scored; ``x`` lists
     the parameters in ``model.params`` order.
@@ -320,41 +319,20 @@ def _residual_objective(model, series, score, bounds, delta, h, scheme,
     The objective's ``batch`` attribute scores a ``(P, p)`` matrix of probes
     in shared bisections (:func:`_batch_levels`); the objective scores one
     probe as a batch of one.  A probe that fails to integrate scores ``inf``.
-    Every scored point's levels are kept, and each later probe starts its
-    bisection from those of the nearest scored point (Euclidean distance in
-    the box ``bounds`` scaled to the unit cube, the earliest point among
-    ties), which saves integration passes and leaves its levels unchanged
-    (:func:`_bisect_levels`).  Probes skip the advisory monotonicity check;
-    the residual vector of a point runs it.
+    Every scored point's levels are kept, for the residual vector of that
+    point.  Probes skip the advisory monotonicity check; the residual vector
+    of a point runs it.
     """
     names = model.params
     rows = _restart_rows(model, series, scheme)
-    lo, hi = _box(bounds)
-    width = hi - lo
-    units, levels = [], []  # every scored point in the unit cube, its levels
     scored = {}  # point bytes -> (levels, saturation flags)
-
-    def keep(x, eps, saturated):
-        units.append((x - lo) / width)
-        levels.append(eps)
-        scored[np.asarray(x, dtype=float).tobytes()] = (eps, saturated)
-
-    def nearest(x):
-        if not units:
-            return None
-        # A point far outside the box may be infinitely far from all.
-        with np.errstate(over="ignore"):
-            distance = np.sum(((x - lo) / width - np.array(units)) ** 2,
-                              axis=1)
-        return levels[int(np.argmin(distance))]
 
     def batch(points):
         points = np.asarray(points, dtype=float)
-        guesses = None if not units else np.array([nearest(x) for x in points])
-        out = _batch_levels(model, points, rows, delta, h, method, guesses)
-        for x, levels_x in zip(points, out):
-            if levels_x is not None:
-                keep(x, *levels_x)
+        out = _batch_levels(model, points, rows, delta, h, method)
+        for x, levels in zip(points, out):
+            if levels is not None:
+                scored[x.tobytes()] = levels
         return [np.inf if v is None else score(v[0]) for v in out]
 
     def objective(x):
@@ -387,7 +365,7 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
     elif isinstance(theta_init, Mapping):
         theta_init = np.array([theta_init[name] for name in names], dtype=float)
     objective, residuals_at = _residual_objective(
-        model, series, score, bounds, delta, h, scheme, method)
+        model, series, score, delta, h, scheme, method)
     best_x, best_f, iterations = minimize_in_box(
         objective, theta_init, bounds, restarts, maxiter, seed,
         stop_below=threshold, presearch=presearch,

@@ -75,7 +75,7 @@ def phi_inv(alpha):
     Accepts a scalar or an array of levels, all strictly inside (0, 1).
     """
     a = np.asarray(alpha, dtype=float)
-    if not np.all((a > 0.0) & (a < 1.0)):
+    if not ((a > 0.0) & (a < 1.0)).all():
         raise ValueError("alpha must lie strictly inside (0, 1)")
     out = _SQRT3_OVER_PI * np.log(a / (1.0 - a))
     if np.ndim(alpha) == 0:
@@ -88,7 +88,8 @@ def _clamped_phi(alpha):
     ``[ALPHA_CLAMP, 1 - ALPHA_CLAMP]``: the noise level of every quantile
     level integrated, an alpha-path's, a fan level, a simulated step's level
     and each bisection probe."""
-    return phi_inv(np.clip(alpha, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP))
+    return phi_inv(np.minimum(np.maximum(alpha, ALPHA_CLAMP),
+                              1.0 - ALPHA_CLAMP))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ end time, and the bisection flags its failed rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,9 @@ SCALAR_ROWS = 32
 # Whether a reduced field whose ops all round in C as in numpy runs through
 # its compiled kernel (:func:`_compiled_loop`) when one builds.
 COMPILED = True
+
+# Step counts must stay below this: the kernels count steps in an int64.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class IntegrationError(Exception):
@@ -206,20 +210,23 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         raise ValueError(f"unknown mode {mode!r}")
     t0 = np.asarray(t0, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
-    for name, value in (("step h", h), ("initial time", t0),
-                        ("end time", t_end)):
-        bad = np.asarray(value)[~np.isfinite(value)]
-        if bad.size:
-            raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+    if not (math.isfinite(h) and np.isfinite(t0).all()
+            and np.isfinite(t_end).all()):
+        for name, value in (("step h", h), ("initial time", t0),
+                            ("end time", t_end)):
+            bad = np.asarray(value)[~np.isfinite(value)]
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{float(bad[0])!r}")
     if h <= 0:
         raise ValueError("step h must be positive")
     y = np.array(y0, dtype=float)
     n = y.shape[-1]
     span = t_end - t0
-    if np.any(span <= 0):
+    if (span <= 0).any():
         raise ValueError("t_end must exceed the initial time")
     nsteps = np.ceil(span / h - 1e-9)
-    if not np.all(nsteps < np.iinfo(np.int64).max):
+    if not (nsteps < _INT64_MAX).all():
         raise ValueError(f"the span takes {float(np.max(nsteps))!r} steps of "
                          f"h={h!r}, more than an int64 counts")
     nsteps = np.maximum(nsteps.astype(np.int64), 1)

@@ -5,7 +5,8 @@ full state at ``t_j`` and asks: at which quantile level does the restarted
 path hit the next observation ``x_{t_{j+1}}``?  That level is the residual
 ``eps_j``; for a well-fitted model the residuals behave like a sample of the
 linear (uniform) uncertainty distribution on [0, 1].  The level is found by
-bisection on the terminal value of the restarted path.
+bisection on the terminal value of the restarted path; each pass halves every
+row once, integrating all rows in one call.
 
 Derivative observations are rarely measured directly; they are reconstructed
 from the raw series with forward (default) or central differences, producing
@@ -48,15 +49,6 @@ __all__ = [
 # Row budget of one bisection in :func:`_batch_levels`; bounds the memory of
 # batched scoring on long series.
 BATCH_ROWS = 8192
-
-# Probe rows one bisection pass may integrate.  A batched Euler step of the
-# reactor model (column kernel) costs a fixed ~6.5 us of numpy overhead plus
-# ~8 ns per row (x86-64 Intel Xeon, numpy 2.4, 100 steps of h=1e-3, best of
-# 9 runs: 6.5 us at 2 rows, 6.9 us at 60, 12.0 us at 900, 12.9-13.7 us at
-# 1,024, 21.2-21.8 us at 2,000, 55-59 us at 6,000), so per-row work reaches
-# the fixed cost near 800 rows.  Smaller bisections resolve several levels
-# per pass up to this size; larger ones keep one level per pass.
-PROBE_ROWS = 1024
 
 
 class DataFormatError(Exception):
@@ -233,141 +225,54 @@ class ResidualVector:
         return cls(eps, indices=j)
 
 
-def _tile(a: np.ndarray, m: int) -> np.ndarray:
-    """``m`` copies of ``a`` stacked along its first axis; ``a`` itself when
-    ``m`` is 1, so one-level passes over large batches copy nothing."""
-    return a if m == 1 else np.concatenate([a] * m)
-
-
-def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method,
-                   guess=None):
+def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     """Vectorised bisection: for each row find the level whose restarted path
     ends at the observed next value.  Returns ``(levels, saturated, failed,
-    failure)``.  A probe at level ``a`` runs at the noise level
-    :func:`~hude.model._clamped_phi` gives ``a``, the clamp every quantile
-    level takes, and a row whose final interval still touches 0 or 1 is
-    flagged in ``saturated``.
+    failure)``.
 
     ``theta`` values may be ``(B,)`` arrays, one parameter point per row.
-    Every row is halved the same number of times, so a row's level does not
-    depend on the other rows.  Each pass of one loop integrates the probes
-    of up to ``b`` levels for every row still bisecting, then walks them in
-    one depth loop: at each depth a row reads the probe at its current
-    midpoint while that midpoint is one of its probes and it has levels
-    left, and the decisions it read narrow its interval.  The two kinds of
-    pass differ only in their probes and ``b``:
+    Each pass halves every row once: it integrates all rows in one call at
+    their midpoints ``0.5 * (lo + hi)``, each run at the noise level
+    :func:`~hude.model._clamped_phi` gives it (the clamp every quantile level
+    takes), and keeps the half whose end holds the observed value.  Every row
+    is halved the same number of times, so a row's level does not depend on
+    the other rows.  A row whose final interval still touches 0 or 1 is
+    flagged in ``saturated``.
 
-    * the probe tree: the ``2^b - 1`` dyadic points of each row's interval,
-      ``b`` the most levels (at least one, at most the levels left) whose
-      probes fit in :data:`PROBE_ROWS` rows; each row reads its levels left,
-      ``b`` at most;
-    * the guessed first pass: with ``guess`` (one level in [0, 1] per row,
-      e.g. a level this bisection returned at the same ``delta``), each row's
-      guessed ancestors, the midpoints halving would probe if the final
-      interval were the one holding the guess (as many levels as fit in
-      :data:`PROBE_ROWS` rows).  A row reads them up to its first decision
-      that leaves the guessed interval, that level included: its next
-      midpoint is no guessed ancestor.
-
-    The probes are the midpoints of sequential halving bit for bit and each
-    row reads only those halving would visit, so a guess, right or wrong,
-    changes the work and never the result.  Beyond 52 halvings the levels
-    are no longer exact floats and a guess is ignored.
-
-    A row whose terminal state at a visited probe is not finite is flagged
-    in ``failed``; the other rows are unaffected.  ``failure`` is ``None``
-    when no row failed, else ``(row, level)``: the row that failed at the
-    shallowest depth (the lowest row among ties) and the quantile level it
-    probed there.
+    A row whose terminal state at a midpoint is not finite is flagged in
+    ``failed``; the other rows are unaffected.  ``failure`` is ``None`` when
+    no row failed, else ``(row, level)``: the lowest failed row of the first
+    pass with a failure and the quantile level it probed there.
     """
     if not delta > 0:
         raise ValueError("precision delta must be positive")
     halvings = 0
     while 0.5 ** halvings > delta:
         halvings += 1
-    # One compile: each pass binds the values of the rows it probes.
+    # One compile: each pass binds the values of every row.
     code, params = compile_model(model, theta)
     B = len(x_next)
     lo = np.zeros(B)
     hi = np.ones(B)
     failed = np.zeros(B, dtype=bool)
-    # Each failed row's first failing probe: row -> (its level, counted from
-    # 1, and its quantile level).
-    fails = {}
-    active = np.arange(B if halvings else 0)  # the rows still bisecting
-    left = np.full(active.size, halvings)  # levels each has still to read
-    # Per-row data of the rows still bisecting; it shrinks as rows finish.
-    t0a, y0a, t1a, xa, loa, hia = t0s, y0s, t1s, x_next, lo, hi
-    # Levels from a guess are exact dyadics only while they fit the mantissa.
-    guessed = guess is not None and halvings <= np.finfo(float).nmant
-    while active.size:
-        A = active.size
-        # Probe j of a row is lo + (hi - lo) * j / 2^b.  That is exact, so
-        # j = 0 gives lo, j = 2^b gives hi and each midpoint 0.5 * (lo' + hi')
-        # the sequential halvings would take is one of the probes, bit for bit.
-        if guessed:
-            b = min(halvings, max(1, PROBE_ROWS // A))
-            depth = np.arange(b)[:, None]
-            cell = np.clip(np.floor(np.ldexp(guess, b)), 0,
-                           2.0 ** b - 1).astype(np.int64)
-            # The midpoint of the guessed cell's ancestor at each depth.
-            j = (2 * (cell >> (b - depth)) + 1) << (b - 1 - depth)
-            guessed = False
-        else:
-            # The most levels whose 2^b - 1 probes per row fit in PROBE_ROWS.
-            b = min(int(left.max()),
-                    max(1, (PROBE_ROWS // A + 1).bit_length() - 1))
-            j = np.arange(1, 2 ** b)[:, None]
-        m = len(j)  # probes per row, probe-major: row i of probe k is k*A + i
-        width = hia - loa
-        levels = (loa + width * (j / 2 ** b)).ravel()
-        values = {k: _tile(v, m) if np.ndim(v) else v
-                  for k, v in params.items()}
+    failure = None
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
         terminal = _terminal_state_batch(
-            ReducedField(code, values, _clamped_phi(levels)), _tile(t0a, m),
-            _tile(y0a, m), _tile(t1a, m), h, method)
+            ReducedField(code, params, _clamped_phi(mid)), t0s, y0s, t1s, h,
+            method)
         finite = np.isfinite(terminal).all(axis=1)
-        # Bit b-1-d of jlo is the row's decision at depth d (1: the target
-        # lies above the probe), read at the row's midpoint jlo + 2^(b-1-d)
-        # when that is one of its numerators j: ``at[d]`` marks it among
-        # them.  A row reads the levels up to its first miss, at most its
-        # levels left; the decisions after them are dropped.
-        below = terminal[:, 0].reshape(m, A) < xa
-        at = np.empty((b, m, A), dtype=bool)
-        jlo = np.zeros(A, dtype=np.int64)
-        for d in range(b):
-            np.equal(j, jlo + (1 << (b - 1 - d)), out=at[d])
-            jlo += (at[d] & below).any(axis=0) << (b - 1 - d)
-        read = np.minimum(np.logical_and.accumulate(at.any(axis=1)).sum(axis=0),
-                          left)
-        unread = b - read
-        jlo = (jlo >> unread) << unread
         if not finite.all():
-            # Note each row's first failure at a probe it read.
-            probes = at.argmax(axis=1) * A + np.arange(A)
-            bad = (np.arange(b)[:, None] < read) & ~finite[probes]
-            hit = bad.any(axis=0)
-            first = bad.argmax(axis=0)
-            for i in np.flatnonzero(hit & ~failed[active]):
-                fails[int(active[i])] = (int(halvings - left[i] + first[i]) + 1,
-                                         float(levels[probes[first[i], i]]))
-            failed[active] |= hit
-        loa, hia = (loa + width * (jlo / 2 ** b),
-                    loa + width * ((jlo + (1 << unread)) / 2 ** b))
-        left = left - read
-        done = left == 0
-        if done.any():
-            lo[active[done]], hi[active[done]] = loa[done], hia[done]
-            keep = ~done
-            active, t0a, y0a, t1a, xa, loa, hia, left = (
-                a[keep] for a in (active, t0a, y0a, t1a, xa, loa, hia, left))
-            params = {k: v[keep] if np.ndim(v) else v
-                      for k, v in params.items()}
+            if failure is None:
+                row = int(np.argmin(finite))
+                failure = (row, float(mid[row]))
+            failed |= ~finite
+        below = terminal[:, 0] < x_next
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     eps = 0.5 * (lo + hi)
     saturated = (lo <= 0.0) | (hi >= 1.0)
-    failure = min(((depth, row, level) for row, (depth, level) in fails.items()),
-                  default=None)
-    return eps, saturated, failed, None if failure is None else failure[1:]
+    return eps, saturated, failed, failure
 
 
 def compute_residual(
@@ -492,12 +397,11 @@ def compute_residuals(
                             condition_check)
 
 
-def _batch_levels(model, thetas, rows, delta, h, method, guesses=None):
+def _batch_levels(model, thetas, rows, delta, h, method):
     """``(levels, saturated)`` of the restart ``rows`` at each row of the
     ``(P, p)`` matrix ``thetas``, or ``None`` where a row fails to integrate,
-    from bisections of as many points as fit in :data:`BATCH_ROWS` rows.
-    ``guesses`` (optional, ``(P, rows)``) are :func:`_bisect_levels` guesses
-    per point."""
+    from bisections of as many points as fit in :data:`BATCH_ROWS` rows, each
+    point's rows bound to its own parameter values."""
     _, t0s, y0s, t1s, x_next = rows
     M = x_next.size
     per_chunk = max(1, BATCH_ROWS // M)
@@ -511,8 +415,6 @@ def _batch_levels(model, thetas, rows, delta, h, method, guesses=None):
             model, columns, np.tile(t0s, P),
             np.tile(y0s, (P, 1)), np.tile(t1s, P), np.tile(x_next, P),
             delta, h, method,
-            guess=None if guesses is None else
-            np.ravel(guesses[start:start + per_chunk]),
         )
         for k in range(P):
             part = slice(k * M, (k + 1) * M)

@@ -1,23 +1,23 @@
-"""The probe-tree bisection equals halving one level per integration pass, bit
-for bit, and resolves several levels per pass only while the probes fit in
-``PROBE_ROWS`` rows.  A guessed start changes the passes and nothing else."""
+"""The bisection halves every row once per integration pass: it equals the
+sequential reference bit for bit, a batch equals each row bisected alone, and
+each pass integrates every row once."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hude
-from hude import residuals
+from hude import odeint, residuals
 from hude.model import ReducedField, _clamped_phi, compile_model
 from hude.odeint import _terminal_state_batch
 from hude.residuals import _bisect_levels
 
 
 def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
-    """One level per integration pass: the bisection as it was before probe
-    trees, kept as the reference.  Its failure is the lowest non-finite row
-    of the first failing pass, with the level that row probed there."""
+    """One level per integration pass while the interval is wider than
+    ``delta``, kept as the reference.  Its failure is the lowest non-finite
+    row of the first failing pass, with the level that row probed there."""
     code, values = compile_model(model, theta)
     B = len(x_next)
     lo = np.zeros(B)
@@ -46,7 +46,7 @@ CASES = {
     "linear": (1, "m - 1.5*x0", "s", {"m": (-1.0, 1.0), "s": (0.05, 1.0)},
                (-1.0, 2.0), (-1.0, 2.0)),
     # Not monotone in the state: the terminal value is not monotone in the
-    # level either, so the walk must read exactly the probes halving reads.
+    # level either, so each row must take exactly the halves halving takes.
     "non_monotone": (2, "-x0^3 + sin(x1)", "s*(1 + x0^2)",
                      {"s": (0.1, 2.0)}, (-1.5, 1.5), (-1.5, 1.5)),
     # Riccati blow-up: rows overflow at high levels only, some rows at every
@@ -56,6 +56,9 @@ CASES = {
     # and fail at a level that differs from row to row, seldom the first.
     "overflow_far": (1, "x0^2", "c", {"c": (0.5, 5.0)}, (0.0, 1.5),
                      (0.0, 1e308)),
+    # The same blow-up in ops that compile to C.
+    "overflow_far_c": (1, "x0*x0", "c", {"c": (0.5, 5.0)}, (0.0, 1.5),
+                       (0.0, 1e308)),
 }
 
 
@@ -96,11 +99,48 @@ def _assert_same(got, expected):
     row_theta=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_tree_walk_equals_sequential_halving(name, rows, delta, method,
-                                             row_theta, seed):
+def test_bisection_equals_sequential_halving(name, rows, delta, method,
+                                            row_theta, seed):
     model, theta, *arrays = _case(name, rows, seed, row_theta)
     args = (model, theta, *arrays, delta, 0.1, method)
     _assert_same(_bisect_levels(*args), _sequential_levels(*args))
+
+
+def _row(theta, i):
+    return {k: v[i:i + 1] if np.ndim(v) else v for k, v in theta.items()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CASES)),
+    rows=st.integers(min_value=1, max_value=40),
+    delta=st.sampled_from([0.3, 1e-2, 1e-4]),
+    method=st.sampled_from(["euler", "rk4"]),
+    row_theta=st.booleans(),
+    compiled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_equals_rows_bisected_alone(name, rows, delta, method,
+                                          row_theta, compiled, seed):
+    # Up to 40 rows: a batch of more than SCALAR_ROWS runs the numpy column
+    # kernel, a row alone the row kernel, and both the C kernel where the
+    # field compiles.
+    model, theta, t0s, y0s, t1s, x_next = _case(name, rows, seed, row_theta)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(odeint, "COMPILED", compiled)
+        batch = _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta,
+                               0.1, method)
+        alone = [_bisect_levels(model, _row(theta, i), t0s[i:i + 1],
+                                y0s[i:i + 1], t1s[i:i + 1], x_next[i:i + 1],
+                                delta, 0.1, method) for i in range(rows)]
+    for got, expected in zip(batch[:3], zip(*(a[:3] for a in alone))):
+        assert np.array_equal(_bits(got), _bits(np.concatenate(expected)))
+    if batch[3] is None:
+        assert not batch[2].any()
+    else:
+        # The failed row probed the same level on its own.
+        row, level = batch[3]
+        assert alone[row][3] == (0, level)
 
 
 def _pass_sizes(monkeypatch, rows, delta=1e-4):
@@ -117,15 +157,14 @@ def _pass_sizes(monkeypatch, rows, delta=1e-4):
 
 
 @pytest.mark.parametrize("rows, passes", [
-    (60, [4, 4, 4, 2]),
-    (1, [10, 4]),
-    (300, [2] * 7),
-    (2000, [1] * 14),
+    (60, [60] * 14),
+    (1, [1] * 14),
+    (300, [300] * 14),
+    (2000, [2000] * 14),
 ])
 def test_levels_per_pass(monkeypatch, rows, passes):
-    sizes = _pass_sizes(monkeypatch, rows)
-    assert sizes == [rows * (2**b - 1) for b in passes]
-    assert max(sizes) <= max(rows, residuals.PROBE_ROWS)
+    # One level per pass: every pass integrates each row once.
+    assert _pass_sizes(monkeypatch, rows) == passes
 
 
 def test_coarse_delta_takes_no_pass(monkeypatch):
@@ -133,7 +172,7 @@ def test_coarse_delta_takes_no_pass(monkeypatch):
 
 
 def test_row_parameters_compile_once(monkeypatch):
-    # Each pass binds the parameter values of its probe rows to the code of
+    # Each pass binds the parameter values of every row to the code of
     # one compile.
     calls = []
 
@@ -142,11 +181,11 @@ def test_row_parameters_compile_once(monkeypatch):
         return compile_model(*args, **kwargs)
 
     monkeypatch.setattr(residuals, "compile_model", counting)
-    assert len(_pass_sizes(monkeypatch, 60)) == 4
+    assert len(_pass_sizes(monkeypatch, 60)) == 14
     assert len(calls) == 1
 
 
-def test_overflow_at_unvisited_probes_is_ignored(monkeypatch, guess=None):
+def test_overflow_at_unvisited_probes_is_ignored(monkeypatch):
     # x' = x^2 + 3*phi from 1.2 over 1.5 overflows above level ~0.98 with this
     # step; the target 0 lies near level 0.3, so halving never probes there.
     model = hude.HudeModel.parse(1, "x0^2", ["c"], params=["c"])
@@ -161,96 +200,9 @@ def test_overflow_at_unvisited_probes_is_ignored(monkeypatch, guess=None):
 
     monkeypatch.setattr(residuals, "_terminal_state_batch", recording)
     with np.errstate(all="ignore"):
-        got = _bisect_levels(*args, guess=guess)
+        got = _bisect_levels(*args)
         expected = _sequential_levels(*args)
-    assert finite[0] is False  # the first pass integrated overflowing probes
+    # No pass integrates an overflowing probe.
+    assert finite == [True] * 14
     assert not got[2].any()
     _assert_same(got, expected)
-
-
-def _guess(kind, cold, delta, rng):
-    """Guesses for the rows of a bisection whose cold levels are ``cold``."""
-    halvings = 0
-    while 0.5 ** halvings > delta:
-        halvings += 1
-    cell = np.floor(np.ldexp(cold, halvings)).astype(np.int64)
-    if kind == "right":
-        return cold
-    if kind == "one bit off":
-        # Right down to a random level, then the other half: the row leaves
-        # the guessed cell part way down.
-        level = rng.integers(1, halvings + 1, cold.size)
-        wrong = cell ^ (np.int64(1) << (halvings - level))
-        return np.ldexp(wrong + 0.5, -halvings)
-    if kind == "walls":
-        return rng.choice([0.0, 1.0], cold.size)
-    if kind == "mixed":
-        return np.where(rng.uniform(size=cold.size) < 0.5, cold,
-                        rng.uniform(size=cold.size))
-    return rng.uniform(size=cold.size)
-
-
-@settings(max_examples=80, deadline=None)
-# Rows with right guesses fail deep in the first pass while a row with a
-# wrong guess fails shallower later: the failure must be the shallower one.
-@example(name="overflow_far", rows=60, delta=1e-4, method="euler",
-         row_theta=False, kind="mixed", seed=4)
-# Later passes integrate fewer rows: a row that ends where its field
-# overflows must not depend on longer rows in the pass.
-@example(name="overflow_far", rows=26, delta=1e-2, method="euler",
-         row_theta=False, kind="walls", seed=0)
-@given(
-    name=st.sampled_from(sorted(CASES)),
-    rows=st.integers(min_value=1, max_value=300),
-    delta=st.sampled_from([0.3, 1e-2, 1e-4, 1e-7]),
-    method=st.sampled_from(["euler", "rk4"]),
-    row_theta=st.booleans(),
-    kind=st.sampled_from(["right", "one bit off", "walls", "mixed", "random"]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_guessed_start_equals_cold_bisection(name, rows, delta, method,
-                                             row_theta, kind, seed):
-    model, theta, *arrays = _case(name, rows, seed, row_theta)
-    args = (model, theta, *arrays, delta, 0.1, method)
-    with np.errstate(all="ignore"):
-        cold = _bisect_levels(*args)
-        guess = _guess(kind, cold[0], delta, np.random.default_rng(seed))
-        _assert_same(_bisect_levels(*args, guess=guess), cold)
-
-
-def test_overflow_at_unvisited_guessed_probes_is_ignored(monkeypatch):
-    # The guess names the top interval: its ancestors run up to level ~1 and
-    # overflow, and the row leaves the guess at the first level.
-    test_overflow_at_unvisited_probes_is_ignored(monkeypatch, np.array([0.99999]))
-
-
-@pytest.mark.parametrize("flips, passes", [
-    ({}, [840]),
-    # Row 0 leaves the guess at the first level: its 13 levels left take a
-    # 10-level and a 3-level pass on that row alone.
-    ({0: 1}, [840, 1023, 7]),
-    ({0: 1, 1: 8}, [840, 1022, 15]),
-    # A flip at the last level is read in the first pass.
-    ({5: 14}, [840]),
-    ({0: 1, 1: 8, 2: 12}, [840, 765, 31]),
-], ids=["right", "row0-at1", "rows01", "row5-at14", "rows012"])
-def test_right_guess_takes_one_pass(monkeypatch, flips, passes):
-    # Each guess is the cold level, except that row r of ``flips`` names the
-    # other half at level flips[r].
-    sizes = []
-
-    def counting(raw, t0, *args, **kwargs):
-        sizes.append(len(t0))
-        return _terminal_state_batch(raw, t0, *args, **kwargs)
-
-    model, theta, *arrays = _case("linear", 60, 0, True)
-    eps = _bisect_levels(model, theta, *arrays, 1e-4, 0.1, "euler")[0]
-    cell = np.floor(np.ldexp(eps, 14)).astype(np.int64)
-    for row, level in flips.items():
-        cell[row] ^= 1 << (14 - level)
-    guess = np.ldexp(cell + 0.5, -14)
-    monkeypatch.setattr(residuals, "_terminal_state_batch", counting)
-    warm = _bisect_levels(model, theta, *arrays, 1e-4, 0.1, "euler",
-                          guess=guess)[0]
-    assert sizes == passes
-    assert np.array_equal(_bits(warm), _bits(eps))

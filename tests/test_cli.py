@@ -464,12 +464,12 @@ class TestReactorDemo:
         out = tmp_path / "report"
         assert run("reactor-demo", "--out", out, "--seed", 0) == 0
         # Integrator calls and monotonicity spot checks of the whole command.
-        # Every bisection from scratch and a spot check per residual vector
-        # took 521 and 243.  Probes start from the nearest scored point and
-        # skip the check; the estimate and the fan check once each.  The
-        # residuals written are the estimate's vector, not a second bisection
-        # at the same theta, which took 4 more calls and a third check.
-        assert calls == {"_terminal_state_batch": 321, "_spot_check": 2}
+        # Each of the fit's 120 bisections halves every row once per call,
+        # 14 calls at delta 1e-4, and the fan takes one more.  Probes skip
+        # the check; the estimate and the fan check once each.  The residuals
+        # written are the estimate's vector, not a second bisection at the
+        # same theta, which would take 14 more calls and a third check.
+        assert calls == {"_terminal_state_batch": 1681, "_spot_check": 2}
         estimate = json.loads((out / "estimate.json").read_text())
         assert estimate["iterations"] == 52
         for name in ("estimate.json", "residuals.csv", "test.json",

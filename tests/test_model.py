@@ -19,6 +19,7 @@ from hude import (
     phi_inv,
 )
 from hude.expr import Binary, Const, DomainError
+from hude.model import ALPHA_CLAMP, _clamped_phi
 
 from conftest import logistic_quantile
 
@@ -56,6 +57,28 @@ class TestPhiInv:
         values = phi_inv(np.array([0.2, 0.5, 0.8]))
         assert values.shape == (3,)
         assert values[1] == 0.0
+
+
+def test_clamped_phi_equals_clipped_phi_inv():
+    # 100,000 levels: uniform on [0, 1], the walls 0, 1 and -0.0, the clamp
+    # edges with their neighbouring floats, and levels beyond the walls.
+    edges = [ALPHA_CLAMP, 1.0 - ALPHA_CLAMP]
+    special = np.array([0.0, -0.0, 1.0, 0.5, -0.1, 1.5, -np.inf, np.inf,
+                        *edges,
+                        *(np.nextafter(e, d) for e in edges
+                          for d in (-np.inf, np.inf))])
+    rng = np.random.default_rng(11)
+    alpha = np.concatenate([special, rng.uniform(size=100_000 - special.size)])
+    rng.shuffle(alpha)
+    expected = phi_inv(np.clip(alpha, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP))
+    assert _clamped_phi(alpha).tobytes() == expected.tobytes()
+    for a in special:
+        got = _clamped_phi(float(a))
+        assert type(got) is float
+        assert got == phi_inv(float(np.clip(a, ALPHA_CLAMP, 1 - ALPHA_CLAMP)))
+    for bad in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError):
+            _clamped_phi(bad)
 
 
 class TestAlphaPathField:

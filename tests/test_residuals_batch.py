@@ -101,7 +101,7 @@ def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
 
     objective, _ = _residual_objective(
         model, series, lambda eps: moment_objective(None, lambda _: eps, 2),
-        [(-1.0, 1.0)], 1e-4, 1e-2, "forward", "euler",
+        1e-4, 1e-2, "forward", "euler",
     )
     batched = objective.batch(thetas)
     assert batched[1] == np.inf
