@@ -157,17 +157,7 @@ class TestSimulate:
     def test_golden_series(self, tmp_path, monkeypatch, compiled, name,
                            integrator):
         monkeypatch.setattr(odeint, "COMPILED", compiled)
-        if name == "reactor":
-            model = hude.build_reactor_hude(hude.THERMAL_U235).to_dict()
-            model["theta"] = dict(hude.FITTED_THETA)
-            init = hude.CASE_STUDY_INIT
-        else:
-            model = hude.HudeModel.parse(
-                2, "-0.5*x1 - x0^3", ["0.3*exp(-t)"]).to_dict()
-            init = hude.InitialState(0.0, [1.0, 0.0])
-        model["init"] = {"t0": init.t0, "state": init.values.tolist()}
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model))
+        path = _golden_model_file(tmp_path, name)
         out = tmp_path / "series.csv"
         assert run("simulate", "--model", path, "--times", "0:2:0.01",
                    "--seed", 7, "--step", 1e-3, "--integrator", integrator,
@@ -185,6 +175,79 @@ GOLDEN_SIMULATE = {
         "4ab5817198431dc9aab289e93ac06307f385a60995554111b31332ab9d93198c",
     ("cubic", "euler"):
         "2fcc67527cd92191d8747f3e2752a2e179427e7730d5fb679d50e72c0620aed7",
+}
+
+
+def _golden_model_file(tmp_path, name):
+    """The model file of a golden test: the reactor model at the fitted
+    noise levels, or a cubic model whose ``^`` and ``exp`` run on numpy."""
+    if name == "reactor":
+        model = hude.build_reactor_hude(hude.THERMAL_U235).to_dict()
+        model["theta"] = dict(hude.FITTED_THETA)
+        init = hude.CASE_STUDY_INIT
+    else:
+        model = hude.HudeModel.parse(
+            2, "-0.5*x1 - x0^3", ["0.3*exp(-t)"]).to_dict()
+        init = hude.InitialState(0.0, [1.0, 0.0])
+    model["init"] = {"t0": init.t0, "state": init.values.tolist()}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(model))
+    return path
+
+
+# A recorded path runs in the record kernel: compiled for the reactor model,
+# row by row on floats for the cubic one and for either on numpy.
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("name", ["reactor", "cubic"])
+def test_golden_alpha_path(tmp_path, monkeypatch, compiled, name, integrator):
+    monkeypatch.setattr(odeint, "COMPILED", compiled)
+    out = tmp_path / "path.csv"
+    assert run("alpha-path", "--model", _golden_model_file(tmp_path, name),
+               "--alpha", 0.7, "--t-end", 2, "--step", 1e-3,
+               "--integrator", integrator, "--out", out) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_ALPHA_PATH[name, integrator]
+
+
+# SHA-256 of `hude alpha-path --alpha 0.7 --t-end 2 --step 1e-3` outputs,
+# recorded with Python 3.11 and numpy 2.4 on x86-64.
+GOLDEN_ALPHA_PATH = {
+    ("reactor", "euler"):
+        "5969489cf27547857c1d9e8a4ef3bc7fdce28296bd76a7e811e5a2090f9c19b9",
+    ("reactor", "rk4"):
+        "0a82ae2faa6b475fc87fb8b86987663bd5df42b4b3de7b6a9e34ee8854a6e6f8",
+    ("cubic", "euler"):
+        "ff42e5ae60b380b965e0ac890537ac569c1fcd1e7b6a6dd79f06f395960cc649",
+    ("cubic", "rk4"):
+        "510b73d8a82da90056958825e136bfb75166e625c62b95c9a65e422b7b111df4",
+}
+
+
+# The 200 rows of each bisection pass run in the column kernel (the cubic
+# field's ^ keeps it off the compiled kernels).  -x0^3 decreases in x0, so
+# the spot check warns.
+@pytest.mark.filterwarnings("ignore::hude.AlphaPathConditionWarning")
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_golden_residuals(tmp_path, monkeypatch, compiled, integrator):
+    monkeypatch.setattr(odeint, "COMPILED", compiled)
+    model = _golden_model_file(tmp_path, "cubic")
+    data, out = tmp_path / "series.csv", tmp_path / "residuals.csv"
+    assert run("simulate", "--model", model, "--times", "0:2:0.01",
+               "--seed", 7, "--step", 1e-3, "--out", data) == 0
+    assert len(data.read_text().splitlines()) == 202
+    assert run("residuals", "--model", model, "--data", data, "--step", 1e-3,
+               "--integrator", integrator, "--out", out) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_RESIDUALS[integrator]
+
+
+# SHA-256 of `hude residuals --step 1e-3` outputs on the cubic series of
+# GOLDEN_SIMULATE, recorded with Python 3.11 and numpy 2.4 on x86-64.
+GOLDEN_RESIDUALS = {
+    "euler": "ecd034c09c4fc61233b2f9f3a4aac25cc265cae03e119f1db66389b83a0e980a",
+    "rk4": "e320dc5ab211f7f3191d3e1057466e8ab1f98df576927771592e948756eb74fd",
 }
 
 
