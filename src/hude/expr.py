@@ -18,8 +18,9 @@ Every evaluation runs one lowering of the AST (:func:`_lower`), a list of ufunc
 ops.  One interpreter, :func:`_evaluate`, runs it for :func:`eval_expr`,
 :func:`compile_expr` and a reduced field's values (the condition check and
 calls of the field).  Generated source is only for the integrator kernels of
-:mod:`hude.model`, where speed matters: they print the same ops as Python
-source (:func:`_infix`) or as ufunc calls.
+:mod:`hude.model`, where speed matters: they print the same ops as ufunc
+calls, Python float arithmetic (:data:`_INFIX`, :func:`_infix`) or C
+(:data:`_C_OPS`).
 """
 
 from __future__ import annotations
@@ -376,15 +377,22 @@ def eval_expr(node: ExprAst, env: Mapping[str, float]) -> float:
 
 
 # The ufunc each operator and function lowers to, and its Python source on
-# floats or arrays: ``abs`` keeps a float a float, and ``np.divide`` divides
-# a float by zero to ``inf``/``nan`` like an array instead of raising.
+# floats or arrays: ``abs`` keeps a float a float, ``np.divide`` divides a
+# float by zero to ``inf``/``nan`` like an array instead of raising, and
+# ``_power`` is :func:`_power` (a kernel on floats calls ``np.power``).
 _UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
           "^": "power", "exp": "exp", "ln": "log", "sin": "sin", "cos": "cos",
           "abs": "absolute"}
 _INFIX = {"add": "({} + {})", "subtract": "({} - {})", "multiply": "({} * {})",
           "divide": "np.divide({}, {})", "negative": "(-{})",
           "exp": "np.exp({})", "log": "np.log({})", "sin": "np.sin({})",
-          "cos": "np.cos({})", "absolute": "abs({})"}
+          "cos": "np.cos({})", "absolute": "abs({})",
+          "power": "_power({}, {})"}
+# C spellings of the ops that round in C exactly as numpy's ufuncs do; a field
+# with any other op (np.exp differs from libm's exp in the last bit) runs on
+# the numpy kernels.
+_C_OPS = {"add": "{} + {}", "subtract": "{} - {}", "multiply": "{} * {}",
+          "divide": "{} / {}", "negative": "-{}", "absolute": "fabs({})"}
 
 
 def _lower(node: ExprAst, ops: list, slots: dict[str, str]):
@@ -431,14 +439,12 @@ def _evaluate(ops, operand, env):
     return read(operand)
 
 
-def _infix(ops, operand, power="_power") -> str:
+def _infix(ops, operand) -> str:
     """Python source of ``operand`` of ``ops`` (:func:`_lower`) on floats or
-    arrays, each op written inline into its consumer; ``power`` is the
-    function ``^`` calls, :func:`_power` unless every operand is a float."""
+    arrays, each op written inline into its consumer."""
     if isinstance(operand, int):
         func, *args = ops[operand]
-        template = f"{power}({{}}, {{}})" if func == "power" else _INFIX[func]
-        return template.format(*(_infix(ops, arg, power) for arg in args))
+        return _INFIX[func].format(*(_infix(ops, arg) for arg in args))
     return f"({operand})" if operand.startswith("-") else operand
 
 

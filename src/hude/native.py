@@ -1,5 +1,6 @@
-"""The compiled integrator kernels: a reduced field's lowered ops printed as
-C, built with the interpreter's C compiler and loaded through :mod:`ctypes`.
+"""The compiled integrator kernels: the C loop around a reduced field's step,
+whose statements :func:`hude.model._step_source` prints as C, built with the
+interpreter's C compiler and loaded through :mod:`ctypes`.
 
 :mod:`hude.model` imports this module for the first field that asks for a
 compiled kernel, so ``import hude`` builds and loads nothing.  A kernel is
@@ -19,6 +20,9 @@ import stat
 import subprocess
 import sysconfig
 import tempfile
+
+from .expr import _C_OPS
+from .model import _step_source
 
 # No -ffast-math, no -march=native and no contraction into fused multiply-adds:
 # every operation rounds as numpy's does, on any machine that loads the file.
@@ -51,60 +55,26 @@ def kernel(field, params: str, n: int, method: str, mode: str):
     return None
 
 
-# C spellings of the ops that round in C exactly as numpy's ufuncs do; a field
-# with any other op (np.exp differs from libm's exp in the last bit) runs on
-# the numpy kernels.
-_C_OPS = {"add": "{} + {}", "subtract": "{} - {}", "multiply": "{} * {}",
-          "divide": "{} / {}", "negative": "-{}", "absolute": "fabs({})"}
-
-
 def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     """C source of ``kernel(rows, h, nsteps, out, t0, t_end, last, x0, ...,
     <params>)``, every argument after ``out`` a pointer to ``rows`` values
     (the states ``x0 ..`` stepped in place): the loop of
-    :func:`hude.model._kernel_source` with the same operations in the same
-    order, run steps outer and rows inner.  The ops of ``field``
-    (:func:`hude.model.compile_model`) are a function of ``t``, the state
-    and one row's bound values, literals written exactly as
-    ``float.hex()``.  ``mode`` ``"extremes"`` keeps each row's running
-    minimum and maximum of state ``j`` in ``out[j*rows + i]`` and
-    ``out[(n + j)*rows + i]``, ``"record"`` (one row) writes state ``k`` of
-    every step ``k`` to ``out[k*n ..]``.  The ``"terminal"`` source also
-    defines ``chain``, with the same arguments: it runs the rows one at a
-    time through ``kernel`` (a one-row call, pointers offset by ``i``), each
-    from the terminal state of the row before it, which it copies forward.
+    :func:`hude.model._loop_source` run steps outer and rows inner, each step
+    of a row the C statements of :func:`hude.model._step_source` between the
+    load and the store of the row's state.  ``mode`` ``"extremes"`` keeps
+    each row's running minimum and maximum of state ``j`` in ``out[j*rows +
+    i]`` and ``out[(n + j)*rows + i]``, ``"record"`` (one row) writes state
+    ``k`` of every step ``k`` to ``out[k*n ..]``.  The ``"terminal"`` source
+    also defines ``chain``, with the same arguments: it runs the rows one at
+    a time through ``kernel`` (a one-row call, pointers offset by ``i``),
+    each from the terminal state of the row before it, which it copies
+    forward.
     """
-    ops, value = field
-
-    def operand(a):
-        if isinstance(a, int):
-            return f"v{a}"
-        return a if a[0].isalpha() else f"({float(a).hex()})"
-
+    setup, step, _, _ = _step_source(field, n, method, "compiled")
+    if method == "rk4":
+        step = ["const double half = 0.5 * s, sixth = s / 6.0;", *step]
     xs = [f"x{j}" for j in range(n)]
     names = params.split(", ")
-    bound = ", ".join(f"b_{name}[i]" for name in names)
-
-    def derivs(t, stage):
-        # The stage's derivatives at the state ``x0 ..`` and time ``t``.
-        return "const double " + ", ".join(
-            [f"{stage}{j} = x{j + 1}" for j in range(n - 1)]
-            + [f"{stage}{n - 1} = field({t}, {', '.join(xs)}, {bound})"]) + ";"
-
-    if method == "euler":
-        step = [derivs("t", "f"),
-                *(f"x{j} = x{j} + s * f{j};" for j in range(n))]
-    else:
-        step = ["const double half = 0.5 * s, sixth = s / 6.0;",
-                f"const double {', '.join(f'z{j} = x{j}' for j in range(n))};",
-                derivs("t", "a")]
-        for stage, prev, frac, t in (("b", "a", "half", "t + half"),
-                                     ("c", "b", "half", "t + half"),
-                                     ("d", "c", "s", "t + s")):
-            step += [f"x{j} = z{j} + {frac} * {prev}{j};" for j in range(n)]
-            step.append(derivs(t, stage))
-        step += [f"x{j} = z{j} + sixth * (((a{j} + 2.0 * b{j}) + 2.0 * c{j})"
-                 f" + d{j});" for j in range(n)]
     step += [f"c_x{j}[i] = x{j};" for j in range(n)]
     if mode == "extremes":
         for j in range(n):
@@ -122,12 +92,6 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
                  f"{pointers}) {{")
     lines = [
         "#include <math.h>", "#include <stdint.h>",
-        "static double field(" + ", ".join(
-            f"double {a}" for a in ["t", *xs, *names]) + ") {",
-        *(f"    const double v{k} = "
-          f"{_C_OPS[func].format(*map(operand, args))};"
-          for k, (func, *args) in enumerate(ops)),
-        f"    return {operand(value)};", "}",
         f"void kernel{signature}",
         "    int64_t shared = INT64_MAX, total = 0;",
         "    for (int64_t i = 0; i < rows; i++) {",
@@ -146,7 +110,8 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
         "                    s = last[i];",
         "                }", "            }",
         f"            double {', '.join(f'{x} = c_{x}[i]' for x in xs)};",
-        *(f"            {line}" for line in step), "        }", "    }", "}"]
+        *(f"            {line}" for line in setup + step), "        }", "    }",
+        "}"]
     if mode == "terminal":
         per_row = ["t0", "t_end", "last", *(f"c_{x}" for x in xs),
                    *(f"b_{name}" for name in names)]

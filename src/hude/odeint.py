@@ -7,18 +7,22 @@ a chain of rows, each started from the end state of the row before it (a
 simulated series, one row per step).  It picks the kernel in one place.
 A reduced model field runs through a whole-loop kernel generated once per
 field source, with the level and parameters passed in as values
-(:meth:`hude.model.ReducedField.kernel`).
-A field whose ops are all ``+ - * /``, negation and ``abs``, which C rounds
-as numpy does, runs every path and batch in a kernel compiled from C
-(:func:`_compiled_loop`), where a C compiler builds it.  Any other field
+(:meth:`hude.model.ReducedField.kernel`): each kernel is its own loop
+around one step, which :func:`hude.model._step_source` prints as C
+statements, ufunc calls or float assignments.  A field whose ops are all
+``+ - * /``, negation and ``abs``, which C rounds as numpy does, runs every
+path and batch in a kernel compiled from C (:func:`_compiled_loop`), where
+a C compiler builds it.  Any other field
 (``exp``, ``ln``, ``sin``, ``cos``, ``^``), and every field where no kernel
 builds, runs on the numpy kernels: a recorded path (an alpha-path), a chain
 and a batch of at most :data:`SCALAR_ROWS` rows (a small fan or bisection
 pass) row by row on floats, a larger batch (a large bisection pass) on
 ``(B,)`` state columns stepped in place.  A hand-written array field
-integrates one row, recorded (:func:`integrate`).  All give the same
-bits, except the sign of a NaN: where two NaNs of opposite sign meet, float,
-array and C arithmetic keep different ones.
+(:func:`hude.reactor.build_point_kinetics` or a user's
+:class:`~hude.model.VectorField`) integrates one row, recorded
+(:func:`integrate`).  All give the same bits, except the sign of a NaN:
+where two NaNs of opposite sign meet, float, array and C arithmetic keep
+different ones.
 
 The loop only integrates: it returns the states it computed, finite or not.
 Each caller names its own failure: :func:`integrate` raises
@@ -53,12 +57,13 @@ DEFAULT_STEP = 1e-4
 # row through its generated row kernel instead of its column kernel.  On
 # 100-step windows of the reactor model (x86-64 Intel Xeon, 2 vCPU, numpy 2.4,
 # h=1e-4, best of 15 runs, measured twice on a noisy shared machine) the row
-# kernel costs ~0.1 ms plus 35-43 us per row (RK4 ~0.15 ms plus 0.14-0.18
-# ms), the column kernel a near-flat 0.7-1.3 ms (RK4 3.0-5.9 ms); the two
-# meet between 16 and 26 rows (RK4 between 22 and 31).  On the 19-level, 60,000-step Euler
-# fan with extremes the row kernel takes 0.50-0.66 s and the column kernel
-# 0.86-1.03 s, ~0.5 us per row-step against ~16 us per step, which meet near
-# 30 rows.  Neither resolves a crossover away from 32.
+# kernel costs ~0.1 ms plus 20-45 us per row (RK4 ~0.2 ms plus 0.10-0.15 ms),
+# the column kernel a near-flat 0.6-1.4 ms (RK4 2.5-5.8 ms); the two meet
+# between 24 and 32 rows (RK4 between 16 and 32).  On the 19-level,
+# 60,000-step Euler fan with extremes the row kernel takes 0.35-0.50 s and
+# the column kernel 0.54-0.57 s.  A field with exp and sin costs ~0.1 ms per
+# row on floats (RK4 ~0.45 ms) and meets the column kernel below 8 rows, but
+# the value is set for the reactor model, the case study's field.
 SCALAR_ROWS = 32
 
 # Whether a reduced field whose ops all round in C as in numpy runs through
@@ -277,10 +282,11 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
 
 
 def _compiled_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
-    """Run the rows of ``y`` through the compiled ``kernel``
-    (:func:`hude.native._c_source`) with the plan and the ``bound`` values
-    spread to one row each of a ``(3 + n + len(bound), B)`` array, whose
-    state columns the kernel steps in place.  Returns what
+    """Run the rows of ``y`` through the compiled ``kernel`` (the C loop of
+    :func:`hude.native._c_source` around the step that
+    :func:`hude.model._step_source` prints) with the plan and the ``bound``
+    values spread to one row each of a ``(3 + n + len(bound), B)`` array,
+    whose state columns the kernel steps in place.  Returns what
     :func:`_row_loop` does."""
     n = y.shape[-1]
     rows = y.size // n
@@ -336,7 +342,7 @@ def _column_kernel(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
     extremes per column; it never records (``out`` is unused)."""
     n = y.shape[-1]
     x = y.reshape(-1, n).T.copy()
-    ran = kernel(t0, t_end, nsteps, last, h, *x, *bound)
+    ran = kernel(t0, t_end, nsteps, last, h, out, *x, *bound)
     lows, highs = ran[1:] if mode == "extremes" else (None, None)
     return x.T.reshape(y.shape).copy(), lows, highs
 
@@ -344,7 +350,10 @@ def _column_kernel(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
 def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode, out):
     """Step the one row ``y`` through the hand-written array field ``raw``
     (state on the last axis), every state recorded in ``out`` when
-    ``mode`` is ``"record"``.  Returns what :func:`_row_loop` does."""
+    ``mode`` is ``"record"``.  Returns what :func:`_row_loop` does.  It
+    serves only :func:`hude.reactor.build_point_kinetics` and a user's
+    :class:`~hude.model.VectorField`: every model field runs on the
+    generated kernels."""
     s = h
     for k in range(int(nsteps)):
         t = t0 + k * h

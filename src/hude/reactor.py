@@ -31,7 +31,8 @@ from importlib import resources
 
 import numpy as np
 
-from .model import HudeModel, InitialState, VectorField, phi_inv
+from .model import (HudeModel, InitialState, VectorField, alpha_path_field,
+                    phi_inv)
 from .residuals import ObservationSeries, ResidualVector
 
 __all__ = [
@@ -179,16 +180,12 @@ def simplified_alpha_coefficients(alpha: float) -> tuple[float, float, float]:
 
 
 def simplified_alpha_field(alpha: float) -> VectorField:
-    """Vector field of the simplified case-study quantile dynamics."""
+    """Vector field of the simplified case-study quantile dynamics: the
+    alpha-path field of the diffusion-free model ``N'' = P N' + R N``, which
+    runs through the generated and compiled kernels."""
     p, r, _ = simplified_alpha_coefficients(alpha)
-
-    def raw(t, y):
-        F = np.empty_like(y)
-        F[..., 0] = y[..., 1]
-        F[..., 1] = p * y[..., 1] + r * y[..., 0]
-        return F
-
-    return VectorField(raw, 2)
+    model = HudeModel.parse(2, f"({p!r})*x1 + ({r!r})*x0")
+    return alpha_path_field(model, None, alpha)
 
 
 def closed_form_psi_inv(t, alpha: float, n0: float = 1.2157,

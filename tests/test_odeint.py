@@ -685,11 +685,10 @@ def test_repeated_solves_reuse_generated_kernels():
             misses = _generated.cache_info().misses
             with mock.patch.multiple(
                     hude.model, _infix=spy(hude.model._infix),
-                    _kernel_source=spy(hude.model._kernel_source),
-                    _column_source=spy(hude.model._column_source)), \
-                    mock.patch.multiple(hude.native,
-                                        _c_source=spy(hude.native._c_source),
-                                        load=spy(hude.native.load)):
+                    _step_source=spy(hude.model._step_source)), \
+                    mock.patch.multiple(
+                        hude.native, load=spy(hude.native.load),
+                        _step_source=spy(hude.native._step_source)):
                 for again in (model, build_reactor_hude(THERMAL_U235)):
                     assert all(_same(a, b) for a, b in zip(first, solve(again)))
                     assert len(bisect(again, {"sig1": 2e-4, "sig2": 0.25})) == 60

@@ -15,6 +15,9 @@ from hude import (
     table3,
     table4,
 )
+from hude import odeint
+from hude.model import VectorField
+from hude.odeint import integrate
 from hude.reactor import CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235
 
 
@@ -151,6 +154,28 @@ class TestClosedForm:
             exact = closed_form_psi_inv(path.t, alpha)
             rel = np.abs(path.component(0) - exact) / np.abs(exact)
             assert float(rel.max()) < 1e-4
+
+    # The field runs through the generated kernels: compiled, or row by row
+    # on floats.  Its paths keep the bits of the former hand-written field.
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_paths_equal_the_hand_written_field(self, monkeypatch, method):
+        for alpha in (0.41, 0.7, 0.99):
+            p, r, _ = simplified_alpha_coefficients(alpha)
+
+            def raw(t, y):
+                F = np.empty_like(y)
+                F[..., 0] = y[..., 1]
+                F[..., 1] = p * y[..., 1] + r * y[..., 0]
+                return F
+
+            for t_end, h in ((6.0, 1e-3), (1.0, 0.3)):
+                expected = integrate(VectorField(raw, 2), CASE_STUDY_INIT,
+                                     t_end, h, method).y
+                for compiled in (True, False):
+                    monkeypatch.setattr(odeint, "COMPILED", compiled)
+                    got = integrate(simplified_alpha_field(alpha),
+                                    CASE_STUDY_INIT, t_end, h, method).y
+                    assert got.tobytes() == expected.tobytes()
 
     def test_array_evaluation(self):
         t = np.array([0.0, 1.0, 2.0])
