@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 
+# Grid points per axis of a spot check's box (:func:`_spot_check`).
+SPOT_CHECK_RESOLUTION = 3
+
+
 class AlphaPathConditionWarning(UserWarning):
     """The monotonicity condition failed a spot check; results for the
     affected quantile levels may not be true quantiles."""
@@ -148,14 +152,14 @@ def _user_stacklevel() -> int:
     return level
 
 
-def _spot_check(model, theta, t_range, mins, maxs, alphas, resolution=3):
+def _spot_check(model, theta, t_range, mins, maxs, alphas):
     pad = np.maximum(1e-9, 1e-9 * np.abs(maxs))
     width = np.maximum(maxs - mins, np.maximum(1e-6, 1e-6 * np.abs(maxs)))
     ranges = tuple(
         (float(lo - p), float(lo + w + p))
         for lo, w, p in zip(mins, width, pad)
     )
-    domain = ConditionDomain(t_range, ranges, resolution)
+    domain = ConditionDomain(t_range, ranges, SPOT_CHECK_RESOLUTION)
     failed = []
     for a in sorted(set(alphas)):
         try:

@@ -79,7 +79,7 @@ def _parse_times(text: str) -> np.ndarray:
     count = (stop - start) / step
     if not np.isfinite([start, stop, step, count]).all():
         raise ValueError(f"times {text} do not make a finite grid")
-    return start + step * np.arange(int(round(count)) + 1)
+    return start + step * np.arange(int(np.floor(count + 1e-9)) + 1)
 
 
 def _write_json(path, payload) -> None:

@@ -47,6 +47,13 @@ __all__ = [
 # declared converged below this (the reactor workflow relaxes it explicitly).
 FIT_THRESHOLD = 1e-10
 
+# Points the presearch ladder aims for (:func:`_ladder_points`).
+LADDER_BUDGET = 120
+
+# A simplex has converged once its vertices lie within XATOL of the best one
+# and their values within FATOL (:func:`_nelder_mead_box`).
+XATOL, FATOL = 1e-10, 1e-14
+
 
 class EstimationError(Exception):
     """The search could not produce a usable estimate."""
@@ -172,7 +179,7 @@ def _evaluate(objective: Callable, points: np.ndarray) -> np.ndarray:
     return np.asarray(batch(points), dtype=float)
 
 
-def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
+def _nelder_mead_box(f, x0, lo, hi, maxiter=400):
     """Classical Nelder-Mead restricted to a box by reflection.
 
     Returns ``(x_best, f_best, iterations, nfev)``.  Infinite objective values
@@ -207,7 +214,7 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
         # reads as not finite, like inf.
         with np.errstate(invalid="ignore"):
             fspread = values[-1] - values[0]
-        if spread <= xatol and (not np.isfinite(fspread) or fspread <= fatol):
+        if spread <= XATOL and (not np.isfinite(fspread) or fspread <= FATOL):
             break
         with np.errstate(over="ignore"):
             centroid = simplex[:-1].mean(axis=0)
@@ -244,7 +251,7 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400, xatol=1e-10, fatol=1e-14):
     return simplex[best], float(values[best]), iterations, nfev
 
 
-def _ladder_points(lo: np.ndarray, hi: np.ndarray, budget: int = 120) -> np.ndarray:
+def _ladder_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Deterministic scan points: per axis a geometric ladder from the upper
     bound down toward the lower one (ratio 1/4), cross-producted.
 
@@ -254,7 +261,7 @@ def _ladder_points(lo: np.ndarray, hi: np.ndarray, budget: int = 120) -> np.ndar
     every order of magnitude the box spans.
     """
     p = lo.size
-    per_axis = min(10, max(3, int(round(budget ** (1.0 / p)))))
+    per_axis = min(10, max(3, int(round(LADDER_BUDGET ** (1.0 / p)))))
     ratios = np.concatenate([4.0 ** -np.arange(per_axis - 1), [0.0]])
     axes = [lo[i] + (hi[i] - lo[i]) * ratios for i in range(p)]
     mesh = np.meshgrid(*axes, indexing="ij")

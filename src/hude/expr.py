@@ -474,7 +474,7 @@ def _param_value(value):
 
 def _binder(source: str) -> Callable:
     """The function ``kernel`` that ``source`` defines; the caller binds the
-    values, and :func:`hude.model._generated` keeps each kernel."""
+    values, and :func:`hude.odeint._generated` keeps each kernel."""
     namespace = {"np": np, "_power": _power}
     exec(compile(source, "<hude-expr>", "exec"), namespace)
     return namespace["kernel"]

@@ -14,16 +14,13 @@ system ``y' = F(t, y)`` on ``y = (x, x', ..., x^(n-1))`` with
 Solving this system yields the alpha-path of the model; when the right-hand
 side is non-decreasing in ``y_0 .. y_{n-2}`` the alpha-path is the alpha
 quantile of the solution at every time.  ``F_{n-1}`` is lowered once to an
-op list: :func:`~hude.expr._evaluate` interprets it for the values of the
-field, and one step printer (:func:`_step_source`) writes each Euler or RK4
-step from it in three renderings, ufunc calls on state columns, float
-assignments or C statements, around which each integrator kernel keeps
-only its own loop.
+op list (:func:`compile_model`): :func:`~hude.expr._evaluate` interprets it
+for the values of the field, and :mod:`hude.odeint` generates the
+integrator kernels from it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,12 +31,7 @@ import numpy as np
 from .expr import (
     DomainError,
     ExprAst,
-    _C_OPS,
-    _INFIX,
-    _STATE_RE,
-    _binder,
     _evaluate,
-    _infix,
     _lower,
     _param_value,
     compile_expr,  # noqa: F401  (perfbench/layers.py wraps it here)
@@ -244,253 +236,23 @@ def compile_model(model: HudeModel, theta: Mapping[str, float] | None = None):
     return (plain, (tuple(ops), value), tuple(slots)), values
 
 
-@functools.lru_cache(maxsize=256)
-def _generated(field, params: str, n: int, method: str, mode: str,
-               backend="row"):
-    """The generated integrator kernel of a reduced field whose last
-    derivative is lowered to ``field`` (:func:`compile_model`), over the
-    bound names ``params``, made once per field (the ops keep ``0.0`` and
-    ``-0.0`` apart).  ``backend`` picks the loop around the step that
-    :func:`_step_source` prints: ``"row"`` one row's whole loop on floats
-    and ``"columns"`` a batch's on state columns (:func:`_loop_source`),
-    ``"compiled"`` a batch's in C (:func:`hude.native.kernel`, ``None``
-    where there is none)."""
-    if backend != "compiled":
-        return _binder(_loop_source(field, params, n, method, mode, backend))
-    # The C backend is imported by the first field that asks for it.
-    from . import native
-
-    return native.kernel(field, params, n, method, mode)
-
-
-def _step_source(field, n: int, method: str, backend: str):
-    """The one printer of a step: the statements of one Euler or RK4 step of
-    the reduced field whose last derivative is lowered to ``field``
-    (:func:`compile_model`), the same operations in the same order for every
-    ``backend``, so that every kernel computes the same bits.
-
-    A step reads the state ``x0 ..``, the width ``s`` (RK4 also ``half`` and
-    ``sixth``) and, where the field reads ``t``, the start time ``t``, and
-    steps the state in place: Euler to ``x_j + s*k_j``, RK4 through stage
-    states ``z_j = x_j + frac*k_j`` at ``t + half`` and ``t + s`` to ``x_j +
-    sixth*(((k1_j + 2.0*k2_j) + 2.0*k3_j) + k4_j)``, where ``k_j`` is
-    ``x_{j+1}`` and ``k_{n-1}`` the field, scaled by ``s`` before any state
-    it may read is stepped.  Each op is a three-address statement into a
-    scratch name ``w0 ..``: for ``"columns"`` a ufunc call into a ``(B,)``
-    buffer (``power`` is :func:`~hude.expr._power`), for ``"row"`` a float
-    assignment (:data:`~hude.expr._INFIX`, ``np.power``), for ``"compiled"``
-    a C assignment for row ``i`` (:data:`~hude.expr._C_OPS`), bound values
-    read as ``b_<name>[i]`` and literals as ``float.hex()``.  In Python an op
-    that reads no state is its infix source instead, evaluated at every stage
-    if it reads ``t``, else once before the loop; for ``"columns"`` spread to
-    a ``(B,)`` array (a ufunc converts a float operand on every call) except
-    as an exponent, where a float takes numpy's fast path.
-
-    Returns ``(setup, main, tail, timed)``: the lines run once before the
-    loop (C: the declarations), a step's lines, those with each state update
-    under ``where=run`` (a column kernel's last steps), and whether the field
-    reads ``t``.
-    """
-    ops, value = field
-    compiled, columns = backend == "compiled", backend == "columns"
-
-    def kind(a):
-        # 2 if operand ``a`` reads the state, 1 if ``t`` but no state, else 0.
-        if isinstance(a, int):
-            return max(map(kind, ops[a][1:]))
-        return 2 if _STATE_RE.match(a) else int(a == "t")
-
-    # (source, spread) of each operand evaluated before the loop, spread to a
-    # (B,) array or not -> its name (c0 the step h, c1 RK4's 2.0).
-    hoisted = {("h", columns): "c0", ("2.0", columns): "c1"}
-    buffers: list[str] = []  # the scratch names
-    free: list[str] = []
-    used: set[str] = set()  # the ufuncs a column kernel calls
-
-    def alloc():
-        if not free:
-            buffers.append(f"w{len(buffers)}")
-            free.append(buffers[-1])
-        return free.pop()
-
-    def release(*operands):
-        free.extend(o for o in operands if o in buffers)
-
-    def call(func, *operands, where=""):
-        # ``func`` of the operands but the last, into the last.
-        *args, out = operands
-        if compiled:
-            return f"{out} = {_C_OPS[func].format(*args)};"
-        if not columns:
-            template = "np.power({}, {})" if func == "power" else _INFIX[func]
-            return f"{out} = {template.format(*args)}"
-        used.add(func)
-        return f"{func}({', '.join(operands)}{where})"
-
-    def evaluate(a, states, lines, spread=columns):
-        # The name holding operand ``a`` at the states once ``lines`` ran.
-        if kind(a) < 2 and not compiled:
-            text = _infix(ops, a)
-            if kind(a):
-                name = f"e{len(lines)}"  # unique in the step
-                lines.append(f"{name} = {text}")
-                return name
-            return hoisted.setdefault((text, spread), f"c{len(hoisted)}")
-        if not isinstance(a, int):
-            if kind(a) == 2:
-                return states[int(a[1:])]
-            # In C: the time, a bound value of row i or a literal.
-            return (a if a == "t" else f"b_{a}[i]" if a[0].isalpha()
-                    else f"({float(a).hex()})")
-        func, *args = ops[a]
-        operands = [evaluate(arg, states, lines, columns and func != "power")
-                    for arg in args]
-        release(*operands)
-        out = alloc()
-        lines.append(call(func, *operands, out))
-        return out
-
-    def advance(frac, k, into, lines, where="", keep=False):
-        # into[j] = x[j] + frac * k[j], ascending: k[j] may be into[j + 1],
-        # and the last derivative may be any state, so it is scaled first.
-        d = k[-1] if k[-1] in buffers and not keep else alloc()
-        lines.append(call("multiply", frac, k[-1], d))
-        if n > 1:
-            w = alloc()
-            for j in range(n - 1):
-                lines += [call("multiply", frac, k[j], w),
-                          call("add", f"x{j}", w, into[j], where=where)]
-            release(w)
-        lines.append(call("add", f"x{n - 1}", d, into[-1], where=where))
-        release(d)
-
-    xs = [f"x{j}" for j in range(n)]
-    zs = [f"z{j}" for j in range(n)]
-    two = "2.0" if compiled else "c1"
-    timed = value == "t" or any("t" in op[1:] for op in ops)
-
-    def clock(line):
-        # A line of the stage times, where the field reads t.
-        return [f"{line};" if compiled else line] if timed else []
-
-    def step(where):
-        lines = []
-        if method == "euler":
-            advance("s", xs[1:] + [evaluate(value, xs, lines)], xs, lines, where)
-            return lines
-        lines += clock("tk = t")
-        k1 = xs[1:] + [evaluate(value, xs, lines)]
-        advance("half", k1, zs, lines, keep=True)
-        lines += clock("t = tk + half")
-        k2 = zs[1:] + [evaluate(value, zs, lines)]
-        for j in range(n):
-            lines += [call("multiply", two, k2[j], f"a{j}"),
-                      call("add", k1[j], f"a{j}", f"a{j}")]
-        release(k1[-1])
-        advance("half", k2, zs, lines)
-        k3 = zs[1:] + [evaluate(value, zs, lines)]
-        w = alloc()
-        for j in range(n):
-            lines += [call("multiply", two, k3[j], w),
-                      call("add", f"a{j}", w, f"a{j}")]
-        release(w)
-        advance("s", k3, zs, lines)
-        lines += clock("t = tk + s")
-        k4 = zs[1:] + [evaluate(value, zs, lines)]
-        lines += [call("add", f"a{j}", k4[j], f"a{j}") for j in range(n)]
-        release(k4[-1])
-        for j in range(n):
-            lines += [call("multiply", "sixth", f"a{j}", f"a{j}"),
-                      call("add", f"x{j}", f"a{j}", f"x{j}", where=where)]
-        return lines
-
-    main, tail = step(""), step(", where=run")
-    stages = [f"{b}{j}" for b in "za" for j in range(n)] if method == "rk4" else []
-    if compiled:
-        return ([f"double {', '.join(buffers + stages + ['tk'] * timed)};"],
-                main, tail, timed)
-    setup = [*("power = _power" if func == "power" else f"{func} = np.{func}"
-               for func in sorted(used)),
-             *(f"{name} = np.full_like(x0, {text})" if spread else
-               f"{name} = {text}" for (text, spread), name in hoisted.items()),
-             *(f"{b} = np.empty_like(x0)" for b in buffers + stages if columns)]
-    return setup, main, tail, timed
-
-
-def _loop_source(field, params: str, n: int, method: str, mode: str,
-                 backend: str) -> str:
-    """Source of the Python kernel ``kernel(t0, t_end, nsteps, last, h, out,
-    x0, ..., <params>)``: the whole fixed-step loop around the step that
-    :func:`_step_source` prints for ``backend``.  Step ``k`` starts at ``t0 +
-    k*h``, and a row's last step of ``last`` at ``min(t0 + k*h, t_end)``.
-    ``"row"`` runs one row on floats, its last step after the loop; ``mode``
-    ``"record"`` writes state ``k`` of every step ``k`` to ``out[k*n ..]``,
-    a flat view of float64 storage.  ``"columns"`` steps a batch's ``(B,)``
-    state columns in place, every row by ``h`` up to the shortest row's last
-    step and by its own ``s`` from there, where a finished row keeps its
-    state (``where=run``); it never records (``out`` is unused).
-    ``mode`` ``"extremes"`` also returns each column's running minimum and
-    maximum (on floats ``a if a < b or a != a else b``, which is
-    ``np.minimum(a, b)``, NaN and signed zeros included).
-    """
-    setup, main, tail, timed = _step_source(field, n, method, backend)
-    columns = backend == "columns"
-    xs = ", ".join(f"x{j}" for j in range(n))
-    start, after, result = [], [], f"({xs},)"
-    if mode == "extremes" and columns:
-        # minimum and maximum take their output only by keyword.
-        start = ["maximum = np.maximum", "minimum = np.minimum",
-                 *(f"{e}{j} = x{j}.copy()" for e in "lu" for j in range(n))]
-        after = [f"{f}({e}{j}, x{j}, out={e}{j})" for j in range(n)
-                 for f, e in (("minimum", "l"), ("maximum", "u"))]
-    elif mode == "extremes":
-        start = [f"l{j} = u{j} = x{j}" for j in range(n)]
-        after = [f"if not {e}{j} {op} x{j} and {e}{j} == {e}{j}: {e}{j} = x{j}"
-                 for j in range(n) for e, op in (("l", "<"), ("u", ">"))]
-    elif mode == "record":
-        start = [f"i = {n}"]
-        after = [*(f"out[i + {j}] = x{j}" for j in range(n)), f"i += {n}"]
-    if mode == "extremes":
-        result += f", ({xs.replace('x', 'l')},), ({xs.replace('x', 'u')},)"
-    widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
-    clock = ["t = t0 + k * h"] if timed else []
-    if columns:
-        head = ["shared = int(nsteps.min()) - 1", "total = int(nsteps.max())"]
-        loop = "for k in range(shared):"
-        last = ["for k in range(shared, total):", *(f"    {line}" for line in [
-            "s = np.where(k < nsteps - 1, h, last)", *widths, "run = k < nsteps",
-            *(["t = np.minimum(t0 + k * h, t_end)"] if timed else []),
-            *tail, *after])]
-    else:
-        head, loop = [], "for k in range(nsteps - 1):"
-        last = [*(["k = nsteps - 1", *clock,
-                   "t = t if t < t_end or t != t else t_end"] if timed else []),
-                "s = last", *widths, *main, *after]
-    lines = [*head, *setup, *start, "s = c0", *widths, loop,
-             *(f"    {line}" for line in clock + main + after), *last,
-             f"return {result}"]
-    return (f"def kernel(t0, t_end, nsteps, last, h, out, {xs}, {params}):\n"
-            + "".join(f"    {line}\n" for line in lines))
-
-
 class ReducedField:
     """The reduced first-order field at noise level ``phi`` (see the module
     docstring) of the model code and values :func:`compile_model` returns;
     ``phi`` is a float, or a ``(B,)`` array holding one level per batch row.
 
     Every form runs one op list for ``F = ((drift + |g1|*phi) + |g2|*phi)
-    + ...`` (:func:`compile_model`).  ``kernel(n, method, mode)`` is the
-    form the integrators run: one step printed by :func:`_step_source` in
-    the loop of a row's floats or of a batch's ``(B,)`` state columns
-    (:func:`_loop_source`), or of a batch in C (:func:`hude.native.kernel`).  ``columns(n)`` is the field itself,
-    ``f(t, x0, ..., x_{n-1}) -> (x1, ..., x_{n-1}, F)`` on floats or arrays,
-    which the condition check and calls of the field evaluate; it interprets
-    the ops (:func:`~hude.expr._evaluate`) and generates no code.  ``phi`` and
-    the parameters are bound at call time, so one generated kernel serves
-    every level and parameter point.  The noise is left out when there is
-    no diffusion or ``phi`` is a scalar zero, because ``|g|*0`` would turn
-    an infinite ``g`` into NaN.  Calling the field on an array ``y`` (state
-    on the last axis) gives the values stacked.
+    + ...`` (:func:`compile_model`).  The integrators run it through the
+    kernels that :mod:`hude.odeint` generates from :meth:`_bound`.
+    ``columns(n)`` is the field itself, ``f(t, x0, ..., x_{n-1}) -> (x1, ...,
+    x_{n-1}, F)`` on floats or arrays, which the condition check and calls of
+    the field evaluate; it interprets the ops (:func:`~hude.expr._evaluate`)
+    and generates no code.  ``phi`` and the parameters are bound at call
+    time, so one generated kernel serves every level and parameter point.
+    The noise is left out when there is no diffusion or ``phi`` is a scalar
+    zero, because ``|g|*0`` would turn an infinite ``g`` into NaN.  Calling
+    the field on an array ``y`` (state on the last axis) gives the values
+    stacked.
     """
 
     __slots__ = ("code", "values", "phi")
@@ -508,17 +270,6 @@ class ReducedField:
         field = noisy if np.ndim(self.phi) or self.phi != 0.0 else plain
         return field, {"phi": self.phi, **{
             f"p{k}": self.values[name] for k, name in enumerate(names)}}
-
-    def kernel(self, n: int, method: str, mode: str, backend="row"):
-        """The generated kernel (:func:`_generated`, ``None`` for a compiled
-        one that is not available) and its bound values ``(phi, p0, ...)``.
-        A column kernel never records: a recorded path runs in the row
-        kernel or the compiled one."""
-        if backend == "columns" and mode == "record":
-            raise ValueError("a recorded path runs in the row kernel")
-        field, bound = self._bound()
-        fn = _generated(field, ", ".join(bound), n, method, mode, backend)
-        return fn, tuple(bound.values())
 
     def columns(self, n: int) -> Callable:
         field, bound = self._bound()

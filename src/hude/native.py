@@ -1,19 +1,16 @@
-"""The compiled integrator kernels: the C loop around a reduced field's step,
-whose statements :func:`hude.model._step_source` prints as C, built with the
-interpreter's C compiler and loaded through :mod:`ctypes`.
-
-:mod:`hude.model` imports this module for the first field that asks for a
-compiled kernel, so ``import hude`` builds and loads nothing.  A kernel is
-compiled once per source text, compiler and flags into a shared object
-cached on disk, in a directory private to the user under
-:func:`tempfile.gettempdir`.
+"""The part of :mod:`hude.odeint` that needs a C compiler: the C loop around
+a reduced field's step, built with the interpreter's C compiler and loaded
+through :mod:`ctypes`.  :func:`hude.odeint._generated` imports this module
+for the first field that compiles, so ``import hude`` builds and loads
+nothing.  A kernel is built once per source text, compiler and flags into a
+shared object cached in a directory private to the user under
+:func:`tempfile.gettempdir`, which each build prunes (:data:`CACHE_AGE`).
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import logging
 import os
 import shlex
 import stat
@@ -21,54 +18,31 @@ import subprocess
 import sysconfig
 import tempfile
 
-from .expr import _C_OPS
-from .model import _step_source
+from .odeint import _step_source
 
 # No -ffast-math, no -march=native and no contraction into fused multiply-adds:
 # every operation rounds as numpy's does, on any machine that loads the file.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
-
-def kernel(field, params: str, n: int, method: str, mode: str):
-    """The compiled kernel of a reduced field lowered to ``field`` over the
-    bound names ``params`` (:func:`hude.model._generated`): :func:`_c_source`
-    built and loaded by :func:`load`; for ``mode`` ``"chain"`` the ``chain``
-    entry point of the terminal source.  ``None``, after one debug line on
-    the ``hude`` logger, for a field with an op that C may round unlike numpy
-    or where the build fails."""
-    inexact = sorted({func for func, *_ in field[0]} - _C_OPS.keys())
-    if inexact:
-        reason = f"{', '.join(inexact)} may round unlike numpy in C"
-    else:
-        # A chain is the second entry point of the terminal kernel's object.
-        chain = mode == "chain"
-        try:
-            # nsteps, out, t0, t_end and last, the states and bound values.
-            return load(_c_source(field, params, n, method,
-                                  "terminal" if chain else mode),
-                        "chain" if chain else "kernel",
-                        5 + n + len(params.split(", ")))
-        except OSError as exc:
-            reason = f"the C kernel did not build: {exc}"
-    logging.getLogger("hude").debug("numpy kernels run a %s %s field: %s",
-                                    method, mode, reason)
-    return None
+# Seconds (a week) after its last load a cached object is removed by the next
+# build: each new coefficient of a field is a new source and a new object.
+CACHE_AGE = 7 * 24 * 3600
 
 
 def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     """C source of ``kernel(rows, h, nsteps, out, t0, t_end, last, x0, ...,
     <params>)``, every argument after ``out`` a pointer to ``rows`` values
     (the states ``x0 ..`` stepped in place): the loop of
-    :func:`hude.model._loop_source` run steps outer and rows inner, each step
-    of a row the C statements of :func:`hude.model._step_source` between the
-    load and the store of the row's state.  ``mode`` ``"extremes"`` keeps
-    each row's running minimum and maximum of state ``j`` in ``out[j*rows +
-    i]`` and ``out[(n + j)*rows + i]``, ``"record"`` (one row) writes state
-    ``k`` of every step ``k`` to ``out[k*n ..]``.  The ``"terminal"`` source
-    also defines ``chain``, with the same arguments: it runs the rows one at
-    a time through ``kernel`` (a one-row call, pointers offset by ``i``),
-    each from the terminal state of the row before it, which it copies
-    forward.
+    :func:`hude.odeint._loop_source` run steps outer and rows inner, each
+    step of a row the C statements of :func:`hude.odeint._step_source`
+    between the load and the store of the row's state.  ``mode``
+    ``"extremes"`` keeps each row's running minimum and maximum of state
+    ``j`` in ``out[j*rows + i]`` and ``out[(n + j)*rows + i]``, ``"record"``
+    (one row) writes state ``k`` of every step ``k`` to ``out[k*n ..]``.
+    The ``"terminal"`` source also defines ``chain``, with the same
+    arguments: it runs the rows one at a time through ``kernel`` (a one-row
+    call, pointers offset by ``i``), each from the terminal state of the row
+    before it, which it copies forward.
     """
     setup, step, _, _ = _step_source(field, n, method, "compiled")
     if method == "rk4":
@@ -139,7 +113,9 @@ def _cache_dir() -> str:
 def load(source: str, symbol: str, nargs: int):
     """The function ``symbol`` that the C ``source`` defines, taking an int64
     row count, a double step and ``nargs`` pointers, built with the
-    interpreter's C compiler (``sysconfig`` ``CC``) unless cached.  Raises
+    interpreter's C compiler (``sysconfig`` ``CC``) unless cached.  A load
+    touches its object (an access time may not be kept), and a build removes
+    the objects and temporary files untouched for :data:`CACHE_AGE`.  Raises
     OSError when there is no compiler, the build fails or the cache is not
     private."""
     command = [*shlex.split(sysconfig.get_config_var("CC") or ""), *FLAGS]
@@ -148,7 +124,15 @@ def load(source: str, symbol: str, nargs: int):
     key = hashlib.sha256("\0".join([*command, source]).encode()).hexdigest()
     directory = _cache_dir()
     path = os.path.join(directory, f"{key[:32]}.so")
-    if not os.path.exists(path):
+    try:
+        os.utime(path)
+        lib = ctypes.CDLL(path)
+    except OSError:
+        # Missing, or removed by another process's build since: built below.
+        if os.path.exists(path):
+            raise
+        lib = None
+    if lib is None:
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
         os.close(fd)
         try:
@@ -161,7 +145,16 @@ def load(source: str, symbol: str, nargs: int):
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    fn = getattr(ctypes.CDLL(path), symbol)
+        stale = os.stat(path).st_mtime - CACHE_AGE
+        for entry in os.scandir(directory):
+            try:
+                if (entry.name.endswith(".so") and entry.path != path
+                        and entry.stat().st_mtime < stale):
+                    os.unlink(entry.path)
+            except FileNotFoundError:
+                pass  # removed by another process's build
+        lib = ctypes.CDLL(path)
+    fn = getattr(lib, symbol)
     fn.argtypes = [ctypes.c_int64, ctypes.c_double, *[ctypes.c_void_p] * nargs]
     fn.restype = None
     return fn

@@ -1,24 +1,26 @@
-"""Fixed-step initial-value integrators for first-order vector fields.
+"""Fixed-step initial-value integrators for first-order vector fields, and
+the integrator kernels they run.
 
 One entry point, :func:`_terminal_state_batch`, runs every integration in
 one of four modes: a recorded path (:func:`integrate`), the terminal states
 of a batch of rows, those with their extremes (the spot check of a fan), or
 a chain of rows, each started from the end state of the row before it (a
 simulated series, one row per step).  It picks the kernel in one place.
-A reduced model field runs through a whole-loop kernel generated once per
-field source, with the level and parameters passed in as values
-(:meth:`hude.model.ReducedField.kernel`): each kernel is its own loop
-around one step, which :func:`hude.model._step_source` prints as C
-statements, ufunc calls or float assignments.  A field whose ops are all
-``+ - * /``, negation and ``abs``, which C rounds as numpy does, runs every
-path and batch in a kernel compiled from C (:func:`_compiled_loop`), where
-a C compiler builds it.  Any other field
-(``exp``, ``ln``, ``sin``, ``cos``, ``^``), and every field where no kernel
-builds, runs on the numpy kernels: a recorded path (an alpha-path), a chain
-and a batch of at most :data:`SCALAR_ROWS` rows (a small fan or bisection
-pass) row by row on floats, a larger batch (a large bisection pass) on
-``(B,)`` state columns stepped in place.  A hand-written array field
-(:func:`hude.reactor.build_point_kinetics` or a user's
+
+A reduced model field (:class:`hude.model.ReducedField`) runs through a
+whole-loop kernel that :func:`_generated` makes once per field source,
+with the level and parameters passed in as values: each kernel is its own
+loop around one step, which :func:`_step_source` prints as C statements,
+ufunc calls or float assignments.  A field whose ops are all ``+ - * /``,
+negation and ``abs``, which C rounds as numpy does, runs every path and
+batch in C (:func:`_compiled_loop`) where :mod:`hude.native`, imported by
+the first field that compiles, builds it.  Any other field (``exp``,
+``ln``, ``sin``, ``cos``, ``^``), and every field where no kernel builds,
+runs on the numpy kernels (:func:`_loop_source`): a recorded path (an
+alpha-path), a chain and a batch of at most :data:`SCALAR_ROWS` rows (a
+small fan or bisection pass) row by row on floats, a larger batch (a large
+bisection pass) on ``(B,)`` state columns stepped in place.  A hand-written
+array field (:func:`hude.reactor.build_point_kinetics` or a user's
 :class:`~hude.model.VectorField`) integrates one row, recorded
 (:func:`integrate`).  All give the same bits, except the sign of a NaN:
 where two NaNs of opposite sign meet, float, array and C arithmetic keep
@@ -33,12 +35,14 @@ end time, and the bisection flags its failed rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialState
+from .expr import _C_OPS, _INFIX, _STATE_RE, _binder, _infix
+from .model import InitialState, ReducedField
 
 __all__ = [
     "DEFAULT_STEP",
@@ -184,16 +188,11 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     Step ``k`` of every row starts at ``t0 + k*h``; a row's last step is
     shortened to its ``t_end`` and rows that finish early keep their terminal
     state, so a row's result does not depend on the other rows.  A reduced
-    field (:class:`hude.model.ReducedField`) runs through a generated
-    whole-loop kernel: compiled from C when its ops allow and one builds
-    (:func:`_compiled_loop`), else recorded, chained or with at most
-    :data:`SCALAR_ROWS` rows row by row on floats (:func:`_row_loop`), else
-    on ``(B,)`` state columns stepped in place (:func:`_column_kernel`).
-    Each of its levels and parameters binds one value or one per row, else
+    field runs through a generated kernel (see the module docstring), each
+    of its levels and parameters bound to one value or one per row, else
     ValueError.  A hand-written array field steps one row as an ``(n,)``
     array (:func:`_column_loop`), and raises ValueError on a batch or in
-    mode ``"extremes"`` or ``"chain"``.  All give the same bits (up to the
-    sign of a NaN, see the module docstring).
+    mode ``"extremes"`` or ``"chain"``.
 
     ``mode`` says what is returned: ``"terminal"`` the terminal states,
     ``"extremes"`` those with the componentwise extremes over all rows and
@@ -249,23 +248,25 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
         out = np.empty((int(nsteps) + 1, n))
         out[0] = y
     plan = (y, t0, t_end, nsteps, last, h, mode, out)
-    if not hasattr(raw, "kernel"):
+    if not isinstance(raw, ReducedField):
         if y.ndim > 1 or mode in ("extremes", "chain"):
             raise ValueError("a hand-written field integrates one row, without "
                              "extremes or a chain")
         loop, plan = _column_loop, (raw, method, *plan)
     else:
         rows = y.size // n
-        kernel, bound = (raw.kernel(n, method, mode, "compiled") if COMPILED
-                         else (None, ()))
+        field, bound = raw._bound()
+        params, bound = ", ".join(bound), tuple(bound.values())
+        kernel = (_generated(field, params, n, method, mode, "compiled")
+                  if COMPILED else None)
         loop = _compiled_loop
         if kernel is None:
             # A recorded path and a chain run row by row, a chain through
             # the terminal row kernel.
             by_row = mode in ("record", "chain") or rows <= SCALAR_ROWS
-            kernel, bound = raw.kernel(
-                n, method, "terminal" if mode == "chain" else mode,
-                "row" if by_row else "columns")
+            kernel = _generated(field, params, n, method,
+                                "terminal" if mode == "chain" else mode,
+                                "row" if by_row else "columns")
             loop = _row_loop if by_row else _column_kernel
         for v in bound:
             if np.shape(v) not in ((), (1,), (rows,)):
@@ -283,11 +284,10 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
 
 def _compiled_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
     """Run the rows of ``y`` through the compiled ``kernel`` (the C loop of
-    :func:`hude.native._c_source` around the step that
-    :func:`hude.model._step_source` prints) with the plan and the ``bound``
-    values spread to one row each of a ``(3 + n + len(bound), B)`` array,
-    whose state columns the kernel steps in place.  Returns what
-    :func:`_row_loop` does."""
+    :func:`hude.native._c_source` around the step that :func:`_step_source`
+    prints) with the plan and the ``bound`` values spread to one row each of
+    a ``(3 + n + len(bound), B)`` array, whose state columns the kernel steps
+    in place.  Returns what :func:`_row_loop` does."""
     n = y.shape[-1]
     rows = y.size // n
     plan = np.empty((3 + n + len(bound), rows))
@@ -372,3 +372,246 @@ def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode, out):
         if out is not None:
             out[k + 1] = y
     return (y, None, None) if out is None else (out, None, None)
+
+
+@functools.lru_cache(maxsize=256)
+def _generated(field, params: str, n: int, method: str, mode: str, backend):
+    """The generated integrator kernel of a reduced field lowered to
+    ``field`` (:func:`hude.model.compile_model`) over the bound names
+    ``params`` (the ops keep ``0.0`` and ``-0.0`` apart): for ``backend``
+    ``"row"`` or ``"columns"`` the loop of :func:`_loop_source`, for
+    ``"compiled"`` that of :func:`hude.native._c_source` (a ``"chain"`` is
+    the terminal object's second entry point), or ``None`` after one debug
+    line on the ``hude`` logger where C may round an op unlike numpy or the
+    build fails."""
+    if backend != "compiled":
+        return _binder(_loop_source(field, params, n, method, mode, backend))
+    inexact = sorted({func for func, *_ in field[0]} - _C_OPS.keys())
+    if inexact:
+        reason = f"{', '.join(inexact)} may round unlike numpy in C"
+    else:
+        from . import native
+        chain = mode == "chain"
+        try:
+            # nsteps, out, t0, t_end and last, the states and bound values.
+            return native.load(native._c_source(
+                field, params, n, method, "terminal" if chain else mode),
+                "chain" if chain else "kernel", 5 + n + len(params.split(", ")))
+        except OSError as exc:
+            reason = f"the C kernel did not build: {exc}"
+    import logging
+    logging.getLogger("hude").debug("numpy kernels run a %s %s field: %s",
+                                    method, mode, reason)
+    return None
+
+
+def _step_source(field, n: int, method: str, backend: str):
+    """The one printer of a step: the statements of one Euler or RK4 step of
+    the reduced field whose last derivative is lowered to ``field``
+    (:func:`hude.model.compile_model`), the same operations in the same
+    order for every ``backend``, so that every kernel computes the same bits.
+
+    A step reads the state ``x0 ..``, the width ``s`` (RK4 also ``half`` and
+    ``sixth``) and, where the field reads ``t``, the start time ``t``, and
+    steps the state in place: Euler to ``x_j + s*k_j``, RK4 through stage
+    states ``z_j = x_j + frac*k_j`` at ``t + half`` and ``t + s`` to ``x_j +
+    sixth*(((k1_j + 2.0*k2_j) + 2.0*k3_j) + k4_j)``, where ``k_j`` is
+    ``x_{j+1}`` and ``k_{n-1}`` the field, scaled by ``s`` before any state
+    it may read is stepped.  Each op is a three-address statement into a
+    scratch name ``w0 ..``: for ``"columns"`` a ufunc call into a ``(B,)``
+    buffer (``power`` is :func:`~hude.expr._power`), for ``"row"`` a float
+    assignment (:data:`~hude.expr._INFIX`, ``np.power``), for ``"compiled"``
+    a C assignment for row ``i`` (:data:`~hude.expr._C_OPS`), bound values
+    read as ``b_<name>[i]`` and literals as ``float.hex()``.  In Python an op
+    that reads no state is its infix source instead, evaluated at every stage
+    if it reads ``t``, else once before the loop; for ``"columns"`` spread to
+    a ``(B,)`` array (a ufunc converts a float operand on every call) except
+    as an exponent, where a float takes numpy's fast path.
+
+    Returns ``(setup, main, tail, timed)``: the lines run once before the
+    loop (C: the declarations), a step's lines, those with each state update
+    under ``where=run`` (a column kernel's last steps), and whether the field
+    reads ``t``.
+    """
+    ops, value = field
+    compiled, columns = backend == "compiled", backend == "columns"
+
+    def kind(a):
+        # 2 if operand ``a`` reads the state, 1 if ``t`` but no state, else 0.
+        if isinstance(a, int):
+            return max(map(kind, ops[a][1:]))
+        return 2 if _STATE_RE.match(a) else int(a == "t")
+
+    # (source, spread) of each operand evaluated before the loop, spread to a
+    # (B,) array or not -> its name (c0 the step h, c1 RK4's 2.0).
+    hoisted = {("h", columns): "c0", ("2.0", columns): "c1"}
+    buffers: list[str] = []  # the scratch names
+    free: list[str] = []
+    used: set[str] = set()  # the ufuncs a column kernel calls
+
+    def alloc():
+        if not free:
+            buffers.append(f"w{len(buffers)}")
+            free.append(buffers[-1])
+        return free.pop()
+
+    def release(*operands):
+        free.extend(o for o in operands if o in buffers)
+
+    def call(func, *operands, where=""):
+        # ``func`` of the operands but the last, into the last.
+        *args, out = operands
+        if compiled:
+            return f"{out} = {_C_OPS[func].format(*args)};"
+        if not columns:
+            template = "np.power({}, {})" if func == "power" else _INFIX[func]
+            return f"{out} = {template.format(*args)}"
+        used.add(func)
+        return f"{func}({', '.join(operands)}{where})"
+
+    def evaluate(a, states, lines, spread=columns):
+        # The name holding operand ``a`` at the states once ``lines`` ran.
+        if kind(a) < 2 and not compiled:
+            text = _infix(ops, a)
+            if kind(a):
+                name = f"e{len(lines)}"  # unique in the step
+                lines.append(f"{name} = {text}")
+                return name
+            return hoisted.setdefault((text, spread), f"c{len(hoisted)}")
+        if not isinstance(a, int):
+            if kind(a) == 2:
+                return states[int(a[1:])]
+            # In C: the time, a bound value of row i or a literal.
+            return (a if a == "t" else f"b_{a}[i]" if a[0].isalpha()
+                    else f"({float(a).hex()})")
+        func, *args = ops[a]
+        operands = [evaluate(arg, states, lines, columns and func != "power")
+                    for arg in args]
+        release(*operands)
+        out = alloc()
+        lines.append(call(func, *operands, out))
+        return out
+
+    def advance(frac, k, into, lines, where="", keep=False):
+        # into[j] = x[j] + frac * k[j], ascending: k[j] may be into[j + 1],
+        # and the last derivative may be any state, so it is scaled first.
+        d = k[-1] if k[-1] in buffers and not keep else alloc()
+        lines.append(call("multiply", frac, k[-1], d))
+        if n > 1:
+            w = alloc()
+            for j in range(n - 1):
+                lines += [call("multiply", frac, k[j], w),
+                          call("add", f"x{j}", w, into[j], where=where)]
+            release(w)
+        lines.append(call("add", f"x{n - 1}", d, into[-1], where=where))
+        release(d)
+
+    xs = [f"x{j}" for j in range(n)]
+    zs = [f"z{j}" for j in range(n)]
+    two = "2.0" if compiled else "c1"
+    timed = value == "t" or any("t" in op[1:] for op in ops)
+
+    def clock(line):
+        # A line of the stage times, where the field reads t.
+        return [f"{line};" if compiled else line] if timed else []
+
+    def step(where):
+        lines = []
+        if method == "euler":
+            advance("s", xs[1:] + [evaluate(value, xs, lines)], xs, lines, where)
+            return lines
+        lines += clock("tk = t")
+        k1 = xs[1:] + [evaluate(value, xs, lines)]
+        advance("half", k1, zs, lines, keep=True)
+        lines += clock("t = tk + half")
+        k2 = zs[1:] + [evaluate(value, zs, lines)]
+        for j in range(n):
+            lines += [call("multiply", two, k2[j], f"a{j}"),
+                      call("add", k1[j], f"a{j}", f"a{j}")]
+        release(k1[-1])
+        advance("half", k2, zs, lines)
+        k3 = zs[1:] + [evaluate(value, zs, lines)]
+        w = alloc()
+        for j in range(n):
+            lines += [call("multiply", two, k3[j], w),
+                      call("add", f"a{j}", w, f"a{j}")]
+        release(w)
+        advance("s", k3, zs, lines)
+        lines += clock("t = tk + s")
+        k4 = zs[1:] + [evaluate(value, zs, lines)]
+        lines += [call("add", f"a{j}", k4[j], f"a{j}") for j in range(n)]
+        release(k4[-1])
+        for j in range(n):
+            lines += [call("multiply", "sixth", f"a{j}", f"a{j}"),
+                      call("add", f"x{j}", f"a{j}", f"x{j}", where=where)]
+        return lines
+
+    main, tail = step(""), step(", where=run")
+    stages = [f"{b}{j}" for b in "za" for j in range(n)] if method == "rk4" else []
+    if compiled:
+        return ([f"double {', '.join(buffers + stages + ['tk'] * timed)};"],
+                main, tail, timed)
+    setup = [*("power = _power" if func == "power" else f"{func} = np.{func}"
+               for func in sorted(used)),
+             *(f"{name} = np.full_like(x0, {text})" if spread else
+               f"{name} = {text}" for (text, spread), name in hoisted.items()),
+             *(f"{b} = np.empty_like(x0)" for b in buffers + stages if columns)]
+    return setup, main, tail, timed
+
+
+def _loop_source(field, params: str, n: int, method: str, mode: str,
+                 backend: str) -> str:
+    """Source of the Python kernel ``kernel(t0, t_end, nsteps, last, h, out,
+    x0, ..., <params>)``: the whole fixed-step loop around the step that
+    :func:`_step_source` prints for ``backend``.  Step ``k`` starts at ``t0 +
+    k*h``, and a row's last step of ``last`` at ``min(t0 + k*h, t_end)``.
+    ``"row"`` runs one row on floats, its last step after the loop; ``mode``
+    ``"record"`` writes state ``k`` of every step ``k`` to ``out[k*n ..]``,
+    a flat view of float64 storage.  ``"columns"`` steps a batch's ``(B,)``
+    state columns in place, every row by ``h`` up to the shortest row's last
+    step and by its own ``s`` from there, where a finished row keeps its
+    state (``where=run``); it never records (``out`` is unused).
+    ``mode`` ``"extremes"`` also returns each column's running minimum and
+    maximum (on floats ``a if a < b or a != a else b``, which is
+    ``np.minimum(a, b)``, NaN and signed zeros included).
+    """
+    columns = backend == "columns"
+    if columns and mode == "record":
+        raise ValueError("a recorded path runs in the row kernel")
+    setup, main, tail, timed = _step_source(field, n, method, backend)
+    xs = ", ".join(f"x{j}" for j in range(n))
+    start, after, result = [], [], f"({xs},)"
+    if mode == "extremes" and columns:
+        # minimum and maximum take their output only by keyword.
+        start = ["maximum = np.maximum", "minimum = np.minimum",
+                 *(f"{e}{j} = x{j}.copy()" for e in "lu" for j in range(n))]
+        after = [f"{f}({e}{j}, x{j}, out={e}{j})" for j in range(n)
+                 for f, e in (("minimum", "l"), ("maximum", "u"))]
+    elif mode == "extremes":
+        start = [f"l{j} = u{j} = x{j}" for j in range(n)]
+        after = [f"if not {e}{j} {op} x{j} and {e}{j} == {e}{j}: {e}{j} = x{j}"
+                 for j in range(n) for e, op in (("l", "<"), ("u", ">"))]
+    elif mode == "record":
+        start = [f"i = {n}"]
+        after = [*(f"out[i + {j}] = x{j}" for j in range(n)), f"i += {n}"]
+    if mode == "extremes":
+        result += f", ({xs.replace('x', 'l')},), ({xs.replace('x', 'u')},)"
+    widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
+    clock = ["t = t0 + k * h"] if timed else []
+    if columns:
+        head = ["shared = int(nsteps.min()) - 1", "total = int(nsteps.max())"]
+        loop = "for k in range(shared):"
+        last = ["for k in range(shared, total):", *(f"    {line}" for line in [
+            "s = np.where(k < nsteps - 1, h, last)", *widths, "run = k < nsteps",
+            *(["t = np.minimum(t0 + k * h, t_end)"] if timed else []),
+            *tail, *after])]
+    else:
+        head, loop = [], "for k in range(nsteps - 1):"
+        last = [*(["k = nsteps - 1", *clock,
+                   "t = t if t < t_end or t != t else t_end"] if timed else []),
+                "s = last", *widths, *main, *after]
+    lines = [*head, *setup, *start, "s = c0", *widths, loop,
+             *(f"    {line}" for line in clock + main + after), *last,
+             f"return {result}"]
+    return (f"def kernel(t0, t_end, nsteps, last, h, out, {xs}, {params}):\n"
+            + "".join(f"    {line}\n" for line in lines))

@@ -144,6 +144,17 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 22
 
+    @pytest.mark.parametrize("times, grid", [("0:1:0.6", [0.0, 0.6]),
+                                             ("0:1:0.4", [0.0, 0.4, 0.8])])
+    def test_times_stop_at_stop(self, tmp_path, decay_model_file, times,
+                                grid):
+        # The grid takes every start + k*step up to stop, and none past it.
+        out = tmp_path / "o.csv"
+        assert run("simulate", "--model", decay_model_file, "--times", times,
+                   "--seed", 9, "--step", 1e-2, "--out", out) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == grid
+
     def test_needs_time_source(self, tmp_path, decay_model_file, capsys):
         code = run("simulate", "--model", decay_model_file, "--out",
                    tmp_path / "x.csv")

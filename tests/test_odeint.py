@@ -1,8 +1,13 @@
+import ctypes
 import logging
 import math
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 import sysconfig
+import time
 from unittest import mock
 
 import numpy as np
@@ -14,13 +19,19 @@ import hude
 import hude.native
 from hude import InitialState, IntegrationError, Trajectory, integrate_euler, integrate_rk4
 from hude import odeint
-from hude.model import (ReducedField, VectorField, _generated, alpha_path_field,
+from hude.model import (ReducedField, VectorField, alpha_path_field,
                         compile_model, phi_inv)
-from hude.odeint import SCALAR_ROWS, _terminal_state_batch, integrate
+from hude.odeint import SCALAR_ROWS, _generated, _terminal_state_batch, integrate
 from hude.reactor import (CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235, ReactorParams,
                           build_point_kinetics, build_reactor_hude, table3)
 
 from conftest import ast_strategy, example1_closed_form
+
+
+def _kernel(field, *args):
+    # The generated kernel that _terminal_state_batch runs for ``field``.
+    lowered, bound = field._bound()
+    return _generated(lowered, ", ".join(bound), *args)
 
 
 def _compiler_found():
@@ -553,7 +564,7 @@ def test_recorded_paths_run_in_the_row_kernel():
         integrate(ReducedField(*code, np.array([0.7, 0.8])),
                   InitialState(0.0, [1.0]), 1.0, 0.1)
     with pytest.raises(ValueError, match="row kernel"):
-        ReducedField(*code, 0.7).kernel(1, "euler", "record", "columns")
+        _kernel(ReducedField(*code, 0.7), 1, "euler", "record", "columns")
 
 
 @pytest.mark.parametrize("rows", [1, 2, SCALAR_ROWS + 1])
@@ -684,8 +695,8 @@ def test_repeated_solves_reuse_generated_kernels():
             # at another parameter point, which probes other levels.
             misses = _generated.cache_info().misses
             with mock.patch.multiple(
-                    hude.model, _infix=spy(hude.model._infix),
-                    _step_source=spy(hude.model._step_source)), \
+                    odeint, _infix=spy(odeint._infix),
+                    _step_source=spy(odeint._step_source)), \
                     mock.patch.multiple(
                         hude.native, load=spy(hude.native.load),
                         _step_source=spy(hude.native._step_source)):
@@ -890,7 +901,7 @@ def test_chain_equals_successive_one_row_calls(method, drift, diffusion,
 def test_exact_fields_take_the_compiled_kernel(mode):
     code = compile_model(hude.HudeModel.parse(
         2, "-x1/(1 + abs(x0)) - x0", ["0.5*x1 - t"]), None)
-    kernel, _ = ReducedField(*code, 0.7).kernel(2, "rk4", mode, "compiled")
+    kernel = _kernel(ReducedField(*code, 0.7), 2, "rk4", mode, "compiled")
     assert kernel is not None
     rows = 1 if mode == "record" else 50
     field = ReducedField(*code, phi_inv(np.full(rows, 0.7)))
@@ -956,7 +967,7 @@ def test_compiled_backend_loads_where_a_compiler_is_found(tmp_path):
         _generated.cache_clear()
         field = ReducedField(*compile_model(hude.HudeModel.parse(
             1, "-0.25*x0"), None), 0.0)
-        kernel, _ = field.kernel(1, "euler", "terminal", "compiled")
+        kernel = _kernel(field, 1, "euler", "terminal", "compiled")
     _generated.cache_clear()
     assert kernel is not None
     (cache,) = tmp_path.iterdir()
@@ -986,3 +997,92 @@ def test_simulation_and_bisection_share_one_build(tmp_path):
     _generated.cache_clear()
     assert set(taken) == {"compiled"}
     assert len(builds) == 1
+
+
+# A C source whose one function takes a row count and a step, no pointers.
+_EMPTY_KERNEL = ("#include <stdint.h>\n"
+                 "void kernel(int64_t rows, double h) { (void)rows; (void)h; }\n")
+
+
+def _counting_builds(builds):
+    run = hude.native.subprocess.run
+
+    def build(*args, **kwargs):
+        builds.append(args)
+        return run(*args, **kwargs)
+    return mock.patch.object(hude.native.subprocess, "run", build)
+
+
+@needs_compiler
+def test_a_build_prunes_objects_untouched_for_the_cache_age(tmp_path):
+    # A fresh cache with back-dated dummy objects, a leftover temporary file
+    # and a file that is no object: one build removes the objects untouched
+    # for longer than CACHE_AGE, and a load touches the object it loads.
+    with mock.patch("tempfile.tempdir", str(tmp_path)):
+        cache = hude.native._cache_dir()
+        now, age = time.time(), hude.native.CACHE_AGE
+        ages = {"old.so": 2 * age, "tmpk2v9q1.so": 2 * age,
+                "recent.so": age / 2, "notes.txt": 2 * age}
+        for name, back in ages.items():
+            open(os.path.join(cache, name), "w").close()
+            os.utime(os.path.join(cache, name), (now - back, now - back))
+        builds = []
+        with _counting_builds(builds):
+            hude.native.load(_EMPTY_KERNEL, "kernel", 0)
+            (built,) = set(os.listdir(cache)) - set(ages)
+            built = os.path.join(cache, built)
+            os.utime(built, (now - 2 * age, now - 2 * age))
+            hude.native.load(_EMPTY_KERNEL, "kernel", 0)
+    assert len(builds) == 1
+    assert sorted(os.listdir(cache)) == sorted(
+        [os.path.basename(built), "recent.so", "notes.txt"])
+    assert os.stat(built).st_mtime > now - age
+
+
+@needs_compiler
+def test_an_object_removed_before_it_loads_is_built_again(tmp_path):
+    # Another process's build may remove an object between the check that
+    # it exists and its load: it is built again, not reported as failed.
+    cdll, vanished = ctypes.CDLL, []
+
+    def vanish(path, *args, **kwargs):
+        if not vanished:
+            vanished.append(path)
+            os.unlink(path)
+            raise OSError(f"{path}: cannot open shared object file")
+        return cdll(path, *args, **kwargs)
+
+    builds = []
+    with mock.patch("tempfile.tempdir", str(tmp_path)), \
+            _counting_builds(builds):
+        hude.native.load(_EMPTY_KERNEL, "kernel", 0)
+        with mock.patch.object(hude.native.ctypes, "CDLL", vanish):
+            fn = hude.native.load(_EMPTY_KERNEL, "kernel", 0)
+    fn(1, 0.5)
+    assert len(vanished) == 1 and len(builds) == 2
+    assert os.path.exists(vanished[0])
+
+
+def _loaded_after(code):
+    # Which of hude.native, subprocess and logging a fresh interpreter holds
+    # after running ``code``.
+    src = os.path.dirname(os.path.dirname(hude.__file__))
+    probe = (f"{code}\nimport sys\nprint(*sorted({{'hude.native', "
+             "'subprocess', 'logging'} & sys.modules.keys()))")
+    return subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_import_builds_nothing():
+    assert _loaded_after("import hude") == []
+
+
+@needs_compiler
+def test_a_compiled_path_loads_the_c_backend_without_logging():
+    # The C backend is imported by the first field that compiles, and the
+    # logging module only where a kernel falls back to numpy.
+    assert _loaded_after(
+        "import hude\nhude.solve_alpha_path(hude.HudeModel.parse(1, '-x0', "
+        "['0.1']), None, 0.7, hude.InitialState(0.0, [1.0]), 1.0, h=0.1)"
+    ) == ["hude.native", "subprocess"]
