@@ -34,6 +34,7 @@ from .model import (
 )
 from .odeint import (DEFAULT_STEP, Trajectory, _step_failure,
                      _terminal_state_batch, _write_csv, integrate)
+from .validation import check_unit_interval
 
 __all__ = [
     "AlphaPath",
@@ -64,8 +65,7 @@ class AlphaPath:
     trajectory: Trajectory
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
+        check_unit_interval("alpha", self.alpha)
 
 
 def solve_alpha_path(
@@ -115,8 +115,7 @@ def inverse_distribution(
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     if alphas.size == 0:
         raise ValueError("need at least one quantile level")
-    if not np.all((alphas > 0.0) & (alphas < 1.0)):
-        raise ValueError("quantile levels must lie strictly inside (0, 1)")
+    check_unit_interval("quantile levels", alphas)
     resolved = model.resolved_theta(theta)
     field = ReducedField(*compile_model(model, resolved), _clamped_phi(alphas))
     B = alphas.size

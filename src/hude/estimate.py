@@ -32,6 +32,7 @@ from .residuals import (
     _residual_vector,
     compute_residuals,  # noqa: F401  (perfbench/layers.py wraps it here)
 )
+from .validation import check_unit_interval
 
 __all__ = [
     "EstimationResult",
@@ -115,8 +116,7 @@ def moment_objective(theta, residual_fn: Callable, p: int) -> float:
 def _mle_window(M: int, alpha: float) -> int:
     """Order statistics in the maximum-likelihood window of ``M`` residuals at
     detection level ``alpha``; raises when the level leaves no usable window."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("detection level must lie strictly inside (0, 1)")
+    check_unit_interval("detection level", alpha)
     w = int(np.ceil(M * (1.0 - alpha) - 1e-9))
     if w < 2 or w > M:
         raise ValueError(

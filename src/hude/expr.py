@@ -18,7 +18,7 @@ Every evaluation runs one lowering of the AST (:func:`_lower`), a list of ufunc
 ops.  One interpreter, :func:`_evaluate`, runs it for :func:`eval_expr`,
 :func:`compile_expr` and a reduced field's values (the condition check and
 calls of the field).  Generated source is only for the integrator kernels of
-:mod:`hude.model`, where speed matters: they print the same ops as ufunc
+:mod:`hude.odeint`, where speed matters: they print the same ops as ufunc
 calls, Python float arithmetic (:data:`_INFIX`, :func:`_infix`) or C
 (:data:`_C_OPS`).
 """

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .residuals import ResidualVector
+from .validation import check_unit_interval
 
 __all__ = [
     "TestReport",
@@ -56,8 +57,7 @@ def _ceil_exact(value: float) -> int:
 def uncertain_hypothesis_test(residuals, alpha: float = 0.05) -> TestReport:
     """Tail-count test: reject when at least ``max(ceil(alpha*M), 1)``
     residuals fall strictly outside ``[alpha/2, 1 - alpha/2]``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("significance level must lie strictly inside (0, 1)")
+    check_unit_interval("significance level", alpha)
     if isinstance(residuals, ResidualVector):
         eps = residuals.epsilons
         indices = residuals.indices

@@ -39,6 +39,7 @@ from .expr import (
     to_source,
     variables,
 )
+from .validation import check_unit_interval
 
 __all__ = [
     "HudeModel",
@@ -72,8 +73,7 @@ def phi_inv(alpha):
     Accepts a scalar or an array of levels, all strictly inside (0, 1).
     """
     a = np.asarray(alpha, dtype=float)
-    if not ((a > 0.0) & (a < 1.0)).all():
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_unit_interval("alpha", a)
     out = _SQRT3_OVER_PI * np.log(a / (1.0 - a))
     if np.ndim(alpha) == 0:
         return float(out)
@@ -189,7 +189,8 @@ class VectorField:
 
     ``raw(t, y)`` evaluates on an array ``y`` with the state on its last axis,
     without finiteness checks, and is what the integrators drive (a
-    :class:`ReducedField` is stepped in its column form); calling the field
+    :class:`ReducedField` runs through the generated row, column or
+    compiled kernels of :mod:`hude.odeint`); calling the field
     directly validates the output and raises :class:`DomainError` on a
     non-finite value.
     """
@@ -286,8 +287,7 @@ def alpha_path_field(
     model: HudeModel, theta: Mapping[str, float] | None, alpha: float
 ) -> VectorField:
     """Reduce the model at quantile level ``alpha`` to a first-order field."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_unit_interval("alpha", alpha)
     field = ReducedField(*compile_model(model, theta), _clamped_phi(alpha))
     return VectorField(field, model.order)
 
@@ -348,8 +348,7 @@ def check_alpha_path_condition(
     n = model.order
     if len(domain.state_ranges) != n:
         raise ValueError(f"domain must provide {n} state ranges")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_unit_interval("alpha", alpha)
     if n == 1:
         return ConditionReport(alpha=alpha, passed=True, axes=())
 

@@ -16,11 +16,11 @@ negation and ``abs``, which C rounds as numpy does, runs every path and
 batch in C (:func:`_compiled_loop`) where :mod:`hude.native`, imported by
 the first field that compiles, builds it.  Any other field (``exp``,
 ``ln``, ``sin``, ``cos``, ``^``), and every field where no kernel builds,
-runs on the numpy kernels (:func:`_loop_source`): a recorded path (an
-alpha-path), a chain and a batch of at most :data:`SCALAR_ROWS` rows (a
-small fan or bisection pass) row by row on floats, a larger batch (a large
-bisection pass) on ``(B,)`` state columns stepped in place.  A hand-written
-array field (:func:`hude.reactor.build_point_kinetics` or a user's
+runs on the numpy kernels (:func:`_loop_source`), chosen by the shape of
+the call: one row at a time (a recorded path, a chain or a one-row batch)
+on floats, a batch of two or more rows on ``(B,)`` state columns stepped
+in place.  A hand-written array field
+(:func:`hude.reactor.build_point_kinetics` or a user's
 :class:`~hude.model.VectorField`) integrates one row, recorded
 (:func:`integrate`).  All give the same bits, except the sign of a NaN:
 where two NaNs of opposite sign meet, float, array and C arithmetic keep
@@ -56,19 +56,6 @@ __all__ = [
 # Small enough for the stiffest bundled dynamics (drift eigenvalue ~ -55);
 # overridable everywhere.
 DEFAULT_STEP = 1e-4
-
-# Rows up to which a reduced field's batch on the numpy kernels runs row by
-# row through its generated row kernel instead of its column kernel.  On
-# 100-step windows of the reactor model (x86-64 Intel Xeon, 2 vCPU, numpy 2.4,
-# h=1e-4, best of 15 runs, measured twice on a noisy shared machine) the row
-# kernel costs ~0.1 ms plus 20-45 us per row (RK4 ~0.2 ms plus 0.10-0.15 ms),
-# the column kernel a near-flat 0.6-1.4 ms (RK4 2.5-5.8 ms); the two meet
-# between 24 and 32 rows (RK4 between 16 and 32).  On the 19-level,
-# 60,000-step Euler fan with extremes the row kernel takes 0.35-0.50 s and
-# the column kernel 0.54-0.57 s.  A field with exp and sin costs ~0.1 ms per
-# row on floats (RK4 ~0.45 ms) and meets the column kernel below 8 rows, but
-# the value is set for the reactor model, the case study's field.
-SCALAR_ROWS = 32
 
 # Whether a reduced field whose ops all round in C as in numpy runs through
 # its compiled kernel (:func:`_compiled_loop`) when one builds.
@@ -188,7 +175,9 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     Step ``k`` of every row starts at ``t0 + k*h``; a row's last step is
     shortened to its ``t_end`` and rows that finish early keep their terminal
     state, so a row's result does not depend on the other rows.  A reduced
-    field runs through a generated kernel (see the module docstring), each
+    field runs through its compiled kernel where one builds, else through
+    its generated row kernel one row at a time (a recorded path, a chain, a
+    one-row batch) or its column kernel (a batch of two or more rows), each
     of its levels and parameters bound to one value or one per row, else
     ValueError.  A hand-written array field steps one row as an ``(n,)``
     array (:func:`_column_loop`), and raises ValueError on a batch or in
@@ -261,9 +250,9 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
                   if COMPILED else None)
         loop = _compiled_loop
         if kernel is None:
-            # A recorded path and a chain run row by row, a chain through
-            # the terminal row kernel.
-            by_row = mode in ("record", "chain") or rows <= SCALAR_ROWS
+            # One row at a time runs on floats, a chain through the terminal
+            # row kernel; a batch of two or more rows on state columns.
+            by_row = mode in ("record", "chain") or rows == 1
             kernel = _generated(field, params, n, method,
                                 "terminal" if mode == "chain" else mode,
                                 "row" if by_row else "columns")
@@ -308,38 +297,34 @@ def _compiled_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
 
 
 def _row_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
-    """Run each row of ``y`` through the generated row ``kernel`` with that
-    row's plan and ``bound`` values (each one value or one per row), all
-    floats; in ``mode`` ``"chain"`` each row after the first starts from the
-    terminal state of the row before it.  Returns the terminal states with
-    the per-column extremes, or ``out`` holding every state of the one row
-    ``y`` (``mode`` ``"record"``)."""
+    """Run the rows of ``y`` one at a time through the generated row
+    ``kernel`` with that row's plan and ``bound`` values (each one value or
+    one per row), all floats, each row after the first from the terminal
+    state of the row before it: a chain, of which a one-row call is a chain
+    of one row.  Returns the terminal states, with the one row's extremes
+    (``mode`` ``"extremes"``), or ``out`` holding every state of the one row
+    (``mode`` ``"record"``)."""
     n = y.shape[-1]
     per_row = (np.broadcast_to(v, (y.size // n,)).tolist()
                for v in (t0, t_end, nsteps, last, *bound))
-    if mode == "chain":
-        x, ran = y[0].tolist(), []
-        for a, b, c, d, *p in zip(*per_row):
-            x = kernel(a, b, c, d, h, None, *x, *p)
-            ran.append(x)
-        return np.array(ran), None, None
     record = None if out is None else memoryview(out.reshape(-1))
-    ran = [kernel(a, b, c, d, h, record, *x, *p) for (a, b, c, d, *p), x in
-           zip(zip(*per_row), y.reshape(-1, n).tolist())]
+    x, ran = y.reshape(-1, n)[0].tolist(), []
+    for a, b, c, d, *p in zip(*per_row):
+        x = kernel(a, b, c, d, h, record, *x, *p)
+        ran.append(x)
     if out is not None:
         return out, None, None
     if mode == "extremes":
-        ran, lows, highs = zip(*ran)
-        return (np.array(ran).reshape(y.shape),
-                *([np.array(c) for c in zip(*e)] for e in (lows, highs)))
+        ((x, lows, highs),) = ran
+        return np.array(x).reshape(y.shape), lows, highs
     return np.array(ran).reshape(y.shape), None, None
 
 
 def _column_kernel(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
     """Run the rows of ``y`` through the generated column ``kernel``, which
-    steps the ``(B,)`` state columns in place (one row as a ``(1,)`` batch)
-    with the ``bound`` values.  Returns the terminal states, with the
-    extremes per column; it never records (``out`` is unused)."""
+    steps the ``(B,)`` state columns in place with the ``bound`` values.
+    Returns the terminal states, with the extremes per column; it never
+    records (``out`` is unused)."""
     n = y.shape[-1]
     x = y.reshape(-1, n).T.copy()
     ran = kernel(t0, t_end, nsteps, last, h, out, *x, *bound)

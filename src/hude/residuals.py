@@ -33,6 +33,7 @@ from .model import (
 )
 from .odeint import (DEFAULT_STEP, _step_failure, _terminal_state_batch,
                      _write_csv)
+from .validation import check_unit_interval
 
 __all__ = [
     "ObservationSeries",
@@ -192,8 +193,7 @@ class ResidualVector:
         eps = np.asarray(self.epsilons, dtype=float).reshape(-1)
         if eps.size == 0:
             raise ValueError("residual vector cannot be empty")
-        if not np.all((eps > 0.0) & (eps < 1.0)):
-            raise ValueError("residuals must lie strictly inside (0, 1)")
+        check_unit_interval("residuals", eps)
         eps.flags.writeable = False
         object.__setattr__(self, "epsilons", eps)
         if self.indices is None:
@@ -467,8 +467,7 @@ def simulate_observations(
         eps = np.asarray(eps, dtype=float).reshape(-1)
         if eps.size != steps:
             raise ValueError(f"need {steps} levels, got {eps.size}")
-        if not np.all((eps > 0.0) & (eps < 1.0)):
-            raise ValueError("levels must lie strictly inside (0, 1)")
+        check_unit_interval("levels", eps)
     code, values = compile_model(model, theta)
     phi = _clamped_phi(eps)
     states = np.empty((times.size, n))

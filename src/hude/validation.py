@@ -1,6 +1,9 @@
-"""Input validation helpers shared by the estimator API."""
+"""Input validation helpers: the level rule shared by every module, and the
+estimator API's checks."""
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "NotFittedError",
@@ -13,11 +16,12 @@ class NotFittedError(Exception):
     """The estimator must be fitted before this call."""
 
 
-def check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 < value < 1.0:
+def check_unit_interval(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless the level ``value``, a scalar
+    or an array of levels, lies strictly inside (0, 1); NaN does not."""
+    value = np.asarray(value, dtype=float)
+    if not ((value > 0.0) & (value < 1.0)).all():
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
-    return value
 
 
 def check_is_fitted(estimator, attributes=("theta_",)):

@@ -122,9 +122,9 @@ def _row(theta, i):
 )
 def test_batch_equals_rows_bisected_alone(name, rows, delta, method,
                                           row_theta, compiled, seed):
-    # Up to 40 rows: a batch of more than SCALAR_ROWS runs the numpy column
-    # kernel, a row alone the row kernel, and both the C kernel where the
-    # field compiles.
+    # Up to 40 rows: a batch of two or more runs the numpy column kernel, a
+    # row alone the row kernel, and both the C kernel where the field
+    # compiles.
     model, theta, t0s, y0s, t1s, x_next = _case(name, rows, seed, row_theta)
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(odeint, "COMPILED", compiled)

@@ -18,8 +18,10 @@ from hude import (
     model_from_dict,
     phi_inv,
 )
+from hude.estimate import _mle_window
 from hude.expr import Binary, Const, DomainError
 from hude.model import ALPHA_CLAMP, _clamped_phi
+from hude.validation import check_unit_interval
 
 from conftest import logistic_quantile
 
@@ -260,3 +262,35 @@ class TestTypes:
         assert bound.resolved_theta() == {"a": 1.0, "b": 2.0}
         with pytest.raises(ValueError):
             model.resolved_theta()
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_every_level_check_runs_the_one_level_rule(bad):
+    # A level lies strictly inside (0, 1), NaN outside, whether it comes
+    # alone or in an array, and each caller names it in its own message.
+    model = HudeModel.parse(1, "-x0", ["0.1"])
+    init = InitialState(0.0, [1.0])
+    path = hude.solve_alpha_path(model, None, 0.5, init, 0.1, h=0.05)
+    domain = ConditionDomain((0.0, 1.0), ((-1.0, 1.0),))
+    calls = {
+        "alpha": [lambda: phi_inv(bad), lambda: phi_inv([0.5, bad]),
+                  lambda: alpha_path_field(model, None, bad),
+                  lambda: check_alpha_path_condition(model, None, bad, domain),
+                  lambda: hude.AlphaPath(bad, path.trajectory)],
+        "quantile levels": [lambda: hude.inverse_distribution(
+            model, None, init, 0.1, [0.5, bad], h=0.05)],
+        "residuals": [lambda: hude.ResidualVector([0.5, bad])],
+        "levels": [lambda: hude.simulate_observations(
+            model, None, init, [0.0, 0.1, 0.2], eps=[0.5, bad], h=0.05)],
+        "detection level": [lambda: _mle_window(10, bad)],
+        "significance level": [
+            lambda: hude.uncertain_hypothesis_test([0.5], bad)],
+        "value": [lambda: check_unit_interval("value", bad),
+                  lambda: check_unit_interval("value", np.array([[0.5, bad]]))],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError) as exc:
+                fn()
+            assert str(exc.value) == f"{name} must lie strictly inside (0, 1)"
+    check_unit_interval("value", np.array([[0.5, 1e-300], [0.25, 1 - 1e-16]]))

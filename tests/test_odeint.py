@@ -21,7 +21,7 @@ from hude import InitialState, IntegrationError, Trajectory, integrate_euler, in
 from hude import odeint
 from hude.model import (ReducedField, VectorField, alpha_path_field,
                         compile_model, phi_inv)
-from hude.odeint import SCALAR_ROWS, _generated, _terminal_state_batch, integrate
+from hude.odeint import _generated, _terminal_state_batch, integrate
 from hude.reactor import (CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235, ReactorParams,
                           build_point_kinetics, build_reactor_hude, table3)
 
@@ -43,9 +43,9 @@ def _compiler_found():
 # one every field runs on the numpy kernels.
 COMPILER_FOUND = _compiler_found()
 
-# (COMPILED, SCALAR_ROWS) of the column kernel, the row kernel of a two-row
-# batch, and the compiled kernel where the field has one.
-BACKENDS = [(False, 0), (False, 2), (True, 0)]
+# COMPILED of the numpy kernels, and of the compiled kernel where the field
+# has one.
+BACKENDS = [False, True]
 
 
 def exp_field():
@@ -379,12 +379,11 @@ def _column_case(draw):
     drift = expr()
     diffusions = [expr() for _ in range(draw(st.integers(0, 2)))]
     one_row = draw(st.booleans())
-    # Batches on both sides of the row-by-row crossover, and one well above
-    # it whose rows finish at many different steps.
+    # Small batches, and large ones whose rows finish at many different steps.
     rows = 1 if one_row else draw(st.one_of(
         st.integers(min_value=1, max_value=5),
-        st.integers(min_value=2, max_value=SCALAR_ROWS),
-        st.sampled_from([SCALAR_ROWS, SCALAR_ROWS + 1, 80])))
+        st.integers(min_value=2, max_value=40),
+        st.just(80)))
     h = draw(st.sampled_from([0.05, 0.02]))
     spans = [(draw(st.integers(0, 30)) + draw(st.floats(0.05, 1.0))) * h
              for _ in range(rows)]
@@ -404,6 +403,10 @@ def _same(a, b):
 
 def _same_but_nan_sign(a, b):
     return _same(*(np.where(np.isnan(v), np.nan, v) for v in (a, b)))
+
+
+def _modes(got):
+    return got if isinstance(got, tuple) else (got,)
 
 
 def _outcome(fn):
@@ -443,38 +446,61 @@ def test_column_core_equals_array_core(case):
     finite = np.isfinite(expected[0]).all(axis=1)
     recorded = _array_core(array, *args, record=True) if case["one_row"] else None
 
-    # No row limit sends every problem but a recorded path through the
-    # generated column kernel; the row count as the limit sends it row by row
-    # through the generated row kernel, which runs every recorded path.
-    # Every bit agrees except the sign of a NaN: where two NaNs of opposite
-    # sign meet, float and array arithmetic propagate different ones, and
-    # numpy's vectorised min/max of 9 or more values returns NaN positive.
-    # The integrator returns non-finite states as they are; a recorded path
-    # fails at its first non-finite grid point.
+    # The numpy kernels run a batch of two or more rows through the generated
+    # column kernel, and one row at a time through the generated row kernel,
+    # which also runs every recorded path.  Every bit agrees except the sign
+    # of a NaN: where two NaNs of opposite sign meet, float and array
+    # arithmetic propagate different ones, and numpy's vectorised min/max of
+    # 9 or more values returns NaN positive.  The integrator returns
+    # non-finite states as they are; a recorded path fails at its first
+    # non-finite grid point.
     same = _same if finite.all() else _same_but_nan_sign
-    loops = []
-    for limit in (0, rows):
-        with mock.patch.object(odeint, "COMPILED", False), \
-                mock.patch.object(odeint, "SCALAR_ROWS", limit):
-            got = _terminal_state_batch(column, *args, mode="extremes")
-            loops.append(got)
+    with mock.patch.object(odeint, "COMPILED", False):
+        got = _terminal_state_batch(column, *args, mode="extremes")
+        assert all(_same_but_nan_sign(a, b) for a, b in zip(got, expected))
+        got = _terminal_state_batch(column, *args)
+        assert same(got, expected[0].reshape(np.shape(got)))
+        if recorded is None:
+            # The batch's rows run alone.
+            got = _rows_alone(column, *args, mode="extremes")
             assert all(_same_but_nan_sign(a, b) for a, b in zip(got, expected))
-            got = _terminal_state_batch(column, *args)
-            assert same(got, expected[0].reshape(np.shape(got)))
-            if recorded is None:
-                continue
-            on_grid = np.isfinite(recorded).all(axis=1)
-            got = _terminal_state_batch(column, *args, mode="record")
-            assert (_same if on_grid.all() else _same_but_nan_sign)(got, recorded)
-            got = _outcome(lambda: integrate(column, InitialState(t0s[0], y0s[0]),
-                                             t1s[0], h, method))
-            if on_grid.all():
-                assert _same(got.y, recorded)
-            else:
-                first = int(np.argmin(on_grid))
-                assert got == ("failed", t0s[0] + first * h
-                               if first < len(on_grid) - 1 else t1s[0])
-    assert all(_same_but_nan_sign(a, b) for a, b in zip(*loops))
+            assert same(_rows_alone(column, *args), expected[0])
+            return
+        on_grid = np.isfinite(recorded).all(axis=1)
+        got = _terminal_state_batch(column, *args, mode="record")
+        assert (_same if on_grid.all() else _same_but_nan_sign)(got, recorded)
+        got = _outcome(lambda: integrate(column, InitialState(t0s[0], y0s[0]),
+                                         t1s[0], h, method))
+    if on_grid.all():
+        assert _same(got.y, recorded)
+    else:
+        first = int(np.argmin(on_grid))
+        assert got == ("failed", t0s[0] + first * h
+                       if first < len(on_grid) - 1 else t1s[0])
+
+
+def _row_field(field, i):
+    # Row ``i`` of the batch ``field``: each value bound one per row is bound
+    # as a batch of one.
+    def row(v):
+        return v if np.size(v) == 1 else v[i:i + 1]
+    return ReducedField(field.code, {k: row(v) for k, v in field.values.items()},
+                        row(field.phi))
+
+
+def _rows_alone(field, t0s, y0s, t1s, h, method, mode="terminal"):
+    """``field``'s batch with each row run alone, which the numpy kernels
+    run on floats: the terminal states, and in ``mode`` ``"extremes"`` the
+    rows' extremes reduced as a batch reduces its own."""
+    runs = [_modes(_terminal_state_batch(
+        _row_field(field, i), t0s[i:i + 1], y0s[i:i + 1], t1s[i:i + 1], h,
+        method, mode)) for i in range(len(t0s))]
+    y = np.concatenate([run[0] for run in runs])
+    if mode != "extremes":
+        return y
+    lows, highs = (np.array([run[k] for run in runs]).T.copy() for k in (1, 2))
+    return (y, np.array([np.min(c) for c in lows]),
+            np.array([np.max(c) for c in highs]))
 
 
 @mock.patch.object(odeint, "COMPILED", False)
@@ -485,16 +511,15 @@ def test_column_kernel_keeps_a_float_exponent():
                        0.0)
     y0 = np.random.default_rng(0).uniform(-2.0, 2.0, (1000, 1))
     args = (np.zeros(1000), y0, np.ones(1000), 1.0)
-    with mock.patch.object(odeint, "SCALAR_ROWS", 0):
-        assert _same(_terminal_state_batch(raw, *args),
-                     _array_core(raw, *args, "euler"))
+    assert _same(_terminal_state_batch(raw, *args),
+                 _array_core(raw, *args, "euler"))
 
 
 @mock.patch.object(odeint, "COMPILED", False)
 def test_parameter_exponents_bound_per_row_step_like_floats():
     # A per-row exponent of 2.0, 0.5 or -1.0 rounds in the column kernel as
-    # the float does in the row kernel, so a row does not depend on whether
-    # its batch runs column-wise.
+    # the float does in the row kernel, so a row of a batch equals the row
+    # run alone.
     rows = 400
     rng = np.random.default_rng(1)
     p = rng.choice([2.0, 0.5, -1.0], rows)
@@ -504,13 +529,11 @@ def test_parameter_exponents_bound_per_row_step_like_floats():
     raw = ReducedField(code, values, rng.uniform(-1.0, 1.0, rows))
     args = (np.zeros(rows), rng.uniform(0.5, 3.0, (rows, 1)),
             np.full(rows, 0.5), 1e-2)
-    loops = []
-    for limit in (0, rows):
-        with mock.patch.object(odeint, "SCALAR_ROWS", limit):
-            loops.append(_terminal_state_batch(raw, *args))
-    assert _loops_taken(lambda: _terminal_state_batch(raw, *args)) == ["column"]
-    assert np.isfinite(loops[0]).all()
-    assert _same(*loops)
+    batch = []
+    assert _loops_taken(lambda: batch.append(
+        _terminal_state_batch(raw, *args))) == ["column"]
+    assert np.isfinite(batch[0]).all()
+    assert _same(batch[0], _rows_alone(raw, *args, "euler"))
 
 
 def _loops_taken(solve):
@@ -534,28 +557,56 @@ def _loops_taken(solve):
     return taken
 
 
-@pytest.mark.parametrize("rows", [1, SCALAR_ROWS, SCALAR_ROWS + 1, 300])
-@mock.patch.object(odeint, "COMPILED", False)
-def test_small_batches_run_row_by_row(rows):
-    # Reduced fields never reach the column loop: small batches run through
-    # the row kernel, larger ones through the column kernel.
-    raw = ReducedField(*compile_model(hude.HudeModel.parse(1, "-x0", ["t"]),
-                                      None), phi_inv(np.full(rows, 0.7)))
-    taken = _loops_taken(lambda: _terminal_state_batch(
-        raw, np.zeros(rows), np.ones((rows, 1)), np.ones(rows), 0.1))
-    assert taken == ["column" if rows > SCALAR_ROWS else "row"]
+# The traffic of the numpy kernels: the reactor field, which compiles, with
+# COMPILED off, and a field with exp and sin, which never compiles, with
+# COMPILED on.
+RULE_FIELDS = {
+    "reactor": (False, build_reactor_hude(THERMAL_U235), FITTED_THETA),
+    "exp-sin": (True, hude.HudeModel.parse(2, "-0.5*x1 - sin(x0)",
+                                           ["0.2*exp(-x0*x0)"]), None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_FIELDS))
+@pytest.mark.parametrize("mode, rows", [
+    *((mode, rows) for mode in ("terminal", "extremes", "chain")
+      for rows in (1, 2, 33, 300)), ("record", 1)])
+@settings(max_examples=3, deadline=None)
+@given(method=st.sampled_from(["euler", "rk4"]), per_row=st.booleans(),
+       flat=st.booleans(), seed=st.integers(0, 2**16))
+def test_numpy_kernels_follow_the_shape_of_the_call(kind, mode, rows, method,
+                                                     per_row, flat, seed):
+    # One row at a time (a recorded path, a chain, a one-row batch) runs
+    # through the row kernel, every batch of two or more rows through the
+    # column kernel, however the level binds and the rows' spans differ.
+    compiled, model, theta = RULE_FIELDS[kind]
+    rng = np.random.default_rng(seed)
+    phi = (phi_inv(rng.uniform(0.05, 0.95, rows)) if per_row
+           else float(phi_inv(rng.uniform(0.05, 0.95))))
+    field = ReducedField(*compile_model(model, theta), phi)
+    t0s = 0.1 * np.arange(rows)
+    t1s = t0s + rng.uniform(0.02, 0.1, rows)
+    y0s = rng.uniform(-1.0, 1.0, (rows, 2))
+    if mode == "record" or (rows == 1 and flat):
+        args = (t0s[0], y0s[0], t1s[0])
+    else:
+        args = (t0s, y0s[0] if mode == "chain" else y0s, t1s)
+    with mock.patch.object(odeint, "COMPILED", compiled):
+        taken = _loops_taken(lambda: _terminal_state_batch(
+            field, *args, 0.01, method, mode))
+    assert taken == ["row" if mode in ("record", "chain") or rows == 1
+                     else "column"]
 
 
 @mock.patch.object(odeint, "COMPILED", False)
 def test_recorded_paths_run_in_the_row_kernel():
-    # Whatever the row limit: the column kernel never records.  A level bound
-    # as a one-row batch records the path of the float level.
+    # The column kernel never records.  A level bound as a one-row batch
+    # records the path of the float level.
     code = compile_model(hude.HudeModel.parse(1, "-x0", ["t"]), None)
     paths = []
     for phi in (0.7, np.array([0.7])):
-        with mock.patch.object(odeint, "SCALAR_ROWS", 0):
-            taken = _loops_taken(lambda: paths.append(integrate(
-                ReducedField(*code, phi), InitialState(0.0, [1.0]), 1.0, 0.1)))
+        taken = _loops_taken(lambda: paths.append(integrate(
+            ReducedField(*code, phi), InitialState(0.0, [1.0]), 1.0, 0.1)))
         assert taken == ["row"]
     assert _same(paths[0].y, paths[1].y)
     # Levels that bind more than one row make no path, and no column kernel
@@ -567,19 +618,17 @@ def test_recorded_paths_run_in_the_row_kernel():
         _kernel(ReducedField(*code, 0.7), 1, "euler", "record", "columns")
 
 
-@pytest.mark.parametrize("rows", [1, 2, SCALAR_ROWS + 1])
-@pytest.mark.parametrize("limit", [0, SCALAR_ROWS])
+@pytest.mark.parametrize("rows", [1, 2, 33])
 @mock.patch.object(odeint, "COMPILED", False)
-def test_levels_bind_one_value_or_one_per_row(rows, limit):
-    # Three levels fit no batch here, in either kernel; one level, a
-    # one-element array and one per row do.
+def test_levels_bind_one_value_or_one_per_row(rows):
+    # Three levels fit no batch here, one row (the row kernel) or more (the
+    # column kernel); one level, a one-element array and one per row do.
     code = compile_model(hude.HudeModel.parse(1, "-x0", ["t"]), None)
     args = (np.zeros(rows), np.ones((rows, 1)), np.ones(rows), 0.1)
-    with mock.patch.object(odeint, "SCALAR_ROWS", limit):
-        with pytest.raises(ValueError, match=f"holds 3 values for {rows} row"):
-            _terminal_state_batch(ReducedField(*code, np.full(3, 0.5)), *args)
-        runs = [_terminal_state_batch(ReducedField(*code, phi), *args)
-                for phi in (0.5, np.array([0.5]), np.full(rows, 0.5))]
+    with pytest.raises(ValueError, match=f"holds 3 values for {rows} row"):
+        _terminal_state_batch(ReducedField(*code, np.full(3, 0.5)), *args)
+    runs = [_terminal_state_batch(ReducedField(*code, phi), *args)
+            for phi in (0.5, np.array([0.5]), np.full(rows, 0.5))]
     assert all(_same(run, runs[0]) for run in runs)
 
 
@@ -646,11 +695,9 @@ def test_parameter_names_never_reach_generated_code(method):
             names)
         theta = dict(zip(names, values))
         field = ReducedField(*compile_model(model, theta), phis)
-        out = []
-        for limit in (0, rows):  # the column kernel, then the row kernel
-            with mock.patch.object(odeint, "SCALAR_ROWS", limit):
-                out.append(_terminal_state_batch(field, t0s, y0s, t1s, 0.01,
-                                                 method))
+        # The column kernel, then the row kernel.
+        out = [_terminal_state_batch(field, t0s, y0s, t1s, 0.01, method),
+               _rows_alone(field, t0s, y0s, t1s, 0.01, method)]
         out += field.columns(2)(t1s, *y0s.T)
         out += [hude.compile_expr(e, theta)(t1s, y0s)
                 for e in (model.drift, *model.diffusions)]
@@ -684,7 +731,10 @@ def test_repeated_solves_reuse_generated_kernels():
 
     model = build_reactor_hude(THERMAL_U235)
     observed = table3()
-    backends = [(False, "column")] + [(True, "compiled")] * COMPILER_FOUND
+    # The bisection's compiled kernel, where it builds or is cached.
+    loads = _kernel(alpha_path_field(model, FITTED_THETA, 0.7).raw, 2,
+                    "euler", "terminal", "compiled") is not None
+    backends = [(False, "column")] + [(True, "compiled")] * loads
     for compiled, loop in backends:
         with mock.patch.object(odeint, "COMPILED", compiled):
             first = solve(model)
@@ -745,12 +795,12 @@ def test_median_level_leaves_out_infinite_noise(method):
     assert _same(*paths)
     # A batch row at phi = 0 keeps |g|*phi, in every loop: NaN here.
     field = ReducedField(*compile_model(noisy, None), phi_inv([0.5, 0.7]))
-    for compiled, limit in BACKENDS:
-        with mock.patch.object(odeint, "COMPILED", compiled), \
-                mock.patch.object(odeint, "SCALAR_ROWS", limit):
-            batch = _terminal_state_batch(field, np.zeros(2), np.ones((2, 1)),
-                                          np.ones(2), 0.1, method)
-        assert np.isnan(batch).all()
+    args = (np.zeros(2), np.ones((2, 1)), np.ones(2), 0.1, method)
+    for compiled in BACKENDS:
+        with mock.patch.object(odeint, "COMPILED", compiled):
+            for batch in (_terminal_state_batch(field, *args),
+                          _rows_alone(field, *args)):
+                assert np.isnan(batch).all()
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
@@ -768,12 +818,12 @@ def test_kernel_extremes_follow_numpy(method, drift, y0):
     y0 = np.array(y0)
     t0s, t1s = np.full(2, 0.5), np.array([0.75, 0.8])
     expected = _array_core(raw, t0s, y0, t1s, 0.1, method, track_extremes=True)
-    for compiled, limit in BACKENDS:
-        with mock.patch.object(odeint, "COMPILED", compiled), \
-                mock.patch.object(odeint, "SCALAR_ROWS", limit):
-            got = _terminal_state_batch(raw, t0s, y0, t1s, 0.1, method,
-                                        mode="extremes")
-        assert all(_same(a, b) for a, b in zip(got, expected))
+    args = (t0s, y0, t1s, 0.1, method)
+    for compiled in BACKENDS:
+        with mock.patch.object(odeint, "COMPILED", compiled):
+            for got in (_terminal_state_batch(raw, *args, mode="extremes"),
+                        _rows_alone(raw, *args, mode="extremes")):
+                assert all(_same(a, b) for a, b in zip(got, expected))
 
 
 needs_compiler = pytest.mark.skipif(
@@ -783,10 +833,6 @@ needs_compiler = pytest.mark.skipif(
 EXACT_FIELDS = ast_strategy(binary="+-*/", functions=("abs",))
 # Any finite float: states, levels and parameters that overflow included.
 FREE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def _modes(got):
-    return got if isinstance(got, tuple) else (got,)
 
 
 @needs_compiler
@@ -821,9 +867,8 @@ def test_compiled_kernel_equals_numpy_kernels(method, drift, diffusion, data):
     y0s = np.array(data.draw(st.lists(st.lists(FREE, min_size=3, max_size=3),
                                       min_size=rows, max_size=rows)))
 
-    def run(compiled, limit, field, *args, mode):
-        with mock.patch.object(odeint, "COMPILED", compiled), \
-                mock.patch.object(odeint, "SCALAR_ROWS", limit):
+    def run(compiled, field, *args, mode):
+        with mock.patch.object(odeint, "COMPILED", compiled):
             return _modes(_terminal_state_batch(field, *args, h, method,
                                                 mode=mode))
 
@@ -834,11 +879,15 @@ def test_compiled_kernel_equals_numpy_kernels(method, drift, diffusion, data):
                               (one, (t0s[0], y0s[0], t1s[0]), "record")]:
         ran = []
         taken = _loops_taken(lambda: ran.append(
-            run(True, 0, field, *args, mode=mode)))
+            run(True, field, *args, mode=mode)))
         assert taken == ["compiled"]
         (got,) = ran
-        for limit in (0, rows):  # the column kernel, then the row kernel
-            expected = run(False, limit, field, *args, mode=mode)
+        # The numpy kernels, and for a batch its rows run alone.
+        runs = [run(False, field, *args, mode=mode)]
+        if mode != "record":
+            with mock.patch.object(odeint, "COMPILED", False):
+                runs.append(_modes(_rows_alone(field, *args, h, method, mode)))
+        for expected in runs:
             assert all(_same_but_nan_sign(a, b) for a, b in zip(got, expected))
 
 
@@ -874,6 +923,9 @@ def test_chain_equals_successive_one_row_calls(method, drift, diffusion,
     t1s = t0s + h * np.array([k + f for k, f in data.draw(
         st.lists(steps, min_size=rows, max_size=rows))])
     y0 = np.array(data.draw(st.lists(FREE, min_size=3, max_size=3)))
+    # The chain's compiled kernel, where it builds or is cached.
+    loads = _kernel(ReducedField(code, values, phi), 3, method, "chain",
+                    "compiled") is not None
     chained = []
     for compiled in (True, False):
         with mock.patch.object(odeint, "COMPILED", compiled):
@@ -883,12 +935,11 @@ def test_chain_equals_successive_one_row_calls(method, drift, diffusion,
                                           values.items()}, row(phi, i))
                 x = _terminal_state_batch(one, t0s[i], x, t1s[i], h, method)
                 expected.append(x)
-            # The column kernel never runs a chain, whatever the row limit.
-            with mock.patch.object(odeint, "SCALAR_ROWS", 0):
-                taken = _loops_taken(lambda: chained.append(
-                    _terminal_state_batch(ReducedField(code, values, phi),
-                                          t0s, y0, t1s, h, method, "chain")))
-        assert taken == ["compiled" if compiled and COMPILER_FOUND else "row"]
+            # The column kernel never runs a chain.
+            taken = _loops_taken(lambda: chained.append(
+                _terminal_state_batch(ReducedField(code, values, phi),
+                                      t0s, y0, t1s, h, method, "chain")))
+        assert taken == ["compiled" if compiled and loads else "row"]
         # Float arithmetic may keep either NaN's sign, even between two runs
         # of one row kernel.
         assert chained[-1].shape == (rows, 3)
@@ -916,7 +967,7 @@ def test_exact_fields_take_the_compiled_kernel(mode):
 def test_inexact_fields_take_the_numpy_kernels(drift, loop, caplog):
     # np.exp and np.power may round unlike C's, so these fields stay on the
     # numpy kernels, and the hude logger says why.
-    rows = 2 if loop == "row" else SCALAR_ROWS + 1
+    rows = 1 if loop == "row" else 2
     field = ReducedField(*compile_model(hude.HudeModel.parse(1, drift), None),
                          0.0)
     _generated.cache_clear()
@@ -952,7 +1003,7 @@ def test_failed_builds_fall_back_to_numpy(breakage, caplog, recwarn):
             _terminal_state_batch(ReducedField(*code, 0.3), *args)
             for _ in range(2)))
     _generated.cache_clear()
-    assert taken == ["row"] * 2
+    assert taken == ["column"] * 2
     assert all(_same(got, expected) for got in ran)
     assert [(r.name, r.levelno) for r in caplog.records] == [
         ("hude", logging.DEBUG)]
