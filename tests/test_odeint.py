@@ -619,12 +619,15 @@ def test_recorded_paths_run_in_the_row_kernel():
 
 
 @pytest.mark.parametrize("rows", [1, 2, 33])
+@pytest.mark.parametrize("start", [0, 32])
 @mock.patch.object(odeint, "COMPILED", False)
-def test_levels_bind_one_value_or_one_per_row(rows):
+def test_levels_bind_one_value_or_one_per_row(rows, start):
     # Three levels fit no batch here, one row (the row kernel) or more (the
-    # column kernel); one level, a one-element array and one per row do.
+    # column kernel); one level, a one-element array and one per row do,
+    # wherever the rows' spans start (the field reads t).
     code = compile_model(hude.HudeModel.parse(1, "-x0", ["t"]), None)
-    args = (np.zeros(rows), np.ones((rows, 1)), np.ones(rows), 0.1)
+    args = (np.full(rows, float(start)), np.ones((rows, 1)),
+            np.full(rows, start + 1.0), 0.1)
     with pytest.raises(ValueError, match=f"holds 3 values for {rows} row"):
         _terminal_state_batch(ReducedField(*code, np.full(3, 0.5)), *args)
     runs = [_terminal_state_batch(ReducedField(*code, phi), *args)
