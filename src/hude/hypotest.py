@@ -56,13 +56,16 @@ def _ceil_exact(value: float) -> int:
 
 def uncertain_hypothesis_test(residuals, alpha: float = 0.05) -> TestReport:
     """Tail-count test: reject when at least ``max(ceil(alpha*M), 1)``
-    residuals fall strictly outside ``[alpha/2, 1 - alpha/2]``."""
+    residuals fall strictly outside ``[alpha/2, 1 - alpha/2]``.  Raw
+    residuals must lie strictly inside (0, 1), as a
+    :class:`~hude.residuals.ResidualVector`'s do; NaN does not."""
     check_unit_interval("significance level", alpha)
     if isinstance(residuals, ResidualVector):
         eps = residuals.epsilons
         indices = residuals.indices
     else:
         eps = np.asarray(residuals, dtype=float).reshape(-1)
+        check_unit_interval("residuals", eps)
         indices = np.arange(1, eps.size + 1)
     if eps.size == 0:
         raise ValueError("residual sample cannot be empty")
@@ -105,12 +108,15 @@ def two_sample_ks(a, b) -> KsResult:
     ``d`` is the maximum gap between the two empirical CDFs over the pooled
     sample; the p-value applies the finite-sample correction
     ``lambda = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * d`` with
-    ``ne = na*nb/(na+nb)`` before the Kolmogorov series.
+    ``ne = na*nb/(na+nb)`` before the Kolmogorov series.  Both samples must
+    be non-empty and finite.
     """
     a = np.sort(np.asarray(a, dtype=float).reshape(-1))
     b = np.sort(np.asarray(b, dtype=float).reshape(-1))
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("both samples must be finite")
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size

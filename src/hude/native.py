@@ -31,18 +31,16 @@ CACHE_AGE = 7 * 24 * 3600
 
 def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     """C source of ``kernel(rows, h, nsteps, out, t0, t_end, last, x0, ...,
-    <params>)``, every argument after ``out`` a pointer to ``rows`` values
-    (the states ``x0 ..`` stepped in place): the loop of
-    :func:`hude.odeint._loop_source` run steps outer and rows inner, each
-    step of a row the C statements of :func:`hude.odeint._step_source`
-    between the load and the store of the row's state.  ``mode``
-    ``"extremes"`` keeps each row's running minimum and maximum of state
-    ``j`` in ``out[j*rows + i]`` and ``out[(n + j)*rows + i]``, ``"record"``
-    (one row) writes state ``k`` of every step ``k`` to ``out[k*n ..]``.
-    The ``"terminal"`` source also defines ``chain``, with the same
-    arguments: it runs the rows one at a time through ``kernel`` (a one-row
-    call, pointers offset by ``i``), each from the terminal state of the row
-    before it, which it copies forward.
+    <params>)``: the kernel contract of :mod:`hude.odeint` (its module
+    docstring lays out the plan and ``out``), with the plan passed as a
+    pointer to each of its rows, which :func:`hude.odeint._compiled_loop`
+    spreads.  It runs the loop of :func:`hude.odeint._loop_source` steps
+    outer and rows inner, each step of a row the C statements of
+    :func:`hude.odeint._step_source` between the load and the store of the
+    row's state.  The ``"terminal"`` source also defines ``chain``, with the
+    same arguments: it runs the rows one at a time through ``kernel`` (a
+    one-row call, pointers offset by ``i``), each from the terminal state of
+    the row before it, which it copies forward.
     """
     setup, step, _, _ = _step_source(field, n, method, "compiled")
     if method == "rk4":

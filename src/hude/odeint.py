@@ -7,6 +7,18 @@ of a batch of rows, those with their extremes (the spot check of a fan), or
 a chain of rows, each started from the end state of the row before it (a
 simulated series, one row per step).  It picks the kernel in one place.
 
+Every kernel is called as ``kernel(rows, h, nsteps, out, plan)``, from that
+one call site.  ``plan`` is a ``(3 + n + len(bound), rows)`` float array
+with one column per row: its rows are ``t0``, ``t_end``, ``last`` (the
+width of the row's shortened last step), the ``n`` states, then the bound
+level and parameters in the order of ``ReducedField._bound``.  ``nsteps``
+holds each row's int64 step count.  The kernel steps the state rows in
+place, so they hold the terminal states when it returns.  ``out`` is
+``None`` for terminal states and chains; for extremes a ``(2n, rows)``
+array, the running minima of the states then their maxima, which start
+at the start states; for a recorded path (one row) the
+``(nsteps + 1, n)`` path, whose row 0 holds the start state.
+
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
 whole-loop kernel that :func:`_generated` makes once per field source,
 with the level and parameters passed in as values: each kernel is its own
@@ -18,13 +30,13 @@ the first field that compiles, builds it.  Any other field (``exp``,
 ``ln``, ``sin``, ``cos``, ``^``), and every field where no kernel builds,
 runs on the numpy kernels (:func:`_loop_source`), chosen by the shape of
 the call: one row at a time (a recorded path, a chain or a one-row batch)
-on floats, a batch of two or more rows on ``(B,)`` state columns stepped
-in place.  A hand-written array field
+on floats (:func:`_row_loop`), a batch of two or more rows on the plan's
+state rows stepped in place.  A hand-written array field
 (:func:`hude.reactor.build_point_kinetics` or a user's
 :class:`~hude.model.VectorField`) integrates one row, recorded
-(:func:`integrate`).  All give the same bits, except the sign of a NaN:
-where two NaNs of opposite sign meet, float, array and C arithmetic keep
-different ones.
+(:func:`integrate`), in :func:`_column_loop`.  All give the same bits,
+except the sign of a NaN: where two NaNs of opposite sign meet, float,
+array and C arithmetic keep different ones.
 
 The loop only integrates: it returns the states it computed, finite or not.
 Each caller names its own failure: :func:`integrate` raises
@@ -43,6 +55,7 @@ import numpy as np
 
 from .expr import _C_OPS, _INFIX, _STATE_RE, _binder, _infix
 from .model import InitialState, ReducedField
+from .validation import check_times
 
 __all__ = [
     "DEFAULT_STEP",
@@ -99,8 +112,7 @@ class Trajectory:
             raise ValueError("trajectory needs matching 1-D grid and 2-D states")
         if t.size < 1:
             raise ValueError("trajectory cannot be empty")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("time grid must be strictly increasing")
+        check_times("time grid", t)
         if not self.step > 0:
             raise ValueError("step must be positive")
         t.flags.writeable = False
@@ -174,14 +186,15 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
 
     Step ``k`` of every row starts at ``t0 + k*h``; a row's last step is
     shortened to its ``t_end`` and rows that finish early keep their terminal
-    state, so a row's result does not depend on the other rows.  A reduced
-    field runs through its compiled kernel where one builds, else through
-    its generated row kernel one row at a time (a recorded path, a chain, a
-    one-row batch) or its column kernel (a batch of two or more rows), each
-    of its levels and parameters bound to one value or one per row, else
-    ValueError.  A hand-written array field steps one row as an ``(n,)``
-    array (:func:`_column_loop`), and raises ValueError on a batch or in
-    mode ``"extremes"`` or ``"chain"``.
+    state, so a row's result does not depend on the other rows.  The call
+    packs the plan once and runs one kernel on it, as the module docstring
+    sets out: a reduced field's compiled kernel where one builds, else its
+    row kernel one row at a time (a recorded path, a chain, a one-row batch)
+    or its column kernel (a batch of two or more rows), each of its levels
+    and parameters bound to one value or one per row, else ValueError.  A
+    hand-written array field steps one row as an ``(n,)`` array
+    (:func:`_column_loop`), and raises ValueError on a batch or in mode
+    ``"extremes"`` or ``"chain"``.
 
     ``mode`` says what is returned: ``"terminal"`` the terminal states,
     ``"extremes"`` those with the componentwise extremes over all rows and
@@ -213,7 +226,7 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
                                  f"{float(bad[0])!r}")
     if h <= 0:
         raise ValueError("step h must be positive")
-    y = np.array(y0, dtype=float)
+    y = np.asarray(y0, dtype=float)
     n = y.shape[-1]
     span = t_end - t0
     if (span <= 0).any():
@@ -224,31 +237,20 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
                          f"h={h!r}, more than an int64 counts")
     nsteps = np.maximum(nsteps.astype(np.int64), 1)
     last = span - (nsteps - 1) * h
-    if mode == "chain":
-        if y.ndim > 1:
-            raise ValueError("a chain starts from one state")
-        # One row per segment; a row's start state is the row before's end.
-        y = np.broadcast_to(y, (nsteps.size, n))
-    elif y.ndim == 1:
-        t0 = float(t0)
-    out = None
-    if mode == "record":
-        # Sized before the first step: a path too long to hold fails here.
-        out = np.empty((int(nsteps) + 1, n))
-        out[0] = y
-    plan = (y, t0, t_end, nsteps, last, h, mode, out)
-    if not isinstance(raw, ReducedField):
-        if y.ndim > 1 or mode in ("extremes", "chain"):
-            raise ValueError("a hand-written field integrates one row, without "
-                             "extremes or a chain")
-        loop, plan = _column_loop, (raw, method, *plan)
-    else:
-        rows = y.size // n
+    if mode == "chain" and y.ndim > 1:
+        raise ValueError("a chain starts from one state")
+    # A chain has one row per segment, every other call one per state.
+    rows = nsteps.size if mode == "chain" else y.size // n
+    if isinstance(raw, ReducedField):
         field, bound = raw._bound()
         params, bound = ", ".join(bound), tuple(bound.values())
+        for v in bound:
+            if np.shape(v) not in ((), (1,), (rows,)):
+                raise ValueError(f"a level or parameter holds {np.size(v)} "
+                                 f"values for {rows} row(s); it must bind one "
+                                 "value or one per row")
         kernel = (_generated(field, params, n, method, mode, "compiled")
                   if COMPILED else None)
-        loop = _compiled_loop
         if kernel is None:
             # One row at a time runs on floats, a chain through the terminal
             # row kernel; a batch of two or more rows on state columns.
@@ -256,95 +258,71 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
             kernel = _generated(field, params, n, method,
                                 "terminal" if mode == "chain" else mode,
                                 "row" if by_row else "columns")
-            loop = _row_loop if by_row else _column_kernel
-        for v in bound:
-            if np.shape(v) not in ((), (1,), (rows,)):
-                raise ValueError(f"a level or parameter holds {np.size(v)} "
-                                 f"values for {rows} row(s); it must bind one "
-                                 "value or one per row")
-        plan = (kernel, bound, *plan)
-    with np.errstate(all="ignore"):
-        y, lows, highs = loop(*plan)
-    if mode == "extremes":
-        return (y, np.array([np.min(c) for c in lows]),
-                np.array([np.max(c) for c in highs]))
-    return y
-
-
-def _compiled_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
-    """Run the rows of ``y`` through the compiled ``kernel`` (the C loop of
-    :func:`hude.native._c_source` around the step that :func:`_step_source`
-    prints) with the plan and the ``bound`` values spread to one row each of
-    a ``(3 + n + len(bound), B)`` array, whose state columns the kernel steps
-    in place.  Returns what :func:`_row_loop` does."""
-    n = y.shape[-1]
-    rows = y.size // n
+    elif y.ndim > 1 or mode in ("extremes", "chain"):
+        raise ValueError("a hand-written field integrates one row, without "
+                         "extremes or a chain")
+    else:
+        bound, kernel = (), functools.partial(_column_loop, raw, method)
     plan = np.empty((3 + n + len(bound), rows))
     for row, v in zip(plan, (t0, t_end, last, *y.reshape(-1, n).T, *bound)):
         row[...] = v
     x = plan[3:3 + n]
-    if mode == "extremes":
-        out = np.concatenate((x, x))
-    nsteps = np.full(rows, nsteps, dtype=np.int64)
-    base, stride = plan.ctypes.data, plan.strides[0]
-    kernel(rows, h, nsteps.ctypes.data,
-           None if out is None else out.ctypes.data,
-           *(base + r * stride for r in range(len(plan))))
+    out = None
     if mode == "record":
-        return out, None, None
-    y = np.ascontiguousarray(x.T).reshape(y.shape)
-    return (y, out[:n], out[n:]) if mode == "extremes" else (y, None, None)
-
-
-def _row_loop(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
-    """Run the rows of ``y`` one at a time through the generated row
-    ``kernel`` with that row's plan and ``bound`` values (each one value or
-    one per row), all floats, each row after the first from the terminal
-    state of the row before it: a chain, of which a one-row call is a chain
-    of one row.  Returns the terminal states, with the one row's extremes
-    (``mode`` ``"extremes"``), or ``out`` holding every state of the one row
-    (``mode`` ``"record"``)."""
-    n = y.shape[-1]
-    per_row = (np.broadcast_to(v, (y.size // n,)).tolist()
-               for v in (t0, t_end, nsteps, last, *bound))
-    record = None if out is None else memoryview(out.reshape(-1))
-    x, ran = y.reshape(-1, n)[0].tolist(), []
-    for a, b, c, d, *p in zip(*per_row):
-        x = kernel(a, b, c, d, h, record, *x, *p)
-        ran.append(x)
-    if out is not None:
-        return out, None, None
+        # Sized before the first step: a path too long to hold fails here.
+        out = np.empty((int(nsteps) + 1, n))
+        out[0] = y
+    elif mode == "extremes":
+        out = np.concatenate((x, x))
+    with np.errstate(all="ignore"):
+        kernel(rows, h, np.full(rows, nsteps, dtype=np.int64), out, plan)
+    if mode == "record":
+        return out
+    y = x.T.copy().reshape((rows, n) if mode == "chain" else y.shape)
     if mode == "extremes":
-        ((x, lows, highs),) = ran
-        return np.array(x).reshape(y.shape), lows, highs
-    return np.array(ran).reshape(y.shape), None, None
+        return (y, np.array([np.min(c) for c in out[:n]]),
+                np.array([np.max(c) for c in out[n:]]))
+    return y
 
 
-def _column_kernel(kernel, bound, y, t0, t_end, nsteps, last, h, mode, out):
-    """Run the rows of ``y`` through the generated column ``kernel``, which
-    steps the ``(B,)`` state columns in place with the ``bound`` values.
-    Returns the terminal states, with the extremes per column; it never
-    records (``out`` is unused)."""
-    n = y.shape[-1]
-    x = y.reshape(-1, n).T.copy()
-    ran = kernel(t0, t_end, nsteps, last, h, out, *x, *bound)
-    lows, highs = ran[1:] if mode == "extremes" else (None, None)
-    return x.T.reshape(y.shape).copy(), lows, highs
+def _compiled_loop(fn, rows, h, nsteps, out, plan):
+    """The compiled kernel: the C function ``fn`` (:func:`hude.native.load`
+    of :func:`hude.native._c_source`) called on a pointer to each row of
+    ``plan``."""
+    base, stride = plan.ctypes.data, plan.strides[0]
+    fn(rows, h, nsteps.ctypes.data, None if out is None else out.ctypes.data,
+       *(base + r * stride for r in range(len(plan))))
 
 
-def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode, out):
-    """Step the one row ``y`` through the hand-written array field ``raw``
-    (state on the last axis), every state recorded in ``out`` when
-    ``mode`` is ``"record"``.  Returns what :func:`_row_loop` does.  It
-    serves only :func:`hude.reactor.build_point_kinetics` and a user's
+def _row_loop(kernel, n, rows, h, nsteps, out, plan):
+    """The row kernel: the columns of ``plan`` run one at a time on floats
+    through the generated row ``kernel`` of ``n`` states, each after the
+    first from the terminal state of the one before it: a chain, of which a
+    one-row call is a chain of one row.  ``kernel`` writes a recorded path
+    or its extremes into ``out``."""
+    flat = None if out is None else memoryview(out.reshape(-1))
+    x, ran = plan[3:3 + n, 0].tolist(), []
+    for steps, (t0, t_end, last, *values) in zip(nsteps.tolist(),
+                                                 plan.T.tolist()):
+        x = kernel(t0, t_end, steps, last, h, flat, *x, *values[n:])
+        ran.append(x)
+    plan[3:3 + n] = np.array(ran).T
+
+
+def _column_loop(raw, method, rows, h, nsteps, out, plan):
+    """The hand-written loop: the one row of ``plan`` stepped as an ``(n,)``
+    array through the array field ``raw`` (state on the last axis), every
+    state recorded in ``out`` when it is given.  It serves only
+    :func:`hude.reactor.build_point_kinetics` and a user's
     :class:`~hude.model.VectorField`: every model field runs on the
     generated kernels."""
-    s = h
-    for k in range(int(nsteps)):
+    (t0, t_end, last), y = plan[:3, 0].tolist(), plan[3:, 0].copy()
+    nsteps, s = int(nsteps[0]), h
+    for k in range(nsteps):
         t = t0 + k * h
         if k == nsteps - 1:
             # The last step is shortened to end exactly at t_end.
-            s, t = last, np.minimum(t, t_end)
+            s, t = last, min(t, t_end)
         if method == "euler":
             y = y + s * raw(t, y)
         else:
@@ -356,21 +334,25 @@ def _column_loop(raw, method, y, t0, t_end, nsteps, last, h, mode, out):
             y = y + s / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if out is not None:
             out[k + 1] = y
-    return (y, None, None) if out is None else (out, None, None)
+    plan[3:, 0] = y
 
 
 @functools.lru_cache(maxsize=256)
 def _generated(field, params: str, n: int, method: str, mode: str, backend):
-    """The generated integrator kernel of a reduced field lowered to
-    ``field`` (:func:`hude.model.compile_model`) over the bound names
-    ``params`` (the ops keep ``0.0`` and ``-0.0`` apart): for ``backend``
-    ``"row"`` or ``"columns"`` the loop of :func:`_loop_source`, for
-    ``"compiled"`` that of :func:`hude.native._c_source` (a ``"chain"`` is
-    the terminal object's second entry point), or ``None`` after one debug
-    line on the ``hude`` logger where C may round an op unlike numpy or the
-    build fails."""
+    """The kernel ``kernel(rows, h, nsteps, out, plan)`` (see the module
+    docstring) of a reduced field lowered to ``field``
+    (:func:`hude.model.compile_model`) over the bound names ``params`` (the
+    ops keep ``0.0`` and ``-0.0`` apart): for ``backend`` ``"columns"`` the
+    loop of :func:`_loop_source`, for ``"row"`` that loop run by
+    :func:`_row_loop`, for ``"compiled"`` the loop of
+    :func:`hude.native._c_source` run by :func:`_compiled_loop` (a
+    ``"chain"`` is the terminal object's second entry point), or ``None``
+    after one debug line on the ``hude`` logger where C may round an op
+    unlike numpy or the build fails."""
     if backend != "compiled":
-        return _binder(_loop_source(field, params, n, method, mode, backend))
+        kernel = _binder(_loop_source(field, params, n, method, mode, backend))
+        return (kernel if backend == "columns"
+                else functools.partial(_row_loop, kernel, n))
     inexact = sorted({func for func, *_ in field[0]} - _C_OPS.keys())
     if inexact:
         reason = f"{', '.join(inexact)} may round unlike numpy in C"
@@ -379,9 +361,11 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
         chain = mode == "chain"
         try:
             # nsteps, out, t0, t_end and last, the states and bound values.
-            return native.load(native._c_source(
-                field, params, n, method, "terminal" if chain else mode),
-                "chain" if chain else "kernel", 5 + n + len(params.split(", ")))
+            return functools.partial(_compiled_loop, native.load(
+                native._c_source(field, params, n, method,
+                                 "terminal" if chain else mode),
+                "chain" if chain else "kernel",
+                5 + n + len(params.split(", "))))
         except OSError as exc:
             reason = f"the C kernel did not build: {exc}"
     import logging
@@ -546,57 +530,62 @@ def _step_source(field, n: int, method: str, backend: str):
 
 def _loop_source(field, params: str, n: int, method: str, mode: str,
                  backend: str) -> str:
-    """Source of the Python kernel ``kernel(t0, t_end, nsteps, last, h, out,
-    x0, ..., <params>)``: the whole fixed-step loop around the step that
-    :func:`_step_source` prints for ``backend``.  Step ``k`` starts at ``t0 +
-    k*h``, and a row's last step of ``last`` at ``min(t0 + k*h, t_end)``.
-    ``"row"`` runs one row on floats, its last step after the loop; ``mode``
-    ``"record"`` writes state ``k`` of every step ``k`` to ``out[k*n ..]``,
-    a flat view of float64 storage.  ``"columns"`` steps a batch's ``(B,)``
-    state columns in place, every row by ``h`` up to the shortest row's last
-    step and by its own ``s`` from there, where a finished row keeps its
-    state (``where=run``); it never records (``out`` is unused).
-    ``mode`` ``"extremes"`` also returns each column's running minimum and
-    maximum (on floats ``a if a < b or a != a else b``, which is
-    ``np.minimum(a, b)``, NaN and signed zeros included).
+    """Source of a Python kernel: the whole fixed-step loop around the step
+    that :func:`_step_source` prints for ``backend``.  Step ``k`` starts at
+    ``t0 + k*h``, and a row's last step of ``last`` at ``min(t0 + k*h,
+    t_end)``.  ``"columns"`` is a kernel of the contract in the module
+    docstring: it steps the plan's state rows, every row by ``h`` up to the
+    shortest row's last step and by its own ``s`` from there, where a
+    finished row keeps its state (``where=run``), and never records.
+    ``"row"`` is ``kernel(t0, t_end, nsteps, last, h, out, x0, ...,
+    <params>)``, which :func:`_row_loop` runs: one row on floats, its last
+    step after the loop, returning the terminal state; ``mode`` ``"record"``
+    writes state ``k`` to ``out[k*n ..]``, a flat view of float64 storage.
+    ``"extremes"`` keeps each state's running minimum and maximum (on floats
+    ``a if a < b or a != a else b``, which is ``np.minimum(a, b)``, NaN and
+    signed zeros included) in ``out``: the columns' in place, the row's
+    after the loop.
     """
     columns = backend == "columns"
     if columns and mode == "record":
         raise ValueError("a recorded path runs in the row kernel")
     setup, main, tail, timed = _step_source(field, n, method, backend)
     xs = ", ".join(f"x{j}" for j in range(n))
-    start, after, result = [], [], f"({xs},)"
+    ends = [f"{e}{j}" for e in "lu" for j in range(n)]
+    start, after, finish = [], [], []
     if mode == "extremes" and columns:
         # minimum and maximum take their output only by keyword.
         start = ["maximum = np.maximum", "minimum = np.minimum",
-                 *(f"{e}{j} = x{j}.copy()" for e in "lu" for j in range(n))]
+                 f"{', '.join(ends)} = out"]
         after = [f"{f}({e}{j}, x{j}, out={e}{j})" for j in range(n)
                  for f, e in (("minimum", "l"), ("maximum", "u"))]
     elif mode == "extremes":
         start = [f"l{j} = u{j} = x{j}" for j in range(n)]
         after = [f"if not {e}{j} {op} x{j} and {e}{j} == {e}{j}: {e}{j} = x{j}"
                  for j in range(n) for e, op in (("l", "<"), ("u", ">"))]
+        finish = [f"out[{i}] = {e}" for i, e in enumerate(ends)]
     elif mode == "record":
         start = [f"i = {n}"]
         after = [*(f"out[i + {j}] = x{j}" for j in range(n)), f"i += {n}"]
-    if mode == "extremes":
-        result += f", ({xs.replace('x', 'l')},), ({xs.replace('x', 'u')},)"
     widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
     clock = ["t = t0 + k * h"] if timed else []
     if columns:
-        head = ["shared = int(nsteps.min()) - 1", "total = int(nsteps.max())"]
+        signature = "rows, h, nsteps, out, plan"
+        head = [f"t0, t_end, last, {xs}, {params} = plan",
+                "shared = int(nsteps.min()) - 1", "total = int(nsteps.max())"]
         loop = "for k in range(shared):"
         last = ["for k in range(shared, total):", *(f"    {line}" for line in [
             "s = np.where(k < nsteps - 1, h, last)", *widths, "run = k < nsteps",
             *(["t = np.minimum(t0 + k * h, t_end)"] if timed else []),
             *tail, *after])]
     else:
+        signature = f"t0, t_end, nsteps, last, h, out, {xs}, {params}"
         head, loop = [], "for k in range(nsteps - 1):"
         last = [*(["k = nsteps - 1", *clock,
                    "t = t if t < t_end or t != t else t_end"] if timed else []),
-                "s = last", *widths, *main, *after]
+                "s = last", *widths, *main, *after, *finish,
+                f"return ({xs},)"]
     lines = [*head, *setup, *start, "s = c0", *widths, loop,
-             *(f"    {line}" for line in clock + main + after), *last,
-             f"return {result}"]
-    return (f"def kernel(t0, t_end, nsteps, last, h, out, {xs}, {params}):\n"
+             *(f"    {line}" for line in clock + main + after), *last]
+    return (f"def kernel({signature}):\n"
             + "".join(f"    {line}\n" for line in lines))

@@ -33,7 +33,7 @@ from .model import (
 )
 from .odeint import (DEFAULT_STEP, _step_failure, _terminal_state_batch,
                      _write_csv)
-from .validation import check_unit_interval
+from .validation import check_times, check_unit_interval
 
 __all__ = [
     "ObservationSeries",
@@ -81,10 +81,7 @@ class ObservationSeries:
             raise ValueError("times and values must have equal length")
         if t.size < 1:
             raise ValueError("series cannot be empty")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("observation times must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("observation times must be strictly increasing")
+        check_times("observation times", t)
         if not np.all(np.isfinite(x)):
             raise ValueError("observations must be finite")
         t.flags.writeable = False
@@ -450,10 +447,7 @@ def simulate_observations(
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size < 2:
         raise ValueError("need at least two observation times")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("observation times must be finite")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("observation times must be strictly increasing")
+    check_times("observation times", times)
     if times[0] != init.t0:
         raise ValueError("first observation time must equal the initial time")
     n = model.order

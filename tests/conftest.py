@@ -1,11 +1,18 @@
 import math
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 import hude
 from hude import reactor
 from hude.expr import Binary, Call, Const, Unary, Var
+
+# ``--hypothesis-profile=ci``: a failing property reports its first failing
+# example without shrinking it, which on an empty example database can take
+# minutes; the examples run are the same.
+settings.register_profile(
+    "ci", phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 
 @pytest.fixture(scope="session")

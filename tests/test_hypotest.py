@@ -105,6 +105,13 @@ class TestTwoSampleKs:
         with pytest.raises(ValueError):
             two_sample_ks([], [0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # numpy sorts a NaN last, and d was computed from it.
+        for a, b in (([0.1, bad], [0.5]), ([0.5], [bad, 0.2])):
+            with pytest.raises(ValueError, match="both samples must be finite"):
+                two_sample_ks(a, b)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=20),

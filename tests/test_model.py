@@ -279,7 +279,8 @@ def test_every_level_check_runs_the_one_level_rule(bad):
                   lambda: hude.AlphaPath(bad, path.trajectory)],
         "quantile levels": [lambda: hude.inverse_distribution(
             model, None, init, 0.1, [0.5, bad], h=0.05)],
-        "residuals": [lambda: hude.ResidualVector([0.5, bad])],
+        "residuals": [lambda: hude.ResidualVector([0.5, bad]),
+                      lambda: hude.uncertain_hypothesis_test([0.5, bad])],
         "levels": [lambda: hude.simulate_observations(
             model, None, init, [0.0, 0.1, 0.2], eps=[0.5, bad], h=0.05)],
         "detection level": [lambda: _mle_window(10, bad)],

@@ -198,6 +198,27 @@ class TestContract:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)), 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_every_time_check_runs_the_one_time_rule(self, bad):
+        # Times are finite and strictly increasing, wherever they come from,
+        # and each caller names them in its own message.  NaN fails every
+        # comparison, so an increasing-times check alone let it through.
+        model = hude.HudeModel.parse(1, "-x0", ["0.1"])
+        rule = "finite" if bad else "strictly increasing"
+        calls = {
+            "observation times": [
+                lambda: hude.ObservationSeries([0.0, bad, 2.0], [1.0] * 3),
+                lambda: hude.simulate_observations(
+                    model, None, InitialState(0.0, [1.0]), [0.0, bad, 2.0],
+                    h=0.05)],
+            "time grid": [lambda: Trajectory([0.0, bad], [[1.0], [2.0]], 0.1)],
+        }
+        for noun, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(ValueError) as exc:
+                    fn()
+                assert str(exc.value) == f"{noun} must be {rule}"
+
 
 class TestCsv:
     def test_export_format_and_idempotency(self, tmp_path, example2, zero_init2):
@@ -541,18 +562,22 @@ def _loops_taken(solve):
     ``"column"`` for the column kernel, ``"compiled"`` for the compiled
     kernel, the field for the column loop."""
     taken = []
+    generate, column_loop = odeint._generated, odeint._column_loop
 
-    def spy(name, loop):
-        def run(*args):
-            taken.append(name(args[0]))
-            return loop(*args)
-        return run
+    def generated(*args):
+        # The backend of the kernel that _generated returns, its last
+        # argument; a None sends the call on to the numpy kernels.
+        kernel = generate(*args)
+        if kernel is not None:
+            taken.append({"columns": "column"}.get(args[-1], args[-1]))
+        return kernel
 
-    with mock.patch.multiple(
-            odeint, _row_loop=spy(lambda raw: "row", odeint._row_loop),
-            _column_kernel=spy(lambda raw: "column", odeint._column_kernel),
-            _compiled_loop=spy(lambda raw: "compiled", odeint._compiled_loop),
-            _column_loop=spy(lambda raw: raw, odeint._column_loop)):
+    def hand_written(raw, *args):
+        taken.append(raw)
+        return column_loop(raw, *args)
+
+    with mock.patch.multiple(odeint, _generated=generated,
+                             _column_loop=hand_written):
         solve()
     return taken
 
@@ -596,6 +621,68 @@ def test_numpy_kernels_follow_the_shape_of_the_call(kind, mode, rows, method,
             field, *args, 0.01, method, mode))
     assert taken == ["row" if mode in ("record", "chain") or rows == 1
                      else "column"]
+
+
+def _frozen(value):
+    # A read-only float array of ``value``.
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
+    return value
+
+
+# The reactor field, which compiles, and a field with exp and sin, which
+# never does, each bound to parameters.
+FROZEN_FIELDS = {
+    "reactor": (build_reactor_hude(THERMAL_U235), FITTED_THETA),
+    "exp-sin": (hude.HudeModel.parse(2, "-a*x1 - sin(x0)",
+                                     ["0.2*exp(-a*x0*x0)"], params=["a"]),
+                {"a": 0.5}),
+}
+
+
+@pytest.mark.parametrize("compiled", BACKENDS)
+@pytest.mark.parametrize("kind, mode, rows", [
+    *((kind, mode, rows) for kind in sorted(FROZEN_FIELDS)
+      for mode in ("terminal", "extremes", "chain") for rows in (1, 40)),
+    *((kind, "record", 1) for kind in sorted(FROZEN_FIELDS)),
+    ("hand-written", "terminal", 1), ("hand-written", "record", 1)])
+@settings(max_examples=3, deadline=None)
+@given(method=st.sampled_from(["euler", "rk4"]), seed=st.integers(0, 2**16))
+def test_batch_never_writes_its_inputs(compiled, kind, mode, rows, method,
+                                       seed):
+    # Every kernel steps a plan packed from the inputs: read-only times,
+    # states, levels and parameters come back bit for bit, also from the C
+    # kernel, which writes through pointers past the writeable flag.
+    rng = np.random.default_rng(seed)
+    if kind == "hand-written":
+        raw, n, bound = VectorField(lambda t, y: np.stack(
+            [y[..., 1], 0.1 * t - np.sin(y[..., 0])], axis=-1), 2).raw, 2, []
+    else:
+        model, theta = FROZEN_FIELDS[kind]
+        n = model.order
+        bound = [_frozen(phi_inv(rng.uniform(0.05, 0.95, rows))),
+                 *(_frozen(v * rng.uniform(0.9, 1.1, rows))
+                   for v in theta.values())]
+        raw = ReducedField(*compile_model(model, dict(zip(theta, bound[1:]))),
+                           bound[0])
+    t0s = 0.1 * np.arange(rows)
+    t1s = t0s + rng.uniform(0.02, 0.1, rows)
+    y0s = rng.uniform(0.5, 1.0, (rows, n))
+    if rows == 1 and mode != "chain":
+        args = (t0s[0], y0s[0], t1s[0])
+    else:
+        args = (t0s, y0s[0] if mode == "chain" else y0s, t1s)
+    inputs = [*map(_frozen, args), *bound]
+    before = [v.copy() for v in inputs]
+    with mock.patch.object(odeint, "COMPILED", compiled):
+        loads = (compiled and kind != "hand-written"
+                 and _kernel(raw, n, method, mode, "compiled") is not None)
+        taken = _loops_taken(lambda: _terminal_state_batch(
+            raw, *inputs[:3], 1e-2, method, mode))
+    assert taken == [raw if kind == "hand-written" else "compiled" if loads
+                     else "row" if rows == 1 or mode in ("record", "chain")
+                     else "column"]
+    assert all(_same(a, b) for a, b in zip(inputs, before))
 
 
 @mock.patch.object(odeint, "COMPILED", False)
