@@ -116,6 +116,7 @@ def inverse_distribution(
     if alphas.size == 0:
         raise ValueError("need at least one quantile level")
     check_unit_interval("quantile levels", alphas)
+    init.check_order(model.order)
     resolved = model.resolved_theta(theta)
     field = ReducedField(*compile_model(model, resolved), _clamped_phi(alphas))
     B = alphas.size

@@ -17,6 +17,7 @@ back inside.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -304,9 +305,10 @@ def minimize_in_box(
         best = int(np.argmin(values))
         if np.isfinite(values[best]):
             starts.insert(0, points[best])
-    starts += [rng.uniform(lo, hi) for _ in range(restarts - 1)]
+    # Each uniform start is drawn when the search reaches it.
+    drawn = (rng.uniform(lo, hi) for _ in range(restarts - 1))
     best_x, best_f, total = None, np.inf, 0
-    for start in starts:
+    for start in itertools.chain(starts, drawn):
         x, fval, iterations, _ = _nelder_mead_box(
             objective, start, lo, hi, maxiter=maxiter
         )

@@ -183,6 +183,12 @@ class InitialState:
     def order(self) -> int:
         return self.values.size
 
+    def check_order(self, n: int) -> None:
+        """Raise ValueError unless the state has the ``n`` components of an
+        order-``n`` model."""
+        if self.values.size != n:
+            raise ValueError(f"initial state must have {n} components")
+
 
 class VectorField:
     """Callable first-order field ``F(t, y) -> dy/dt``.

@@ -30,17 +30,17 @@ CACHE_AGE = 7 * 24 * 3600
 
 
 def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
-    """C source of ``kernel(rows, h, nsteps, out, t0, t_end, last, x0, ...,
-    <params>)``: the kernel contract of :mod:`hude.odeint` (its module
-    docstring lays out the plan and ``out``), with the plan passed as a
-    pointer to each of its rows, which :func:`hude.odeint._compiled_loop`
-    spreads.  It runs the loop of :func:`hude.odeint._loop_source` steps
-    outer and rows inner, each step of a row the C statements of
+    """C source of ``kernel(rows, h, nsteps, out, plan)``: the kernel
+    contract of :mod:`hude.odeint` (its module docstring lays out the plan
+    and ``out``), row ``r`` of the plan read at ``plan + r*rows``.  Each
+    entry point hands the plan's rows, as ``restrict`` pointers, to one
+    ``static`` function ``loop``: the loop of
+    :func:`hude.odeint._loop_source`, steps outer and rows inner, each step of a row the C statements of
     :func:`hude.odeint._step_source` between the load and the store of the
     row's state.  The ``"terminal"`` source also defines ``chain``, with the
-    same arguments: it runs the rows one at a time through ``kernel`` (a
-    one-row call, pointers offset by ``i``), each from the terminal state of
-    the row before it, which it copies forward.
+    same arguments: it runs that loop on one row at a time (the rows'
+    pointers offset by ``i``), each from the terminal state of the row
+    before it, which it copies forward in the plan.
     """
     setup, step, _, _ = _step_source(field, n, method, "compiled")
     if method == "rk4":
@@ -58,13 +58,15 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
         step += [f"out[(k + 1) * {n} + {j}] = x{j};" for j in range(n)]
     pointers = ", ".join([*(f"double *restrict c_{x}" for x in xs), *(
         f"const double *restrict b_{name}" for name in names)])
-    signature = ("(int64_t rows, double h, const int64_t *restrict nsteps, "
-                 "double *restrict out, const double *restrict t0, const "
-                 "double *restrict t_end, const double *restrict last, "
-                 f"{pointers}) {{")
+    entry = ("(int64_t rows, double h, const int64_t *nsteps, double *out, "
+             "double *plan) {")
+    per_row = [f"plan + {r} * rows" for r in range(3 + n + len(names))]
     lines = [
         "#include <math.h>", "#include <stdint.h>",
-        f"void kernel{signature}",
+        "static void loop(int64_t rows, double h, const int64_t *restrict "
+        "nsteps, double *restrict out, const double *restrict t0, const "
+        "double *restrict t_end, const double *restrict last, "
+        f"{pointers}) {{",
         "    int64_t shared = INT64_MAX, total = 0;",
         "    for (int64_t i = 0; i < rows; i++) {",
         "        if (nsteps[i] < shared) shared = nsteps[i];",
@@ -83,15 +85,15 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
         "                }", "            }",
         f"            double {', '.join(f'{x} = c_{x}[i]' for x in xs)};",
         *(f"            {line}" for line in setup + step), "        }", "    }",
-        "}"]
+        "}", f"void kernel{entry}",
+        f"    loop(rows, h, nsteps, out, {', '.join(per_row)});", "}"]
     if mode == "terminal":
-        per_row = ["t0", "t_end", "last", *(f"c_{x}" for x in xs),
-                   *(f"b_{name}" for name in names)]
         lines += [
-            f"void chain{signature}",
+            f"void chain{entry}",
             "    for (int64_t i = 0; i < rows; i++) {",
-            *(f"        if (i) c_{x}[i] = c_{x}[i - 1];" for x in xs),
-            "        kernel(1, h, nsteps + i, out, "
+            *(f"        if (i) plan[{3 + j} * rows + i] = "
+              f"plan[{3 + j} * rows + i - 1];" for j in range(n)),
+            "        loop(1, h, nsteps + i, out, "
             f"{', '.join(f'{r} + i' for r in per_row)});", "    }", "}"]
     return "".join(f"{line}\n" for line in lines)
 
@@ -108,10 +110,11 @@ def _cache_dir() -> str:
     return path
 
 
-def load(source: str, symbol: str, nargs: int):
-    """The function ``symbol`` that the C ``source`` defines, taking an int64
-    row count, a double step and ``nargs`` pointers, built with the
-    interpreter's C compiler (``sysconfig`` ``CC``) unless cached.  A load
+def load(source: str, symbol: str):
+    """The function ``symbol`` that the C ``source`` defines, an entry point
+    of the kernel contract (:func:`_c_source`): an int64 row count, a double
+    step and the addresses of ``nsteps``, ``out`` and the plan, built with
+    the interpreter's C compiler (``sysconfig`` ``CC``) unless cached.  A load
     touches its object (an access time may not be kept), and a build removes
     the objects and temporary files untouched for :data:`CACHE_AGE`.  Raises
     OSError when there is no compiler, the build fails or the cache is not
@@ -153,6 +156,6 @@ def load(source: str, symbol: str, nargs: int):
                 pass  # removed by another process's build
         lib = ctypes.CDLL(path)
     fn = getattr(lib, symbol)
-    fn.argtypes = [ctypes.c_int64, ctypes.c_double, *[ctypes.c_void_p] * nargs]
+    fn.argtypes = [ctypes.c_int64, ctypes.c_double, *[ctypes.c_void_p] * 3]
     fn.restype = None
     return fn

@@ -8,7 +8,9 @@ a chain of rows, each started from the end state of the row before it (a
 simulated series, one row per step).  It picks the kernel in one place.
 
 Every kernel is called as ``kernel(rows, h, nsteps, out, plan)``, from that
-one call site.  ``plan`` is a ``(3 + n + len(bound), rows)`` float array
+one call site, and takes exactly these arguments, down to the C entry
+points (:func:`_compiled_loop` passes the three arrays' addresses).
+``plan`` is a ``(3 + n + len(bound), rows)`` float array
 with one column per row: its rows are ``t0``, ``t_end``, ``last`` (the
 width of the row's shortened last step), the ``n`` states, then the bound
 level and parameters in the order of ``ReducedField._bound``.  ``nsteps``
@@ -25,13 +27,13 @@ with the level and parameters passed in as values: each kernel is its own
 loop around one step, which :func:`_step_source` prints as C statements,
 ufunc calls or float assignments.  A field whose ops are all ``+ - * /``,
 negation and ``abs``, which C rounds as numpy does, runs every path and
-batch in C (:func:`_compiled_loop`) where :mod:`hude.native`, imported by
-the first field that compiles, builds it.  Any other field (``exp``,
-``ln``, ``sin``, ``cos``, ``^``), and every field where no kernel builds,
-runs on the numpy kernels (:func:`_loop_source`), chosen by the shape of
-the call: one row at a time (a recorded path, a chain or a one-row batch)
-on floats (:func:`_row_loop`), a batch of two or more rows on the plan's
-state rows stepped in place.  A hand-written array field
+batch in C where :mod:`hude.native`, imported by the first field that
+compiles, builds it.  Any other field (``exp``, ``ln``, ``sin``, ``cos``,
+``^``), and every field where no kernel builds, runs on the numpy kernels
+(:func:`_loop_source`), chosen by the shape of the call: the row kernel
+walks the plan's columns one at a time on floats (a recorded path, a chain
+or a one-row batch), the column kernel steps a batch of two or more rows on
+the plan's state rows in place.  A hand-written array field
 (:func:`hude.reactor.build_point_kinetics` or a user's
 :class:`~hude.model.VectorField`) integrates one row, recorded
 (:func:`integrate`), in :func:`_column_loop`.  All give the same bits,
@@ -155,7 +157,10 @@ def integrate(field, init: InitialState, t_end: float, h: float = DEFAULT_STEP,
 
     Raises :class:`IntegrationError` at the first non-finite grid point: no
     step ``y + s*F`` turns a non-finite state finite again, so that is where
-    the state left the floats."""
+    the state left the floats.  Raises ValueError when ``field`` has a
+    ``dim`` that ``init`` does not match."""
+    if hasattr(field, "dim"):
+        init.check_order(field.dim)
     y = _terminal_state_batch(getattr(field, "raw", field), init.t0,
                               init.values, t_end, h, method, mode="record")
     t = init.t0 + np.arange(len(y)) * h
@@ -286,27 +291,11 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
 
 
 def _compiled_loop(fn, rows, h, nsteps, out, plan):
-    """The compiled kernel: the C function ``fn`` (:func:`hude.native.load`
-    of :func:`hude.native._c_source`) called on a pointer to each row of
-    ``plan``."""
-    base, stride = plan.ctypes.data, plan.strides[0]
+    """The compiled kernel: the C entry point ``fn``
+    (:func:`hude.native.load` of :func:`hude.native._c_source`) called on
+    the addresses of ``nsteps``, ``out`` and ``plan``."""
     fn(rows, h, nsteps.ctypes.data, None if out is None else out.ctypes.data,
-       *(base + r * stride for r in range(len(plan))))
-
-
-def _row_loop(kernel, n, rows, h, nsteps, out, plan):
-    """The row kernel: the columns of ``plan`` run one at a time on floats
-    through the generated row ``kernel`` of ``n`` states, each after the
-    first from the terminal state of the one before it: a chain, of which a
-    one-row call is a chain of one row.  ``kernel`` writes a recorded path
-    or its extremes into ``out``."""
-    flat = None if out is None else memoryview(out.reshape(-1))
-    x, ran = plan[3:3 + n, 0].tolist(), []
-    for steps, (t0, t_end, last, *values) in zip(nsteps.tolist(),
-                                                 plan.T.tolist()):
-        x = kernel(t0, t_end, steps, last, h, flat, *x, *values[n:])
-        ran.append(x)
-    plan[3:3 + n] = np.array(ran).T
+       plan.ctypes.data)
 
 
 def _column_loop(raw, method, rows, h, nsteps, out, plan):
@@ -342,17 +331,14 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
     """The kernel ``kernel(rows, h, nsteps, out, plan)`` (see the module
     docstring) of a reduced field lowered to ``field``
     (:func:`hude.model.compile_model`) over the bound names ``params`` (the
-    ops keep ``0.0`` and ``-0.0`` apart): for ``backend`` ``"columns"`` the
-    loop of :func:`_loop_source`, for ``"row"`` that loop run by
-    :func:`_row_loop`, for ``"compiled"`` the loop of
-    :func:`hude.native._c_source` run by :func:`_compiled_loop` (a
-    ``"chain"`` is the terminal object's second entry point), or ``None``
-    after one debug line on the ``hude`` logger where C may round an op
-    unlike numpy or the build fails."""
+    ops keep ``0.0`` and ``-0.0`` apart): for ``backend`` ``"columns"`` or
+    ``"row"`` the kernel of :func:`_loop_source`, for ``"compiled"`` the
+    entry point of :func:`hude.native._c_source` run by
+    :func:`_compiled_loop` (a ``"chain"`` is the terminal object's second
+    entry point), or ``None`` after one debug line on the ``hude`` logger
+    where C may round an op unlike numpy or the build fails."""
     if backend != "compiled":
-        kernel = _binder(_loop_source(field, params, n, method, mode, backend))
-        return (kernel if backend == "columns"
-                else functools.partial(_row_loop, kernel, n))
+        return _binder(_loop_source(field, params, n, method, mode, backend))
     inexact = sorted({func for func, *_ in field[0]} - _C_OPS.keys())
     if inexact:
         reason = f"{', '.join(inexact)} may round unlike numpy in C"
@@ -360,12 +346,10 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
         from . import native
         chain = mode == "chain"
         try:
-            # nsteps, out, t0, t_end and last, the states and bound values.
             return functools.partial(_compiled_loop, native.load(
                 native._c_source(field, params, n, method,
                                  "terminal" if chain else mode),
-                "chain" if chain else "kernel",
-                5 + n + len(params.split(", "))))
+                "chain" if chain else "kernel"))
         except OSError as exc:
             reason = f"the C kernel did not build: {exc}"
     import logging
@@ -530,21 +514,21 @@ def _step_source(field, n: int, method: str, backend: str):
 
 def _loop_source(field, params: str, n: int, method: str, mode: str,
                  backend: str) -> str:
-    """Source of a Python kernel: the whole fixed-step loop around the step
-    that :func:`_step_source` prints for ``backend``.  Step ``k`` starts at
-    ``t0 + k*h``, and a row's last step of ``last`` at ``min(t0 + k*h,
-    t_end)``.  ``"columns"`` is a kernel of the contract in the module
-    docstring: it steps the plan's state rows, every row by ``h`` up to the
-    shortest row's last step and by its own ``s`` from there, where a
-    finished row keeps its state (``where=run``), and never records.
-    ``"row"`` is ``kernel(t0, t_end, nsteps, last, h, out, x0, ...,
-    <params>)``, which :func:`_row_loop` runs: one row on floats, its last
-    step after the loop, returning the terminal state; ``mode`` ``"record"``
-    writes state ``k`` to ``out[k*n ..]``, a flat view of float64 storage.
+    """Source of a Python kernel of the contract in the module docstring:
+    the whole fixed-step loop around the step that :func:`_step_source`
+    prints for ``backend``.  Step ``k`` starts at ``t0 + k*h``, and a row's
+    last step of ``last`` at ``min(t0 + k*h, t_end)``.  ``"columns"`` steps
+    the plan's state rows, every row by ``h`` up to the shortest row's last
+    step and by its own ``s`` from there, where a finished row keeps its
+    state (``where=run``), and never records.  ``"row"`` runs the plan's
+    columns one at a time on floats, each after the first from the terminal
+    state of the one before it: a chain, of which a one-row call is a chain
+    of one row.  Its last step runs after the loop, and ``mode``
+    ``"record"`` writes state ``k`` to ``out[k*n ..]`` through a flat view.
     ``"extremes"`` keeps each state's running minimum and maximum (on floats
     ``a if a < b or a != a else b``, which is ``np.minimum(a, b)``, NaN and
     signed zeros included) in ``out``: the columns' in place, the row's
-    after the loop.
+    after its last column.
     """
     columns = backend == "columns"
     if columns and mode == "record":
@@ -565,27 +549,30 @@ def _loop_source(field, params: str, n: int, method: str, mode: str,
                  for j in range(n) for e, op in (("l", "<"), ("u", ">"))]
         finish = [f"out[{i}] = {e}" for i, e in enumerate(ends)]
     elif mode == "record":
-        start = [f"i = {n}"]
+        start = ["out = memoryview(out.reshape(-1))", f"i = {n}"]
         after = [*(f"out[i + {j}] = x{j}" for j in range(n)), f"i += {n}"]
     widths = ["half = 0.5 * s", "sixth = s / 6.0"] if method == "rk4" else []
     clock = ["t = t0 + k * h"] if timed else []
     if columns:
-        signature = "rows, h, nsteps, out, plan"
         head = [f"t0, t_end, last, {xs}, {params} = plan",
-                "shared = int(nsteps.min()) - 1", "total = int(nsteps.max())"]
-        loop = "for k in range(shared):"
+                "shared = int(nsteps.min()) - 1", "total = int(nsteps.max())",
+                *start]
+        loop, indent, foot = "for k in range(shared):", "", []
         last = ["for k in range(shared, total):", *(f"    {line}" for line in [
             "s = np.where(k < nsteps - 1, h, last)", *widths, "run = k < nsteps",
             *(["t = np.minimum(t0 + k * h, t_end)"] if timed else []),
             *tail, *after])]
     else:
-        signature = f"t0, t_end, nsteps, last, h, out, {xs}, {params}"
-        head, loop = [], "for k in range(nsteps - 1):"
-        last = [*(["k = nsteps - 1", *clock,
+        head = [f"{xs}, = plan[3:{3 + n}, 0].tolist()", *start, "ran = []",
+                f"for steps, (t0, t_end, last, *_, {params}) in "
+                "zip(nsteps.tolist(), plan.T.tolist()):"]
+        loop, indent = "for k in range(steps - 1):", "    "
+        last = [*(["k = steps - 1", *clock,
                    "t = t if t < t_end or t != t else t_end"] if timed else []),
-                "s = last", *widths, *main, *after, *finish,
-                f"return ({xs},)"]
-    lines = [*head, *setup, *start, "s = c0", *widths, loop,
-             *(f"    {line}" for line in clock + main + after), *last]
-    return (f"def kernel({signature}):\n"
+                "s = last", *widths, *main, *after, f"ran.append(({xs},))"]
+        foot = [*finish, f"plan[3:{3 + n}] = np.array(ran).T"]
+    lines = [*head, *(indent + line for line in [
+        *setup, "s = c0", *widths, loop,
+        *(f"    {line}" for line in clock + main + after), *last]), *foot]
+    return ("def kernel(rows, h, nsteps, out, plan):\n"
             + "".join(f"    {line}\n" for line in lines))

@@ -288,6 +288,7 @@ def compute_residual(
         raise ValueError("observation must be finite")
     if not t_next > init_j.t0:
         raise ValueError("t_next must exceed the restart time")
+    init_j.check_order(model.order)
     resolved = model.resolved_theta(theta)
     eps, saturated, _, failure = _bisect_levels(
         model,
@@ -451,8 +452,7 @@ def simulate_observations(
     if times[0] != init.t0:
         raise ValueError("first observation time must equal the initial time")
     n = model.order
-    if init.values.size != n:
-        raise ValueError(f"initial state must have {n} components")
+    init.check_order(n)
     steps = times.size - 1
     if eps is None:
         rng = np.random.default_rng(seed)

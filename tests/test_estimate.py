@@ -1,5 +1,6 @@
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,28 @@ class TestMinimizeInBox:
         x, _, _ = minimize_in_box(f, [0.0, 0.0], [(-1, 1), (-1, 1)], restarts=2,
                                   seed=seed)
         assert np.all(x >= -1) and np.all(x <= 1)
+
+    def test_starts_are_drawn_when_the_search_reaches_them(self):
+        # The first start converges below stop_below, so none of the other
+        # 999 uniform starts is drawn; without a stop, each one is.
+        draws, make = [], np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def uniform(self, lo, hi):
+                draws.append(lo.size)
+                return self.rng.uniform(lo, hi)
+
+        f = lambda x: (x[0] - 0.3) ** 2 + 10 * (x[1] - 0.7) ** 2
+        bounds = [(0, 1), (0, 1)]
+        with mock.patch.object(np.random, "default_rng", Counting):
+            _, fval, _ = minimize_in_box(f, [0.5, 0.5], bounds, restarts=1000,
+                                         presearch=False, stop_below=1e-6)
+            assert fval <= 1e-6 and draws == []
+            minimize_in_box(f, [0.5, 0.5], bounds, restarts=3, presearch=False)
+        assert draws == [2, 2]
 
     def test_init_outside_box_rejected(self):
         with pytest.raises(ValueError):

@@ -295,3 +295,26 @@ def test_every_level_check_runs_the_one_level_rule(bad):
                 fn()
             assert str(exc.value) == f"{name} must lie strictly inside (0, 1)"
     check_unit_interval("value", np.array([[0.5, 1e-300], [0.25, 1 - 1e-16]]))
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_every_solve_checks_the_initial_state_against_the_order(size):
+    # An order-2 model from a state of 1 or 3 components: too short, it
+    # would fail in code generation; too long, it would integrate another
+    # system.  Every entry point rejects it with one message.
+    model = HudeModel.parse(2, "-x0", ["0.1"])
+    init = InitialState(0.0, np.arange(1.0, size + 1))
+    calls = [
+        lambda: hude.solve_alpha_path(model, None, 0.5, init, 1.0, h=0.1),
+        lambda: hude.integrate(alpha_path_field(model, None, 0.5), init, 1.0,
+                               h=0.1),
+        lambda: hude.inverse_distribution(model, None, init, 1.0,
+                                          [0.25, 0.75], h=0.1),
+        lambda: hude.compute_residual(model, None, init, 1.0, 0.5, h=0.1),
+        lambda: hude.simulate_observations(model, None, init,
+                                           [0.0, 0.5, 1.0], h=0.1),
+    ]
+    for fn in calls:
+        with pytest.raises(ValueError) as exc:
+            fn()
+        assert str(exc.value) == "initial state must have 2 components"

@@ -1140,9 +1140,13 @@ def test_simulation_and_bisection_share_one_build(tmp_path):
     assert len(builds) == 1
 
 
-# A C source whose one function takes a row count and a step, no pointers.
+# A C source whose one function is an entry point of the kernel contract
+# that reads none of its arguments.
 _EMPTY_KERNEL = ("#include <stdint.h>\n"
-                 "void kernel(int64_t rows, double h) { (void)rows; (void)h; }\n")
+                 "void kernel(int64_t rows, double h, const int64_t *nsteps, "
+                 "double *out, double *plan) {\n"
+                 "    (void)rows; (void)h; (void)nsteps; (void)out; (void)plan;\n"
+                 "}\n")
 
 
 def _counting_builds(builds):
@@ -1169,11 +1173,11 @@ def test_a_build_prunes_objects_untouched_for_the_cache_age(tmp_path):
             os.utime(os.path.join(cache, name), (now - back, now - back))
         builds = []
         with _counting_builds(builds):
-            hude.native.load(_EMPTY_KERNEL, "kernel", 0)
+            hude.native.load(_EMPTY_KERNEL, "kernel")
             (built,) = set(os.listdir(cache)) - set(ages)
             built = os.path.join(cache, built)
             os.utime(built, (now - 2 * age, now - 2 * age))
-            hude.native.load(_EMPTY_KERNEL, "kernel", 0)
+            hude.native.load(_EMPTY_KERNEL, "kernel")
     assert len(builds) == 1
     assert sorted(os.listdir(cache)) == sorted(
         [os.path.basename(built), "recent.so", "notes.txt"])
@@ -1196,10 +1200,10 @@ def test_an_object_removed_before_it_loads_is_built_again(tmp_path):
     builds = []
     with mock.patch("tempfile.tempdir", str(tmp_path)), \
             _counting_builds(builds):
-        hude.native.load(_EMPTY_KERNEL, "kernel", 0)
+        hude.native.load(_EMPTY_KERNEL, "kernel")
         with mock.patch.object(hude.native.ctypes, "CDLL", vanish):
-            fn = hude.native.load(_EMPTY_KERNEL, "kernel", 0)
-    fn(1, 0.5)
+            fn = hude.native.load(_EMPTY_KERNEL, "kernel")
+    fn(1, 0.5, None, None, None)
     assert len(vanished) == 1 and len(builds) == 2
     assert os.path.exists(vanished[0])
 
