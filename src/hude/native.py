@@ -37,10 +37,16 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     ``static`` function ``loop``: the loop of
     :func:`hude.odeint._loop_source`, steps outer and rows inner, each step of a row the C statements of
     :func:`hude.odeint._step_source` between the load and the store of the
-    row's state.  The ``"terminal"`` source also defines ``chain``, with the
-    same arguments: it runs that loop on one row at a time (the rows'
-    pointers offset by ``i``), each from the terminal state of the row
-    before it, which it copies forward in the plan.
+    row's state.  The ``"terminal"`` source also defines ``chain`` and
+    ``bisect``, with the same arguments.  ``chain`` runs that loop on one
+    row at a time (the rows' pointers offset by ``i``), each from the
+    terminal state of the row before it, which it copies forward in the
+    plan.  ``bisect`` runs a residual bisection, its passes and what
+    ``out`` carries laid out in the :mod:`hude.odeint` module docstring: it
+    calls the exported ``kernel`` once per pass, which gcc does not inline
+    under ``-fPIC``, so the loop is not compiled a third time.  As in the
+    pass loop, a row fails where any state is not finite, and the lower half
+    is kept only where ``x0 < x_next`` (false for NaN).
     """
     setup, step, _, _ = _step_source(field, n, method, "compiled")
     if method == "rk4":
@@ -94,7 +100,32 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
             *(f"        if (i) plan[{3 + j} * rows + i] = "
               f"plan[{3 + j} * rows + i - 1];" for j in range(n)),
             "        loop(1, h, nsteps + i, out, "
-            f"{', '.join(f'{r} + i' for r in per_row)});", "    }", "}"]
+            f"{', '.join(f'{r} + i' for r in per_row)});", "    }", "}",
+            f"void bisect{entry}",
+            "    const int64_t passes = (int64_t)out[0];",
+            "    const double *x_next = out + 1;",
+            "    double *lo = out + 1 + rows, *hi = lo + rows, *first = hi + "
+            "rows, *probe = first + rows, *start = probe + rows;",
+            f"    const double *phi = start + {n} * rows;",
+            f"    double *x = plan + 3 * rows, *level = plan + {3 + n} * rows;",
+            f"    for (int64_t i = 0; i < {n} * rows; i++) start[i] = x[i];",
+            "    for (int64_t i = 0; i < rows; i++) {",
+            "        lo[i] = 0.0;", "        hi[i] = ldexp(1.0, (int)passes);",
+            "        first[i] = -1.0;", "    }",
+            "    for (int64_t p = 0; p < passes; p++) {",
+            f"        for (int64_t i = 0; i < {n} * rows; i++) x[i] = start[i];",
+            "        for (int64_t i = 0; i < rows; i++)",
+            "            level[i] = phi[(int64_t)(0.5 * (lo[i] + hi[i])) - 1];",
+            "        kernel(rows, h, nsteps, 0, plan);",
+            "        for (int64_t i = 0; i < rows; i++) {",
+            "            const double mid = 0.5 * (lo[i] + hi[i]);",
+            "            if (first[i] < 0.0 && !("
+            + " && ".join(f"isfinite(x[{j} * rows + i])" for j in range(n))
+            + ")) {",
+            "                first[i] = (double)p;", "                probe[i] = mid;",
+            "            }",
+            "            if (x[i] < x_next[i]) lo[i] = mid; else hi[i] = mid;",
+            "        }", "    }", "}"]
     return "".join(f"{line}\n" for line in lines)
 
 

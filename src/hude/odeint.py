@@ -6,10 +6,14 @@ one of four modes: a recorded path (:func:`integrate`), the terminal states
 of a batch of rows, those with their extremes (the spot check of a fan), or
 a chain of rows, each started from the end state of the row before it (a
 simulated series, one row per step).  It picks the kernel in one place.
+The one exception is a residual bisection whose field compiles: it runs
+all its passes in one C call (:func:`_bisect`), on a plan made by the same
+planner (:func:`_plan`).
 
 Every kernel is called as ``kernel(rows, h, nsteps, out, plan)``, from that
-one call site, and takes exactly these arguments, down to the C entry
-points (:func:`_compiled_loop` passes the three arrays' addresses).
+one call site or :func:`_bisect`, and takes exactly these arguments, down
+to the C entry points (:func:`_compiled_loop` passes the three arrays'
+addresses).
 ``plan`` is a ``(3 + n + len(bound), rows)`` float array
 with one column per row: its rows are ``t0``, ``t_end``, ``last`` (the
 width of the row's shortened last step), the ``n`` states, then the bound
@@ -20,6 +24,24 @@ place, so they hold the terminal states when it returns.  ``out`` is
 array, the running minima of the states then their maxima, which start
 at the start states; for a recorded path (one row) the
 ``(nsteps + 1, n)`` path, whose row 0 holds the start state.
+
+The terminal kernel's C object has two more entry points with the same
+arguments: ``chain``, a simulated series, and ``bisect``, a whole residual
+bisection (:func:`hude.residuals._bisect_levels`) in one call.  ``bisect``
+takes the plan of a batch (:func:`_plan`) and runs ``H`` passes.  Each
+pass restores the start states, writes each row's noise level into the
+plan's level row, calls ``kernel`` on every row and halves each row's
+interval.  Its ``out`` is one float array, blocks of ``rows`` values in
+this order: ``H`` (one value), the observations ``x_next``, then what it
+returns, ``lo`` and ``hi`` (each row's interval as indices on the grid of
+``2**-H``, from 0 and ``2**H``), each row's first pass with a non-finite
+terminal state (``-1`` for none) and the index it probed there, then its
+copy of the ``n`` start state rows, then the table of the ``2**H - 1``
+noise levels, :func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``,
+computed by numpy because C's ``log`` rounds some of them differently
+(:func:`_phi_table`).  :func:`_bisect` packs and unpacks ``out``.  A
+bisection deeper than :data:`_TABLE_DEPTH` halvings, whose table would pass
+8 MB, runs pass by pass through :func:`_terminal_state_batch`.
 
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
 whole-loop kernel that :func:`_generated` makes once per field source,
@@ -56,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import _C_OPS, _INFIX, _STATE_RE, _binder, _infix
-from .model import InitialState, ReducedField
+from .model import InitialState, ReducedField, _clamped_phi
 from .validation import check_times
 
 __all__ = [
@@ -78,6 +100,10 @@ COMPILED = True
 
 # Step counts must stay below this: the kernels count steps in an int64.
 _INT64_MAX = np.iinfo(np.int64).max
+
+# The most halvings a compiled bisection takes: its table of noise levels
+# holds 2**depth - 1 doubles (8 MB here).  A finer delta runs pass by pass.
+_TABLE_DEPTH = 20
 
 
 class IntegrationError(Exception):
@@ -192,14 +218,13 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     Step ``k`` of every row starts at ``t0 + k*h``; a row's last step is
     shortened to its ``t_end`` and rows that finish early keep their terminal
     state, so a row's result does not depend on the other rows.  The call
-    packs the plan once and runs one kernel on it, as the module docstring
-    sets out: a reduced field's compiled kernel where one builds, else its
-    row kernel one row at a time (a recorded path, a chain, a one-row batch)
-    or its column kernel (a batch of two or more rows), each of its levels
-    and parameters bound to one value or one per row, else ValueError.  A
-    hand-written array field steps one row as an ``(n,)`` array
-    (:func:`_column_loop`), and raises ValueError on a batch or in mode
-    ``"extremes"`` or ``"chain"``.
+    checks and packs the plan once (:func:`_plan`, which raises its
+    ValueErrors) and runs one kernel on it, as the module docstring sets
+    out: a reduced field's compiled kernel where one builds, else its row
+    kernel one row at a time (a recorded path, a chain, a one-row batch) or
+    its column kernel (a batch of two or more rows).  A hand-written array
+    field steps one row as an ``(n,)`` array (:func:`_column_loop`), and
+    raises ValueError on a batch or in mode ``"extremes"`` or ``"chain"``.
 
     ``mode`` says what is returned: ``"terminal"`` the terminal states,
     ``"extremes"`` those with the componentwise extremes over all rows and
@@ -211,14 +236,63 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     from the terminal state of the row before it, and every row plans and
     steps as a one-row ``"terminal"`` call over its own segment with its
     bound values as a batch of one.  States are returned as computed,
-    finite or not: the caller names a failure.  A non-finite ``h``, ``t0``
-    or ``t_end``, or a span whose step count does not fit an int64, raises
-    ValueError.
+    finite or not: the caller names a failure.
     """
-    if method not in ("euler", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
     if mode not in ("terminal", "extremes", "record", "chain"):
         raise ValueError(f"unknown mode {mode!r}")
+    plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method,
+                                  mode == "chain")
+    shape, rows = np.shape(y0), plan.shape[1]
+    n = shape[-1]
+    if lowered is not None:
+        kernel = (_generated(*lowered, n, method, mode, "compiled")
+                  if COMPILED else None)
+        if kernel is None:
+            # One row at a time runs on floats, a chain through the terminal
+            # row kernel; a batch of two or more rows on state columns.
+            by_row = mode in ("record", "chain") or rows == 1
+            kernel = _generated(*lowered, n, method,
+                                "terminal" if mode == "chain" else mode,
+                                "row" if by_row else "columns")
+    elif len(shape) > 1 or mode in ("extremes", "chain"):
+        raise ValueError("a hand-written field integrates one row, without "
+                         "extremes or a chain")
+    else:
+        kernel = functools.partial(_column_loop, raw, method)
+    x = plan[3:3 + n]
+    out = None
+    if mode == "record":
+        # Sized before the first step: a path too long to hold fails here.
+        out = np.empty((int(nsteps[0]) + 1, n))
+        out[0] = x[:, 0]
+    elif mode == "extremes":
+        out = np.concatenate((x, x))
+    with np.errstate(all="ignore"):
+        kernel(rows, h, nsteps, out, plan)
+    if mode == "record":
+        return out
+    y = x.T.copy().reshape((rows, n) if mode == "chain" else shape)
+    if mode == "extremes":
+        return (y, np.array([np.min(c) for c in out[:n]]),
+                np.array([np.max(c) for c in out[n:]]))
+    return y
+
+
+def _plan(raw, t0, y0, t_end, h, method, chain=False):
+    """The checks and the plan of a call of :func:`_terminal_state_batch`
+    (its arguments, ``chain`` for mode ``"chain"``), which the compiled
+    bisection of :func:`hude.residuals._bisect_levels` shares:
+    ``(plan, nsteps, lowered)``, the plan and the ``(rows,)`` int64 step
+    counts of the module docstring, and ``lowered`` the field and the bound
+    names (``"phi, p0, .."``) a reduced field runs, else ``None``.
+
+    A method other than ``"euler"`` and ``"rk4"``, a non-finite ``h``,
+    ``t0`` or ``t_end``, a span that is not positive or whose step count
+    does not fit an int64, a chain from more than one state, or a reduced
+    field's level or parameter that binds neither one value nor one per row
+    raises ValueError."""
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
     t0 = np.asarray(t0, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
     if not (math.isfinite(h) and np.isfinite(t0).all()
@@ -242,52 +316,67 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
                          f"h={h!r}, more than an int64 counts")
     nsteps = np.maximum(nsteps.astype(np.int64), 1)
     last = span - (nsteps - 1) * h
-    if mode == "chain" and y.ndim > 1:
+    if chain and y.ndim > 1:
         raise ValueError("a chain starts from one state")
     # A chain has one row per segment, every other call one per state.
-    rows = nsteps.size if mode == "chain" else y.size // n
+    rows = nsteps.size if chain else y.size // n
+    lowered, bound = None, ()
     if isinstance(raw, ReducedField):
         field, bound = raw._bound()
-        params, bound = ", ".join(bound), tuple(bound.values())
+        lowered, bound = (field, ", ".join(bound)), tuple(bound.values())
         for v in bound:
             if np.shape(v) not in ((), (1,), (rows,)):
                 raise ValueError(f"a level or parameter holds {np.size(v)} "
                                  f"values for {rows} row(s); it must bind one "
                                  "value or one per row")
-        kernel = (_generated(field, params, n, method, mode, "compiled")
-                  if COMPILED else None)
-        if kernel is None:
-            # One row at a time runs on floats, a chain through the terminal
-            # row kernel; a batch of two or more rows on state columns.
-            by_row = mode in ("record", "chain") or rows == 1
-            kernel = _generated(field, params, n, method,
-                                "terminal" if mode == "chain" else mode,
-                                "row" if by_row else "columns")
-    elif y.ndim > 1 or mode in ("extremes", "chain"):
-        raise ValueError("a hand-written field integrates one row, without "
-                         "extremes or a chain")
-    else:
-        bound, kernel = (), functools.partial(_column_loop, raw, method)
     plan = np.empty((3 + n + len(bound), rows))
     for row, v in zip(plan, (t0, t_end, last, *y.reshape(-1, n).T, *bound)):
         row[...] = v
-    x = plan[3:3 + n]
-    out = None
-    if mode == "record":
-        # Sized before the first step: a path too long to hold fails here.
-        out = np.empty((int(nsteps) + 1, n))
-        out[0] = y
-    elif mode == "extremes":
-        out = np.concatenate((x, x))
-    with np.errstate(all="ignore"):
-        kernel(rows, h, np.full(rows, nsteps, dtype=np.int64), out, plan)
-    if mode == "record":
-        return out
-    y = x.T.copy().reshape((rows, n) if mode == "chain" else y.shape)
-    if mode == "extremes":
-        return (y, np.array([np.min(c) for c in out[:n]]),
-                np.array([np.max(c) for c in out[n:]]))
-    return y
+    return plan, np.full(rows, nsteps, dtype=np.int64), lowered
+
+
+def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
+    """A residual bisection of ``halvings`` passes of the batch (the
+    arguments of :func:`_terminal_state_batch`) towards the observations
+    ``x_next``, in one call of the compiled ``bisect`` entry point: ``(lo,
+    hi, failed, failure)`` as :func:`hude.residuals._bisect_levels` keeps
+    them after its passes, from the bits the pass loop computes.  ``None``
+    where ``COMPILED`` is off, ``halvings`` is 0 or more than
+    :data:`_TABLE_DEPTH`, or no compiled kernel loads.  The batch is checked
+    and planned once (:func:`_plan`), the level row set by each pass."""
+    if not (COMPILED and 0 < halvings <= _TABLE_DEPTH):
+        return None
+    plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method)
+    rows, n = plan.shape[1], np.shape(y0)[-1]
+    bisect = _generated(*lowered, n, method, "bisect", "compiled")
+    if bisect is None:
+        return None
+    table = _phi_table(halvings)
+    out = np.empty(1 + (5 + n) * rows + table.size)
+    out[0] = halvings
+    out[1:1 + rows] = x_next
+    out[1 + (5 + n) * rows:] = table
+    bisect(rows, h, nsteps, out, plan)
+    lo, hi, first, probe = out[1 + rows:1 + 5 * rows].reshape(4, rows)
+    scale = 0.5 ** halvings
+    failed = first >= 0.0
+    failure = None
+    if failed.any():
+        # The lowest row of the earliest pass with a failure.
+        row = int(np.argmin(np.where(failed, first, np.inf)))
+        failure = (row, float(probe[row] * scale))
+    return lo * scale, hi * scale, failed, failure
+
+
+@functools.lru_cache(maxsize=4)
+def _phi_table(depth):
+    """The noise levels of every probe of a ``depth``-halving bisection,
+    :func:`~hude.model._clamped_phi` of ``m / 2**depth`` at ``m - 1`` for
+    ``m`` in ``1 .. 2**depth - 1``: numpy's bits, which C's ``log`` does not
+    always give."""
+    table = _clamped_phi(np.arange(1, 2 ** depth) / 2 ** depth)
+    table.flags.writeable = False
+    return table
 
 
 def _compiled_loop(fn, rows, h, nsteps, out, plan):
@@ -334,9 +423,10 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
     ops keep ``0.0`` and ``-0.0`` apart): for ``backend`` ``"columns"`` or
     ``"row"`` the kernel of :func:`_loop_source`, for ``"compiled"`` the
     entry point of :func:`hude.native._c_source` run by
-    :func:`_compiled_loop` (a ``"chain"`` is the terminal object's second
-    entry point), or ``None`` after one debug line on the ``hude`` logger
-    where C may round an op unlike numpy or the build fails."""
+    :func:`_compiled_loop` (a ``"chain"`` and a ``"bisect"`` are the
+    terminal object's second and third entry points), or ``None`` after one
+    debug line on the ``hude`` logger where C may round an op unlike numpy
+    or the build fails."""
     if backend != "compiled":
         return _binder(_loop_source(field, params, n, method, mode, backend))
     inexact = sorted({func for func, *_ in field[0]} - _C_OPS.keys())
@@ -344,12 +434,12 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
         reason = f"{', '.join(inexact)} may round unlike numpy in C"
     else:
         from . import native
-        chain = mode == "chain"
+        entry = mode if mode in ("chain", "bisect") else "kernel"
         try:
             return functools.partial(_compiled_loop, native.load(
                 native._c_source(field, params, n, method,
-                                 "terminal" if chain else mode),
-                "chain" if chain else "kernel"))
+                                 mode if entry == "kernel" else "terminal"),
+                entry))
         except OSError as exc:
             reason = f"the C kernel did not build: {exc}"
     import logging

@@ -6,7 +6,8 @@ path hit the next observation ``x_{t_{j+1}}``?  That level is the residual
 ``eps_j``; for a well-fitted model the residuals behave like a sample of the
 linear (uniform) uncertainty distribution on [0, 1].  The level is found by
 bisection on the terminal value of the restarted path; each pass halves every
-row once, integrating all rows in one call.
+row once, integrating all rows together, and a field that compiles runs every
+pass in one C call.
 
 Derivative observations are rarely measured directly; they are reconstructed
 from the raw series with forward (default) or central differences, producing
@@ -31,6 +32,7 @@ from .model import (
     _clamped_phi,
     compile_model,
 )
+from . import odeint
 from .odeint import (DEFAULT_STEP, _step_failure, _terminal_state_batch,
                      _write_csv)
 from .validation import check_times, check_unit_interval
@@ -240,6 +242,11 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     ``failed``; the other rows are unaffected.  ``failure`` is ``None`` when
     no row failed, else ``(row, level)``: the lowest failed row of the first
     pass with a failure and the quantile level it probed there.
+
+    Where the field's compiled kernel loads, every pass runs in one C call
+    on a plan made once (:func:`~hude.odeint._bisect`), with the same bits.
+    Otherwise, and beyond its depth cap, each pass is one
+    :func:`~hude.odeint._terminal_state_batch` call.
     """
     if not delta > 0:
         raise ValueError("precision delta must be positive")
@@ -249,24 +256,30 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     # One compile: each pass binds the values of every row.
     code, params = compile_model(model, theta)
     B = len(x_next)
-    lo = np.zeros(B)
-    hi = np.ones(B)
-    failed = np.zeros(B, dtype=bool)
-    failure = None
-    for _ in range(halvings):
-        mid = 0.5 * (lo + hi)
-        terminal = _terminal_state_batch(
-            ReducedField(code, params, _clamped_phi(mid)), t0s, y0s, t1s, h,
-            method)
-        finite = np.isfinite(terminal).all(axis=1)
-        if not finite.all():
-            if failure is None:
-                row = int(np.argmin(finite))
-                failure = (row, float(mid[row]))
-            failed |= ~finite
-        below = terminal[:, 0] < x_next
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    # An array level picks the noisy field, as each pass's levels do.
+    found = odeint._bisect(ReducedField(code, params, np.zeros(B)), t0s, y0s,
+                           t1s, h, method, x_next, halvings)
+    if found:
+        lo, hi, failed, failure = found
+    else:
+        lo = np.zeros(B)
+        hi = np.ones(B)
+        failed = np.zeros(B, dtype=bool)
+        failure = None
+        for _ in range(halvings):
+            mid = 0.5 * (lo + hi)
+            terminal = _terminal_state_batch(
+                ReducedField(code, params, _clamped_phi(mid)), t0s, y0s, t1s,
+                h, method)
+            finite = np.isfinite(terminal).all(axis=1)
+            if not finite.all():
+                if failure is None:
+                    row = int(np.argmin(finite))
+                    failure = (row, float(mid[row]))
+                failed |= ~finite
+            below = terminal[:, 0] < x_next
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
     eps = 0.5 * (lo + hi)
     saturated = (lo <= 0.0) | (hi >= 1.0)
     return eps, saturated, failed, failure

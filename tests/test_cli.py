@@ -535,15 +535,40 @@ class TestReactorDemo:
         for module in (hude.residuals, hude.alphapath):
             for name in calls:
                 monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        generate, passes = odeint._generated, []
+
+        def generated(*args):
+            # A compiled bisection records its passes, the first slot of out.
+            kernel = generate(*args)
+            if kernel is None or args[4] != "bisect":
+                return kernel
+
+            def bisect(rows, h, nsteps, out, plan):
+                passes.append(int(out[0]))
+                kernel(rows, h, nsteps, out, plan)
+            return bisect
+
+        monkeypatch.setattr(odeint, "_generated", generated)
+        model = hude.build_reactor_hude(hude.THERMAL_U235)
+        code = hude.model.compile_model(model, hude.FITTED_THETA)
+        lowered, bound = hude.model.ReducedField(*code, 0.5)._bound()
+        loads = generate(lowered, ", ".join(bound), 2, "euler", "bisect",
+                         "compiled") is not None
         out = tmp_path / "report"
         assert run("reactor-demo", "--out", out, "--seed", 0) == 0
         # Integrator calls and monotonicity spot checks of the whole command.
-        # Each of the fit's 120 bisections halves every row once per call,
-        # 14 calls at delta 1e-4, and the fan takes one more.  Probes skip
-        # the check; the estimate and the fan check once each.  The residuals
-        # written are the estimate's vector, not a second bisection at the
-        # same theta, which would take 14 more calls and a third check.
-        assert calls == {"_terminal_state_batch": 1681, "_spot_check": 2}
+        # Each of the fit's 120 bisections halves every row once per pass,
+        # 14 passes at delta 1e-4, and the fan takes one more call.  On the
+        # numpy kernels each pass is one call; compiled, each bisection is
+        # one call of its own entry point that runs its 14 passes.  Probes
+        # skip the check; the estimate and the fan check once each.  The
+        # residuals written are the estimate's vector, not a second bisection
+        # at the same theta, which would take 14 more passes and a third
+        # check.
+        bisections = 120 if compiled and loads else 0
+        assert calls == {"_terminal_state_batch": 1681 - 14 * bisections,
+                         "_spot_check": 2}
+        assert passes == [14] * bisections
         estimate = json.loads((out / "estimate.json").read_text())
         assert estimate["iterations"] == 52
         for name in ("estimate.json", "residuals.csv", "test.json",

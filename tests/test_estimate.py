@@ -366,8 +366,10 @@ class TestEstimateMle:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated before the window check")
 
+        # Every integration plans first, the compiled bisection too.
         monkeypatch.setattr(hude.residuals, "_terminal_state_batch",
                             no_integration)
+        monkeypatch.setattr(hude.odeint, "_plan", no_integration)
         with pytest.raises(ValueError, match="needs a window of 1 from 200"):
             estimate_mle(scale_model, scale_series, alpha=0.999,
                          bounds=[(0.02, 1.0)])
