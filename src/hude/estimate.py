@@ -28,7 +28,7 @@ from .odeint import DEFAULT_STEP
 from .residuals import (
     ObservationSeries,
     ResidualVector,
-    _batch_levels,
+    _Bisection,
     _restart_rows,
     _residual_vector,
     compute_residuals,  # noqa: F401  (perfbench/layers.py wraps it here)
@@ -326,19 +326,22 @@ def _residual_objective(model, series, score, delta, h, scheme, method):
     the parameters in ``model.params`` order.
 
     The objective's ``batch`` attribute scores a ``(P, p)`` matrix of probes
-    in shared bisections (:func:`_batch_levels`); the objective scores one
-    probe as a batch of one.  A probe that fails to integrate scores ``inf``.
-    Every scored point's levels are kept, for the residual vector of that
-    point.  Probes skip the advisory monotonicity check; the residual vector
-    of a point runs it.
+    in shared bisections (:meth:`~hude.residuals._Bisection.points`); the
+    objective scores one probe as a batch of one.  One bisection of the
+    restart rows serves the whole fit: it lowers the model once and prepares
+    each batch size once, at its first scoring.  A probe that fails to
+    integrate scores ``inf``.  Every scored point's levels are kept, for the
+    residual vector of that point.  Probes skip the advisory monotonicity
+    check; the residual vector of a point runs it.
     """
     names = model.params
     rows = _restart_rows(model, series, scheme)
+    bisection = _Bisection(model, rows[1:], delta, h, method)
     scored = {}  # point bytes -> (levels, saturation flags)
 
     def batch(points):
         points = np.asarray(points, dtype=float)
-        out = _batch_levels(model, points, rows, delta, h, method)
+        out = bisection.points(points)
         for x, levels in zip(points, out):
             if levels is not None:
                 scored[x.tobytes()] = levels

@@ -45,8 +45,9 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     ``out`` carries laid out in the :mod:`hude.odeint` module docstring: it
     calls the exported ``kernel`` once per pass, which gcc does not inline
     under ``-fPIC``, so the loop is not compiled a third time.  As in the
-    pass loop, a row fails where any state is not finite, and the lower half
-    is kept only where ``x0 < x_next`` (false for NaN).
+    pass loop, a row fails where any state is not finite, and the upper half
+    is kept only where ``x0 < x_next`` (false for NaN).  It leaves the
+    plan's start states as it found them, so a plan runs again unchanged.
     """
     setup, step, _, _ = _step_source(field, n, method, "compiled")
     if method == "rk4":
@@ -125,7 +126,10 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
             "                first[i] = (double)p;", "                probe[i] = mid;",
             "            }",
             "            if (x[i] < x_next[i]) lo[i] = mid; else hi[i] = mid;",
-            "        }", "    }", "}"]
+            "        }", "    }",
+            # Restored, so a prepared plan runs again from its start states.
+            f"    for (int64_t i = 0; i < {n} * rows; i++) x[i] = start[i];",
+            "}"]
     return "".join(f"{line}\n" for line in lines)
 
 

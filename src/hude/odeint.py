@@ -7,8 +7,8 @@ of a batch of rows, those with their extremes (the spot check of a fan), or
 a chain of rows, each started from the end state of the row before it (a
 simulated series, one row per step).  It picks the kernel in one place.
 The one exception is a residual bisection whose field compiles: it runs
-all its passes in one C call (:func:`_bisect`), on a plan made by the same
-planner (:func:`_plan`).
+all its passes in one C call (:func:`_bisect`), on a plan made once by the
+same planner (:func:`_plan`).
 
 Every kernel is called as ``kernel(rows, h, nsteps, out, plan)``, from that
 one call site or :func:`_bisect`, and takes exactly these arguments, down
@@ -28,20 +28,26 @@ at the start states; for a recorded path (one row) the
 The terminal kernel's C object has two more entry points with the same
 arguments: ``chain``, a simulated series, and ``bisect``, a whole residual
 bisection (:func:`hude.residuals._bisect_levels`) in one call.  ``bisect``
-takes the plan of a batch (:func:`_plan`) and runs ``H`` passes.  Each
-pass restores the start states, writes each row's noise level into the
-plan's level row, calls ``kernel`` on every row and halves each row's
-interval.  Its ``out`` is one float array, blocks of ``rows`` values in
-this order: ``H`` (one value), the observations ``x_next``, then what it
-returns, ``lo`` and ``hi`` (each row's interval as indices on the grid of
-``2**-H``, from 0 and ``2**H``), each row's first pass with a non-finite
-terminal state (``-1`` for none) and the index it probed there, then its
-copy of the ``n`` start state rows, then the table of the ``2**H - 1``
-noise levels, :func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``,
-computed by numpy because C's ``log`` rounds some of them differently
-(:func:`_phi_table`).  :func:`_bisect` packs and unpacks ``out``.  A
-bisection deeper than :data:`_TABLE_DEPTH` halvings, whose table would pass
-8 MB, runs pass by pass through :func:`_terminal_state_batch`.
+takes the plan of a batch (:func:`_plan`) and runs ``H`` passes.  It
+copies the start states into ``out``; each pass restores them, writes each
+row's noise level into the plan's level row, calls ``kernel`` on every row
+and halves each row's interval; and it restores them once more before it
+returns, so the plan holds its start states again.  Its ``out`` is one
+float array, blocks of ``rows`` values in this order: ``H`` (one value),
+the observations ``x_next``, then what it returns, ``lo`` and ``hi`` (each
+row's interval as indices on the grid of ``2**-H``, from 0 and ``2**H``),
+each row's first pass with a non-finite terminal state (``-1`` for none)
+and the index it probed there, then its copy of the ``n`` start state
+rows, then the table of the ``2**H - 1`` noise levels,
+:func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``, computed by
+numpy because C's ``log`` rounds some of them differently
+(:func:`_phi_table`).  :func:`_bisect` prepares a bisection once: it plans
+the batch and packs ``H``, ``x_next`` and the table into ``out``.  The
+``run`` it returns serves every parameter point of those rows: it writes
+the point's values into the plan's parameter rows, makes the one C call
+and unpacks ``lo``, ``hi`` and the first failures.  A bisection deeper
+than :data:`_TABLE_DEPTH` halvings, whose table would pass 8 MB, runs pass
+by pass through :func:`_terminal_state_batch`.
 
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
 whole-loop kernel that :func:`_generated` makes once per field source,
@@ -336,14 +342,19 @@ def _plan(raw, t0, y0, t_end, h, method, chain=False):
 
 
 def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
-    """A residual bisection of ``halvings`` passes of the batch (the
+    """Prepare a residual bisection of ``halvings`` passes of the batch (the
     arguments of :func:`_terminal_state_batch`) towards the observations
-    ``x_next``, in one call of the compiled ``bisect`` entry point: ``(lo,
-    hi, failed, failure)`` as :func:`hude.residuals._bisect_levels` keeps
-    them after its passes, from the bits the pass loop computes.  ``None``
-    where ``COMPILED`` is off, ``halvings`` is 0 or more than
-    :data:`_TABLE_DEPTH`, or no compiled kernel loads.  The batch is checked
-    and planned once (:func:`_plan`), the level row set by each pass."""
+    ``x_next``, for the compiled ``bisect`` entry point: the batch is checked
+    and planned (:func:`_plan`) and ``out`` packed, once.  Returns ``run``,
+    or ``None`` where ``COMPILED`` is off, ``halvings`` is 0 or more than
+    :data:`_TABLE_DEPTH`, or no compiled kernel loads.
+
+    ``run(raw)`` writes the parameter values of ``raw``, a reduced field of
+    the same code with one value or one per row, into the plan's parameter
+    rows and makes one C call.  It returns ``(lo, hi, failed, failure)`` as
+    :func:`hude.residuals._bisect_levels` keeps them after its passes, from
+    the bits the pass loop computes.  ``bisect`` restores the plan's start
+    states before it returns, so every run starts from them."""
     if not (COMPILED and 0 < halvings <= _TABLE_DEPTH):
         return None
     plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method)
@@ -356,16 +367,24 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
     out[0] = halvings
     out[1:1 + rows] = x_next
     out[1 + (5 + n) * rows:] = table
-    bisect(rows, h, nsteps, out, plan)
-    lo, hi, first, probe = out[1 + rows:1 + 5 * rows].reshape(4, rows)
+    found = out[1 + rows:1 + 5 * rows].reshape(4, rows)
     scale = 0.5 ** halvings
-    failed = first >= 0.0
-    failure = None
-    if failed.any():
-        # The lowest row of the earliest pass with a failure.
-        row = int(np.argmin(np.where(failed, first, np.inf)))
-        failure = (row, float(probe[row] * scale))
-    return lo * scale, hi * scale, failed, failure
+
+    def run(raw):
+        # The parameter rows follow the level row, as in ReducedField._bound.
+        _, *values = raw._bound()[1].values()
+        for row, v in zip(plan[4 + n:], values):
+            row[...] = v
+        bisect(rows, h, nsteps, out, plan)
+        lo, hi, first, probe = found
+        failed = first >= 0.0
+        failure = None
+        if failed.any():
+            # The lowest row of the earliest pass with a failure.
+            row = int(np.argmin(np.where(failed, first, np.inf)))
+            failure = (row, float(probe[row] * scale))
+        return lo * scale, hi * scale, failed, failure
+    return run
 
 
 @functools.lru_cache(maxsize=4)

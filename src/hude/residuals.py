@@ -224,6 +224,97 @@ class ResidualVector:
         return cls(eps, indices=j)
 
 
+class _Bisection:
+    """The residual bisection of fixed restart rows ``(t0s, y0s, t1s,
+    x_next)``, prepared once and run at every parameter point.  Called with
+    ``theta`` and ``copies``, it bisects the rows repeated ``copies`` times
+    as :func:`_bisect_levels` does, each value of ``theta`` a float or one
+    per repeated row; :meth:`points` bisects many parameter points.
+
+    Nothing is checked or built before the first call, so each ValueError
+    comes where a one-shot bisection raises it.  The first call checks
+    ``delta`` and lowers the model (:func:`~hude.model.compile_model`),
+    whose code does not depend on the parameters.  The first call with each
+    ``copies`` tiles the rows and prepares their compiled bisection
+    (:func:`~hude.odeint._bisect`), which checks and plans them; every call
+    then binds its parameter values to that plan and makes one C call.
+    Without a compiled bisection each call runs the pass loop on the same
+    tiled rows and code.
+    """
+
+    def __init__(self, model, rows, delta, h, method):
+        self.model, self.rows, self.delta = model, rows, delta
+        self.h, self.method = h, method
+        self.code, self.halvings = None, 0
+        self.prepared = {}  # copies -> (tiled rows, compiled run or None)
+
+    def __call__(self, theta, copies=1):
+        if self.code is None:
+            if not self.delta > 0:
+                raise ValueError("precision delta must be positive")
+            while 0.5 ** self.halvings > self.delta:
+                self.halvings += 1
+            self.code, values = compile_model(self.model, theta)
+        else:
+            values = self.model.resolved_theta(theta)
+        code, h, method = self.code, self.h, self.method
+        if copies not in self.prepared:
+            t0s, y0s, t1s, x_next = self.rows
+            tiled = (np.tile(t0s, copies), np.tile(y0s, (copies, 1)),
+                     np.tile(t1s, copies), np.tile(x_next, copies))
+            # An array level picks the noisy field, as each pass's levels do.
+            level = np.zeros(len(tiled[3]))
+            self.prepared[copies] = tiled, odeint._bisect(
+                ReducedField(code, values, level), *tiled[:3], h, method,
+                tiled[3], self.halvings)
+        (t0s, y0s, t1s, x_next), run = self.prepared[copies]
+        if run:
+            lo, hi, failed, failure = run(ReducedField(code, values, 0.0))
+        else:
+            B = len(x_next)
+            lo = np.zeros(B)
+            hi = np.ones(B)
+            failed = np.zeros(B, dtype=bool)
+            failure = None
+            for _ in range(self.halvings):
+                mid = 0.5 * (lo + hi)
+                terminal = _terminal_state_batch(
+                    ReducedField(code, values, _clamped_phi(mid)), t0s, y0s,
+                    t1s, h, method)
+                finite = np.isfinite(terminal).all(axis=1)
+                if not finite.all():
+                    if failure is None:
+                        row = int(np.argmin(finite))
+                        failure = (row, float(mid[row]))
+                    failed |= ~finite
+                below = terminal[:, 0] < x_next
+                lo = np.where(below, mid, lo)
+                hi = np.where(below, hi, mid)
+        eps = 0.5 * (lo + hi)
+        saturated = (lo <= 0.0) | (hi >= 1.0)
+        return eps, saturated, failed, failure
+
+    def points(self, thetas):
+        """``(levels, saturated)`` of the rows at each row of the ``(P, p)``
+        matrix ``thetas``, or ``None`` where a row fails to integrate, from
+        bisections of as many points as fit in :data:`BATCH_ROWS` rows, each
+        point's rows bound to its own parameter values."""
+        M = len(self.rows[3])
+        per_chunk = max(1, BATCH_ROWS // M)
+        out = []
+        for start in range(0, thetas.shape[0], per_chunk):
+            chunk = thetas[start:start + per_chunk]
+            P = chunk.shape[0]
+            columns = {name: np.repeat(chunk[:, i], M)
+                       for i, name in enumerate(self.model.params)}
+            eps, saturated, failed, _ = self(columns, P)
+            for k in range(P):
+                part = slice(k * M, (k + 1) * M)
+                out.append(None if failed[part].any() else
+                           (eps[part], saturated[part]))
+        return out
+
+
 def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     """Vectorised bisection: for each row find the level whose restarted path
     ends at the observed next value.  Returns ``(levels, saturated, failed,
@@ -243,46 +334,12 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     no row failed, else ``(row, level)``: the lowest failed row of the first
     pass with a failure and the quantile level it probed there.
 
-    Where the field's compiled kernel loads, every pass runs in one C call
-    on a plan made once (:func:`~hude.odeint._bisect`), with the same bits.
-    Otherwise, and beyond its depth cap, each pass is one
+    One :class:`_Bisection` of the rows, prepared and run once: where the
+    field's compiled kernel loads, every pass runs in one C call, with the
+    same bits.  Otherwise, and beyond its depth cap, each pass is one
     :func:`~hude.odeint._terminal_state_batch` call.
     """
-    if not delta > 0:
-        raise ValueError("precision delta must be positive")
-    halvings = 0
-    while 0.5 ** halvings > delta:
-        halvings += 1
-    # One compile: each pass binds the values of every row.
-    code, params = compile_model(model, theta)
-    B = len(x_next)
-    # An array level picks the noisy field, as each pass's levels do.
-    found = odeint._bisect(ReducedField(code, params, np.zeros(B)), t0s, y0s,
-                           t1s, h, method, x_next, halvings)
-    if found:
-        lo, hi, failed, failure = found
-    else:
-        lo = np.zeros(B)
-        hi = np.ones(B)
-        failed = np.zeros(B, dtype=bool)
-        failure = None
-        for _ in range(halvings):
-            mid = 0.5 * (lo + hi)
-            terminal = _terminal_state_batch(
-                ReducedField(code, params, _clamped_phi(mid)), t0s, y0s, t1s,
-                h, method)
-            finite = np.isfinite(terminal).all(axis=1)
-            if not finite.all():
-                if failure is None:
-                    row = int(np.argmin(finite))
-                    failure = (row, float(mid[row]))
-                failed |= ~finite
-            below = terminal[:, 0] < x_next
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    eps = 0.5 * (lo + hi)
-    saturated = (lo <= 0.0) | (hi >= 1.0)
-    return eps, saturated, failed, failure
+    return _Bisection(model, (t0s, y0s, t1s, x_next), delta, h, method)(theta)
 
 
 def compute_residual(
@@ -410,28 +467,9 @@ def compute_residuals(
 
 def _batch_levels(model, thetas, rows, delta, h, method):
     """``(levels, saturated)`` of the restart ``rows`` at each row of the
-    ``(P, p)`` matrix ``thetas``, or ``None`` where a row fails to integrate,
-    from bisections of as many points as fit in :data:`BATCH_ROWS` rows, each
-    point's rows bound to its own parameter values."""
-    _, t0s, y0s, t1s, x_next = rows
-    M = x_next.size
-    per_chunk = max(1, BATCH_ROWS // M)
-    out = []
-    for start in range(0, thetas.shape[0], per_chunk):
-        chunk = thetas[start:start + per_chunk]
-        P = chunk.shape[0]
-        columns = {name: np.repeat(chunk[:, i], M)
-                   for i, name in enumerate(model.params)}
-        eps, saturated, failed, _ = _bisect_levels(
-            model, columns, np.tile(t0s, P),
-            np.tile(y0s, (P, 1)), np.tile(t1s, P), np.tile(x_next, P),
-            delta, h, method,
-        )
-        for k in range(P):
-            part = slice(k * M, (k + 1) * M)
-            out.append(None if failed[part].any() else
-                       (eps[part], saturated[part]))
-    return out
+    ``(P, p)`` matrix ``thetas``, or ``None`` where a row fails to integrate:
+    :meth:`_Bisection.points` of one bisection of the rows, prepared once."""
+    return _Bisection(model, rows[1:], delta, h, method).points(thetas)
 
 
 def simulate_observations(

@@ -63,6 +63,11 @@ CASES = {
     # pass, and x1 often overflows where x0 is still finite.
     "overflow_mixed_c": (2, "x1*x1 + (x0 - 1)/c", "c", {"c": (0.5, 5.0)},
                          (0.0, 3.0), (-1.0, 1e300)),
+    # x0*x0 overflows while x0 is finite, and the field takes inf - inf:
+    # rows that blow up before their last step end at a NaN x0, which is not
+    # below its target, so such a row keeps the lower half.
+    "overflow_nan_c": (1, "c*(x0*x0) - x0*x0", "c", {"c": (1.5, 5.0)},
+                       (0.0, 1.5), (0.0, 1e308)),
 }
 
 
@@ -308,7 +313,8 @@ def test_compiled_bisection_ignores_overflow_at_unvisited_probes(monkeypatch):
 @pytest.mark.skipif(not LINEAR_LOADS, reason="no compiled bisection loads")
 @settings(max_examples=60, deadline=None)
 @given(
-    name=st.sampled_from(["linear", "overflow_far_c", "overflow_mixed_c"]),
+    name=st.sampled_from(["linear", "overflow_far_c", "overflow_mixed_c",
+                          "overflow_nan_c"]),
     rows=st.integers(min_value=1, max_value=300),
     # Up to the depth cap, and a delta beyond it.
     delta=st.sampled_from([0.3, 1e-2, 1e-4, 0.5 ** odeint._TABLE_DEPTH,

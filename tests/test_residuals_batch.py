@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hude
-from hude import compute_residuals, reactor
+from hude import compute_residuals, odeint, reactor
 from hude import residuals
 from hude.residuals import _batch_levels, _restart_rows
 from hude.estimate import _residual_objective, moment_objective
@@ -80,16 +80,20 @@ def test_linear_batch_equals_serial(roots, points, seed):
                            scheme="given")
 
 
+# x' = a*x0 + 0.1*phi, whose probes at a = 1e308 overflow.
+GROWTH = hude.HudeModel.parse(1, "a*x0", ["0.1"], params=["a"])
+GROWTH_SERIES = hude.simulate_observations(
+    GROWTH, {"a": -0.5}, hude.InitialState(0.0, [2.0]), 0.1 * np.arange(11),
+    seed=5, h=1e-2,
+)
+
+
 @pytest.mark.parametrize("batch_rows", [residuals.BATCH_ROWS, 1, 25])
 def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
     # A budget of 1 or 25 rows (10 steps per point) splits the points over
     # several bisections; the results must not depend on the split.
     monkeypatch.setattr(residuals, "BATCH_ROWS", batch_rows)
-    model = hude.HudeModel.parse(1, "a*x0", ["0.1"], params=["a"])
-    series = hude.simulate_observations(
-        model, {"a": -0.5}, hude.InitialState(0.0, [2.0]),
-        0.1 * np.arange(11), seed=5, h=1e-2,
-    )
+    model, series = GROWTH, GROWTH_SERIES
     thetas = np.array([[-0.5], [1e308], [0.2], [-0.1]])
     with pytest.raises(IntegrationError):
         compute_residuals(model, {"a": 1e308}, series, h=1e-2)
@@ -108,6 +112,98 @@ def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
     assert objective(thetas[1]) == np.inf
     for k in (0, 2, 3):
         assert batched[k] == objective(thetas[k])
+
+
+def _moment_score(eps):
+    return moment_objective(None, lambda _: eps, 2)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    sizes=st.permutations([100, 3, 1, 2, 100, 3, 1, 2, 1]),
+    compiled=st.booleans(),
+    # The compiled bisection's depth, and a delta beyond its cap.
+    delta=st.sampled_from([1e-4, 0.5 ** (odeint._TABLE_DEPTH + 1)]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_reused_bisection_equals_a_fresh_one(sizes, compiled, delta, seed):
+    # One objective runs one prepared bisection per batch size again and
+    # again, also after overflowing points: a batch of three or more holds
+    # one between two good ones, and a batch of one or two now and then
+    # overflows.  Every point scores as a fresh bisection of it alone.
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odeint, "COMPILED", compiled)
+        objective, residuals_at = _residual_objective(
+            GROWTH, GROWTH_SERIES, _moment_score, delta, 1e-2, "forward",
+            "euler")
+        for size in sizes:
+            points = rng.uniform(-1.0, 0.5, (size, 1))
+            if size >= 3 or rng.uniform() < 0.3:
+                points[min(1, size - 1)] = 1e308
+            values = (objective.batch(points) if size > 1 else
+                      [objective(points[0])])
+            for point, value in zip(points, values):
+                try:
+                    fresh = compute_residuals(GROWTH, {"a": point[0]},
+                                              GROWTH_SERIES, delta, h=1e-2)
+                except IntegrationError:
+                    assert value == np.inf
+                    continue
+                assert value == _moment_score(fresh.epsilons)
+                got = residuals_at(point)
+                assert got.epsilons.tobytes() == fresh.epsilons.tobytes()
+                assert got.saturated.tobytes() == fresh.saturated.tobytes()
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
+                                                       reactor_case,
+                                                       compiled):
+    # The reactor fit of hude reactor-demo scores batches of 100 (the
+    # ladder), 3 (an initial simplex), 1 (a Nelder-Mead probe) and 2 (a
+    # shrink).  It lowers the model once.  Compiled, it checks and plans each
+    # batch size once, at its first scoring; on the numpy kernels every pass
+    # plans its own call.
+    model, series = reactor_case
+    compiles, plans, calls = [], [], []
+    compile_model, plan = residuals.compile_model, odeint._plan
+    call = residuals._Bisection.__call__
+
+    def compiling(*args, **kwargs):
+        compiles.append(args)
+        return compile_model(*args, **kwargs)
+
+    def planning(raw, t0, *args, **kwargs):
+        plans.append(np.size(t0))
+        return plan(raw, t0, *args, **kwargs)
+
+    def bisecting(self, theta, copies=1):
+        calls.append(copies)
+        return call(self, theta, copies)
+
+    monkeypatch.setattr(odeint, "COMPILED", compiled)
+    monkeypatch.setattr(residuals, "compile_model", compiling)
+    monkeypatch.setattr(odeint, "_plan", planning)
+    monkeypatch.setattr(residuals._Bisection, "__call__", bisecting)
+    result = hude.estimate_moments(
+        model, series, bounds=[(0.0, 1.0), (0.0, 1.0)], h=1e-3, restarts=2,
+        maxiter=200, threshold=1e-6, seed=0)
+    assert result.iterations == 52
+    M = len(_restart_rows(model, series, "forward")[0])
+    assert len(compiles) == 1
+    assert set(calls) == {100, 3, 1, 2}
+    code = compile_model(model, reactor.FITTED_THETA)
+    code, bound = hude.model.ReducedField(*code, 0.5)._bound()
+    loads = odeint._generated(code, ", ".join(bound), 2, "euler", "bisect",
+                              "compiled") is not None
+    prepared = sorted(M * c for c in set(calls)) if compiled else []
+    if compiled and loads:
+        assert sorted(plans) == prepared
+    else:
+        # A preparation plans before it finds no kernel to load.
+        passes = [M * c for c in calls for _ in range(14)]
+        assert sorted(plans) == sorted(prepared + passes)
 
 
 @pytest.mark.parametrize("source", [
