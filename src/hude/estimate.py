@@ -97,13 +97,28 @@ def _as_epsilons(residuals) -> np.ndarray:
 
 
 def _moment_gaps(eps: np.ndarray, p: int) -> np.ndarray:
-    return np.array([np.mean(eps**k) - 1.0 / (k + 1) for k in range(1, p + 1)])
+    """The gaps between the first ``p`` sample moments of each residual
+    vector, along the last axis of ``eps``, and the uniform moments
+    ``1/(k+1)``: one gap per moment, on the last axis."""
+    gaps = np.empty(eps.shape[:-1] + (p,))
+    for k in range(1, p + 1):
+        # np.mean's sum and division, without its Python wrapper.
+        gaps[..., k - 1] = (np.add.reduce(eps**k, axis=-1) / eps.shape[-1]
+                            - 1.0 / (k + 1))
+    return gaps
+
+
+def _moment_scores(eps: np.ndarray, p: int) -> np.ndarray:
+    """Sum of squared moment gaps (:func:`_moment_gaps`) of each residual
+    vector along the last axis of ``eps``: a batch's ``(P, M)`` levels score
+    in one expression, each row to the bits of its own score."""
+    return np.sum(_moment_gaps(eps, p) ** 2, axis=-1)
 
 
 def _moment_score(eps: np.ndarray, p: int) -> float:
     """Sum of squared gaps between the first ``p`` sample moments of ``eps``
     and the uniform moments ``1/(k+1)``."""
-    return float(np.sum(_moment_gaps(eps, p) ** 2))
+    return float(_moment_scores(eps, p))
 
 
 def moment_objective(theta, residual_fn: Callable, p: int) -> float:
@@ -323,7 +338,8 @@ def minimize_in_box(
 def _residual_objective(model, series, score, delta, h, scheme, method):
     """``x -> score(epsilons of the residuals at x)`` and the function that
     returns the :class:`ResidualVector` of a point it has scored; ``x`` lists
-    the parameters in ``model.params`` order.
+    the parameters in ``model.params`` order.  ``score`` maps a ``(P, M)``
+    block of levels, one row per point, to the points' ``P`` values.
 
     The objective's ``batch`` attribute scores a ``(P, p)`` matrix of probes
     in shared bisections (:meth:`~hude.residuals._Bisection.points`); the
@@ -342,10 +358,13 @@ def _residual_objective(model, series, score, delta, h, scheme, method):
     def batch(points):
         points = np.asarray(points, dtype=float)
         out = bisection.points(points)
-        for x, levels in zip(points, out):
-            if levels is not None:
-                scored[x.tobytes()] = levels
-        return [np.inf if v is None else score(v[0]) for v in out]
+        kept = [k for k, v in enumerate(out) if v is not None]
+        for k in kept:
+            scored[points[k].tobytes()] = out[k]
+        values = np.full(len(out), np.inf)
+        if kept:
+            values[kept] = score(np.array([out[k][0] for k in kept]))
+        return values.tolist()
 
     def objective(x):
         return batch([x])[0]
@@ -361,7 +380,8 @@ def _residual_objective(model, series, score, delta, h, scheme, method):
 
 def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
               scheme, method, restarts, maxiter, threshold, seed, presearch):
-    """Minimise ``score`` of the residual levels over the box ``bounds``; the
+    """Minimise ``score`` of the residual levels (scored a batch at a time,
+    as :func:`_residual_objective` takes it) over the box ``bounds``; the
     result keeps the residual vector at the estimate, built from the levels
     its search scored and spot-checked once, and reports its first
     ``moments`` moment gaps."""
@@ -417,7 +437,7 @@ def estimate_moments(
     """Generalized moment estimate of the model parameters on ``series``."""
     if p < 1:
         raise ValueError("moment count p must be >= 1")
-    return _estimate(model, series, lambda eps: _moment_score(eps, p), p,
+    return _estimate(model, series, lambda eps: _moment_scores(eps, p), p,
                      theta_init, bounds, delta, h, scheme, method, restarts,
                      maxiter, threshold, seed, presearch)
 
@@ -446,6 +466,8 @@ def estimate_mle(
     estimate, a fit diagnostic independent of ``alpha``.
     """
     _mle_window(_restart_rows(model, series, scheme)[0].size, alpha)
-    return _estimate(model, series, lambda eps: mle_objective(eps, alpha)[0], 2,
+    return _estimate(model, series,
+                     lambda block: [mle_objective(eps, alpha)[0]
+                                    for eps in block], 2,
                      theta_init, bounds, delta, h, scheme, method, restarts,
                      maxiter, threshold, seed, presearch)

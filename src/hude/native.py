@@ -22,7 +22,16 @@ from .odeint import _step_source
 
 # No -ffast-math, no -march=native and no contraction into fused multiply-adds:
 # every operation rounds as numpy's does, on any machine that loads the file.
+# The AVX2 clone (:data:`CLONES`) is chosen at load, not by a flag.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+# The row loop's attribute: gcc (or a clang that has the attribute) builds an
+# AVX2 clone and a baseline clone of ``loop`` into one object, and an ifunc
+# resolved when the object loads picks the clone the CPU runs.  AVX2 rounds
+# + - * / as SSE2 does, and the clone targets no FMA.  Printed only inside the
+# guard of :func:`_c_source`: aarch64 and macOS toolchains reject an AVX2
+# clone or have no ifunc, and musl's loader resolves no ifunc.
+CLONES = '__attribute__((target_clones("avx2", "default")))'
 
 # Seconds (a week) after its last load a cached object is removed by the next
 # build: each new coefficient of a field is a new source and a new object.
@@ -37,7 +46,12 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     ``static`` function ``loop``: the loop of
     :func:`hude.odeint._loop_source`, steps outer and rows inner, each step of a row the C statements of
     :func:`hude.odeint._step_source` between the load and the store of the
-    row's state.  The ``"terminal"`` source also defines ``chain`` and
+    row's state.  On x86-64 glibc, where the compiler has the attribute,
+    ``loop`` is an ifunc with two clones (:data:`CLONES`), AVX2 and
+    baseline, which is never inlined: each object holds the loop exactly
+    twice, and every entry point calls the clone picked at load.  Elsewhere
+    the preprocessor drops the attribute, and the object holds the one
+    baseline loop.  The ``"terminal"`` source also defines ``chain`` and
     ``bisect``, with the same arguments.  ``chain`` runs that loop on one
     row at a time (the rows' pointers offset by ``i``), each from the
     terminal state of the row before it, which it copies forward in the
@@ -70,6 +84,9 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     per_row = [f"plan + {r} * rows" for r in range(3 + n + len(names))]
     lines = [
         "#include <math.h>", "#include <stdint.h>",
+        "#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) "
+        "&& defined(__has_attribute)",
+        "#if __has_attribute(target_clones)", CLONES, "#endif", "#endif",
         "static void loop(int64_t rows, double h, const int64_t *restrict "
         "nsteps, double *restrict out, const double *restrict t0, const "
         "double *restrict t_end, const double *restrict last, "

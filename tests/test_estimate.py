@@ -85,6 +85,28 @@ class TestMomentObjective:
         b = moment_objective(None, lambda theta: np.array(shuffled), p=3)
         assert a == pytest.approx(b, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(P=st.integers(1, 100), M=st.integers(1, 500), p=st.integers(1, 4),
+           infinite=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_batch_scores_each_row_as_alone(self, P, M, p, infinite, seed):
+        # A fit scores a batch's (P, M) levels in one expression: each row's
+        # score has the bits of the one-vector score, also where a row holds
+        # an inf or is inf throughout.
+        rng = np.random.default_rng(seed)
+        block = rng.uniform(0.0, 1.0, (P, M))
+        rows = rng.integers(0, P, infinite)
+        block[rows, rng.integers(0, M, infinite)] = np.inf
+        block[rows[:1]] = np.inf
+        scores = hude.estimate._moment_scores(block, p)
+        assert scores.shape == (P,)
+        for row, score in zip(block, scores):
+            alone = hude.estimate._moment_score(row, p)
+            # The score as it was computed one vector at a time.
+            gaps = np.array([np.mean(row**k) - 1.0 / (k + 1)
+                             for k in range(1, p + 1)])
+            assert (np.float64(alone).tobytes() == score.tobytes()
+                    == np.float64(np.sum(gaps**2)).tobytes())
+
 
 class TestMinimizeInBox:
     def test_quadratic(self):

@@ -2,6 +2,7 @@ import ctypes
 import logging
 import math
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -24,8 +25,10 @@ from hude.model import (ReducedField, VectorField, alpha_path_field,
 from hude.odeint import _generated, _terminal_state_batch, integrate
 from hude.reactor import (CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235, ReactorParams,
                           build_point_kinetics, build_reactor_hude, table3)
+from hude.residuals import _bisect_levels
 
 from conftest import ast_strategy, example1_closed_form
+from test_bisect import _case
 
 
 def _kernel(field, *args):
@@ -1036,6 +1039,98 @@ def test_chain_equals_successive_one_row_calls(method, drift, diffusion,
         assert chained[-1].shape == (rows, 3)
         assert _same_but_nan_sign(chained[-1], np.array(expected))
     assert _same_but_nan_sign(*chained)
+
+
+# Bisection cases whose fields compile to C, of order 2 and 1: rows that
+# overflow, and rows that reach NaN through inf - inf.  Each case and method
+# builds six objects cold, so the cases are these two.
+C_CASES = ["overflow_mixed_c", "overflow_nan_c"]
+
+
+def _entry_points(name, rows, seed, row_theta, method):
+    """What each compiled entry point returns on a bisection case: ``kernel``
+    in modes terminal, extremes and record, ``chain`` and ``bisect``, as
+    arrays, then the bisection's failure."""
+    model, theta, t0s, y0s, t1s, x_next = _case(name, rows, seed, row_theta)
+    code, values = compile_model(model, theta)
+    phi = phi_inv(np.random.default_rng(seed).uniform(0.05, 0.95, rows))
+    field = ReducedField(code, values, phi)
+    one = ReducedField(code, {k: np.ravel(v)[0] for k, v in values.items()},
+                       phi[0])
+    args = (t0s, y0s, t1s, 0.1, method)
+    with np.errstate(all="ignore"):
+        *levels, failure = _bisect_levels(model, theta, t0s, y0s, t1s, x_next,
+                                          1e-4, 0.1, method)
+        return [_terminal_state_batch(field, *args),
+                *_terminal_state_batch(field, *args, mode="extremes"),
+                _terminal_state_batch(one, t0s[0], y0s[0], t1s[0], 0.1,
+                                      method, "record"),
+                _terminal_state_batch(field, t0s, y0s[0], t1s, 0.1, method,
+                                      "chain"), *levels], failure
+
+
+@needs_compiler
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(C_CASES), rows=st.integers(1, 300),
+       method=st.sampled_from(["euler", "rk4"]), row_theta=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_avx2_clone_equals_the_baseline_loop(name, rows, method, row_theta,
+                                             seed):
+    # Where its guard holds, the source builds an AVX2 clone of the row loop
+    # beside the baseline one, and an AVX2 CPU runs only that clone.  With
+    # the attribute removed from the text, only the baseline loop is built.
+    # Every entry point gives the same bits from both, over rows that
+    # overflow or reach NaN, through the vector body and the scalar tail.
+    c_source, load, loads = hude.native._c_source, hude.native.load, []
+
+    def baseline(*args):
+        source = c_source(*args)
+        assert hude.native.CLONES in source
+        return source.replace(hude.native.CLONES + "\n", "")
+
+    def loading(source, symbol):
+        loads.append((hude.native.CLONES in source, symbol))
+        return load(source, symbol)
+
+    runs = []
+    for source in (c_source, baseline):
+        _generated.cache_clear()
+        with mock.patch.multiple(hude.native, _c_source=source, load=loading):
+            runs.append(_entry_points(name, rows, seed, row_theta, method))
+    _generated.cache_clear()
+    # Each side built or loaded all five entry points, and ran nothing on
+    # the numpy kernels.
+    assert sorted(loads) == sorted(
+        (clones, symbol) for clones in (False, True)
+        for symbol in ("bisect", "chain", "kernel", "kernel", "kernel"))
+    (clone, clone_failure), (base, base_failure) = runs
+    assert clone_failure == base_failure
+    assert len(clone) == len(base) == 9
+    assert all(_same(a, b) for a, b in zip(clone, base))
+
+
+@needs_compiler
+def test_row_loop_has_an_avx2_clone_where_the_guard_holds(tmp_path):
+    # A reactor object holds the AVX2 clone exactly where the preprocessor
+    # keeps the attribute, which it does on x86-64 glibc with gcc.
+    model = build_reactor_hude(THERMAL_U235)
+    lowered, bound = ReducedField(*compile_model(model, FITTED_THETA),
+                                  0.3)._bound()
+    source = hude.native._c_source(lowered, ", ".join(bound), model.order,
+                                   "euler", "terminal")
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    kept = "target_clones" in subprocess.run(
+        [*cc, "-E", "-P", "-x", "c", "-"], input=source, capture_output=True,
+        text=True, check=True).stdout
+    with mock.patch("tempfile.tempdir", str(tmp_path)):
+        hude.native.load(source, "kernel")
+    (cache,) = tmp_path.iterdir()
+    (built,) = cache.iterdir()
+    assert (b"loop.avx2" in built.read_bytes()) == kept
+    if (sys.platform == "linux" and platform.machine() == "x86_64"
+            and platform.libc_ver()[0] == "glibc"
+            and "gcc" in os.path.basename(cc[0])):
+        assert kept
 
 
 @needs_compiler

@@ -104,8 +104,7 @@ def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
     _assert_matches_serial(model, thetas[[0, 2, 3]], series, h=1e-2)
 
     objective, _ = _residual_objective(
-        model, series, lambda eps: moment_objective(None, lambda _: eps, 2),
-        1e-4, 1e-2, "forward", "euler",
+        model, series, _moment_scores, 1e-4, 1e-2, "forward", "euler",
     )
     batched = objective.batch(thetas)
     assert batched[1] == np.inf
@@ -116,6 +115,11 @@ def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
 
 def _moment_score(eps):
     return moment_objective(None, lambda _: eps, 2)
+
+
+def _moment_scores(block):
+    # The objective scores a batch's levels, one row per point.
+    return [_moment_score(eps) for eps in block]
 
 
 @settings(max_examples=8, deadline=None)
@@ -135,7 +139,7 @@ def test_reused_bisection_equals_a_fresh_one(sizes, compiled, delta, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(odeint, "COMPILED", compiled)
         objective, residuals_at = _residual_objective(
-            GROWTH, GROWTH_SERIES, _moment_score, delta, 1e-2, "forward",
+            GROWTH, GROWTH_SERIES, _moment_scores, delta, 1e-2, "forward",
             "euler")
         for size in sizes:
             points = rng.uniform(-1.0, 0.5, (size, 1))
