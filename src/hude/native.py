@@ -121,6 +121,8 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
             f"{', '.join(f'{r} + i' for r in per_row)});", "    }", "}",
             f"void bisect{entry}",
             "    const int64_t passes = (int64_t)out[0];",
+            # Each probe is a multiple of 1/grid: mid * grid is exact.
+            "    const double grid = ldexp(1.0, (int)passes);",
             "    const double *x_next = out + 1;",
             "    double *lo = out + 1 + rows, *hi = lo + rows, *first = hi + "
             "rows, *probe = first + rows, *start = probe + rows;",
@@ -128,12 +130,13 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
             f"    double *x = plan + 3 * rows, *level = plan + {3 + n} * rows;",
             f"    for (int64_t i = 0; i < {n} * rows; i++) start[i] = x[i];",
             "    for (int64_t i = 0; i < rows; i++) {",
-            "        lo[i] = 0.0;", "        hi[i] = ldexp(1.0, (int)passes);",
+            "        lo[i] = 0.0;", "        hi[i] = 1.0;",
             "        first[i] = -1.0;", "    }",
             "    for (int64_t p = 0; p < passes; p++) {",
             f"        for (int64_t i = 0; i < {n} * rows; i++) x[i] = start[i];",
             "        for (int64_t i = 0; i < rows; i++)",
-            "            level[i] = phi[(int64_t)(0.5 * (lo[i] + hi[i])) - 1];",
+            "            level[i] = "
+            "phi[(int64_t)(0.5 * (lo[i] + hi[i]) * grid) - 1];",
             "        kernel(rows, h, nsteps, 0, plan);",
             "        for (int64_t i = 0; i < rows; i++) {",
             "            const double mid = 0.5 * (lo[i] + hi[i]);",

@@ -5,10 +5,10 @@ One entry point, :func:`_terminal_state_batch`, runs every integration in
 one of four modes: a recorded path (:func:`integrate`), the terminal states
 of a batch of rows, those with their extremes (the spot check of a fan), or
 a chain of rows, each started from the end state of the row before it (a
-simulated series, one row per step).  It picks the kernel in one place.
-The one exception is a residual bisection whose field compiles: it runs
-all its passes in one C call (:func:`_bisect`), on a plan made once by the
-same planner (:func:`_plan`).
+simulated series, one row per step).  The one exception is a residual
+bisection (:func:`_bisect`), which runs all its passes on one plan made by
+the same planner (:func:`_plan`).  One helper (:func:`_kernel`) picks the
+kernel for both.
 
 Every kernel is called as ``kernel(rows, h, nsteps, out, plan)``, from that
 one call site or :func:`_bisect`, and takes exactly these arguments, down
@@ -25,29 +25,25 @@ array, the running minima of the states then their maxima, which start
 at the start states; for a recorded path (one row) the
 ``(nsteps + 1, n)`` path, whose row 0 holds the start state.
 
-The terminal kernel's C object has two more entry points with the same
-arguments: ``chain``, a simulated series, and ``bisect``, a whole residual
-bisection (:func:`hude.residuals._bisect_levels`) in one call.  ``bisect``
-takes the plan of a batch (:func:`_plan`) and runs ``H`` passes.  It
-copies the start states into ``out``; each pass restores them, writes each
-row's noise level into the plan's level row, calls ``kernel`` on every row
-and halves each row's interval; and it restores them once more before it
-returns, so the plan holds its start states again.  Its ``out`` is one
-float array, blocks of ``rows`` values in this order: ``H`` (one value),
-the observations ``x_next``, then what it returns, ``lo`` and ``hi`` (each
-row's interval as indices on the grid of ``2**-H``, from 0 and ``2**H``),
-each row's first pass with a non-finite terminal state (``-1`` for none)
-and the index it probed there, then its copy of the ``n`` start state
-rows, then the table of the ``2**H - 1`` noise levels,
+A residual bisection halves each row's level interval, from [0, 1], ``H``
+times.  Each pass restores the start states, writes
+:func:`hude.model._clamped_phi` of each row's midpoint ``0.5*(lo + hi)``
+into the plan's level row, steps every row, flags the rows whose state is
+not finite and keeps the upper half where ``x0`` ends below the
+observation.  The start states are restored after the last pass, so the
+plan runs again at other parameter values.  Up to :data:`_TABLE_DEPTH`
+halvings of a field that compiles, this is one call of ``bisect``, the
+terminal kernel's third C entry point (``chain``, a simulated series, is
+its second).  Its ``out`` is one float array, blocks of ``rows`` values in
+this order: ``H`` (one value), the observations ``x_next``, then what it
+returns, ``lo`` and ``hi``, each row's first pass with a non-finite state
+(``-1`` for none) and the level it probed there, then its copy of the
+``n`` start state rows, then the table of the ``2**H - 1`` noise levels,
 :func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``, computed by
 numpy because C's ``log`` rounds some of them differently
-(:func:`_phi_table`).  :func:`_bisect` prepares a bisection once: it plans
-the batch and packs ``H``, ``x_next`` and the table into ``out``.  The
-``run`` it returns serves every parameter point of those rows: it writes
-the point's values into the plan's parameter rows, makes the one C call
-and unpacks ``lo``, ``hi`` and the first failures.  A bisection deeper
-than :data:`_TABLE_DEPTH` halvings, whose table would pass 8 MB, runs pass
-by pass through :func:`_terminal_state_batch`.
+(:func:`_phi_table`).  Every probe is a multiple of ``2**-H``, so ``mid *
+2**H - 1`` indexes the table exactly.  Otherwise each pass is one call of
+the kernel :func:`_kernel` picks, with the same bits.
 
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
 whole-loop kernel that :func:`_generated` makes once per field source,
@@ -108,7 +104,7 @@ COMPILED = True
 _INT64_MAX = np.iinfo(np.int64).max
 
 # The most halvings a compiled bisection takes: its table of noise levels
-# holds 2**depth - 1 doubles (8 MB here).  A finer delta runs pass by pass.
+# holds 2**depth - 1 doubles (8 MB here).  A finer delta runs the pass loop.
 _TABLE_DEPTH = 20
 
 
@@ -251,15 +247,7 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     shape, rows = np.shape(y0), plan.shape[1]
     n = shape[-1]
     if lowered is not None:
-        kernel = (_generated(*lowered, n, method, mode, "compiled")
-                  if COMPILED else None)
-        if kernel is None:
-            # One row at a time runs on floats, a chain through the terminal
-            # row kernel; a batch of two or more rows on state columns.
-            by_row = mode in ("record", "chain") or rows == 1
-            kernel = _generated(*lowered, n, method,
-                                "terminal" if mode == "chain" else mode,
-                                "row" if by_row else "columns")
+        kernel = _kernel(lowered, n, method, mode, rows)
     elif len(shape) > 1 or mode in ("extremes", "chain"):
         raise ValueError("a hand-written field integrates one row, without "
                          "extremes or a chain")
@@ -284,10 +272,26 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     return y
 
 
+def _kernel(lowered, n, method, mode, rows):
+    """The kernel that steps ``rows`` rows of a reduced field lowered to
+    ``lowered`` in ``mode``: its compiled kernel where ``COMPILED`` is on
+    and one loads, else the row kernel for one row at a time (a recorded
+    path, a chain through the terminal row kernel, a one-row batch) or the
+    column kernel for a batch of two or more rows."""
+    kernel = (_generated(*lowered, n, method, mode, "compiled")
+              if COMPILED else None)
+    if kernel is None:
+        by_row = mode in ("record", "chain") or rows == 1
+        kernel = _generated(*lowered, n, method,
+                            "terminal" if mode == "chain" else mode,
+                            "row" if by_row else "columns")
+    return kernel
+
+
 def _plan(raw, t0, y0, t_end, h, method, chain=False):
     """The checks and the plan of a call of :func:`_terminal_state_batch`
-    (its arguments, ``chain`` for mode ``"chain"``), which the compiled
-    bisection of :func:`hude.residuals._bisect_levels` shares:
+    (its arguments, ``chain`` for mode ``"chain"``), which :func:`_bisect`
+    shares:
     ``(plan, nsteps, lowered)``, the plan and the ``(rows,)`` int64 step
     counts of the module docstring, and ``lowered`` the field and the bound
     names (``"phi, p0, .."``) a reduced field runs, else ``None``.
@@ -343,47 +347,69 @@ def _plan(raw, t0, y0, t_end, h, method, chain=False):
 
 def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
     """Prepare a residual bisection of ``halvings`` passes of the batch (the
-    arguments of :func:`_terminal_state_batch`) towards the observations
-    ``x_next``, for the compiled ``bisect`` entry point: the batch is checked
-    and planned (:func:`_plan`) and ``out`` packed, once.  Returns ``run``,
-    or ``None`` where ``COMPILED`` is off, ``halvings`` is 0 or more than
-    :data:`_TABLE_DEPTH`, or no compiled kernel loads.
+    arguments of :func:`_terminal_state_batch`, ``raw`` a reduced field with
+    an array level) towards the observations ``x_next``, as the module
+    docstring sets out: the batch is checked and planned (:func:`_plan`)
+    once, also where it takes no pass.
 
-    ``run(raw)`` writes the parameter values of ``raw``, a reduced field of
-    the same code with one value or one per row, into the plan's parameter
-    rows and makes one C call.  It returns ``(lo, hi, failed, failure)`` as
-    :func:`hude.residuals._bisect_levels` keeps them after its passes, from
-    the bits the pass loop computes.  ``bisect`` restores the plan's start
-    states before it returns, so every run starts from them."""
-    if not (COMPILED and 0 < halvings <= _TABLE_DEPTH):
-        return None
+    Returns ``run(values)``, which writes the parameter values ``values``
+    (a mapping as :func:`hude.model.compile_model` returns, each a float or
+    one per row) into the plan's parameter rows and runs the passes, in one
+    C call where ``bisect`` loads.  It returns ``(lo, hi, failed,
+    failure)``: each row's final interval, whether any probe of the row
+    left the finite floats, and ``None`` or the lowest failed row of the
+    earliest failing pass with the level it probed there."""
     plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method)
     rows, n = plan.shape[1], np.shape(y0)[-1]
-    bisect = _generated(*lowered, n, method, "bisect", "compiled")
-    if bisect is None:
-        return None
-    table = _phi_table(halvings)
-    out = np.empty(1 + (5 + n) * rows + table.size)
-    out[0] = halvings
-    out[1:1 + rows] = x_next
-    out[1 + (5 + n) * rows:] = table
-    found = out[1 + rows:1 + 5 * rows].reshape(4, rows)
-    scale = 0.5 ** halvings
+    bisect = (_generated(*lowered, n, method, "bisect", "compiled")
+              if COMPILED and 0 < halvings <= _TABLE_DEPTH else None)
+    if bisect is not None:
+        table = _phi_table(halvings)
+        out = np.empty(1 + (5 + n) * rows + table.size)
+        out[0] = halvings
+        out[1:1 + rows] = x_next
+        out[1 + (5 + n) * rows:] = table
+    else:
+        kernel = _kernel(lowered, n, method, "terminal", rows)
+        x, level = plan[3:3 + n], plan[3 + n]
+        start = x.copy()
 
-    def run(raw):
+        def passes():
+            # What bisect computes, pass by pass.
+            lo, hi = np.zeros(rows), np.ones(rows)
+            first, probe = np.full(rows, -1.0), np.empty(rows)
+            for p in range(halvings):
+                x[...] = start
+                mid = 0.5 * (lo + hi)
+                level[...] = _clamped_phi(mid)
+                with np.errstate(all="ignore"):
+                    kernel(rows, h, nsteps, None, plan)
+                new = (first < 0.0) & ~np.isfinite(x).all(axis=0)
+                first[new], probe[new] = p, mid[new]
+                below = x[0] < x_next
+                lo = np.where(below, mid, lo)
+                hi = np.where(below, hi, mid)
+            x[...] = start
+            return lo, hi, first, probe
+
+    def run(values):
         # The parameter rows follow the level row, as in ReducedField._bound.
-        _, *values = raw._bound()[1].values()
-        for row, v in zip(plan[4 + n:], values):
+        _, *bound = ReducedField(raw.code, values, 0.0)._bound()[1].values()
+        for row, v in zip(plan[4 + n:], bound):
             row[...] = v
-        bisect(rows, h, nsteps, out, plan)
-        lo, hi, first, probe = found
+        if bisect is None:
+            lo, hi, first, probe = passes()
+        else:
+            bisect(rows, h, nsteps, out, plan)
+            lo, hi, first, probe = out[1 + rows:1 + 5 * rows].reshape(4, rows)
+            lo, hi = lo.copy(), hi.copy()  # out is the next run's too
         failed = first >= 0.0
         failure = None
         if failed.any():
             # The lowest row of the earliest pass with a failure.
             row = int(np.argmin(np.where(failed, first, np.inf)))
-            failure = (row, float(probe[row] * scale))
-        return lo * scale, hi * scale, failed, failure
+            failure = (row, float(probe[row]))
+        return lo, hi, failed, failure
     return run
 
 

@@ -6,8 +6,8 @@ path hit the next observation ``x_{t_{j+1}}``?  That level is the residual
 ``eps_j``; for a well-fitted model the residuals behave like a sample of the
 linear (uniform) uncertainty distribution on [0, 1].  The level is found by
 bisection on the terminal value of the restarted path; each pass halves every
-row once, integrating all rows together, and a field that compiles runs every
-pass in one C call.
+row once, integrating all rows together on a plan made once, and a field that
+compiles runs every pass in one C call.
 
 Derivative observations are rarely measured directly; they are reconstructed
 from the raw series with forward (default) or central differences, producing
@@ -49,8 +49,8 @@ __all__ = [
     "read_observations",
 ]
 
-# Row budget of one bisection in :func:`_batch_levels`; bounds the memory of
-# batched scoring on long series.
+# Row budget of one bisection in :meth:`_Bisection.points`; bounds the memory
+# of batched scoring on long series.
 BATCH_ROWS = 8192
 
 
@@ -235,18 +235,16 @@ class _Bisection:
     comes where a one-shot bisection raises it.  The first call checks
     ``delta`` and lowers the model (:func:`~hude.model.compile_model`),
     whose code does not depend on the parameters.  The first call with each
-    ``copies`` tiles the rows and prepares their compiled bisection
+    ``copies`` tiles the rows and prepares their bisection
     (:func:`~hude.odeint._bisect`), which checks and plans them; every call
-    then binds its parameter values to that plan and makes one C call.
-    Without a compiled bisection each call runs the pass loop on the same
-    tiled rows and code.
+    then runs it at its parameter values.
     """
 
     def __init__(self, model, rows, delta, h, method):
         self.model, self.rows, self.delta = model, rows, delta
         self.h, self.method = h, method
         self.code, self.halvings = None, 0
-        self.prepared = {}  # copies -> (tiled rows, compiled run or None)
+        self.runs = {}  # copies -> run of the tiled rows
 
     def __call__(self, theta, copies=1):
         if self.code is None:
@@ -257,39 +255,15 @@ class _Bisection:
             self.code, values = compile_model(self.model, theta)
         else:
             values = self.model.resolved_theta(theta)
-        code, h, method = self.code, self.h, self.method
-        if copies not in self.prepared:
+        if copies not in self.runs:
             t0s, y0s, t1s, x_next = self.rows
-            tiled = (np.tile(t0s, copies), np.tile(y0s, (copies, 1)),
-                     np.tile(t1s, copies), np.tile(x_next, copies))
-            # An array level picks the noisy field, as each pass's levels do.
-            level = np.zeros(len(tiled[3]))
-            self.prepared[copies] = tiled, odeint._bisect(
-                ReducedField(code, values, level), *tiled[:3], h, method,
-                tiled[3], self.halvings)
-        (t0s, y0s, t1s, x_next), run = self.prepared[copies]
-        if run:
-            lo, hi, failed, failure = run(ReducedField(code, values, 0.0))
-        else:
-            B = len(x_next)
-            lo = np.zeros(B)
-            hi = np.ones(B)
-            failed = np.zeros(B, dtype=bool)
-            failure = None
-            for _ in range(self.halvings):
-                mid = 0.5 * (lo + hi)
-                terminal = _terminal_state_batch(
-                    ReducedField(code, values, _clamped_phi(mid)), t0s, y0s,
-                    t1s, h, method)
-                finite = np.isfinite(terminal).all(axis=1)
-                if not finite.all():
-                    if failure is None:
-                        row = int(np.argmin(finite))
-                        failure = (row, float(mid[row]))
-                    failed |= ~finite
-                below = terminal[:, 0] < x_next
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
+            # An array level picks the noisy field, as each probe's levels do.
+            self.runs[copies] = odeint._bisect(
+                ReducedField(self.code, values, np.zeros(len(x_next) * copies)),
+                np.tile(t0s, copies), np.tile(y0s, (copies, 1)),
+                np.tile(t1s, copies), self.h, self.method,
+                np.tile(x_next, copies), self.halvings)
+        lo, hi, failed, failure = self.runs[copies](values)
         eps = 0.5 * (lo + hi)
         saturated = (lo <= 0.0) | (hi >= 1.0)
         return eps, saturated, failed, failure
@@ -334,10 +308,9 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     no row failed, else ``(row, level)``: the lowest failed row of the first
     pass with a failure and the quantile level it probed there.
 
-    One :class:`_Bisection` of the rows, prepared and run once: where the
-    field's compiled kernel loads, every pass runs in one C call, with the
-    same bits.  Otherwise, and beyond its depth cap, each pass is one
-    :func:`~hude.odeint._terminal_state_batch` call.
+    One :class:`_Bisection` of the rows, prepared and run once
+    (:func:`~hude.odeint._bisect`): one C call where the field's compiled
+    bisection loads, else one kernel call per pass, with the same bits.
     """
     return _Bisection(model, (t0s, y0s, t1s, x_next), delta, h, method)(theta)
 
@@ -463,13 +436,6 @@ def compute_residuals(
                             f"observation j={int(admissible[row]) + 1}", level)
     return _residual_vector(model, resolved, rows, eps, saturated,
                             condition_check)
-
-
-def _batch_levels(model, thetas, rows, delta, h, method):
-    """``(levels, saturated)`` of the restart ``rows`` at each row of the
-    ``(P, p)`` matrix ``thetas``, or ``None`` where a row fails to integrate:
-    :meth:`_Bisection.points` of one bisection of the rows, prepared once."""
-    return _Bisection(model, rows[1:], delta, h, method).points(thetas)
 
 
 def simulate_observations(

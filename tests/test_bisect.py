@@ -161,23 +161,23 @@ def _bisect_loads(model, theta):
                              "bisect", "compiled") is not None
 
 
-def _spy(monkeypatch, compiled):
+def _spy(monkeypatch, compiled, record=lambda rows, plan: rows):
     """Set ``odeint.COMPILED`` to ``compiled`` and return two lists that
-    bisections run from here fill: the row count of each integration pass
-    through the numpy kernels, and ``(rows, passes)`` of each compiled
-    bisection."""
+    bisections run from here fill: ``record(rows, plan)`` after each
+    integration pass of the pass loop, by default its row count, and
+    ``(rows, passes)`` of each compiled bisection."""
     sizes, bisections = [], []
-
-    def counting(raw, t0, *args, **kwargs):
-        sizes.append(len(t0))
-        return _terminal_state_batch(raw, t0, *args, **kwargs)
-
     generate = odeint._generated
 
     def generated(*args):
         kernel = generate(*args)
-        if kernel is None or args[4] != "bisect":
+        if kernel is None:
             return kernel
+        if args[4] != "bisect":
+            def step(rows, h, nsteps, out, plan):
+                kernel(rows, h, nsteps, out, plan)
+                sizes.append(record(rows, plan))
+            return step
 
         def bisect(rows, h, nsteps, out, plan):
             bisections.append((rows, int(out[0])))
@@ -186,7 +186,6 @@ def _spy(monkeypatch, compiled):
 
     monkeypatch.setattr(odeint, "COMPILED", compiled)
     monkeypatch.setattr(odeint, "_generated", generated)
-    monkeypatch.setattr(residuals, "_terminal_state_batch", counting)
     return sizes, bisections
 
 
@@ -272,18 +271,12 @@ def _unvisited_overflow(drift):
 
 def test_overflow_at_unvisited_probes_is_ignored(monkeypatch):
     args = _unvisited_overflow("x0^2")
-    finite = []
-
-    def recording(*a, **k):
-        terminal = _terminal_state_batch(*a, **k)
-        finite.append(bool(np.isfinite(terminal).all()))
-        return terminal
-
-    monkeypatch.setattr(odeint, "COMPILED", False)
-    monkeypatch.setattr(residuals, "_terminal_state_batch", recording)
     with np.errstate(all="ignore"):
-        got = _bisect_levels(*args)
         expected = _sequential_levels(*args)
+        # Whether the one state row is finite after each pass.
+        finite, _ = _spy(monkeypatch, False,
+                         lambda rows, plan: bool(np.isfinite(plan[3]).all()))
+        got = _bisect_levels(*args)
     # No pass integrates an overflowing probe.
     assert finite == [True] * 14
     assert not got[2].any()
@@ -292,19 +285,13 @@ def test_overflow_at_unvisited_probes_is_ignored(monkeypatch):
 
 def test_compiled_bisection_ignores_overflow_at_unvisited_probes(monkeypatch):
     # The same field in ops that compile: the one compiled call flags no
-    # row, and takes no pass through the numpy kernels where it loads.
+    # row, and takes no pass of the pass loop where it loads.
     args = _unvisited_overflow("x0*x0")
     loads = _bisect_loads(*args[:2])
-    passes = []
-
-    def counting(*a, **k):
-        passes.append(a)
-        return _terminal_state_batch(*a, **k)
-
-    monkeypatch.setattr(residuals, "_terminal_state_batch", counting)
     with np.errstate(all="ignore"):
-        got = _bisect_levels(*args)
         expected = _sequential_levels(*args)
+        passes, _ = _spy(monkeypatch, True)
+        got = _bisect_levels(*args)
     assert len(passes) == (0 if loads else 14)
     assert not got[2].any()
     _assert_same(got, expected)

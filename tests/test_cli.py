@@ -397,6 +397,25 @@ class TestErrorCodes:
         assert err["error"] == "compute-error"
         assert err["message"] == "observation times must be finite"
 
+    @pytest.mark.parametrize("step, message", [
+        ("nan", "step h must be finite, got nan"),
+        (0, "step h must be positive"), (-1, "step h must be positive")])
+    @pytest.mark.parametrize("delta", [1, 0.5])
+    def test_bad_step_at_any_delta(self, tmp_path, decay_model_file, capsys,
+                                   step, message, delta):
+        # A delta of 1 takes no halving, but its step is checked all the same.
+        data = tmp_path / "obs.csv"
+        data.write_text("t,x\n0.0,2.0\n0.1,1.9\n0.2,1.8\n")
+        code = run("residuals", "--model", decay_model_file, "--data", data,
+                   "--delta", delta, "--step", step, "--out",
+                   tmp_path / "res.csv")
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "compute-error",
+                                        "message": message}
+        assert not (tmp_path / "res.csv").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("times", ["0:inf:0.1", "0:1e308:1e-308",
                                        "0:nan:0.1"])
@@ -524,24 +543,27 @@ class TestReactorDemo:
                              ids=["compiled", "numpy"])
     def test_full_pipeline(self, tmp_path, capsys, monkeypatch, compiled):
         monkeypatch.setattr(odeint, "COMPILED", compiled)
-        calls = {"_terminal_state_batch": 0, "_spot_check": 0}
+        calls = {"kernel": 0, "_spot_check": 0}
 
-        def counting(fn):
+        def counting(fn, name):
             def counted(*args, **kwargs):
-                calls[fn.__name__] += 1
+                calls[name] += 1
                 return fn(*args, **kwargs)
             return counted
 
         for module in (hude.residuals, hude.alphapath):
-            for name in calls:
-                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+            monkeypatch.setattr(module, "_spot_check",
+                                counting(module._spot_check, "_spot_check"))
         generate, passes = odeint._generated, []
 
         def generated(*args):
-            # A compiled bisection records its passes, the first slot of out.
+            # A compiled bisection records its passes, the first slot of out;
+            # every other kernel counts its calls.
             kernel = generate(*args)
-            if kernel is None or args[4] != "bisect":
+            if kernel is None:
                 return kernel
+            if args[4] != "bisect":
+                return counting(kernel, "kernel")
 
             def bisect(rows, h, nsteps, out, plan):
                 passes.append(int(out[0]))
@@ -556,17 +578,17 @@ class TestReactorDemo:
                          "compiled") is not None
         out = tmp_path / "report"
         assert run("reactor-demo", "--out", out, "--seed", 0) == 0
-        # Integrator calls and monotonicity spot checks of the whole command.
-        # Each of the fit's 120 bisections halves every row once per pass,
-        # 14 passes at delta 1e-4, and the fan takes one more call.  On the
-        # numpy kernels each pass is one call; compiled, each bisection is
-        # one call of its own entry point that runs its 14 passes.  Probes
-        # skip the check; the estimate and the fan check once each.  The
-        # residuals written are the estimate's vector, not a second bisection
-        # at the same theta, which would take 14 more passes and a third
-        # check.
+        # Integrator kernel calls and monotonicity spot checks of the whole
+        # command.  Each of the fit's 120 bisections halves every row once
+        # per pass, 14 passes at delta 1e-4, and the fan takes one more call.
+        # On the numpy kernels each pass is one kernel call; compiled, each
+        # bisection is one call of its own entry point that runs its 14
+        # passes.  Probes skip the check; the estimate and the fan check once
+        # each.  The residuals written are the estimate's vector, not a
+        # second bisection at the same theta, which would take 14 more passes
+        # and a third check.
         bisections = 120 if compiled and loads else 0
-        assert calls == {"_terminal_state_batch": 1681 - 14 * bisections,
+        assert calls == {"kernel": 1681 - 14 * bisections,
                          "_spot_check": 2}
         assert passes == [14] * bisections
         estimate = json.loads((out / "estimate.json").read_text())

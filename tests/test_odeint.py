@@ -561,9 +561,9 @@ def test_parameter_exponents_bound_per_row_step_like_floats():
 
 
 def _loops_taken(solve):
-    """The loops that ran in ``solve()``: ``"row"`` for the row kernel,
-    ``"column"`` for the column kernel, ``"compiled"`` for the compiled
-    kernel, the field for the column loop."""
+    """The loops that ran in ``solve()``, one per kernel call: ``"row"`` for
+    the row kernel, ``"column"`` for the column kernel, ``"compiled"`` for
+    the compiled kernel, the field for the column loop."""
     taken = []
     generate, column_loop = odeint._generated, odeint._column_loop
 
@@ -571,9 +571,13 @@ def _loops_taken(solve):
         # The backend of the kernel that _generated returns, its last
         # argument; a None sends the call on to the numpy kernels.
         kernel = generate(*args)
-        if kernel is not None:
+        if kernel is None:
+            return kernel
+
+        def run(*call):
             taken.append({"columns": "column"}.get(args[-1], args[-1]))
-        return kernel
+            return kernel(*call)
+        return run
 
     def hand_written(raw, *args):
         taken.append(raw)

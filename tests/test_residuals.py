@@ -211,6 +211,19 @@ class TestComputeResiduals:
         eps = compute_residual(damped_slope_model, theta, init, 0.1, target, h=1e-3)
         assert round(eps * 2**15) == pytest.approx(eps * 2**15, abs=1e-9)
 
+    @pytest.mark.parametrize("h", [np.nan, 0.0, -1.0])
+    def test_coarse_delta_checks_the_step(self, damped_slope_model, h):
+        # A delta of 1 or more takes no halving, but its rows are still
+        # checked as a finer delta's are.
+        series = ObservationSeries([0.0, 0.1, 0.2, 0.3], [1.0, 1.1, 1.2, 1.3])
+        with pytest.raises(ValueError) as fine:
+            compute_residuals(damped_slope_model, {"sig": 0.4}, series,
+                              delta=0.5, h=h)
+        with pytest.raises(ValueError) as coarse:
+            compute_residuals(damped_slope_model, {"sig": 0.4}, series,
+                              delta=1.0, h=h)
+        assert str(coarse.value) == str(fine.value)
+
     def test_scheme_given_requires_columns(self, example2):
         series = ObservationSeries(np.arange(5.0), np.arange(5.0))
         with pytest.raises(ValueError):

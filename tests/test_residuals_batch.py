@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hude
 from hude import compute_residuals, odeint, reactor
 from hude import residuals
-from hude.residuals import _batch_levels, _restart_rows
+from hude.residuals import _Bisection, _restart_rows
 from hude.estimate import _residual_objective, moment_objective
 from hude.odeint import IntegrationError
 
@@ -20,8 +20,8 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 def _batch(model, thetas, series, h, scheme="forward"):
-    return _batch_levels(model, thetas, _restart_rows(model, series, scheme),
-                         1e-4, h, "euler")
+    rows = _restart_rows(model, series, scheme)
+    return _Bisection(model, rows[1:], 1e-4, h, "euler").points(thetas)
 
 
 def _assert_matches_serial(model, thetas, series, h, scheme="forward"):
@@ -166,9 +166,8 @@ def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
                                                        compiled):
     # The reactor fit of hude reactor-demo scores batches of 100 (the
     # ladder), 3 (an initial simplex), 1 (a Nelder-Mead probe) and 2 (a
-    # shrink).  It lowers the model once.  Compiled, it checks and plans each
-    # batch size once, at its first scoring; on the numpy kernels every pass
-    # plans its own call.
+    # shrink).  It lowers the model once, and checks and plans each batch
+    # size once, at its first scoring, compiled or on the numpy kernels.
     model, series = reactor_case
     compiles, plans, calls = [], [], []
     compile_model, plan = residuals.compile_model, odeint._plan
@@ -197,17 +196,7 @@ def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
     M = len(_restart_rows(model, series, "forward")[0])
     assert len(compiles) == 1
     assert set(calls) == {100, 3, 1, 2}
-    code = compile_model(model, reactor.FITTED_THETA)
-    code, bound = hude.model.ReducedField(*code, 0.5)._bound()
-    loads = odeint._generated(code, ", ".join(bound), 2, "euler", "bisect",
-                              "compiled") is not None
-    prepared = sorted(M * c for c in set(calls)) if compiled else []
-    if compiled and loads:
-        assert sorted(plans) == prepared
-    else:
-        # A preparation plans before it finds no kernel to load.
-        passes = [M * c for c in calls for _ in range(14)]
-        assert sorted(plans) == sorted(prepared + passes)
+    assert sorted(plans) == sorted(M * c for c in set(calls))
 
 
 @pytest.mark.parametrize("source", [
