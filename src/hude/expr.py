@@ -17,10 +17,9 @@ identifier must be a declared parameter.  Supported functions are ``exp``,
 Every evaluation runs one lowering of the AST (:func:`_lower`), a list of ufunc
 ops.  One interpreter, :func:`_evaluate`, runs it for :func:`eval_expr`,
 :func:`compile_expr` and a reduced field's values (the condition check and
-calls of the field).  Generated source is only for the integrator kernels of
-:mod:`hude.odeint`, where speed matters: they print the same ops as ufunc
-calls, Python float arithmetic (:data:`_INFIX`, :func:`_infix`) or C
-(:data:`_C_OPS`).
+calls of the field).  This module prints no code but :func:`to_source`: the
+integrator kernels of :mod:`hude.odeint`, where speed matters, print the same
+ops as ufunc calls, Python float arithmetic or C.
 """
 
 from __future__ import annotations
@@ -376,23 +375,11 @@ def eval_expr(node: ExprAst, env: Mapping[str, float]) -> float:
             raise DomainError(str(exc)) from None
 
 
-# The ufunc each operator and function lowers to, and its Python source on
-# floats or arrays: ``abs`` keeps a float a float, ``np.divide`` divides a
-# float by zero to ``inf``/``nan`` like an array instead of raising, and
-# ``_power`` is :func:`_power` (a kernel on floats calls ``np.power``).
+# The ufunc each operator and function lowers to (``power`` runs as
+# :func:`_power`).
 _UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
           "^": "power", "exp": "exp", "ln": "log", "sin": "sin", "cos": "cos",
           "abs": "absolute"}
-_INFIX = {"add": "({} + {})", "subtract": "({} - {})", "multiply": "({} * {})",
-          "divide": "np.divide({}, {})", "negative": "(-{})",
-          "exp": "np.exp({})", "log": "np.log({})", "sin": "np.sin({})",
-          "cos": "np.cos({})", "absolute": "abs({})",
-          "power": "_power({}, {})"}
-# C spellings of the ops that round in C exactly as numpy's ufuncs do; a field
-# with any other op (np.exp differs from libm's exp in the last bit) runs on
-# the numpy kernels.
-_C_OPS = {"add": "{} + {}", "subtract": "{} - {}", "multiply": "{} * {}",
-          "divide": "{} / {}", "negative": "-{}", "absolute": "fabs({})"}
 
 
 def _lower(node: ExprAst, ops: list, slots: dict[str, str]):
@@ -439,15 +426,6 @@ def _evaluate(ops, operand, env):
     return read(operand)
 
 
-def _infix(ops, operand) -> str:
-    """Python source of ``operand`` of ``ops`` (:func:`_lower`) on floats or
-    arrays, each op written inline into its consumer."""
-    if isinstance(operand, int):
-        func, *args = ops[operand]
-        return _INFIX[func].format(*(_infix(ops, arg) for arg in args))
-    return f"({operand})" if operand.startswith("-") else operand
-
-
 def _power(base, exponent, out=None):
     """``np.power``, with each element of an array ``exponent`` computed as
     numpy computes a float exponent of its value.  numpy squares, takes the
@@ -470,14 +448,6 @@ def _power(base, exponent, out=None):
 def _param_value(value):
     """A parameter value: a float, or a float array of per-row values."""
     return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
-
-
-def _binder(source: str) -> Callable:
-    """The function ``kernel`` that ``source`` defines; the caller binds the
-    values, and :func:`hude.odeint._generated` keeps each kernel."""
-    namespace = {"np": np, "_power": _power}
-    exec(compile(source, "<hude-expr>", "exec"), namespace)
-    return namespace["kernel"]
 
 
 def compile_expr(

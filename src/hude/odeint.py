@@ -47,11 +47,13 @@ the kernel :func:`_kernel` picks, with the same bits.
 
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
 whole-loop kernel that :func:`_generated` makes once per field source,
-with the level and parameters passed in as values: each kernel is its own
-loop around one step, which :func:`_step_source` prints as C statements,
-ufunc calls or float assignments.  A field whose ops are all ``+ - * /``,
-negation and ``abs``, which C rounds as numpy does, runs every path and
-batch in C where :mod:`hude.native`, imported by the first field that
+with the level and parameters passed in as values.  This module prints
+every kernel: each is its own loop around one step, which
+:func:`_step_source` prints as C statements, ufunc calls or float
+assignments, each op spelled as :data:`_SPELLING` says.  A field whose ops
+are all ``+ - * /``, negation and ``abs``, which C rounds as numpy does,
+runs every path and batch in C (:func:`_c_source`) where
+:mod:`hude.native`, the C build cache imported by the first field that
 compiles, builds it.  Any other field (``exp``, ``ln``, ``sin``, ``cos``,
 ``^``), and every field where no kernel builds, runs on the numpy kernels
 (:func:`_loop_source`), chosen by the shape of the call: the row kernel
@@ -79,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import _C_OPS, _INFIX, _STATE_RE, _binder, _infix
+from .expr import _STATE_RE, _power
 from .model import InitialState, ReducedField, _clamped_phi
 from .validation import check_times
 
@@ -369,8 +371,15 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
         out[0] = halvings
         out[1:1 + rows] = x_next
         out[1 + (5 + n) * rows:] = table
+
+        def passes():
+            bisect(rows, h, nsteps, out, plan)
+            lo, hi, first, probe = out[1 + rows:1 + 5 * rows].reshape(4, rows)
+            return lo.copy(), hi.copy(), first, probe  # out is the next run's
     else:
-        kernel = _kernel(lowered, n, method, "terminal", rows)
+        # Looked up only where a pass runs, so no pass builds no kernel.
+        kernel = (_kernel(lowered, n, method, "terminal", rows)
+                  if halvings else None)
         x, level = plan[3:3 + n], plan[3 + n]
         start = x.copy()
 
@@ -394,15 +403,9 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
 
     def run(values):
         # The parameter rows follow the level row, as in ReducedField._bound.
-        _, *bound = ReducedField(raw.code, values, 0.0)._bound()[1].values()
-        for row, v in zip(plan[4 + n:], bound):
-            row[...] = v
-        if bisect is None:
-            lo, hi, first, probe = passes()
-        else:
-            bisect(rows, h, nsteps, out, plan)
-            lo, hi, first, probe = out[1 + rows:1 + 5 * rows].reshape(4, rows)
-            lo, hi = lo.copy(), hi.copy()  # out is the next run's too
+        for row, name in zip(plan[4 + n:], raw.code[2]):
+            row[...] = values[name]
+        lo, hi, first, probe = passes()
         failed = first >= 0.0
         failure = None
         if failed.any():
@@ -425,9 +428,9 @@ def _phi_table(depth):
 
 
 def _compiled_loop(fn, rows, h, nsteps, out, plan):
-    """The compiled kernel: the C entry point ``fn``
-    (:func:`hude.native.load` of :func:`hude.native._c_source`) called on
-    the addresses of ``nsteps``, ``out`` and ``plan``."""
+    """The compiled kernel: the C entry point ``fn`` (:func:`hude.native.load`
+    of :func:`_c_source`) called on the addresses of ``nsteps``, ``out`` and
+    ``plan``."""
     fn(rows, h, nsteps.ctypes.data, None if out is None else out.ctypes.data,
        plan.ctypes.data)
 
@@ -467,30 +470,58 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
     (:func:`hude.model.compile_model`) over the bound names ``params`` (the
     ops keep ``0.0`` and ``-0.0`` apart): for ``backend`` ``"columns"`` or
     ``"row"`` the kernel of :func:`_loop_source`, for ``"compiled"`` the
-    entry point of :func:`hude.native._c_source` run by
-    :func:`_compiled_loop` (a ``"chain"`` and a ``"bisect"`` are the
+    entry point of :func:`_c_source` that :func:`hude.native.load` builds,
+    run by :func:`_compiled_loop` (a ``"chain"`` and a ``"bisect"`` are the
     terminal object's second and third entry points), or ``None`` after one
     debug line on the ``hude`` logger where C may round an op unlike numpy
     or the build fails."""
     if backend != "compiled":
-        return _binder(_loop_source(field, params, n, method, mode, backend))
-    inexact = sorted({func for func, *_ in field[0]} - _C_OPS.keys())
+        namespace = {"np": np, "_power": _power}
+        exec(compile(_loop_source(field, params, n, method, mode, backend),
+                     "<hude-kernel>", "exec"), namespace)
+        return namespace["kernel"]
+    inexact = sorted({func for func, *_ in field[0]
+                      if _SPELLING[func][1] is None})
     if inexact:
         reason = f"{', '.join(inexact)} may round unlike numpy in C"
     else:
         from . import native
         entry = mode if mode in ("chain", "bisect") else "kernel"
         try:
-            return functools.partial(_compiled_loop, native.load(
-                native._c_source(field, params, n, method,
-                                 mode if entry == "kernel" else "terminal"),
-                entry))
+            return functools.partial(_compiled_loop, native.load(_c_source(
+                field, params, n, method,
+                mode if entry == "kernel" else "terminal"), entry))
         except OSError as exc:
             reason = f"the C kernel did not build: {exc}"
     import logging
     logging.getLogger("hude").debug("numpy kernels run a %s %s field: %s",
                                     method, mode, reason)
     return None
+
+
+# Each op's spellings (:func:`~hude.expr._lower` names the op by its
+# ufunc): its Python source on floats or arrays, where ``abs`` keeps a float
+# a float, ``np.divide`` divides a float by zero to ``inf``/``nan`` like an
+# array instead of raising, and ``_power`` is :func:`~hude.expr._power`; then
+# its C source where C rounds it exactly as numpy's ufunc does, else
+# ``None``.  A field with an op that has no C source (``np.exp`` differs from
+# libm's ``exp`` in the last bit) runs on the numpy kernels.
+_SPELLING = {
+    "add": ("({} + {})", "{} + {}"), "subtract": ("({} - {})", "{} - {}"),
+    "multiply": ("({} * {})", "{} * {}"), "negative": ("(-{})", "-{}"),
+    "divide": ("np.divide({}, {})", "{} / {}"),
+    "absolute": ("abs({})", "fabs({})"), "exp": ("np.exp({})", None),
+    "log": ("np.log({})", None), "sin": ("np.sin({})", None),
+    "cos": ("np.cos({})", None), "power": ("_power({}, {})", None)}
+
+
+def _infix(ops, operand) -> str:
+    """Python source of ``operand`` of ``ops`` (:func:`~hude.expr._lower`)
+    on floats or arrays, each op written inline into its consumer."""
+    if isinstance(operand, int):
+        func, *args = ops[operand]
+        return _SPELLING[func][0].format(*(_infix(ops, arg) for arg in args))
+    return f"({operand})" if operand.startswith("-") else operand
 
 
 def _step_source(field, n: int, method: str, backend: str):
@@ -506,15 +537,17 @@ def _step_source(field, n: int, method: str, backend: str):
     sixth*(((k1_j + 2.0*k2_j) + 2.0*k3_j) + k4_j)``, where ``k_j`` is
     ``x_{j+1}`` and ``k_{n-1}`` the field, scaled by ``s`` before any state
     it may read is stepped.  Each op is a three-address statement into a
-    scratch name ``w0 ..``: for ``"columns"`` a ufunc call into a ``(B,)``
-    buffer (``power`` is :func:`~hude.expr._power`), for ``"row"`` a float
-    assignment (:data:`~hude.expr._INFIX`, ``np.power``), for ``"compiled"``
-    a C assignment for row ``i`` (:data:`~hude.expr._C_OPS`), bound values
-    read as ``b_<name>[i]`` and literals as ``float.hex()``.  In Python an op
-    that reads no state is its infix source instead, evaluated at every stage
-    if it reads ``t``, else once before the loop; for ``"columns"`` spread to
-    a ``(B,)`` array (a ufunc converts a float operand on every call) except
-    as an exponent, where a float takes numpy's fast path.
+    scratch name ``w0 ..``, spelled as :data:`_SPELLING` says: for
+    ``"columns"`` a ufunc call into a ``(B,)`` buffer (``power`` is
+    :func:`~hude.expr._power`), for ``"row"`` a float assignment (``power``
+    is ``np.power``), for ``"compiled"`` a C assignment for row ``i``, bound
+    values read as ``b_<name>[i]`` and literals as ``float.hex()``.  An
+    operand comes in one of two tiers.  One that reads the state or ``t`` is
+    printed at every stage, as above; one that reads neither is, in Python,
+    its infix source (:func:`_infix`) computed once before the loop, for
+    ``"columns"`` spread to a ``(B,)`` array (a ufunc converts a float
+    operand on every call) except as an exponent, where a float takes
+    numpy's fast path.  C computes every operand at every stage.
 
     Returns ``(setup, main, tail, timed)``: the lines run once before the
     loop (C: the declarations), a step's lines, those with each state update
@@ -524,11 +557,11 @@ def _step_source(field, n: int, method: str, backend: str):
     ops, value = field
     compiled, columns = backend == "compiled", backend == "columns"
 
-    def kind(a):
-        # 2 if operand ``a`` reads the state, 1 if ``t`` but no state, else 0.
+    def reads(a):
+        # Whether operand ``a`` reads the state or ``t``.
         if isinstance(a, int):
-            return max(map(kind, ops[a][1:]))
-        return 2 if _STATE_RE.match(a) else int(a == "t")
+            return any(map(reads, ops[a][1:]))
+        return a == "t" or _STATE_RE.match(a) is not None
 
     # (source, spread) of each operand evaluated before the loop, spread to a
     # (B,) array or not -> its name (c0 the step h, c1 RK4's 2.0).
@@ -550,26 +583,23 @@ def _step_source(field, n: int, method: str, backend: str):
         # ``func`` of the operands but the last, into the last.
         *args, out = operands
         if compiled:
-            return f"{out} = {_C_OPS[func].format(*args)};"
+            return f"{out} = {_SPELLING[func][1].format(*args)};"
         if not columns:
-            template = "np.power({}, {})" if func == "power" else _INFIX[func]
+            template = ("np.power({}, {})" if func == "power"
+                        else _SPELLING[func][0])
             return f"{out} = {template.format(*args)}"
         used.add(func)
         return f"{func}({', '.join(operands)}{where})"
 
     def evaluate(a, states, lines, spread=columns):
         # The name holding operand ``a`` at the states once ``lines`` ran.
-        if kind(a) < 2 and not compiled:
-            text = _infix(ops, a)
-            if kind(a):
-                name = f"e{len(lines)}"  # unique in the step
-                lines.append(f"{name} = {text}")
-                return name
-            return hoisted.setdefault((text, spread), f"c{len(hoisted)}")
+        if not (compiled or reads(a)):
+            return hoisted.setdefault((_infix(ops, a), spread),
+                                      f"c{len(hoisted)}")
         if not isinstance(a, int):
-            if kind(a) == 2:
+            if _STATE_RE.match(a):
                 return states[int(a[1:])]
-            # In C: the time, a bound value of row i or a literal.
+            # The time or, in C, a bound value of row i or a literal.
             return (a if a == "t" else f"b_{a}[i]" if a[0].isalpha()
                     else f"({float(a).hex()})")
         func, *args = ops[a]
@@ -711,3 +741,126 @@ def _loop_source(field, params: str, n: int, method: str, mode: str,
         *(f"    {line}" for line in clock + main + after), *last]), *foot]
     return ("def kernel(rows, h, nsteps, out, plan):\n"
             + "".join(f"    {line}\n" for line in lines))
+
+
+# The row loop's attribute: gcc (or a clang that has the attribute) builds an
+# AVX2 clone and a baseline clone of ``loop`` into one object, and an ifunc
+# resolved when the object loads picks the clone the CPU runs.  AVX2 rounds
+# + - * / as SSE2 does, and the clone targets no FMA.  Printed only inside the
+# guard of :func:`_c_source`: aarch64 and macOS toolchains reject an AVX2
+# clone or have no ifunc, and musl's loader resolves no ifunc.
+CLONES = '__attribute__((target_clones("avx2", "default")))'
+
+
+def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
+    """C source of ``kernel(rows, h, nsteps, out, plan)``, the kernel
+    contract of the module docstring, row ``r`` of the plan read at ``plan +
+    r*rows``.  Each entry point hands the plan's rows, as ``restrict``
+    pointers, to one ``static`` function ``loop``: the loop of
+    :func:`_loop_source`, steps outer and rows inner, each step of a row the
+    C statements of :func:`_step_source` between the load and the store of
+    the row's state.  On x86-64 glibc, where the compiler has the attribute,
+    ``loop`` is an ifunc with two clones (:data:`CLONES`), AVX2 and
+    baseline, which is never inlined: each object holds the loop exactly
+    twice, and every entry point calls the clone picked at load.  Elsewhere
+    the preprocessor drops the attribute, and the object holds the one
+    baseline loop.  The ``"terminal"`` source also defines ``chain`` and
+    ``bisect``, with the same arguments.  ``chain`` runs that loop on one
+    row at a time (the rows' pointers offset by ``i``), each from the
+    terminal state of the row before it, which it copies forward in the
+    plan.  ``bisect`` runs a residual bisection, its passes and what
+    ``out`` carries laid out in the module docstring: it calls the exported
+    ``kernel`` once per pass, which gcc does not inline under ``-fPIC``, so
+    the loop is not compiled a third time.  As in the
+    pass loop, a row fails where any state is not finite, and the upper half
+    is kept only where ``x0 < x_next`` (false for NaN).  It leaves the
+    plan's start states as it found them, so a plan runs again unchanged.
+    """
+    setup, step, _, _ = _step_source(field, n, method, "compiled")
+    if method == "rk4":
+        step = ["const double half = 0.5 * s, sixth = s / 6.0;", *step]
+    xs = [f"x{j}" for j in range(n)]
+    names = params.split(", ")
+    step += [f"c_x{j}[i] = x{j};" for j in range(n)]
+    if mode == "extremes":
+        for j in range(n):
+            for at, keep in ((f"{j} * rows + i", "<"),
+                             (f"{n + j} * rows + i", ">")):
+                step.append(f"{{ const double e = out[{at}]; out[{at}] = "
+                            f"e {keep} x{j} || e != e ? e : x{j}; }}")
+    elif mode == "record":
+        step += [f"out[(k + 1) * {n} + {j}] = x{j};" for j in range(n)]
+    pointers = ", ".join([*(f"double *restrict c_{x}" for x in xs), *(
+        f"const double *restrict b_{name}" for name in names)])
+    entry = ("(int64_t rows, double h, const int64_t *nsteps, double *out, "
+             "double *plan) {")
+    per_row = [f"plan + {r} * rows" for r in range(3 + n + len(names))]
+    lines = [
+        "#include <math.h>", "#include <stdint.h>",
+        "#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) "
+        "&& defined(__has_attribute)",
+        "#if __has_attribute(target_clones)", CLONES, "#endif", "#endif",
+        "static void loop(int64_t rows, double h, const int64_t *restrict "
+        "nsteps, double *restrict out, const double *restrict t0, const "
+        "double *restrict t_end, const double *restrict last, "
+        f"{pointers}) {{",
+        "    int64_t shared = INT64_MAX, total = 0;",
+        "    for (int64_t i = 0; i < rows; i++) {",
+        "        if (nsteps[i] < shared) shared = nsteps[i];",
+        "        if (nsteps[i] > total) total = nsteps[i];", "    }",
+        "    for (int64_t k = 0; k < total; k++) {",
+        "        const double kh = (double)k * h;",
+        "        for (int64_t i = 0; i < rows; i++) {",
+        "            double t = t0[i] + kh, s = h;",
+        # Before the shortest row's last step every row steps by h: gcc
+        # unswitches this test and vectorises the loop over the rows.
+        "            if (k >= shared - 1) {",
+        "                if (k >= nsteps[i]) continue;",
+        "                if (k == nsteps[i] - 1) {",
+        "                    t = t < t_end[i] || t != t ? t : t_end[i];",
+        "                    s = last[i];",
+        "                }", "            }",
+        f"            double {', '.join(f'{x} = c_{x}[i]' for x in xs)};",
+        *(f"            {line}" for line in setup + step), "        }", "    }",
+        "}", f"void kernel{entry}",
+        f"    loop(rows, h, nsteps, out, {', '.join(per_row)});", "}"]
+    if mode == "terminal":
+        lines += [
+            f"void chain{entry}",
+            "    for (int64_t i = 0; i < rows; i++) {",
+            *(f"        if (i) plan[{3 + j} * rows + i] = "
+              f"plan[{3 + j} * rows + i - 1];" for j in range(n)),
+            "        loop(1, h, nsteps + i, out, "
+            f"{', '.join(f'{r} + i' for r in per_row)});", "    }", "}",
+            f"void bisect{entry}",
+            "    const int64_t passes = (int64_t)out[0];",
+            # Each probe is a multiple of 1/grid: mid * grid is exact.
+            "    const double grid = ldexp(1.0, (int)passes);",
+            "    const double *x_next = out + 1;",
+            "    double *lo = out + 1 + rows, *hi = lo + rows, *first = hi + "
+            "rows, *probe = first + rows, *start = probe + rows;",
+            f"    const double *phi = start + {n} * rows;",
+            f"    double *x = plan + 3 * rows, *level = plan + {3 + n} * rows;",
+            f"    for (int64_t i = 0; i < {n} * rows; i++) start[i] = x[i];",
+            "    for (int64_t i = 0; i < rows; i++) {",
+            "        lo[i] = 0.0;", "        hi[i] = 1.0;",
+            "        first[i] = -1.0;", "    }",
+            "    for (int64_t p = 0; p < passes; p++) {",
+            f"        for (int64_t i = 0; i < {n} * rows; i++) x[i] = start[i];",
+            "        for (int64_t i = 0; i < rows; i++)",
+            "            level[i] = "
+            "phi[(int64_t)(0.5 * (lo[i] + hi[i]) * grid) - 1];",
+            "        kernel(rows, h, nsteps, 0, plan);",
+            "        for (int64_t i = 0; i < rows; i++) {",
+            "            const double mid = 0.5 * (lo[i] + hi[i]);",
+            "            if (first[i] < 0.0 && !("
+            + " && ".join(f"isfinite(x[{j} * rows + i])" for j in range(n))
+            + ")) {",
+            "                first[i] = (double)p;", "                probe[i] = mid;",
+            "            }",
+            "            if (x[i] < x_next[i]) lo[i] = mid; else hi[i] = mid;",
+            "        }", "    }",
+            # Restored, so a prepared plan runs again from its start states.
+            f"    for (int64_t i = 0; i < {n} * rows; i++) x[i] = start[i];",
+            "}"]
+    return "".join(f"{line}\n" for line in lines)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hude
+import hude.native
 from hude import odeint, residuals
 from hude.model import ReducedField, _clamped_phi, compile_model
 from hude.odeint import _terminal_state_batch
@@ -231,6 +232,33 @@ def test_one_compiled_call_per_bisection(monkeypatch, rows):
 def test_coarse_delta_takes_no_pass(monkeypatch):
     assert _pass_sizes(monkeypatch, 5, delta=1.0) == []
     assert _calls(monkeypatch, 5, delta=1.0, compiled=True) == ([], [])
+
+
+def test_coarse_delta_loads_no_kernel(monkeypatch):
+    # A bisection that takes no pass looks up no kernel, so on a cold cache
+    # it builds none; one pass loads the bisect entry point, and where that
+    # does not load, the terminal kernel that runs the pass instead.
+    load, loads = hude.native.load, []
+
+    def spy(source, symbol):
+        try:
+            fn = load(source, symbol)
+        except OSError:
+            loads.append((symbol, False))
+            raise
+        loads.append((symbol, True))
+        return fn
+
+    monkeypatch.setattr(hude.native, "load", spy)
+    model = hude.HudeModel.parse(1, "-0.3*x0", ["0.2"])
+    series = hude.ObservationSeries([0.0, 0.1, 0.2], [1.0, 0.98, 0.95])
+    for delta, expected in ((1.0, [[]]),
+                            (0.5, [[("bisect", True)],
+                                   [("bisect", False), ("kernel", False)]])):
+        odeint._generated.cache_clear()
+        loads.clear()
+        hude.compute_residuals(model, None, series, delta=delta, h=0.01)
+        assert loads in expected
 
 
 def _counting_compiles(monkeypatch):

@@ -845,9 +845,8 @@ def test_repeated_solves_reuse_generated_kernels():
             with mock.patch.multiple(
                     odeint, _infix=spy(odeint._infix),
                     _step_source=spy(odeint._step_source)), \
-                    mock.patch.multiple(
-                        hude.native, load=spy(hude.native.load),
-                        _step_source=spy(hude.native._step_source)):
+                    mock.patch.object(hude.native, "load",
+                                      spy(hude.native.load)):
                 for again in (model, build_reactor_hude(THERMAL_U235)):
                     assert all(_same(a, b) for a, b in zip(first, solve(again)))
                     assert len(bisect(again, {"sig1": 2e-4, "sig2": 0.25})) == 60
@@ -1085,21 +1084,22 @@ def test_avx2_clone_equals_the_baseline_loop(name, rows, method, row_theta,
     # the attribute removed from the text, only the baseline loop is built.
     # Every entry point gives the same bits from both, over rows that
     # overflow or reach NaN, through the vector body and the scalar tail.
-    c_source, load, loads = hude.native._c_source, hude.native.load, []
+    c_source, load, loads = odeint._c_source, hude.native.load, []
 
     def baseline(*args):
         source = c_source(*args)
-        assert hude.native.CLONES in source
-        return source.replace(hude.native.CLONES + "\n", "")
+        assert odeint.CLONES in source
+        return source.replace(odeint.CLONES + "\n", "")
 
     def loading(source, symbol):
-        loads.append((hude.native.CLONES in source, symbol))
+        loads.append((odeint.CLONES in source, symbol))
         return load(source, symbol)
 
     runs = []
     for source in (c_source, baseline):
         _generated.cache_clear()
-        with mock.patch.multiple(hude.native, _c_source=source, load=loading):
+        with mock.patch.object(odeint, "_c_source", source), \
+                mock.patch.object(hude.native, "load", loading):
             runs.append(_entry_points(name, rows, seed, row_theta, method))
     _generated.cache_clear()
     # Each side built or loaded all five entry points, and ran nothing on
@@ -1120,8 +1120,8 @@ def test_row_loop_has_an_avx2_clone_where_the_guard_holds(tmp_path):
     model = build_reactor_hude(THERMAL_U235)
     lowered, bound = ReducedField(*compile_model(model, FITTED_THETA),
                                   0.3)._bound()
-    source = hude.native._c_source(lowered, ", ".join(bound), model.order,
-                                   "euler", "terminal")
+    source = odeint._c_source(lowered, ", ".join(bound), model.order,
+                              "euler", "terminal")
     cc = shlex.split(sysconfig.get_config_var("CC"))
     kept = "target_clones" in subprocess.run(
         [*cc, "-E", "-P", "-x", "c", "-"], input=source, capture_output=True,
@@ -1176,7 +1176,7 @@ def _broken_source(*args):
 @pytest.mark.parametrize("breakage", [
     mock.patch("sysconfig.get_config_var", return_value="no-such-hude-cc"),
     mock.patch("sysconfig.get_config_var", return_value=""),
-    mock.patch("hude.native._c_source", _broken_source),
+    mock.patch("hude.odeint._c_source", _broken_source),
 ], ids=["missing-compiler", "no-compiler", "broken-build"])
 def test_failed_builds_fall_back_to_numpy(breakage, caplog, recwarn):
     # Without a compiler, or where the build fails, the numpy kernels run
@@ -1321,6 +1321,24 @@ def _loaded_after(code):
 
 def test_import_builds_nothing():
     assert _loaded_after("import hude") == []
+
+
+def test_printing_every_kernel_loads_no_c_backend():
+    # hude.odeint prints every kernel, Python and C: printing each source of
+    # the reactor field imports neither the C build cache nor what it runs.
+    assert _loaded_after(
+        "import hude\nfrom hude import odeint\n"
+        "from hude.model import ReducedField, compile_model\n"
+        "code = compile_model(hude.build_reactor_hude(hude.THERMAL_U235), "
+        "hude.FITTED_THETA)\n"
+        "field, bound = ReducedField(*code, 0.3)._bound()\n"
+        "for method in ('euler', 'rk4'):\n"
+        "    for mode in ('terminal', 'extremes', 'record'):\n"
+        "        args = (field, ', '.join(bound), 2, method, mode)\n"
+        "        assert 'void kernel(' in odeint._c_source(*args)\n"
+        "        for backend in ('row', 'columns')[:1 + (mode != 'record')]:\n"
+        "            assert 'def kernel(' in odeint._loop_source(*args, "
+        "backend)") == []
 
 
 @needs_compiler
