@@ -21,7 +21,8 @@ import tempfile
 
 # No -ffast-math, no -march=native and no contraction into fused multiply-adds:
 # every operation rounds as numpy's does, on any machine that loads the file.
-# The AVX2 clone (:data:`hude.odeint.CLONES`) is chosen at load, not by a flag.
+# The AVX-512, AVX2 or baseline clone of the row loop (:data:`hude.odeint.CLONES`)
+# is chosen when the object loads, not by a flag, so an object is portable.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 # Seconds (a week) after its last load a cached object is removed by the next

@@ -195,9 +195,8 @@ def integrate(field, init: InitialState, t_end: float, h: float = DEFAULT_STEP,
                               init.values, t_end, h, method, mode="record")
     t = init.t0 + np.arange(len(y)) * h
     t[-1] = t_end
-    finite = np.isfinite(y).all(axis=1)
-    if not finite.all():
-        raise IntegrationError(float(t[np.argmin(finite)]))
+    if not np.isfinite(y).all():
+        raise IntegrationError(float(t[np.argmin(np.isfinite(y).all(axis=1))]))
     return Trajectory(t, y, h)
 
 
@@ -744,12 +743,14 @@ def _loop_source(field, params: str, n: int, method: str, mode: str,
 
 
 # The row loop's attribute: gcc (or a clang that has the attribute) builds an
-# AVX2 clone and a baseline clone of ``loop`` into one object, and an ifunc
-# resolved when the object loads picks the clone the CPU runs.  AVX2 rounds
-# + - * / as SSE2 does, and the clone targets no FMA.  Printed only inside the
-# guard of :func:`_c_source`: aarch64 and macOS toolchains reject an AVX2
-# clone or have no ifunc, and musl's loader resolves no ifunc.
-CLONES = '__attribute__((target_clones("avx2", "default")))'
+# AVX-512, an AVX2 and a baseline clone of ``loop`` into one object, and an
+# ifunc resolved when the object loads picks the widest clone the CPU runs.
+# Up to eight, four or two rows per instruction, each lane rounding + - * /
+# and fabs as SSE2 does: no clone targets FMA, and -ffp-contract=off forbids
+# contraction anyway.  Printed only inside the guard of :func:`_c_source`:
+# aarch64 and macOS toolchains reject an x86 clone or have no ifunc, and
+# musl's loader resolves no ifunc.
+CLONES = '__attribute__((target_clones("avx512f", "avx2", "default")))'
 
 
 def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
@@ -760,18 +761,20 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     :func:`_loop_source`, steps outer and rows inner, each step of a row the
     C statements of :func:`_step_source` between the load and the store of
     the row's state.  On x86-64 glibc, where the compiler has the attribute,
-    ``loop`` is an ifunc with two clones (:data:`CLONES`), AVX2 and
-    baseline, which is never inlined: each object holds the loop exactly
-    twice, and every entry point calls the clone picked at load.  Elsewhere
-    the preprocessor drops the attribute, and the object holds the one
-    baseline loop.  The ``"terminal"`` source also defines ``chain`` and
-    ``bisect``, with the same arguments.  ``chain`` runs that loop on one
-    row at a time (the rows' pointers offset by ``i``), each from the
-    terminal state of the row before it, which it copies forward in the
-    plan.  ``bisect`` runs a residual bisection, its passes and what
-    ``out`` carries laid out in the module docstring: it calls the exported
-    ``kernel`` once per pass, which gcc does not inline under ``-fPIC``, so
-    the loop is not compiled a third time.  As in the
+    ``loop`` is an ifunc with three clones (:data:`CLONES`), AVX-512, AVX2
+    and baseline, which is never inlined: each object holds the loop exactly
+    three times, and every entry point calls the clone picked at load.  A
+    ``"record"`` source runs one row, so no vector body would ever run: it
+    prints no attribute, and its object holds the loop once, inlined into
+    ``kernel``.  Elsewhere the preprocessor drops the attribute, and the
+    object holds the one baseline loop.  The ``"terminal"`` source also
+    defines ``chain`` and ``bisect``, with the same arguments.  ``chain``
+    runs that loop on one row at a time (the rows' pointers offset by
+    ``i``), each from the terminal state of the row before it, which it
+    copies forward in the plan.  ``bisect`` runs a residual bisection, its
+    passes and what ``out`` carries laid out in the module docstring: it
+    calls the exported ``kernel`` once per pass, which gcc does not inline
+    under ``-fPIC``, so no clone of the loop is compiled twice.  As in the
     pass loop, a row fails where any state is not finite, and the upper half
     is kept only where ``x0 < x_next`` (false for NaN).  It leaves the
     plan's start states as it found them, so a plan runs again unchanged.
@@ -797,9 +800,10 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     per_row = [f"plan + {r} * rows" for r in range(3 + n + len(names))]
     lines = [
         "#include <math.h>", "#include <stdint.h>",
-        "#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) "
-        "&& defined(__has_attribute)",
-        "#if __has_attribute(target_clones)", CLONES, "#endif", "#endif",
+        *(() if mode == "record" else (
+            "#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__)"
+            " && defined(__has_attribute)",
+            "#if __has_attribute(target_clones)", CLONES, "#endif", "#endif")),
         "static void loop(int64_t rows, double h, const int64_t *restrict "
         "nsteps, double *restrict out, const double *restrict t0, const "
         "double *restrict t_end, const double *restrict last, "

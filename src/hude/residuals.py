@@ -375,7 +375,9 @@ def _restart_rows(model: HudeModel, series: ObservationSeries, scheme: str):
 
     derivs = filled.derivs[:n - 1, :L - 1] if n > 1 else ()
     states = np.stack((filled.x[:L - 1], *derivs), axis=1)
-    admissible = np.where(np.isfinite(states).all(axis=1))[0]
+    finite = np.isfinite(states)
+    admissible = (np.arange(L - 1) if finite.all()
+                  else np.flatnonzero(finite.all(axis=1)))
     if admissible.size == 0:
         raise ValueError("no step has a complete restart state")
     return (admissible, filled.t[admissible], states[admissible],
@@ -491,9 +493,8 @@ def simulate_observations(
         states[a + 1:b + 1] = _terminal_state_batch(
             field, times[a:b], states[a], times[a + 1:b + 1], h, method,
             mode="chain")
-    finite = np.isfinite(states[1:]).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite))
+    if not np.isfinite(states[1:]).all():
+        j = int(np.argmin(np.isfinite(states[1:]).all(axis=1)))
         raise _step_failure(
             float(times[j + 1]),
             f"the step from t={float(times[j])} to t={float(times[j + 1])}",

@@ -1077,46 +1077,68 @@ def _entry_points(name, rows, seed, row_theta, method):
 @given(name=st.sampled_from(C_CASES), rows=st.integers(1, 300),
        method=st.sampled_from(["euler", "rk4"]), row_theta=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_avx2_clone_equals_the_baseline_loop(name, rows, method, row_theta,
-                                             seed):
-    # Where its guard holds, the source builds an AVX2 clone of the row loop
-    # beside the baseline one, and an AVX2 CPU runs only that clone.  With
-    # the attribute removed from the text, only the baseline loop is built.
-    # Every entry point gives the same bits from both, over rows that
-    # overflow or reach NaN, through the vector body and the scalar tail.
-    c_source, load, loads = odeint._c_source, hude.native.load, []
-
-    def baseline(*args):
-        source = c_source(*args)
-        assert odeint.CLONES in source
-        return source.replace(odeint.CLONES + "\n", "")
-
-    def loading(source, symbol):
-        loads.append((odeint.CLONES in source, symbol))
-        return load(source, symbol)
-
+def test_every_clone_target_equals_the_baseline_loop(name, rows, method,
+                                                     row_theta, seed):
+    # Where its guard holds, the source builds a clone of the row loop for
+    # each target of odeint.CLONES, and the CPU runs only the widest it has.
+    # Here each target the CPU has is built alone (the attribute replaced by
+    # target(...)), then the baseline loop (the attribute removed).  Every
+    # entry point gives the same bits from each, over rows that overflow or
+    # reach NaN, through the vector body and the scalar tail.  A recorded
+    # path prints no attribute, so its source is the same on every side.
+    from numpy._core._multiarray_umath import __cpu_features__
+    attributes = [f'__attribute__((target("{target}")))\n'
+                  for target in ("avx512f", "avx2")
+                  if __cpu_features__.get(target.upper())]
+    c_source, load = odeint._c_source, hude.native.load
     runs = []
-    for source in (c_source, baseline):
+    for attribute in [*attributes, ""]:
+        loads = []
+
+        def source(*args):
+            text = c_source(*args)
+            assert (odeint.CLONES in text) == (args[-1] != "record")
+            return text.replace(odeint.CLONES + "\n", attribute)
+
+        def loading(text, symbol):
+            loads.append(symbol)
+            return load(text, symbol)
+
         _generated.cache_clear()
         with mock.patch.object(odeint, "_c_source", source), \
                 mock.patch.object(hude.native, "load", loading):
             runs.append(_entry_points(name, rows, seed, row_theta, method))
+        # Each side built or loaded all five entry points, and ran nothing
+        # on the numpy kernels.
+        assert sorted(loads) == ["bisect", "chain", "kernel", "kernel",
+                                 "kernel"]
     _generated.cache_clear()
-    # Each side built or loaded all five entry points, and ran nothing on
-    # the numpy kernels.
-    assert sorted(loads) == sorted(
-        (clones, symbol) for clones in (False, True)
-        for symbol in ("bisect", "chain", "kernel", "kernel", "kernel"))
-    (clone, clone_failure), (base, base_failure) = runs
-    assert clone_failure == base_failure
-    assert len(clone) == len(base) == 9
-    assert all(_same(a, b) for a, b in zip(clone, base))
+    *targets, (base, base_failure) = runs
+    assert len(base) == 9
+    for clone, clone_failure in targets:
+        assert clone_failure == base_failure
+        assert len(clone) == len(base)
+        assert all(_same(a, b) for a, b in zip(clone, base))
+
+
+def test_record_source_prints_no_clones():
+    # A recorded path is one row, so no vector body of the row loop would
+    # run: its source builds the loop once, for the baseline target.
+    model = build_reactor_hude(THERMAL_U235)
+    lowered, bound = ReducedField(*compile_model(model, FITTED_THETA),
+                                  0.3)._bound()
+    for method in ("euler", "rk4"):
+        for mode in ("terminal", "extremes", "record"):
+            source = odeint._c_source(lowered, ", ".join(bound), model.order,
+                                      method, mode)
+            assert ("target_clones" in source) == (mode != "record")
 
 
 @needs_compiler
-def test_row_loop_has_an_avx2_clone_where_the_guard_holds(tmp_path):
-    # A reactor object holds the AVX2 clone exactly where the preprocessor
-    # keeps the attribute, which it does on x86-64 glibc with gcc.
+def test_row_loop_has_every_clone_where_the_guard_holds(tmp_path):
+    # A reactor object holds the AVX-512, AVX2 and baseline clones exactly
+    # where the preprocessor keeps the attribute, which it does on x86-64
+    # glibc with gcc.
     model = build_reactor_hude(THERMAL_U235)
     lowered, bound = ReducedField(*compile_model(model, FITTED_THETA),
                                   0.3)._bound()
@@ -1130,7 +1152,9 @@ def test_row_loop_has_an_avx2_clone_where_the_guard_holds(tmp_path):
         hude.native.load(source, "kernel")
     (cache,) = tmp_path.iterdir()
     (built,) = cache.iterdir()
-    assert (b"loop.avx2" in built.read_bytes()) == kept
+    symbols = built.read_bytes()
+    for clone in (b"loop.avx512f", b"loop.avx2", b"loop.default"):
+        assert (clone in symbols) == kept
     if (sys.platform == "linux" and platform.machine() == "x86_64"
             and platform.libc_ver()[0] == "glibc"
             and "gcc" in os.path.basename(cc[0])):
