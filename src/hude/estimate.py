@@ -342,13 +342,14 @@ def _residual_objective(model, series, score, delta, h, scheme, method):
     block of levels, one row per point, to the points' ``P`` values.
 
     The objective's ``batch`` attribute scores a ``(P, p)`` matrix of probes
-    in shared bisections (:meth:`~hude.residuals._Bisection.points`); the
-    objective scores one probe as a batch of one.  One bisection of the
-    restart rows serves the whole fit: it lowers the model once and prepares
-    each batch size once, at its first scoring.  A probe that fails to
-    integrate scores ``inf``.  Every scored point's levels are kept, for the
-    residual vector of that point.  Probes skip the advisory monotonicity
-    check; the residual vector of a point runs it.
+    in shared bisections, each writing its points into its plan in one
+    block (:meth:`~hude.residuals._Bisection.points`); the objective scores
+    one probe as a batch of one.  One bisection of the restart rows serves
+    the whole fit: it lowers the model once and prepares each batch size
+    once.  A probe that fails to integrate scores ``inf``.  Every scored
+    point's levels are kept, for the residual vector of that point.  Probes
+    skip the advisory monotonicity check; the residual vector of a point
+    runs it.
     """
     names = model.params
     rows = _restart_rows(model, series, scheme)
@@ -357,14 +358,10 @@ def _residual_objective(model, series, score, delta, h, scheme, method):
 
     def batch(points):
         points = np.asarray(points, dtype=float)
-        out = bisection.points(points)
-        kept = [k for k, v in enumerate(out) if v is not None]
-        for k in kept:
-            scored[points[k].tobytes()] = out[k]
-        values = np.full(len(out), np.inf)
-        if kept:
-            values[kept] = score(np.array([out[k][0] for k in kept]))
-        return values.tolist()
+        levels, saturated, failed = bisection.points(points)
+        scored.update(zip(map(np.ndarray.tobytes, points),
+                          zip(levels, saturated)))
+        return np.where(failed, np.inf, score(levels)).tolist()
 
     def objective(x):
         return batch([x])[0]

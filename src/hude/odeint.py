@@ -31,8 +31,9 @@ times.  Each pass restores the start states, writes
 into the plan's level row, steps every row, flags the rows whose state is
 not finite and keeps the upper half where ``x0`` ends below the
 observation.  The start states are restored after the last pass, so the
-plan runs again at other parameter values.  Up to :data:`_TABLE_DEPTH`
-halvings of a field that compiles, this is one call of ``bisect``, the
+plan runs again at other parameter values, written over its parameter rows
+in one assignment.  Up to :data:`_TABLE_DEPTH` halvings of a field that
+compiles, this is one call of ``bisect``, the
 terminal kernel's third C entry point (``chain``, a simulated series, is
 its second).  Its ``out`` is one float array, blocks of ``rows`` values in
 this order: ``H`` (one value), the observations ``x_next``, then what it
@@ -353,13 +354,13 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
     docstring sets out: the batch is checked and planned (:func:`_plan`)
     once, also where it takes no pass.
 
-    Returns ``run(values)``, which writes the parameter values ``values``
-    (a mapping as :func:`hude.model.compile_model` returns, each a float or
-    one per row) into the plan's parameter rows and runs the passes, in one
-    C call where ``bisect`` loads.  It returns ``(lo, hi, failed,
-    failure)``: each row's final interval, whether any probe of the row
-    left the finite floats, and ``None`` or the lowest failed row of the
-    earliest failing pass with the level it probed there."""
+    Returns ``run(params)``, which writes ``params``, an array that
+    broadcasts to the plan's ``(slots, rows)`` parameter rows, over them
+    (``None`` keeps the plan's own) and runs the passes, in one C call where
+    ``bisect`` loads.  It returns ``(levels, saturated, failed, failure)``:
+    each row's final midpoint, whether its final interval touches 0 or 1,
+    whether any probe of the row left the finite floats, and ``None`` or
+    the lowest failed row of the earliest failing pass with its level."""
     plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method)
     rows, n = plan.shape[1], np.shape(y0)[-1]
     bisect = (_generated(*lowered, n, method, "bisect", "compiled")
@@ -373,8 +374,7 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
 
         def passes():
             bisect(rows, h, nsteps, out, plan)
-            lo, hi, first, probe = out[1 + rows:1 + 5 * rows].reshape(4, rows)
-            return lo.copy(), hi.copy(), first, probe  # out is the next run's
+            return out[1 + rows:1 + 5 * rows].reshape(4, rows)
     else:
         # Looked up only where a pass runs, so no pass builds no kernel.
         kernel = (_kernel(lowered, n, method, "terminal", rows)
@@ -400,10 +400,10 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
             x[...] = start
             return lo, hi, first, probe
 
-    def run(values):
+    def run(params=None):
         # The parameter rows follow the level row, as in ReducedField._bound.
-        for row, name in zip(plan[4 + n:], raw.code[2]):
-            row[...] = values[name]
+        if params is not None:
+            plan[4 + n:] = params
         lo, hi, first, probe = passes()
         failed = first >= 0.0
         failure = None
@@ -411,7 +411,7 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
             # The lowest row of the earliest pass with a failure.
             row = int(np.argmin(np.where(failed, first, np.inf)))
             failure = (row, float(probe[row]))
-        return lo, hi, failed, failure
+        return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failed, failure
     return run
 
 

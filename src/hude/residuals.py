@@ -7,7 +7,9 @@ path hit the next observation ``x_{t_{j+1}}``?  That level is the residual
 linear (uniform) uncertainty distribution on [0, 1].  The level is found by
 bisection on the terminal value of the restarted path; each pass halves every
 row once, integrating all rows together on a plan made once, and a field that
-compiles runs every pass in one C call.
+compiles runs every pass in one C call.  A fit plans its rows once per batch
+size and runs each batch of parameter points with one write of the point
+matrix into the plan.
 
 Derivative observations are rarely measured directly; they are reconstructed
 from the raw series with forward (default) or central differences, producing
@@ -224,69 +226,64 @@ class ResidualVector:
         return cls(eps, indices=j)
 
 
+def _halvings(delta):
+    """The halvings of [0, 1] to a width of at most ``delta`` (positive)."""
+    if not delta > 0:
+        raise ValueError("precision delta must be positive")
+    halvings = 0
+    while 0.5 ** halvings > delta:
+        halvings += 1
+    return halvings
+
+
 class _Bisection:
     """The residual bisection of fixed restart rows ``(t0s, y0s, t1s,
-    x_next)``, prepared once and run at every parameter point.  Called with
-    ``theta`` and ``copies``, it bisects the rows repeated ``copies`` times
-    as :func:`_bisect_levels` does, each value of ``theta`` a float or one
-    per repeated row; :meth:`points` bisects many parameter points.
+    x_next)`` as :func:`_bisect_levels` runs it, prepared once and run at
+    many parameter points (:meth:`points`).
 
     Nothing is checked or built before the first call, so each ValueError
     comes where a one-shot bisection raises it.  The first call checks
     ``delta`` and lowers the model (:func:`~hude.model.compile_model`),
-    whose code does not depend on the parameters.  The first call with each
-    ``copies`` tiles the rows and prepares their bisection
-    (:func:`~hude.odeint._bisect`), which checks and plans them; every call
-    then runs it at its parameter values.
+    whose code does not depend on the parameters.  The first chunk of each
+    number of points tiles the rows and prepares their bisection
+    (:func:`~hude.odeint._bisect`), which checks and plans them; each chunk
+    then writes its points into the plan in one block and runs it.
     """
 
     def __init__(self, model, rows, delta, h, method):
         self.model, self.rows, self.delta = model, rows, delta
         self.h, self.method = h, method
-        self.code, self.halvings = None, 0
-        self.runs = {}  # copies -> run of the tiled rows
-
-    def __call__(self, theta, copies=1):
-        if self.code is None:
-            if not self.delta > 0:
-                raise ValueError("precision delta must be positive")
-            while 0.5 ** self.halvings > self.delta:
-                self.halvings += 1
-            self.code, values = compile_model(self.model, theta)
-        else:
-            values = self.model.resolved_theta(theta)
-        if copies not in self.runs:
-            t0s, y0s, t1s, x_next = self.rows
-            # An array level picks the noisy field, as each probe's levels do.
-            self.runs[copies] = odeint._bisect(
-                ReducedField(self.code, values, np.zeros(len(x_next) * copies)),
-                np.tile(t0s, copies), np.tile(y0s, (copies, 1)),
-                np.tile(t1s, copies), self.h, self.method,
-                np.tile(x_next, copies), self.halvings)
-        lo, hi, failed, failure = self.runs[copies](values)
-        eps = 0.5 * (lo + hi)
-        saturated = (lo <= 0.0) | (hi >= 1.0)
-        return eps, saturated, failed, failure
+        self.code, self.runs = None, {}  # points -> run of the tiled rows
 
     def points(self, thetas):
-        """``(levels, saturated)`` of the rows at each row of the ``(P, p)``
-        matrix ``thetas``, or ``None`` where a row fails to integrate, from
-        bisections of as many points as fit in :data:`BATCH_ROWS` rows, each
-        point's rows bound to its own parameter values."""
-        M = len(self.rows[3])
+        """The ``(P, M)`` levels and saturation flags of the rows at each row
+        of the ``(P, p)`` matrix ``thetas`` (columns in ``model.params``
+        order), and whether each point failed to integrate, from bisections
+        of as many points as fit in :data:`BATCH_ROWS` rows."""
+        t0s, y0s, t1s, x_next = self.rows
+        M = len(x_next)
+        if self.code is None:
+            self.halvings = _halvings(self.delta)
+            names = self.model.params
+            self.code, self.values = compile_model(
+                self.model, dict(zip(names, thetas[0])))
+            # The matrix columns of the plan's parameter slots.
+            self.slots = [names.index(name) for name in self.code[2]]
         per_chunk = max(1, BATCH_ROWS // M)
         out = []
-        for start in range(0, thetas.shape[0], per_chunk):
+        for start in range(0, len(thetas), per_chunk):
             chunk = thetas[start:start + per_chunk]
-            P = chunk.shape[0]
-            columns = {name: np.repeat(chunk[:, i], M)
-                       for i, name in enumerate(self.model.params)}
-            eps, saturated, failed, _ = self(columns, P)
-            for k in range(P):
-                part = slice(k * M, (k + 1) * M)
-                out.append(None if failed[part].any() else
-                           (eps[part], saturated[part]))
-        return out
+            P = len(chunk)
+            if P not in self.runs:  # an array level picks the noisy field
+                self.runs[P] = odeint._bisect(
+                    ReducedField(self.code, self.values, np.zeros(M * P)),
+                    np.tile(t0s, P), np.tile(y0s, (P, 1)), np.tile(t1s, P),
+                    self.h, self.method, np.tile(x_next, P), self.halvings)
+            levels, saturated, failed, _ = self.runs[P](
+                np.repeat(chunk[:, self.slots].T, M, axis=1))
+            out.append((levels.reshape(P, M), saturated.reshape(P, M),
+                        failed.reshape(P, M).any(axis=1)))
+        return tuple(np.concatenate(part) for part in zip(*out))
 
 
 def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
@@ -308,11 +305,15 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     no row failed, else ``(row, level)``: the lowest failed row of the first
     pass with a failure and the quantile level it probed there.
 
-    One :class:`_Bisection` of the rows, prepared and run once
-    (:func:`~hude.odeint._bisect`): one C call where the field's compiled
+    The rows are prepared (:func:`~hude.odeint._bisect`) with ``theta`` in
+    their plan and run once: one C call where the field's compiled
     bisection loads, else one kernel call per pass, with the same bits.
     """
-    return _Bisection(model, (t0s, y0s, t1s, x_next), delta, h, method)(theta)
+    halvings = _halvings(delta)
+    code, values = compile_model(model, theta)
+    # An array level picks the noisy field, as each probe's levels do.
+    return odeint._bisect(ReducedField(code, values, np.zeros(len(x_next))),
+                          t0s, y0s, t1s, h, method, x_next, halvings)()
 
 
 def compute_residual(

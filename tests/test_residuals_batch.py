@@ -25,15 +25,14 @@ def _batch(model, thetas, series, h, scheme="forward"):
 
 
 def _assert_matches_serial(model, thetas, series, h, scheme="forward"):
-    batch = _batch(model, thetas, series, h, scheme)
-    assert len(batch) == len(thetas)
-    for point, levels in zip(thetas, batch):
+    levels, saturated, failed = _batch(model, thetas, series, h, scheme)
+    assert len(levels) == len(saturated) == len(failed) == len(thetas)
+    assert not failed.any()
+    for point, eps, flags in zip(thetas, levels, saturated):
         serial = compute_residuals(model, dict(zip(model.params, point)), series,
                                    h=h, scheme=scheme)
-        assert levels is not None
-        eps, saturated = levels
         assert eps.tobytes() == serial.epsilons.tobytes()
-        assert saturated.tobytes() == serial.saturated.tobytes()
+        assert flags.tobytes() == serial.saturated.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +50,14 @@ def test_reactor_batch_equals_serial(reactor_case, points):
     _assert_matches_serial(model, np.array(points), series, h=1e-3)
 
 
-def _stable_linear(roots):
+def _stable_linear(roots, params=("m", "s")):
     """``x^(n) = m - sum_k c_k x^(k)`` whose characteristic roots are
-    ``-roots``, with forcing ``m`` and noise level ``s`` as parameters."""
+    ``-roots``, with forcing ``m`` and noise level ``s`` as parameters,
+    declared in the order ``params``, which may add ones the field never
+    reads."""
     coeffs = np.poly(-np.asarray(roots))[1:][::-1]  # c_0 .. c_{n-1}
     drift = "m" + "".join(f" - {float(c)!r}*x{k}" for k, c in enumerate(coeffs))
-    return hude.HudeModel.parse(len(roots), drift, ["s"], params=["m", "s"])
+    return hude.HudeModel.parse(len(roots), drift, ["s"], params=list(params))
 
 
 @settings(max_examples=20, deadline=None)
@@ -65,19 +66,24 @@ def _stable_linear(roots):
                    max_size=3),
     points=st.lists(
         st.tuples(st.floats(min_value=-1.0, max_value=1.0),
-                  st.floats(min_value=0.05, max_value=1.0)),
+                  st.floats(min_value=0.05, max_value=1.0),
+                  st.floats(min_value=-1.0, max_value=1.0)),
         min_size=1, max_size=4),
     seed=st.integers(min_value=0, max_value=2**16),
+    # The point matrix's columns follow the declared order, the plan's
+    # parameter slots the order the field reads them in (m, then s).
+    params=st.sampled_from([("m", "s"), ("s", "m"), ("s", "u", "m")]),
 )
-def test_linear_batch_equals_serial(roots, points, seed):
-    model = _stable_linear(roots)
+def test_linear_batch_equals_serial(roots, points, seed, params):
+    model = _stable_linear(roots, params)
     init = hude.InitialState(0.0, np.linspace(1.0, 0.5, len(roots)))
     series = hude.simulate_observations(
-        model, {"m": 0.3, "s": 0.4}, init, 0.1 * np.arange(16), seed=seed,
-        h=1e-2,
+        model, {"m": 0.3, "s": 0.4, "u": 0.0}, init, 0.1 * np.arange(16),
+        seed=seed, h=1e-2,
     )
-    _assert_matches_serial(model, np.array(points), series, h=1e-2,
-                           scheme="given")
+    thetas = np.array([[dict(zip("msu", point))[name] for name in params]
+                       for point in points])
+    _assert_matches_serial(model, thetas, series, h=1e-2, scheme="given")
 
 
 # x' = a*x0 + 0.1*phi, whose probes at a = 1e308 overflow.
@@ -88,19 +94,19 @@ GROWTH_SERIES = hude.simulate_observations(
 )
 
 
-@pytest.mark.parametrize("batch_rows", [residuals.BATCH_ROWS, 1, 25])
+@pytest.mark.parametrize("batch_rows", [residuals.BATCH_ROWS, 1, 25, 30])
 def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
-    # A budget of 1 or 25 rows (10 steps per point) splits the points over
-    # several bisections; the results must not depend on the split.
+    # A budget of 1, 25 or 30 rows (10 steps per point) splits the points
+    # over several bisections, of 3 and 1 points at 30; the results must not
+    # depend on the split.
     monkeypatch.setattr(residuals, "BATCH_ROWS", batch_rows)
     model, series = GROWTH, GROWTH_SERIES
     thetas = np.array([[-0.5], [1e308], [0.2], [-0.1]])
     with pytest.raises(IntegrationError):
         compute_residuals(model, {"a": 1e308}, series, h=1e-2)
 
-    batch = _batch(model, thetas, series, h=1e-2)
-    assert len(batch) == len(thetas)
-    assert batch[1] is None
+    _, _, failed = _batch(model, thetas, series, h=1e-2)
+    assert failed.tolist() == [False, True, False, False]
     _assert_matches_serial(model, thetas[[0, 2, 3]], series, h=1e-2)
 
     objective, _ = _residual_objective(
@@ -171,7 +177,7 @@ def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
     model, series = reactor_case
     compiles, plans, calls = [], [], []
     compile_model, plan = residuals.compile_model, odeint._plan
-    call = residuals._Bisection.__call__
+    points = residuals._Bisection.points
 
     def compiling(*args, **kwargs):
         compiles.append(args)
@@ -181,14 +187,14 @@ def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
         plans.append(np.size(t0))
         return plan(raw, t0, *args, **kwargs)
 
-    def bisecting(self, theta, copies=1):
-        calls.append(copies)
-        return call(self, theta, copies)
+    def bisecting(self, thetas):
+        calls.append(len(thetas))
+        return points(self, thetas)
 
     monkeypatch.setattr(odeint, "COMPILED", compiled)
     monkeypatch.setattr(residuals, "compile_model", compiling)
     monkeypatch.setattr(odeint, "_plan", planning)
-    monkeypatch.setattr(residuals._Bisection, "__call__", bisecting)
+    monkeypatch.setattr(residuals._Bisection, "points", bisecting)
     result = hude.estimate_moments(
         model, series, bounds=[(0.0, 1.0), (0.0, 1.0)], h=1e-3, restarts=2,
         maxiter=200, threshold=1e-6, seed=0)
