@@ -172,7 +172,7 @@ def cmd_reactor_demo(args) -> int:
     )
     _write_json(outdir / "estimate.json", result.to_dict())
 
-    # The vector the estimate scored and spot-checked, not a second bisection.
+    # The fit's vector at the estimate, spot-checked once.
     result.residuals.to_csv(outdir / "residuals.csv")
 
     report = uncertain_hypothesis_test(result.residuals, args.alpha)

@@ -30,7 +30,6 @@ from .residuals import (
     ResidualVector,
     _Bisection,
     _restart_rows,
-    _residual_vector,
     compute_residuals,  # noqa: F401  (perfbench/layers.py wraps it here)
 )
 from .validation import check_unit_interval
@@ -337,51 +336,39 @@ def minimize_in_box(
 
 def _residual_objective(model, series, score, delta, h, scheme, method):
     """``x -> score(epsilons of the residuals at x)`` and the function that
-    returns the :class:`ResidualVector` of a point it has scored; ``x`` lists
-    the parameters in ``model.params`` order.  ``score`` maps a ``(P, M)``
-    block of levels, one row per point, to the points' ``P`` values.
+    returns the :class:`ResidualVector` at a point; ``x`` lists the
+    parameters in ``model.params`` order.  ``score`` maps a ``(P, M)`` block
+    of levels, one row per point, to the points' ``P`` values.
 
     The objective's ``batch`` attribute scores a ``(P, p)`` matrix of probes
     in shared bisections, each writing its points into its plan in one
     block (:meth:`~hude.residuals._Bisection.points`); the objective scores
     one probe as a batch of one.  One bisection of the restart rows serves
     the whole fit: it lowers the model once and prepares each batch size
-    once.  A probe that fails to integrate scores ``inf``.  Every scored
-    point's levels are kept, for the residual vector of that point.  Probes
-    skip the advisory monotonicity check; the residual vector of a point
-    runs it.
+    once.  A probe that fails to integrate scores ``inf``, and its levels
+    are not kept: a point's vector is bisected again, as a batch of one
+    (:meth:`~hude.residuals._Bisection.vector`), and runs the advisory
+    monotonicity check the probes skip.
     """
-    names = model.params
-    rows = _restart_rows(model, series, scheme)
-    bisection = _Bisection(model, rows[1:], delta, h, method)
-    scored = {}  # point bytes -> (levels, saturation flags)
+    bisection = _Bisection(model, series, scheme, delta, h, method)
 
     def batch(points):
-        points = np.asarray(points, dtype=float)
-        levels, saturated, failed = bisection.points(points)
-        scored.update(zip(map(np.ndarray.tobytes, points),
-                          zip(levels, saturated)))
+        levels, _, failed = bisection.points(np.asarray(points, dtype=float))
         return np.where(failed, np.inf, score(levels)).tolist()
 
     def objective(x):
         return batch([x])[0]
 
-    def residuals_at(x):
-        eps, saturated = scored[np.asarray(x, dtype=float).tobytes()]
-        resolved = model.resolved_theta(dict(zip(names, x)))
-        return _residual_vector(model, resolved, rows, eps, saturated, True)
-
     objective.batch = batch
-    return objective, residuals_at
+    return objective, bisection.vector
 
 
 def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
               scheme, method, restarts, maxiter, threshold, seed, presearch):
-    """Minimise ``score`` of the residual levels (scored a batch at a time,
-    as :func:`_residual_objective` takes it) over the box ``bounds``; the
-    result keeps the residual vector at the estimate, built from the levels
-    its search scored and spot-checked once, and reports its first
-    ``moments`` moment gaps."""
+    """Minimise ``score`` of the residual levels (:func:`_residual_objective`)
+    over the box ``bounds``; the result keeps the residual vector at the
+    estimate, bisected once more on the fit's one-point plan and spot-checked,
+    and reports its first ``moments`` moment gaps."""
     names = model.params
     if not names:
         raise ValueError("model has no free parameters to estimate")
@@ -393,7 +380,7 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
         theta_init = 0.5 * lo + 0.5 * hi
     elif isinstance(theta_init, Mapping):
         theta_init = np.array([theta_init[name] for name in names], dtype=float)
-    objective, residuals_at = _residual_objective(
+    objective, vector = _residual_objective(
         model, series, score, delta, h, scheme, method)
     best_x, best_f, iterations = minimize_in_box(
         objective, theta_init, bounds, restarts, maxiter, seed,
@@ -401,9 +388,8 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
     )
     if not np.isfinite(best_f):
         raise EstimationError("every parameter probe failed to integrate")
-    # The estimate was scored: its levels are kept, and its vector runs the
-    # monotonicity check the probes skipped.
-    residuals = residuals_at(best_x)
+    # The estimate's vector runs the monotonicity check the probes skipped.
+    residuals = vector(best_x)
     gaps = _moment_gaps(residuals.epsilons, moments)
     return EstimationResult(
         theta=dict(zip(names, (float(v) for v in best_x))),

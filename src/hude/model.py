@@ -417,16 +417,20 @@ def model_from_dict(data: Mapping) -> HudeModel:
         raise ModelFormatError("'params' must be a list of identifiers")
     if theta is not None and not isinstance(theta, Mapping):
         raise ModelFormatError("'theta' must be an object of name -> value")
+    try:
+        if theta is not None:
+            theta = {name: float(v) for name, v in theta.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"'theta' values must be numbers: {exc}") from None
     return HudeModel.parse(order, drift, diffusions, params, theta)
 
 
 def _init_from_dict(data: Mapping, order: int) -> InitialState:
     try:
         t0 = float(data["t0"])
-        values = data["state"]
-    except (KeyError, TypeError, ValueError) as exc:
+        values = np.asarray(data["state"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad 'init' section: {exc}") from None
-    values = np.asarray(values, dtype=float)
     if values.size != order:
         raise ModelFormatError(
             f"'init.state' must have {order} components, got {values.size}"

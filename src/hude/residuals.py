@@ -237,22 +237,23 @@ def _halvings(delta):
 
 
 class _Bisection:
-    """The residual bisection of fixed restart rows ``(t0s, y0s, t1s,
-    x_next)`` as :func:`_bisect_levels` runs it, prepared once and run at
-    many parameter points (:meth:`points`).
+    """The residuals of ``series`` under ``model`` as :func:`compute_residuals`
+    bisects them, run at many parameter points (:meth:`points`,
+    :meth:`vector`).  It keeps the restart rows, read at construction
+    (:func:`_restart_rows`), and its prepared runs, but no point's levels.
 
-    Nothing is checked or built before the first call, so each ValueError
-    comes where a one-shot bisection raises it.  The first call checks
-    ``delta`` and lowers the model (:func:`~hude.model.compile_model`),
+    Nothing else is checked or built before the first call, so each
+    ValueError comes where a one-shot bisection raises it.  The first call
+    checks ``delta`` and lowers the model (:func:`~hude.model.compile_model`),
     whose code does not depend on the parameters.  The first chunk of each
     number of points tiles the rows and prepares their bisection
     (:func:`~hude.odeint._bisect`), which checks and plans them; each chunk
     then writes its points into the plan in one block and runs it.
     """
 
-    def __init__(self, model, rows, delta, h, method):
-        self.model, self.rows, self.delta = model, rows, delta
-        self.h, self.method = h, method
+    def __init__(self, model, series, scheme, delta, h, method):
+        self.model, self.delta, self.h, self.method = model, delta, h, method
+        self.rows = _restart_rows(model, series, scheme)
         self.code, self.runs = None, {}  # points -> run of the tiled rows
 
     def points(self, thetas):
@@ -260,7 +261,7 @@ class _Bisection:
         of the ``(P, p)`` matrix ``thetas`` (columns in ``model.params``
         order), and whether each point failed to integrate, from bisections
         of as many points as fit in :data:`BATCH_ROWS` rows."""
-        t0s, y0s, t1s, x_next = self.rows
+        _, t0s, y0s, t1s, x_next = self.rows
         M = len(x_next)
         if self.code is None:
             self.halvings = _halvings(self.delta)
@@ -284,6 +285,14 @@ class _Bisection:
             out.append((levels.reshape(P, M), saturated.reshape(P, M),
                         failed.reshape(P, M).any(axis=1)))
         return tuple(np.concatenate(part) for part in zip(*out))
+
+    def vector(self, x):
+        """The :class:`ResidualVector` at ``x`` (in ``model.params`` order):
+        its bisection as a batch of one, spot-checked."""
+        (eps,), (saturated,), _ = self.points(np.asarray([x], dtype=float))
+        resolved = self.model.resolved_theta(dict(zip(self.model.params, x)))
+        return _residual_vector(self.model, resolved, self.rows, eps,
+                                saturated, True)
 
 
 def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):

@@ -319,6 +319,23 @@ class TestErrorCodes:
                    "--out", tmp_path / "o.csv")
         assert code == 4
 
+    @pytest.mark.parametrize("theta, state", [
+        ({"a": None}, [1.0]), ({"a": 0.5}, {"x0": 1.0}),
+    ], ids=["theta-null", "state-object"])
+    def test_malformed_model_values(self, tmp_path, capsys, theta, state):
+        model = tmp_path / "values.json"
+        model.write_text(json.dumps({"order": 1, "drift": "a*x0",
+                                     "params": ["a"], "theta": theta,
+                                     "init": {"t0": 0.0, "state": state}}))
+        out = tmp_path / "o.csv"
+        code = run("alpha-path", "--model", model, "--alpha", 0.5, "--t-end", 1,
+                   "--out", out)
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse-error"
+        assert not out.exists()
+
     def test_missing_init_section(self, tmp_path, capsys):
         model = tmp_path / "noinit.json"
         model.write_text(json.dumps({"order": 1, "drift": "-x0"}))
@@ -579,16 +596,16 @@ class TestReactorDemo:
         out = tmp_path / "report"
         assert run("reactor-demo", "--out", out, "--seed", 0) == 0
         # Integrator kernel calls and monotonicity spot checks of the whole
-        # command.  Each of the fit's 120 bisections halves every row once
+        # command.  Each of the fit's 121 bisections halves every row once
         # per pass, 14 passes at delta 1e-4, and the fan takes one more call.
         # On the numpy kernels each pass is one kernel call; compiled, each
         # bisection is one call of its own entry point that runs its 14
-        # passes.  Probes skip the check; the estimate and the fan check once
-        # each.  The residuals written are the estimate's vector, not a
-        # second bisection at the same theta, which would take 14 more passes
-        # and a third check.
-        bisections = 120 if compiled and loads else 0
-        assert calls == {"kernel": 1681 - 14 * bisections,
+        # passes.  The fit's 120 scoring bisections keep no levels, so the
+        # estimate's vector is one more, and the residuals written are that
+        # vector.  Probes skip the check; the estimate and the fan check once
+        # each.
+        bisections = 121 if compiled and loads else 0
+        assert calls == {"kernel": 1695 - 14 * bisections,
                          "_spot_check": 2}
         assert passes == [14] * bisections
         estimate = json.loads((out / "estimate.json").read_text())

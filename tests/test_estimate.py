@@ -299,8 +299,9 @@ class TestEstimateMoments:
 @pytest.mark.parametrize("fit", ["moments", "mle"])
 def test_result_keeps_the_residuals_at_the_estimate(fit, scale_model,
                                                     scale_series):
-    # The vector the estimate scored equals a fresh bisection at its theta,
-    # bit for bit, and stays out of the written result.
+    # The vector the fit bisects again at its estimate equals a fresh
+    # bisection at its theta, bit for bit, and stays out of the written
+    # result.
     estimator = estimate_moments if fit == "moments" else estimate_mle
     result = estimator(scale_model, scale_series, bounds=[(0.02, 1.0)],
                        delta=1e-4, h=1e-3, restarts=1, maxiter=40, seed=0,

@@ -20,7 +20,7 @@ from hude import (
 )
 from hude.estimate import _mle_window
 from hude.expr import Binary, Const, DomainError
-from hude.model import ALPHA_CLAMP, _clamped_phi
+from hude.model import ALPHA_CLAMP, _clamped_phi, _init_from_dict
 from hude.validation import check_unit_interval
 
 from conftest import logistic_quantile
@@ -228,6 +228,18 @@ class TestModelJson:
             model_from_dict({"order": 1.5, "drift": "x0"})
         with pytest.raises(ModelFormatError):
             model_from_dict({"order": 1, "drift": "x0", "diffusions": "nope"})
+        # A theta value or an initial state that is not a number.
+        for value in (None, [1.0], {"b": 1.0}, "x"):
+            with pytest.raises(ModelFormatError):
+                model_from_dict({"order": 1, "drift": "a*x0", "params": ["a"],
+                                 "theta": {"a": value}})
+        with pytest.raises(ModelFormatError):
+            _init_from_dict({"t0": 0.0, "state": {"x0": 1.0}}, 1)
+        # Values float() reads still load.
+        for value, read in (("0.5", 0.5), (True, 1.0)):
+            model = model_from_dict({"order": 1, "drift": "a*x0",
+                                     "params": ["a"], "theta": {"a": value}})
+            assert model.theta == {"a": read}
 
     def test_init_dimension_checked(self, tmp_path):
         path = tmp_path / "model.json"

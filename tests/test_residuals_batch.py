@@ -1,6 +1,8 @@
 """Residuals of many parameter points from one bisection equal the per-point
 residuals bit for bit, and a point that fails to integrate fails alone."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 def _batch(model, thetas, series, h, scheme="forward"):
-    rows = _restart_rows(model, series, scheme)
-    return _Bisection(model, rows[1:], 1e-4, h, "euler").points(thetas)
+    return _Bisection(model, series, scheme, 1e-4, h, "euler").points(thetas)
 
 
 def _assert_matches_serial(model, thetas, series, h, scheme="forward"):
@@ -203,6 +204,28 @@ def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
     assert len(compiles) == 1
     assert set(calls) == {100, 3, 1, 2}
     assert sorted(plans) == sorted(M * c for c in set(calls))
+
+
+def test_fit_keeps_no_earlier_batch(monkeypatch, reactor_case):
+    # The reactor fit holds one batch's levels at a time: each block it
+    # scored is gone when it starts the next batch.
+    model, series = reactor_case
+    blocks = []
+    points = residuals._Bisection.points
+
+    def bisecting(self, thetas):
+        assert all(block() is None for block in blocks)
+        levels, saturated, failed = points(self, thetas)
+        blocks.append(weakref.ref(levels))
+        return levels, saturated, failed
+
+    monkeypatch.setattr(residuals._Bisection, "points", bisecting)
+    result = hude.estimate_moments(
+        model, series, bounds=[(0.0, 1.0), (0.0, 1.0)], h=1e-3, restarts=2,
+        maxiter=200, threshold=1e-6, seed=0)
+    assert result.iterations == 52
+    # 120 batches of probes, then the estimate's vector.
+    assert len(blocks) == 121
 
 
 @pytest.mark.parametrize("source", [
