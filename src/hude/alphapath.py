@@ -27,8 +27,9 @@ from .model import (
     InitialState,
     ReducedField,
     _clamped_phi,
+    _condition_reports,
     alpha_path_field,
-    check_alpha_path_condition,
+    check_alpha_path_condition,  # noqa: F401  (perfbench/layers.py wraps it here)
     compile_model,
     phi_inv,
 )
@@ -118,7 +119,8 @@ def inverse_distribution(
     check_unit_interval("quantile levels", alphas)
     init.check_order(model.order)
     resolved = model.resolved_theta(theta)
-    field = ReducedField(*compile_model(model, resolved), _clamped_phi(alphas))
+    lowered = compile_model(model, resolved)
+    field = ReducedField(*lowered, _clamped_phi(alphas))
     B = alphas.size
     t0s = np.full(B, init.t0)
     y0s = np.tile(init.values, (B, 1))
@@ -137,7 +139,7 @@ def inverse_distribution(
             float(alphas[np.argmin(finite)]),
         )
     if check:
-        _spot_check(model, resolved, (float(init.t0), float(t)), mins, maxs,
+        _spot_check(lowered, (float(init.t0), float(t)), mins, maxs,
                     (float(alphas.min()), float(alphas.max())))
     return InverseDistributionCurve(t=float(t), alphas=alphas, values=terminal[:, 0])
 
@@ -152,7 +154,14 @@ def _user_stacklevel() -> int:
     return level
 
 
-def _spot_check(model, theta, t_range, mins, maxs, alphas):
+def _spot_check(lowered, t_range, mins, maxs, alphas):
+    """The advisory check of the monotonicity condition at the levels
+    ``alphas`` over the box around the visited region ``mins .. maxs`` of an
+    order-2-or-more model lowered with its values by
+    :func:`~hude.model.compile_model` (the caller's own lowering): every
+    level in one evaluation (:func:`~hude.model._condition_reports`).  A
+    level where the field is not finite on the box warns that its check was
+    skipped; the levels that fail warn once, together."""
     pad = np.maximum(1e-9, 1e-9 * np.abs(maxs))
     width = np.maximum(maxs - mins, np.maximum(1e-6, 1e-6 * np.abs(maxs)))
     ranges = tuple(
@@ -160,15 +169,14 @@ def _spot_check(model, theta, t_range, mins, maxs, alphas):
         for lo, w, p in zip(mins, width, pad)
     )
     domain = ConditionDomain(t_range, ranges, SPOT_CHECK_RESOLUTION)
+    levels = sorted(set(alphas))
     failed = []
-    for a in sorted(set(alphas)):
-        try:
-            report = check_alpha_path_condition(model, theta, a, domain)
-        except (DomainError, ValueError) as exc:
+    for a, report in zip(levels, _condition_reports(lowered, levels, domain)):
+        if isinstance(report, DomainError):
             # Advisory only: a check that cannot be evaluated never blocks
             # the computation, but it is not silently counted as passed.
             warnings.warn(
-                f"monotonicity spot check at alpha={a} skipped: {exc}",
+                f"monotonicity spot check at alpha={a} skipped: {report}",
                 AlphaPathConditionWarning,
                 stacklevel=_user_stacklevel(),
             )

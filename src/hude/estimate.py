@@ -18,6 +18,7 @@ back inside.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -99,19 +100,29 @@ def _moment_gaps(eps: np.ndarray, p: int) -> np.ndarray:
     """The gaps between the first ``p`` sample moments of each residual
     vector, along the last axis of ``eps``, and the uniform moments
     ``1/(k+1)``: one gap per moment, on the last axis."""
-    gaps = np.empty(eps.shape[:-1] + (p,))
+    sums = np.empty(eps.shape[:-1] + (p,))
     for k in range(1, p + 1):
-        # np.mean's sum and division, without its Python wrapper.
-        gaps[..., k - 1] = (np.add.reduce(eps**k, axis=-1) / eps.shape[-1]
-                            - 1.0 / (k + 1))
-    return gaps
+        sums[..., k - 1] = np.add.reduce(eps**k, axis=-1)
+    # np.mean's division, without its Python wrapper, then each gap.
+    return sums / eps.shape[-1] - 1.0 / np.arange(2.0, p + 2.0)
 
 
 def _moment_scores(eps: np.ndarray, p: int) -> np.ndarray:
     """Sum of squared moment gaps (:func:`_moment_gaps`) of each residual
     vector along the last axis of ``eps``: a batch's ``(P, M)`` levels score
     in one expression, each row to the bits of its own score."""
-    return np.sum(_moment_gaps(eps, p) ** 2, axis=-1)
+    return np.add.reduce(_moment_gaps(eps, p) ** 2, axis=-1)
+
+
+def _moment_bounds(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
+    """A lower bound of the moment score (:func:`_moment_scores`) of every
+    residual vector whose levels lie in the cells ``[lo, hi]``, along the
+    last axis, bit for bit: every float op of :func:`_moment_gaps` is
+    monotone in the levels, so each gap lies between its values at the two
+    cell ends, and the gap nearest 0 on that range is squared and summed in
+    the score's own order."""
+    return np.add.reduce(
+        np.clip(0.0, _moment_gaps(lo, p), _moment_gaps(hi, p)) ** 2, axis=-1)
 
 
 def _moment_score(eps: np.ndarray, p: int) -> float:
@@ -176,22 +187,14 @@ def _box(bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _reflect_into_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Fold a point back inside the box [lo, hi] (:func:`_box`) by reflection
-    at the walls."""
-    width = hi - lo
-    y = (np.asarray(x, dtype=float) - lo) % (2.0 * width)
-    return lo + np.where(y > width, 2.0 * width - y, y)
-
-
-def _evaluate(objective: Callable, points: np.ndarray) -> np.ndarray:
+def _evaluate(objective: Callable, points: np.ndarray) -> list[float]:
     """Objective values at the rows of ``points``: one call of
     ``objective.batch`` when the objective has that batched form (see
     :func:`_residual_objective`), else one call per point."""
     batch = getattr(objective, "batch", None)
     if batch is None:
-        return np.array([objective(point) for point in points])
-    return np.asarray(batch(points), dtype=float)
+        return [float(objective(point)) for point in points]
+    return [float(v) for v in batch(points)]
 
 
 def _nelder_mead_box(f, x0, lo, hi, maxiter=400):
@@ -199,47 +202,74 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400):
 
     Returns ``(x_best, f_best, iterations, nfev)``.  Infinite objective values
     (failed probes) are handled by the usual ordering.  The initial simplex
-    and each shrink are scored as one batch of points.
+    and each shrink are scored as one batch of points, and every probe is an
+    array.
+
+    The bookkeeping runs on Python floats, with the IEEE operations of the
+    array form in the same order: a vertex is folded into the box by
+    reflection, ``y = (x - lo) % (2*width)`` (Python's ``%`` is numpy's
+    ``remainder``) and ``lo + (2*width - y if y > width else y)``; the
+    centroid is the sum of the vertices, row by row from ``0.0``, over their
+    count; the vertices are ordered stably with NaN values last, as
+    ``argsort`` orders them; and a spread that holds a NaN is not within
+    tolerance, as a NaN maximum is not.
     """
     n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
+    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+    box = [(a, b - a, 2.0 * (b - a)) for a, b in zip(lo, hi)]
+
+    def fold(x):
+        # In a box near the largest float a vertex can leave the floats; it
+        # is inf or NaN, and its probe fails like any other.
+        out = []
+        for v, (a, width, twice) in zip(x, box):
+            y = (v - a) % twice
+            out.append(a + (twice - y if y > width else y))
+        return out
+
+    def toward(a, b, t):
+        # a + t*(b - a) folded into the box.
+        return fold([u + t * (v - u) for u, v in zip(a, b)])
+
+    def probe(x):
+        return float(f(np.array(x)))
+
+    x0 = [float(v) for v in x0]
+    simplex = [x0]
     for i in range(n):
-        step = 0.05 * (hi[i] - lo[i]) or 1e-4
-        vertex = np.array(x0, dtype=float)
-        vertex[i] += step
-        simplex.append(_reflect_into_box(vertex, lo, hi))
-    simplex = np.array(simplex)
-    values = _evaluate(f, simplex)
+        vertex = list(x0)
+        vertex[i] += 0.05 * (hi[i] - lo[i]) or 1e-4
+        simplex.append(fold(vertex))
+    values = _evaluate(f, np.array(simplex))
     nfev = n + 1
     iterations = 0
 
-    def toward(a, b, t):
-        # a + t*(b - a) folded into the box.  In a box near the largest float
-        # a vertex can leave the floats; it is inf or NaN, and its probe
-        # fails like any other.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _reflect_into_box(a + t * (b - a), lo, hi)
+    def rank(i):
+        return values[i] != values[i], values[i]
 
     for iterations in range(1, maxiter + 1):
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-        spread = np.max(np.abs(simplex[1:] - simplex[0]))
+        order = sorted(range(n + 1), key=rank)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        best = simplex[0]
         # A simplex of failed vertices holds inf - inf: NaN, which the rule
         # reads as not finite, like inf.
-        with np.errstate(invalid="ignore"):
-            fspread = values[-1] - values[0]
-        if spread <= XATOL and (not np.isfinite(fspread) or fspread <= FATOL):
+        fspread = values[-1] - values[0]
+        if (all(abs(v - b) <= XATOL for x in simplex[1:]
+                for v, b in zip(x, best))
+                and (not math.isfinite(fspread) or fspread <= FATOL)):
             break
-        with np.errstate(over="ignore"):
-            centroid = simplex[:-1].mean(axis=0)
+        centroid = [0.0] * n
+        for x in simplex[:-1]:
+            centroid = [c + v for c, v in zip(centroid, x)]
+        centroid = [c / n for c in centroid]
 
         reflected = toward(centroid, simplex[-1], -1.0)
-        f_r = f(reflected)
+        f_r = probe(reflected)
         nfev += 1
         if f_r < values[0]:
             expanded = toward(centroid, simplex[-1], -2.0)
-            f_e = f(expanded)
+            f_e = probe(expanded)
             nfev += 1
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
@@ -251,7 +281,7 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400):
             continue
         contracted = toward(centroid, reflected if f_r < values[-1]
                             else simplex[-1], 0.5)
-        f_c = f(contracted)
+        f_c = probe(contracted)
         nfev += 1
         if f_c < min(f_r, values[-1]):
             simplex[-1], values[-1] = contracted, f_c
@@ -259,11 +289,13 @@ def _nelder_mead_box(f, x0, lo, hi, maxiter=400):
         # shrink toward the best vertex
         for i in range(1, n + 1):
             simplex[i] = toward(simplex[0], simplex[i], 0.5)
-        values[1:] = _evaluate(f, simplex[1:])
+        values[1:] = _evaluate(f, np.array(simplex[1:]))
         nfev += n
 
-    best = int(np.argmin(values))
-    return simplex[best], float(values[best]), iterations, nfev
+    # np.argmin: the first NaN, else the first least value.
+    best = next((i for i, v in enumerate(values) if v != v),
+                min(range(n + 1), key=values.__getitem__))
+    return np.array(simplex[best]), values[best], iterations, nfev
 
 
 def _ladder_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -300,8 +332,11 @@ def minimize_in_box(
     starts are drawn uniformly.  Restarting stops early once the objective
     drops below ``stop_below``.  Returns ``(x_best, f_best, total_iterations)``.
     An objective with a ``batch`` attribute, mapping a ``(P, p)`` matrix of
-    points to their ``P`` values, scores the scan in one call.  ``bounds``
-    must make a box (:func:`_box`).
+    points to their ``P`` values, scores the scan in one call.  One with an
+    ``argmin`` attribute, mapping the scan's points to ``(index, finite)``,
+    ``np.argmin`` of their values and whether that value is finite, is asked
+    only that: it need not score every point exactly (see
+    :func:`_residual_objective`).  ``bounds`` must make a box (:func:`_box`).
     """
     lo, hi = _box(bounds)
     theta_init = np.asarray(theta_init, dtype=float).reshape(-1)
@@ -315,9 +350,14 @@ def minimize_in_box(
     starts = [theta_init]
     if presearch:
         points = _ladder_points(lo, hi)
-        values = _evaluate(objective, points)
-        best = int(np.argmin(values))
-        if np.isfinite(values[best]):
+        argmin = getattr(objective, "argmin", None)
+        if argmin is None:
+            values = _evaluate(objective, points)
+            best = int(np.argmin(values))
+            finite = math.isfinite(values[best])
+        else:
+            best, finite = argmin(points)
+        if finite:
             starts.insert(0, points[best])
     # Each uniform start is drawn when the search reaches it.
     drawn = (rng.uniform(lo, hi) for _ in range(restarts - 1))
@@ -334,7 +374,8 @@ def minimize_in_box(
     return best_x, best_f, total
 
 
-def _residual_objective(model, series, score, delta, h, scheme, method):
+def _residual_objective(model, series, score, delta, h, scheme, method,
+                        bound=None):
     """``x -> score(epsilons of the residuals at x)`` and the function that
     returns the :class:`ResidualVector` at a point; ``x`` lists the
     parameters in ``model.params`` order.  ``score`` maps a ``(P, M)`` block
@@ -342,29 +383,91 @@ def _residual_objective(model, series, score, delta, h, scheme, method):
 
     The objective's ``batch`` attribute scores a ``(P, p)`` matrix of probes
     in shared bisections, each writing its points into its plan in one
-    block (:meth:`~hude.residuals._Bisection.points`); the objective scores
+    block (:meth:`~hude.residuals._Bisection.cells`); the objective scores
     one probe as a batch of one.  One bisection of the restart rows serves
     the whole fit: it lowers the model once and prepares each batch size
     once.  A probe that fails to integrate scores ``inf``, and its levels
     are not kept: a point's vector is bisected again, as a batch of one
     (:meth:`~hude.residuals._Bisection.vector`), and runs the advisory
     monotonicity check the probes skip.
+
+    Where ``bound`` maps the ``(P, M)`` cells ``lo`` and ``hi`` of the
+    points' levels to a lower bound of each point's score, bit for bit, the
+    objective also has an ``argmin`` attribute (:func:`_argmin_by_depth`),
+    which bisects each point of a scan only as deep as its argmin needs.
     """
     bisection = _Bisection(model, series, scheme, delta, h, method)
 
     def batch(points):
-        levels, _, failed = bisection.points(np.asarray(points, dtype=float))
-        return np.where(failed, np.inf, score(levels)).tolist()
+        lo, hi, failed = bisection.cells(np.asarray(points, dtype=float))
+        return np.where(failed, np.inf, score(0.5 * (lo + hi))).tolist()
 
     def objective(x):
         return batch([x])[0]
 
     objective.batch = batch
+    if bound is not None:
+        objective.argmin = lambda points: _argmin_by_depth(
+            bisection, np.asarray(points, dtype=float), score, bound)
     return objective, bisection.vector
 
 
+def _argmin_by_depth(bisection, points, score, bound):
+    """``(index, finite)``: ``np.argmin`` of the ``score`` of the rows of
+    ``points`` (:func:`_residual_objective`) and whether its value is
+    finite, each point bisected only as deep as that needs.
+
+    Every point runs three passes (:meth:`~hude.residuals._Bisection.cells`).
+    A point that fails in them fails at full depth too, which runs the same
+    probes first, and scores ``inf``.  Any other point's final levels lie in
+    its cells, so ``bound`` of the cells bounds its score from below.  The
+    point with the least bound (of equal bounds, the least score at its
+    cells' midpoints) resumes to full depth and is scored exactly, until one
+    scores a finite value; which point goes first changes only the work,
+    never the argmin.  Then every point whose bound is at
+    most the best exact score so far, ties included so that the first index
+    of equal scores wins as in ``np.argmin``, resumes by one pass in one run
+    of their number, and is bounded again; a point whose bound exceeds the
+    best cannot be the argmin and stops there.  The points left at full
+    depth are scored exactly."""
+    lo, hi, failed = bisection.cells(points, 0, 3)
+    lo, hi = lo.copy(), hi.copy()  # a run's own state is overwritten
+    halvings = bisection.halvings
+    depth = min(3, halvings)
+    values = np.full(len(points), np.inf)
+    live = ~failed
+    best = np.inf
+    while live.any():
+        rows = np.flatnonzero(live)
+        if depth == halvings:
+            values[rows] = score(0.5 * (lo[rows] + hi[rows]))
+            break
+        bounds = bound(lo[rows], hi[rows])
+        if best == np.inf:
+            # The least bound, of equal bounds the least score at the cells'
+            # midpoints: the likeliest argmin.
+            guess = score(0.5 * (lo[rows] + hi[rows]))
+            i = rows[np.lexsort((guess, bounds))[0]]
+            end_lo, end_hi, end_failed = bisection.cells(
+                points[i:i + 1], depth, halvings, (lo[i:i + 1], hi[i:i + 1]))
+            if not end_failed[0]:
+                values[i] = best = score(0.5 * (end_lo + end_hi))[0]
+            live[i] = False
+            continue
+        live[rows[bounds > best]] = False
+        rows = rows[bounds <= best]
+        if rows.size:
+            lo[rows], hi[rows], deeper_failed = bisection.cells(
+                points[rows], depth, depth + 1, (lo[rows], hi[rows]))
+            live[rows[deeper_failed]] = False
+            depth += 1
+    index = int(np.argmin(values))
+    return index, bool(np.isfinite(values[index]))
+
+
 def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
-              scheme, method, restarts, maxiter, threshold, seed, presearch):
+              scheme, method, restarts, maxiter, threshold, seed, presearch,
+              bound=None):
     """Minimise ``score`` of the residual levels (:func:`_residual_objective`)
     over the box ``bounds``; the result keeps the residual vector at the
     estimate, bisected once more on the fit's one-point plan and spot-checked,
@@ -381,7 +484,7 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
     elif isinstance(theta_init, Mapping):
         theta_init = np.array([theta_init[name] for name in names], dtype=float)
     objective, vector = _residual_objective(
-        model, series, score, delta, h, scheme, method)
+        model, series, score, delta, h, scheme, method, bound)
     best_x, best_f, iterations = minimize_in_box(
         objective, theta_init, bounds, restarts, maxiter, seed,
         stop_below=threshold, presearch=presearch,
@@ -422,7 +525,8 @@ def estimate_moments(
         raise ValueError("moment count p must be >= 1")
     return _estimate(model, series, lambda eps: _moment_scores(eps, p), p,
                      theta_init, bounds, delta, h, scheme, method, restarts,
-                     maxiter, threshold, seed, presearch)
+                     maxiter, threshold, seed, presearch,
+                     lambda lo, hi: _moment_bounds(lo, hi, p))
 
 
 def estimate_mle(

@@ -358,38 +358,71 @@ def check_alpha_path_condition(
     if n == 1:
         return ConditionReport(alpha=alpha, passed=True, axes=())
 
-    field = alpha_path_field(model, theta, alpha).raw
+    report, = _condition_reports(compile_model(model, theta), [alpha], domain,
+                                 rel_tol)
+    if isinstance(report, DomainError):
+        raise report
+    return report
+
+
+def _condition_reports(lowered, alphas, domain, rel_tol=1e-9):
+    """The :class:`ConditionReport` of :func:`check_alpha_path_condition` at
+    each quantile level of ``alphas`` (in ``(0, 1)``) of an order-``n``
+    model (``n >= 2``, ``domain`` of ``n`` state ranges) lowered with its
+    values by :func:`compile_model`, or, where the field is not finite on
+    the box, the :class:`DomainError` the check raises.
+
+    Every level runs in one evaluation of the ops (:func:`_evaluate`) over
+    an open grid, with the noise levels on a leading axis, so each element
+    is the same IEEE operation as on a level's own grid; a level whose
+    noise level is 0 runs the plain field, as :class:`ReducedField` does.
+    """
+    (plain, noisy, names), values = lowered
+    n = len(domain.state_ranges)
     res = domain.resolution
     grids = [np.linspace(domain.t_range[0], domain.t_range[1], res)]
     grids += [np.linspace(lo, hi, res) for lo, hi in domain.state_ranges]
-    mesh = np.meshgrid(*grids, indexing="ij")
+    env = {f"p{k}": values[name] for k, name in enumerate(names)}
+    # Axis 0 holds the levels, axis 1 + d grid axis d: t, then x0 ...
+    for d, (name, grid) in enumerate(zip(["t", *(f"x{k}" for k in range(n))],
+                                         grids)):
+        env[name] = grid.reshape((1,) * (d + 1) + (res,) + (1,) * (n - d))
+    phis = np.array([_clamped_phi(a) for a in alphas])
+    noise = phis != 0.0
+    field = np.empty((len(alphas),) + (res,) * (n + 1))
     with np.errstate(all="ignore"):
-        value = field.columns(n)(*mesh)[-1]
-    value = np.broadcast_to(value, mesh[0].shape)
-    if not np.all(np.isfinite(value)):
-        raise DomainError("right-hand side is not finite on the requested box")
-
-    tol = rel_tol * max(1.0, float(np.max(np.abs(value))))
-    axes = []
-    for k in range(n - 1):
-        diff = np.diff(value, axis=k + 1)
-        min_slack = float(diff.min())
-        idx = np.unravel_index(int(np.argmin(diff)), diff.shape)
-        point = (
-            float(grids[0][idx[0]]),
-            tuple(float(grids[d + 1][idx[d + 1]]) for d in range(n)),
-        )
-        axes.append(
-            AxisCheck(
-                axis=k,
-                passed=min_slack >= -tol,
-                min_slack=min_slack,
-                worst_point=point,
+        if noise.any():
+            field[noise] = _evaluate(*noisy, {**env, "phi": phis[noise].reshape(
+                (-1,) + (1,) * (n + 1))})
+        if not noise.all():
+            field[~noise] = _evaluate(*plain, env)
+    reports = []
+    for alpha, value in zip(alphas, field):
+        if not np.all(np.isfinite(value)):
+            reports.append(DomainError(
+                "right-hand side is not finite on the requested box"))
+            continue
+        tol = rel_tol * max(1.0, float(np.max(np.abs(value))))
+        axes = []
+        for k in range(n - 1):
+            diff = np.diff(value, axis=k + 1)
+            min_slack = float(diff.min())
+            idx = np.unravel_index(int(np.argmin(diff)), diff.shape)
+            point = (
+                float(grids[0][idx[0]]),
+                tuple(float(grids[d + 1][idx[d + 1]]) for d in range(n)),
             )
-        )
-    return ConditionReport(
-        alpha=alpha, passed=all(a.passed for a in axes), axes=tuple(axes)
-    )
+            axes.append(
+                AxisCheck(
+                    axis=k,
+                    passed=min_slack >= -tol,
+                    min_slack=min_slack,
+                    worst_point=point,
+                )
+            )
+        reports.append(ConditionReport(
+            alpha=alpha, passed=all(a.passed for a in axes), axes=tuple(axes)))
+    return reports
 
 
 def model_from_dict(data: Mapping) -> HudeModel:
@@ -422,7 +455,14 @@ def model_from_dict(data: Mapping) -> HudeModel:
             theta = {name: float(v) for name, v in theta.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"'theta' values must be numbers: {exc}") from None
-    return HudeModel.parse(order, drift, diffusions, params, theta)
+    stray = sorted(set(theta or ()) - set(params))
+    if stray:
+        raise ModelFormatError(f"'theta' names no declared parameter: {stray}")
+    try:
+        return HudeModel.parse(order, drift, diffusions, params, theta)
+    except ValueError as exc:
+        # The model's own checks: the order, the parameter names, literals.
+        raise ModelFormatError(str(exc)) from None
 
 
 def _init_from_dict(data: Mapping, order: int) -> InitialState:
@@ -431,6 +471,8 @@ def _init_from_dict(data: Mapping, order: int) -> InitialState:
         values = np.asarray(data["state"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad 'init' section: {exc}") from None
+    if values.ndim > 1:
+        raise ModelFormatError("'init.state' must be a flat list of numbers")
     if values.size != order:
         raise ModelFormatError(
             f"'init.state' must have {order} components, got {values.size}"

@@ -32,19 +32,24 @@ into the plan's level row, steps every row, flags the rows whose state is
 not finite and keeps the upper half where ``x0`` ends below the
 observation.  The start states are restored after the last pass, so the
 plan runs again at other parameter values, written over its parameter rows
-in one assignment.  Up to :data:`_TABLE_DEPTH` halvings of a field that
-compiles, this is one call of ``bisect``, the
-terminal kernel's third C entry point (``chain``, a simulated series, is
-its second).  Its ``out`` is one float array, blocks of ``rows`` values in
-this order: ``H`` (one value), the observations ``x_next``, then what it
-returns, ``lo`` and ``hi``, each row's first pass with a non-finite state
-(``-1`` for none) and the level it probed there, then its copy of the
-``n`` start state rows, then the table of the ``2**H - 1`` noise levels,
-:func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``, computed by
-numpy because C's ``log`` rounds some of them differently
-(:func:`_phi_table`).  Every probe is a multiple of ``2**-H``, so ``mid *
-2**H - 1`` indexes the table exactly.  Otherwise each pass is one call of
-the kernel :func:`_kernel` picks, with the same bits.
+in one assignment.  A run takes a range of the passes: pass 0 starts every
+row at [0, 1] with no failure, and a later pass resumes from the cells the
+caller left in the run's state, so pass ``p`` of any run is pass ``p`` of
+the whole bisection, bit for bit.  Up to :data:`_TABLE_DEPTH` halvings of a
+field that compiles, a run is one call of ``bisect``, the terminal kernel's
+third C entry point (``chain``, a simulated series, is its second).  Its
+``out`` is one float array: ``H``, the first pass and the end of the range,
+then blocks of ``rows`` values, the observations ``x_next``, the state it
+reads and writes, ``lo`` and ``hi``, each row's first pass with a
+non-finite state (``-1`` for none) and the level it probed there, then its
+copy of the ``n`` start state rows.  Its ``nsteps`` carries one more int64
+after the rows' step counts: the address of the table of the ``2**H - 1``
+noise levels, :func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``,
+computed once per depth by numpy because C's ``log`` rounds some of them
+differently (:func:`_phi_table`), and shared by every run of that depth.
+Every probe is a multiple of ``2**-H``, so ``mid * 2**H - 1`` indexes the
+table exactly.  Otherwise each pass is one call of the kernel
+:func:`_kernel` picks, with the same bits.
 
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
 whole-loop kernel that :func:`_generated` makes once per field source,
@@ -354,40 +359,48 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
     docstring sets out: the batch is checked and planned (:func:`_plan`)
     once, also where it takes no pass.
 
-    Returns ``run(params)``, which writes ``params``, an array that
-    broadcasts to the plan's ``(slots, rows)`` parameter rows, over them
-    (``None`` keeps the plan's own) and runs the passes, in one C call where
-    ``bisect`` loads.  It returns ``(levels, saturated, failed, failure)``:
-    each row's final midpoint, whether its final interval touches 0 or 1,
-    whether any probe of the row left the finite floats, and ``None`` or
-    the lowest failed row of the earliest failing pass with its level."""
+    Returns ``(run, state)``.  ``state`` is the ``(4, rows)`` array of each
+    row's ``lo``, ``hi``, first failing pass (``-1`` for none) and the level
+    it probed there.  ``run(params, start, stop)`` writes ``params``, a
+    ``(slots, P)`` matrix, over the plan's parameter rows, each column over
+    one of ``P`` equal blocks of consecutive rows (``None`` keeps the plan's
+    own), runs passes ``start`` to ``stop - 1`` (by default all of them) on
+    ``state`` and returns it: in one C call where ``bisect`` loads.  Pass 0
+    starts every row afresh; a later ``start`` resumes from the ``lo`` and
+    ``hi`` the caller wrote into ``state``, with the failures it kept."""
     plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method)
     rows, n = plan.shape[1], np.shape(y0)[-1]
     bisect = (_generated(*lowered, n, method, "bisect", "compiled")
               if COMPILED and 0 < halvings <= _TABLE_DEPTH else None)
     if bisect is not None:
-        table = _phi_table(halvings)
-        out = np.empty(1 + (5 + n) * rows + table.size)
+        out = np.empty(3 + (5 + n) * rows)
         out[0] = halvings
-        out[1:1 + rows] = x_next
-        out[1 + (5 + n) * rows:] = table
+        out[3:3 + rows] = x_next
+        state = out[3 + rows:3 + 5 * rows].reshape(4, rows)
+        # The shared table's address rides after the step counts.
+        table = _phi_table(halvings)
+        steps = np.append(nsteps, np.int64(table.ctypes.data))
+        call = _bound_call(bisect, rows, h, steps, out, plan)
 
-        def passes():
-            bisect(rows, h, nsteps, out, plan)
-            return out[1 + rows:1 + 5 * rows].reshape(4, rows)
+        def passes(start, stop, held=(table, steps, plan)):
+            # ``held``: the arrays whose addresses the call holds.
+            out[1], out[2] = start, stop
+            call()
     else:
         # Looked up only where a pass runs, so no pass builds no kernel.
         kernel = (_kernel(lowered, n, method, "terminal", rows)
                   if halvings else None)
         x, level = plan[3:3 + n], plan[3 + n]
-        start = x.copy()
+        start_states = x.copy()
+        state = np.empty((4, rows))
+        lo, hi, first, probe = state
 
-        def passes():
+        def passes(start, stop):
             # What bisect computes, pass by pass.
-            lo, hi = np.zeros(rows), np.ones(rows)
-            first, probe = np.full(rows, -1.0), np.empty(rows)
-            for p in range(halvings):
-                x[...] = start
+            if start == 0:
+                lo[...], hi[...], first[...] = 0.0, 1.0, -1.0
+            for p in range(start, stop):
+                x[...] = start_states
                 mid = 0.5 * (lo + hi)
                 level[...] = _clamped_phi(mid)
                 with np.errstate(all="ignore"):
@@ -395,24 +408,21 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
                 new = (first < 0.0) & ~np.isfinite(x).all(axis=0)
                 first[new], probe[new] = p, mid[new]
                 below = x[0] < x_next
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            x[...] = start
-            return lo, hi, first, probe
+                np.copyto(lo, mid, where=below)
+                np.copyto(hi, mid, where=~below)
+            x[...] = start_states
 
-    def run(params=None):
+    params_rows = plan[4 + n:]
+
+    def run(params=None, start=0, stop=halvings):
         # The parameter rows follow the level row, as in ReducedField._bound.
         if params is not None:
-            plan[4 + n:] = params
-        lo, hi, first, probe = passes()
-        failed = first >= 0.0
-        failure = None
-        if failed.any():
-            # The lowest row of the earliest pass with a failure.
-            row = int(np.argmin(np.where(failed, first, np.inf)))
-            failure = (row, float(probe[row]))
-        return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failed, failure
-    return run
+            points = params.shape[1]
+            params_rows.reshape(len(params_rows), points, rows // points)[
+                ...] = params[:, :, None]
+        passes(start, stop)
+        return state
+    return run, state
 
 
 @functools.lru_cache(maxsize=4)
@@ -424,6 +434,17 @@ def _phi_table(depth):
     table = _clamped_phi(np.arange(1, 2 ** depth) / 2 ** depth)
     table.flags.writeable = False
     return table
+
+
+def _bound_call(kernel, rows, h, nsteps, out, plan):
+    """``kernel(rows, h, nsteps, out, plan)`` as a call of no arguments,
+    made again and again on the same arrays, which the caller keeps alive:
+    a compiled kernel's with the arrays' addresses taken once."""
+    if (isinstance(kernel, functools.partial)
+            and kernel.func is _compiled_loop):
+        return functools.partial(kernel.args[0], rows, h, nsteps.ctypes.data,
+                                 out.ctypes.data, plan.ctypes.data)
+    return functools.partial(kernel, rows, h, nsteps, out, plan)
 
 
 def _compiled_loop(fn, rows, h, nsteps, out, plan):
@@ -771,8 +792,9 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     defines ``chain`` and ``bisect``, with the same arguments.  ``chain``
     runs that loop on one row at a time (the rows' pointers offset by
     ``i``), each from the terminal state of the row before it, which it
-    copies forward in the plan.  ``bisect`` runs a residual bisection, its
-    passes and what ``out`` carries laid out in the module docstring: it
+    copies forward in the plan.  ``bisect`` runs a range of the passes of a
+    residual bisection, laid out in the module docstring with what ``out``
+    and the slot after the step counts carry: it
     calls the exported ``kernel`` once per pass, which gcc does not inline
     under ``-fPIC``, so no clone of the loop is compiled twice.  As in the
     pass loop, a row fails where any state is not finite, and the upper half
@@ -838,18 +860,20 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
             f"{', '.join(f'{r} + i' for r in per_row)});", "    }", "}",
             f"void bisect{entry}",
             "    const int64_t passes = (int64_t)out[0];",
+            "    const int64_t from = (int64_t)out[1], to = (int64_t)out[2];",
             # Each probe is a multiple of 1/grid: mid * grid is exact.
             "    const double grid = ldexp(1.0, (int)passes);",
-            "    const double *x_next = out + 1;",
-            "    double *lo = out + 1 + rows, *hi = lo + rows, *first = hi + "
+            "    const double *phi = (const double *)(intptr_t)nsteps[rows];",
+            "    const double *x_next = out + 3;",
+            "    double *lo = out + 3 + rows, *hi = lo + rows, *first = hi + "
             "rows, *probe = first + rows, *start = probe + rows;",
-            f"    const double *phi = start + {n} * rows;",
             f"    double *x = plan + 3 * rows, *level = plan + {3 + n} * rows;",
             f"    for (int64_t i = 0; i < {n} * rows; i++) start[i] = x[i];",
-            "    for (int64_t i = 0; i < rows; i++) {",
-            "        lo[i] = 0.0;", "        hi[i] = 1.0;",
-            "        first[i] = -1.0;", "    }",
-            "    for (int64_t p = 0; p < passes; p++) {",
+            "    if (from == 0) {",
+            "        for (int64_t i = 0; i < rows; i++) {",
+            "            lo[i] = 0.0;", "            hi[i] = 1.0;",
+            "            first[i] = -1.0;", "        }", "    }",
+            "    for (int64_t p = from; p < to; p++) {",
             f"        for (int64_t i = 0; i < {n} * rows; i++) x[i] = start[i];",
             "        for (int64_t i = 0; i < rows; i++)",
             "            level[i] = "

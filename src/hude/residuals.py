@@ -9,7 +9,9 @@ bisection on the terminal value of the restarted path; each pass halves every
 row once, integrating all rows together on a plan made once, and a field that
 compiles runs every pass in one C call.  A fit plans its rows once per batch
 size and runs each batch of parameter points with one write of the point
-matrix into the plan.
+matrix into the plan; a run may take only a range of the passes and resume
+from the cells earlier passes left, so a fit bisects a point only as deep as
+its decisions read.
 
 Derivative observations are rarely measured directly; they are reconstructed
 from the raw series with forward (default) or central differences, producing
@@ -238,53 +240,80 @@ def _halvings(delta):
 
 class _Bisection:
     """The residuals of ``series`` under ``model`` as :func:`compute_residuals`
-    bisects them, run at many parameter points (:meth:`points`,
-    :meth:`vector`).  It keeps the restart rows, read at construction
-    (:func:`_restart_rows`), and its prepared runs, but no point's levels.
+    bisects them, run at many parameter points (:meth:`cells`,
+    :meth:`points`, :meth:`vector`).  It keeps the restart rows, read at
+    construction (:func:`_restart_rows`), and its prepared runs, but no
+    point's levels.
 
     Nothing else is checked or built before the first call, so each
     ValueError comes where a one-shot bisection raises it.  The first call
     checks ``delta`` and lowers the model (:func:`~hude.model.compile_model`),
-    whose code does not depend on the parameters.  The first chunk of each
+    whose code does not depend on the parameters.  The first run of each
     number of points tiles the rows and prepares their bisection
-    (:func:`~hude.odeint._bisect`), which checks and plans them; each chunk
-    then writes its points into the plan in one block and runs it.
+    (:func:`~hude.odeint._bisect`), which checks and plans them and shares
+    one table of noise levels with every other run.  Each run then writes
+    its points into the plan in one block and runs a range of the passes,
+    from the start or resumed from the cells that earlier passes left, so a
+    point bisected in steps ends where one run of every pass ends.
     """
 
     def __init__(self, model, series, scheme, delta, h, method):
         self.model, self.delta, self.h, self.method = model, delta, h, method
         self.rows = _restart_rows(model, series, scheme)
-        self.code, self.runs = None, {}  # points -> run of the tiled rows
+        self.code, self.runs = None, {}  # points -> (run, state), tiled rows
 
-    def points(self, thetas):
-        """The ``(P, M)`` levels and saturation flags of the rows at each row
-        of the ``(P, p)`` matrix ``thetas`` (columns in ``model.params``
-        order), and whether each point failed to integrate, from bisections
-        of as many points as fit in :data:`BATCH_ROWS` rows."""
-        _, t0s, y0s, t1s, x_next = self.rows
-        M = len(x_next)
+    def cells(self, thetas, start=0, stop=None, resume=None):
+        """The ``(P, M)`` cells ``lo`` and ``hi`` of the rows at each row of
+        the ``(P, p)`` matrix ``thetas`` (columns in ``model.params`` order)
+        after passes ``start`` to ``stop - 1`` (at most, and by default, to
+        the last pass), and whether each point failed to integrate there,
+        from bisections of as many points as fit in :data:`BATCH_ROWS` rows.
+        A later ``start``
+        resumes from the cells ``resume``, ``(lo, hi)`` of a point that had
+        not failed.  The cells of a run of one batch are views of its state,
+        read before the next run of as many points."""
+        M = len(self.rows[4])
         if self.code is None:
             self.halvings = _halvings(self.delta)
             names = self.model.params
             self.code, self.values = compile_model(
                 self.model, dict(zip(names, thetas[0])))
-            # The matrix columns of the plan's parameter slots.
+            # The matrix columns of the plan's parameter slots: a view where
+            # the field reads every parameter in the declared order.
             self.slots = [names.index(name) for name in self.code[2]]
-        per_chunk = max(1, BATCH_ROWS // M)
-        out = []
-        for start in range(0, len(thetas), per_chunk):
-            chunk = thetas[start:start + per_chunk]
-            P = len(chunk)
-            if P not in self.runs:  # an array level picks the noisy field
-                self.runs[P] = odeint._bisect(
-                    ReducedField(self.code, self.values, np.zeros(M * P)),
-                    np.tile(t0s, P), np.tile(y0s, (P, 1)), np.tile(t1s, P),
-                    self.h, self.method, np.tile(x_next, P), self.halvings)
-            levels, saturated, failed, _ = self.runs[P](
-                np.repeat(chunk[:, self.slots].T, M, axis=1))
-            out.append((levels.reshape(P, M), saturated.reshape(P, M),
-                        failed.reshape(P, M).any(axis=1)))
-        return tuple(np.concatenate(part) for part in zip(*out))
+            if self.slots == list(range(len(names))):
+                self.slots = slice(None)
+        stop = self.halvings if stop is None else min(stop, self.halvings)
+        P, per_chunk = len(thetas), max(1, BATCH_ROWS // M)
+        if P > per_chunk:
+            (lo, hi), failed = np.empty((2, P, M)), np.empty(P, dtype=bool)
+            for k in range(0, P, per_chunk):
+                chunk = slice(k, k + per_chunk)
+                lo[chunk], hi[chunk], failed[chunk] = self.cells(
+                    thetas[chunk], start, stop,
+                    resume and tuple(c[chunk] for c in resume))
+            return lo, hi, failed
+        if P not in self.runs:  # an array level picks the noisy field
+            _, t0s, y0s, t1s, x_next = self.rows
+            self.runs[P] = odeint._bisect(
+                ReducedField(self.code, self.values, np.zeros(M * P)),
+                np.tile(t0s, P), np.tile(y0s, (P, 1)), np.tile(t1s, P),
+                self.h, self.method, np.tile(x_next, P), self.halvings)
+        run, state = self.runs[P]
+        if start:
+            state[0], state[1] = (c.reshape(-1) for c in resume)
+            state[2] = -1.0
+        lo, hi, first, _ = run(thetas[:, self.slots].T, start, stop)
+        # A point failed where any row's first failing pass is not -1.
+        return (lo.reshape(P, M), hi.reshape(P, M),
+                np.maximum.reduce(first.reshape(P, M), axis=1) >= 0.0)
+
+    def points(self, thetas):
+        """The ``(P, M)`` levels and saturation flags of the rows at each row
+        of the ``(P, p)`` matrix ``thetas``, and whether each point failed
+        to integrate: every pass of :meth:`cells`."""
+        lo, hi, failed = self.cells(thetas)
+        return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failed
 
     def vector(self, x):
         """The :class:`ResidualVector` at ``x`` (in ``model.params`` order):
@@ -292,7 +321,7 @@ class _Bisection:
         (eps,), (saturated,), _ = self.points(np.asarray([x], dtype=float))
         resolved = self.model.resolved_theta(dict(zip(self.model.params, x)))
         return _residual_vector(self.model, resolved, self.rows, eps,
-                                saturated, True)
+                                saturated, self.code)
 
 
 def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
@@ -321,8 +350,16 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     halvings = _halvings(delta)
     code, values = compile_model(model, theta)
     # An array level picks the noisy field, as each probe's levels do.
-    return odeint._bisect(ReducedField(code, values, np.zeros(len(x_next))),
-                          t0s, y0s, t1s, h, method, x_next, halvings)()
+    run, _ = odeint._bisect(ReducedField(code, values, np.zeros(len(x_next))),
+                            t0s, y0s, t1s, h, method, x_next, halvings)
+    lo, hi, first, probe = run()
+    failed = first >= 0.0
+    failure = None
+    if failed.any():
+        # The lowest row of the earliest pass with a failure.
+        row = int(np.argmin(np.where(failed, first, np.inf)))
+        failure = (row, float(probe[row]))
+    return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failed, failure
 
 
 def compute_residual(
@@ -394,18 +431,20 @@ def _restart_rows(model: HudeModel, series: ObservationSeries, scheme: str):
             filled.t[admissible + 1], filled.x[admissible + 1])
 
 
-def _residual_vector(model, resolved, rows, eps, saturated, condition_check):
+def _residual_vector(model, resolved, rows, eps, saturated, code):
     """Wrap one parameter point's levels, after the advisory spot check of the
-    monotonicity condition over the region the steps visit."""
+    monotonicity condition over the region the steps visit, where ``code``,
+    the model's lowered code (:func:`~hude.model.compile_model`), is given."""
     admissible, t0s, y0s, t1s, x_next = rows
-    if condition_check and model.order >= 2:
-        mins = y0s.min(axis=0)
-        maxs = y0s.max(axis=0)
+    if code is not None and model.order >= 2:
+        # One state column at a time: a column's min() is far cheaper than
+        # min(axis=0) on the (M, n) block.
+        mins = np.array([col.min() for col in y0s.T])
+        maxs = np.array([col.max() for col in y0s.T])
         mins[0] = min(mins[0], float(x_next.min()))
         maxs[0] = max(maxs[0], float(x_next.max()))
         _spot_check(
-            model,
-            resolved,
+            (code, resolved),
             (float(t0s.min()), float(t1s.max())),
             mins,
             maxs,
@@ -446,8 +485,9 @@ def compute_residuals(
         row, level = failure
         raise _step_failure(float(t1s[row]),
                             f"observation j={int(admissible[row]) + 1}", level)
-    return _residual_vector(model, resolved, rows, eps, saturated,
-                            condition_check)
+    return _residual_vector(
+        model, resolved, rows, eps, saturated,
+        compile_model(model, resolved)[0] if condition_check else None)
 
 
 def simulate_observations(

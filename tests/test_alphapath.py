@@ -15,6 +15,7 @@ from hude import (
 )
 from hude import alphapath, reactor
 from hude.alphapath import _spot_check
+from hude.model import compile_model
 
 from conftest import example1_closed_form, example2_closed_form
 
@@ -52,8 +53,8 @@ class TestSolveAlphaPath:
 
 class TestSpotCheck:
     def _check(self, model):
-        _spot_check(model, None, (0.0, 1.0), np.array([-1.0, 0.0]),
-                    np.array([1.0, 1.0]), (0.25, 0.75))
+        _spot_check(compile_model(model), (0.0, 1.0),
+                    np.array([-1.0, 0.0]), np.array([1.0, 1.0]), (0.25, 0.75))
 
     def test_skipped_check_warns_naming_alpha(self):
         # ln(x0) is not finite on a box reaching x0 <= 0: no check can run
@@ -70,7 +71,7 @@ class TestSpotCheck:
         def broken(*args, **kwargs):
             raise RuntimeError("not an advisory failure")
 
-        monkeypatch.setattr(alphapath, "check_alpha_path_condition", broken)
+        monkeypatch.setattr(alphapath, "_condition_reports", broken)
         with pytest.raises(RuntimeError):
             self._check(example2)
 

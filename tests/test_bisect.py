@@ -397,3 +397,47 @@ def test_table_equals_the_levels_of_any_batch(depth, size, offset, seed):
     assert mids.ctypes.data % 64 == offset % 64
     assert np.array_equal(_bits(odeint._phi_table(depth)[index - 1]),
                           _bits(_clamped_phi(mids)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CASES)),
+    rows=st.integers(min_value=1, max_value=60),
+    # Up to the depth cap, and a delta beyond it.
+    delta=st.sampled_from([0.3, 1e-2, 1e-4, 1e-7]),
+    cuts=st.lists(st.integers(min_value=0, max_value=24), max_size=4),
+    compiled=st.booleans(),
+    row_theta=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_resumed_bisection_equals_a_fresh_one(name, rows, delta, cuts,
+                                              compiled, row_theta, seed):
+    # A bisection run as ranges of its passes, each range on one of two
+    # prepared runs that takes over the state the range before it left,
+    # ends where one run of every pass ends: the same cells, first failing
+    # passes and probed levels, compiled and on the pass loop.
+    model, theta, t0s, y0s, t1s, x_next = _case(name, rows, seed, row_theta)
+    code, values = compile_model(model, theta)
+    halvings = residuals._halvings(delta)
+
+    def prepared():
+        return odeint._bisect(ReducedField(code, values, np.zeros(rows)), t0s,
+                              y0s, t1s, 0.1, "euler", x_next, halvings)
+
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odeint, "COMPILED", compiled)
+        run, _ = prepared()
+        expected = run().copy()
+        runs = [prepared(), prepared()]
+        start, state = 0, None
+        ends = sorted({min(c, halvings) for c in cuts} | {halvings})
+        for k, end in enumerate(ends):
+            run, own = runs[k % 2]
+            if state is not None:
+                own[...] = state
+            state = run(None, start, end).copy()
+            start = end
+    lo, hi, first, probe = state
+    failed = first >= 0.0
+    assert np.array_equal(_bits(state[:3]), _bits(expected[:3]))
+    assert np.array_equal(_bits(probe[failed]), _bits(expected[3][failed]))

@@ -262,6 +262,36 @@ GOLDEN_RESIDUALS = {
 }
 
 
+# The 600 restart rows of the simulated reactor series take bisections of
+# up to 13 parameter points (BATCH_ROWS), so the presearch runs in chunks,
+# the last of 9 points; each method's outputs are the same bytes on both
+# backends.
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("method", ["moments", "mle"])
+def test_golden_estimate(tmp_path, monkeypatch, compiled, method):
+    monkeypatch.setattr(odeint, "COMPILED", compiled)
+    model = _golden_model_file(tmp_path, "reactor")
+    data, out = tmp_path / "series.csv", tmp_path / "estimate.json"
+    assert run("simulate", "--model", model, "--times", "0:6:0.01",
+               "--seed", 0, "--step", 1e-3, "--out", data) == 0
+    assert len(data.read_text().splitlines()) == 602
+    assert run("estimate", "--model", model, "--data", data, "--method",
+               method, "--bounds", "0,1,0,1", "--step", 1e-3,
+               "--out", out) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_ESTIMATE[method]
+
+
+# SHA-256 of `hude estimate --bounds 0,1,0,1 --step 1e-3` outputs on the
+# reactor series `hude simulate --times 0:6:0.01 --seed 0 --step 1e-3`
+# writes, recorded with Python 3.11 and numpy 2.4 on x86-64.
+GOLDEN_ESTIMATE = {
+    "moments":
+        "fdff08439b09eb67b10f22f889936512c0f7d2dc8cd99acde0a1d4c2697fe715",
+    "mle": "5e6b2e409e61c53aa04522217c41349c6b4333c1f988e191a8a6d2f2eb4df3b0",
+}
+
+
 class TestEstimate:
     def test_estimate_json(self, tmp_path, decay_model_file):
         data = tmp_path / "obs.csv"
@@ -327,6 +357,27 @@ class TestErrorCodes:
         model.write_text(json.dumps({"order": 1, "drift": "a*x0",
                                      "params": ["a"], "theta": theta,
                                      "init": {"t0": 0.0, "state": state}}))
+        out = tmp_path / "o.csv"
+        code = run("alpha-path", "--model", model, "--alpha", 0.5, "--t-end", 1,
+                   "--out", out)
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse-error"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", [
+        {"order": 1, "drift": "a*x0", "params": ["a", "a"],
+         "theta": {"a": 0.5}, "init": {"t0": 0.0, "state": [1.0]}},
+        {"order": 0, "drift": "1", "init": {"t0": 0.0, "state": [1.0]}},
+        {"order": 1, "drift": "a*x0", "params": ["a"],
+         "theta": {"a": 0.5, "zz": 1.0}, "init": {"t0": 0.0, "state": [1.0]}},
+        {"order": 2, "drift": "-x0", "init": {"t0": 0.0,
+                                              "state": [[1.0, 2.0]]}},
+    ], ids=["duplicate-params", "order-0", "stray-theta", "nested-state"])
+    def test_malformed_model_documents(self, tmp_path, capsys, document):
+        model = tmp_path / "document.json"
+        model.write_text(json.dumps(document))
         out = tmp_path / "o.csv"
         code = run("alpha-path", "--model", model, "--alpha", 0.5, "--t-end", 1,
                    "--out", out)
@@ -574,8 +625,9 @@ class TestReactorDemo:
         generate, passes = odeint._generated, []
 
         def generated(*args):
-            # A compiled bisection records its passes, the first slot of out;
-            # every other kernel counts its calls.
+            # A compiled bisection records the range of passes it runs, the
+            # second and third slots of out after the depth; every other
+            # kernel counts its calls.
             kernel = generate(*args)
             if kernel is None:
                 return kernel
@@ -583,7 +635,8 @@ class TestReactorDemo:
                 return counting(kernel, "kernel")
 
             def bisect(rows, h, nsteps, out, plan):
-                passes.append(int(out[0]))
+                assert out[0] == 14
+                passes.append((int(out[1]), int(out[2])))
                 kernel(rows, h, nsteps, out, plan)
             return bisect
 
@@ -596,18 +649,22 @@ class TestReactorDemo:
         out = tmp_path / "report"
         assert run("reactor-demo", "--out", out, "--seed", 0) == 0
         # Integrator kernel calls and monotonicity spot checks of the whole
-        # command.  Each of the fit's 121 bisections halves every row once
-        # per pass, 14 passes at delta 1e-4, and the fan takes one more call.
-        # On the numpy kernels each pass is one kernel call; compiled, each
-        # bisection is one call of its own entry point that runs its 14
-        # passes.  The fit's 120 scoring bisections keep no levels, so the
-        # estimate's vector is one more, and the residuals written are that
-        # vector.  Probes skip the check; the estimate and the fan check once
-        # each.
-        bisections = 121 if compiled and loads else 0
-        assert calls == {"kernel": 1695 - 14 * bisections,
+        # command.  The presearch bisects the 100 ladder points only as deep
+        # as its argmin needs: 3 passes of every point, 11 more of the one
+        # it scores exactly first, then one pass of each of three rounds of
+        # the points that may still win.  Each of the 119 batches of
+        # Nelder-Mead probes halves every row 14 times at delta 1e-4, and so
+        # does the estimate's vector, bisected again as the fit keeps no
+        # levels; the residuals written are that vector.  The fan takes one
+        # more call.  On the numpy kernels each pass is one kernel call;
+        # compiled, each run is one call of its own entry point that runs
+        # its range of passes.  Probes skip the check; the estimate and the
+        # fan check once each.
+        runs = [(0, 3), (3, 14), (3, 4), (4, 5), (5, 6)] + [(0, 14)] * 120
+        bisections = runs if compiled and loads else []
+        assert calls == {"kernel": 1698 - sum(b - a for a, b in bisections),
                          "_spot_check": 2}
-        assert passes == [14] * bisections
+        assert passes == bisections
         estimate = json.loads((out / "estimate.json").read_text())
         assert estimate["iterations"] == 52
         for name in ("estimate.json", "residuals.csv", "test.json",

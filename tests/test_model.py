@@ -20,10 +20,12 @@ from hude import (
 )
 from hude.estimate import _mle_window
 from hude.expr import Binary, Const, DomainError
-from hude.model import ALPHA_CLAMP, _clamped_phi, _init_from_dict
+from hude.model import (ALPHA_CLAMP, AxisCheck, ConditionDomain,
+                        ConditionReport, _clamped_phi, _condition_reports,
+                        _init_from_dict, alpha_path_field, compile_model)
 from hude.validation import check_unit_interval
 
-from conftest import logistic_quantile
+from conftest import ast_strategy, logistic_quantile
 
 
 class TestPhiInv:
@@ -235,6 +237,17 @@ class TestModelJson:
                                  "theta": {"a": value}})
         with pytest.raises(ModelFormatError):
             _init_from_dict({"t0": 0.0, "state": {"x0": 1.0}}, 1)
+        # Documents the model itself rejects, and a theta key that names no
+        # declared parameter.
+        for document in ({"order": 1, "drift": "a*x0", "params": ["a", "a"]},
+                         {"order": 0, "drift": "1"},
+                         {"order": 1, "drift": "a*x0", "params": ["a"],
+                          "theta": {"zz": 1.0}}):
+            with pytest.raises(ModelFormatError):
+                model_from_dict(document)
+        # An order-2 state nested in a list of one row.
+        with pytest.raises(ModelFormatError):
+            _init_from_dict({"t0": 0.0, "state": [[1.0, 2.0]]}, 2)
         # Values float() reads still load.
         for value, read in (("0.5", 0.5), (True, 1.0)):
             model = model_from_dict({"order": 1, "drift": "a*x0",
@@ -330,3 +343,72 @@ def test_every_solve_checks_the_initial_state_against_the_order(size):
         with pytest.raises(ValueError) as exc:
             fn()
         assert str(exc.value) == "initial state must have 2 components"
+
+
+def _meshgrid_report(model, theta, alpha, domain, rel_tol=1e-9):
+    """The condition check of one level on its own full meshgrid, as it ran
+    before every level ran in one evaluation: kept as the oracle."""
+    n = model.order
+    field = alpha_path_field(model, theta, alpha).raw
+    res = domain.resolution
+    grids = [np.linspace(domain.t_range[0], domain.t_range[1], res)]
+    grids += [np.linspace(lo, hi, res) for lo, hi in domain.state_ranges]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    with np.errstate(all="ignore"):
+        value = field.columns(n)(*mesh)[-1]
+    value = np.broadcast_to(value, mesh[0].shape)
+    if not np.all(np.isfinite(value)):
+        raise DomainError("right-hand side is not finite on the requested box")
+    tol = rel_tol * max(1.0, float(np.max(np.abs(value))))
+    axes = []
+    for k in range(n - 1):
+        diff = np.diff(value, axis=k + 1)
+        min_slack = float(diff.min())
+        idx = np.unravel_index(int(np.argmin(diff)), diff.shape)
+        point = (float(grids[0][idx[0]]),
+                 tuple(float(grids[d + 1][idx[d + 1]]) for d in range(n)))
+        axes.append(AxisCheck(axis=k, passed=min_slack >= -tol,
+                              min_slack=min_slack, worst_point=point))
+    return ConditionReport(alpha=alpha, passed=all(a.passed for a in axes),
+                           axes=tuple(axes))
+
+
+_level = st.one_of(st.just(0.5), st.floats(min_value=1e-6, max_value=1 - 1e-6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    drift=ast_strategy(),
+    diffusion=ast_strategy(),
+    theta=st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+                    st.floats(min_value=-3.0, max_value=3.0)),
+    levels=st.lists(_level, min_size=1, max_size=3, unique=True),
+    box=st.lists(st.tuples(st.floats(min_value=-5.0, max_value=5.0),
+                           st.floats(min_value=0.0, max_value=5.0)),
+                 min_size=4, max_size=4),
+    resolution=st.integers(min_value=2, max_value=4),
+)
+def test_condition_reports_equal_each_level_on_its_own_grid(
+        drift, diffusion, theta, levels, box, resolution):
+    # Every level in one evaluation over an open grid, the noise levels on
+    # a leading axis, gives each level's report of its own meshgrid field
+    # for field, or its DomainError; a level of phi = 0 runs the plain
+    # field.  The public check of one level gives the same.
+    model = hude.HudeModel(3, drift, (diffusion,), ("a", "b"))
+    theta = dict(zip("ab", theta))
+    domain = ConditionDomain((box[0][0], box[0][0] + box[0][1]),
+                             [(a, a + w) for a, w in box[1:]], resolution)
+    levels = sorted(levels)
+    reports = _condition_reports(compile_model(model, theta), levels, domain)
+    for alpha, report in zip(levels, reports):
+        try:
+            expected = _meshgrid_report(model, theta, alpha, domain)
+        except DomainError as exc:
+            assert isinstance(report, DomainError)
+            assert str(report) == str(exc)
+            with pytest.raises(DomainError):
+                check_alpha_path_condition(model, theta, alpha, domain)
+            continue
+        assert report == expected
+        assert check_alpha_path_condition(model, theta, alpha, domain) == \
+            expected

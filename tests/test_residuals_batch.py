@@ -120,6 +120,13 @@ def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
         assert batched[k] == objective(thetas[k])
 
 
+def test_batch_of_a_field_that_reads_no_parameter():
+    # The plan has no parameter row to write each point's values into.
+    model = hude.HudeModel.parse(1, "-0.5*x0", ["0.1"], params=["u"])
+    _assert_matches_serial(model, np.array([[0.0], [1.0], [-2.0]]),
+                           GROWTH_SERIES, h=1e-2)
+
+
 def _moment_score(eps):
     return moment_objective(None, lambda _: eps, 2)
 
@@ -171,14 +178,16 @@ def test_reused_bisection_equals_a_fresh_one(sizes, compiled, delta, seed):
 def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
                                                        reactor_case,
                                                        compiled):
-    # The reactor fit of hude reactor-demo scores batches of 100 (the
-    # ladder), 3 (an initial simplex), 1 (a Nelder-Mead probe) and 2 (a
-    # shrink).  It lowers the model once, and checks and plans each batch
-    # size once, at its first scoring, compiled or on the numpy kernels.
+    # The reactor fit of hude reactor-demo bisects the ladder's 100 points
+    # three passes deep, resumes 1 of them to full depth, then 31, 6 and 2
+    # by one pass each, and scores batches of 3 (an initial simplex), 1 (a
+    # Nelder-Mead probe) and 2 (a shrink).  It lowers the model once, and
+    # checks and plans each batch size once, at its first run, compiled or
+    # on the numpy kernels.
     model, series = reactor_case
     compiles, plans, calls = [], [], []
     compile_model, plan = residuals.compile_model, odeint._plan
-    points = residuals._Bisection.points
+    cells = residuals._Bisection.cells
 
     def compiling(*args, **kwargs):
         compiles.append(args)
@@ -188,44 +197,45 @@ def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
         plans.append(np.size(t0))
         return plan(raw, t0, *args, **kwargs)
 
-    def bisecting(self, thetas):
+    def bisecting(self, thetas, *args):
         calls.append(len(thetas))
-        return points(self, thetas)
+        return cells(self, thetas, *args)
 
     monkeypatch.setattr(odeint, "COMPILED", compiled)
     monkeypatch.setattr(residuals, "compile_model", compiling)
     monkeypatch.setattr(odeint, "_plan", planning)
-    monkeypatch.setattr(residuals._Bisection, "points", bisecting)
+    monkeypatch.setattr(residuals._Bisection, "cells", bisecting)
     result = hude.estimate_moments(
         model, series, bounds=[(0.0, 1.0), (0.0, 1.0)], h=1e-3, restarts=2,
         maxiter=200, threshold=1e-6, seed=0)
     assert result.iterations == 52
     M = len(_restart_rows(model, series, "forward")[0])
     assert len(compiles) == 1
-    assert set(calls) == {100, 3, 1, 2}
+    assert set(calls) == {100, 31, 6, 3, 2, 1}
     assert sorted(plans) == sorted(M * c for c in set(calls))
 
 
 def test_fit_keeps_no_earlier_batch(monkeypatch, reactor_case):
-    # The reactor fit holds one batch's levels at a time: each block it
-    # scored is gone when it starts the next batch.
+    # The reactor fit holds one batch's levels at a time: the cells of each
+    # batch it scored at full depth are gone when it starts the next one.
     model, series = reactor_case
     blocks = []
-    points = residuals._Bisection.points
+    cells = residuals._Bisection.cells
 
-    def bisecting(self, thetas):
-        assert all(block() is None for block in blocks)
-        levels, saturated, failed = points(self, thetas)
-        blocks.append(weakref.ref(levels))
-        return levels, saturated, failed
+    def bisecting(self, thetas, start=0, stop=None, resume=None):
+        lo, hi, failed = cells(self, thetas, start, stop, resume)
+        if stop is None:
+            assert all(block() is None for block in blocks)
+            blocks.append(weakref.ref(lo))
+        return lo, hi, failed
 
-    monkeypatch.setattr(residuals._Bisection, "points", bisecting)
+    monkeypatch.setattr(residuals._Bisection, "cells", bisecting)
     result = hude.estimate_moments(
         model, series, bounds=[(0.0, 1.0), (0.0, 1.0)], h=1e-3, restarts=2,
         maxiter=200, threshold=1e-6, seed=0)
     assert result.iterations == 52
-    # 120 batches of probes, then the estimate's vector.
-    assert len(blocks) == 121
+    # 119 batches of Nelder-Mead probes, then the estimate's vector.
+    assert len(blocks) == 120
 
 
 @pytest.mark.parametrize("source", [
