@@ -394,7 +394,8 @@ def _residual_objective(model, series, score, delta, h, scheme, method,
     Where ``bound`` maps the ``(P, M)`` cells ``lo`` and ``hi`` of the
     points' levels to a lower bound of each point's score, bit for bit, the
     objective also has an ``argmin`` attribute (:func:`_argmin_by_depth`),
-    which bisects each point of a scan only as deep as its argmin needs.
+    which bisects each point of a scan only as deep as its argmin needs,
+    then lets go of the runs larger than Nelder-Mead's batches.
     """
     bisection = _Bisection(model, series, scheme, delta, h, method)
 
@@ -405,10 +406,17 @@ def _residual_objective(model, series, score, delta, h, scheme, method,
     def objective(x):
         return batch([x])[0]
 
+    def argmin(points):
+        found = _argmin_by_depth(bisection, np.asarray(points, dtype=float),
+                                 score, bound)
+        # Nelder-Mead scores at most p + 1 points a batch: the scan's larger
+        # runs would hold their plans for the rest of the fit.
+        bisection.drop_runs(len(model.params) + 1)
+        return found
+
     objective.batch = batch
     if bound is not None:
-        objective.argmin = lambda points: _argmin_by_depth(
-            bisection, np.asarray(points, dtype=float), score, bound)
+        objective.argmin = argmin
     return objective, bisection.vector
 
 

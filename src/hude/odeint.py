@@ -13,7 +13,8 @@ kernel for both.
 Every kernel is called as ``kernel(rows, h, nsteps, out, plan)``, from that
 one call site or :func:`_bisect`, and takes exactly these arguments, down
 to the C entry points (:func:`_compiled_loop` passes the three arrays'
-addresses).
+addresses; a compiled bisection takes them once and calls its entry point
+on them).
 ``plan`` is a ``(3 + n + len(bound), rows)`` float array
 with one column per row: its rows are ``t0``, ``t_end``, ``last`` (the
 width of the row's shortened last step), the ``n`` states, then the bound
@@ -81,6 +82,7 @@ end time, and the bisection flags its failed rows.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -380,12 +382,15 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
         # The shared table's address rides after the step counts.
         table = _phi_table(halvings)
         steps = np.append(nsteps, np.int64(table.ctypes.data))
-        call = _bound_call(bisect, rows, h, steps, out, plan)
+        # The C entry point that _compiled_loop calls, on the addresses
+        # taken once; each pointer keeps its array alive.
+        call = functools.partial(bisect.args[0], rows, h, *(
+            a.ctypes.data_as(ctypes.c_void_p) for a in (steps, out, plan)))
 
-        def passes(start, stop, held=(table, steps, plan)):
-            # ``held``: the arrays whose addresses the call holds.
+        def passes(start, stop):
             out[1], out[2] = start, stop
             call()
+        passes.table = table  # read through its address in steps
     else:
         # Looked up only where a pass runs, so no pass builds no kernel.
         kernel = (_kernel(lowered, n, method, "terminal", rows)
@@ -434,17 +439,6 @@ def _phi_table(depth):
     table = _clamped_phi(np.arange(1, 2 ** depth) / 2 ** depth)
     table.flags.writeable = False
     return table
-
-
-def _bound_call(kernel, rows, h, nsteps, out, plan):
-    """``kernel(rows, h, nsteps, out, plan)`` as a call of no arguments,
-    made again and again on the same arrays, which the caller keeps alive:
-    a compiled kernel's with the arrays' addresses taken once."""
-    if (isinstance(kernel, functools.partial)
-            and kernel.func is _compiled_loop):
-        return functools.partial(kernel.args[0], rows, h, nsteps.ctypes.data,
-                                 out.ctypes.data, plan.ctypes.data)
-    return functools.partial(kernel, rows, h, nsteps, out, plan)
 
 
 def _compiled_loop(fn, rows, h, nsteps, out, plan):

@@ -242,8 +242,8 @@ class _Bisection:
     """The residuals of ``series`` under ``model`` as :func:`compute_residuals`
     bisects them, run at many parameter points (:meth:`cells`,
     :meth:`points`, :meth:`vector`).  It keeps the restart rows, read at
-    construction (:func:`_restart_rows`), and its prepared runs, but no
-    point's levels.
+    construction (:func:`_restart_rows`), and its prepared runs until
+    :meth:`drop_runs` lets them go, but no point's levels.
 
     Nothing else is checked or built before the first call, so each
     ValueError comes where a one-shot bisection raises it.  The first call
@@ -278,11 +278,8 @@ class _Bisection:
             names = self.model.params
             self.code, self.values = compile_model(
                 self.model, dict(zip(names, thetas[0])))
-            # The matrix columns of the plan's parameter slots: a view where
-            # the field reads every parameter in the declared order.
+            # The matrix columns of the plan's parameter slots.
             self.slots = [names.index(name) for name in self.code[2]]
-            if self.slots == list(range(len(names))):
-                self.slots = slice(None)
         stop = self.halvings if stop is None else min(stop, self.halvings)
         P, per_chunk = len(thetas), max(1, BATCH_ROWS // M)
         if P > per_chunk:
@@ -307,6 +304,11 @@ class _Bisection:
         # A point failed where any row's first failing pass is not -1.
         return (lo.reshape(P, M), hi.reshape(P, M),
                 np.maximum.reduce(first.reshape(P, M), axis=1) >= 0.0)
+
+    def drop_runs(self, most):
+        """Let go of the prepared runs of more than ``most`` points."""
+        for size in [size for size in self.runs if size > most]:
+            del self.runs[size]
 
     def points(self, thetas):
         """The ``(P, M)`` levels and saturation flags of the rows at each row

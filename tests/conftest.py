@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import math
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 import hude
-from hude import reactor
+from hude import odeint, reactor
 from hude.expr import Binary, Call, Const, Unary, Var
 
 # ``--hypothesis-profile=ci``: a failing property reports its first failing
@@ -81,3 +83,23 @@ def ast_strategy(binary="+-*/^", functions=("exp", "ln", "sin", "cos", "abs")):
         )
 
     return st.recursive(leaves, extend, max_leaves=16)
+
+
+def spied_compiled(kernel, before):
+    """The compiled ``kernel`` (:func:`hude.odeint._compiled_loop` of its C
+    entry point) with ``before(rows, out)`` called before each call of the
+    entry point: ``out`` is the address of its ``out`` array, or None."""
+    fn = kernel.args[0]
+
+    def entry(rows, h, nsteps, out, plan):
+        before(rows, getattr(out, "value", out))
+        fn(rows, h, nsteps, out, plan)
+    return functools.partial(odeint._compiled_loop, entry)
+
+
+def spied_bisect(kernel, seen):
+    """The compiled bisection ``kernel`` with ``seen(rows, head)`` called
+    before each run, ``head`` the depth and the pass range at the start of
+    its ``out``."""
+    return spied_compiled(kernel, lambda rows, out: seen(
+        rows, tuple((ctypes.c_double * 3).from_address(out))))

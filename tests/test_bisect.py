@@ -14,6 +14,8 @@ from hude.model import ReducedField, _clamped_phi, compile_model
 from hude.odeint import _terminal_state_batch
 from hude.residuals import _bisect_levels
 
+from conftest import spied_bisect
+
 
 def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     """One level per integration pass while the interval is wider than
@@ -180,10 +182,8 @@ def _spy(monkeypatch, compiled, record=lambda rows, plan: rows):
                 sizes.append(record(rows, plan))
             return step
 
-        def bisect(rows, h, nsteps, out, plan):
-            bisections.append((rows, int(out[0])))
-            return kernel(rows, h, nsteps, out, plan)
-        return bisect
+        return spied_bisect(kernel, lambda rows, head: bisections.append(
+            (rows, int(head[0]))))
 
     monkeypatch.setattr(odeint, "COMPILED", compiled)
     monkeypatch.setattr(odeint, "_generated", generated)

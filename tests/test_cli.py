@@ -10,6 +10,8 @@ import hude
 from hude import odeint, table4
 from hude.cli import main
 
+from conftest import spied_bisect
+
 
 @pytest.fixture()
 def example2_model_file(tmp_path):
@@ -634,11 +636,10 @@ class TestReactorDemo:
             if args[4] != "bisect":
                 return counting(kernel, "kernel")
 
-            def bisect(rows, h, nsteps, out, plan):
-                assert out[0] == 14
-                passes.append((int(out[1]), int(out[2])))
-                kernel(rows, h, nsteps, out, plan)
-            return bisect
+            def bisect(rows, head):
+                assert head[0] == 14
+                passes.append((int(head[1]), int(head[2])))
+            return spied_bisect(kernel, bisect)
 
         monkeypatch.setattr(odeint, "_generated", generated)
         model = hude.build_reactor_hude(hude.THERMAL_U235)

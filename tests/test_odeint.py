@@ -27,7 +27,7 @@ from hude.reactor import (CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235, ReactorPa
                           build_point_kinetics, build_reactor_hude, table3)
 from hude.residuals import _bisect_levels
 
-from conftest import ast_strategy, example1_closed_form
+from conftest import ast_strategy, example1_closed_form, spied_compiled
 from test_bisect import _case
 
 
@@ -573,9 +573,12 @@ def _loops_taken(solve):
         kernel = generate(*args)
         if kernel is None:
             return kernel
+        loop = {"columns": "column"}.get(args[-1], args[-1])
+        if loop == "compiled":
+            return spied_compiled(kernel, lambda *_: taken.append(loop))
 
         def run(*call):
-            taken.append({"columns": "column"}.get(args[-1], args[-1]))
+            taken.append(loop)
             return kernel(*call)
         return run
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import hude
 from hude import compute_residuals, odeint, reactor
-from hude import residuals
+from hude import estimate, residuals
 from hude.residuals import _Bisection, _restart_rows
 from hude.estimate import _residual_objective, moment_objective
 from hude.odeint import IntegrationError
@@ -215,27 +215,62 @@ def test_fit_lowers_once_and_plans_once_per_batch_size(monkeypatch,
     assert sorted(plans) == sorted(M * c for c in set(calls))
 
 
+def _owner(array):
+    # The array that owns the memory of a view.
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 def test_fit_keeps_no_earlier_batch(monkeypatch, reactor_case):
-    # The reactor fit holds one batch's levels at a time: the cells of each
-    # batch it scored at full depth are gone when it starts the next one.
+    # The reactor fit holds one batch's levels at a time: every block of
+    # levels it scored, and of cells it bounded, is gone when it starts the
+    # next run of the bisection.  The cells a batch read, and the copies the
+    # presearch keeps of its points' cells, are gone when the next batch of
+    # every pass starts; past the presearch it keeps no run larger than a
+    # simplex's batch.
     model, series = reactor_case
-    blocks = []
-    cells = residuals._Bisection.cells
+    scored, read, batches = [], [], []
+    cells, scan = residuals._Bisection.cells, estimate._argmin_by_depth
+    scores, bounds = estimate._moment_scores, estimate._moment_bounds
+
+    def scoring(eps, p):
+        scored.append(weakref.ref(eps))
+        return scores(eps, p)
+
+    def bounding(lo, hi, p):
+        scored.extend(map(weakref.ref, (lo, hi)))
+        return bounds(lo, hi, p)
 
     def bisecting(self, thetas, start=0, stop=None, resume=None):
-        lo, hi, failed = cells(self, thetas, start, stop, resume)
+        assert all(block() is None for block in scored)
         if stop is None:
-            assert all(block() is None for block in blocks)
-            blocks.append(weakref.ref(lo))
+            assert all(block() is None for block in read)
+            assert max(self.runs, default=0) <= len(model.params) + 1
+            batches.append(len(thetas))
+        if resume is not None:
+            read.extend(weakref.ref(_owner(c)) for c in resume)
+        lo, hi, failed = cells(self, thetas, start, stop, resume)
+        read.extend(map(weakref.ref, (lo, hi)))
         return lo, hi, failed
 
+    def scanning(*args):
+        batches.append("presearch")
+        return scan(*args)
+
+    monkeypatch.setattr(estimate, "_moment_scores", scoring)
+    monkeypatch.setattr(estimate, "_moment_bounds", bounding)
+    monkeypatch.setattr(estimate, "_argmin_by_depth", scanning)
     monkeypatch.setattr(residuals._Bisection, "cells", bisecting)
     result = hude.estimate_moments(
         model, series, bounds=[(0.0, 1.0), (0.0, 1.0)], h=1e-3, restarts=2,
         maxiter=200, threshold=1e-6, seed=0)
     assert result.iterations == 52
-    # 119 batches of Nelder-Mead probes, then the estimate's vector.
-    assert len(blocks) == 120
+    # The presearch, 119 batches of Nelder-Mead probes, then the estimate's
+    # vector.
+    assert batches[0] == "presearch" and "presearch" not in batches[1:]
+    assert len(batches) == 121
+    assert batches[1:4] == [3, 1, 1]
 
 
 @pytest.mark.parametrize("source", [
