@@ -25,6 +25,14 @@ place, so they hold the terminal states when it returns.  ``out`` is
 array, the running minima of the states then their maxima, which start
 at the start states; for a recorded path (one row) the
 ``(nsteps + 1, n)`` path, whose row 0 holds the start state.
+A compiled batch (terminal states or extremes) and a compiled bisection
+whose work is large run as a few contiguous row pieces, at the same time on
+the CPUs of the process's affinity mask (:func:`_piece_edges`,
+:func:`_run_pieces`).  Each piece is a plan of its own, with its own
+columns, ``out`` and step counts, called through the same C entry point; no
+row reads another, so every result is one call's, bit for bit.  A small
+call, and every call in a process that may use one CPU, is one C call on
+the calling thread.
 
 A residual bisection halves each row's level interval, from [0, 1], ``H``
 times.  Each pass restores the start states, writes
@@ -37,8 +45,9 @@ in one assignment.  A run takes a range of the passes: pass 0 starts every
 row at [0, 1] with no failure, and a later pass resumes from the cells the
 caller left in the run's state, so pass ``p`` of any run is pass ``p`` of
 the whole bisection, bit for bit.  Up to :data:`_TABLE_DEPTH` halvings of a
-field that compiles, a run is one call of ``bisect``, the terminal kernel's
-third C entry point (``chain``, a simulated series, is its second).  Its
+field that compiles, a run is one call of ``bisect`` per piece, the
+terminal kernel's third C entry point (``chain``, a simulated series, is
+its second).  Its
 ``out`` is one float array: ``H``, the first pass and the end of the range,
 then blocks of ``rows`` values, the observations ``x_next``, the state it
 reads and writes, ``lo`` and ``hi``, each row's first pass with a
@@ -49,7 +58,10 @@ noise levels, :func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``,
 computed once per depth by numpy because C's ``log`` rounds some of them
 differently (:func:`_phi_table`), and shared by every run of that depth.
 Every probe is a multiple of ``2**-H``, so ``mid * 2**H - 1`` indexes the
-table exactly.  Otherwise each pass is one call of the kernel
+table exactly.  A large run holds its plan as row pieces
+(:func:`_compiled_bisection`), each a bisection of its own: its own
+``out`` and step counts, followed by the shared table's address.  Where
+``bisect`` does not run, each pass is one call of the kernel
 :func:`_kernel` picks, with the same bits.
 
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
@@ -85,6 +97,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +129,26 @@ _INT64_MAX = np.iinfo(np.int64).max
 # The most halvings a compiled bisection takes: its table of noise levels
 # holds 2**depth - 1 doubles (8 MB here).  A finer delta runs the pass loop.
 _TABLE_DEPTH = 20
+
+# The CPUs this process may run on (its affinity mask, where the platform has
+# one): a compiled call runs in at most this many row pieces at once.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else 1)
+
+# The least work, in row-steps, that each row piece of a compiled call takes:
+# a call of less than twice this runs whole, in one C call on its own thread.
+_PIECE_WORK = 500_000
+
+# The least work, in row-steps, that each row of a split call takes.  A row
+# is copied into its piece, into memory the process has not touched yet; on
+# a 2-vCPU x86-64 VM that cost ~50 ns a row, about 70 row-steps of the
+# reactor field, and a second CPU gained too little on a run of 300
+# row-steps a row (3 passes of 100 steps) to repay it.
+_ROW_WORK = 1_000
+
+# The threads that run a split call's pieces after the first, made on first
+# use (:func:`_run_pieces`) and forgotten in a forked child, which has none.
+_POOL = None
 
 
 class IntegrationError(Exception):
@@ -231,9 +264,10 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
     state, so a row's result does not depend on the other rows.  The call
     checks and packs the plan once (:func:`_plan`, which raises its
     ValueErrors) and runs one kernel on it, as the module docstring sets
-    out: a reduced field's compiled kernel where one builds, else its row
-    kernel one row at a time (a recorded path, a chain, a one-row batch) or
-    its column kernel (a batch of two or more rows).  A hand-written array
+    out: a reduced field's compiled kernel where one builds (a large batch
+    in row pieces, :func:`_compiled_loop`), else its row kernel one row at a
+    time (a recorded path, a chain, a one-row batch) or its column kernel (a
+    batch of two or more rows).  A hand-written array
     field steps one row as an ``(n,)`` array (:func:`_column_loop`), and
     raises ValueError on a batch or in mode ``"extremes"`` or ``"chain"``.
 
@@ -367,7 +401,8 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
     ``(slots, P)`` matrix, over the plan's parameter rows, each column over
     one of ``P`` equal blocks of consecutive rows (``None`` keeps the plan's
     own), runs passes ``start`` to ``stop - 1`` (by default all of them) on
-    ``state`` and returns it: in one C call where ``bisect`` loads.  Pass 0
+    ``state`` and returns it: in one C call per piece where ``bisect`` loads
+    (:func:`_compiled_bisection`), a large run in row pieces.  Pass 0
     starts every row afresh; a later ``start`` resumes from the ``lo`` and
     ``hi`` the caller wrote into ``state``, with the failures it kept."""
     plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method)
@@ -375,59 +410,120 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
     bisect = (_generated(*lowered, n, method, "bisect", "compiled")
               if COMPILED and 0 < halvings <= _TABLE_DEPTH else None)
     if bisect is not None:
-        out = np.empty(3 + (5 + n) * rows)
-        out[0] = halvings
-        out[3:3 + rows] = x_next
-        state = out[3 + rows:3 + 5 * rows].reshape(4, rows)
-        # The shared table's address rides after the step counts.
-        table = _phi_table(halvings)
-        steps = np.append(nsteps, np.int64(table.ctypes.data))
-        # The C entry point that _compiled_loop calls, on the addresses
-        # taken once; each pointer keeps its array alive.
-        call = functools.partial(bisect.args[0], rows, h, *(
-            a.ctypes.data_as(ctypes.c_void_p) for a in (steps, out, plan)))
-
-        def passes(start, stop):
-            out[1], out[2] = start, stop
-            call()
-        passes.table = table  # read through its address in steps
-    else:
-        # Looked up only where a pass runs, so no pass builds no kernel.
-        kernel = (_kernel(lowered, n, method, "terminal", rows)
-                  if halvings else None)
-        x, level = plan[3:3 + n], plan[3 + n]
-        start_states = x.copy()
-        state = np.empty((4, rows))
-        lo, hi, first, probe = state
-
-        def passes(start, stop):
-            # What bisect computes, pass by pass.
-            if start == 0:
-                lo[...], hi[...], first[...] = 0.0, 1.0, -1.0
-            for p in range(start, stop):
-                x[...] = start_states
-                mid = 0.5 * (lo + hi)
-                level[...] = _clamped_phi(mid)
-                with np.errstate(all="ignore"):
-                    kernel(rows, h, nsteps, None, plan)
-                new = (first < 0.0) & ~np.isfinite(x).all(axis=0)
-                first[new], probe[new] = p, mid[new]
-                below = x[0] < x_next
-                np.copyto(lo, mid, where=below)
-                np.copyto(hi, mid, where=~below)
-            x[...] = start_states
-
+        return _compiled_bisection(bisect.args[0], plan, nsteps, h, n, x_next,
+                                   halvings)
+    # Looked up only where a pass runs, so no pass builds no kernel.
+    kernel = _kernel(lowered, n, method, "terminal", rows) if halvings else None
+    x, level = plan[3:3 + n], plan[3 + n]
+    start_states = x.copy()
+    state = np.empty((4, rows))
+    lo, hi, first, probe = state
     params_rows = plan[4 + n:]
 
     def run(params=None, start=0, stop=halvings):
-        # The parameter rows follow the level row, as in ReducedField._bound.
+        # What bisect computes, pass by pass.
         if params is not None:
-            points = params.shape[1]
-            params_rows.reshape(len(params_rows), points, rows // points)[
-                ...] = params[:, :, None]
-        passes(start, stop)
+            _write_points(params_rows, params)
+        if start == 0:
+            lo[...], hi[...], first[...] = 0.0, 1.0, -1.0
+        for p in range(start, stop):
+            x[...] = start_states
+            mid = 0.5 * (lo + hi)
+            level[...] = _clamped_phi(mid)
+            with np.errstate(all="ignore"):
+                kernel(rows, h, nsteps, None, plan)
+            new = (first < 0.0) & ~np.isfinite(x).all(axis=0)
+            first[new], probe[new] = p, mid[new]
+            below = x[0] < x_next
+            np.copyto(lo, mid, where=below)
+            np.copyto(hi, mid, where=~below)
+        x[...] = start_states
         return state
     return run, state
+
+
+def _write_points(params_rows, params):
+    """Write ``params``, a ``(slots, P)`` matrix, over a plan's parameter
+    rows, each column over one of ``P`` equal blocks of consecutive rows."""
+    points = params.shape[1]
+    params_rows.reshape(len(params_rows), points,
+                        params_rows.shape[1] // points)[...] = params[:, :, None]
+
+
+def _compiled_bisection(entry, plan, nsteps, h, n, x_next, halvings):
+    """The ``(run, state)`` of :func:`_bisect` where its C entry point
+    ``entry`` (``bisect``) loads.  The plan starts whole: one C call per run.
+    The first run whose own work splits (:func:`_piece_edges` of its passes
+    times the longest row's steps) moves the plan into row pieces, each a
+    bisection of its own (:class:`_Piece`), and lets the whole plan go.  From
+    then on a run writes its points into the pieces, hands each piece its
+    rows' cells, calls every piece's ``bisect`` (at once where its own work
+    splits, else one after another) and gathers their cells into ``state``.
+    No row reads another, so every result is the whole plan's, bit for bit."""
+    rows = plan.shape[1]
+    table = _phi_table(halvings)
+    longest = int(nsteps.max())
+
+    def piece(a, b, plan):
+        return _Piece(entry, a, b, plan, nsteps[a:b], h, n, x_next[a:b],
+                      halvings, table)
+
+    pieces = [piece(0, rows, plan)]
+    state = pieces[0].cells
+
+    def run(params=None, start=0, stop=halvings):
+        edges = _piece_edges(rows, (stop - start) * longest)
+        if len(edges) > 2 and len(pieces) == 1:
+            plan = pieces.pop().plan
+            pieces.extend(piece(a, b, plan[:, a:b].copy())
+                          for a, b in zip(edges, edges[1:]))
+        if len(pieces) == 1:
+            # The whole plan, whose cells are state: one C call.
+            whole, = pieces
+            if params is not None:
+                _write_points(whole.params, params)
+            whole.out[1], whole.out[2] = start, stop
+            whole.call()
+            return state
+        if params is not None:
+            block = rows // params.shape[1]
+            for p in pieces:
+                p.params[...] = params[:, np.arange(p.a, p.b) // block]
+        for p in pieces:
+            p.out[1], p.out[2] = start, stop
+            p.cells[...] = state[:, p.a:p.b]
+        _run_pieces([p.call for p in pieces], len(edges) > 2)
+        for p in pieces:
+            state[:, p.a:p.b] = p.cells
+        return state
+    return run, state
+
+
+class _Piece:
+    """Rows ``a`` to ``b`` of a compiled bisection as a bisection of its own,
+    laid out as the module docstring sets out: its ``plan`` (the rows'
+    columns of an order-``n`` field), its ``out`` (``halvings``, the pass
+    range, ``x_next`` and so on) and its step counts followed by the address
+    of the shared ``table``.  ``cells`` is its state and ``params`` its
+    parameter rows, views of ``out`` and ``plan``, and ``call`` the entry
+    point ``entry`` bound to its arguments, the addresses taken once: each
+    pointer keeps its array alive."""
+
+    def __init__(self, entry, a, b, plan, nsteps, h, n, x_next, halvings,
+                 table):
+        rows = b - a
+        self.a, self.b, self.plan = a, b, plan
+        # Zeros, not what the memory held: a row that never failed probed
+        # level 0.0 in every run.
+        self.out = np.zeros(3 + (5 + n) * rows)
+        self.out[0], self.out[3:3 + rows] = halvings, x_next
+        self.table = table  # read through its address after the step counts
+        self.cells = self.out[3 + rows:3 + 5 * rows].reshape(4, rows)
+        # The parameter rows follow the level row, as in ReducedField._bound.
+        self.params = plan[4 + n:]
+        steps = np.append(nsteps, np.int64(table.ctypes.data))
+        self.call = functools.partial(entry, rows, h, *(
+            v.ctypes.data_as(ctypes.c_void_p) for v in (steps, self.out, plan)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -441,12 +537,96 @@ def _phi_table(depth):
     return table
 
 
-def _compiled_loop(fn, rows, h, nsteps, out, plan):
-    """The compiled kernel: the C entry point ``fn`` (:func:`hude.native.load`
-    of :func:`_c_source`) called on the addresses of ``nsteps``, ``out`` and
-    ``plan``."""
+def _compiled_call(fn, rows, h, nsteps, out, plan):
+    """The compiled kernel of a chain, and of a batch run whole: the C entry
+    point ``fn`` (:func:`hude.native.load` of :func:`_c_source`) called on
+    the addresses of ``nsteps``, ``out`` and ``plan``."""
     fn(rows, h, nsteps.ctypes.data, None if out is None else out.ctypes.data,
        plan.ctypes.data)
+
+
+def _compiled_loop(fn, rows, h, nsteps, out, plan):
+    """The compiled kernel of a batch (terminal states, extremes, a recorded
+    row): :func:`_compiled_call`, once on the whole plan or, where the rows'
+    work splits (:func:`_piece_edges`), once per row piece on copies of the
+    piece's plan columns (and extremes), all at once (:func:`_run_pieces`).
+    Each piece's columns are copied back, so the plan and ``out`` end as one
+    call leaves them: no row reads another."""
+    edges = _piece_edges(rows, int(nsteps.max()))
+    if len(edges) == 2:
+        _compiled_call(fn, rows, h, nsteps, out, plan)
+        return
+    # A batch's out is None or its (2n, rows) extremes: columns are rows.
+    pieces = [(a, b, plan[:, a:b].copy(),
+               None if out is None else out[:, a:b].copy())
+              for a, b in zip(edges, edges[1:])]
+    _run_pieces([functools.partial(
+        fn, b - a, h, nsteps[a:b].ctypes.data,
+        None if ends is None else ends.ctypes.data, own.ctypes.data)
+        for a, b, own, ends in pieces])
+    for a, b, own, ends in pieces:
+        plan[:, a:b] = own
+        if ends is not None:
+            out[:, a:b] = ends
+
+
+def _piece_edges(rows, work):
+    """The row edges ``[0, .., rows]`` of the contiguous pieces a compiled
+    call of ``rows`` rows runs in, where ``work`` is what one row costs it
+    (the passes it runs times the longest row's steps): as many pieces of
+    about equal rows as :data:`_CPUS` allows with each at least
+    :data:`_PIECE_WORK` row-steps, and ``[0, rows]``, one piece, below two or
+    where a row's work is below :data:`_ROW_WORK`."""
+    count = min(_CPUS, rows, rows * work // _PIECE_WORK)
+    if count < 2 or work < _ROW_WORK:
+        return [0, rows]
+    return [rows * k // count for k in range(count + 1)]
+
+
+def _run_pieces(calls, threads=True):
+    """Make each call of ``calls``, a C entry point bound to its arguments:
+    the first on this thread and, with ``threads``, the others at the same
+    time on the pool's threads (ctypes lets go of the GIL for each call, and
+    a worker calls nothing else), else one after another.  Returns once
+    every call has returned: an exception (a KeyboardInterrupt, say) that
+    reaches this thread first waits for the pieces already running, so none
+    writes into its plan after the caller has gone on."""
+    if not threads:
+        for call in calls:
+            call()
+        return
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(max(1, _CPUS - 1), "hude-piece")
+    futures = []
+    try:
+        for call in calls[1:]:
+            futures.append(_POOL.submit(call))
+        calls[0]()
+    finally:
+        interrupt = None
+        for future in futures:
+            while not future.done():
+                try:
+                    future.exception()  # waits for the call to return
+                except BaseException as exc:  # raised below, once all are done
+                    interrupt = interrupt or exc
+        if interrupt is not None:
+            raise interrupt
+    for future in futures:
+        future.result()
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads: its first split call
+    makes a pool of its own."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _column_loop(raw, method, rows, h, nsteps, out, plan):
@@ -502,9 +682,11 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
         from . import native
         entry = mode if mode in ("chain", "bisect") else "kernel"
         try:
-            return functools.partial(_compiled_loop, native.load(_c_source(
-                field, params, n, method,
-                mode if entry == "kernel" else "terminal"), entry))
+            return functools.partial(
+                _compiled_call if mode == "chain" else _compiled_loop,
+                native.load(_c_source(field, params, n, method, mode if
+                                      entry == "kernel" else "terminal"),
+                            entry))
         except OSError as exc:
             reason = f"the C kernel did not build: {exc}"
     import logging

@@ -326,12 +326,14 @@ class _Bisection:
                                 saturated, self.code)
 
 
-def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
+def _bisect_levels(lowered, t0s, y0s, t1s, x_next, delta, h, method):
     """Vectorised bisection: for each row find the level whose restarted path
     ends at the observed next value.  Returns ``(levels, saturated, failed,
     failure)``.
 
-    ``theta`` values may be ``(B,)`` arrays, one parameter point per row.
+    ``lowered`` is the model's ``(code, values)``
+    (:func:`~hude.model.compile_model`); a value may be a ``(B,)`` array, one
+    parameter point per row.
     Each pass halves every row once: it integrates all rows in one call at
     their midpoints ``0.5 * (lo + hi)``, each run at the noise level
     :func:`~hude.model._clamped_phi` gives it (the clamp every quantile level
@@ -345,12 +347,13 @@ def _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
     no row failed, else ``(row, level)``: the lowest failed row of the first
     pass with a failure and the quantile level it probed there.
 
-    The rows are prepared (:func:`~hude.odeint._bisect`) with ``theta`` in
-    their plan and run once: one C call where the field's compiled
-    bisection loads, else one kernel call per pass, with the same bits.
+    The rows are prepared (:func:`~hude.odeint._bisect`) with the values in
+    their plan and run once: one C call per row piece where the field's
+    compiled bisection loads, else one kernel call per pass, with the same
+    bits.
     """
     halvings = _halvings(delta)
-    code, values = compile_model(model, theta)
+    code, values = lowered
     # An array level picks the noisy field, as each probe's levels do.
     run, _ = odeint._bisect(ReducedField(code, values, np.zeros(len(x_next))),
                             t0s, y0s, t1s, h, method, x_next, halvings)
@@ -383,8 +386,7 @@ def compute_residual(
     init_j.check_order(model.order)
     resolved = model.resolved_theta(theta)
     eps, saturated, _, failure = _bisect_levels(
-        model,
-        resolved,
+        compile_model(model, resolved),
         np.array([init_j.t0]),
         init_j.values[None, :],
         np.array([float(t_next)]),
@@ -480,16 +482,17 @@ def compute_residuals(
     rows = _restart_rows(model, series, scheme)
     admissible, t0s, y0s, t1s, x_next = rows
     resolved = model.resolved_theta(theta)
+    # Lowered once, for the bisection and the spot check.
+    lowered = compile_model(model, resolved)
     eps, saturated, _, failure = _bisect_levels(
-        model, resolved, t0s, y0s, t1s, x_next, delta, h, method
+        lowered, t0s, y0s, t1s, x_next, delta, h, method
     )
     if failure is not None:
         row, level = failure
         raise _step_failure(float(t1s[row]),
                             f"observation j={int(admissible[row]) + 1}", level)
-    return _residual_vector(
-        model, resolved, rows, eps, saturated,
-        compile_model(model, resolved)[0] if condition_check else None)
+    return _residual_vector(model, resolved, rows, eps, saturated,
+                            lowered[0] if condition_check else None)
 
 
 def simulate_observations(

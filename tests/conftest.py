@@ -86,15 +86,16 @@ def ast_strategy(binary="+-*/^", functions=("exp", "ln", "sin", "cos", "abs")):
 
 
 def spied_compiled(kernel, before):
-    """The compiled ``kernel`` (:func:`hude.odeint._compiled_loop` of its C
-    entry point) with ``before(rows, out)`` called before each call of the
-    entry point: ``out`` is the address of its ``out`` array, or None."""
+    """The compiled ``kernel`` (:func:`hude.odeint._compiled_loop` or, for a
+    chain, :func:`hude.odeint._compiled_call` of its C entry point) with
+    ``before(rows, out)`` called before each call of the entry point: ``out``
+    is the address of its ``out`` array, or None."""
     fn = kernel.args[0]
 
     def entry(rows, h, nsteps, out, plan):
         before(rows, getattr(out, "value", out))
         fn(rows, h, nsteps, out, plan)
-    return functools.partial(odeint._compiled_loop, entry)
+    return functools.partial(kernel.func, entry)
 
 
 def spied_bisect(kernel, seen):

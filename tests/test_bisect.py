@@ -12,9 +12,16 @@ import hude.native
 from hude import odeint, residuals
 from hude.model import ReducedField, _clamped_phi, compile_model
 from hude.odeint import _terminal_state_batch
-from hude.residuals import _bisect_levels
 
 from conftest import spied_bisect
+
+
+def _bisect_levels(model, theta, *args):
+    """:func:`hude.residuals._bisect_levels` of ``model`` lowered at
+    ``theta``, as :func:`hude.compute_residuals` lowers it (through
+    ``residuals.compile_model``, which the tests below count)."""
+    return residuals._bisect_levels(residuals.compile_model(model, theta),
+                                    *args)
 
 
 def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):

@@ -1065,8 +1065,8 @@ def _entry_points(name, rows, seed, row_theta, method):
                        phi[0])
     args = (t0s, y0s, t1s, 0.1, method)
     with np.errstate(all="ignore"):
-        *levels, failure = _bisect_levels(model, theta, t0s, y0s, t1s, x_next,
-                                          1e-4, 0.1, method)
+        *levels, failure = _bisect_levels((code, values), t0s, y0s, t1s,
+                                          x_next, 1e-4, 0.1, method)
         return [_terminal_state_batch(field, *args),
                 *_terminal_state_batch(field, *args, mode="extremes"),
                 _terminal_state_batch(one, t0s[0], y0s[0], t1s[0], 0.1,
