@@ -25,14 +25,16 @@ place, so they hold the terminal states when it returns.  ``out`` is
 array, the running minima of the states then their maxima, which start
 at the start states; for a recorded path (one row) the
 ``(nsteps + 1, n)`` path, whose row 0 holds the start state.
-A compiled batch (terminal states or extremes) and a compiled bisection
-whose work is large run as a few contiguous row pieces, at the same time on
-the CPUs of the process's affinity mask (:func:`_piece_edges`,
-:func:`_run_pieces`).  Each piece is a plan of its own, with its own
-columns, ``out`` and step counts, called through the same C entry point; no
-row reads another, so every result is one call's, bit for bit.  A small
-call, and every call in a process that may use one CPU, is one C call on
-the calling thread.
+A compiled batch (terminal states or extremes) and a run of a compiled
+bisection whose work is large split one way (:func:`_compiled_loop`): into
+a few contiguous row pieces (:func:`_piece_edges`), run at the same time on
+the CPUs of the process's affinity mask (:func:`_run_pieces`).  Each split
+call copies each piece's plan columns, step counts and columns of ``out``
+into memory the piece owns, which starts on a 64-byte line and shares no
+line with any other array (:func:`_owned`), calls the same C entry point on
+the copies and copies the results back; no row reads another, so every
+result is one call's, bit for bit.  A small call, and every call in a
+process that may use one CPU, is one C call on the calling thread.
 
 A residual bisection halves each row's level interval, from [0, 1], ``H``
 times.  Each pass restores the start states, writes
@@ -45,24 +47,25 @@ in one assignment.  A run takes a range of the passes: pass 0 starts every
 row at [0, 1] with no failure, and a later pass resumes from the cells the
 caller left in the run's state, so pass ``p`` of any run is pass ``p`` of
 the whole bisection, bit for bit.  Up to :data:`_TABLE_DEPTH` halvings of a
-field that compiles, a run is one call of ``bisect`` per piece, the
-terminal kernel's third C entry point (``chain``, a simulated series, is
-its second).  Its
-``out`` is one float array: ``H``, the first pass and the end of the range,
-then blocks of ``rows`` values, the observations ``x_next``, the state it
-reads and writes, ``lo`` and ``hi``, each row's first pass with a
-non-finite state (``-1`` for none) and the level it probed there, then its
-copy of the ``n`` start state rows.  Its ``nsteps`` carries one more int64
-after the rows' step counts: the address of the table of the ``2**H - 1``
-noise levels, :func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``,
+field that compiles, a run is one call of ``bisect`` (one per piece where
+it splits), the terminal kernel's third C entry point (``chain``, a
+simulated series, is its second).  Its ``out`` is one float array:
+``H``, the first pass and the end of the range, then blocks of ``rows``
+values, the observations ``x_next``, the state it reads and writes, ``lo``
+and ``hi``, each row's first pass with a non-finite state (``-1`` for none)
+and the level it probed there, then its copy of the ``n`` start state
+rows.  Its ``nsteps`` carries one more int64 after the rows' step counts:
+the address of the table of the ``2**H - 1`` noise levels,
+:func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``,
 computed once per depth by numpy because C's ``log`` rounds some of them
 differently (:func:`_phi_table`), and shared by every run of that depth.
 Every probe is a multiple of ``2**-H``, so ``mid * 2**H - 1`` indexes the
-table exactly.  A large run holds its plan as row pieces
-(:func:`_compiled_bisection`), each a bisection of its own: its own
-``out`` and step counts, followed by the shared table's address.  Where
-``bisect`` does not run, each pass is one call of the kernel
-:func:`_kernel` picks, with the same bits.
+table exactly.  A large run splits as a batch does, each piece's copy a
+bisection of its own: ``out``'s three leading values (``H`` and the pass
+range), then the piece's columns of each block, and its step counts
+followed by the shared table's address.  Where ``bisect`` does not run,
+each pass is one call of the kernel :func:`_kernel` picks, with the same
+bits.
 
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
 whole-loop kernel that :func:`_generated` makes once per field source,
@@ -139,11 +142,11 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # a call of less than twice this runs whole, in one C call on its own thread.
 _PIECE_WORK = 500_000
 
-# The least work, in row-steps, that each row of a split call takes.  A row
-# is copied into its piece, into memory the process has not touched yet; on
-# a 2-vCPU x86-64 VM that cost ~50 ns a row, about 70 row-steps of the
-# reactor field, and a second CPU gained too little on a run of 300
-# row-steps a row (3 passes of 100 steps) to repay it.
+# The least work, in row-steps, that each row of a split call takes.  Each
+# split call copies its rows into memory its pieces own and back, once per
+# call (:func:`_compiled_loop`); on a 2-vCPU x86-64 VM a second CPU gained
+# too little on a run of 300 row-steps a row (3 passes of 100 steps, the
+# reactor fit's presearch) to repay that copy and its memory.
 _ROW_WORK = 1_000
 
 # The threads that run a split call's pieces after the first, made on first
@@ -401,8 +404,9 @@ def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
     ``(slots, P)`` matrix, over the plan's parameter rows, each column over
     one of ``P`` equal blocks of consecutive rows (``None`` keeps the plan's
     own), runs passes ``start`` to ``stop - 1`` (by default all of them) on
-    ``state`` and returns it: in one C call per piece where ``bisect`` loads
-    (:func:`_compiled_bisection`), a large run in row pieces.  Pass 0
+    ``state`` and returns it: in one C call where ``bisect`` loads
+    (:func:`_compiled_bisection`), a large run in row pieces, one call each
+    on copies the piece owns (:func:`_compiled_loop`).  Pass 0
     starts every row afresh; a later ``start`` resumes from the ``lo`` and
     ``hi`` the caller wrote into ``state``, with the failures it kept."""
     plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method)
@@ -452,78 +456,39 @@ def _write_points(params_rows, params):
 
 def _compiled_bisection(entry, plan, nsteps, h, n, x_next, halvings):
     """The ``(run, state)`` of :func:`_bisect` where its C entry point
-    ``entry`` (``bisect``) loads.  The plan starts whole: one C call per run.
-    The first run whose own work splits (:func:`_piece_edges` of its passes
-    times the longest row's steps) moves the plan into row pieces, each a
-    bisection of its own (:class:`_Piece`), and lets the whole plan go.  From
-    then on a run writes its points into the pieces, hands each piece its
-    rows' cells, calls every piece's ``bisect`` (at once where its own work
-    splits, else one after another) and gathers their cells into ``state``.
-    No row reads another, so every result is the whole plan's, bit for bit."""
+    ``entry`` (``bisect``) loads: the whole plan's ``out`` and step counts,
+    laid out as the module docstring sets out, and one call of ``entry`` on
+    their addresses, taken once.  A run writes its points and its pass range
+    and makes that call or, where its own work splits (:func:`_piece_edges`
+    of its passes times the longest row's steps), runs in row pieces
+    through :func:`_compiled_loop`, as a batch does."""
     rows = plan.shape[1]
     table = _phi_table(halvings)
     longest = int(nsteps.max())
-
-    def piece(a, b, plan):
-        return _Piece(entry, a, b, plan, nsteps[a:b], h, n, x_next[a:b],
-                      halvings, table)
-
-    pieces = [piece(0, rows, plan)]
-    state = pieces[0].cells
+    # Zeros, not what the memory held: a row that never failed probed level
+    # 0.0 in every run.
+    out = np.zeros(3 + (5 + n) * rows)
+    out[0], out[3:3 + rows] = halvings, x_next
+    state = out[3 + rows:3 + 5 * rows].reshape(4, rows)
+    steps = np.append(nsteps, np.int64(table.ctypes.data))
+    # The parameter rows follow the level row, as in ReducedField._bound.
+    params_rows = plan[4 + n:]
+    # Each pointer keeps its array alive.
+    call = functools.partial(entry, rows, h, *(
+        v.ctypes.data_as(ctypes.c_void_p) for v in (steps, out, plan)))
 
     def run(params=None, start=0, stop=halvings):
-        edges = _piece_edges(rows, (stop - start) * longest)
-        if len(edges) > 2 and len(pieces) == 1:
-            plan = pieces.pop().plan
-            pieces.extend(piece(a, b, plan[:, a:b].copy())
-                          for a, b in zip(edges, edges[1:]))
-        if len(pieces) == 1:
-            # The whole plan, whose cells are state: one C call.
-            whole, = pieces
-            if params is not None:
-                _write_points(whole.params, params)
-            whole.out[1], whole.out[2] = start, stop
-            whole.call()
-            return state
         if params is not None:
-            block = rows // params.shape[1]
-            for p in pieces:
-                p.params[...] = params[:, np.arange(p.a, p.b) // block]
-        for p in pieces:
-            p.out[1], p.out[2] = start, stop
-            p.cells[...] = state[:, p.a:p.b]
-        _run_pieces([p.call for p in pieces], len(edges) > 2)
-        for p in pieces:
-            state[:, p.a:p.b] = p.cells
+            _write_points(params_rows, params)
+        out[1], out[2] = start, stop
+        edges = _piece_edges(rows, (stop - start) * longest)
+        if len(edges) > 2:
+            _compiled_loop(entry, rows, h, steps, out, plan, edges, 3)
+        else:
+            call()
         return state
+    run.table = table  # read through its address after the step counts
     return run, state
-
-
-class _Piece:
-    """Rows ``a`` to ``b`` of a compiled bisection as a bisection of its own,
-    laid out as the module docstring sets out: its ``plan`` (the rows'
-    columns of an order-``n`` field), its ``out`` (``halvings``, the pass
-    range, ``x_next`` and so on) and its step counts followed by the address
-    of the shared ``table``.  ``cells`` is its state and ``params`` its
-    parameter rows, views of ``out`` and ``plan``, and ``call`` the entry
-    point ``entry`` bound to its arguments, the addresses taken once: each
-    pointer keeps its array alive."""
-
-    def __init__(self, entry, a, b, plan, nsteps, h, n, x_next, halvings,
-                 table):
-        rows = b - a
-        self.a, self.b, self.plan = a, b, plan
-        # Zeros, not what the memory held: a row that never failed probed
-        # level 0.0 in every run.
-        self.out = np.zeros(3 + (5 + n) * rows)
-        self.out[0], self.out[3:3 + rows] = halvings, x_next
-        self.table = table  # read through its address after the step counts
-        self.cells = self.out[3 + rows:3 + 5 * rows].reshape(4, rows)
-        # The parameter rows follow the level row, as in ReducedField._bound.
-        self.params = plan[4 + n:]
-        steps = np.append(nsteps, np.int64(table.ctypes.data))
-        self.call = functools.partial(entry, rows, h, *(
-            v.ctypes.data_as(ctypes.c_void_p) for v in (steps, self.out, plan)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -545,29 +510,54 @@ def _compiled_call(fn, rows, h, nsteps, out, plan):
        plan.ctypes.data)
 
 
-def _compiled_loop(fn, rows, h, nsteps, out, plan):
+def _compiled_loop(fn, rows, h, nsteps, out, plan, edges=None, head=0):
     """The compiled kernel of a batch (terminal states, extremes, a recorded
-    row): :func:`_compiled_call`, once on the whole plan or, where the rows'
-    work splits (:func:`_piece_edges`), once per row piece on copies of the
-    piece's plan columns (and extremes), all at once (:func:`_run_pieces`).
-    Each piece's columns are copied back, so the plan and ``out`` end as one
-    call leaves them: no row reads another."""
-    edges = _piece_edges(rows, int(nsteps.max()))
+    row), and the one way a compiled call splits: :func:`_compiled_call`
+    once on the whole plan or, where ``edges`` (by default
+    :func:`_piece_edges` of the rows' steps) cut it, once per row piece, all
+    at once (:func:`_run_pieces`).  Each piece runs on copies in memory of
+    its own (:func:`_owned`): of its plan columns, of its step counts with
+    the values after the rows' (a bisection's table address), and of
+    ``out``'s first ``head`` values (a bisection's depth and pass range)
+    followed by the piece's columns of each block of ``rows`` values after
+    them (a batch's extremes, a bisection's cells).  Each piece's columns
+    are copied back, so the plan and ``out`` end as one call leaves them: no
+    row reads another."""
+    if edges is None:
+        edges = _piece_edges(rows, int(nsteps.max()))
     if len(edges) == 2:
         _compiled_call(fn, rows, h, nsteps, out, plan)
         return
-    # A batch's out is None or its (2n, rows) extremes: columns are rows.
-    pieces = [(a, b, plan[:, a:b].copy(),
-               None if out is None else out[:, a:b].copy())
+    flat = None if out is None else out.reshape(-1)
+    blocks = None if out is None else flat[head:].reshape(-1, rows)
+    pieces = [(a, b, _owned(plan[:, a:b]), _owned(nsteps[a:b], nsteps[rows:]),
+               None if out is None else _owned(flat[:head], blocks[:, a:b]))
               for a, b in zip(edges, edges[1:])]
     _run_pieces([functools.partial(
-        fn, b - a, h, nsteps[a:b].ctypes.data,
+        fn, b - a, h, steps.ctypes.data,
         None if ends is None else ends.ctypes.data, own.ctypes.data)
-        for a, b, own, ends in pieces])
-    for a, b, own, ends in pieces:
-        plan[:, a:b] = own
+        for a, b, own, steps, ends in pieces])
+    for a, b, own, _, ends in pieces:
+        plan[:, a:b] = own.reshape(-1, b - a)
         if ends is not None:
-            out[:, a:b] = ends
+            blocks[:, a:b] = ends[head:].reshape(-1, b - a)
+
+
+def _owned(*parts):
+    """``parts``, arrays of one dtype, copied end to end into a new flat
+    array that starts on a 64-byte line (a cache line) and whose last line
+    holds nothing else: no other array shares a line with it, so a piece
+    that writes it on its own CPU does not slow another's."""
+    dtype = parts[0].dtype
+    size = sum(p.size for p in parts) * dtype.itemsize
+    raw = np.empty(-(-size // 64) * 64 + 63, np.uint8)
+    start = -raw.ctypes.data % 64
+    own = raw[start:start + size].view(dtype)
+    i = 0
+    for p in parts:
+        own[i:i + p.size].reshape(p.shape)[...] = p
+        i += p.size
+    return own
 
 
 def _piece_edges(rows, work):
@@ -583,18 +573,14 @@ def _piece_edges(rows, work):
     return [rows * k // count for k in range(count + 1)]
 
 
-def _run_pieces(calls, threads=True):
-    """Make each call of ``calls``, a C entry point bound to its arguments:
-    the first on this thread and, with ``threads``, the others at the same
-    time on the pool's threads (ctypes lets go of the GIL for each call, and
-    a worker calls nothing else), else one after another.  Returns once
+def _run_pieces(calls):
+    """Make each call of ``calls``, a C entry point bound to the addresses
+    of one piece's copies (:func:`_compiled_loop`): the first on this thread
+    and the others at the same time on the pool's threads (ctypes lets go of
+    the GIL for each call, and a worker calls nothing else).  Returns once
     every call has returned: an exception (a KeyboardInterrupt, say) that
     reaches this thread first waits for the pieces already running, so none
-    writes into its plan after the caller has gone on."""
-    if not threads:
-        for call in calls:
-            call()
-        return
+    writes into its copies after the caller has gone on."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor

@@ -1,7 +1,8 @@
 """A large compiled call runs in row pieces, one C call each, at the same time
-on the CPUs the process may use: every result equals the one-call result
-byte for byte, a small call or a one-CPU process makes one call and no
-thread, and the pool survives an interrupt and a fork."""
+on the CPUs the process may use, each piece on copies in cache lines of its
+own: every result equals the one-call result byte for byte, a small call or
+a one-CPU process makes one call and no thread, and the pool survives an
+interrupt and a fork."""
 
 import os
 import signal
@@ -70,31 +71,40 @@ def _bits(arrays):
     return [np.ascontiguousarray(a).view(np.uint8) for a in arrays]
 
 
+def _c_calls(mp):
+    """The compiled calls made from here, one ``(rows, nsteps, out, plan)``
+    per entry point call, the last three the addresses of its arrays."""
+    calls = []
+    generate = odeint._generated
+
+    def generated(*args):
+        kernel = generate(*args)
+        if kernel is None or args[-1] != "compiled":
+            return kernel
+        return spied_compiled(kernel, lambda *call: calls.append(call))
+
+    mp.setattr(odeint, "_generated", generated)
+    return calls
+
+
 def _forced(mp, cpus):
-    """Up to ``cpus`` pieces for any call of two or more rows, and a count of
-    the bisection pieces made from here."""
-    made = []
-
-    class Piece(odeint._Piece):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self.b - self.a)
-
+    """Up to ``cpus`` pieces for any call of two or more rows, and the
+    compiled calls made from here (:func:`_c_calls`)."""
     mp.setattr(odeint, "_CPUS", cpus)
     mp.setattr(odeint, "_PIECE_WORK", 1)
     mp.setattr(odeint, "_ROW_WORK", 1)
-    mp.setattr(odeint, "_Piece", Piece)
-    return made
+    return _c_calls(mp)
 
 
 def _everything(name, points, block, halvings, cut, seed, cpus):
     """Every output of a compiled call on the case, with up to ``cpus``
     pieces: a bisection's state after all its passes, after the first
-    ``cut``, after the rest resumed on the same plan with its pieces run one
-    after another, and after the rest resumed on a fresh plan from cells the
-    caller wrote; the levels, saturation flags and failure of
+    ``cut``, after the rest resumed on the same plan run whole, and after
+    the rest resumed on a fresh plan from cells the caller wrote; the
+    levels, saturation flags and failure of
     :func:`hude.residuals._bisect_levels`; a batch's terminal states and its
-    extremes.  Also the sizes of the bisection pieces made."""
+    extremes.  Also the row counts of the C calls of each of those seven
+    steps, sorted."""
     model, (code, values), params, t0s, y0s, t1s, x_next = _case(
         name, points, block, seed)
     rows = points * block
@@ -108,24 +118,32 @@ def _everything(name, points, block, halvings, cut, seed, cpus):
     field = ReducedField(code, per_row, odeint._clamped_phi(
         np.random.default_rng(seed).uniform(0.05, 0.95, rows)))
     args = (t0s, y0s, t1s, 0.1, "euler")
+    steps = []
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-        made = _forced(mp, cpus)
+        calls = _forced(mp, cpus)
+
+        def step(result):
+            # The result of a step, whose calls are recorded.
+            steps.append(sorted(rows for rows, *_ in calls))
+            calls.clear()
+            return result
+
         run, _ = prepared()
-        whole = run(params).copy()
-        part = run(params, 0, cut).copy()
+        whole = step(run(params).copy())
+        part = step(run(params, 0, cut).copy())
         mp.setattr(odeint, "_ROW_WORK", 10**9)  # no run splits
-        rest = run(params, cut, halvings).copy()
+        rest = step(run(params, cut, halvings).copy())
         mp.setattr(odeint, "_ROW_WORK", 1)
         resume, cells = prepared()
         cells[...] = part
-        resumed = resume(params, cut, halvings).copy()
-        *levels, failure = residuals._bisect_levels(
+        resumed = step(resume(params, cut, halvings).copy())
+        *levels, failure = step(residuals._bisect_levels(
             (code, per_row), t0s, y0s, t1s, x_next, 0.5 ** halvings, 0.1,
-            "euler")
+            "euler"))
         outputs = [whole, part, rest, resumed, *levels,
-                   _terminal_state_batch(field, *args),
-                   *_terminal_state_batch(field, *args, mode="extremes")]
-    return outputs, failure, made
+                   step(_terminal_state_batch(field, *args)),
+                   *step(_terminal_state_batch(field, *args, mode="extremes"))]
+    return outputs, failure, steps
 
 
 @needs_bisect
@@ -143,38 +161,25 @@ def test_pieces_equal_one_call(name, points, block, pieces, halvings, cut,
                                seed):
     # 1 to 300 rows in up to five pieces, whose edges cut point blocks.
     cut = min(cut, halvings)
-    expected, failure, made = _everything(name, points, block, halvings, cut,
-                                          seed, 1)
-    assert made == [points * block] * 3  # every plan whole: no copy
-    got, got_failure, made = _everything(name, points, block, halvings, cut,
-                                         seed, pieces)
+    rows, count = points * block, min(pieces, points * block)
+    expected, failure, steps = _everything(name, points, block, halvings, cut,
+                                           seed, 1)
+    assert steps == [[rows]] * 7  # every call whole
+    got, got_failure, steps = _everything(name, points, block, halvings, cut,
+                                          seed, pieces)
     assert got_failure == failure
     for a, b in zip(_bits(got), _bits(expected), strict=True):
         assert np.array_equal(a, b)
-    rows, count = points * block, min(pieces, points * block)
-    # Each plan is made whole, then once in pieces by its first run that
-    # takes a pass: all but a resumed run that takes none.
-    split = [size for size in made if size != rows]
-    assert len(made) - len(split) == 3
-    if count > 1:
-        assert len(split) == count * (3 if cut < halvings else 2)
-        assert max(split) - min(split) <= 1
-
-
-def _c_calls(mp):
-    """The sizes of the compiled calls made from here, one per entry point
-    call."""
-    calls = []
-    generate = odeint._generated
-
-    def generated(*args):
-        kernel = generate(*args)
-        if kernel is None or args[-1] != "compiled":
-            return kernel
-        return spied_compiled(kernel, lambda rows, out: calls.append(rows))
-
-    mp.setattr(odeint, "_generated", generated)
-    return calls
+    # A run that takes no pass, and the run kept whole, make one call; every
+    # other step makes one call per piece, of sizes at most one row apart.
+    whole = {2} | ({1} if cut == 0 else set()) | (
+        {3} if cut == halvings else set())
+    for i, sizes in enumerate(steps):
+        if count < 2 or i in whole:
+            assert sizes == [rows]
+        else:
+            assert len(sizes) == count and sum(sizes) == rows
+            assert sizes[-1] - sizes[0] <= 1
 
 
 def test_piece_edges():
@@ -201,24 +206,22 @@ def test_small_or_one_cpu_calls_take_one_call_and_no_thread(cpus, piece_work,
                                                             row_work):
     # A call below the floor of a piece (60 rows, 14 passes of up to 15
     # steps, 12,600 row-steps) or of a row (up to 210 row-steps), or any call
-    # in a one-CPU process, is one C call on the calling thread, on the plan
-    # made whole: no piece is copied.
+    # in a one-CPU process, is one C call on the calling thread, on the whole
+    # plan: nothing is copied.
     _, (code, values), params, t0s, y0s, t1s, x_next = _case("linear", 6, 10, 1)
     field = ReducedField(code, values, np.full(60, 0.2))
     with pytest.MonkeyPatch.context() as mp:
-        made = _forced(mp, cpus)
+        calls = _forced(mp, cpus)
         mp.setattr(odeint, "_PIECE_WORK", piece_work)
         mp.setattr(odeint, "_ROW_WORK", row_work)
         mp.setattr(odeint, "_POOL", None)
-        calls = _c_calls(mp)
         run, _ = odeint._bisect(ReducedField(code, values, np.zeros(60)), t0s,
                                 y0s, t1s, 0.1, "euler", x_next, 14)
         run(params)
         for mode in ("terminal", "extremes"):
             _terminal_state_batch(field, t0s, y0s, t1s, 0.1, "euler", mode=mode)
         assert odeint._POOL is None
-    assert calls == [60, 60, 60]
-    assert made == [60]
+    assert [rows for rows, *_ in calls] == [60, 60, 60]
 
 
 @needs_bisect
@@ -226,15 +229,53 @@ def test_split_calls_take_one_call_per_piece():
     _, (code, values), params, t0s, y0s, t1s, x_next = _case("linear", 6, 10, 1)
     field = ReducedField(code, values, np.full(60, 0.2))
     with pytest.MonkeyPatch.context() as mp:
-        made = _forced(mp, 3)
-        calls = _c_calls(mp)
+        calls = _forced(mp, 3)
         run, _ = odeint._bisect(ReducedField(code, values, np.zeros(60)), t0s,
                                 y0s, t1s, 0.1, "euler", x_next, 14)
         run(params)
         _terminal_state_batch(field, t0s, y0s, t1s, 0.1, "euler")
         assert odeint._POOL is not None
-    assert sorted(calls) == [20] * 6
-    assert made == [60, 20, 20, 20]
+    assert sorted(rows for rows, *_ in calls) == [20] * 6
+
+
+@needs_bisect
+def test_each_piece_owns_its_cache_lines():
+    # Every split call runs each piece on copies that start on a 64-byte
+    # line, and no two pieces' plans or outs share a line, so no CPU's
+    # writes slow another's, whatever order the copies were made in: a
+    # terminal batch, an extremes batch, a fresh bisection run and one
+    # resumed on the same plan.
+    _, (code, values), params, t0s, y0s, t1s, x_next = _case("linear", 6, 10, 1)
+    field = ReducedField(code, values, np.full(60, 0.2))
+    args = (t0s, y0s, t1s, 0.1, "euler")
+    slots = odeint._plan(field, *args)[0].shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _forced(mp, 3)
+        run, _ = odeint._bisect(ReducedField(code, values, np.zeros(60)),
+                                *args, x_next, 14)
+        # Each step, and the doubles of a piece's out: extremes are two
+        # blocks of its rows, an order-1 bisection a head of three and six.
+        for step, out_size in (
+                (lambda: _terminal_state_batch(field, *args), None),
+                (lambda: _terminal_state_batch(field, *args, mode="extremes"),
+                 lambda rows: 2 * rows),
+                (lambda: run(params, 0, 5), lambda rows: 3 + 6 * rows),
+                (lambda: run(params, 5, 14), lambda rows: 3 + 6 * rows)):
+            calls.clear()
+            step()
+            assert sorted(rows for rows, *_ in calls) == [20] * 3
+            lines = []
+            for rows, _, out, plan in calls:
+                spans = [(plan, slots * rows)]
+                if out_size is None:
+                    assert out is None
+                else:
+                    spans.append((out, out_size(rows)))
+                for address, doubles in spans:
+                    assert address % 64 == 0
+                    lines += range(address // 64,
+                                   (address + 8 * doubles - 1) // 64 + 1)
+            assert len(lines) == len(set(lines))
 
 
 def test_a_failing_piece_waits_for_the_others():
