@@ -5,16 +5,16 @@ One entry point, :func:`_terminal_state_batch`, runs every integration in
 one of four modes: a recorded path (:func:`integrate`), the terminal states
 of a batch of rows, those with their extremes (the spot check of a fan), or
 a chain of rows, each started from the end state of the row before it (a
-simulated series, one row per step).  The one exception is a residual
-bisection (:func:`_bisect`), which runs all its passes on one plan made by
-the same planner (:func:`_plan`).  One helper (:func:`_kernel`) picks the
-kernel for both.
+simulated series, one row per step).  A residual bisection
+(:func:`_bisect`) runs all its passes on one plan made by the same planner
+(:func:`_plan`), through one more kernel of the same contract, ``bisect``,
+which runs the terminal kernel once per pass.  One helper (:func:`_kernel`)
+picks the terminal kernel for both.
 
 Every kernel is called as ``kernel(rows, h, nsteps, out, plan)``, from that
-one call site or :func:`_bisect`, and takes exactly these arguments, down
+one call site or a bisection's run, and takes exactly these arguments, down
 to the C entry points (:func:`_compiled_loop` passes the three arrays'
-addresses; a compiled bisection takes them once and calls its entry point
-on them).
+addresses; a bisection's run takes them once and calls ``bisect`` on them).
 ``plan`` is a ``(3 + n + len(bound), rows)`` float array
 with one column per row: its rows are ``t0``, ``t_end``, ``last`` (the
 width of the row's shortened last step), the ``n`` states, then the bound
@@ -46,26 +46,31 @@ plan runs again at other parameter values, written over its parameter rows
 in one assignment.  A run takes a range of the passes: pass 0 starts every
 row at [0, 1] with no failure, and a later pass resumes from the cells the
 caller left in the run's state, so pass ``p`` of any run is pass ``p`` of
-the whole bisection, bit for bit.  Up to :data:`_TABLE_DEPTH` halvings of a
-field that compiles, a run is one call of ``bisect`` (one per piece where
-it splits), the terminal kernel's third C entry point (``chain``, a
-simulated series, is its second).  Its ``out`` is one float array:
-``H``, the first pass and the end of the range, then blocks of ``rows``
-values, the observations ``x_next``, the state it reads and writes, ``lo``
-and ``hi``, each row's first pass with a non-finite state (``-1`` for none)
-and the level it probed there, then its copy of the ``n`` start state
-rows.  Its ``nsteps`` carries one more int64 after the rows' step counts:
-the address of the table of the ``2**H - 1`` noise levels,
-:func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``,
-computed once per depth by numpy because C's ``log`` rounds some of them
-differently (:func:`_phi_table`), and shared by every run of that depth.
-Every probe is a multiple of ``2**-H``, so ``mid * 2**H - 1`` indexes the
-table exactly.  A large run splits as a batch does, each piece's copy a
+the whole bisection, bit for bit.  A run is one call of ``bisect``.  Its
+``out`` is one float array, zeroed when the run is prepared: ``H``, the
+first pass and the end of the range, then blocks of ``rows`` values, the
+observations ``x_next``, the state it reads and writes, ``lo`` and ``hi``,
+each row's first pass with a non-finite state (``-1`` for none) and the
+level it probed there (``0`` for none), then its copy of the ``n`` start
+state rows, taken from the plan at each call.  Up to :data:`_TABLE_DEPTH`
+halvings of a field that compiles, ``bisect`` is the terminal kernel's
+third C entry point (``chain``, a simulated series, is its second).  Its
+``nsteps`` carries one more int64 after the rows' step counts: the address
+of the table of the ``2**H - 1`` noise levels,
+:func:`hude.model._clamped_phi` of ``m / 2**H`` at ``m - 1``, computed once
+per depth by numpy because C's ``log`` rounds some of them differently
+(:func:`_phi_table`), and shared by every run of that depth.  Every probe
+is a multiple of ``2**-H``, so ``mid * 2**H - 1`` indexes the table
+exactly.  A large run splits as a batch does, each piece's copy a
 bisection of its own: ``out``'s three leading values (``H`` and the pass
 range), then the piece's columns of each block, and its step counts
-followed by the shared table's address.  Where ``bisect`` does not run,
-each pass is one call of the kernel :func:`_kernel` picks, with the same
-bits.
+followed by the shared table's address.  Where that entry point does not
+load (no compiler, an op C rounds unlike numpy, or more halvings),
+``bisect`` is :func:`_pass_loop`: the same entry point in Python, on the
+same ``out``, with the same bits, which calls the terminal kernel
+:func:`_kernel` picks once per pass and computes each level itself, so its
+``nsteps`` are the rows' alone.  Its run is never split; a pass's kernel
+call may be.
 
 A reduced model field (:class:`hude.model.ReducedField`) runs through a
 whole-loop kernel that :func:`_generated` makes once per field source,
@@ -320,18 +325,21 @@ def _terminal_state_batch(raw, t0, y0, t_end, h, method="euler",
 
 def _kernel(lowered, n, method, mode, rows):
     """The kernel that steps ``rows`` rows of a reduced field lowered to
-    ``lowered`` in ``mode``: its compiled kernel where ``COMPILED`` is on
-    and one loads, else the row kernel for one row at a time (a recorded
-    path, a chain through the terminal row kernel, a one-row batch) or the
-    column kernel for a batch of two or more rows."""
-    kernel = (_generated(*lowered, n, method, mode, "compiled")
-              if COMPILED else None)
-    if kernel is None:
-        by_row = mode in ("record", "chain") or rows == 1
-        kernel = _generated(*lowered, n, method,
-                            "terminal" if mode == "chain" else mode,
-                            "row" if by_row else "columns")
-    return kernel
+    ``lowered`` in ``mode``: where ``COMPILED`` is on and the C entry point
+    loads, that entry point bound to :func:`_compiled_call` for a chain and
+    to :func:`_compiled_loop`, which splits a large call, for a batch; else
+    the row kernel for one row at a time (a recorded path, a chain through
+    the terminal row kernel, a one-row batch) or the column kernel for a
+    batch of two or more rows."""
+    entry = (_generated(*lowered, n, method, mode, "compiled")
+             if COMPILED else None)
+    if entry is not None:
+        return functools.partial(
+            _compiled_call if mode == "chain" else _compiled_loop, entry)
+    by_row = mode in ("record", "chain") or rows == 1
+    return _generated(*lowered, n, method,
+                      "terminal" if mode == "chain" else mode,
+                      "row" if by_row else "columns")
 
 
 def _plan(raw, t0, y0, t_end, h, method, chain=False):
@@ -391,104 +399,99 @@ def _plan(raw, t0, y0, t_end, h, method, chain=False):
     return plan, np.full(rows, nsteps, dtype=np.int64), lowered
 
 
-def _bisect(raw, t0, y0, t_end, h, method, x_next, halvings):
-    """Prepare a residual bisection of ``halvings`` passes of the batch (the
-    arguments of :func:`_terminal_state_batch`, ``raw`` a reduced field with
-    an array level) towards the observations ``x_next``, as the module
-    docstring sets out: the batch is checked and planned (:func:`_plan`)
-    once, also where it takes no pass.
+def _bisect(lowered, t0, y0, t_end, h, method, x_next, halvings):
+    """Prepare a residual bisection of ``halvings`` passes of the model
+    lowered to ``lowered``, its ``(code, values)``
+    (:func:`hude.model.compile_model`), restarted from the rows ``t0``,
+    ``y0`` and ``t_end`` (as a batch of :func:`_terminal_state_batch` takes
+    them) towards the observations ``x_next``, as the module docstring sets
+    out: the noisy field is checked and planned (:func:`_plan`) once, also
+    where it takes no pass, with a zeroed ``out``.
 
-    Returns ``(run, state)``.  ``state`` is the ``(4, rows)`` array of each
-    row's ``lo``, ``hi``, first failing pass (``-1`` for none) and the level
-    it probed there.  ``run(params, start, stop)`` writes ``params``, a
-    ``(slots, P)`` matrix, over the plan's parameter rows, each column over
-    one of ``P`` equal blocks of consecutive rows (``None`` keeps the plan's
-    own), runs passes ``start`` to ``stop - 1`` (by default all of them) on
-    ``state`` and returns it: in one C call where ``bisect`` loads
-    (:func:`_compiled_bisection`), a large run in row pieces, one call each
-    on copies the piece owns (:func:`_compiled_loop`).  Pass 0
-    starts every row afresh; a later ``start`` resumes from the ``lo`` and
-    ``hi`` the caller wrote into ``state``, with the failures it kept."""
-    plan, nsteps, lowered = _plan(raw, t0, y0, t_end, h, method)
-    rows, n = plan.shape[1], np.shape(y0)[-1]
-    bisect = (_generated(*lowered, n, method, "bisect", "compiled")
-              if COMPILED and 0 < halvings <= _TABLE_DEPTH else None)
-    if bisect is not None:
-        return _compiled_bisection(bisect.args[0], plan, nsteps, h, n, x_next,
-                                   halvings)
-    # Looked up only where a pass runs, so no pass builds no kernel.
-    kernel = _kernel(lowered, n, method, "terminal", rows) if halvings else None
-    x, level = plan[3:3 + n], plan[3 + n]
-    start_states = x.copy()
-    state = np.empty((4, rows))
-    lo, hi, first, probe = state
-    params_rows = plan[4 + n:]
-
-    def run(params=None, start=0, stop=halvings):
-        # What bisect computes, pass by pass.
-        if params is not None:
-            _write_points(params_rows, params)
-        if start == 0:
-            lo[...], hi[...], first[...] = 0.0, 1.0, -1.0
-        for p in range(start, stop):
-            x[...] = start_states
-            mid = 0.5 * (lo + hi)
-            level[...] = _clamped_phi(mid)
-            with np.errstate(all="ignore"):
-                kernel(rows, h, nsteps, None, plan)
-            new = (first < 0.0) & ~np.isfinite(x).all(axis=0)
-            first[new], probe[new] = p, mid[new]
-            below = x[0] < x_next
-            np.copyto(lo, mid, where=below)
-            np.copyto(hi, mid, where=~below)
-        x[...] = start_states
-        return state
-    return run, state
-
-
-def _write_points(params_rows, params):
-    """Write ``params``, a ``(slots, P)`` matrix, over a plan's parameter
-    rows, each column over one of ``P`` equal blocks of consecutive rows."""
-    points = params.shape[1]
-    params_rows.reshape(len(params_rows), points,
-                        params_rows.shape[1] // points)[...] = params[:, :, None]
-
-
-def _compiled_bisection(entry, plan, nsteps, h, n, x_next, halvings):
-    """The ``(run, state)`` of :func:`_bisect` where its C entry point
-    ``entry`` (``bisect``) loads: the whole plan's ``out`` and step counts,
-    laid out as the module docstring sets out, and one call of ``entry`` on
-    their addresses, taken once.  A run writes its points and its pass range
-    and makes that call or, where its own work splits (:func:`_piece_edges`
-    of its passes times the longest row's steps), runs in row pieces
-    through :func:`_compiled_loop`, as a batch does."""
-    rows = plan.shape[1]
-    table = _phi_table(halvings)
-    longest = int(nsteps.max())
-    # Zeros, not what the memory held: a row that never failed probed level
-    # 0.0 in every run.
+    Returns ``(run, state)``.  ``state`` is the ``(4, rows)`` view of
+    ``out`` that holds each row's ``lo``, ``hi``, first failing pass (``-1``
+    for none) and the level it probed there (``0.0`` for none).
+    ``run(params, start, stop)`` writes ``params``, a ``(slots, P)`` matrix,
+    over the plan's parameter rows, each column over one of ``P`` equal
+    blocks of consecutive rows (``None`` keeps the plan's own), runs passes
+    ``start`` to ``stop - 1`` (by default all of them) on ``state`` and
+    returns it: one call of ``bisect`` where it loads, on addresses taken
+    once, a large run in row pieces (:func:`_compiled_loop`), else one call
+    of :func:`_pass_loop`.  Pass 0 starts every row afresh; a later
+    ``start`` resumes from the ``lo`` and ``hi`` the caller wrote into
+    ``state``, with the failures it kept."""
+    rows = len(x_next)
+    # A level per row picks the noisy field, as every probe's levels do.
+    # Named, so its level lives until the run is made: freed before ``out``
+    # is, it left a hole that raised a long fit's peak RSS by ~0.3 MB.
+    noisy = ReducedField(*lowered, np.zeros(rows))
+    plan, nsteps, field = _plan(noisy, t0, y0, t_end, h, method)
+    n = np.shape(y0)[-1]
+    entry = (_generated(*field, n, method, "bisect", "compiled")
+             if COMPILED and 0 < halvings <= _TABLE_DEPTH else None)
     out = np.zeros(3 + (5 + n) * rows)
     out[0], out[3:3 + rows] = halvings, x_next
     state = out[3 + rows:3 + 5 * rows].reshape(4, rows)
-    steps = np.append(nsteps, np.int64(table.ctypes.data))
     # The parameter rows follow the level row, as in ReducedField._bound.
     params_rows = plan[4 + n:]
-    # Each pointer keeps its array alive.
-    call = functools.partial(entry, rows, h, *(
-        v.ctypes.data_as(ctypes.c_void_p) for v in (steps, out, plan)))
+    if entry is None:
+        # Looked up only where a pass runs, so no pass builds no kernel.
+        kernel = (_kernel(field, n, method, "terminal", rows) if halvings
+                  else None)
+        call = functools.partial(_pass_loop, kernel, rows, h, nsteps, out,
+                                 plan)
+        # A run of the pass loop is never split: each pass's kernel call is.
+        table, longest = None, 0
+    else:
+        table, longest = _phi_table(halvings), int(nsteps.max())
+        nsteps = np.append(nsteps, np.int64(table.ctypes.data))
+        # Each pointer keeps its array alive.
+        call = functools.partial(entry, rows, h, *(
+            v.ctypes.data_as(ctypes.c_void_p) for v in (nsteps, out, plan)))
 
     def run(params=None, start=0, stop=halvings):
         if params is not None:
-            _write_points(params_rows, params)
+            points = params.shape[1]
+            params_rows.reshape(len(params_rows), points,
+                                rows // points)[...] = params[:, :, None]
         out[1], out[2] = start, stop
         edges = _piece_edges(rows, (stop - start) * longest)
         if len(edges) > 2:
-            _compiled_loop(entry, rows, h, steps, out, plan, edges, 3)
+            _compiled_loop(entry, rows, h, nsteps, out, plan, edges, 3)
         else:
             call()
         return state
     run.table = table  # read through its address after the step counts
     return run, state
+
+
+def _pass_loop(kernel, rows, h, nsteps, out, plan):
+    """``bisect`` in Python: passes ``out[1]`` to ``out[2] - 1`` of the
+    residual bisection that ``out`` and ``plan`` lay out (see the module
+    docstring), each pass one call of the terminal ``kernel`` on every row,
+    with ``bisect``'s bits.  ``nsteps`` holds only the rows' step counts:
+    each level is :func:`hude.model._clamped_phi` of the pass's midpoint,
+    not a table's entry."""
+    start, stop = int(out[1]), int(out[2])
+    x_next, lo, hi, first, probe = out[3:3 + 5 * rows].reshape(5, rows)
+    starts = out[3 + 5 * rows:].reshape(-1, rows)
+    x, level = plan[3:3 + len(starts)], plan[3 + len(starts)]
+    starts[...] = x
+    if start == 0:
+        lo[...], hi[...], first[...] = 0.0, 1.0, -1.0
+    for p in range(start, stop):
+        x[...] = starts
+        mid = 0.5 * (lo + hi)
+        level[...] = _clamped_phi(mid)
+        with np.errstate(all="ignore"):
+            kernel(rows, h, nsteps, None, plan)
+        new = (first < 0.0) & ~np.isfinite(x).all(axis=0)
+        first[new], probe[new] = p, mid[new]
+        below = x[0] < x_next
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+    # Restored, so a prepared plan runs again from its start states.
+    x[...] = starts
 
 
 @functools.lru_cache(maxsize=4)
@@ -512,12 +515,14 @@ def _compiled_call(fn, rows, h, nsteps, out, plan):
 
 def _compiled_loop(fn, rows, h, nsteps, out, plan, edges=None, head=0):
     """The compiled kernel of a batch (terminal states, extremes, a recorded
-    row), and the one way a compiled call splits: :func:`_compiled_call`
-    once on the whole plan or, where ``edges`` (by default
-    :func:`_piece_edges` of the rows' steps) cut it, once per row piece, all
-    at once (:func:`_run_pieces`).  Each piece runs on copies in memory of
-    its own (:func:`_owned`): of its plan columns, of its step counts with
-    the values after the rows' (a bisection's table address), and of
+    row), the C entry point ``fn`` bound to it by :func:`_kernel`, and the
+    one way a compiled call splits: :func:`_compiled_call` once on the whole
+    plan or, where ``edges`` (by default :func:`_piece_edges` of the rows'
+    steps) cut it, once per row piece, all at once (:func:`_run_pieces`).
+    A large run of ``bisect`` (:func:`_bisect`) splits here too, with its
+    own ``edges`` and a ``head`` of 3.  Each piece runs on copies in memory
+    of its own (:func:`_owned`): of its plan columns, of its step counts
+    with the values after the rows' (a bisection's table address), and of
     ``out``'s first ``head`` values (a bisection's depth and pass range)
     followed by the piece's columns of each block of ``rows`` values after
     them (a batch's extremes, a bisection's cells).  Each piece's columns
@@ -649,12 +654,13 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
     docstring) of a reduced field lowered to ``field``
     (:func:`hude.model.compile_model`) over the bound names ``params`` (the
     ops keep ``0.0`` and ``-0.0`` apart): for ``backend`` ``"columns"`` or
-    ``"row"`` the kernel of :func:`_loop_source`, for ``"compiled"`` the
-    entry point of :func:`_c_source` that :func:`hude.native.load` builds,
-    run by :func:`_compiled_loop` (a ``"chain"`` and a ``"bisect"`` are the
-    terminal object's second and third entry points), or ``None`` after one
-    debug line on the ``hude`` logger where C may round an op unlike numpy
-    or the build fails."""
+    ``"row"`` the kernel of :func:`_loop_source`, for ``"compiled"`` the C
+    entry point itself of :func:`_c_source` that :func:`hude.native.load`
+    builds (a ``"chain"`` and a ``"bisect"`` are the terminal object's
+    second and third entry points), which :func:`_kernel` and
+    :func:`_bisect` call on addresses, or ``None`` after one debug line on
+    the ``hude`` logger where C may round an op unlike numpy or the build
+    fails."""
     if backend != "compiled":
         namespace = {"np": np, "_power": _power}
         exec(compile(_loop_source(field, params, n, method, mode, backend),
@@ -668,11 +674,9 @@ def _generated(field, params: str, n: int, method: str, mode: str, backend):
         from . import native
         entry = mode if mode in ("chain", "bisect") else "kernel"
         try:
-            return functools.partial(
-                _compiled_call if mode == "chain" else _compiled_loop,
-                native.load(_c_source(field, params, n, method, mode if
-                                      entry == "kernel" else "terminal"),
-                            entry))
+            return native.load(_c_source(field, params, n, method, mode if
+                                         entry == "kernel" else "terminal"),
+                               entry)
         except OSError as exc:
             reason = f"the C kernel did not build: {exc}"
     import logging
@@ -956,12 +960,12 @@ def _c_source(field, params: str, n: int, method: str, mode: str) -> str:
     ``i``), each from the terminal state of the row before it, which it
     copies forward in the plan.  ``bisect`` runs a range of the passes of a
     residual bisection, laid out in the module docstring with what ``out``
-    and the slot after the step counts carry: it
-    calls the exported ``kernel`` once per pass, which gcc does not inline
-    under ``-fPIC``, so no clone of the loop is compiled twice.  As in the
-    pass loop, a row fails where any state is not finite, and the upper half
-    is kept only where ``x0 < x_next`` (false for NaN).  It leaves the
-    plan's start states as it found them, so a plan runs again unchanged.
+    and the slot after the step counts carry: it calls the exported
+    ``kernel`` once per pass, which gcc does not inline under ``-fPIC``, so
+    no clone of the loop is compiled twice.  As in :func:`_pass_loop`, a
+    row fails where any state is not finite, and the upper half is kept only
+    where ``x0 < x_next`` (false for NaN).  It leaves the plan's start
+    states as it found them, so a plan runs again unchanged.
     """
     setup, step, _, _ = _step_source(field, n, method, "compiled")
     if method == "rk4":

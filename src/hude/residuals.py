@@ -6,12 +6,14 @@ path hit the next observation ``x_{t_{j+1}}``?  That level is the residual
 ``eps_j``; for a well-fitted model the residuals behave like a sample of the
 linear (uniform) uncertainty distribution on [0, 1].  The level is found by
 bisection on the terminal value of the restarted path; each pass halves every
-row once, integrating all rows together on a plan made once, and a field that
-compiles runs every pass in one C call.  A fit plans its rows once per batch
-size and runs each batch of parameter points with one write of the point
-matrix into the plan; a run may take only a range of the passes and resume
-from the cells earlier passes left, so a fit bisects a point only as deep as
-its decisions read.
+row once, integrating all rows together on a plan made once.  A run of
+passes is one call of the bisection kernel on one state
+(:func:`~hude.odeint._bisect`): in C where the field compiles, else the same
+passes in Python, one integration call each.  A fit plans its rows once per
+batch size and runs each batch of parameter points with one write of the
+point matrix into the plan; a run may take only a range of the passes and
+resume from the cells earlier passes left, so a fit bisects a point only as
+deep as its decisions read.
 
 Derivative observations are rarely measured directly; they are reconstructed
 from the raw series with forward (default) or central differences, producing
@@ -290,12 +292,12 @@ class _Bisection:
                     thetas[chunk], start, stop,
                     resume and tuple(c[chunk] for c in resume))
             return lo, hi, failed
-        if P not in self.runs:  # an array level picks the noisy field
+        if P not in self.runs:
             _, t0s, y0s, t1s, x_next = self.rows
             self.runs[P] = odeint._bisect(
-                ReducedField(self.code, self.values, np.zeros(M * P)),
-                np.tile(t0s, P), np.tile(y0s, (P, 1)), np.tile(t1s, P),
-                self.h, self.method, np.tile(x_next, P), self.halvings)
+                (self.code, self.values), np.tile(t0s, P),
+                np.tile(y0s, (P, 1)), np.tile(t1s, P), self.h, self.method,
+                np.tile(x_next, P), self.halvings)
         run, state = self.runs[P]
         if start:
             state[0], state[1] = (c.reshape(-1) for c in resume)
@@ -347,16 +349,13 @@ def _bisect_levels(lowered, t0s, y0s, t1s, x_next, delta, h, method):
     no row failed, else ``(row, level)``: the lowest failed row of the first
     pass with a failure and the quantile level it probed there.
 
-    The rows are prepared (:func:`~hude.odeint._bisect`) with the values in
-    their plan and run once: one C call per row piece where the field's
-    compiled bisection loads, else one kernel call per pass, with the same
-    bits.
+    The rows are prepared from ``lowered`` (:func:`~hude.odeint._bisect`,
+    which picks the noisy field) and run once: one C call per row piece
+    where the field's ``bisect`` entry point loads, else the pass loop in
+    Python, one kernel call per pass, with the same bits.
     """
-    halvings = _halvings(delta)
-    code, values = lowered
-    # An array level picks the noisy field, as each probe's levels do.
-    run, _ = odeint._bisect(ReducedField(code, values, np.zeros(len(x_next))),
-                            t0s, y0s, t1s, h, method, x_next, halvings)
+    run, _ = odeint._bisect(lowered, t0s, y0s, t1s, h, method, x_next,
+                            _halvings(delta))
     lo, hi, first, probe = run()
     failed = first >= 0.0
     failure = None

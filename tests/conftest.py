@@ -1,5 +1,4 @@
 import ctypes
-import functools
 import math
 
 import pytest
@@ -85,26 +84,24 @@ def ast_strategy(binary="+-*/^", functions=("exp", "ln", "sin", "cos", "abs")):
     return st.recursive(leaves, extend, max_leaves=16)
 
 
-def spied_compiled(kernel, before):
-    """The compiled ``kernel`` (:func:`hude.odeint._compiled_loop` or, for a
-    chain, :func:`hude.odeint._compiled_call` of its C entry point) with
-    ``before(rows, nsteps, out, plan)`` called before each call of the entry
-    point: ``nsteps``, ``out`` and ``plan`` are the addresses of its arrays
-    (``out`` None where it has none).  A call that splits goes through
-    :func:`hude.odeint._compiled_loop`, whole or in row pieces, so ``before``
-    sees each piece's call on the copies that piece owns; a bisection's
-    unsplit run calls its entry point on the whole plan."""
-    fn = kernel.args[0]
-
-    def entry(rows, h, nsteps, out, plan):
+def spied_compiled(entry, before):
+    """The C entry point ``entry`` (what ``hude.odeint._generated`` returns
+    for the compiled backend) with ``before(rows, nsteps, out, plan)``
+    called before each call: ``nsteps``, ``out`` and ``plan`` are the
+    addresses of its arrays (``out`` None where it has none).  A call that
+    splits goes through :func:`hude.odeint._compiled_loop`, whole or in row
+    pieces, so ``before`` sees each piece's call on the copies that piece
+    owns; a bisection's unsplit run calls its entry point on the whole
+    plan."""
+    def spied(rows, h, nsteps, out, plan):
         before(rows, *(getattr(a, "value", a) for a in (nsteps, out, plan)))
-        fn(rows, h, nsteps, out, plan)
-    return functools.partial(kernel.func, entry)
+        entry(rows, h, nsteps, out, plan)
+    return spied
 
 
-def spied_bisect(kernel, seen):
-    """The compiled bisection ``kernel`` with ``seen(rows, head)`` called
-    before each run, ``head`` the depth and the pass range at the start of
-    its ``out``."""
-    return spied_compiled(kernel, lambda rows, _, out, __: seen(
+def spied_bisect(entry, seen):
+    """The C ``bisect`` entry point ``entry`` with ``seen(rows, head)``
+    called before each run, ``head`` the depth and the pass range at the
+    start of its ``out``."""
+    return spied_compiled(entry, lambda rows, _, out, __: seen(
         rows, tuple((ctypes.c_double * 3).from_address(out))))

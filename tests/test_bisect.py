@@ -343,21 +343,50 @@ def test_compiled_bisection_ignores_overflow_at_unvisited_probes(monkeypatch):
                            1e-7]),
     method=st.sampled_from(["euler", "rk4"]),
     row_theta=st.booleans(),
+    cut=st.integers(min_value=0, max_value=24),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_compiled_bisection_equals_the_pass_loop(name, rows, delta, method,
-                                                 row_theta, seed):
+                                                 row_theta, cut, seed):
+    # Both backends give the same levels, and leave the same bytes in the
+    # whole state (cells, first failing passes, and the probes of rows that
+    # never failed): after a fresh run, after its first ``cut`` passes and
+    # the rest resumed on the same run, and after a fresh run whose calls
+    # are forced into row pieces.
     model, theta, *arrays = _case(name, rows, seed, row_theta)
     args = (model, theta, *arrays, delta, 0.1, method)
+    t0s, y0s, t1s, x_next = arrays
+    halvings = residuals._halvings(delta)
+    cut = min(cut, halvings)
+
+    def states():
+        def prepared():
+            return odeint._bisect(compile_model(model, theta), t0s, y0s, t1s,
+                                  0.1, method, x_next, halvings)[0]
+
+        run = prepared()
+        got = [run().copy(), run(None, 0, cut).copy(),
+               run(None, cut, halvings).copy()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odeint, "_CPUS", 2)
+            mp.setattr(odeint, "_PIECE_WORK", 1)
+            mp.setattr(odeint, "_ROW_WORK", 1)
+            got.append(prepared()().copy())
+        return got
+
     with np.errstate(all="ignore"):
         with pytest.MonkeyPatch.context() as mp:
             # Every bisection deeper than the cap: the pass loop.
             mp.setattr(odeint, "_TABLE_DEPTH", 0)
             expected = _bisect_levels(*args)
+            loop_states = states()
+        compiled_states = states()
         with pytest.MonkeyPatch.context() as mp:
             sizes, bisections = _spy(mp, True)
             got = _bisect_levels(*args)
     _assert_same(got, expected)
+    for a, b in zip(compiled_states, loop_states, strict=True):
+        assert np.array_equal(_bits(a), _bits(b))
     halvings = len(sizes) + sum(passes for _, passes in bisections)
     assert 0.5 ** halvings <= delta < 0.5 ** (halvings - 1)
     if halvings > odeint._TABLE_DEPTH:
@@ -428,8 +457,8 @@ def test_resumed_bisection_equals_a_fresh_one(name, rows, delta, cuts,
     halvings = residuals._halvings(delta)
 
     def prepared():
-        return odeint._bisect(ReducedField(code, values, np.zeros(rows)), t0s,
-                              y0s, t1s, 0.1, "euler", x_next, halvings)
+        return odeint._bisect((code, values), t0s, y0s, t1s, 0.1, "euler",
+                              x_next, halvings)
 
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(odeint, "COMPILED", compiled)

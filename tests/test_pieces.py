@@ -112,8 +112,8 @@ def _everything(name, points, block, halvings, cut, seed, cpus):
                for i, k in enumerate(code[2])}
 
     def prepared():
-        return odeint._bisect(ReducedField(code, values, np.zeros(rows)), t0s,
-                              y0s, t1s, 0.1, "euler", x_next, halvings)
+        return odeint._bisect((code, values), t0s, y0s, t1s, 0.1, "euler",
+                              x_next, halvings)
 
     field = ReducedField(code, per_row, odeint._clamped_phi(
         np.random.default_rng(seed).uniform(0.05, 0.95, rows)))
@@ -215,8 +215,8 @@ def test_small_or_one_cpu_calls_take_one_call_and_no_thread(cpus, piece_work,
         mp.setattr(odeint, "_PIECE_WORK", piece_work)
         mp.setattr(odeint, "_ROW_WORK", row_work)
         mp.setattr(odeint, "_POOL", None)
-        run, _ = odeint._bisect(ReducedField(code, values, np.zeros(60)), t0s,
-                                y0s, t1s, 0.1, "euler", x_next, 14)
+        run, _ = odeint._bisect((code, values), t0s, y0s, t1s, 0.1,
+                                "euler", x_next, 14)
         run(params)
         for mode in ("terminal", "extremes"):
             _terminal_state_batch(field, t0s, y0s, t1s, 0.1, "euler", mode=mode)
@@ -230,8 +230,8 @@ def test_split_calls_take_one_call_per_piece():
     field = ReducedField(code, values, np.full(60, 0.2))
     with pytest.MonkeyPatch.context() as mp:
         calls = _forced(mp, 3)
-        run, _ = odeint._bisect(ReducedField(code, values, np.zeros(60)), t0s,
-                                y0s, t1s, 0.1, "euler", x_next, 14)
+        run, _ = odeint._bisect((code, values), t0s, y0s, t1s, 0.1,
+                                "euler", x_next, 14)
         run(params)
         _terminal_state_batch(field, t0s, y0s, t1s, 0.1, "euler")
         assert odeint._POOL is not None
@@ -251,8 +251,7 @@ def test_each_piece_owns_its_cache_lines():
     slots = odeint._plan(field, *args)[0].shape[0]
     with pytest.MonkeyPatch.context() as mp:
         calls = _forced(mp, 3)
-        run, _ = odeint._bisect(ReducedField(code, values, np.zeros(60)),
-                                *args, x_next, 14)
+        run, _ = odeint._bisect((code, values), *args, x_next, 14)
         # Each step, and the doubles of a piece's out: extremes are two
         # blocks of its rows, an order-1 bisection a head of three and six.
         for step, out_size in (
@@ -325,8 +324,8 @@ def test_a_forked_child_runs_split_bisections():
     _, (code, values), params, t0s, y0s, t1s, x_next = _case("linear", 6, 10, 1)
 
     def bisected():
-        run, _ = odeint._bisect(ReducedField(code, values, np.zeros(60)), t0s,
-                                y0s, t1s, 0.1, "euler", x_next, 14)
+        run, _ = odeint._bisect((code, values), t0s, y0s, t1s, 0.1,
+                                "euler", x_next, 14)
         return run(params).copy()
 
     with pytest.MonkeyPatch.context() as mp:

@@ -15,9 +15,7 @@ from hude.estimate import (XATOL, FATOL, _moment_bounds, _moment_scores,
                            _nelder_mead_box, _residual_objective)
 
 pytestmark = pytest.mark.filterwarnings(
-    "ignore::hude.AlphaPathConditionWarning",
-    "ignore::hude.ResidualSaturationWarning",
-)
+    "ignore::hude.AlphaPathConditionWarning")
 
 # x' = a*x0 + s*phi: probes at a = 1e308 overflow, and a point whose noise
 # level s is 0 puts every residual at one cell's end.

@@ -16,9 +16,7 @@ from hude.estimate import _residual_objective, moment_objective
 from hude.odeint import IntegrationError
 
 pytestmark = pytest.mark.filterwarnings(
-    "ignore::hude.AlphaPathConditionWarning",
-    "ignore::hude.ResidualSaturationWarning",
-)
+    "ignore::hude.AlphaPathConditionWarning")
 
 
 def _batch(model, thetas, series, h, scheme="forward"):
