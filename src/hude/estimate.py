@@ -127,15 +127,15 @@ def _moment_bounds(lo: np.ndarray, hi: np.ndarray, p: int) -> np.ndarray:
 
 def _moment_score(eps: np.ndarray, p: int) -> float:
     """Sum of squared gaps between the first ``p`` sample moments of ``eps``
-    and the uniform moments ``1/(k+1)``."""
+    and the uniform moments ``1/(k+1)``; ``p`` must be at least 1."""
+    if p < 1:
+        raise ValueError("moment count p must be >= 1")
     return float(_moment_scores(eps, p))
 
 
 def moment_objective(theta, residual_fn: Callable, p: int) -> float:
     """The moment score (:func:`_moment_score`) of the residuals at
     ``theta``."""
-    if p < 1:
-        raise ValueError("moment count p must be >= 1")
     return _moment_score(_as_epsilons(residual_fn(theta)), p)
 
 
@@ -374,10 +374,10 @@ def minimize_in_box(
     return best_x, best_f, total
 
 
-def _residual_objective(model, series, score, delta, h, scheme, method,
-                        bound=None):
+def _residual_objective(model, rows, score, delta, h, method, bound=None):
     """``x -> score(epsilons of the residuals at x)`` and the function that
-    returns the :class:`ResidualVector` at a point; ``x`` lists the
+    returns the :class:`ResidualVector` at a point, of the restart ``rows``
+    of a series (:func:`~hude.residuals._restart_rows`); ``x`` lists the
     parameters in ``model.params`` order.  ``score`` maps a ``(P, M)`` block
     of levels, one row per point, to the points' ``P`` values.
 
@@ -397,7 +397,7 @@ def _residual_objective(model, series, score, delta, h, scheme, method,
     which bisects each point of a scan only as deep as its argmin needs,
     then lets go of the runs larger than Nelder-Mead's batches.
     """
-    bisection = _Bisection(model, series, scheme, delta, h, method)
+    bisection = _Bisection(model, rows, delta, h, method)
 
     def batch(points):
         lo, hi, failed = bisection.cells(np.asarray(points, dtype=float))
@@ -417,7 +417,7 @@ def _residual_objective(model, series, score, delta, h, scheme, method,
     objective.batch = batch
     if bound is not None:
         objective.argmin = argmin
-    return objective, bisection.vector
+    return objective, lambda x: bisection.vector(dict(zip(model.params, x)))
 
 
 def _argmin_by_depth(bisection, points, score, bound):
@@ -473,13 +473,14 @@ def _argmin_by_depth(bisection, points, score, bound):
     return index, bool(np.isfinite(values[index]))
 
 
-def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
-              scheme, method, restarts, maxiter, threshold, seed, presearch,
+def _estimate(model, rows, score, moments, theta_init, bounds, delta, h,
+              method, restarts, maxiter, threshold, seed, presearch,
               bound=None):
-    """Minimise ``score`` of the residual levels (:func:`_residual_objective`)
-    over the box ``bounds``; the result keeps the residual vector at the
-    estimate, bisected once more on the fit's one-point plan and spot-checked,
-    and reports its first ``moments`` moment gaps."""
+    """Minimise ``score`` of the residual levels of the restart ``rows``
+    (:func:`_residual_objective`) over the box ``bounds``; the result keeps
+    the residual vector at the estimate, bisected once more on the fit's
+    one-point plan and spot-checked, and reports its first ``moments``
+    moment gaps."""
     names = model.params
     if not names:
         raise ValueError("model has no free parameters to estimate")
@@ -492,7 +493,7 @@ def _estimate(model, series, score, moments, theta_init, bounds, delta, h,
     elif isinstance(theta_init, Mapping):
         theta_init = np.array([theta_init[name] for name in names], dtype=float)
     objective, vector = _residual_objective(
-        model, series, score, delta, h, scheme, method, bound)
+        model, rows, score, delta, h, method, bound)
     best_x, best_f, iterations = minimize_in_box(
         objective, theta_init, bounds, restarts, maxiter, seed,
         stop_below=threshold, presearch=presearch,
@@ -531,8 +532,9 @@ def estimate_moments(
     """Generalized moment estimate of the model parameters on ``series``."""
     if p < 1:
         raise ValueError("moment count p must be >= 1")
-    return _estimate(model, series, lambda eps: _moment_scores(eps, p), p,
-                     theta_init, bounds, delta, h, scheme, method, restarts,
+    return _estimate(model, _restart_rows(model, series, scheme),
+                     lambda eps: _moment_scores(eps, p), p,
+                     theta_init, bounds, delta, h, method, restarts,
                      maxiter, threshold, seed, presearch,
                      lambda lo, hi: _moment_bounds(lo, hi, p))
 
@@ -560,9 +562,10 @@ def estimate_mle(
     ``moment_gaps`` are the first two moment gaps of the residuals at the
     estimate, a fit diagnostic independent of ``alpha``.
     """
-    _mle_window(_restart_rows(model, series, scheme)[0].size, alpha)
-    return _estimate(model, series,
+    rows = _restart_rows(model, series, scheme)
+    _mle_window(rows[0].size, alpha)
+    return _estimate(model, rows,
                      lambda block: [mle_objective(eps, alpha)[0]
                                     for eps in block], 2,
-                     theta_init, bounds, delta, h, scheme, method, restarts,
+                     theta_init, bounds, delta, h, method, restarts,
                      maxiter, threshold, seed, presearch)

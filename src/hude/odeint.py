@@ -389,42 +389,49 @@ def _plan(raw, t0, y0, t_end, h, method, chain=False):
         field, bound = raw._bound()
         lowered, bound = (field, ", ".join(bound)), tuple(bound.values())
         for v in bound:
-            if np.shape(v) not in ((), (1,), (rows,)):
-                raise ValueError(f"a level or parameter holds {np.size(v)} "
-                                 f"values for {rows} row(s); it must bind one "
-                                 "value or one per row")
+            _check_binding(v, rows)
     plan = np.empty((3 + n + len(bound), rows))
     for row, v in zip(plan, (t0, t_end, last, *y.reshape(-1, n).T, *bound)):
         row[...] = v
     return plan, np.full(rows, nsteps, dtype=np.int64), lowered
 
 
-def _bisect(lowered, t0, y0, t_end, h, method, x_next, halvings):
+def _check_binding(value, rows):
+    """Raise ValueError unless ``value``, a level or parameter value, binds
+    one value or one per row of ``rows``."""
+    if np.shape(value) not in ((), (1,), (rows,)):
+        raise ValueError(f"a level or parameter holds {np.size(value)} "
+                         f"values for {rows} row(s); it must bind one value "
+                         "or one per row")
+
+
+def _bisect(code, t0, y0, t_end, h, method, x_next, halvings):
     """Prepare a residual bisection of ``halvings`` passes of the model
-    lowered to ``lowered``, its ``(code, values)``
-    (:func:`hude.model.compile_model`), restarted from the rows ``t0``,
-    ``y0`` and ``t_end`` (as a batch of :func:`_terminal_state_batch` takes
-    them) towards the observations ``x_next``, as the module docstring sets
-    out: the noisy field is checked and planned (:func:`_plan`) once, also
-    where it takes no pass, with a zeroed ``out``.
+    code ``code`` (:func:`hude.model.compile_model`), restarted from the
+    rows ``t0``, ``y0`` and ``t_end`` (as a batch of
+    :func:`_terminal_state_batch` takes them) towards the observations
+    ``x_next``, as the module docstring sets out: the noisy field is checked
+    and planned (:func:`_plan`) once, also where it takes no pass, with a
+    zeroed ``out``.
 
     Returns ``(run, state)``.  ``state`` is the ``(4, rows)`` view of
     ``out`` that holds each row's ``lo``, ``hi``, first failing pass (``-1``
     for none) and the level it probed there (``0.0`` for none).
     ``run(params, start, stop)`` writes ``params``, a ``(slots, P)`` matrix,
     over the plan's parameter rows, each column over one of ``P`` equal
-    blocks of consecutive rows (``None`` keeps the plan's own), runs passes
-    ``start`` to ``stop - 1`` (by default all of them) on ``state`` and
-    returns it: one call of ``bisect`` where it loads, on addresses taken
-    once, a large run in row pieces (:func:`_compiled_loop`), else one call
-    of :func:`_pass_loop`.  Pass 0 starts every row afresh; a later
-    ``start`` resumes from the ``lo`` and ``hi`` the caller wrote into
-    ``state``, with the failures it kept."""
+    blocks of consecutive rows (a ``(slots, P, rows // P)`` block holds one
+    value per row), runs passes ``start`` to ``stop - 1`` (by default all
+    of them) on ``state`` and returns it: one call of ``bisect`` where it
+    loads, on addresses taken once, a large run in row pieces
+    (:func:`_compiled_loop`), else one call of :func:`_pass_loop`.  Pass 0
+    starts every row afresh; a later ``start`` resumes from the ``lo`` and
+    ``hi`` the caller wrote into ``state``, with the failures it kept."""
     rows = len(x_next)
     # A level per row picks the noisy field, as every probe's levels do.
     # Named, so its level lives until the run is made: freed before ``out``
     # is, it left a hole that raised a long fit's peak RSS by ~0.3 MB.
-    noisy = ReducedField(*lowered, np.zeros(rows))
+    # Every run writes its points over the parameter rows planned at 0.0.
+    noisy = ReducedField(code, dict.fromkeys(code[2], 0.0), np.zeros(rows))
     plan, nsteps, field = _plan(noisy, t0, y0, t_end, h, method)
     n = np.shape(y0)[-1]
     entry = (_generated(*field, n, method, "bisect", "compiled")
@@ -449,11 +456,10 @@ def _bisect(lowered, t0, y0, t_end, h, method, x_next, halvings):
         call = functools.partial(entry, rows, h, *(
             v.ctypes.data_as(ctypes.c_void_p) for v in (nsteps, out, plan)))
 
-    def run(params=None, start=0, stop=halvings):
-        if params is not None:
-            points = params.shape[1]
-            params_rows.reshape(len(params_rows), points,
-                                rows // points)[...] = params[:, :, None]
+    def run(params, start=0, stop=halvings):
+        points = params.shape[1]
+        params_rows.reshape(len(params_rows), points,
+                            rows // points)[...] = np.atleast_3d(params)
         out[1], out[2] = start, stop
         edges = _piece_edges(rows, (stop - start) * longest)
         if len(edges) > 2:

@@ -6,14 +6,18 @@ path hit the next observation ``x_{t_{j+1}}``?  That level is the residual
 ``eps_j``; for a well-fitted model the residuals behave like a sample of the
 linear (uniform) uncertainty distribution on [0, 1].  The level is found by
 bisection on the terminal value of the restarted path; each pass halves every
-row once, integrating all rows together on a plan made once.  A run of
-passes is one call of the bisection kernel on one state
-(:func:`~hude.odeint._bisect`): in C where the field compiles, else the same
-passes in Python, one integration call each.  A fit plans its rows once per
-batch size and runs each batch of parameter points with one write of the
-point matrix into the plan; a run may take only a range of the passes and
-resume from the cells earlier passes left, so a fit bisects a point only as
-deep as its decisions read.
+row once, integrating all rows together on a plan made once.  One front end,
+:class:`_Bisection`, serves every residual: one step
+(:func:`compute_residual`), a series (:func:`compute_residuals`) and each
+fit's batches of parameter points.  It lowers the model once, plans its
+restart rows once per batch size and runs each batch with one write of the
+point matrix into the plan.  A run is one call of the bisection kernel on
+one state (:func:`~hude.odeint._bisect`): in C where the field compiles,
+else the same passes in Python, one integration call each.  A run may take
+only a range of the passes and resume from the cells earlier passes left,
+so a fit bisects a point only as deep as its decisions read.  A point's
+levels, saturation flags and failure are read one way
+(:meth:`_Bisection.point`).
 
 Derivative observations are rarely measured directly; they are reconstructed
 from the raw series with forward (default) or central differences, producing
@@ -55,8 +59,9 @@ __all__ = [
     "read_observations",
 ]
 
-# Row budget of one bisection in :meth:`_Bisection.points`; bounds the memory
-# of batched scoring on long series.
+# Row budget of one bisection run in :meth:`_Bisection.cells`, which splits a
+# larger batch of points into runs of as many points as fit; bounds the
+# memory of batched scoring on long series.
 BATCH_ROWS = 8192
 
 
@@ -241,47 +246,44 @@ def _halvings(delta):
 
 
 class _Bisection:
-    """The residuals of ``series`` under ``model`` as :func:`compute_residuals`
-    bisects them, run at many parameter points (:meth:`cells`,
-    :meth:`points`, :meth:`vector`).  It keeps the restart rows, read at
-    construction (:func:`_restart_rows`), and its prepared runs until
-    :meth:`drop_runs` lets them go, but no point's levels.
+    """The residual bisection of the restart ``rows`` (:func:`_restart_rows`)
+    of ``model``, run at many parameter points: the one front end of
+    :func:`~hude.odeint._bisect`, which :func:`compute_residual`,
+    :func:`compute_residuals` and every fit share.
 
-    Nothing else is checked or built before the first call, so each
-    ValueError comes where a one-shot bisection raises it.  The first call
-    checks ``delta`` and lowers the model (:func:`~hude.model.compile_model`),
-    whose code does not depend on the parameters.  The first run of each
-    number of points tiles the rows and prepares their bisection
-    (:func:`~hude.odeint._bisect`), which checks and plans them and shares
-    one table of noise levels with every other run.  Each run then writes
-    its points into the plan in one block and runs a range of the passes,
-    from the start or resumed from the cells that earlier passes left, so a
-    point bisected in steps ends where one run of every pass ends.
+    It checks ``delta`` and lowers the model
+    (:func:`~hude.model.compile_model`) when it is made; the code does not
+    depend on the parameters, and every run writes its own points.  The
+    first run of each number of points tiles the rows and prepares their
+    bisection, which checks and plans them and shares one table of noise
+    levels with every other run; it is kept until :meth:`drop_runs` lets it
+    go.  Each run writes its points into the plan in one block and runs a
+    range of the passes, from the start or resumed from the cells that
+    earlier passes left, so a point bisected in steps ends where one run of
+    every pass ends.  :meth:`cells` gives a batch's cells, :meth:`point` one
+    point's levels and failure, :meth:`vector` its residual vector.
     """
 
-    def __init__(self, model, series, scheme, delta, h, method):
-        self.model, self.delta, self.h, self.method = model, delta, h, method
-        self.rows = _restart_rows(model, series, scheme)
-        self.code, self.runs = None, {}  # points -> (run, state), tiled rows
+    def __init__(self, model, rows, delta, h, method):
+        self.model, self.rows, self.h, self.method = model, rows, h, method
+        self.halvings = _halvings(delta)
+        names = model.params
+        self.code = compile_model(model, dict.fromkeys(names, 0.0))[0]
+        # The matrix columns of the plan's parameter slots.
+        self.slots = [names.index(name) for name in self.code[2]]
+        self.runs = {}  # points -> (run, state), tiled rows
 
     def cells(self, thetas, start=0, stop=None, resume=None):
         """The ``(P, M)`` cells ``lo`` and ``hi`` of the rows at each row of
-        the ``(P, p)`` matrix ``thetas`` (columns in ``model.params`` order)
-        after passes ``start`` to ``stop - 1`` (at most, and by default, to
-        the last pass), and whether each point failed to integrate there,
-        from bisections of as many points as fit in :data:`BATCH_ROWS` rows.
-        A later ``start``
+        the ``(P, p)`` matrix ``thetas`` (columns in ``model.params`` order;
+        a ``(P, p, M)`` block holds one value per row) after passes ``start``
+        to ``stop - 1`` (at most, and by default, to the last pass), and
+        whether each point failed to integrate there, from bisections of as
+        many points as fit in :data:`BATCH_ROWS` rows.  A later ``start``
         resumes from the cells ``resume``, ``(lo, hi)`` of a point that had
         not failed.  The cells of a run of one batch are views of its state,
         read before the next run of as many points."""
         M = len(self.rows[4])
-        if self.code is None:
-            self.halvings = _halvings(self.delta)
-            names = self.model.params
-            self.code, self.values = compile_model(
-                self.model, dict(zip(names, thetas[0])))
-            # The matrix columns of the plan's parameter slots.
-            self.slots = [names.index(name) for name in self.code[2]]
         stop = self.halvings if stop is None else min(stop, self.halvings)
         P, per_chunk = len(thetas), max(1, BATCH_ROWS // M)
         if P > per_chunk:
@@ -295,14 +297,15 @@ class _Bisection:
         if P not in self.runs:
             _, t0s, y0s, t1s, x_next = self.rows
             self.runs[P] = odeint._bisect(
-                (self.code, self.values), np.tile(t0s, P),
-                np.tile(y0s, (P, 1)), np.tile(t1s, P), self.h, self.method,
-                np.tile(x_next, P), self.halvings)
+                self.code, np.tile(t0s, P), np.tile(y0s, (P, 1)),
+                np.tile(t1s, P), self.h, self.method, np.tile(x_next, P),
+                self.halvings)
         run, state = self.runs[P]
         if start:
             state[0], state[1] = (c.reshape(-1) for c in resume)
             state[2] = -1.0
-        lo, hi, first, _ = run(thetas[:, self.slots].T, start, stop)
+        lo, hi, first, _ = run(thetas[:, self.slots].swapaxes(0, 1), start,
+                               stop)
         # A point failed where any row's first failing pass is not -1.
         return (lo.reshape(P, M), hi.reshape(P, M),
                 np.maximum.reduce(first.reshape(P, M), axis=1) >= 0.0)
@@ -312,58 +315,55 @@ class _Bisection:
         for size in [size for size in self.runs if size > most]:
             del self.runs[size]
 
-    def points(self, thetas):
-        """The ``(P, M)`` levels and saturation flags of the rows at each row
-        of the ``(P, p)`` matrix ``thetas``, and whether each point failed
-        to integrate: every pass of :meth:`cells`."""
-        lo, hi, failed = self.cells(thetas)
-        return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failed
+    def point(self, theta):
+        """``(levels, saturated, failure, resolved)`` of the rows at
+        ``theta`` over the model's own values, ``resolved``
+        (:meth:`~hude.model.HudeModel.resolved_theta`; a value may hold one
+        per row): every pass of :meth:`cells` as a batch of one.  A row whose
+        final interval still touches 0 or 1 is saturated.  ``failure`` is
+        ``None`` where no row failed to integrate, else ``(row, level)``: the
+        lowest failed row of the earliest pass with a failure and the
+        quantile level it probed there."""
+        resolved, names, M = (self.model.resolved_theta(theta),
+                              self.model.params, len(self.rows[4]))
+        thetas = np.zeros((1, len(names), M))
+        # Only the parameters the field reads are checked and bound.
+        for k in self.slots:
+            odeint._check_binding(resolved[names[k]], M)
+            thetas[0, k] = resolved[names[k]]
+        (lo,), (hi,), (failed,) = self.cells(thetas)
+        failure = None
+        if failed:
+            first, probe = self.runs[1][1][2:]
+            row = int(np.argmin(np.where(first < 0.0, np.inf, first)))
+            failure = (row, float(probe[row]))
+        return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failure, resolved
 
-    def vector(self, x):
-        """The :class:`ResidualVector` at ``x`` (in ``model.params`` order):
-        its bisection as a batch of one, spot-checked."""
-        (eps,), (saturated,), _ = self.points(np.asarray([x], dtype=float))
-        resolved = self.model.resolved_theta(dict(zip(self.model.params, x)))
-        return _residual_vector(self.model, resolved, self.rows, eps,
-                                saturated, self.code)
-
-
-def _bisect_levels(lowered, t0s, y0s, t1s, x_next, delta, h, method):
-    """Vectorised bisection: for each row find the level whose restarted path
-    ends at the observed next value.  Returns ``(levels, saturated, failed,
-    failure)``.
-
-    ``lowered`` is the model's ``(code, values)``
-    (:func:`~hude.model.compile_model`); a value may be a ``(B,)`` array, one
-    parameter point per row.
-    Each pass halves every row once: it integrates all rows in one call at
-    their midpoints ``0.5 * (lo + hi)``, each run at the noise level
-    :func:`~hude.model._clamped_phi` gives it (the clamp every quantile level
-    takes), and keeps the half whose end holds the observed value.  Every row
-    is halved the same number of times, so a row's level does not depend on
-    the other rows.  A row whose final interval still touches 0 or 1 is
-    flagged in ``saturated``.
-
-    A row whose terminal state at a midpoint is not finite is flagged in
-    ``failed``; the other rows are unaffected.  ``failure`` is ``None`` when
-    no row failed, else ``(row, level)``: the lowest failed row of the first
-    pass with a failure and the quantile level it probed there.
-
-    The rows are prepared from ``lowered`` (:func:`~hude.odeint._bisect`,
-    which picks the noisy field) and run once: one C call per row piece
-    where the field's ``bisect`` entry point loads, else the pass loop in
-    Python, one kernel call per pass, with the same bits.
-    """
-    run, _ = odeint._bisect(lowered, t0s, y0s, t1s, h, method, x_next,
-                            _halvings(delta))
-    lo, hi, first, probe = run()
-    failed = first >= 0.0
-    failure = None
-    if failed.any():
-        # The lowest row of the earliest pass with a failure.
-        row = int(np.argmin(np.where(failed, first, np.inf)))
-        failure = (row, float(probe[row]))
-    return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failed, failure
+    def vector(self, theta, condition_check=True):
+        """The :class:`ResidualVector` at ``theta`` (:meth:`point`).  A row
+        that failed to integrate raises :class:`IntegrationError` naming its
+        observation.  With ``condition_check``, an order-2-or-more model runs
+        the advisory spot check of the monotonicity condition over the region
+        the steps visit."""
+        eps, saturated, failure, resolved = self.point(theta)
+        admissible, t0s, y0s, t1s, x_next = self.rows
+        if failure is not None:
+            row, level = failure
+            raise _step_failure(float(t1s[row]),
+                                f"observation j={int(admissible[row]) + 1}",
+                                level)
+        if condition_check and self.model.order >= 2:
+            # One state column at a time: a column's min() is far cheaper
+            # than min(axis=0) on the (M, n) block.
+            mins = np.array([col.min() for col in y0s.T])
+            maxs = np.array([col.max() for col in y0s.T])
+            mins[0] = min(mins[0], float(x_next.min()))
+            maxs[0] = max(maxs[0], float(x_next.max()))
+            _spot_check((self.code, resolved),
+                        (float(t0s.min()), float(t1s.max())), mins, maxs,
+                        (0.25, 0.75))
+        return ResidualVector(eps, indices=admissible + 1, theta=resolved,
+                              saturated=saturated)
 
 
 def compute_residual(
@@ -383,28 +383,21 @@ def compute_residual(
     if not t_next > init_j.t0:
         raise ValueError("t_next must exceed the restart time")
     init_j.check_order(model.order)
-    resolved = model.resolved_theta(theta)
-    eps, saturated, _, failure = _bisect_levels(
-        compile_model(model, resolved),
-        np.array([init_j.t0]),
-        init_j.values[None, :],
-        np.array([float(t_next)]),
-        np.array([float(x_next)]),
-        delta,
-        h,
-        method,
-    )
+    row = (np.arange(1), np.array([init_j.t0]), init_j.values[None, :],
+           np.array([float(t_next)]), np.array([float(x_next)]))
+    (eps,), (saturated,), failure, _ = _Bisection(
+        model, row, delta, h, method).point(theta)
     if failure is not None:
         raise _step_failure(float(t_next), f"the step from t={init_j.t0} to "
                             f"t={float(t_next)}", failure[1])
-    if saturated[0]:
+    if saturated:
         warnings.warn(
             "observation lies at or beyond the reachable envelope; "
             "residual saturated",
             ResidualSaturationWarning,
             stacklevel=2,
         )
-    return float(eps[0])
+    return float(eps)
 
 
 def _restart_rows(model: HudeModel, series: ObservationSeries, scheme: str):
@@ -434,30 +427,6 @@ def _restart_rows(model: HudeModel, series: ObservationSeries, scheme: str):
             filled.t[admissible + 1], filled.x[admissible + 1])
 
 
-def _residual_vector(model, resolved, rows, eps, saturated, code):
-    """Wrap one parameter point's levels, after the advisory spot check of the
-    monotonicity condition over the region the steps visit, where ``code``,
-    the model's lowered code (:func:`~hude.model.compile_model`), is given."""
-    admissible, t0s, y0s, t1s, x_next = rows
-    if code is not None and model.order >= 2:
-        # One state column at a time: a column's min() is far cheaper than
-        # min(axis=0) on the (M, n) block.
-        mins = np.array([col.min() for col in y0s.T])
-        maxs = np.array([col.max() for col in y0s.T])
-        mins[0] = min(mins[0], float(x_next.min()))
-        maxs[0] = max(maxs[0], float(x_next.max()))
-        _spot_check(
-            (code, resolved),
-            (float(t0s.min()), float(t1s.max())),
-            mins,
-            maxs,
-            (0.25, 0.75),
-        )
-    return ResidualVector(
-        eps, indices=admissible + 1, theta=resolved, saturated=saturated
-    )
-
-
 def compute_residuals(
     model: HudeModel,
     theta,
@@ -478,20 +447,8 @@ def compute_residuals(
     residuals under the forward scheme.  A step whose integration fails
     raises :class:`IntegrationError` once the whole series is bisected.
     """
-    rows = _restart_rows(model, series, scheme)
-    admissible, t0s, y0s, t1s, x_next = rows
-    resolved = model.resolved_theta(theta)
-    # Lowered once, for the bisection and the spot check.
-    lowered = compile_model(model, resolved)
-    eps, saturated, _, failure = _bisect_levels(
-        lowered, t0s, y0s, t1s, x_next, delta, h, method
-    )
-    if failure is not None:
-        row, level = failure
-        raise _step_failure(float(t1s[row]),
-                            f"observation j={int(admissible[row]) + 1}", level)
-    return _residual_vector(model, resolved, rows, eps, saturated,
-                            lowered[0] if condition_check else None)
+    return _Bisection(model, _restart_rows(model, series, scheme), delta, h,
+                      method).vector(theta, condition_check)
 
 
 def simulate_observations(

@@ -16,12 +16,43 @@ from hude.odeint import _terminal_state_batch
 from conftest import spied_bisect
 
 
-def _bisect_levels(model, theta, *args):
-    """:func:`hude.residuals._bisect_levels` of ``model`` lowered at
-    ``theta``, as :func:`hude.compute_residuals` lowers it (through
-    ``residuals.compile_model``, which the tests below count)."""
-    return residuals._bisect_levels(residuals.compile_model(model, theta),
-                                    *args)
+def _row_params(code, theta, rows):
+    """The ``(slots, rows)`` point matrix of ``theta`` (floats, or one value
+    per row) in the plan's slot order of ``code``: one point per row."""
+    params = np.empty((len(code[2]), rows))
+    for row, name in zip(params, code[2]):
+        row[...] = theta[name]
+    return params
+
+
+def _bisected(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
+    """The whole state (``lo``, ``hi``, first failing pass, probe) of a
+    residual bisection (:func:`hude.odeint._bisect`) of ``model``, lowered
+    as :func:`hude.compute_residuals` lowers it (through
+    ``residuals.compile_model``, which the tests below count), every row at
+    its own values of ``theta``."""
+    code = residuals.compile_model(model, theta)[0]
+    run, _ = odeint._bisect(code, t0s, y0s, t1s, h, method, x_next,
+                            residuals._halvings(delta))
+    return run(_row_params(code, theta, len(x_next))).copy()
+
+
+def _levels(state):
+    """The levels, saturation flags, failure flags and failure of a
+    bisection's ``state``: the failure is ``None``, else the lowest failed
+    row of the first pass with a failure and the level it probed there."""
+    lo, hi, first, probe = state
+    failed = first >= 0.0
+    failure = None
+    if failed.any():
+        row = int(np.argmin(np.where(failed, first, np.inf)))
+        failure = (row, float(probe[row]))
+    return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failed, failure
+
+
+def _bisect_levels(*args):
+    """:func:`_levels` of :func:`_bisected`."""
+    return _levels(_bisected(*args))
 
 
 def _sequential_levels(model, theta, t0s, y0s, t1s, x_next, delta, h, method):
@@ -147,11 +178,14 @@ def test_batch_equals_rows_bisected_alone(name, rows, delta, method,
     model, theta, t0s, y0s, t1s, x_next = _case(name, rows, seed, row_theta)
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(odeint, "COMPILED", compiled)
-        batch = _bisect_levels(model, theta, t0s, y0s, t1s, x_next, delta,
-                               0.1, method)
-        alone = [_bisect_levels(model, _row(theta, i), t0s[i:i + 1],
-                                y0s[i:i + 1], t1s[i:i + 1], x_next[i:i + 1],
-                                delta, 0.1, method) for i in range(rows)]
+        state = _bisected(model, theta, t0s, y0s, t1s, x_next, delta, 0.1,
+                          method)
+        states = [_bisected(model, _row(theta, i), t0s[i:i + 1],
+                            y0s[i:i + 1], t1s[i:i + 1], x_next[i:i + 1],
+                            delta, 0.1, method) for i in range(rows)]
+    # The whole state, then what a residual reads of it.
+    assert np.array_equal(_bits(state), _bits(np.concatenate(states, axis=1)))
+    batch, alone = _levels(state), [_levels(s) for s in states]
     for got, expected in zip(batch[:3], zip(*(a[:3] for a in alone))):
         assert np.array_equal(_bits(got), _bits(np.concatenate(expected)))
     if batch[3] is None:
@@ -359,19 +393,22 @@ def test_compiled_bisection_equals_the_pass_loop(name, rows, delta, method,
     halvings = residuals._halvings(delta)
     cut = min(cut, halvings)
 
+    code = compile_model(model, theta)[0]
+    params = _row_params(code, theta, rows)
+
     def states():
         def prepared():
-            return odeint._bisect(compile_model(model, theta), t0s, y0s, t1s,
-                                  0.1, method, x_next, halvings)[0]
+            return odeint._bisect(code, t0s, y0s, t1s, 0.1, method, x_next,
+                                  halvings)[0]
 
         run = prepared()
-        got = [run().copy(), run(None, 0, cut).copy(),
-               run(None, cut, halvings).copy()]
+        got = [run(params).copy(), run(params, 0, cut).copy(),
+               run(params, cut, halvings).copy()]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(odeint, "_CPUS", 2)
             mp.setattr(odeint, "_PIECE_WORK", 1)
             mp.setattr(odeint, "_ROW_WORK", 1)
-            got.append(prepared()().copy())
+            got.append(prepared()(params).copy())
         return got
 
     with np.errstate(all="ignore"):
@@ -453,17 +490,18 @@ def test_resumed_bisection_equals_a_fresh_one(name, rows, delta, cuts,
     # ends where one run of every pass ends: the same cells, first failing
     # passes and probed levels, compiled and on the pass loop.
     model, theta, t0s, y0s, t1s, x_next = _case(name, rows, seed, row_theta)
-    code, values = compile_model(model, theta)
+    code = compile_model(model, theta)[0]
+    params = _row_params(code, theta, rows)
     halvings = residuals._halvings(delta)
 
     def prepared():
-        return odeint._bisect((code, values), t0s, y0s, t1s, 0.1, "euler",
-                              x_next, halvings)
+        return odeint._bisect(code, t0s, y0s, t1s, 0.1, "euler", x_next,
+                              halvings)
 
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(odeint, "COMPILED", compiled)
         run, _ = prepared()
-        expected = run().copy()
+        expected = run(params).copy()
         runs = [prepared(), prepared()]
         start, state = 0, None
         ends = sorted({min(c, halvings) for c in cuts} | {halvings})
@@ -471,7 +509,7 @@ def test_resumed_bisection_equals_a_fresh_one(name, rows, delta, cuts,
             run, own = runs[k % 2]
             if state is not None:
                 own[...] = state
-            state = run(None, start, end).copy()
+            state = run(params, start, end).copy()
             start = end
     lo, hi, first, probe = state
     failed = first >= 0.0

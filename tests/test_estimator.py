@@ -107,3 +107,16 @@ class TestFitPredictScore:
         est = HudeEstimator(model, method="bayes", bounds=[(0.0, 1.0)])
         with pytest.raises(ValueError):
             est.fit([0.0, 0.1, 0.2], [1.0, 1.1, 1.2])
+
+    def test_score_needs_a_moment(self, fitted):
+        # An mle fit needs no moment count, but its score is a moment score:
+        # p = 0 scores nothing, and is rejected as the moment objective
+        # rejects it, on the fitted series and on a given one.
+        _, series = fitted
+        model = hude.HudeModel.parse(1, "-th*x0", ["0.2"], params=["th"])
+        est = HudeEstimator(model, method="mle", p=0, bounds=[(0.0, 1.0)],
+                            step=1e-3, restarts=1, maxiter=20)
+        est.fit(series.t, series.x)
+        for args in ((), (series.t, series.x)):
+            with pytest.raises(ValueError, match="moment count p must be >= 1"):
+                est.score(*args)

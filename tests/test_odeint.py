@@ -25,10 +25,9 @@ from hude.model import (ReducedField, VectorField, alpha_path_field,
 from hude.odeint import _generated, _terminal_state_batch, integrate
 from hude.reactor import (CASE_STUDY_INIT, FITTED_THETA, THERMAL_U235, ReactorParams,
                           build_point_kinetics, build_reactor_hude, table3)
-from hude.residuals import _bisect_levels
 
 from conftest import ast_strategy, example1_closed_form, spied_compiled
-from test_bisect import _case
+from test_bisect import _bisect_levels, _case
 
 
 def _kernel(field, *args):
@@ -1065,7 +1064,7 @@ def _entry_points(name, rows, seed, row_theta, method):
                        phi[0])
     args = (t0s, y0s, t1s, 0.1, method)
     with np.errstate(all="ignore"):
-        *levels, failure = _bisect_levels((code, values), t0s, y0s, t1s,
+        *levels, failure = _bisect_levels(model, theta, t0s, y0s, t1s,
                                           x_next, 1e-4, 0.1, method)
         return [_terminal_state_batch(field, *args),
                 *_terminal_state_batch(field, *args, mode="extremes"),

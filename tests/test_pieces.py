@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hude
-from hude import odeint, residuals
+from hude import odeint
 from hude.model import ReducedField, compile_model
 from hude.odeint import _terminal_state_batch
 
 from conftest import spied_compiled
+from test_bisect import _levels
 
 # name -> (order, drift, diffusion, parameter ranges, state range, target
 # range), fields whose ops compile to C.
@@ -101,19 +102,19 @@ def _everything(name, points, block, halvings, cut, seed, cpus):
     pieces: a bisection's state after all its passes, after the first
     ``cut``, after the rest resumed on the same plan run whole, and after
     the rest resumed on a fresh plan from cells the caller wrote; the
-    levels, saturation flags and failure of
-    :func:`hude.residuals._bisect_levels`; a batch's terminal states and its
+    levels, saturation flags and failure (:func:`test_bisect._levels`) of a
+    fresh plan run with one point per row; a batch's terminal states and its
     extremes.  Also the row counts of the C calls of each of those seven
     steps, sorted."""
-    model, (code, values), params, t0s, y0s, t1s, x_next = _case(
+    model, (code, _), params, t0s, y0s, t1s, x_next = _case(
         name, points, block, seed)
     rows = points * block
-    per_row = {k: params[i][np.arange(rows) // block]
-               for i, k in enumerate(code[2])}
+    row_params = params[:, np.arange(rows) // block]
+    per_row = dict(zip(code[2], row_params))
 
     def prepared():
-        return odeint._bisect((code, values), t0s, y0s, t1s, 0.1, "euler",
-                              x_next, halvings)
+        return odeint._bisect(code, t0s, y0s, t1s, 0.1, "euler", x_next,
+                              halvings)
 
     field = ReducedField(code, per_row, odeint._clamped_phi(
         np.random.default_rng(seed).uniform(0.05, 0.95, rows)))
@@ -137,9 +138,7 @@ def _everything(name, points, block, halvings, cut, seed, cpus):
         resume, cells = prepared()
         cells[...] = part
         resumed = step(resume(params, cut, halvings).copy())
-        *levels, failure = step(residuals._bisect_levels(
-            (code, per_row), t0s, y0s, t1s, x_next, 0.5 ** halvings, 0.1,
-            "euler"))
+        *levels, failure = step(_levels(prepared()[0](row_params).copy()))
         outputs = [whole, part, rest, resumed, *levels,
                    step(_terminal_state_batch(field, *args)),
                    *step(_terminal_state_batch(field, *args, mode="extremes"))]
@@ -215,7 +214,7 @@ def test_small_or_one_cpu_calls_take_one_call_and_no_thread(cpus, piece_work,
         mp.setattr(odeint, "_PIECE_WORK", piece_work)
         mp.setattr(odeint, "_ROW_WORK", row_work)
         mp.setattr(odeint, "_POOL", None)
-        run, _ = odeint._bisect((code, values), t0s, y0s, t1s, 0.1,
+        run, _ = odeint._bisect(code, t0s, y0s, t1s, 0.1,
                                 "euler", x_next, 14)
         run(params)
         for mode in ("terminal", "extremes"):
@@ -230,7 +229,7 @@ def test_split_calls_take_one_call_per_piece():
     field = ReducedField(code, values, np.full(60, 0.2))
     with pytest.MonkeyPatch.context() as mp:
         calls = _forced(mp, 3)
-        run, _ = odeint._bisect((code, values), t0s, y0s, t1s, 0.1,
+        run, _ = odeint._bisect(code, t0s, y0s, t1s, 0.1,
                                 "euler", x_next, 14)
         run(params)
         _terminal_state_batch(field, t0s, y0s, t1s, 0.1, "euler")
@@ -251,7 +250,7 @@ def test_each_piece_owns_its_cache_lines():
     slots = odeint._plan(field, *args)[0].shape[0]
     with pytest.MonkeyPatch.context() as mp:
         calls = _forced(mp, 3)
-        run, _ = odeint._bisect((code, values), *args, x_next, 14)
+        run, _ = odeint._bisect(code, *args, x_next, 14)
         # Each step, and the doubles of a piece's out: extremes are two
         # blocks of its rows, an order-1 bisection a head of three and six.
         for step, out_size in (
@@ -321,10 +320,10 @@ def test_an_interrupt_while_waiting_waits_for_the_pieces():
 def test_a_forked_child_runs_split_bisections():
     # A child forked after the pool ran has none of its threads; its split
     # bisections still finish, on a pool of its own, with the parent's bits.
-    _, (code, values), params, t0s, y0s, t1s, x_next = _case("linear", 6, 10, 1)
+    _, (code, _), params, t0s, y0s, t1s, x_next = _case("linear", 6, 10, 1)
 
     def bisected():
-        run, _ = odeint._bisect((code, values), t0s, y0s, t1s, 0.1,
+        run, _ = odeint._bisect(code, t0s, y0s, t1s, 0.1,
                                 "euler", x_next, 14)
         return run(params).copy()
 

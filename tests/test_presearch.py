@@ -35,8 +35,9 @@ def _moment_objective(delta, p, bound, steps):
     bounds = {"moments": lambda lo, hi: stepped(_moment_bounds(lo, hi, p)),
               "none": lambda lo, hi: np.zeros(len(lo)), "absent": None}
     return _residual_objective(
-        DRIFT, DRIFT_SERIES, lambda eps: stepped(_moment_scores(eps, p)),
-        delta, 1e-2, "forward", "euler", bounds[bound])[0]
+        DRIFT, residuals._restart_rows(DRIFT, DRIFT_SERIES, "forward"),
+        lambda eps: stepped(_moment_scores(eps, p)), delta, 1e-2, "euler",
+        bounds[bound])[0]
 
 
 @settings(max_examples=40, deadline=None)

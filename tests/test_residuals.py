@@ -15,7 +15,7 @@ from hude import (
     estimate_derivatives,
     simulate_observations,
 )
-from hude import reactor
+from hude import odeint, reactor
 from hude.odeint import IntegrationError
 from hude.residuals import DataFormatError, ResidualSaturationWarning, _restart_rows
 
@@ -199,6 +199,78 @@ class TestComputeResiduals:
         ) as raised:
             compute_residuals(model, None, series, h=1e-3)
         assert raised.value.t == series.t[4]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        roots=st.lists(st.floats(min_value=0.5, max_value=3.0), min_size=1,
+                       max_size=3),
+        # Levels near 0 and 1, and a coarse delta, saturate their steps.
+        levels=st.lists(st.floats(min_value=1e-8, max_value=1.0 - 1e-8),
+                        min_size=3, max_size=8),
+        method=st.sampled_from(["euler", "rk4"]),
+        delta=st.sampled_from([0.3, 1e-4, 1e-9]),
+        compiled=st.booleans(),
+    )
+    def test_each_step_alone_equals_its_entry(self, roots, levels, method,
+                                              delta, compiled):
+        # compute_residual of a step restarted from its given state is that
+        # step's entry of compute_residuals, bit for bit, and warns exactly
+        # where the entry is saturated: compiled and on the numpy kernels.
+        model = _stable_linear(roots)
+        theta = {"m": 0.3, "s": 0.4}
+        n = model.order
+        series = simulate_observations(
+            model, theta, InitialState(0.0, np.linspace(1.0, 0.5, n)),
+            0.1 * np.arange(len(levels) + 1), eps=levels, h=1e-2,
+            method=method)
+        with pytest.MonkeyPatch.context() as mp, \
+                warnings.catch_warnings(record=True) as caught:
+            mp.setattr(odeint, "COMPILED", compiled)
+            warnings.simplefilter("always", ResidualSaturationWarning)
+            vector = compute_residuals(model, theta, series, delta, h=1e-2,
+                                       scheme="given", method=method,
+                                       condition_check=False)
+            assert len(vector) == len(levels)
+            for j, (eps, saturated) in enumerate(zip(vector.epsilons,
+                                                     vector.saturated)):
+                caught.clear()
+                alone = compute_residual(
+                    model, theta, InitialState(series.t[j],
+                                               series.state_at(j, n)),
+                    series.t[j + 1], series.x[j + 1], delta, h=1e-2,
+                    method=method)
+                assert np.float64(alone).tobytes() == eps.tobytes()
+                assert len(caught) == saturated
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           compiled=st.booleans())
+    def test_row_parameters_bisect_each_step_at_its_own_values(self, seed,
+                                                               compiled):
+        # A parameter may hold one value per scored step, an (M,) array:
+        # each step is bisected at its own values, as compute_residual
+        # bisects it at them alone.
+        model = _stable_linear([1.5])
+        rng = np.random.default_rng(seed)
+        series = simulate_observations(
+            model, {"m": 0.3, "s": 0.4}, InitialState(0.0, [1.0]),
+            0.1 * np.arange(13), seed=seed, h=1e-2)
+        theta = {"m": rng.uniform(-1.0, 1.0, 12), "s": rng.uniform(0.05, 1.0)}
+        with pytest.MonkeyPatch.context() as mp, \
+                warnings.catch_warnings(record=True) as caught:
+            mp.setattr(odeint, "COMPILED", compiled)
+            warnings.simplefilter("always", ResidualSaturationWarning)
+            vector = compute_residuals(model, theta, series, h=1e-2)
+            assert vector.theta["m"].tobytes() == theta["m"].tobytes()
+            for j, (eps, saturated) in enumerate(zip(vector.epsilons,
+                                                     vector.saturated)):
+                caught.clear()
+                alone = compute_residual(
+                    model, {"m": theta["m"][j], "s": theta["s"]},
+                    InitialState(series.t[j], [series.x[j]]),
+                    series.t[j + 1], series.x[j + 1], h=1e-2)
+                assert np.float64(alone).tobytes() == eps.tobytes()
+                assert len(caught) == saturated
 
     def test_bisection_iteration_budget(self, damped_slope_model):
         # |l - r| <= delta after ceil(log2(1/delta)) halvings: residuals are

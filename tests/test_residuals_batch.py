@@ -20,7 +20,10 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 def _batch(model, thetas, series, h, scheme="forward"):
-    return _Bisection(model, series, scheme, 1e-4, h, "euler").points(thetas)
+    bisection = _Bisection(model, _restart_rows(model, series, scheme), 1e-4,
+                           h, "euler")
+    lo, hi, failed = bisection.cells(thetas)
+    return 0.5 * (lo + hi), (lo <= 0.0) | (hi >= 1.0), failed
 
 
 def _assert_matches_serial(model, thetas, series, h, scheme="forward"):
@@ -109,7 +112,8 @@ def test_overflowing_point_fails_alone(monkeypatch, batch_rows):
     _assert_matches_serial(model, thetas[[0, 2, 3]], series, h=1e-2)
 
     objective, _ = _residual_objective(
-        model, series, _moment_scores, 1e-4, 1e-2, "forward", "euler",
+        model, _restart_rows(model, series, "forward"), _moment_scores, 1e-4,
+        1e-2, "euler",
     )
     batched = objective.batch(thetas)
     assert batched[1] == np.inf
@@ -151,8 +155,8 @@ def test_reused_bisection_equals_a_fresh_one(sizes, compiled, delta, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(odeint, "COMPILED", compiled)
         objective, residuals_at = _residual_objective(
-            GROWTH, GROWTH_SERIES, _moment_scores, delta, 1e-2, "forward",
-            "euler")
+            GROWTH, _restart_rows(GROWTH, GROWTH_SERIES, "forward"),
+            _moment_scores, delta, 1e-2, "euler")
         for size in sizes:
             points = rng.uniform(-1.0, 0.5, (size, 1))
             if size >= 3 or rng.uniform() < 0.3:
